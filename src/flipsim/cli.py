@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dram as dram_mod
 from . import massage, qnn, search
-from .dram import (FLIPS_PER_SECOND, OWNER_ATTACKER, OWNER_VICTIM,
+from .dram import (FLIPS_PER_SECOND, OWNER_ATTACKER, OWNER_VICTIM, PAGE_BITS,
                    FlipProfile, new_dram, sample_profile, save_geometry,
                    template)
 from .image import StaleModeError, TargetBit, WeightImage, read_chain, write_chain
@@ -345,11 +345,7 @@ def cmd_search(cfg, checkpoint=None, profile_path=None):
         _write_trace(os.path.join(cfg.out, f"trace_{i + 1}.csv"), chain.trace)
         # later chains must not reuse this chain's bits or locations
         excluded = ProtectedMask(set(excluded.refs) | {s.ref for s in chain.steps})
-        used = {(s.pfn, s.bop) for s in chain.steps if s.pfn is not None}
-        if used:
-            keep = np.array([(int(p), int(b)) not in used
-                             for p, b, _, _ in working.entries()])
-            working = working.subset(keep)
+        working = working.subset(_unused_locations(working, chain.steps))
     info = {"chains": [_chain_summary(c) for c in chains],
             "rate": cfg.rate,
             # published full-scale baseline for one candidate chain; kept out
@@ -357,6 +353,19 @@ def cmd_search(cfg, checkpoint=None, profile_path=None):
             "full_scale_seconds_per_chain_reference": 120.0}
     _write_json(os.path.join(cfg.out, "search.json"), info)
     return chains, info
+
+
+def _unused_locations(profile, steps):
+    """Mask of profile entries at no (pfn, bop) location a chain step reserved."""
+    used = np.array([s.pfn * PAGE_BITS + s.bop for s in steps if s.pfn is not None],
+                    dtype=np.int64)
+    return ~np.isin(profile.pfn * PAGE_BITS + profile.bop, used)
+
+
+def _pages_retained(state, mapping, actions):
+    """Victim frames plus every page resident in an action's aggressor rows."""
+    return len(mapping) + sum(len(state.addr.row_pfns(a.set, r))
+                              for a in actions for r in a.aggressor_rows)
 
 
 def _read_victim_block(state, image, placement, mapping):
@@ -399,7 +408,7 @@ def cmd_exploit(cfg, checkpoint=None, profile_path=None, chain_path=None):
         working, retemplate_stats = retemplate(state, profile,
                                                {t.bop for t in targets})
 
-    plan = plan_mapping(targets, working, state)
+    plan = plan_mapping(targets, working, state, cfg.recycling_threshold)
     agg_sets, actions = plan_aggressors(plan, state)
     cache = PageFrameCache(cfg.recycling_threshold)
     mapping = release_and_remap(cache, plan, image, state,
@@ -425,9 +434,6 @@ def cmd_exploit(cfg, checkpoint=None, profile_path=None, chain_path=None):
     _, final_test_acc = loss_and_accuracy(attacked, dataset.x_test,
                                           dataset.y_test)
 
-    retained = len(mapping) + sum(
-        len(state.addr.row_pfns(a.set, r))
-        for a in actions for r in (a.victim_row - 1, a.victim_row + 1))
     report = {
         "chain": records,
         "per_step_metric": [r["expected_acc"] for r in records],
@@ -449,7 +455,8 @@ def cmd_exploit(cfg, checkpoint=None, profile_path=None, chain_path=None):
         },
         "planning": {
             "memory_fraction_held": attacker_pages / state.config.total_pages,
-            "pages_retained_after_mapping": retained,
+            "pages_retained_after_mapping": _pages_retained(state, mapping,
+                                                            actions),
             "candidate_locations": sorted(plan.candidate_counts.values()),
         },
         "hammer": {

@@ -142,27 +142,10 @@ class AddressFunction:
                 return s, row, (base + byte - off) * 8 + bit
         raise AssertionError("unreachable")
 
-    def byte_addr(self, pfn, byte_off):
-        if not (0 <= byte_off < PAGE_BYTES):
-            raise IndexError(f"byte offset {byte_off} out of range")
-        for s, row, base, off, n in self.page_segments(pfn):
-            if off <= byte_off < off + n:
-                return s, row, base + byte_off - off
-        raise AssertionError("unreachable")
-
     def cell_to_page(self, s, row, bitcol):
         """(set, row, bit column) -> (pfn, bop); inverse of :meth:`bit_addr`."""
-        cfg = self.config
-        byte, bit = divmod(bitcol, 8)
-        if cfg.channels == 1:
-            h, inner = divmod(byte, PAGE_BYTES)
-            pfn = (row * cfg.sets + s) * cfg.in_row_pages + h
-            return pfn, inner * 8 + bit
-        half = PAGE_BYTES // 2
-        q, inner = divmod(byte, half)
-        channel, bank = divmod(s, cfg.banks)
-        pfn = (row * cfg.banks + bank) * cfg.in_row_pages + q
-        return pfn, (channel * half + inner) * 8 + bit
+        pfn, bop = self.cell_to_page_vec(s, row, bitcol)
+        return int(pfn), int(bop)
 
     def row_pfns(self, s, row):
         """Physical pages with bytes resident in this (set, row)."""
@@ -202,6 +185,21 @@ class AddressFunction:
         sets = channel * cfg.banks + bank
         bitcols = q * half_bits + bop % half_bits
         return sets, rows, bitcols
+
+    def cell_to_page_vec(self, sets, rows, bitcols):
+        """Vectorized :meth:`cell_to_page`; inverse of :meth:`bit_addr_vec`."""
+        cfg = self.config
+        sets = np.asarray(sets, dtype=np.int64)
+        rows = np.asarray(rows, dtype=np.int64)
+        bitcols = np.asarray(bitcols, dtype=np.int64)
+        if cfg.channels == 1:
+            h, bop = np.divmod(bitcols, PAGE_BITS)
+            return (rows * cfg.sets + sets) * cfg.in_row_pages + h, bop
+        half_bits = PAGE_BITS // 2
+        q, inner = np.divmod(bitcols, half_bits)
+        channel, bank = np.divmod(sets, cfg.banks)
+        pfn = (rows * cfg.banks + bank) * cfg.in_row_pages + q
+        return pfn, channel * half_bits + inner
 
 
 # ---- scrambling hash -----------------------------------------------------------
@@ -246,19 +244,14 @@ class FlipProfile:
     def __len__(self):
         return len(self.pfn)
 
-    def sorted(self):
-        order = np.lexsort((self.direction, self.bop, self.pfn))
-        return FlipProfile(self.pfn[order], self.bop[order],
-                           self.direction[order], self.probability[order])
-
     def subset(self, mask):
         return FlipProfile(self.pfn[mask], self.bop[mask],
                            self.direction[mask], self.probability[mask])
 
     def entries(self):
-        for i in range(len(self)):
-            yield (int(self.pfn[i]), int(self.bop[i]),
-                   int(self.direction[i]), float(self.probability[i]))
+        """``(pfn, bop, direction, probability)`` tuples of Python scalars."""
+        return zip(self.pfn.tolist(), self.bop.tolist(),
+                   self.direction.tolist(), self.probability.tolist())
 
     @classmethod
     def from_entries(cls, rows):
@@ -275,8 +268,8 @@ class FlipProfile:
     def save_csv(self, path):
         with open(path, "w") as fh:
             fh.write("pfn,bop,direction,probability\n")
-            for pfn, bop, d, p in self.entries():
-                fh.write(f"{pfn},{bop},{d},{p!r}\n")
+            fh.write("".join([f"{pfn},{bop},{d},{p!r}\n"
+                              for pfn, bop, d, p in self.entries()]))
         return path
 
     @classmethod
@@ -322,18 +315,17 @@ class DramState:
         (self.cset, self.crow, self.cbitcol, self.cbase_dir,
          self.cprob, self.csscap) = cells
         self.ccur_dir = self.cbase_dir.copy()
-        self._row_index = {}
-        order = np.lexsort((self.cbitcol, self.crow, self.cset))
+        # cells sorted by (set, row, bit column); the cells of row key
+        # k = set * rows + row sit at [_row_start[k], _row_start[k + 1])
+        row_key = self.cset.astype(np.int64) * config.rows_per_bank + self.crow
+        cell_key = row_key * config.row_bits + self.cbitcol
+        order = np.argsort(cell_key, kind="stable")
+        del cell_key
         for name in ("cset", "crow", "cbitcol", "cbase_dir", "ccur_dir",
                      "cprob", "csscap"):
             setattr(self, name, getattr(self, name)[order])
-        boundaries = np.flatnonzero(np.diff(self.cset.astype(np.int64) * (2 ** 32)
-                                            + self.crow)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [len(self.cset)]))
-        for a, b in zip(starts, ends):
-            if a < b:
-                self._row_index[(int(self.cset[a]), int(self.crow[a]))] = (a, b)
+        self._row_start = np.searchsorted(
+            row_key[order], np.arange(config.sets * config.rows_per_bank + 1))
 
     # ---- storage ----
 
@@ -373,16 +365,32 @@ class DramState:
     def attacker_pfns(self):
         return np.flatnonzero(self.owner == OWNER_ATTACKER)
 
-    def row_owned_by(self, s, r, owner):
-        return all(self.owner[p] == owner for p in self.addr.row_pfns(s, r))
+    def sandwich_mask(self):
+        """``(sets, rows)`` bools: rows whose whole sandwich the attacker owns.
+
+        A row is owned when every in-row page resident in it is attacker
+        memory.  Row ``r`` qualifies when rows ``r - 1``, ``r`` and ``r + 1``
+        are all owned, so the rows at a bank edge never do.  The two channel
+        sets of a dual-channel bank hold the same pages, so set ``s`` reads
+        bank ``s % banks``.
+        """
+        cfg = self.config
+        owned = (self.owner == OWNER_ATTACKER).reshape(
+            cfg.rows_per_bank, cfg.banks, cfg.in_row_pages).all(axis=2).T
+        owned = owned[np.arange(cfg.sets) % cfg.banks]
+        mask = np.zeros_like(owned)
+        mask[:, 1:-1] = owned[:, :-2] & owned[:, 1:-1] & owned[:, 2:]
+        return mask
 
     # ---- cells ----
 
     def cells_in_row(self, s, r):
-        span = self._row_index.get((s, r))
-        if span is None:
+        cfg = self.config
+        if not (0 <= s < cfg.sets and 0 <= r < cfg.rows_per_bank):
             return np.empty(0, dtype=np.int64)
-        return np.arange(span[0], span[1], dtype=np.int64)
+        k = s * cfg.rows_per_bank + r
+        return np.arange(self._row_start[k], self._row_start[k + 1],
+                         dtype=np.int64)
 
     def cell_count(self):
         return len(self.cset)
@@ -476,15 +484,13 @@ class DramState:
 
     def ground_truth_profile(self, pfns=None):
         """Current cells projected through the address map (test oracle aid)."""
-        rows = []
-        pfn_filter = set(int(p) for p in pfns) if pfns is not None else None
-        for i in range(self.cell_count()):
-            pfn, bop = self.addr.cell_to_page(int(self.cset[i]), int(self.crow[i]),
-                                              int(self.cbitcol[i]))
-            if pfn_filter is not None and pfn not in pfn_filter:
-                continue
-            rows.append((pfn, bop, int(self.ccur_dir[i]), float(self.cprob[i])))
-        return FlipProfile.from_entries(sorted(rows))
+        pfn, bop = self.addr.cell_to_page_vec(self.cset, self.crow, self.cbitcol)
+        order = np.lexsort((self.cprob, self.ccur_dir, bop, pfn))
+        if pfns is not None:
+            wanted = np.fromiter((int(p) for p in pfns), dtype=np.int64)
+            order = order[np.isin(pfn[order], wanted)]
+        return FlipProfile(pfn[order], bop[order], self.ccur_dir[order],
+                           self.cprob[order])
 
 
 def _empty_cells():
@@ -581,43 +587,95 @@ def new_dram(config, density="dense", cell_seed=0, hammer_seed=1, **cell_kwargs)
 # ---- templating ----------------------------------------------------------------
 
 
-def attacker_sandwich_rows(dram):
-    """(set, row) pairs safe to template: the full 3-row window is attacker's."""
-    cfg = dram.config
-    out = []
-    for s in range(cfg.sets):
-        for r in range(1, cfg.rows_per_bank - 1):
-            if all(dram.row_owned_by(s, rr, OWNER_ATTACKER)
-                   for rr in (r - 1, r, r + 1)):
-                out.append((s, r))
-    return out
-
-
 def template(dram, scan_rows=None, repeats=1):
     """Scan rows with both stripe polarities and record every observed flip.
 
-    Only rows whose whole sandwich belongs to the attacker are scanned, so
-    profiling never corrupts foreign memory.  Deterministic given the DRAM
-    state; with per-cell probability 1 the result projects the ground-truth
-    cell set exactly.
+    By default the scanned rows are those of :meth:`DramState.sandwich_mask`
+    in (set, row) order, so profiling never corrupts foreign memory.  Each
+    scan row is hammered ``repeats`` times with polarity 1 (victim 0x00,
+    aggressors 0xFF), then ``repeats`` times with polarity 0 (victim 0xFF,
+    aggressors 0x00).  A cell flips in the polarity equal to its current
+    direction, in single-sided mode only if it is single-sided capable, and
+    a probabilistic cell only when its draw passes.
+
+    The sweep runs batched but matches hammering row by row: the draws come
+    from the DRAM's seeded stream in the order scan row, polarity, repeat,
+    cell, and the row buffers end as that loop's last hammers leave them.
+    Deterministic given the DRAM state; with per-cell probability 1 the
+    result projects the ground-truth cell set exactly.
     """
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
+    cfg = dram.config
+    nrows = cfg.rows_per_bank
     if scan_rows is None:
-        scan_rows = attacker_sandwich_rows(dram)
-    rows_arr = {}
-    counts = {}
-    row_bytes = dram.config.row_bytes
-    for s, r in scan_rows:
-        for direction, victim_fill, aggr_fill in ((1, 0x00, 0xFF), (0, 0xFF, 0x00)):
-            aggr = np.full(row_bytes, aggr_fill, dtype=np.uint8).tobytes()
-            for _ in range(repeats):
-                dram.row(s, r)[:] = victim_fill
-                for s_, r_, c in dram.hammer(s, r, upper=aggr, lower=aggr):
-                    pfn, bop = dram.addr.cell_to_page(s_, r_, c)
-                    key = (pfn, bop, direction)
-                    counts[key] = counts.get(key, 0) + 1
-    entries = [(pfn, bop, d, counts[(pfn, bop, d)] / repeats)
-               for (pfn, bop, d) in sorted(counts)]
-    return FlipProfile.from_entries(entries)
+        scan_s, scan_r = np.nonzero(dram.sandwich_mask())
+    else:
+        scan_s, scan_r = np.asarray(list(scan_rows),
+                                    dtype=np.int64).reshape(-1, 2).T
+    if cfg.hammer_mode == "double":
+        aggr_rows = (scan_r - 1, scan_r + 1)
+    else:
+        aggr_rows = (np.where(scan_r + 1 < nrows, scan_r + 1, scan_r - 1),)
+    for rows in (scan_r,) + aggr_rows:
+        if ((scan_s < 0) | (scan_s >= cfg.sets) | (rows < 0) | (rows >= nrows)).any():
+            raise IndexError("a scan row or one of its aggressors is out of range")
+
+    # every (scan row, cell in that row) occurrence, in scan then cell order
+    keys = scan_s * nrows + scan_r
+    start = dram._row_start[keys]
+    counts = dram._row_start[keys + 1] - start
+    scan = np.repeat(np.arange(len(keys)), counts)
+    cell = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts,
+                                               counts)
+
+    # axis 0 is the polarity: 1 (0->1) first, then 0 (1->0)
+    capable = dram.csscap[cell] if cfg.hammer_mode == "single" else True
+    cur = dram.ccur_dir[cell]
+    eligible = np.stack([(cur == 1) & capable, (cur == 0) & capable])
+    hits = np.where(eligible, repeats, 0)
+    last_hit = eligible.copy()
+    pol, occ = np.nonzero(eligible & (dram.cprob[cell] < 1.0))
+    if pol.size:
+        pol_e, occ_e = np.repeat(pol, repeats), np.repeat(occ, repeats)
+        rep_e = np.tile(np.arange(repeats), pol.size)
+        draws = np.empty(pol_e.size)
+        draws[np.lexsort((occ_e, rep_e, pol_e, scan[occ_e]))] = \
+            dram._rng.random(pol_e.size)
+        passed = (draws < dram.cprob[cell[occ_e]]).reshape(pol.size, repeats)
+        hits[pol, occ] = passed.sum(axis=1)
+        last_hit[pol, occ] = passed[:, -1]
+    _leave_rows_as_swept(dram, scan_s, scan_r, aggr_rows, counts, cell, last_hit[1])
+
+    pol, occ = np.nonzero(hits)
+    c = cell[occ]
+    pfn, bop = dram.addr.cell_to_page_vec(dram.cset[c], dram.crow[c],
+                                          dram.cbitcol[c])
+    key, inv = np.unique((pfn * PAGE_BITS + bop) * 2 + 1 - pol,
+                         return_inverse=True)
+    flips = np.bincount(inv, weights=hits[pol, occ], minlength=len(key))
+    return FlipProfile(key // (2 * PAGE_BITS), key // 2 % PAGE_BITS, key % 2,
+                       flips / repeats)
+
+
+def _leave_rows_as_swept(dram, scan_s, scan_r, aggr_rows, counts, cell, final_flip):
+    """Write the row buffers as the row-by-row sweep would leave them.
+
+    Each scan row ends on a polarity-0 hammer: its victim row holds 0xFF with
+    the bits of the cells that flipped in that hammer (``final_flip``)
+    cleared, and its aggressor rows hold 0x00.  Later scan rows overwrite
+    earlier ones, in scan order.
+    """
+    ends = np.cumsum(counts)
+    for s, r, a, b, *aggr in zip(scan_s.tolist(), scan_r.tolist(),
+                                 (ends - counts).tolist(), ends.tolist(),
+                                 *(rows.tolist() for rows in aggr_rows)):
+        victim = dram.row(s, r)
+        victim[:] = 0xFF
+        cols = dram.cbitcol[cell[a:b][final_flip[a:b]]]
+        np.bitwise_xor.at(victim, cols // 8, (1 << cols % 8).astype(np.uint8))
+        for ar in aggr:
+            dram.row(s, ar)[:] = 0x00
 
 
 # ---- geometry files ------------------------------------------------------------

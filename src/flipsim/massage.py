@@ -121,6 +121,7 @@ class HammerAction:
     victim_row: int
     stripe_bitcols: tuple
     aggressor_sets: tuple
+    aggressor_rows: tuple  # from _neighbor_rows: two double-sided, one single
 
 
 def _candidate_frames(profile, target, owner):
@@ -160,15 +161,16 @@ def _conflicts(dram, geo, chosen_geos):
     return None
 
 
-def plan_mapping(chain_targets, profile, dram):
+def plan_mapping(chain_targets, profile, dram,
+                 threshold=DEFAULT_RECYCLING_THRESHOLD):
     """Assign each target bit one attacker frame matching (bop, mode).
 
     Targets with the fewest satisfiable frames are placed first; if the greedy
     order dead-ends, an augmenting-path pass retries before reporting the
-    failing target.
+    failing target.  A chain that would reach the page cache's recycling
+    ``threshold`` is rejected up front, as :func:`release_and_remap` would.
     """
     owner = dram.owner
-    threshold = DEFAULT_RECYCLING_THRESHOLD
     if len(chain_targets) >= threshold:
         raise ThresholdViolation(
             f"{len(chain_targets)} targets would reach the recycling "
@@ -268,7 +270,8 @@ def plan_aggressors(plan, dram):
     actions = []
     for (s, vrow), members in sorted(merged.items()):
         stripes = tuple(sorted(c for m in members for c in sets[m].stripe_bitcols))
-        actions.append(HammerAction(s, vrow, stripes, tuple(members)))
+        actions.append(HammerAction(s, vrow, stripes, tuple(members),
+                                    _neighbor_rows(dram, vrow)))
     _check_aggressor_ownership(plan, dram, actions)
     return sets, actions
 
@@ -288,7 +291,7 @@ def _check_aggressor_ownership(plan, dram, actions):
         for member in act.aggressor_sets:
             e = plan.entries[member]
             byte_base = e.col_base // 8
-            for r in _neighbor_rows(dram, act.victim_row):
+            for r in act.aggressor_rows:
                 for pfn in dram.addr.row_pfns(act.set, r):
                     for s_, r_, base, _, n in dram.addr.page_segments(pfn):
                         if (s_, r_) != (act.set, r) or base != byte_base:
@@ -355,33 +358,36 @@ def _single_cell_probe(dram, pfn, bop, direction):
     return (s, row, bitcol) in flips
 
 
-def _probe_allowed(dram, pfn):
-    s, row, _, _ = dram.addr.in_row_page_of(pfn, 0)
-    rows = dram.config.rows_per_bank
-    if not (0 < row < rows - 1):
-        return False
-    return all(dram.row_owned_by(s, r, OWNER_ATTACKER)
-               for r in (row - 1, row, row + 1))
+def _sandwiched(dram, profile):
+    """Profile entries whose row lies inside an attacker-owned sandwich."""
+    s, row, _ = dram.addr.bit_addr_vec(profile.pfn, profile.bop)
+    return dram.sandwich_mask()[s, row]
 
 
 def verify_template(dram, profile, sample_size=MIN_VERIFY_SAMPLE):
     """Spot-check stable profile entries; 'obsolete' on the first mismatch.
 
+    The candidates are the entries with probability 1 in rows of
+    :meth:`DramState.sandwich_mask`, ordered by (pfn, bop, direction).
+    ``sample_size`` of them, evenly spaced over that order, are probed one
+    at a time in that order with :func:`_single_cell_probe`, each one hammer
+    call, so the probes draw from the DRAM's seeded stream as the order says.
     With ``sample_size == 0`` the check is vacuously valid; configs should
     keep the default minimum of 8 cells.
     """
     if sample_size == 0:
         return "valid"
-    stable = [(int(p), int(b), int(d)) for p, b, d, pr in profile.entries()
-              if pr >= 1.0 and _probe_allowed(dram, int(p))]
-    if not stable:
+    stable = np.flatnonzero((profile.probability >= 1.0)
+                            & _sandwiched(dram, profile))
+    if not stable.size:
         return "valid"
-    stable.sort()
+    stable = stable[np.lexsort((profile.direction[stable], profile.bop[stable],
+                                profile.pfn[stable]))]
     picks = np.unique(np.linspace(0, len(stable) - 1,
                                   min(sample_size, len(stable))).astype(int))
-    for i in picks:
-        pfn, bop, direction = stable[i]
-        if not _single_cell_probe(dram, pfn, bop, direction):
+    for i in stable[picks].tolist():
+        if not _single_cell_probe(dram, int(profile.pfn[i]), int(profile.bop[i]),
+                                  int(profile.direction[i])):
             return "obsolete"
     return "valid"
 
@@ -390,28 +396,29 @@ def retemplate(dram, stale_profile, needed_bops):
     """Re-learn directions only for entries at the needed bit offsets.
 
     Location invariance lets the stale profile prune the work: entries whose
-    bop is not needed are dropped untested; the rest are re-hammered in both
-    polarities (their recorded direction is ignored) and re-recorded with the
+    bop is not needed, or whose row lies outside
+    :meth:`DramState.sandwich_mask`, are dropped untested.  The rest are
+    re-hammered in profile order, polarity 1 then, if it did not flip,
+    polarity 0 (their recorded direction is ignored), so the probes draw from
+    the DRAM's seeded stream in that order; each is re-recorded with the
     current direction.  Returns ``(corrected_profile, stats)``.
     """
-    needed = set(int(b) for b in needed_bops)
+    needed = np.fromiter((int(b) for b in needed_bops), dtype=np.int64)
+    picks = np.flatnonzero(np.isin(stale_profile.bop, needed)
+                           & _sandwiched(dram, stale_profile))
     rows = []
-    tested = 0
-    for pfn, bop, _, prob in stale_profile.entries():
-        if bop not in needed:
-            continue
-        if not _probe_allowed(dram, pfn):
-            continue
-        tested += 1
+    for pfn, bop, prob in zip(stale_profile.pfn[picks].tolist(),
+                              stale_profile.bop[picks].tolist(),
+                              stale_profile.probability[picks].tolist()):
         if _single_cell_probe(dram, pfn, bop, 1):
             rows.append((pfn, bop, 1, prob))
         elif _single_cell_probe(dram, pfn, bop, 0):
             rows.append((pfn, bop, 0, prob))
     total = max(len(stale_profile), 1)
     stats = {
-        "cells_retested": tested,
+        "cells_retested": len(picks),
         "profile_entries": len(stale_profile),
-        "work_ratio": tested / total,
+        "work_ratio": len(picks) / total,
     }
     return FlipProfile.from_entries(sorted(rows)), stats
 
@@ -440,7 +447,7 @@ def precise_hammer(dram, plan, actions, mapping):
         for c in act.stripe_bitcols:
             byte, bit = divmod(c, 8)
             content[byte] ^= np.uint8(1 << bit)
-        for r in _neighbor_rows(dram, act.victim_row):
+        for r in act.aggressor_rows:
             row_buf = dram.row(act.set, r)
             # only attacker in-row pages are writable; victim pages that
             # co-reside in an aggressor row keep their bytes
@@ -482,7 +489,7 @@ def plan_to_json(plan, actions, path):
             "ppn": e.ppn,
             "set": e.set,
             "victim_row": e.victim_row,
-            "aggressor_rows": [e.victim_row - 1, e.victim_row + 1],
+            "aggressor_rows": list(actions[action_of[idx]].aggressor_rows),
             "stripe_bitcol": e.stripe_bitcol,
             "action": action_of[idx],
         })

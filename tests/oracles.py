@@ -7,6 +7,8 @@ routes to the same answer.
 
 import numpy as np
 
+from flipsim import massage
+from flipsim.dram import OWNER_ATTACKER, FlipProfile
 from flipsim.qnn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU, ResidualAdd
 
 
@@ -145,3 +147,115 @@ def audit_chain(chain, profile, protected=None):
             if protected.contains(s.ref):
                 problems.append(f"protected bit {s.ref} flipped")
     return problems
+
+
+# ---- DRAM and profile layer: the per-row and per-entry loops -----------------
+
+
+def cell_to_page(config, s, row, bitcol):
+    """Scalar (set, row, bit column) -> (pfn, bop), written out by bytes."""
+    byte, bit = divmod(bitcol, 8)
+    if config.channels == 1:
+        h, inner = divmod(byte, 4096)
+        pfn = (row * config.sets + s) * config.in_row_pages + h
+        return pfn, inner * 8 + bit
+    q, inner = divmod(byte, 2048)
+    channel, bank = divmod(s, config.banks)
+    pfn = (row * config.banks + bank) * config.in_row_pages + q
+    return pfn, (channel * 2048 + inner) * 8 + bit
+
+
+def _row_owned(dram, s, r):
+    return all(dram.owner[p] == OWNER_ATTACKER for p in dram.addr.row_pfns(s, r))
+
+
+def sandwich_rows(dram):
+    """(set, row) pairs whose whole 3-row window is attacker memory."""
+    cfg = dram.config
+    return [(s, r) for s in range(cfg.sets) for r in range(1, cfg.rows_per_bank - 1)
+            if all(_row_owned(dram, s, rr) for rr in (r - 1, r, r + 1))]
+
+
+def probe_allowed(dram, pfn):
+    s, row, _, _ = dram.addr.in_row_page_of(pfn, 0)
+    if not (0 < row < dram.config.rows_per_bank - 1):
+        return False
+    return all(_row_owned(dram, s, r) for r in (row - 1, row, row + 1))
+
+
+def row_spans(cset, crow):
+    """{(set, row): (first, end)} over cells already sorted by (set, row)."""
+    spans = {}
+    for i, key in enumerate(zip(cset.tolist(), crow.tolist())):
+        first, _ = spans.get(key, (i, i))
+        spans[key] = (first, i + 1)
+    return spans
+
+
+def template(dram, scan_rows=None, repeats=1):
+    """One hammer call per scan row, polarity and repeat, flips tallied."""
+    if scan_rows is None:
+        scan_rows = sandwich_rows(dram)
+    counts = {}
+    row_bytes = dram.config.row_bytes
+    for s, r in scan_rows:
+        for direction, victim_fill, aggr_fill in ((1, 0x00, 0xFF), (0, 0xFF, 0x00)):
+            aggr = np.full(row_bytes, aggr_fill, dtype=np.uint8).tobytes()
+            for _ in range(repeats):
+                dram.row(s, r)[:] = victim_fill
+                for s_, r_, c in dram.hammer(s, r, upper=aggr, lower=aggr):
+                    key = cell_to_page(dram.config, s_, r_, c) + (direction,)
+                    counts[key] = counts.get(key, 0) + 1
+    return FlipProfile.from_entries([(p, b, d, counts[(p, b, d)] / repeats)
+                                     for p, b, d in sorted(counts)])
+
+
+def verify_template(dram, profile, sample_size=8):
+    """Walk every entry, sort the stable ones, probe evenly spaced picks."""
+    if sample_size == 0:
+        return "valid"
+    stable = [(p, b, d) for p, b, d, pr in profile.entries()
+              if pr >= 1.0 and probe_allowed(dram, p)]
+    if not stable:
+        return "valid"
+    stable.sort()
+    picks = np.unique(np.linspace(0, len(stable) - 1,
+                                  min(sample_size, len(stable))).astype(int))
+    for i in picks:
+        if not massage._single_cell_probe(dram, *stable[i]):
+            return "obsolete"
+    return "valid"
+
+
+def retemplate(dram, stale_profile, needed_bops):
+    """Probe every needed, probe-allowed entry in profile order."""
+    needed = set(int(b) for b in needed_bops)
+    rows = []
+    tested = 0
+    for pfn, bop, _, prob in stale_profile.entries():
+        if bop not in needed or not probe_allowed(dram, pfn):
+            continue
+        tested += 1
+        if massage._single_cell_probe(dram, pfn, bop, 1):
+            rows.append((pfn, bop, 1, prob))
+        elif massage._single_cell_probe(dram, pfn, bop, 0):
+            rows.append((pfn, bop, 0, prob))
+    stats = {"cells_retested": tested,
+             "profile_entries": len(stale_profile),
+             "work_ratio": tested / max(len(stale_profile), 1)}
+    return FlipProfile.from_entries(sorted(rows)), stats
+
+
+def save_csv(profile, path):
+    with open(path, "w") as fh:
+        fh.write("pfn,bop,direction,probability\n")
+        for i in range(len(profile)):
+            fh.write(f"{int(profile.pfn[i])},{int(profile.bop[i])},"
+                     f"{int(profile.direction[i])},{float(profile.probability[i])!r}\n")
+
+
+def unused_locations(profile, steps):
+    """Keep mask: entries at no (pfn, bop) location a step reserved."""
+    used = {(s.pfn, s.bop) for s in steps if s.pfn is not None}
+    return np.array([(p, b) not in used for p, b, _, _ in profile.entries()],
+                    dtype=bool)

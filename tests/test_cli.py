@@ -6,8 +6,11 @@ import os
 import numpy as np
 import pytest
 
+from conftest import tiny_dram
 from flipsim import cli
-from flipsim.dram import FlipProfile
+from flipsim.dram import OWNER_ATTACKER, FlipProfile
+from flipsim.image import TargetBit
+from flipsim.massage import MappingPlan, PlanEntry, plan_aggressors
 
 
 def fast_overrides(out, **extra):
@@ -129,6 +132,34 @@ def test_noise_mode_surfaces_integrity_error(pipeline_out, tmp_path, desk_cfg):
                         checkpoint=os.path.join(pipeline_out, "checkpoint.qnn"),
                         profile_path=os.path.join(pipeline_out, "profile.csv"),
                         chain_path=os.path.join(pipeline_out, "chain_1.jsonl"))
+
+
+def test_exploit_plans_against_configured_recycling_threshold(pipeline_out, tmp_path,
+                                                              desk_cfg):
+    from dataclasses import replace
+
+    cfg = replace(desk_cfg, out=str(tmp_path / "tight"), recycling_threshold=2)
+    os.makedirs(cfg.out, exist_ok=True)
+    # plan_mapping's message: the chain is refused before any frame is freed
+    with pytest.raises(cli.ThresholdViolation, match="targets would reach"):
+        cli.cmd_exploit(cfg,
+                        checkpoint=os.path.join(pipeline_out, "checkpoint.qnn"),
+                        profile_path=os.path.join(pipeline_out, "profile.csv"),
+                        chain_path=os.path.join(pipeline_out, "chain_1.jsonl"))
+
+
+@pytest.mark.parametrize("mode, aggressor_rows", [("double", 2), ("single", 1)])
+def test_pages_retained_counts_each_aggressor_row(mode, aggressor_rows):
+    state = tiny_dram(hammer_mode=mode)
+    state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
+    ppn = state.addr.row_pfns(0, 7)[0]
+    s, row, base, span = state.addr.in_row_page_of(ppn, 5)
+    _, _, stripe = state.addr.bit_addr(ppn, 5)
+    tb = TargetBit(1, 5, 0)
+    plan = MappingPlan([PlanEntry(tb, 1, ppn, s, row, base, span, stripe)])
+    _, actions = plan_aggressors(plan, state)
+    retained = cli._pages_retained(state, {1: ppn}, actions)
+    assert retained == 1 + aggressor_rows * state.config.in_row_pages
 
 
 def test_random_baseline_csv(tmp_path, pipeline_out, desk_cfg):

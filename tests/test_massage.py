@@ -1,5 +1,7 @@
 """Page cache, positioning plans, template validity, precise hammering."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,9 @@ from flipsim.dram import OWNER_ATTACKER, OWNER_VICTIM, FlipProfile
 from flipsim.image import TargetBit
 from flipsim.massage import (MappingMismatch, MappingPlan, PageFrameCache,
                              PlanEntry, ThresholdViolation, UnsatisfiablePlan,
-                             plan_aggressors, plan_mapping, precise_hammer,
-                             release_and_remap, retemplate, verify_template)
+                             plan_aggressors, plan_mapping, plan_to_json,
+                             precise_hammer, release_and_remap, retemplate,
+                             verify_template)
 
 
 class FakeImage:
@@ -132,6 +135,16 @@ def test_plan_rejects_chain_at_threshold():
         plan_mapping(targets, FlipProfile.empty(), state)
 
 
+def test_plan_honours_configured_recycling_threshold():
+    state = attacker_state()
+    frames = [state.addr.row_pfns(0, r)[0] for r in (5, 10, 15)]
+    profile = FlipProfile(frames, [100, 101, 102], [0, 0, 0], [1.0] * 3)
+    targets = [TargetBit(i + 1, 100 + i, 0) for i in range(3)]
+    assert len(plan_mapping(targets, profile, state)) == 3
+    with pytest.raises(ThresholdViolation):
+        plan_mapping(targets, profile, state, threshold=2)
+
+
 def test_matching_fallback_beats_greedy_dead_end():
     # two targets at the same bop: greedy least-options could starve one
     state = attacker_state()
@@ -182,6 +195,17 @@ def test_victim_at_bank_edge_rejected():
     plan = MappingPlan([entry_for(state, TargetBit(1, 5, 0), ppn)])
     with pytest.raises(UnsatisfiablePlan):
         plan_aggressors(plan, state)
+
+
+def test_single_sided_plan_json_lists_one_aggressor_row(tmp_path):
+    state = tiny_dram(hammer_mode="single")
+    state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
+    ppn = state.addr.row_pfns(0, 7)[0]
+    plan = MappingPlan([entry_for(state, TargetBit(1, 5, 0), ppn)])
+    _, actions = plan_aggressors(plan, state)
+    plan_to_json(plan, actions, str(tmp_path / "plan.json"))
+    rows = json.loads((tmp_path / "plan.json").read_text())
+    assert rows[0]["aggressor_rows"] == [8]
 
 
 # ---- release_and_remap ------------------------------------------------------------
