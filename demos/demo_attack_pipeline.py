@@ -57,8 +57,8 @@ plan = plan_mapping(chain.targets(), profile, state)
 for e in plan.entries:
     print(f"  victim page {e.pgid} -> frame {e.ppn} "
           f"(bank {e.set}, row {e.victim_row})")
-sets, actions = plan_aggressors(plan, state)
-print(f"{len(sets)} aggressor sets merged into {len(actions)} hammering "
+actions = plan_aggressors(plan, state)
+print(f"{len(plan.entries)} victims merged into {len(actions)} hammering "
       f"actions (~{0.19 * len(actions):.2f} s of real hammering)")
 mapping = release_and_remap(PageFrameCache(cfg.recycling_threshold), plan,
                             image, state)

@@ -26,8 +26,7 @@ for s in range(3):
                                                 accuracy_floor=0.7),
                                 seed=200 + s)
         chain = search_chain(model, data, None,
-                             SearchConfig(p=32, max_flips=30,
-                                          enforce_page_rule=False))
+                             SearchConfig(p=32, max_flips=30))
         lens[label] = len(chain) if chain.feasible else ">30"
     rows.append(lens)
     print(f"  seed {s}: base {lens['base']} flips, wide {lens['wide']} flips")
@@ -51,10 +50,8 @@ print("the pool of damaging bits is too large for selective protection")
 print("\n== layer locking: pin the first and last layers in cache ==")
 weighted = model.weighted_indices()
 free = search_chain(model, dataset, None,
-                    SearchConfig(p=cfg.p, batch_seed=cfg.batch_seed,
-                                 enforce_page_rule=False))
+                    SearchConfig(p=cfg.p, batch_seed=cfg.batch_seed))
 locked_cfg = SearchConfig(p=cfg.p, batch_seed=cfg.batch_seed,
-                          enforce_page_rule=False,
                           protected=ProtectedMask(
                               locked_layers={weighted[0], weighted[-1]}))
 locked = search_chain(model, dataset, None, locked_cfg)

@@ -7,7 +7,7 @@ the full online exploitation pipeline.
 from . import cli, dram, image, massage, qnn, search
 from .dram import (DramConfig, DramState, FlipProfile, bench, desk,
                    full_dual, full_single, new_dram, sample_profile, template)
-from .image import StaleModeError, TargetBit, WeightImage, build_image
+from .image import StaleModeError, TargetBit, WeightImage
 from .massage import (MappingMismatch, PageFrameCache, PrecisionViolation,
                       ThresholdViolation, UnsatisfiablePlan, plan_aggressors,
                       plan_mapping, precise_hammer, release_and_remap,

@@ -5,9 +5,10 @@ defense | sensitivity``.  Every command is a pure function of its config file
 plus flags: identical seeds produce byte-identical outputs, so reports never
 embed timestamps or absolute paths.
 
-Exit codes: 0 success, 2 infeasible chain, 3 attack integrity failure
-(precision violation / stale template / mapping mismatch), 4 configuration
-error.
+Exit codes: 0 success, 2 infeasible chain (also a training run below its
+accuracy floor, and protect-top-N rounds that exhaust the bit space), 3
+attack integrity failure (precision violation / stale template / mapping
+mismatch), 4 configuration error.
 """
 
 import argparse
@@ -30,8 +31,8 @@ from .massage import (MappingMismatch, PageFrameCache, PrecisionViolation,
                       plan_mapping, plan_to_json, precise_hammer,
                       release_and_remap, retemplate, verify_template)
 from .qnn.model import class_fraction, loss_and_accuracy
-from .search import (ProtectedMask, SearchConfig, protection_rounds,
-                     search_chain, search_chain_targeted)
+from .search import (ExhaustedIterations, ProtectedMask, SearchConfig,
+                     protection_rounds, search_chain, search_chain_targeted)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -235,6 +236,13 @@ def provision(cfg, model):
     return state, image, placement, attacker
 
 
+def _train_config(cfg):
+    return qnn.TrainConfig(epochs=cfg.epochs, lr=cfg.lr, momentum=cfg.momentum,
+                           weight_decay=cfg.weight_decay,
+                           batch_size=cfg.train_batch,
+                           accuracy_floor=cfg.accuracy_floor)
+
+
 def search_config(cfg, protected=None):
     return SearchConfig(p=cfg.p, target_accuracy=cfg.target_accuracy,
                         max_flips=cfg.max_flips, eval_batch_size=cfg.eval_batch,
@@ -280,12 +288,7 @@ def cmd_train(cfg):
     os.makedirs(cfg.out, exist_ok=True)
     dataset = build_dataset(cfg)
     spec = build_model_spec(cfg, dataset=dataset)
-    train_cfg = qnn.TrainConfig(epochs=cfg.epochs, lr=cfg.lr,
-                                momentum=cfg.momentum,
-                                weight_decay=cfg.weight_decay,
-                                batch_size=cfg.train_batch,
-                                accuracy_floor=cfg.accuracy_floor)
-    model = qnn.train_small(spec, dataset, train_cfg, cfg.train_seed)
+    model = qnn.train_small(spec, dataset, _train_config(cfg), cfg.train_seed)
     path = os.path.join(cfg.out, "checkpoint.qnn")
     qnn.save_checkpoint(model, path)
     _, acc = loss_and_accuracy(model, dataset.x_test, dataset.y_test)
@@ -334,7 +337,7 @@ def cmd_search(cfg, checkpoint=None, profile_path=None):
     excluded = ProtectedMask()
     working = profile
     for i in range(cfg.chains):
-        scfg = search_config(cfg, protected=excluded if len(excluded) else None)
+        scfg = search_config(cfg, protected=excluded)
         if cfg.target_class >= 0:
             chain = search_chain_targeted(model, dataset, working, scfg,
                                           cfg.target_class)
@@ -344,8 +347,8 @@ def cmd_search(cfg, checkpoint=None, profile_path=None):
         write_chain(os.path.join(cfg.out, f"chain_{i + 1}.jsonl"), chain.records())
         _write_trace(os.path.join(cfg.out, f"trace_{i + 1}.csv"), chain.trace)
         # later chains must not reuse this chain's bits or locations
-        excluded = ProtectedMask(set(excluded.refs) | {s.ref for s in chain.steps})
-        working = working.subset(_unused_locations(working, chain.steps))
+        excluded.add_refs(s.ref for s in chain.steps)
+        working = working.subset(_unreserved_locations(working, chain.steps))
     info = {"chains": [_chain_summary(c) for c in chains],
             "rate": cfg.rate,
             # published full-scale baseline for one candidate chain; kept out
@@ -355,7 +358,7 @@ def cmd_search(cfg, checkpoint=None, profile_path=None):
     return chains, info
 
 
-def _unused_locations(profile, steps):
+def _unreserved_locations(profile, steps):
     """Mask of profile entries at no (pfn, bop) location a chain step reserved."""
     used = np.array([s.pfn * PAGE_BITS + s.bop for s in steps if s.pfn is not None],
                     dtype=np.int64)
@@ -409,7 +412,7 @@ def cmd_exploit(cfg, checkpoint=None, profile_path=None, chain_path=None):
                                                {t.bop for t in targets})
 
     plan = plan_mapping(targets, working, state, cfg.recycling_threshold)
-    agg_sets, actions = plan_aggressors(plan, state)
+    actions = plan_aggressors(plan, state)
     cache = PageFrameCache(cfg.recycling_threshold)
     mapping = release_and_remap(cache, plan, image, state,
                                 noise=cfg.noise_allocations)
@@ -421,8 +424,6 @@ def cmd_exploit(cfg, checkpoint=None, profile_path=None, chain_path=None):
                                                   mapping))
     if cfg.target_class >= 0:
         final_metric = class_fraction(attacked, dataset.x_test, cfg.target_class)
-        xb, yb = dataset.batch(cfg.eval_batch, cfg.batch_seed,
-                               from_class=cfg.target_class)
     else:
         xb, yb = dataset.batch(cfg.eval_batch, cfg.batch_seed)
         _, final_metric = loss_and_accuracy(attacked, xb, yb)
@@ -511,18 +512,13 @@ def cmd_defense(cfg, mode):
             lengths = {}
             for label, mult in (("base", 1), ("wide", 2)):
                 spec = build_model_spec(sub, width_multiplier=mult, dataset=data)
-                train_cfg = qnn.TrainConfig(epochs=sub.epochs, lr=sub.lr,
-                                            momentum=sub.momentum,
-                                            batch_size=sub.train_batch,
-                                            accuracy_floor=sub.accuracy_floor)
                 try:
-                    model = qnn.train_small(spec, data, train_cfg,
+                    model = qnn.train_small(spec, data, _train_config(sub),
                                             sub.train_seed)
                 except qnn.TrainingFailure:
                     lengths[label] = None  # this init never cleared the floor
                     continue
-                scfg = replace(search_config(sub), enforce_page_rule=False)
-                chain = search_chain(model, data, None, scfg)
+                chain = search_chain(model, data, None, search_config(sub))
                 lengths[label] = len(chain) if chain.feasible else sub.max_flips + 1
             rows.append({"seed": s, **lengths})
         usable = [r for r in rows if r["base"] is not None and r["wide"] is not None]
@@ -550,11 +546,10 @@ def cmd_defense(cfg, mode):
     elif mode == "layer-lock":
         model = qnn.load_checkpoint(os.path.join(cfg.out, "checkpoint.qnn"))
         weighted = model.weighted_indices()
-        scfg = replace(search_config(cfg), enforce_page_rule=False)
-        free_chain = search_chain(model, dataset, None, scfg)
+        free_chain = search_chain(model, dataset, None, search_config(cfg))
         mask = ProtectedMask(locked_layers={weighted[0], weighted[-1]})
-        locked_cfg = replace(scfg, protected=mask)
-        locked_chain = search_chain(model, dataset, None, locked_cfg)
+        locked_chain = search_chain(model, dataset, None,
+                                    search_config(cfg, protected=mask))
         info = {"mode": mode,
                 "unlocked": _chain_summary(free_chain),
                 "locked_first_last": _chain_summary(locked_chain)}
@@ -674,6 +669,9 @@ def main(argv=None):
         return EXIT_INTEGRITY
     except qnn.TrainingFailure as exc:
         print(f"training failure: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except ExhaustedIterations as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK
 

@@ -134,13 +134,12 @@ class AddressFunction:
 
     def bit_addr(self, pfn, bop):
         """(pfn, bop) -> (set, row, bit column)."""
+        if not (0 <= pfn < self.config.total_pages):
+            raise IndexError(f"pfn {pfn} out of range")
         if not (0 <= bop < PAGE_BITS):
             raise IndexError(f"bop {bop} out of range")
-        byte, bit = divmod(bop, 8)
-        for s, row, base, off, n in self.page_segments(pfn):
-            if off <= byte < off + n:
-                return s, row, (base + byte - off) * 8 + bit
-        raise AssertionError("unreachable")
+        s, row, bitcol = self.bit_addr_vec(pfn, bop)
+        return int(s), int(row), int(bitcol)
 
     def cell_to_page(self, s, row, bitcol):
         """(set, row, bit column) -> (pfn, bop); inverse of :meth:`bit_addr`."""
@@ -159,12 +158,9 @@ class AddressFunction:
 
     def in_row_page_of(self, pfn, bop):
         """(set, row, first bit column, bit span) of the in-row page holding bop."""
-        cfg = self.config
-        byte = bop // 8
-        for s, row, base, off, n in self.page_segments(pfn):
-            if off <= byte < off + n:
-                return s, row, base * 8, n * 8
-        raise AssertionError("unreachable")
+        s, row, bitcol = self.bit_addr(pfn, bop)
+        span = self.config.in_row_page_size * 8
+        return s, row, bitcol - bitcol % span, span
 
     def bit_addr_vec(self, pfn, bop):
         """Vectorized :meth:`bit_addr` over equal-length index arrays."""
@@ -309,7 +305,6 @@ class DramState:
         self.boot_seed = None
         self.toggle_probability = 0.5
         self._rng = np.random.default_rng(hammer_seed)
-        self._hammer_seed = hammer_seed
         if cells is None:
             cells = _empty_cells()
         (self.cset, self.crow, self.cbitcol, self.cbase_dir,
@@ -362,9 +357,6 @@ class DramState:
     def set_owner(self, pfns, owner):
         self.owner[np.asarray(list(pfns), dtype=np.int64)] = owner
 
-    def attacker_pfns(self):
-        return np.flatnonzero(self.owner == OWNER_ATTACKER)
-
     def sandwich_mask(self):
         """``(sets, rows)`` bools: rows whose whole sandwich the attacker owns.
 
@@ -394,13 +386,6 @@ class DramState:
 
     def cell_count(self):
         return len(self.cset)
-
-    def cell_lookup(self, pfn, bop):
-        """Index of the vulnerable cell at (pfn, bop), or -1."""
-        s, r, bitcol = self.addr.bit_addr(pfn, bop)
-        idx = self.cells_in_row(s, r)
-        hit = idx[self.cbitcol[idx] == bitcol]
-        return int(hit[0]) if hit.size else -1
 
     # ---- hammering ----
 

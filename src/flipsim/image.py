@@ -150,23 +150,15 @@ class WeightImage:
             delta.append((ref, old, new))
         return delta
 
-    def refresh_from_model(self):
-        """Resynchronize page bytes after external model mutation."""
-        blob = np.frombuffer(self.model.weight_block(), dtype=np.uint8)
-        flat = self.pages.reshape(-1)
-        flat[:self.weight_bytes] = blob
-        flat[self.weight_bytes:] = 0
-
     def load_block(self, blob):
         """Overwrite image and model weights from raw block bytes."""
         if len(blob) < self.weight_bytes:
             raise ValueError("weight block too short")
         self.model.load_weight_block(blob[:self.weight_bytes])
-        self.refresh_from_model()
-
-
-def build_image(model):
-    return WeightImage(model)
+        flat = self.pages.reshape(-1)
+        flat[:self.weight_bytes] = np.frombuffer(self.model.weight_block(),
+                                                 dtype=np.uint8)
+        flat[self.weight_bytes:] = 0
 
 
 # ---- chain files -------------------------------------------------------------

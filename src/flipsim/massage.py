@@ -78,9 +78,6 @@ class PageFrameCache:
             return self.global_pool.pop(0)
         raise RuntimeError("no free frames")
 
-    def peek(self):
-        return self._stack[-1] if self._stack else None
-
 
 @dataclass
 class PlanEntry:
@@ -104,23 +101,13 @@ class MappingPlan:
 
 
 @dataclass
-class AggressorSet:
-    set: int
-    victim_row: int
-    col_base: int
-    col_span: int
-    stripe_bitcols: tuple
-    entry_indices: tuple
-
-
-@dataclass
 class HammerAction:
-    """Merged hammering unit: sets sharing both aggressor rows fire together."""
+    """Merged hammering unit: victims sharing both aggressor rows fire together."""
 
     set: int
     victim_row: int
     stripe_bitcols: tuple
-    aggressor_sets: tuple
+    members: tuple         # indices of the plan entries this action serves
     aggressor_rows: tuple  # from _neighbor_rows: two double-sided, one single
 
 
@@ -251,29 +238,24 @@ def _matching_assign(targets, candidates, dram):
 
 
 def plan_aggressors(plan, dram):
-    """Reserve aggressor in-row pages and merge sets sharing both rows.
+    """Reserve aggressor in-row pages and merge victims sharing both rows.
 
-    Returns ``(aggressor_sets, actions)``; each action is one row activation
-    pair and may serve several victims resident in the same row.
+    Returns the hammering actions; each action is one row activation pair
+    and may serve several victims resident in the same row.
     """
     rows = dram.config.rows_per_bank
-    sets = []
+    merged = {}
     for idx, e in enumerate(plan.entries):
         if dram.config.hammer_mode == "double" and not (0 < e.victim_row < rows - 1):
             raise UnsatisfiablePlan(e.target, "victim row at bank edge")
-        sets.append(AggressorSet(e.set, e.victim_row, e.col_base, e.col_span,
-                                 (e.stripe_bitcol,), (idx,)))
-    merged = {}
-    for idx, aset in enumerate(sets):
-        key = (aset.set, aset.victim_row)
-        merged.setdefault(key, []).append(idx)
+        merged.setdefault((e.set, e.victim_row), []).append(idx)
     actions = []
     for (s, vrow), members in sorted(merged.items()):
-        stripes = tuple(sorted(c for m in members for c in sets[m].stripe_bitcols))
+        stripes = tuple(sorted(plan.entries[m].stripe_bitcol for m in members))
         actions.append(HammerAction(s, vrow, stripes, tuple(members),
                                     _neighbor_rows(dram, vrow)))
     _check_aggressor_ownership(plan, dram, actions)
-    return sets, actions
+    return actions
 
 
 def _neighbor_rows(dram, victim_row):
@@ -288,7 +270,7 @@ def _check_aggressor_ownership(plan, dram, actions):
     """The direct aggressor in-row pages of every action must be writable."""
     victim_frames = {e.ppn for e in plan.entries}
     for act in actions:
-        for member in act.aggressor_sets:
+        for member in act.members:
             e = plan.entries[member]
             byte_base = e.col_base // 8
             for r in act.aggressor_rows:
@@ -480,7 +462,7 @@ def plan_to_json(plan, actions, path):
     """Plan dump consumed by report tooling."""
     action_of = {}
     for aid, act in enumerate(actions):
-        for m in act.aggressor_sets:
+        for m in act.members:
             action_of[m] = aid
     rows = []
     for idx, e in enumerate(plan.entries):

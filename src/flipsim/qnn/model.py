@@ -116,37 +116,15 @@ class QuantizedModel:
         Returns ``(loss, grads)`` with ``grads[i]`` shaped like layer ``i``'s
         weight tensor (``None`` for weightless layers).
         """
-        x = np.asarray(x, dtype=np.float64)
-        acts = [x]
-        ctxs = []
-        for layer in self.layers:
-            if isinstance(layer, ResidualAdd):
-                x = x + acts[layer.source]
-                ctxs.append(None)
-            else:
-                x, ctx = layer.forward_train(x)
-                ctxs.append(ctx)
-            acts.append(x)
-        loss, dlogits = softmax_cross_entropy(x, labels)
-        grads = [None] * len(self.layers)
-        flow = [None] * (len(self.layers) + 1)
-        flow[len(self.layers)] = dlogits
-        for i in range(len(self.layers) - 1, -1, -1):
-            g = flow[i + 1]
-            layer = self.layers[i]
-            if isinstance(layer, ResidualAdd):
-                g_in = g
-                src = layer.source
-                flow[src] = g if flow[src] is None else flow[src] + g
-            else:
-                g_in, grad_w, _ = layer.backward(ctxs[i], g)
-                if layer.weighted:
-                    grads[i] = grad_w
-            flow[i] = g_in if flow[i] is None else flow[i] + g_in
+        loss, grads, _ = self.weight_bias_gradients(x, labels)
         return loss, grads
 
     def weight_bias_gradients(self, x, labels):
-        """Like :meth:`weight_gradients` but also returns bias gradients."""
+        """Like :meth:`weight_gradients` but also returns bias gradients.
+
+        Returns ``(loss, grads, bias_grads)``; both lists hold ``None`` for
+        weightless layers.
+        """
         x = np.asarray(x, dtype=np.float64)
         acts = [x]
         ctxs = []

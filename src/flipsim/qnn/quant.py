@@ -31,7 +31,8 @@ def quantize(weights, bit_width=8):
     Returns ``(weight_q, delta_w)`` where ``delta_w = max(weights) / qmax`` and
     ``weight_q = round(weights / delta_w)`` clamped into the signed range.
     Raises :class:`DegenerateQuantizerError` when ``max(weights) <= 0`` (an
-    all-zero tensor is the canonical case: the step size would collapse to 0).
+    all-zero tensor is the canonical case: the step size would collapse to 0)
+    or when the step size would be subnormal, where dividing by it overflows.
     """
     if bit_width not in SUPPORTED_BIT_WIDTHS:
         raise ValueError(f"unsupported bit width {bit_width}")
@@ -46,6 +47,11 @@ def quantize(weights, bit_width=8):
             f"max weight is {top}; step size would be <= 0"
         )
     delta_w = top / qmax
+    if delta_w < np.finfo(np.float64).tiny:
+        raise DegenerateQuantizerError(
+            f"max weight is {top}; step size {delta_w} is below the "
+            "smallest normal float"
+        )
     q = np.clip(round_half_away(w / delta_w), qmin, qmax).astype(np.int8)
     return q, delta_w
 

@@ -14,7 +14,6 @@ single-class batch, which amplifies the weights feeding the chosen class until
 it captures the test set.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass, field, replace
 
@@ -152,21 +151,24 @@ class SearchConfig:
     batch_seed: int = 1234
     target_fraction: float = 0.9
     protected: "ProtectedMask | None" = None
-    enforce_page_rule: bool = True
 
 
 class ProtectedMask:
     """Bits the search must never flip: whole layers and/or explicit refs."""
 
     def __init__(self, refs=(), locked_layers=()):
-        self.refs = set(refs)
+        self.refs = set()
         self.locked_layers = set(locked_layers)
+        self._by_layer = {}  # layer -> {(index, bit), ...}
+        self.add_refs(refs)
+
+    def copy(self):
+        return ProtectedMask(self.refs, self.locked_layers)
 
     def add_refs(self, refs):
-        self.refs.update(refs)
-
-    def lock_layer(self, layer_idx):
-        self.locked_layers.add(layer_idx)
+        for ref in refs:
+            self.refs.add(ref)
+            self._by_layer.setdefault(ref.layer, set()).add((ref.index, ref.bit))
 
     def contains(self, ref):
         return ref.layer in self.locked_layers or ref in self.refs
@@ -175,9 +177,8 @@ class ProtectedMask:
         if layer_idx in self.locked_layers:
             return np.ones((n_weights, bit_width), dtype=bool)
         mask = np.zeros((n_weights, bit_width), dtype=bool)
-        for ref in self.refs:
-            if ref.layer == layer_idx:
-                mask[ref.index, ref.bit] = True
+        if layer_idx in self._by_layer:
+            mask[tuple(zip(*self._by_layer[layer_idx]))] = True
         return mask
 
     def __len__(self):
@@ -206,7 +207,6 @@ class ProfileView:
             if mask.any():
                 self._counts[d] = np.bincount(profile.bop[mask],
                                               minlength=PAGE_BITS).astype(np.int64)
-        self.used_locations = set()
 
     def match_count(self, bop, mode):
         return int(self._counts[mode][bop])
@@ -222,7 +222,6 @@ class ProfileView:
         pfn = int(self._pfn[self._start[key] + offset])
         self._taken[key] = offset + 1
         self._counts[mode][bop] -= 1
-        self.used_locations.add((pfn, bop))
         return pfn
 
 
@@ -252,8 +251,8 @@ def _topk_lowest_index(score, k):
 
 
 def rank_candidates(model, image, x, labels, p, *, objective=1, view=None,
-                    used_pages=(), protected=None, used_bits=None, acts=None,
-                    probe_x=None, target_class=None):
+                    used_pages=(), protected=None, probe_x=None,
+                    target_class=None):
     """One iteration of gradient-based ranking plus per-candidate evaluation.
 
     Returns candidates sorted by evaluated effect: strongest accuracy movement
@@ -271,8 +270,7 @@ def rank_candidates(model, image, x, labels, p, *, objective=1, view=None,
                                 np.asarray(probe_x, dtype=np.float64)])
     else:
         x_all = x
-    if acts is None:
-        _, acts = model.forward_acts(x_all)
+    _, acts = model.forward_acts(x_all)
     _, grads = model.weight_gradients(x, labels)
     bitgrads = model.bit_gradients(grads)
     used_pages = set(used_pages)
@@ -296,10 +294,6 @@ def rank_candidates(model, image, x, labels, p, *, objective=1, view=None,
         if avail is not None:
             ok = np.where(mode_arr == 1, avail[1][bops], avail[0][bops])
             feasible &= ok
-        if used_bits:
-            for ref in used_bits:
-                if ref.layer == layer_idx:
-                    feasible[ref.index, ref.bit] = False
         score = np.where(feasible, np.abs(bg), -1.0).reshape(-1)
         for flat in _topk_lowest_index(score, p):
             idx, bit = divmod(int(flat), bw)
@@ -334,25 +328,20 @@ def _rank_key(c, objective):
             c.ref.layer, c.ref.index, c.ref.bit)
 
 
-def select_flippable(ranked, view, used_pages, protected=None,
-                     enforce_page_rule=True):
+def select_flippable(ranked, view):
     """First ranked candidate with an unused matching physical location.
 
-    Enforces the one-flip-per-page rule and the protected mask, reserves the
-    chosen location, and returns ``(candidate, pfn)``; ``None`` when the
-    iteration is exhausted.
+    :func:`rank_candidates` has already applied the page rule and the
+    protected mask.  Reserves the chosen location and returns
+    ``(candidate, pfn)``, with ``pfn`` ``None`` when there is no ``view``;
+    ``None`` when the iteration is exhausted.
     """
     for cand in ranked:
-        if protected is not None and protected.contains(cand.ref):
-            continue
-        if enforce_page_rule and cand.page in used_pages:
-            continue
         if view is None:
             return cand, None
         pfn = view.reserve(cand.bop, cand.mode)
-        if pfn is None:
-            continue
-        return cand, pfn
+        if pfn is not None:
+            return cand, pfn
     return None
 
 
@@ -367,11 +356,8 @@ def _run_search(model, dataset, profile, config, *, objective=1,
     work = model.copy()
     before_hash = model.state_hash()
     image = WeightImage(work)
-    if target_class is None:
-        x, y = dataset.batch(config.eval_batch_size, config.batch_seed)
-    else:
-        x, y = dataset.batch(config.eval_batch_size, config.batch_seed,
-                             from_class=target_class)
+    x, y = dataset.batch(config.eval_batch_size, config.batch_seed,
+                         from_class=target_class)
     clean_loss, clean_acc = loss_and_accuracy(work, x, y)
     if target_class is None:
         metric_name, clean_metric = "accuracy", clean_acc
@@ -380,7 +366,8 @@ def _run_search(model, dataset, profile, config, *, objective=1,
         clean_metric = class_fraction(work, dataset.x_test, target_class)
 
     view = ProfileView(profile) if profile is not None else None
-    used_pages, used_bits = set(), set()
+    excluded = config.protected.copy() if config.protected else ProtectedMask()
+    used_pages = set()
     steps, trace = [], []
     exhausted = False
     feasible = _success(clean_metric, config, objective)
@@ -389,19 +376,17 @@ def _run_search(model, dataset, profile, config, *, objective=1,
     while not feasible and len(steps) < config.max_flips:
         ranked = rank_candidates(work, image, x, y, config.p,
                                  objective=objective, view=view,
-                                 used_pages=used_pages if config.enforce_page_rule else (),
-                                 protected=config.protected,
-                                 used_bits=used_bits,
+                                 used_pages=used_pages, protected=excluded,
                                  probe_x=probe_x, target_class=target_class)
-        picked = select_flippable(ranked, view, used_pages, config.protected,
-                                  config.enforce_page_rule)
+        picked = select_flippable(ranked, view)
         if picked is None:
             exhausted = True
             break
         cand, pfn = picked
         image.apply_flips([TargetBit(cand.page, cand.bop, cand.mode)])
-        used_pages.add(cand.page)
-        used_bits.add(cand.ref)
+        if view is not None:
+            used_pages.add(cand.page)
+        excluded.add_refs([cand.ref])
         # the recorded per-step numbers come from a definitive full forward
         # pass over the committed state, which replays bit-exactly
         loss, acc = loss_and_accuracy(work, x, y)
@@ -426,6 +411,11 @@ def _run_search(model, dataset, profile, config, *, objective=1,
 
 def search_chain(model, dataset, profile, config):
     """Greedy chain search until batch accuracy drops to the target.
+
+    With a ``profile`` every bit needs an unused matching location and the
+    one-flip-per-page rule applies; with ``profile=None`` the search is
+    unconstrained by memory, so neither does.  A bit is never picked twice,
+    nor one in ``config.protected``.
 
     An unreachable target is a result, not an error: the partial chain comes
     back with ``feasible=False`` (``exhausted`` additionally marks that the
@@ -457,15 +447,11 @@ def protection_rounds(model, dataset, config, rounds):
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    protected = ProtectedMask(set(config.protected.refs) if config.protected else (),
-                              set(config.protected.locked_layers)
-                              if config.protected else ())
+    protected = config.protected.copy() if config.protected else ProtectedMask()
     chains = []
     for _ in range(rounds):
-        cfg = replace(config, protected=ProtectedMask(set(protected.refs),
-                                                      set(protected.locked_layers)),
-                      enforce_page_rule=False)
-        chain = search_chain(model, dataset, None, cfg)
+        chain = search_chain(model, dataset, None,
+                             replace(config, protected=protected))
         if not chain.steps and not chain.feasible:
             raise ExhaustedIterations("bit space exhausted across rounds")
         chains.append(chain)
@@ -477,11 +463,8 @@ def replay_chain(model, chain, dataset, config, target_class=None):
     """Apply a chain to a fresh copy and recompute each step's metric."""
     work = model.copy()
     image = WeightImage(work)
-    if target_class is None:
-        x, y = dataset.batch(config.eval_batch_size, config.batch_seed)
-    else:
-        x, y = dataset.batch(config.eval_batch_size, config.batch_seed,
-                             from_class=target_class)
+    x, y = dataset.batch(config.eval_batch_size, config.batch_seed,
+                         from_class=target_class)
     out = []
     for step in chain.steps:
         image.apply_flips([step.target()])
@@ -492,9 +475,3 @@ def replay_chain(model, chain, dataset, config, target_class=None):
         out.append(metric)
     return out
 
-
-def chain_fingerprint(chain):
-    h = hashlib.blake2b(digest_size=12)
-    for s in chain.steps:
-        h.update(f"{s.page}:{s.bop}:{s.mode}:{s.metric!r};".encode())
-    return h.hexdigest()

@@ -165,6 +165,18 @@ def cell_to_page(config, s, row, bitcol):
     return pfn, (channel * 2048 + inner) * 8 + bit
 
 
+def bit_addr(addr, pfn, bop):
+    """Scalar (pfn, bop) -> (set, row, bit column, in-row page base, span).
+
+    Walks the page's in-row segments to the one holding the byte.
+    """
+    byte, bit = divmod(bop, 8)
+    for s, row, base, off, n in addr.page_segments(pfn):
+        if off <= byte < off + n:
+            return s, row, (base + byte - off) * 8 + bit, base * 8, n * 8
+    raise AssertionError("byte outside every segment")
+
+
 def _row_owned(dram, s, r):
     return all(dram.owner[p] == OWNER_ATTACKER for p in dram.addr.row_pfns(s, r))
 
@@ -254,7 +266,7 @@ def save_csv(profile, path):
                      f"{int(profile.direction[i])},{float(profile.probability[i])!r}\n")
 
 
-def unused_locations(profile, steps):
+def unreserved_locations(profile, steps):
     """Keep mask: entries at no (pfn, bop) location a step reserved."""
     used = {(s.pfn, s.bop) for s in steps if s.pfn is not None}
     return np.array([(p, b) not in used for p, b, _, _ in profile.entries()],

@@ -140,11 +140,11 @@ def test_criterion_04_selection_oracle(desk_model, desk_dataset, desk_cfg,
     image = WeightImage(work)
     x, y = desk_dataset.batch(desk_cfg.eval_batch, desk_cfg.batch_seed)
     view = ProfileView(profile)
-    used_pages, used_bits = set(), set()
+    used_pages = set()
     iterations = 0
     while iterations < 6:
         ranked = rank_candidates(work, image, x, y, desk_cfg.p, view=view,
-                                 used_pages=used_pages, used_bits=used_bits)
+                                 used_pages=used_pages)
         if not ranked:
             break
         evals = {}
@@ -158,14 +158,13 @@ def test_criterion_04_selection_oracle(desk_model, desk_dataset, desk_cfg,
                     c.ref.layer, c.ref.index, c.ref.bit)
 
         oracle_best = min(ranked, key=oracle_key)
-        picked = select_flippable(ranked, view, used_pages)
+        picked = select_flippable(ranked, view)
         assert picked is not None
         cand, _ = picked
         assert cand.ref == oracle_best.ref, \
             f"iteration {iterations}: chose {cand.ref}, oracle {oracle_best.ref}"
         image.apply_flips([TargetBit(cand.page, cand.bop, cand.mode)])
         used_pages.add(cand.page)
-        used_bits.add(cand.ref)
         iterations += 1
     verdict(4, iterations >= 5,
             f"{iterations} committed iterations all matched the exhaustive "
@@ -266,7 +265,7 @@ def test_criterion_07_precise_hammering():
                              int(1 - ((content[b // 8] >> (b % 8)) & 1)))
                    for b in chosen]
         plan = MappingPlan([entry_for(state, tb, ppn) for tb in targets])
-        _, actions = plan_aggressors(plan, state)
+        actions = plan_aggressors(plan, state)
         mapping = release_and_remap(PageFrameCache(), plan,
                                     FakeImage({1: content}), state)
         try:
@@ -390,8 +389,7 @@ def test_criterion_11_defenses(desk_model, desk_dataset, desk_cfg):
                 spec, data, qnn.TrainConfig(epochs=8, lr=0.05,
                                             accuracy_floor=0.7), seed=200 + s)
             chain = search_chain(model, data, None,
-                                 SearchConfig(p=32, max_flips=30,
-                                              enforce_page_rule=False))
+                                 SearchConfig(p=32, max_flips=30))
             lens[label] = len(chain) if chain.feasible else 31
         base_lengths.append(lens["base"])
         wide_lengths.append(lens["wide"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_dram
-from flipsim import cli
+from flipsim import cli, qnn
 from flipsim.dram import OWNER_ATTACKER, FlipProfile
 from flipsim.image import TargetBit
 from flipsim.massage import MappingPlan, PlanEntry, plan_aggressors
@@ -90,6 +90,37 @@ def test_search_infeasible_exit_code(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "trace_1.csv"))
 
 
+def test_exhausted_protection_rounds_exit_infeasible(tmp_path, capsys):
+    # with no flip allowed, round 1 commits nothing and the rounds give up
+    out = str(tmp_path / "x")
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("\n".join(f"{k} = {v}" for k, v in
+                                 fast_overrides(out, max_flips=0).items()) + "\n")
+    assert cli.main(["train", "--config", str(cfgfile)]) == cli.EXIT_OK
+    rc = cli.main(["defense", "--mode", "topn", "--config", str(cfgfile)])
+    assert rc == cli.EXIT_INFEASIBLE
+    assert "bit space exhausted" in capsys.readouterr().err
+
+
+def test_train_and_width_defense_share_training_config(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_train(spec, dataset, config, seed):
+        seen.append(config)
+        raise qnn.TrainingFailure(0.0, config.accuracy_floor, [])
+
+    monkeypatch.setattr(qnn, "train_small", fake_train)
+    cfg = cli.make_config(overrides=fast_overrides(str(tmp_path / "wd"),
+                                                   weight_decay="0.003"))
+    with pytest.raises(qnn.TrainingFailure):
+        cli.cmd_train(cfg)
+    info = cli.cmd_defense(cfg, "width")
+    assert len(seen) == 11
+    assert all(c == seen[0] for c in seen)
+    assert seen[0].weight_decay == 0.003
+    assert all(r["base"] is None and r["wide"] is None for r in info["per_seed"])
+
+
 def test_bad_config_exit_code(tmp_path):
     missing = str(tmp_path / "nope.cfg")
     assert cli.main(["train", "--config", missing]) == cli.EXIT_CONFIG
@@ -157,7 +188,7 @@ def test_pages_retained_counts_each_aggressor_row(mode, aggressor_rows):
     _, _, stripe = state.addr.bit_addr(ppn, 5)
     tb = TargetBit(1, 5, 0)
     plan = MappingPlan([PlanEntry(tb, 1, ppn, s, row, base, span, stripe)])
-    _, actions = plan_aggressors(plan, state)
+    actions = plan_aggressors(plan, state)
     retained = cli._pages_retained(state, {1: ppn}, actions)
     assert retained == 1 + aggressor_rows * state.config.in_row_pages
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import make_cells, tiny_dram
 from flipsim.dram import (OWNER_ATTACKER, AddressFunction, DramConfig,
                           DramState, FlipProfile, bench, desk, full_dual,
@@ -63,8 +64,18 @@ def test_vectorized_addressing_matches_scalar():
         bop = rng.integers(0, 32768, size=200)
         sets, rows, cols = addr.bit_addr_vec(pfn, bop)
         for i in range(200):
-            assert addr.bit_addr(int(pfn[i]), int(bop[i])) == \
-                (sets[i], rows[i], cols[i])
+            p, b = int(pfn[i]), int(bop[i])
+            s, r, c, base, span = oracles.bit_addr(addr, p, b)
+            assert (sets[i], rows[i], cols[i]) == (s, r, c)
+            assert addr.bit_addr(p, b) == (s, r, c)
+            assert addr.in_row_page_of(p, b) == (s, r, base, span)
+
+
+def test_bit_addr_rejects_out_of_range():
+    addr = AddressFunction(DramConfig(banks_per_dimm=2, rows_per_bank=16))
+    for pfn, bop in ((-1, 0), (addr.config.total_pages, 0), (0, -1), (0, 32768)):
+        with pytest.raises(IndexError):
+            addr.bit_addr(pfn, bop)
 
 
 def test_enumerating_row_recovers_residents():

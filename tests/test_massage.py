@@ -173,10 +173,10 @@ def test_fig4_topology_four_sets_three_actions():
     entries = [entry_for(state, tb, ppn)
                for tb, ppn in zip(targets, (p_a, p_b, p_c, p_d))]
     plan = MappingPlan(entries)
-    sets, actions = plan_aggressors(plan, state)
-    assert len(sets) == 4
+    actions = plan_aggressors(plan, state)
+    assert sorted(m for a in actions for m in a.members) == [0, 1, 2, 3]
     assert len(actions) == 3
-    merged = [a for a in actions if len(a.aggressor_sets) == 2]
+    merged = [a for a in actions if len(a.members) == 2]
     assert len(merged) == 1 and merged[0].victim_row == 20
 
 
@@ -184,7 +184,7 @@ def test_single_victim_classic_sandwich():
     state = attacker_state()
     ppn = state.addr.row_pfns(0, 7)[0]
     plan = MappingPlan([entry_for(state, TargetBit(1, 5, 0), ppn)])
-    sets, actions = plan_aggressors(plan, state)
+    actions = plan_aggressors(plan, state)
     assert len(actions) == 1
     assert actions[0].victim_row == 7
 
@@ -202,7 +202,7 @@ def test_single_sided_plan_json_lists_one_aggressor_row(tmp_path):
     state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
     ppn = state.addr.row_pfns(0, 7)[0]
     plan = MappingPlan([entry_for(state, TargetBit(1, 5, 0), ppn)])
-    _, actions = plan_aggressors(plan, state)
+    actions = plan_aggressors(plan, state)
     plan_to_json(plan, actions, str(tmp_path / "plan.json"))
     rows = json.loads((tmp_path / "plan.json").read_text())
     assert rows[0]["aggressor_rows"] == [8]
@@ -344,7 +344,7 @@ def test_two_targets_one_in_row_page_single_action():
                for b in bops]
     plan = MappingPlan([entry_for(state, tb, ppn) for tb in targets])
     image = FakeImage({1: content})
-    sets, actions = plan_aggressors(plan, state)
+    actions = plan_aggressors(plan, state)
     assert len(actions) == 1
     mapping = release_and_remap(PageFrameCache(), plan, image, state)
     report = precise_hammer(state, plan, actions, mapping)
@@ -387,8 +387,8 @@ def test_merged_actions_do_not_interfere_across_victims():
         ppn = state.addr.row_pfns(0, row)[slot]
         entries.append(entry_for(state, targets[pgid], ppn))
     plan = MappingPlan(entries)
-    sets, actions = plan_aggressors(plan, state)
-    assert len(sets) == 4 and len(actions) == 3  # pages 3+4 merge
+    actions = plan_aggressors(plan, state)
+    assert len(actions) == 3  # pages 3+4 merge
     mapping = release_and_remap(PageFrameCache(), plan,
                                 FakeImage(contents), state)
     report = precise_hammer(state, plan, actions, mapping)
@@ -409,7 +409,7 @@ def test_stale_direction_surfaces_precision_violation():
     ppn = state.addr.row_pfns(0, 5)[0]
     tb = TargetBit(1, bop, int(1 - stored))
     plan = MappingPlan([entry_for(state, tb, ppn)])
-    _, actions = plan_aggressors(plan, state)
+    actions = plan_aggressors(plan, state)
     mapping = release_and_remap(PageFrameCache(), plan, FakeImage({1: content}),
                                 state)
     # scrambling toggled the cell after planning: the flip never lands

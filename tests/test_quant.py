@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flipsim.qnn.quant import (DegenerateQuantizerError, bit_coefficients,
@@ -82,9 +82,15 @@ def test_toggle_examples():
 @given(st.lists(st.floats(min_value=-10, max_value=10, allow_nan=False),
                 min_size=1, max_size=32),
        st.integers(min_value=2, max_value=8))
+@example([5e-324], 8)
 def test_quantize_idempotent(values, bit_width):
     w = np.array(values)
     if w.max() <= 0:
+        return
+    if w.max() / (2 ** (bit_width - 1) - 1) < np.finfo(np.float64).tiny:
+        # a subnormal step size would overflow the division
+        with pytest.raises(DegenerateQuantizerError):
+            quantize(w, bit_width)
         return
     q, delta = quantize(w, bit_width)
     q2, delta2 = quantize(dequantize(q, delta), bit_width)

@@ -2,16 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flipsim import qnn
 from flipsim.dram import FlipProfile
 from flipsim.image import WeightImage
-from flipsim.qnn.model import BitRef, loss_and_accuracy
+from flipsim.qnn.model import BitRef, loss_and_accuracy, metrics_from_logits
 from flipsim.search import (Candidate, ProfileView, ProtectedMask,
-                            SearchConfig, evaluate_candidate,
-                            protection_rounds, rank_candidates, replay_chain,
-                            search_chain, search_chain_targeted,
-                            select_flippable)
+                            SearchConfig, _incremental_logits,
+                            evaluate_candidate, protection_rounds,
+                            rank_candidates, replay_chain, search_chain,
+                            search_chain_targeted, select_flippable)
 from oracles import audit_chain
 
 rng = np.random.default_rng(17)
@@ -95,23 +97,56 @@ def test_dead_path_flip_leaves_loss_unchanged():
     assert loss == base
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.lists(st.integers(1, 12), max_size=2), st.none()),
+       st.integers(0, 7), st.data())
+def test_incremental_logits_match_forward_from(hidden, bit, data):
+    # hidden=None picks lenet_like: its dense tail runs incrementally, its
+    # conv layers fall back to forward_from
+    if hidden is None:
+        spec = qnn.lenet_like(input_shape=(1, 4, 4), classes=3)
+    else:
+        spec = qnn.blob_mlp(input_shape=(6,), classes=3, hidden=tuple(hidden))
+    try:
+        model = spec.assemble(spec.init_params(data.draw(st.integers(0, 9))))
+    except qnn.DegenerateQuantizerError:
+        assume(False)  # a tiny layer drew no positive weight
+    gen = np.random.default_rng(bit)
+    x = gen.normal(size=(16,) + model.input_shape)
+    y = gen.integers(0, 3, size=16)
+    _, acts = model.forward_acts(x)
+    dense = [i for i in model.weighted_indices()
+             if isinstance(model.layers[i], qnn.Dense)]
+    layer = data.draw(st.sampled_from(dense))
+    index = data.draw(st.integers(0, model.layers[layer].weight_count - 1))
+    ref = BitRef(layer, index, bit)
+    fast = _incremental_logits(model, acts, ref)
+    model.flip_bit(ref)
+    full = model.forward_from(layer, acts)
+    model.flip_bit(ref)
+    np.testing.assert_allclose(fast, full, rtol=1e-10, atol=1e-12)
+    assert metrics_from_logits(fast, y)[1] == metrics_from_logits(full, y)[1]
+    for conv in set(model.weighted_indices()) - set(dense):
+        assert _incremental_logits(model, acts, BitRef(conv, 0, bit)) is None
+
+
 def test_select_flippable_matches_table_style_entry(small_setup):
     model, _ = small_setup
     # candidate (page 1, bop 4847, mode 0) with a matching profile entry
     profile = FlipProfile([77], [4847], [0], [1.0])
     view = ProfileView(profile)
     cand = Candidate(BitRef(1, 605, 7), -0.5, 0, 1, 4847, 2.0, 0.5, 1)
-    picked = select_flippable([cand], view, set())
+    picked = select_flippable([cand], view)
     assert picked is not None
     assert picked[1] == 77
-    assert (77, 4847) in view.used_locations
+    assert view.match_count(4847, 0) == 0
 
 
 def test_select_skips_opposite_direction():
     profile = FlipProfile([77], [4847], [1], [1.0])
     view = ProfileView(profile)
     cand = Candidate(BitRef(1, 605, 7), -0.5, 0, 1, 4847, 2.0, 0.5, 0)
-    assert select_flippable([cand], view, set()) is None
+    assert select_flippable([cand], view) is None
 
 
 def test_select_prefers_more_locations_on_ties(small_setup):
@@ -125,20 +160,49 @@ def test_select_prefers_more_locations_on_ties(small_setup):
     b = Candidate(BitRef(1, 9, 7), -0.5, 0, 1, 100, 2.0, 0.5, 2)
     ranked = sorted([a, b], key=lambda c: (c.accuracy, -c.loss, -c.match_count,
                                            c.ref.layer, c.ref.index, c.ref.bit))
-    picked = select_flippable(ranked, view, set())
+    picked = select_flippable(ranked, view)
     assert picked[0] is b
 
 
-def test_select_respects_page_rule_and_mask():
-    profile = FlipProfile([5, 6], [100, 200], [0, 0], [1.0, 1.0])
-    view = ProfileView(profile)
-    a = Candidate(BitRef(1, 1, 7), -0.5, 0, 3, 100, 2.0, 0.4, 1)
-    b = Candidate(BitRef(1, 2, 7), -0.4, 0, 4, 200, 1.9, 0.5, 1)
-    picked = select_flippable([a, b], view, used_pages={3})
-    assert picked[0] is b
-    mask = ProtectedMask({BitRef(1, 2, 7)})
-    picked = select_flippable([b], ProfileView(profile), set(), protected=mask)
-    assert picked is None
+def test_rank_respects_page_rule_and_mask():
+    # 64x128 + 128x4 weights span three pages
+    dataset = qnn.gaussian_blobs(classes=4, shape=(64,), train_per_class=16,
+                                 test_per_class=16, noise=1.0, seed=1)
+    spec = qnn.blob_mlp(input_shape=(64,), classes=4, hidden=(128,))
+    model = spec.assemble(spec.init_params(3))
+    image = WeightImage(model)
+    x, y = dataset.batch(32, 7)
+    free = rank_candidates(model, image, x, y, p=6)
+    best = free[0]
+    pages = {c.page for c in free}
+    assert len(pages) > 1
+    off_page = rank_candidates(model, image, x, y, p=6, used_pages={best.page})
+    assert off_page and all(c.page != best.page for c in off_page)
+    mask = ProtectedMask({best.ref})
+    masked = rank_candidates(model, image, x, y, p=6, protected=mask)
+    assert best.ref not in {c.ref for c in masked}
+    assert len(masked) == len(free)
+    locked = ProtectedMask(locked_layers={best.ref.layer})
+    assert all(c.ref.layer != best.ref.layer
+               for c in rank_candidates(model, image, x, y, p=6,
+                                        protected=locked))
+
+
+def test_protected_mask_layer_mask_marks_each_ref():
+    refs = {BitRef(1, 0, 7), BitRef(1, 5, 0), BitRef(3, 2, 2)}
+    mask = ProtectedMask(refs)
+    mask.add_refs([BitRef(1, 5, 0), BitRef(1, 9, 3)])
+    got = mask.layer_mask(1, 10, 8)
+    want = np.zeros((10, 8), dtype=bool)
+    for ref in refs | {BitRef(1, 9, 3)}:
+        if ref.layer == 1:
+            want[ref.index, ref.bit] = True
+    assert (got == want).all()
+    assert not mask.layer_mask(2, 10, 8).any()
+    assert ProtectedMask(locked_layers={2}).layer_mask(2, 4, 8).all()
+    copy = mask.copy()
+    copy.add_refs([BitRef(1, 1, 1)])
+    assert not mask.contains(BitRef(1, 1, 1)) and copy.contains(BitRef(1, 1, 1))
 
 
 def test_no_location_reuse():
@@ -160,9 +224,31 @@ def test_empty_profile_immediately_infeasible(small_setup):
 def test_search_restores_input_model(small_setup):
     model, dataset = small_setup
     before = model.state_hash()
-    search_chain(model, dataset, None,
-                 SearchConfig(p=6, max_flips=5, enforce_page_rule=False))
+    search_chain(model, dataset, None, SearchConfig(p=6, max_flips=5))
     assert model.state_hash() == before
+
+
+def test_search_masks_committed_bits_without_touching_config(small_setup,
+                                                             monkeypatch):
+    from flipsim import search
+
+    model, dataset = small_setup
+    seen = []
+    real = search.rank_candidates
+
+    def spy(*args, **kwargs):
+        seen.append(set(kwargs["protected"].refs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, "rank_candidates", spy)
+    given = ProtectedMask({BitRef(1, 0, 7)})
+    chain = search_chain(model, dataset, None,
+                         SearchConfig(p=6, max_flips=4, target_accuracy=0.0,
+                                      protected=given))
+    assert len(chain) == 4
+    for k, refs in enumerate(seen):
+        assert refs == given.refs | {s.ref for s in chain.steps[:k]}
+    assert given.refs == {BitRef(1, 0, 7)}
 
 
 def test_chain_replay_reproduces_recorded_metrics(small_setup):
@@ -224,8 +310,7 @@ def test_protection_rounds_disjoint_and_round1_equals_plain(small_setup):
         assert not (refs & seen)
         seen |= refs
     plain = search_chain(model, dataset, None,
-                         SearchConfig(p=6, max_flips=4, target_accuracy=0.0,
-                                      enforce_page_rule=False))
+                         SearchConfig(p=6, max_flips=4, target_accuracy=0.0))
     assert [s.ref for s in rounds[0].steps] == [s.ref for s in plain.steps]
 
 

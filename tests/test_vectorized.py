@@ -151,5 +151,5 @@ def test_save_csv_bytes_match_per_line_writer(tmp_path_factory, rows):
 def test_search_location_filter_matches_set_lookup(locations, step_pfns, step_bops):
     profile = FlipProfile.from_entries([(p, b, 0, 1.0) for p, b in locations])
     steps = [SimpleNamespace(pfn=p, bop=b) for p, b in zip(step_pfns, step_bops)]
-    kept = cli._unused_locations(profile, steps)
-    assert kept.tolist() == oracles.unused_locations(profile, steps).tolist()
+    kept = cli._unreserved_locations(profile, steps)
+    assert kept.tolist() == oracles.unreserved_locations(profile, steps).tolist()
