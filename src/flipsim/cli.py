@@ -243,6 +243,19 @@ def _train_config(cfg):
                            accuracy_floor=cfg.accuracy_floor)
 
 
+def _check_search_settings(cfg, class_count):
+    """Reject search settings no search can run with, as a ConfigError."""
+    if cfg.p < 1:
+        raise ConfigError(f"p must be >= 1, got {cfg.p}")
+    if cfg.eval_batch < 1:
+        raise ConfigError(f"eval_batch must be >= 1, got {cfg.eval_batch}")
+    if not 0.0 < cfg.rate <= 1.0:
+        raise ConfigError(f"rate must be in (0, 1], got {cfg.rate}")
+    if cfg.target_class != -1 and not 0 <= cfg.target_class < class_count:
+        raise ConfigError(f"target_class must be -1 (untargeted) or in "
+                          f"[0, {class_count}), got {cfg.target_class}")
+
+
 def search_config(cfg, protected=None):
     return SearchConfig(p=cfg.p, target_accuracy=cfg.target_accuracy,
                         max_flips=cfg.max_flips, eval_batch_size=cfg.eval_batch,
@@ -328,6 +341,7 @@ def cmd_template(cfg, checkpoint=None):
 def cmd_search(cfg, checkpoint=None, profile_path=None):
     os.makedirs(cfg.out, exist_ok=True)
     model = qnn.load_checkpoint(checkpoint or os.path.join(cfg.out, "checkpoint.qnn"))
+    _check_search_settings(cfg, model.class_count)
     profile = FlipProfile.load_csv(profile_path
                                    or os.path.join(cfg.out, "profile.csv"))
     if cfg.rate < 1.0:
@@ -387,6 +401,7 @@ def cmd_exploit(cfg, checkpoint=None, profile_path=None, chain_path=None):
     """
     os.makedirs(cfg.out, exist_ok=True)
     model = qnn.load_checkpoint(checkpoint or os.path.join(cfg.out, "checkpoint.qnn"))
+    _check_search_settings(cfg, model.class_count)
     profile = FlipProfile.load_csv(profile_path
                                    or os.path.join(cfg.out, "profile.csv"))
     if cfg.rate < 1.0:
@@ -503,6 +518,7 @@ def cmd_random_flip_baseline(cfg, checkpoint=None, n_flips=100, trials=30):
 def cmd_defense(cfg, mode):
     os.makedirs(cfg.out, exist_ok=True)
     dataset = build_dataset(cfg)
+    _check_search_settings(cfg, dataset.class_count)
     if mode == "width":
         seeds = [cfg.seed + i for i in range(5)]
         rows = []

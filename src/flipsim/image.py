@@ -103,12 +103,14 @@ class WeightImage:
         return BitRef(layer_idx, byte - start, bit)
 
     def layer_bit_pages(self, layer_idx):
-        """(n_weights, bit_width) arrays of page#/bop for one layer's bits."""
+        """Compact bit addresses of one layer: ``(pages, bops)``, per weight.
+
+        ``pages[i]`` is the page# holding weight ``i``'s byte and ``bops[i]``
+        the bop of its bit 0, so bit ``b`` sits at ``(pages[i], bops[i] + b)``.
+        """
         start = dict(self.layer_offsets)[layer_idx]
-        n = self.model.layers[layer_idx].weight_count
-        bytes_ = start + np.arange(n, dtype=np.int64)
-        gbi = bytes_[:, None] * 8 + np.arange(self.model.bit_width)[None, :]
-        return (gbi // PAGE_BITS + 1).astype(np.int64), (gbi % PAGE_BITS).astype(np.int64)
+        byte = start + np.arange(self.model.layers[layer_idx].weight_count)
+        return byte // PAGE_BYTES + 1, byte % PAGE_BYTES * 8
 
     # ---- content ------------------------------------------------------------
 

@@ -247,8 +247,23 @@ def loss_and_accuracy(model, x, labels):
 
 
 def metrics_from_logits(logits, labels):
-    loss, _ = softmax_cross_entropy(logits, labels)
-    return loss, float((logits.argmax(axis=1) == np.asarray(labels)).mean())
+    """Mean cross-entropy and top-1 accuracy of logits against ``labels``.
+
+    ``(B, C)`` logits give two floats.  A stack ``(..., B, C)`` of logits
+    for several model states sharing ``labels`` gives two arrays of the
+    leading shape, each entry computed as the ``(B, C)`` call on that slice.
+    """
+    labels = np.asarray(labels)
+    n = logits.shape[-2]
+    if n == 0:
+        raise ValueError("empty batch")
+    z = logits - logits.max(axis=-1, keepdims=True)
+    nll = -(z[..., np.arange(n), labels] - np.log(np.exp(z).sum(axis=-1)))
+    loss = nll.mean(axis=-1)
+    acc = (logits.argmax(axis=-1) == labels).mean(axis=-1)
+    if logits.ndim == 2:
+        return float(loss), float(acc)
+    return loss, acc
 
 
 def class_fraction(model, x, target_class):

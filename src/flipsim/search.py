@@ -8,6 +8,12 @@ flippable candidate with the strongest evaluated effect.  Candidate flips are
 restored immediately after evaluation, so the model only accumulates committed
 flips.
 
+An iteration pays once per layer for the layer's bit space, and that pass
+works on one eligibility bit mask per weight rather than on one entry per
+bit.  A dense-suffix candidate is then evaluated by propagating its flip's
+change through the batch rows it touches only, and each layer's candidates
+are scored together from one stack of logits.
+
 Untargeted searches maximize loss until accuracy falls to the target;
 targeted searches run the identical loop with the objective negated on a
 single-class batch, which amplifies the weights feeding the chosen class until
@@ -21,8 +27,9 @@ import numpy as np
 
 from .image import PAGE_BITS, TargetBit, WeightImage
 from .qnn.layers import Dense, ReLU
-from .qnn.model import class_fraction, loss_and_accuracy, metrics_from_logits
-from .qnn.quant import bit_planes, toggle_bit
+from .qnn.model import (BitRef, class_fraction, loss_and_accuracy,
+                         metrics_from_logits)
+from .qnn.quant import bit_coefficients, toggle_bit
 
 
 class ExhaustedIterations(RuntimeError):
@@ -33,8 +40,10 @@ def _sig_round(x, digits=11):
     """Round to a fixed number of significant digits.
 
     Ranking keys use rounded losses so that the incremental and full forward
-    evaluation paths (identical up to float associativity) order candidates
-    identically.
+    evaluation paths order candidates identically.  The paths agree up to
+    float associativity: the incremental one sums in another order, and it
+    multiplies only the batch rows a flip reaches, so its BLAS calls take
+    other shapes than a full pass would.
     """
     if x == 0.0 or not math.isfinite(x):
         return x
@@ -42,53 +51,54 @@ def _sig_round(x, digits=11):
     return round(x, digits - 1 - mag)
 
 
-def _incremental_logits(model, acts, ref):
+def _incremental_logits(model, acts, ref, out=None):
     """Logits after one dense-layer bit flip, via cascading low-rank updates.
 
     Only valid when every layer after the flipped one is Dense or ReLU; the
     flip changes one column of the flipped layer's output, which stays a
     single-column delta through ReLU and fans out only at the next dense
-    layer.  Returns ``None`` when the suffix has other layer kinds.
+    layer.  A batch row whose column delta is exactly zero there keeps its
+    logits, so only the other rows are propagated.  Adds the change into
+    ``out`` (a copy of ``acts[-1]``) when given, else into a fresh copy.
+    Returns ``None`` when the suffix has other layer kinds.
     """
     layer = model.layers[ref.layer]
     if not isinstance(layer, Dense):
         return None
-    for m in range(ref.layer + 1, len(model.layers)):
-        if not isinstance(model.layers[m], (Dense, ReLU)):
-            return None
+    suffix = model.layers[ref.layer + 1:]
+    if not all(isinstance(lay, (Dense, ReLU)) for lay in suffix):
+        return None
     j, i = divmod(ref.index, layer.in_features)
     old = int(layer.weight_q.reshape(-1)[ref.index])
     new = toggle_bit(old, ref.bit, model.bit_width)
     step = (new - old) * layer.delta_w
     col_delta = step * acts[ref.layer][:, i]
-    col = j
-    full_delta = None
-    for m in range(ref.layer + 1, len(model.layers)):
-        lay = model.layers[m]
+    rows = delta = None
+    for m, lay in enumerate(suffix, ref.layer + 1):
         pre = acts[m]
         if isinstance(lay, ReLU):
-            if full_delta is None:
-                base = pre[:, col]
+            if delta is None:
+                base = pre[:, j]
                 col_delta = np.maximum(base + col_delta, 0.0) - np.maximum(base, 0.0)
             else:
-                full_delta = np.maximum(pre + full_delta, 0.0) - np.maximum(pre, 0.0)
+                pre = pre[rows]
+                delta = np.maximum(pre + delta, 0.0) - np.maximum(pre, 0.0)
+        elif delta is None:
+            rows = np.flatnonzero(col_delta)
+            delta = col_delta[rows, None] * lay.weights[:, j][None, :]
         else:
-            w = lay.weights
-            if full_delta is None:
-                full_delta = col_delta[:, None] * w[:, col][None, :]
-            else:
-                full_delta = full_delta @ w.T
-    logits = acts[-1].copy()
-    if full_delta is None:
-        logits[:, col] += col_delta
+            delta = delta @ lay.weights.T
+    logits = acts[-1].copy() if out is None else out
+    if delta is None:
+        logits[:, j] += col_delta
     else:
-        logits += full_delta
+        logits[rows] += delta
     return logits
 
 
 @dataclass(frozen=True)
 class Candidate:
-    ref: "BitRef"
+    ref: BitRef
     grad: float
     mode: int
     page: int
@@ -101,7 +111,7 @@ class Candidate:
 
 @dataclass
 class ChainStep:
-    ref: "BitRef"
+    ref: BitRef
     page: int
     bop: int
     mode: int
@@ -173,13 +183,10 @@ class ProtectedMask:
     def contains(self, ref):
         return ref.layer in self.locked_layers or ref in self.refs
 
-    def layer_mask(self, layer_idx, n_weights, bit_width):
-        if layer_idx in self.locked_layers:
-            return np.ones((n_weights, bit_width), dtype=bool)
-        mask = np.zeros((n_weights, bit_width), dtype=bool)
-        if layer_idx in self._by_layer:
-            mask[tuple(zip(*self._by_layer[layer_idx]))] = True
-        return mask
+    def layer_refs(self, layer_idx):
+        """``(indices, bits)`` arrays of the explicit refs in one layer."""
+        pairs = sorted(self._by_layer.get(layer_idx, ()))
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
     def __len__(self):
         return len(self.refs) + len(self.locked_layers)
@@ -250,20 +257,56 @@ def _topk_lowest_index(score, k):
     return np.concatenate([above, at[:k - len(above)]])
 
 
+# highest set bit of every byte value (0 for 0, which is never looked up)
+_TOP_BIT = np.array([max(v.bit_length() - 1, 0) for v in range(256)], dtype=np.int8)
+
+
+def _top_bits(elig, mag, k, bw):
+    """Flat ``index * bw + bit`` of the k eligible bits of largest score.
+
+    Bit ``b`` of weight ``i`` is eligible when bit ``b`` of the mask
+    ``elig[i]`` is set and scores ``mag[i] * 2**b``; boundary ties go to the
+    lowest flat index, as in :func:`_topk_lowest_index` over all bits.  Each
+    weight's best eligible bit is a distinct bit, so the k-th best bit score
+    is at least the k-th best per-weight best: every pick, ties included,
+    lies in a weight whose best reaches that value, and only those weights'
+    bits are scored.
+    """
+    live = elig > 0
+    best = np.where(live, np.ldexp(mag, _TOP_BIT[elig]), -1.0)
+    if np.count_nonzero(live) > k:
+        cut = np.partition(best, len(best) - k)[len(best) - k]
+        rows = np.flatnonzero(best >= cut)
+    else:
+        rows = np.flatnonzero(live)
+    planes = np.arange(bw)
+    on = (elig[rows, None] >> planes.astype(np.uint8)) & 1
+    score = np.where(on == 1, np.ldexp(mag[rows, None], planes), -1.0)
+    flat = rows[:, None] * bw + planes
+    return flat.ravel()[_topk_lowest_index(score.ravel(), k)]
+
+
 def rank_candidates(model, image, x, labels, p, *, objective=1, view=None,
                     used_pages=(), protected=None, probe_x=None,
                     target_class=None):
     """One iteration of gradient-based ranking plus per-candidate evaluation.
 
-    Returns candidates sorted by evaluated effect: strongest accuracy movement
-    in the objective's direction first, then loss, then number of matching
-    physical locations, then lowest (layer, index, bit).  Targeted searches
-    (``probe_x``/``target_class`` given) rank primarily by the fraction of the
-    probe inputs routed into the target class, which keeps discriminating
-    after the single-class batch loss saturates at zero.
-    """
-    from .qnn.model import BitRef
+    ``objective`` is +1 to raise the loss and -1 to lower it.  Per weighted
+    layer, the ``p`` eligible bits with the largest absolute bit gradient are
+    evaluated by flipping them.  Returns candidates sorted by evaluated
+    effect: strongest accuracy movement in the objective's direction first,
+    then loss, then number of matching physical locations, then lowest
+    (layer, index, bit).  Targeted searches (``probe_x``/``target_class``
+    given) rank primarily by the fraction of the probe inputs routed into
+    the target class, which keeps discriminating after the single-class
+    batch loss saturates at zero.
 
+    Eligibility is one bit mask per weight: a flip moves a bit off its stored
+    value (so its mode is ``1 - bit``) and must move the loss the objective's
+    way, its page must be untargeted, a matching location must remain, and
+    it must not be protected.  Each layer's candidates are flipped one at a
+    time into one stack of logits, scored in a single metrics call.
+    """
     n_eval = len(x)
     if probe_x is not None:
         x_all = np.concatenate([np.asarray(x, dtype=np.float64),
@@ -272,50 +315,64 @@ def rank_candidates(model, image, x, labels, p, *, objective=1, view=None,
         x_all = x
     _, acts = model.forward_acts(x_all)
     _, grads = model.weight_gradients(x, labels)
-    bitgrads = model.bit_gradients(grads)
-    used_pages = set(used_pages)
-    avail = {m: view.availability(m) for m in (0, 1)} if view is not None else None
-
-    raw = []
-    for layer_idx in model.weighted_indices():
-        layer = model.layers[layer_idx]
-        n = layer.weight_count
-        bw = model.bit_width
-        bg = bitgrads[layer_idx]
-        ge = objective * bg
-        bits = bit_planes(layer.weight_q, bw)
-        mode_arr = np.where(ge > 0, 1, np.where(ge < 0, 0, 1 - bits)).astype(np.int8)
-        feasible = ((ge > 0) & (bits == 0)) | ((ge < 0) & (bits == 1)) | (ge == 0)
-        if protected is not None and len(protected):
-            feasible &= ~protected.layer_mask(layer_idx, n, bw)
-        pages, bops = image.layer_bit_pages(layer_idx)
-        if used_pages:
-            feasible &= ~np.isin(pages, list(used_pages))
-        if avail is not None:
-            ok = np.where(mode_arr == 1, avail[1][bops], avail[0][bops])
-            feasible &= ok
-        score = np.where(feasible, np.abs(bg), -1.0).reshape(-1)
-        for flat in _topk_lowest_index(score, p):
-            idx, bit = divmod(int(flat), bw)
-            raw.append((layer_idx, idx, bit,
-                        float(bg[idx, bit]), int(mode_arr[idx, bit]),
-                        int(pages[idx, bit]), int(bops[idx, bit])))
+    bw = model.bit_width
+    full = np.uint8(2 ** bw - 1)
+    sign_bit = np.uint8(1 << (bw - 1))
+    coeffs = bit_coefficients(bw)
+    if used_pages:
+        page_used = np.zeros(image.page_count + 1, dtype=bool)
+        page_used[list(used_pages)] = True
+    if view is not None:
+        # per in-page byte: bits with a location left for a stored 0 (a 0->1
+        # flip, mode 1) and for a stored 1 (mode 0)
+        avail = [np.packbits(view.availability(1 - s).reshape(-1, 8), axis=1,
+                             bitorder="little").ravel() for s in (0, 1)]
 
     candidates = []
-    for layer_idx, idx, bit, grad, mode, page, bop in raw:
-        ref = BitRef(layer_idx, idx, bit)
-        logits = _incremental_logits(model, acts, ref)
-        if logits is None:
-            model.flip_bit(ref)
-            logits = model.forward_from(layer_idx, acts)
-            model.flip_bit(ref)
-        loss, acc = metrics_from_logits(logits[:n_eval], labels)
-        probe = 0.0
-        if probe_x is not None:
-            probe = float((logits[n_eval:].argmax(axis=1) == target_class).mean())
-        matches = view.match_count(bop, mode) if view is not None else 0
-        candidates.append(Candidate(ref, grad, mode, page, bop, loss, acc,
-                                    matches, probe))
+    for layer_idx in model.weighted_indices():
+        if protected is not None and layer_idx in protected.locked_layers:
+            continue
+        layer = model.layers[layer_idx]
+        stored = layer.weight_q.reshape(-1).astype(np.uint8) & full
+        # loss gradient per unit of weight code; bit b's gradient is
+        # code_grad * coeffs[b], as in QuantizedModel.bit_gradients
+        code_grad = grads[layer_idx].reshape(-1) * layer.delta_w
+        # flipping these bits raises the code: a stored 0 below the sign bit,
+        # or a stored 1 in it; flipping the others lowers it
+        rises = ~(stored ^ sign_bit) & full
+        want = objective * code_grad  # > 0: the objective wants the code up
+        elig = np.where(want >= 0, rises, 0) | np.where(want <= 0, rises ^ full, 0)
+        if protected is not None:
+            idx, bit = protected.layer_refs(layer_idx)
+            np.bitwise_and.at(elig, idx, ~np.left_shift(1, bit).astype(np.uint8))
+        pages, bops = image.layer_bit_pages(layer_idx)
+        if used_pages:
+            elig[page_used[pages]] = 0
+        if view is not None:
+            byte = bops >> 3
+            elig &= (avail[0][byte] & ~stored) | (avail[1][byte] & stored)
+        picks = _top_bits(elig, np.abs(code_grad), p, bw)
+        if not len(picks):
+            continue
+        refs = [BitRef(layer_idx, *divmod(int(flat), bw)) for flat in picks]
+        logits = np.repeat(acts[-1][None], len(refs), axis=0)
+        for k, ref in enumerate(refs):
+            if _incremental_logits(model, acts, ref, out=logits[k]) is None:
+                model.flip_bit(ref)
+                logits[k] = model.forward_from(layer_idx, acts)
+                model.flip_bit(ref)
+        loss, acc = metrics_from_logits(logits[:, :n_eval], labels)
+        if probe_x is None:
+            probe = np.zeros(len(refs))
+        else:
+            probe = (logits[:, n_eval:].argmax(axis=-1) == target_class).mean(axis=-1)
+        for k, ref in enumerate(refs):
+            i, b = ref.index, ref.bit
+            mode, bop = 1 - (int(stored[i]) >> b & 1), int(bops[i]) + b
+            matches = view.match_count(bop, mode) if view is not None else 0
+            candidates.append(Candidate(ref, float(code_grad[i] * coeffs[b]), mode,
+                                        int(pages[i]), bop, float(loss[k]),
+                                        float(acc[k]), matches, float(probe[k])))
     candidates.sort(key=lambda c: _rank_key(c, objective))
     return candidates
 

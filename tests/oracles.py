@@ -9,7 +9,11 @@ import numpy as np
 
 from flipsim import massage
 from flipsim.dram import OWNER_ATTACKER, FlipProfile
+from flipsim.image import PAGE_BITS
 from flipsim.qnn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU, ResidualAdd
+from flipsim.qnn.model import BitRef, softmax_cross_entropy
+from flipsim.qnn.quant import bit_planes, toggle_bit
+from flipsim.search import Candidate, _rank_key, _topk_lowest_index
 
 
 def twos_complement_value(bits_msb_first):
@@ -147,6 +151,120 @@ def audit_chain(chain, profile, protected=None):
             if protected.contains(s.ref):
                 problems.append(f"protected bit {s.ref} flipped")
     return problems
+
+
+# ---- search: one bit-space pass and one forward update per candidate ---------
+
+
+def layer_bit_pages(image, layer_idx):
+    """(n_weights, bit_width) page# and bop of every bit of one layer."""
+    start = dict(image.layer_offsets)[layer_idx]
+    n = image.model.layers[layer_idx].weight_count
+    gbi = (start + np.arange(n))[:, None] * 8 + np.arange(image.model.bit_width)
+    return gbi // PAGE_BITS + 1, gbi % PAGE_BITS
+
+
+def incremental_logits(model, acts, ref):
+    """Logits after one dense-layer flip, propagating every batch row."""
+    layer = model.layers[ref.layer]
+    if not isinstance(layer, Dense):
+        return None
+    for m in range(ref.layer + 1, len(model.layers)):
+        if not isinstance(model.layers[m], (Dense, ReLU)):
+            return None
+    j, i = divmod(ref.index, layer.in_features)
+    old = int(layer.weight_q.reshape(-1)[ref.index])
+    new = toggle_bit(old, ref.bit, model.bit_width)
+    step = (new - old) * layer.delta_w
+    col_delta = step * acts[ref.layer][:, i]
+    full_delta = None
+    for m in range(ref.layer + 1, len(model.layers)):
+        lay = model.layers[m]
+        pre = acts[m]
+        if isinstance(lay, ReLU):
+            if full_delta is None:
+                base = pre[:, j]
+                col_delta = np.maximum(base + col_delta, 0.0) - np.maximum(base, 0.0)
+            else:
+                full_delta = np.maximum(pre + full_delta, 0.0) - np.maximum(pre, 0.0)
+        elif full_delta is None:
+            full_delta = col_delta[:, None] * lay.weights[:, j][None, :]
+        else:
+            full_delta = full_delta @ lay.weights.T
+    logits = acts[-1].copy()
+    if full_delta is None:
+        logits[:, j] += col_delta
+    else:
+        logits += full_delta
+    return logits
+
+
+def rank_candidates_reference(model, image, x, labels, p, *, objective=1,
+                              view=None, used_pages=(), protected=None,
+                              probe_x=None, target_class=None):
+    """The ranking one bit array and one forward update at a time.
+
+    Full ``(n_weights, bit_width)`` eligibility arrays per layer, every batch
+    row propagated for every candidate, and one metrics call per candidate.
+    """
+    n_eval = len(x)
+    if probe_x is not None:
+        x_all = np.concatenate([np.asarray(x, dtype=np.float64),
+                                np.asarray(probe_x, dtype=np.float64)])
+    else:
+        x_all = x
+    _, acts = model.forward_acts(x_all)
+    _, grads = model.weight_gradients(x, labels)
+    bitgrads = model.bit_gradients(grads)
+    used_pages = set(used_pages)
+    avail = {m: view.availability(m) for m in (0, 1)} if view is not None else None
+
+    raw = []
+    for layer_idx in model.weighted_indices():
+        layer = model.layers[layer_idx]
+        bw = model.bit_width
+        bg = bitgrads[layer_idx]
+        ge = objective * bg
+        bits = bit_planes(layer.weight_q, bw)
+        mode_arr = np.where(ge > 0, 1, np.where(ge < 0, 0, 1 - bits)).astype(np.int8)
+        feasible = ((ge > 0) & (bits == 0)) | ((ge < 0) & (bits == 1)) | (ge == 0)
+        if protected is not None:
+            if layer_idx in protected.locked_layers:
+                feasible[:] = False
+            for ref in protected.refs:
+                if ref.layer == layer_idx:
+                    feasible[ref.index, ref.bit] = False
+        pages, bops = layer_bit_pages(image, layer_idx)
+        if used_pages:
+            feasible &= ~np.isin(pages, list(used_pages))
+        if avail is not None:
+            ok = np.where(mode_arr == 1, avail[1][bops], avail[0][bops])
+            feasible &= ok
+        score = np.where(feasible, np.abs(bg), -1.0).reshape(-1)
+        for flat in _topk_lowest_index(score, p):
+            idx, bit = divmod(int(flat), bw)
+            raw.append((layer_idx, idx, bit,
+                        float(bg[idx, bit]), int(mode_arr[idx, bit]),
+                        int(pages[idx, bit]), int(bops[idx, bit])))
+
+    candidates = []
+    for layer_idx, idx, bit, grad, mode, page, bop in raw:
+        ref = BitRef(layer_idx, idx, bit)
+        logits = incremental_logits(model, acts, ref)
+        if logits is None:
+            model.flip_bit(ref)
+            logits = model.forward_from(layer_idx, acts)
+            model.flip_bit(ref)
+        loss, _ = softmax_cross_entropy(logits[:n_eval], labels)
+        acc = float((logits[:n_eval].argmax(axis=1) == np.asarray(labels)).mean())
+        probe = 0.0
+        if probe_x is not None:
+            probe = float((logits[n_eval:].argmax(axis=1) == target_class).mean())
+        matches = view.match_count(bop, mode) if view is not None else 0
+        candidates.append(Candidate(ref, grad, mode, page, bop, loss, acc,
+                                    matches, probe))
+    candidates.sort(key=lambda c: _rank_key(c, objective))
+    return candidates
 
 
 # ---- DRAM and profile layer: the per-row and per-entry loops -----------------

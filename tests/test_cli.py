@@ -126,6 +126,34 @@ def test_bad_config_exit_code(tmp_path):
     assert cli.main(["train", "--config", missing]) == cli.EXIT_CONFIG
 
 
+@pytest.fixture(scope="module")
+def fast_trained(tmp_path_factory):
+    """A trained checkpoint and its profile on the fast settings."""
+    out = str(tmp_path_factory.mktemp("trained"))
+    cfg = cli.make_config(overrides=fast_overrides(out))
+    cli.cmd_train(cfg)
+    cli.cmd_template(cfg)
+    return out
+
+
+@pytest.mark.parametrize("key,setting,flags", [
+    ("p", {"p": 0}, []),
+    ("eval_batch", {"eval_batch": 0}, []),
+    ("rate", {}, ["--rate", "0"]),
+    ("target_class", {}, ["--target-class", "99"]),
+])
+def test_invalid_search_setting_exits_config(fast_trained, tmp_path, capsys,
+                                             key, setting, flags):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("\n".join(f"{k} = {v}" for k, v in
+                                 fast_overrides(fast_trained, **setting).items())
+                       + "\n")
+    capsys.readouterr()
+    rc = cli.main(["search", "--config", str(cfgfile)] + flags)
+    assert rc == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
 def test_pipeline_outputs_exist(pipeline_out):
     for name in ("checkpoint.qnn", "train.json", "profile.csv",
                  "template.json", "geometry.txt", "chain_1.jsonl",

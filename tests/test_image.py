@@ -159,3 +159,14 @@ def test_chain_file_roundtrip(tmp_path):
     assert read_chain(str(path)) == steps
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 2
+
+
+def test_layer_bit_pages_match_bit_to_addr(small_model, image):
+    for li in small_model.weighted_indices():
+        pages, bops = image.layer_bit_pages(li)
+        n = small_model.layers[li].weight_count
+        assert pages.shape == bops.shape == (n,)
+        for index in rng.integers(0, n, size=40):
+            for bit in range(8):
+                ref = BitRef(li, int(index), bit)
+                assert image.bit_to_addr(ref) == (pages[index], bops[index] + bit)

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from flipsim import qnn
 from flipsim.dram import FlipProfile
 from flipsim.image import WeightImage
-from flipsim.qnn.model import BitRef, loss_and_accuracy, metrics_from_logits
+from flipsim.qnn.model import (BitRef, loss_and_accuracy, metrics_from_logits,
+                               softmax_cross_entropy)
 from flipsim.search import (Candidate, ProfileView, ProtectedMask,
                             SearchConfig, _incremental_logits,
                             evaluate_candidate, protection_rounds,
                             rank_candidates, replay_chain, search_chain,
                             search_chain_targeted, select_flippable)
-from oracles import audit_chain
+from oracles import audit_chain, incremental_logits, rank_candidates_reference
 
 rng = np.random.default_rng(17)
 
@@ -188,18 +189,16 @@ def test_rank_respects_page_rule_and_mask():
                                         protected=locked))
 
 
-def test_protected_mask_layer_mask_marks_each_ref():
+def test_protected_mask_layer_refs_list_each_ref():
     refs = {BitRef(1, 0, 7), BitRef(1, 5, 0), BitRef(3, 2, 2)}
     mask = ProtectedMask(refs)
     mask.add_refs([BitRef(1, 5, 0), BitRef(1, 9, 3)])
-    got = mask.layer_mask(1, 10, 8)
-    want = np.zeros((10, 8), dtype=bool)
-    for ref in refs | {BitRef(1, 9, 3)}:
-        if ref.layer == 1:
-            want[ref.index, ref.bit] = True
-    assert (got == want).all()
-    assert not mask.layer_mask(2, 10, 8).any()
-    assert ProtectedMask(locked_layers={2}).layer_mask(2, 4, 8).all()
+    idx, bit = mask.layer_refs(1)
+    want = sorted((r.index, r.bit) for r in refs | {BitRef(1, 9, 3)}
+                  if r.layer == 1)
+    assert list(zip(idx.tolist(), bit.tolist())) == want
+    idx, bit = mask.layer_refs(2)
+    assert idx.size == bit.size == 0
     copy = mask.copy()
     copy.add_refs([BitRef(1, 1, 1)])
     assert not mask.contains(BitRef(1, 1, 1)) and copy.contains(BitRef(1, 1, 1))
@@ -326,3 +325,135 @@ def test_direction_rule_consistency(small_setup):
             assert cand.mode == 1
         elif cand.grad < 0:
             assert cand.mode == 0
+
+
+# ---- the ranking against its one-candidate-at-a-time reference ---------------
+
+
+@pytest.fixture(scope="module")
+def rank_models():
+    """A three-page MLP, a 4-bit MLP and a conv net on one blob dataset."""
+    dataset = qnn.gaussian_blobs(classes=4, shape=(1, 8, 8), train_per_class=24,
+                                 test_per_class=12, noise=1.5, seed=8)
+    cfg = qnn.TrainConfig(epochs=2, accuracy_floor=0.0)
+    mlp = qnn.train_small(qnn.blob_mlp(input_shape=(1, 8, 8), classes=4,
+                                       hidden=(120, 24)), dataset, cfg, seed=1)
+    mlp4 = qnn.train_small(qnn.blob_mlp(input_shape=(1, 8, 8), classes=4,
+                                        hidden=(40,), bit_width=4),
+                           dataset, cfg, seed=1)
+    conv = qnn.train_small(qnn.lenet_like(input_shape=(1, 8, 8), classes=4),
+                           dataset, cfg, seed=1)
+    return {"mlp": mlp, "mlp4": mlp4, "conv": conv}, dataset
+
+
+def _random_profile(gen, rate):
+    """Each (bop, direction) location present with probability ``rate``."""
+    keep = np.flatnonzero(gen.random(2 * 32768) < rate)
+    return FlipProfile(np.arange(len(keep)) + 50, keep // 2, keep % 2,
+                       np.ones(len(keep)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["mlp", "mlp4", "conv"]), st.sampled_from([1, -1]),
+       st.sampled_from([None, 1.0, 0.3, 0.01]), st.integers(1, 12),
+       st.integers(0, 2 ** 16), st.data())
+def test_rank_candidates_match_reference(rank_models, kind, objective, rate, p,
+                                         seed, data):
+    models, dataset = rank_models
+    model = models[kind]
+    image = WeightImage(model)
+    gen = np.random.default_rng(seed)
+    target = data.draw(st.one_of(st.none(), st.integers(0, 3)))
+    x, y = dataset.batch(48, seed, from_class=target)
+    view = None if rate is None else ProfileView(_random_profile(gen, rate))
+    used = data.draw(st.sets(st.integers(1, image.page_count),
+                             max_size=image.page_count - 1))
+    weighted = model.weighted_indices()
+    locked = data.draw(st.sets(st.sampled_from(weighted), max_size=1))
+    # protect the high bits of the steepest weights, where picks come from
+    _, grads = model.weight_gradients(x, y)
+    refs = set()
+    for li in weighted:
+        steep = np.argsort(-np.abs(grads[li].reshape(-1)), kind="stable")
+        for idx in steep[:data.draw(st.integers(0, 3))]:
+            top = model.bit_width - 1
+            refs |= {BitRef(li, int(idx), top), BitRef(li, int(idx), top - 1)}
+    protected = ProtectedMask(refs, locked)
+    kwargs = dict(objective=objective, view=view, used_pages=used,
+                  protected=protected)
+    if target is not None:
+        kwargs.update(probe_x=dataset.x_test, target_class=target)
+    got = rank_candidates(model, image, x, y, p, **kwargs)
+    want = rank_candidates_reference(model, image, x, y, p, **kwargs)
+    assert [c.ref for c in got] == [c.ref for c in want]
+    for a, b in zip(got, want):
+        assert (a.grad, a.mode, a.page, a.bop, a.match_count, a.accuracy,
+                a.probe_metric) == (b.grad, b.mode, b.page, b.bop,
+                                    b.match_count, b.accuracy, b.probe_metric)
+        assert a.loss == pytest.approx(b.loss, rel=1e-10)
+    assert not any(c.ref.layer in locked or c.ref in refs for c in got)
+    assert not any(c.page in used for c in got if view is not None)
+
+
+def _dense_net(hidden=(8,)):
+    spec = qnn.blob_mlp(input_shape=(6,), classes=3, hidden=hidden)
+    model = spec.assemble(spec.init_params(4))
+    x = np.random.default_rng(0).normal(size=(20, 6))
+    return model, x
+
+
+def test_flip_into_dead_neuron_leaves_logits_exactly():
+    model, x = _dense_net()
+    hidden = model.layers[1]
+    hidden.bias[3] = -1e6  # neuron 3 never fires, flipped or not
+    _, acts = model.forward_acts(x)
+    for bit in range(8):
+        ref = BitRef(1, 3 * hidden.in_features + 2, bit)
+        fast = _incremental_logits(model, acts, ref)
+        assert np.array_equal(fast, acts[-1])
+        model.flip_bit(ref)
+        assert np.array_equal(model.forward_from(1, acts), acts[-1])
+        model.flip_bit(ref)
+
+
+def test_last_layer_flip_updates_one_logit_column():
+    model, x = _dense_net(hidden=(8, 5))
+    last = model.weighted_indices()[-1]
+    _, acts = model.forward_acts(x)
+    for index in range(model.layers[last].weight_count):
+        ref = BitRef(last, index, 7)
+        fast = _incremental_logits(model, acts, ref)
+        assert np.array_equal(fast, incremental_logits(model, acts, ref))
+        changed = np.flatnonzero((fast != acts[-1]).any(axis=0))
+        assert set(changed) <= {index // model.layers[last].in_features}
+        model.flip_bit(ref)
+        np.testing.assert_allclose(fast, model.forward_from(last, acts),
+                                   rtol=1e-12, atol=1e-12)
+        model.flip_bit(ref)
+
+
+def test_incremental_logits_add_into_given_buffer():
+    model, x = _dense_net(hidden=(8, 5))
+    _, acts = model.forward_acts(x)
+    ref = BitRef(1, 9, 6)
+    out = acts[-1].copy()
+    assert _incremental_logits(model, acts, ref, out=out) is out
+    assert np.array_equal(out, _incremental_logits(model, acts, ref))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 40), st.integers(2, 7),
+       st.integers(0, 2 ** 16))
+def test_stacked_metrics_equal_separate_calls(k, batch, classes, seed):
+    gen = np.random.default_rng(seed)
+    logits = gen.normal(scale=4.0, size=(k, batch, classes))
+    logits[0, :, 0] = logits[0, :, 1]  # argmax ties go to the first class
+    labels = gen.integers(0, classes, size=batch)
+    loss, acc = metrics_from_logits(logits, labels)
+    assert loss.shape == acc.shape == (k,)
+    for i in range(k):
+        one_loss, one_acc = metrics_from_logits(logits[i], labels)
+        assert isinstance(one_loss, float) and isinstance(one_acc, float)
+        assert acc[i] == one_acc
+        assert loss[i] == pytest.approx(one_loss, rel=1e-12)
+        assert one_loss == softmax_cross_entropy(logits[i], labels)[0]
