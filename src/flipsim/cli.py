@@ -208,7 +208,10 @@ def dram_config(cfg):
         kwargs["row_bytes"] = cfg.row_bytes
     if cfg.hammer_mode:
         kwargs["hammer_mode"] = cfg.hammer_mode
-    return replace(base, **kwargs) if kwargs else base
+    try:
+        return replace(base, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"dram geometry: {exc}") from None
 
 
 def provision(cfg, model):
@@ -219,6 +222,9 @@ def provision(cfg, model):
     """
     geometry = dram_config(cfg)
     density = cfg.density_count if cfg.density_count > 0 else cfg.density
+    if isinstance(density, str) and density not in dram_mod.DENSITY_FACTORS:
+        raise ConfigError(f"unknown density preset {density!r}; choose one of "
+                          f"{sorted(dram_mod.DENSITY_FACTORS)}")
     state = new_dram(geometry, density, cfg.cell_seed, cfg.hammer_seed,
                      one_to_zero=cfg.direction_split)
     image = WeightImage(model)
@@ -381,8 +387,8 @@ def _unreserved_locations(profile, steps):
 
 def _pages_retained(state, mapping, actions):
     """Victim frames plus every page resident in an action's aggressor rows."""
-    return len(mapping) + sum(len(state.addr.row_pfns(a.set, r))
-                              for a in actions for r in a.aggressor_rows)
+    return len(mapping) + state.config.in_row_pages * sum(
+        len(a.aggressor_rows) for a in actions)
 
 
 def _read_victim_block(state, image, placement, mapping):
@@ -499,7 +505,7 @@ def cmd_random_flip_baseline(cfg, checkpoint=None, n_flips=100, trials=30):
         picks = rng.choice(total_bits, size=min(n_flips, total_bits),
                            replace=False)
         for gbi in sorted(int(g) for g in picks):
-            page, bop = gbi // (4096 * 8) + 1, gbi % (4096 * 8)
+            page, bop = gbi // PAGE_BITS + 1, gbi % PAGE_BITS
             work.flip_bit(image.addr_to_bit(page, bop))
         _, acc = loss_and_accuracy(work, dataset.x_test, dataset.y_test)
         drops.append(clean - acc)

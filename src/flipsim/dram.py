@@ -5,10 +5,13 @@ cell storage, synthetic vulnerable-cell populations, templating, double- and
 single-sided hammering with arbitrary aggressor data, and boot-time scrambling
 that toggles flip directions without moving cells.
 
-The address function is synthetic but documented: consecutive page groups
-stripe across banks, each row holds ``row_bytes / in_row_page_size`` in-row
-pages, and within a row bit column ``c`` stores bit ``c % 8`` of row byte
-``c // 8``.
+The address function is synthetic but documented, and one formula serves
+both channel counts.  With ``n = PAGE_BYTES // channels`` bytes per in-row
+page and ``in_row_pages = row_bytes // n``, page ``pfn`` splits as
+``g, q = divmod(pfn, in_row_pages)``; its bytes ``[c*n, (c+1)*n)`` sit in
+channel ``c`` at set ``c*banks + g % banks``, row ``g // banks``, row bytes
+``[q*n, (q+1)*n)``.  Within a row, bit column ``k`` stores bit ``k % 8`` of
+row byte ``k // 8``.
 """
 
 from dataclasses import dataclass
@@ -52,13 +55,16 @@ class DramConfig:
             raise ValueError("channels must be 1 or 2")
         if self.hammer_mode not in ("double", "single"):
             raise ValueError("hammer_mode must be 'double' or 'single'")
+        for name in ("dimms", "banks_per_dimm", "rows_per_bank", "row_bytes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.row_bytes % self.in_row_page_size:
             raise ValueError("row_bytes must be a multiple of the in-row page size")
 
     @property
     def in_row_page_size(self):
-        # single channel: whole 4 KiB pages in a row; dual: pages split evenly
-        return PAGE_BYTES if self.channels == 1 else PAGE_BYTES // 2
+        """Bytes of one page in one row: each channel holds an equal share."""
+        return PAGE_BYTES // self.channels
 
     @property
     def banks(self):
@@ -83,6 +89,24 @@ class DramConfig:
     @property
     def total_pages(self):
         return self.total_bytes // PAGE_BYTES
+
+    def aggressor_rows(self, row):
+        """Rows hammered against victim ``row``, for an int or an int array.
+
+        Double-sided: both neighbours.  Single-sided: the row after, or the
+        row before at the bank's last row.  Rows outside the bank are
+        returned as they are; :meth:`aggressors_in_bank` tells them apart.
+        """
+        if self.hammer_mode == "double":
+            return (row - 1, row + 1)
+        return (row + 1 - 2 * (row + 1 >= self.rows_per_bank),)
+
+    def aggressors_in_bank(self, row):
+        """True where every aggressor row of ``row`` lies inside the bank."""
+        inside = True
+        for r in self.aggressor_rows(row):
+            inside = inside & (0 <= r) & (r < self.rows_per_bank)
+        return inside
 
 
 def full_single():
@@ -118,19 +142,10 @@ class AddressFunction:
         cfg = self.config
         if not (0 <= pfn < cfg.total_pages):
             raise IndexError(f"pfn {pfn} out of range")
-        if cfg.channels == 1:
-            ppr = cfg.in_row_pages
-            g, h = divmod(pfn, ppr)
-            s = g % cfg.sets
-            row = g // cfg.sets
-            return [(s, row, h * PAGE_BYTES, 0, PAGE_BYTES)]
-        ipp = cfg.in_row_pages
-        half = PAGE_BYTES // 2
-        g, q = divmod(pfn, ipp)
-        bank = g % cfg.banks
-        row = g // cfg.banks
-        return [(bank, row, q * half, 0, half),
-                (cfg.banks + bank, row, q * half, half, half)]
+        n = cfg.in_row_page_size
+        g, q = divmod(pfn, cfg.in_row_pages)
+        return [(c * cfg.banks + g % cfg.banks, g // cfg.banks, q * n, c * n, n)
+                for c in range(cfg.channels)]
 
     def bit_addr(self, pfn, bop):
         """(pfn, bop) -> (set, row, bit column)."""
@@ -147,14 +162,10 @@ class AddressFunction:
         return int(pfn), int(bop)
 
     def row_pfns(self, s, row):
-        """Physical pages with bytes resident in this (set, row)."""
+        """Physical pages with bytes resident in this (set, row), by in-row slot."""
         cfg = self.config
-        if cfg.channels == 1:
-            g = row * cfg.sets + s
-            return [g * cfg.in_row_pages + h for h in range(cfg.in_row_pages)]
-        bank = s % cfg.banks
-        g = row * cfg.banks + bank
-        return [g * cfg.in_row_pages + q for q in range(cfg.in_row_pages)]
+        g = row * cfg.banks + s % cfg.banks
+        return list(range(g * cfg.in_row_pages, (g + 1) * cfg.in_row_pages))
 
     def in_row_page_of(self, pfn, bop):
         """(set, row, first bit column, bit span) of the in-row page holding bop."""
@@ -165,37 +176,34 @@ class AddressFunction:
     def bit_addr_vec(self, pfn, bop):
         """Vectorized :meth:`bit_addr` over equal-length index arrays."""
         cfg = self.config
+        span = cfg.in_row_page_size * 8
         pfn = np.asarray(pfn, dtype=np.int64)
         bop = np.asarray(bop, dtype=np.int64)
-        if cfg.channels == 1:
-            g, h = np.divmod(pfn, cfg.in_row_pages)
-            sets = g % cfg.sets
-            rows = g // cfg.sets
-            bitcols = h * PAGE_BITS + bop
-            return sets, rows, bitcols
-        half_bits = PAGE_BITS // 2
-        g, q = np.divmod(pfn, cfg.in_row_pages)
-        bank = g % cfg.banks
-        rows = g // cfg.banks
-        channel = bop // half_bits
-        sets = channel * cfg.banks + bank
-        bitcols = q * half_bits + bop % half_bits
+        # in place where possible: cell synthesis maps about a million cells
+        rows, bitcols = np.divmod(pfn, cfg.in_row_pages)
+        sets = rows % cfg.banks
+        rows //= cfg.banks
+        bitcols *= span
+        bitcols += bop % span
+        channel = bop // span
+        channel *= cfg.banks
+        sets += channel
         return sets, rows, bitcols
 
     def cell_to_page_vec(self, sets, rows, bitcols):
         """Vectorized :meth:`cell_to_page`; inverse of :meth:`bit_addr_vec`."""
         cfg = self.config
-        sets = np.asarray(sets, dtype=np.int64)
-        rows = np.asarray(rows, dtype=np.int64)
-        bitcols = np.asarray(bitcols, dtype=np.int64)
-        if cfg.channels == 1:
-            h, bop = np.divmod(bitcols, PAGE_BITS)
-            return (rows * cfg.sets + sets) * cfg.in_row_pages + h, bop
-        half_bits = PAGE_BITS // 2
-        q, inner = np.divmod(bitcols, half_bits)
-        channel, bank = np.divmod(sets, cfg.banks)
-        pfn = (rows * cfg.banks + bank) * cfg.in_row_pages + q
-        return pfn, channel * half_bits + inner
+        span = cfg.in_row_page_size * 8
+        channel, bank = np.divmod(np.asarray(sets, dtype=np.int64), cfg.banks)
+        q, bop = np.divmod(np.asarray(bitcols, dtype=np.int64), span)
+        # in place, as in bit_addr_vec: templating maps every flipped cell
+        pfn = np.asarray(rows, dtype=np.int64) * cfg.banks
+        pfn += bank
+        pfn *= cfg.in_row_pages
+        pfn += q
+        channel *= span
+        bop += channel
+        return pfn, bop
 
 
 # ---- scrambling hash -----------------------------------------------------------
@@ -392,37 +400,29 @@ class DramState:
     def hammer(self, s, victim_row, upper=None, lower=None):
         """One hammering action against ``(s, victim_row)``.
 
-        ``upper``/``lower`` optionally overwrite the adjacent rows (victim_row
-        - 1 / + 1) before activation.  A vulnerable cell flips iff its stored
-        bit equals its current direction's source value, the aggressor bit(s)
-        in the same column equal the complement, and (for probabilistic cells)
-        a draw from the seeded stream passes.  Single-sided mode additionally
-        requires the cell's single-sided-capable flag.  Returns flipped cell
-        coordinates as (set, row, bitcol) triples.
+        ``upper``/``lower`` optionally overwrite the aggressor rows of
+        :meth:`DramConfig.aggressor_rows` before activation: double-sided,
+        rows victim_row - 1 / + 1; single-sided, the one aggressor row takes
+        ``upper``, or ``lower`` when ``upper`` is None.  A victim row with an
+        aggressor row outside the bank raises IndexError.  A vulnerable cell
+        flips iff its stored bit equals its current direction's source value,
+        the aggressor bit(s) in the same column equal the complement, and
+        (for probabilistic cells) a draw from the seeded stream passes.
+        Single-sided mode additionally requires the cell's
+        single-sided-capable flag.  Returns flipped cell coordinates as
+        (set, row, bitcol) triples.
         """
         cfg = self.config
-        rows = cfg.rows_per_bank
-        double = cfg.hammer_mode == "double"
-        if double:
-            if victim_row - 1 < 0 or victim_row + 1 >= rows:
-                raise IndexError(
-                    f"double-sided hammer needs both neighbors of row {victim_row}"
-                )
-            if upper is not None:
-                self.row(s, victim_row - 1)[:] = np.frombuffer(bytes(upper),
-                                                               dtype=np.uint8)
-            if lower is not None:
-                self.row(s, victim_row + 1)[:] = np.frombuffer(bytes(lower),
-                                                               dtype=np.uint8)
-            aggr_rows = [self.row(s, victim_row - 1), self.row(s, victim_row + 1)]
-        else:
-            aggr = victim_row + 1 if victim_row + 1 < rows else victim_row - 1
-            if aggr < 0:
-                raise IndexError("single-sided hammer needs one neighbor")
-            content = upper if upper is not None else lower
+        if not cfg.aggressors_in_bank(victim_row):
+            raise IndexError(f"an aggressor row of row {victim_row} lies "
+                             f"outside the bank")
+        aggr = cfg.aggressor_rows(victim_row)
+        contents = (upper, lower) if len(aggr) == 2 else \
+            (upper if upper is not None else lower,)
+        for r, content in zip(aggr, contents):
             if content is not None:
-                self.row(s, aggr)[:] = np.frombuffer(bytes(content), dtype=np.uint8)
-            aggr_rows = [self.row(s, aggr)]
+                self.row(s, r)[:] = np.frombuffer(bytes(content), dtype=np.uint8)
+        aggr_rows = [self.row(s, r) for r in aggr]
 
         idx = self.cells_in_row(s, victim_row)
         if idx.size == 0:
@@ -436,7 +436,7 @@ class DramState:
         for row_buf in aggr_rows:
             aggr_bits = (row_buf[bytes_] >> bits) & 1
             cond &= aggr_bits == (1 - stored)
-        if not double:
+        if cfg.hammer_mode == "single":
             cond &= self.csscap[idx]
         probabilistic = cond & (self.cprob[idx] < 1.0)
         if probabilistic.any():
@@ -530,12 +530,8 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
         keep = np.searchsorted(np.cumsum(sizes), target) + 1
         sizes = sizes[:keep]
         page_pick = rng.integers(0, pages_per_bank, size=len(sizes))
-        if config.channels == 1:
-            g = (page_pick // config.in_row_pages) * config.sets + bank
-            pfns = g * config.in_row_pages + page_pick % config.in_row_pages
-        else:
-            g = (page_pick // config.in_row_pages) * config.banks + bank
-            pfns = g * config.in_row_pages + page_pick % config.in_row_pages
+        g = (page_pick // config.in_row_pages) * config.banks + bank
+        pfns = g * config.in_row_pages + page_pick % config.in_row_pages
         pfns = np.repeat(pfns, sizes)[:target + 16]
         bops = rng.integers(0, PAGE_BITS, size=len(pfns))
         key = pfns.astype(np.int64) * PAGE_BITS + bops
@@ -550,6 +546,7 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
         return _empty_cells()
     pfn = np.concatenate(all_pfn)
     bop = np.concatenate(all_bop)
+    del all_pfn, all_bop  # the address mapping below is the peak of memory
     n = len(pfn)
     sets, rowz, bitcols = addr.bit_addr_vec(pfn, bop)
     sets = sets.astype(np.int32)
@@ -598,13 +595,10 @@ def template(dram, scan_rows=None, repeats=1):
     else:
         scan_s, scan_r = np.asarray(list(scan_rows),
                                     dtype=np.int64).reshape(-1, 2).T
-    if cfg.hammer_mode == "double":
-        aggr_rows = (scan_r - 1, scan_r + 1)
-    else:
-        aggr_rows = (np.where(scan_r + 1 < nrows, scan_r + 1, scan_r - 1),)
-    for rows in (scan_r,) + aggr_rows:
-        if ((scan_s < 0) | (scan_s >= cfg.sets) | (rows < 0) | (rows >= nrows)).any():
-            raise IndexError("a scan row or one of its aggressors is out of range")
+    if ((scan_s < 0) | (scan_s >= cfg.sets) | (scan_r < 0) | (scan_r >= nrows)
+            | ~cfg.aggressors_in_bank(scan_r)).any():
+        raise IndexError("a scan row or one of its aggressors is out of range")
+    aggr_rows = cfg.aggressor_rows(scan_r)
 
     # every (scan row, cell in that row) occurrence, in scan then cell order
     keys = scan_s * nrows + scan_r

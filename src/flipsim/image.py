@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dram import PAGE_BITS, PAGE_BYTES
 from .qnn.model import BitRef
-
-PAGE_BYTES = 4096
-PAGE_BITS = PAGE_BYTES * 8
 
 
 class StaleModeError(ValueError):

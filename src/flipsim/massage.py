@@ -108,7 +108,7 @@ class HammerAction:
     victim_row: int
     stripe_bitcols: tuple
     members: tuple         # indices of the plan entries this action serves
-    aggressor_rows: tuple  # from _neighbor_rows: two double-sided, one single
+    aggressor_rows: tuple  # DramConfig.aggressor_rows of victim_row
 
 
 def _candidate_frames(profile, target, owner):
@@ -127,23 +127,21 @@ def _entry_geometry(dram, ppn, bop):
 def _conflicts(dram, geo, chosen_geos):
     """Aggressor-row conflicts between a candidate placement and prior picks.
 
-    Two victims may share a row (their actions merge), but a victim in-row
-    page must never coincide with another victim's aggressor in-row page.
-    Double-sided mode tolerates a victim at a *different* column range of an
-    aggressor row (the controlled second aggressor keeps the solid pattern);
-    single-sided mode has no second aggressor, so any adjacency is out.
+    Every aggressor row must lie inside the bank.  Two victims may share a
+    row (their actions merge), but a victim in-row page must never coincide
+    with another victim's aggressor in-row page.  Double-sided mode tolerates
+    a victim at a *different* column range of an aggressor row (the
+    controlled second aggressor keeps the solid pattern); single-sided mode
+    has no second aggressor, so a victim anywhere in an aggressor row is out.
     """
-    s, row, base, span, _ = geo
-    rows = dram.config.rows_per_bank
-    double = dram.config.hammer_mode == "double"
-    if double and not (0 < row < rows - 1):
-        return "victim row has no neighbor on one side"
-    if not double and row + 1 >= rows and row - 1 < 0:
-        return "victim row has no neighbor"
-    for o_s, o_row, o_base, o_span, _ in chosen_geos:
-        if s != o_s:
+    s, row, base, _, _ = geo
+    cfg = dram.config
+    if not cfg.aggressors_in_bank(row):
+        return "an aggressor row of the victim lies outside the bank"
+    for o_s, o_row, o_base, _, _ in chosen_geos:
+        if s != o_s or (base != o_base and cfg.hammer_mode == "double"):
             continue
-        if abs(row - o_row) == 1 and (base == o_base or not double):
+        if o_row in cfg.aggressor_rows(row) or row in cfg.aggressor_rows(o_row):
             return f"aggressor row collides with victim at row {o_row}"
     return None
 
@@ -243,27 +241,19 @@ def plan_aggressors(plan, dram):
     Returns the hammering actions; each action is one row activation pair
     and may serve several victims resident in the same row.
     """
-    rows = dram.config.rows_per_bank
+    cfg = dram.config
     merged = {}
     for idx, e in enumerate(plan.entries):
-        if dram.config.hammer_mode == "double" and not (0 < e.victim_row < rows - 1):
-            raise UnsatisfiablePlan(e.target, "victim row at bank edge")
+        if not cfg.aggressors_in_bank(e.victim_row):
+            raise UnsatisfiablePlan(e.target, "aggressor row outside the bank")
         merged.setdefault((e.set, e.victim_row), []).append(idx)
     actions = []
     for (s, vrow), members in sorted(merged.items()):
         stripes = tuple(sorted(plan.entries[m].stripe_bitcol for m in members))
         actions.append(HammerAction(s, vrow, stripes, tuple(members),
-                                    _neighbor_rows(dram, vrow)))
+                                    cfg.aggressor_rows(vrow)))
     _check_aggressor_ownership(plan, dram, actions)
     return actions
-
-
-def _neighbor_rows(dram, victim_row):
-    if dram.config.hammer_mode == "double":
-        return (victim_row - 1, victim_row + 1)
-    nrow = victim_row + 1 if victim_row + 1 < dram.config.rows_per_bank \
-        else victim_row - 1
-    return (nrow,)
 
 
 def _check_aggressor_ownership(plan, dram, actions):
@@ -272,16 +262,11 @@ def _check_aggressor_ownership(plan, dram, actions):
     for act in actions:
         for member in act.members:
             e = plan.entries[member]
-            byte_base = e.col_base // 8
             for r in act.aggressor_rows:
-                for pfn in dram.addr.row_pfns(act.set, r):
-                    for s_, r_, base, _, n in dram.addr.page_segments(pfn):
-                        if (s_, r_) != (act.set, r) or base != byte_base:
-                            continue
-                        if dram.owner[pfn] != OWNER_ATTACKER or pfn in victim_frames:
-                            raise UnsatisfiablePlan(
-                                e.target,
-                                f"aggressor frame {pfn} not attacker-owned")
+                pfn, _ = dram.addr.cell_to_page(act.set, r, e.col_base)
+                if dram.owner[pfn] != OWNER_ATTACKER or pfn in victim_frames:
+                    raise UnsatisfiablePlan(
+                        e.target, f"aggressor frame {pfn} not attacker-owned")
 
 
 def release_and_remap(cache, plan, image, dram, noise=None):
@@ -430,15 +415,12 @@ def precise_hammer(dram, plan, actions, mapping):
             byte, bit = divmod(c, 8)
             content[byte] ^= np.uint8(1 << bit)
         for r in act.aggressor_rows:
-            row_buf = dram.row(act.set, r)
             # only attacker in-row pages are writable; victim pages that
             # co-reside in an aggressor row keep their bytes
-            for pfn in dram.addr.row_pfns(act.set, r):
-                if dram.owner[pfn] != OWNER_ATTACKER:
-                    continue
-                for s_, r_, base, _, n in dram.addr.page_segments(pfn):
-                    if (s_, r_) == (act.set, r):
-                        row_buf[base:base + n] = content[base:base + n]
+            writable = np.repeat(
+                dram.owner[dram.addr.row_pfns(act.set, r)] == OWNER_ATTACKER,
+                dram.config.in_row_page_size)
+            np.copyto(dram.row(act.set, r), content, where=writable)
         flips.extend(dram.hammer(act.set, act.victim_row))
     observed = set()
     for e in plan.entries:

@@ -115,13 +115,6 @@ def blob_resnet(input_shape=(1, 8, 8), classes=10, width=8, bit_width=8):
     return FloatSpec(plan, input_shape, classes, bit_width)
 
 
-_BUILDERS = {
-    "blob_mlp": blob_mlp,
-    "lenet": lenet_like,
-    "blob_resnet": blob_resnet,
-}
-
-
 def build_spec(arch, input_shape, classes, bit_width=8, hidden=None,
                width_multiplier=1):
     """Named architecture lookup used by the CLI."""

@@ -6,7 +6,7 @@ through the quantizer unchanged (straight-through identity), then applied to
 the masters with momentum SGD.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +21,6 @@ class TrainConfig:
     weight_decay: float = 0.0
     batch_size: int = 128
     accuracy_floor: float = 0.85
-    lr_decay: float = 1.0      # multiplicative per-epoch decay
-    history: list = field(default_factory=list)
 
 
 class TrainingFailure(RuntimeError):
@@ -55,7 +53,6 @@ def train_small(spec, dataset, config=None, seed=0):
 
     n = len(dataset.y_train)
     batch_size = min(config.batch_size, n)
-    lr = config.lr
     history = []
     for _ in range(config.epochs):
         order = rng.permutation(n)
@@ -75,9 +72,8 @@ def train_small(spec, dataset, config=None, seed=0):
                 mw += gw
                 mb *= config.momentum
                 mb += bgrads[i]
-                params[i]["w"] -= lr * mw
-                params[i]["b"] -= lr * mb
-        lr *= config.lr_decay
+                params[i]["w"] -= config.lr * mw
+                params[i]["b"] -= config.lr * mb
         model = spec.assemble(params)
         _, acc = loss_and_accuracy(model, dataset.x_test, dataset.y_test)
         history.append(acc)

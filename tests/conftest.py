@@ -60,12 +60,13 @@ def pipeline_out(tmp_path_factory, desk_cfg):
     return out
 
 
-def tiny_dram(cells=None, banks=2, rows=32, hammer_mode="double", seed=9):
+def tiny_dram(cells=None, banks=2, rows=32, hammer_mode="double", seed=9,
+              channels=1):
     """Small blank DRAM for targeted machinery tests."""
     from flipsim.dram import DramConfig, DramState, _empty_cells
 
     config = DramConfig(banks_per_dimm=banks, rows_per_bank=rows,
-                        hammer_mode=hammer_mode)
+                        hammer_mode=hammer_mode, channels=channels)
     return DramState(config, cells if cells is not None else _empty_cells(),
                      hammer_seed=seed)
 

@@ -154,6 +154,31 @@ def test_invalid_search_setting_exits_config(fast_trained, tmp_path, capsys,
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,setting", [
+    ("channels", {"channels": 3}),
+    ("hammer_mode", {"hammer_mode": "triple"}),
+    ("density", {"density": "foo"}),
+    ("row_bytes", {"row_bytes": 1000}),
+    ("banks_per_dimm", {"banks": -1}),
+])
+def test_invalid_dram_setting_exits_config(fast_trained, tmp_path, capsys,
+                                           key, setting):
+    import shutil
+
+    out = tmp_path / "bad"
+    out.mkdir()
+    shutil.copy(os.path.join(fast_trained, "checkpoint.qnn"), out)
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("\n".join(f"{k} = {v}" for k, v in
+                                 fast_overrides(str(out), **setting).items())
+                       + "\n")
+    capsys.readouterr()
+    rc = cli.main(["template", "--config", str(cfgfile)])
+    assert rc == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(out / "profile.csv")
+
+
 def test_pipeline_outputs_exist(pipeline_out):
     for name in ("checkpoint.qnn", "train.json", "profile.csv",
                  "template.json", "geometry.txt", "chain_1.jsonl",
@@ -178,6 +203,23 @@ def test_trace_csv_columns(pipeline_out):
         header = fh.readline().strip().split(",")
     assert header[:3] == ["iteration", "candidates", "layer"]
     assert "loss" in header and "accuracy" in header
+
+
+def test_dual_channel_reboot_exploit_is_exact(pipeline_out, tmp_path, desk_cfg):
+    # the two-segment page layout through template, search, a reboot that
+    # obsoletes the profile, retemplating and the exploit
+    from dataclasses import replace
+
+    cfg = replace(desk_cfg, out=str(tmp_path / "dual"), channels=2,
+                  reboot_seed=777)
+    checkpoint = os.path.join(pipeline_out, "checkpoint.qnn")
+    cli.cmd_template(cfg, checkpoint)
+    chains, _ = cli.cmd_search(cfg, checkpoint)
+    assert chains[0].feasible and len(chains[0])
+    report = cli.cmd_exploit(cfg, checkpoint)
+    assert report["final_metric"] == report["expected_metric"]
+    assert report["template_status"] == "obsolete"
+    assert report["retemplate"]["cells_retested"] > 0
 
 
 def test_noise_mode_surfaces_integrity_error(pipeline_out, tmp_path, desk_cfg):
@@ -207,9 +249,11 @@ def test_exploit_plans_against_configured_recycling_threshold(pipeline_out, tmp_
                         chain_path=os.path.join(pipeline_out, "chain_1.jsonl"))
 
 
-@pytest.mark.parametrize("mode, aggressor_rows", [("double", 2), ("single", 1)])
-def test_pages_retained_counts_each_aggressor_row(mode, aggressor_rows):
-    state = tiny_dram(hammer_mode=mode)
+@pytest.mark.parametrize("mode, aggressor_rows, channels", [
+    ("double", 2, 1), ("single", 1, 1), ("double", 2, 2), ("single", 1, 2),
+], ids=["double-2", "single-1", "double-2-dual", "single-1-dual"])
+def test_pages_retained_counts_each_aggressor_row(mode, aggressor_rows, channels):
+    state = tiny_dram(hammer_mode=mode, channels=channels)
     state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
     ppn = state.addr.row_pfns(0, 7)[0]
     s, row, base, span = state.addr.in_row_page_of(ppn, 5)

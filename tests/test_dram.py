@@ -71,6 +71,81 @@ def test_vectorized_addressing_matches_scalar():
             assert addr.in_row_page_of(p, b) == (s, r, base, span)
 
 
+@pytest.mark.parametrize("channels", [1, 2])
+def test_address_core_matches_bytewise_oracle(channels):
+    # every row byte of a small geometry, one bit of each, against the
+    # byte-by-byte oracle that keeps its own per-channel formulas
+    cfg = DramConfig(channels=channels, banks_per_dimm=2, rows_per_bank=3)
+    addr = AddressFunction(cfg)
+    sets, rows, byte = np.meshgrid(np.arange(cfg.sets),
+                                   np.arange(cfg.rows_per_bank),
+                                   np.arange(cfg.row_bytes), indexing="ij")
+    sets, rows, byte = sets.ravel(), rows.ravel(), byte.ravel()
+    cols = byte * 8 + byte % 8
+    want = np.array([oracles.cell_to_page(cfg, s, r, c) for s, r, c in
+                     zip(sets.tolist(), rows.tolist(), cols.tolist())])
+    pfn, bop = addr.cell_to_page_vec(sets, rows, cols)
+    assert np.array_equal(pfn, want[:, 0]) and np.array_equal(bop, want[:, 1])
+    got = addr.bit_addr_vec(want[:, 0], want[:, 1])
+    for a, b in zip(got, (sets, rows, cols)):
+        assert np.array_equal(a, b)
+    # page_segments lists exactly the row bytes the oracle assigns each page
+    assert set(pfn.tolist()) == set(range(cfg.total_pages))
+    by_page = {}
+    for s, r, b, p, o in zip(sets.tolist(), rows.tolist(), byte.tolist(),
+                             pfn.tolist(), (bop // 8).tolist()):
+        by_page.setdefault(p, set()).add((s, r, b, o))
+    for p, placed in by_page.items():
+        segs = {(s, r, base + i, off + i)
+                for s, r, base, off, n in addr.page_segments(p) for i in range(n)}
+        assert segs == placed
+    # row_pfns lists the row's residents, slot q holding row bytes q*n..
+    n = cfg.in_row_page_size
+    for s in range(cfg.sets):
+        for r in range(cfg.rows_per_bank):
+            here = (sets == s) & (rows == r)
+            slots = pfn[here][::n]
+            assert addr.row_pfns(s, r) == slots.tolist()
+
+
+@pytest.mark.parametrize("mode", ["double", "single"])
+def test_aggressor_rows_int_and_array_agree(mode):
+    cfg = DramConfig(banks_per_dimm=2, rows_per_bank=8, hammer_mode=mode)
+    rows = np.arange(cfg.rows_per_bank)
+    as_array = cfg.aggressor_rows(rows)
+    inside = cfg.aggressors_in_bank(rows)
+    for r in range(cfg.rows_per_bank):
+        assert cfg.aggressor_rows(r) == tuple(int(a[r]) for a in as_array)
+        assert cfg.aggressors_in_bank(r) == bool(inside[r])
+
+
+def test_aggressor_rows_at_bank_edges():
+    last = 7
+    single = DramConfig(banks_per_dimm=2, rows_per_bank=8, hammer_mode="single")
+    assert single.aggressor_rows(0) == (1,)
+    assert single.aggressor_rows(last) == (last - 1,)
+    assert single.aggressors_in_bank(0) and single.aggressors_in_bank(last)
+    double = DramConfig(banks_per_dimm=2, rows_per_bank=8)
+    assert double.aggressor_rows(0) == (-1, 1)
+    assert double.aggressor_rows(last) == (last - 1, last + 1)
+    assert not double.aggressors_in_bank(0)
+    assert not double.aggressors_in_bank(last)
+    assert double.aggressors_in_bank(1) and double.aggressors_in_bank(last - 1)
+
+
+@pytest.mark.parametrize("mode", ["double", "single"])
+def test_one_row_bank_has_no_hammerable_row(mode):
+    from flipsim.massage import _conflicts
+
+    state = tiny_dram(rows=1, hammer_mode=mode)
+    assert not state.config.aggressors_in_bank(0)
+    with pytest.raises(IndexError):
+        state.hammer(0, 0)
+    with pytest.raises(IndexError):
+        template(state, scan_rows=[(0, 0)])
+    assert _conflicts(state, (0, 0, 0, 32768, 0), []) is not None
+
+
 def test_bit_addr_rejects_out_of_range():
     addr = AddressFunction(DramConfig(banks_per_dimm=2, rows_per_bank=16))
     for pfn, bop in ((-1, 0), (addr.config.total_pages, 0), (0, -1), (0, 32768)):

@@ -197,8 +197,9 @@ def test_victim_at_bank_edge_rejected():
         plan_aggressors(plan, state)
 
 
-def test_single_sided_plan_json_lists_one_aggressor_row(tmp_path):
-    state = tiny_dram(hammer_mode="single")
+@pytest.mark.parametrize("channels", [1, 2])
+def test_single_sided_plan_json_lists_one_aggressor_row(tmp_path, channels):
+    state = tiny_dram(hammer_mode="single", channels=channels)
     state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
     ppn = state.addr.row_pfns(0, 7)[0]
     plan = MappingPlan([entry_for(state, TargetBit(1, 5, 0), ppn)])
@@ -360,32 +361,33 @@ def test_zero_targets_no_flips():
     assert report["flips"] == [] and report["actions"] == 0
 
 
-def test_merged_actions_do_not_interfere_across_victims():
+@pytest.mark.parametrize("channels", [1, 2])
+def test_merged_actions_do_not_interfere_across_victims(channels):
     # the compact-aggressor topology: victim 1 co-resides with victim 2's
     # aggressor page (adjacent rows, opposite in-row slots), and victims 3+4
     # share one row so their sets merge into a single action; every page also
-    # carries untargeted vulnerable columns that must survive
+    # carries untargeted vulnerable columns that must survive (on two
+    # channels the last one sits in the page's second segment)
     rng = np.random.default_rng(3)
     contents = {pgid: rng.integers(0, 256, size=4096, dtype=np.uint8)
                 for pgid in (1, 2, 3, 4)}
-    placements = {1: (20, 0), 2: (21, 1), 3: (30, 0), 4: (30, 1)}
+    addr = tiny_dram(rows=64, channels=channels).addr
+    frames = {1: addr.row_pfns(0, 20)[0], 2: addr.row_pfns(0, 21)[1],
+              3: addr.row_pfns(0, 30)[0], 4: addr.row_pfns(0, 30)[1]}
     cells, targets = [], {}
-    for pgid, (row, slot) in placements.items():
+    for pgid, ppn in frames.items():
         offsets = (7 + 16 * pgid, 6000 + pgid, 21000 + 8 * pgid)
         target_bop = offsets[0]
         for bop in offsets:
             stored = (contents[pgid][bop // 8] >> (bop % 8)) & 1
-            cells.append((0, row, slot * 32768 + bop, int(1 - stored), 1.0,
-                          False))
+            cells.append(addr.bit_addr(ppn, bop) + (int(1 - stored), 1.0, False))
         targets[pgid] = TargetBit(pgid, target_bop,
                                   int(1 - ((contents[pgid][target_bop // 8]
                                             >> (target_bop % 8)) & 1)))
-    state = tiny_dram(make_cells(cells), rows=64)
+    state = tiny_dram(make_cells(cells), rows=64, channels=channels)
     state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
-    entries = []
-    for pgid, (row, slot) in placements.items():
-        ppn = state.addr.row_pfns(0, row)[slot]
-        entries.append(entry_for(state, targets[pgid], ppn))
+    entries = [entry_for(state, targets[pgid], ppn)
+               for pgid, ppn in frames.items()]
     plan = MappingPlan(entries)
     actions = plan_aggressors(plan, state)
     assert len(actions) == 3  # pages 3+4 merge
