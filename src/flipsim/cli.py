@@ -187,6 +187,9 @@ def build_model_spec(cfg, width_multiplier=None, dataset=None):
         shape, classes = dataset.input_shape, dataset.class_count
     else:
         shape, classes = cfg.blob_shape, cfg.classes
+    if cfg.arch not in qnn.ARCHITECTURES:
+        raise ConfigError(f"unknown arch {cfg.arch!r}; choose one of "
+                          f"{list(qnn.ARCHITECTURES)}")
     return qnn.build_spec(cfg.arch, shape, classes, cfg.bit_width,
                           cfg.hidden, width_multiplier or cfg.width_multiplier)
 
@@ -225,6 +228,9 @@ def provision(cfg, model):
     if isinstance(density, str) and density not in dram_mod.DENSITY_FACTORS:
         raise ConfigError(f"unknown density preset {density!r}; choose one of "
                           f"{sorted(dram_mod.DENSITY_FACTORS)}")
+    if cfg.density_count > geometry.bank_capacity:
+        raise ConfigError(f"density_count {cfg.density_count} exceeds the "
+                          f"{geometry.bank_capacity} cells of a bank")
     state = new_dram(geometry, density, cfg.cell_seed, cfg.hammer_seed,
                      one_to_zero=cfg.direction_split)
     image = WeightImage(model)

@@ -83,6 +83,11 @@ class DramConfig:
         return self.row_bytes * 8
 
     @property
+    def bank_capacity(self):
+        """Cells in one bank, both channels of a dual-channel bank included."""
+        return self.rows_per_bank * self.row_bits * self.channels
+
+    @property
     def total_bytes(self):
         return self.sets * self.rows_per_bank * self.row_bytes
 
@@ -355,11 +360,6 @@ class DramState:
             out[off:off + n] = self.row(s, r)[base:base + n]
         return out.tobytes()
 
-    def read_bit(self, pfn, bop):
-        s, r, bitcol = self.addr.bit_addr(pfn, bop)
-        byte, bit = divmod(bitcol, 8)
-        return int(self.row(s, r)[byte] >> bit) & 1
-
     # ---- ownership ----
 
     def set_owner(self, pfns, owner):
@@ -509,10 +509,10 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
                     for _ in range(config.banks)]
     else:
         per_bank = [float(density)] * config.banks
-    capacity = config.rows_per_bank * config.row_bits * config.channels
     for t in per_bank:
-        if t > capacity:
-            raise ValueError(f"per-bank target {t:.0f} exceeds capacity {capacity}")
+        if t > config.bank_capacity:
+            raise ValueError(f"per-bank target {t:.0f} exceeds capacity "
+                             f"{config.bank_capacity}")
 
     addr = AddressFunction(config)
     all_pfn, all_bop = [], []

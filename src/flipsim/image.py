@@ -120,9 +120,6 @@ class WeightImage:
     def page_bytes(self, page):
         return self.pages[page - 1].tobytes()
 
-    def block_bytes(self):
-        return self.pages.reshape(-1)[:self.weight_bytes].tobytes()
-
     def apply_flips(self, flips):
         """Toggle each target bit in the image and the backing model.
 
@@ -149,16 +146,6 @@ class WeightImage:
             self.pages[tb.page - 1, byte % PAGE_BYTES] ^= np.uint8(1 << bit)
             delta.append((ref, old, new))
         return delta
-
-    def load_block(self, blob):
-        """Overwrite image and model weights from raw block bytes."""
-        if len(blob) < self.weight_bytes:
-            raise ValueError("weight block too short")
-        self.model.load_weight_block(blob[:self.weight_bytes])
-        flat = self.pages.reshape(-1)
-        flat[:self.weight_bytes] = np.frombuffer(self.model.weight_block(),
-                                                 dtype=np.uint8)
-        flat[self.weight_bytes:] = 0
 
 
 # ---- chain files -------------------------------------------------------------

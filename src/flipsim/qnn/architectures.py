@@ -115,15 +115,18 @@ def blob_resnet(input_shape=(1, 8, 8), classes=10, width=8, bit_width=8):
     return FloatSpec(plan, input_shape, classes, bit_width)
 
 
+ARCHITECTURES = ("blob_mlp", "lenet", "blob_resnet")
+
+
 def build_spec(arch, input_shape, classes, bit_width=8, hidden=None,
                width_multiplier=1):
-    """Named architecture lookup used by the CLI."""
+    """Named architecture lookup used by the CLI; see ``ARCHITECTURES``."""
+    if arch not in ARCHITECTURES:
+        raise ValueError(f"unknown architecture {arch!r}")
     if arch == "blob_mlp":
         base = hidden or (512, 256)
         scaled = tuple(int(h * width_multiplier) for h in base)
         return blob_mlp(input_shape, classes, scaled, bit_width)
     if arch == "lenet":
         return lenet_like(input_shape, classes, bit_width)
-    if arch == "blob_resnet":
-        return blob_resnet(input_shape, classes, bit_width=bit_width)
-    raise ValueError(f"unknown architecture {arch!r}")
+    return blob_resnet(input_shape, classes, bit_width=bit_width)

@@ -2,8 +2,8 @@
 
 Weighted layers (dense, conv2d) hold integer weight codes plus a step size and
 compute with the dequantized values; biases and activations stay in float64.
-Each layer implements ``forward`` and, for training/attack gradients,
-``forward_train`` returning a context consumed by ``backward``.
+Each layer implements ``forward_train``, which returns its output and a
+context that ``backward`` consumes for training and attack gradients.
 """
 
 import numpy as np
@@ -14,10 +14,6 @@ from .quant import dequantize, quantize
 class Layer:
     kind = "?"
     weighted = False
-
-    def forward(self, x):
-        y, _ = self.forward_train(x)
-        return y
 
     def forward_train(self, x):
         raise NotImplementedError

@@ -3,6 +3,15 @@
 The model is a flat ordered list of layers (residual skips reference earlier
 activations by index).  All reductions run in a fixed order so that repeated
 calls on identical state are bit-identical.
+
+Every forward pass is one walk over the layers.  It fills ``acts``, where
+``acts[i]`` is the input of layer ``i`` and ``acts[len(layers)]`` the logits;
+a residual skip adds ``acts[source]``.  A walk from layer ``start`` takes
+``acts[:start + 1]`` as given and appends the rest, so :meth:`forward_acts`,
+:meth:`forward_from` and :meth:`weight_bias_gradients` produce the same
+activations bit for bit.  It also returns one backward context per layer it
+ran (``None`` for a residual skip), which the gradient pass hands back to
+each layer's ``backward``.
 """
 
 import hashlib
@@ -11,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import ResidualAdd
-from .quant import bit_coefficients, toggle_bit
+from .quant import toggle_bit
 
 
 @dataclass(frozen=True, order=True)
@@ -61,52 +70,46 @@ class QuantizedModel:
     def weighted_indices(self):
         return [i for i, l in enumerate(self.layers) if l.weighted]
 
-    def weight_counts(self):
-        return [self.layers[i].weight_count for i in self.weighted_indices()]
-
-    def total_weights(self):
-        return sum(self.weight_counts())
-
     # ---- inference ---------------------------------------------------------
+
+    def _walk(self, start, acts):
+        """Run layers ``start..`` on ``acts[start]``, appending each output.
+
+        ``acts`` must hold exactly ``start + 1`` entries.  Returns the
+        layers' backward contexts.
+        """
+        x = acts[start]
+        ctxs = []
+        for layer in self.layers[start:]:
+            if isinstance(layer, ResidualAdd):
+                x, ctx = x + acts[layer.source], None
+            else:
+                x, ctx = layer.forward_train(x)
+            acts.append(x)
+            ctxs.append(ctx)
+        return ctxs
 
     def forward(self, x):
         return self.forward_acts(x)[0]
 
     def forward_acts(self, x):
-        """Forward pass returning ``(logits, acts)``.
-
-        ``acts[i]`` is the input of layer ``i``; ``acts[len(layers)]`` is the
-        logits tensor.  The list feeds incremental re-evaluation after a
-        single-layer perturbation (:meth:`forward_from`).
-        """
+        """Forward pass returning ``(logits, acts)``."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1:] != self.input_shape:
             raise ValueError(f"batch shape {x.shape[1:]} != {self.input_shape}")
         acts = [x]
-        for layer in self.layers:
-            if isinstance(layer, ResidualAdd):
-                x = x + acts[layer.source]
-            else:
-                x = layer.forward(x)
-            acts.append(x)
-        return x, acts
+        self._walk(0, acts)
+        return acts[-1], acts
 
     def forward_from(self, start, acts):
-        """Recompute layers ``start..`` reusing cached upstream activations.
+        """Logits after recomputing layers ``start..`` from cached ``acts``.
 
-        Valid when nothing before ``start`` changed since ``acts`` was built.
+        Valid when nothing before ``start`` changed since ``acts`` was built;
+        ``acts`` itself is left as it is.
         """
-        x = acts[start]
-        fresh = {}
-        for i in range(start, len(self.layers)):
-            layer = self.layers[i]
-            if isinstance(layer, ResidualAdd):
-                skip = fresh[layer.source] if layer.source >= start else acts[layer.source]
-                x = x + skip
-            else:
-                x = layer.forward(x)
-            fresh[i + 1] = x
-        return x
+        fresh = acts[:start + 1]
+        self._walk(start, fresh)
+        return fresh[-1]
 
     # ---- gradients ---------------------------------------------------------
 
@@ -116,27 +119,19 @@ class QuantizedModel:
         Returns ``(loss, grads)`` with ``grads[i]`` shaped like layer ``i``'s
         weight tensor (``None`` for weightless layers).
         """
-        loss, grads, _ = self.weight_bias_gradients(x, labels)
+        loss, grads, _, _ = self.weight_bias_gradients(x, labels)
         return loss, grads
 
     def weight_bias_gradients(self, x, labels):
         """Like :meth:`weight_gradients` but also returns bias gradients.
 
-        Returns ``(loss, grads, bias_grads)``; both lists hold ``None`` for
-        weightless layers.
+        Returns ``(loss, grads, bias_grads, acts)``; both gradient lists hold
+        ``None`` for weightless layers, and ``acts`` are the activations of
+        the pass, equal to those of :meth:`forward_acts`.
         """
-        x = np.asarray(x, dtype=np.float64)
-        acts = [x]
-        ctxs = []
-        for layer in self.layers:
-            if isinstance(layer, ResidualAdd):
-                x = x + acts[layer.source]
-                ctxs.append(None)
-            else:
-                x, ctx = layer.forward_train(x)
-                ctxs.append(ctx)
-            acts.append(x)
-        loss, dlogits = softmax_cross_entropy(x, labels)
+        acts = [np.asarray(x, dtype=np.float64)]
+        ctxs = self._walk(0, acts)
+        loss, dlogits = softmax_cross_entropy(acts[-1], labels)
         grads, bgrads = [None] * len(self.layers), [None] * len(self.layers)
         flow = [None] * (len(self.layers) + 1)
         flow[len(self.layers)] = dlogits
@@ -152,41 +147,20 @@ class QuantizedModel:
                 if layer.weighted:
                     grads[i], bgrads[i] = grad_w, grad_b
             flow[i] = g_in if flow[i] is None else flow[i] + g_in
-        return loss, grads, bgrads
-
-    def bit_gradients(self, weight_grads):
-        """Per-bit loss gradients from per-weight gradients.
-
-        ``dL/db_i = dL/dw * delta_w * c_i`` with the two's-complement
-        coefficients; the coefficients are exact powers of two, so the product
-        is reproducible regardless of association.
-        """
-        coeffs = bit_coefficients(self.bit_width)
-        out = {}
-        for i in self.weighted_indices():
-            g = weight_grads[i].reshape(-1)
-            out[i] = g[:, None] * self.layers[i].delta_w * coeffs[None, :]
-        return out
+        return loss, grads, bgrads, acts
 
     # ---- mutation ----------------------------------------------------------
 
-    def flip_bit(self, ref, inplace=True):
+    def flip_bit(self, ref):
         """Toggle one weight bit; flipping the same ref twice restores state."""
-        model = self if inplace else self.copy()
-        layer = model.layers[ref.layer]
+        layer = self.layers[ref.layer]
         if not layer.weighted:
             raise ValueError(f"layer {ref.layer} has no weights")
         flat = layer.weight_q.reshape(-1)
         if not (0 <= ref.index < flat.size):
             raise IndexError(f"weight index {ref.index} out of range")
-        flat[ref.index] = toggle_bit(int(flat[ref.index]), ref.bit, model.bit_width)
+        flat[ref.index] = toggle_bit(int(flat[ref.index]), ref.bit, self.bit_width)
         layer.invalidate()
-        return model
-
-    def get_bit(self, ref):
-        layer = self.layers[ref.layer]
-        q = int(layer.weight_q.reshape(-1)[ref.index])
-        return ((q & (2 ** self.bit_width - 1)) >> ref.bit) & 1
 
     # ---- serialization helpers ----------------------------------------------
 
@@ -240,10 +214,7 @@ def loss_and_accuracy(model, x, labels):
         raise ValueError("empty batch")
     if labels.min() < 0 or labels.max() >= model.class_count:
         raise ValueError("labels out of range")
-    logits = model.forward(x)
-    loss, _ = softmax_cross_entropy(logits, labels)
-    acc = float((logits.argmax(axis=1) == labels).mean())
-    return loss, acc
+    return metrics_from_logits(model.forward(x), labels)
 
 
 def metrics_from_logits(logits, labels):

@@ -111,10 +111,3 @@ def toggle_bit(value, bit, bit_width=8):
     if u >= 2 ** (bit_width - 1):
         u -= 2 ** bit_width
     return u
-
-
-def bit_planes(weight_q, bit_width=8):
-    """Current bit values of each weight: shape ``(n, bit_width)``, LSB first."""
-    u = np.asarray(weight_q, dtype=np.int16).ravel() & (2 ** bit_width - 1)
-    shifts = np.arange(bit_width, dtype=np.int16)
-    return ((u[:, None] >> shifts[None, :]) & 1).astype(np.uint8)

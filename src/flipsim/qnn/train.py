@@ -62,7 +62,7 @@ def train_small(spec, dataset, config=None, seed=0):
             for i in weighted:
                 model.layers[i].set_float_weights(params[i]["w"], spec.bit_width)
                 model.layers[i].bias = params[i]["b"]
-            _, grads, bgrads = model.weight_bias_gradients(xb, yb)
+            _, grads, bgrads, _ = model.weight_bias_gradients(xb, yb)
             for i in weighted:
                 gw = grads[i]
                 if config.weight_decay:

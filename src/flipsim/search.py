@@ -232,18 +232,6 @@ class ProfileView:
         return pfn
 
 
-def evaluate_candidate(model, ref, x, labels):
-    """Flip one bit, measure loss/accuracy, restore; state is hash-checked."""
-    before = model.state_hash()
-    model.flip_bit(ref)
-    out = loss_and_accuracy(model, x, labels)
-    model.flip_bit(ref)
-    after = model.state_hash()
-    if after != before:
-        raise RuntimeError("candidate evaluation failed to restore the model")
-    return out
-
-
 def _topk_lowest_index(score, k):
     """Indices of the k largest scores; boundary ties go to the lowest index."""
     eligible = int((score >= 0).sum())
@@ -308,13 +296,13 @@ def rank_candidates(model, image, x, labels, p, *, objective=1, view=None,
     time into one stack of logits, scored in a single metrics call.
     """
     n_eval = len(x)
+    _, grads, _, acts = model.weight_bias_gradients(x, labels)
     if probe_x is not None:
+        # candidates are scored on one pass over x and probe_x together; its
+        # first rows are not bit-identical to the gradient pass over x alone
         x_all = np.concatenate([np.asarray(x, dtype=np.float64),
                                 np.asarray(probe_x, dtype=np.float64)])
-    else:
-        x_all = x
-    _, acts = model.forward_acts(x_all)
-    _, grads = model.weight_gradients(x, labels)
+        _, acts = model.forward_acts(x_all)
     bw = model.bit_width
     full = np.uint8(2 ** bw - 1)
     sign_bit = np.uint8(1 << (bw - 1))
@@ -335,7 +323,7 @@ def rank_candidates(model, image, x, labels, p, *, objective=1, view=None,
         layer = model.layers[layer_idx]
         stored = layer.weight_q.reshape(-1).astype(np.uint8) & full
         # loss gradient per unit of weight code; bit b's gradient is
-        # code_grad * coeffs[b], as in QuantizedModel.bit_gradients
+        # code_grad * coeffs[b], exact since coeffs are powers of two
         code_grad = grads[layer_idx].reshape(-1) * layer.delta_w
         # flipping these bits raises the code: a stored 0 below the sign bit,
         # or a stored 1 in it; flipping the others lowers it
@@ -514,21 +502,3 @@ def protection_rounds(model, dataset, config, rounds):
         chains.append(chain)
         protected.add_refs(s.ref for s in chain.steps)
     return chains
-
-
-def replay_chain(model, chain, dataset, config, target_class=None):
-    """Apply a chain to a fresh copy and recompute each step's metric."""
-    work = model.copy()
-    image = WeightImage(work)
-    x, y = dataset.batch(config.eval_batch_size, config.batch_seed,
-                         from_class=target_class)
-    out = []
-    for step in chain.steps:
-        image.apply_flips([step.target()])
-        if target_class is None:
-            _, metric = loss_and_accuracy(work, x, y)
-        else:
-            metric = class_fraction(work, dataset.x_test, target_class)
-        out.append(metric)
-    return out
-

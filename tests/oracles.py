@@ -9,10 +9,11 @@ import numpy as np
 
 from flipsim import massage
 from flipsim.dram import OWNER_ATTACKER, FlipProfile
-from flipsim.image import PAGE_BITS
+from flipsim.image import PAGE_BITS, WeightImage
 from flipsim.qnn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU, ResidualAdd
-from flipsim.qnn.model import BitRef, softmax_cross_entropy
-from flipsim.qnn.quant import bit_planes, toggle_bit
+from flipsim.qnn.model import (BitRef, class_fraction, loss_and_accuracy,
+                               softmax_cross_entropy)
+from flipsim.qnn.quant import bit_coefficients, toggle_bit
 from flipsim.search import Candidate, _rank_key, _topk_lowest_index
 
 
@@ -97,8 +98,6 @@ def naive_accuracy(model, x, labels):
 
 def finite_difference_grads(model, x, labels, step=1e-4):
     """Central differences on every dequantized weight."""
-    from flipsim.qnn.model import loss_and_accuracy
-
     out = {}
     for li in model.weighted_indices():
         layer = model.layers[li]
@@ -154,6 +153,57 @@ def audit_chain(chain, profile, protected=None):
 
 
 # ---- search: one bit-space pass and one forward update per candidate ---------
+
+
+def bit_planes(weight_q, bit_width=8):
+    """Current bit values of each weight: shape ``(n, bit_width)``, LSB first."""
+    u = np.asarray(weight_q, dtype=np.int16).ravel() & (2 ** bit_width - 1)
+    shifts = np.arange(bit_width, dtype=np.int16)
+    return ((u[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+
+
+def bit_gradients(model, weight_grads):
+    """Per-bit loss gradients from per-weight gradients.
+
+    ``dL/db_i = dL/dw * delta_w * c_i`` with the two's-complement
+    coefficients; the coefficients are exact powers of two, so the product
+    is reproducible regardless of association.
+    """
+    coeffs = bit_coefficients(model.bit_width)
+    out = {}
+    for i in model.weighted_indices():
+        g = weight_grads[i].reshape(-1)
+        out[i] = g[:, None] * model.layers[i].delta_w * coeffs[None, :]
+    return out
+
+
+def evaluate_candidate(model, ref, x, labels):
+    """Flip one bit, measure loss/accuracy, restore; state is hash-checked."""
+    before = model.state_hash()
+    model.flip_bit(ref)
+    out = loss_and_accuracy(model, x, labels)
+    model.flip_bit(ref)
+    after = model.state_hash()
+    if after != before:
+        raise RuntimeError("candidate evaluation failed to restore the model")
+    return out
+
+
+def replay_chain(model, chain, dataset, config, target_class=None):
+    """Apply a chain to a fresh copy and recompute each step's metric."""
+    work = model.copy()
+    image = WeightImage(work)
+    x, y = dataset.batch(config.eval_batch_size, config.batch_seed,
+                         from_class=target_class)
+    out = []
+    for step in chain.steps:
+        image.apply_flips([step.target()])
+        if target_class is None:
+            _, metric = loss_and_accuracy(work, x, y)
+        else:
+            metric = class_fraction(work, dataset.x_test, target_class)
+        out.append(metric)
+    return out
 
 
 def layer_bit_pages(image, layer_idx):
@@ -215,7 +265,7 @@ def rank_candidates_reference(model, image, x, labels, p, *, objective=1,
         x_all = x
     _, acts = model.forward_acts(x_all)
     _, grads = model.weight_gradients(x, labels)
-    bitgrads = model.bit_gradients(grads)
+    bitgrads = bit_gradients(model, grads)
     used_pages = set(used_pages)
     avail = {m: view.availability(m) for m in (0, 1)} if view is not None else None
 
@@ -268,6 +318,13 @@ def rank_candidates_reference(model, image, x, labels, p, *, objective=1,
 
 
 # ---- DRAM and profile layer: the per-row and per-entry loops -----------------
+
+
+def read_bit(state, pfn, bop):
+    """One stored bit of a DRAM state, read through its address function."""
+    s, r, bitcol = state.addr.bit_addr(pfn, bop)
+    byte, bit = divmod(bitcol, 8)
+    return int(state.row(s, r)[byte] >> bit) & 1
 
 
 def cell_to_page(config, s, row, bitcol):

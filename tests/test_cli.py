@@ -126,6 +126,18 @@ def test_bad_config_exit_code(tmp_path):
     assert cli.main(["train", "--config", missing]) == cli.EXIT_CONFIG
 
 
+def test_unknown_arch_exits_config(tmp_path, capsys):
+    out = tmp_path / "a"
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("\n".join(f"{k} = {v}" for k, v in
+                                 fast_overrides(str(out), arch="lenet_like").items())
+                       + "\n")
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfgfile)]) == cli.EXIT_CONFIG
+    assert "arch" in capsys.readouterr().err
+    assert not os.path.exists(out / "checkpoint.qnn")
+
+
 @pytest.fixture(scope="module")
 def fast_trained(tmp_path_factory):
     """A trained checkpoint and its profile on the fast settings."""
@@ -160,6 +172,7 @@ def test_invalid_search_setting_exits_config(fast_trained, tmp_path, capsys,
     ("density", {"density": "foo"}),
     ("row_bytes", {"row_bytes": 1000}),
     ("banks_per_dimm", {"banks": -1}),
+    ("density_count", {"density_count": 1000000000}),
 ])
 def test_invalid_dram_setting_exits_config(fast_trained, tmp_path, capsys,
                                            key, setting):

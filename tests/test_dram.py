@@ -251,7 +251,7 @@ def test_stripe_flips_zero_to_one():
     state.row(0, 5)[:] = 0
     flips = state.hammer(0, 5, upper=ones, lower=ones)
     assert flips == [(0, 5, 100)]
-    assert state.read_bit(*state.addr.cell_to_page(0, 5, 100)) == 1
+    assert oracles.read_bit(state, *state.addr.cell_to_page(0, 5, 100)) == 1
 
 
 def test_solid_pattern_never_flips():

@@ -42,9 +42,9 @@ def test_exact_two_pages():
 
 
 def test_pages_concatenate_to_weight_block(image, small_model):
-    assert image.block_bytes() == small_model.weight_block()
-    # padding after the block is zero
     flat = image.pages.reshape(-1)
+    assert flat[:image.weight_bytes].tobytes() == small_model.weight_block()
+    # padding after the block is zero
     assert np.all(flat[image.weight_bytes:] == 0)
 
 
@@ -144,10 +144,11 @@ def test_model_and_image_stay_consistent(small_model):
 
 
 def test_load_block_roundtrip(small_model):
+    # the exploit reads the victim's pages back into a model this way
     img = WeightImage(small_model.copy())
-    blob = img.block_bytes()
+    blob = img.pages.reshape(-1)[:img.weight_bytes].tobytes()
     img.apply_flips([TargetBit(1, 3, 1 - img.get_bit(1, 3))])
-    img.load_block(blob)
+    img.model.load_weight_block(blob)
     assert img.model.state_hash() == small_model.state_hash()
 
 

@@ -8,7 +8,8 @@ from flipsim.qnn.architectures import FloatSpec
 from flipsim.qnn.layers import Dense
 from flipsim.qnn.model import (BitRef, QuantizedModel, loss_and_accuracy,
                                softmax_cross_entropy)
-from oracles import finite_difference_grads, naive_accuracy, naive_forward
+from oracles import (bit_gradients, finite_difference_grads, naive_accuracy,
+                     naive_forward)
 
 rng = np.random.default_rng(42)
 
@@ -113,7 +114,40 @@ def test_forward_is_pure():
     assert model.state_hash() == model.state_hash()
 
 
+@pytest.mark.parametrize("make_spec", SPECS)
+def test_forward_from_reruns_every_suffix_exactly(make_spec):
+    # resnet: a flip in the skip's source layer reruns from that very layer
+    spec = make_spec()
+    model = spec.assemble(spec.init_params(13))
+    x = np.random.default_rng(13).normal(size=(5, *model.input_shape))
+    logits, acts = model.forward_acts(x)
+    for start in range(len(model.layers)):
+        assert np.array_equal(model.forward_from(start, acts), logits)
+        if not model.layers[start].weighted:
+            continue
+        ref = BitRef(start, model.layers[start].weight_count // 2, 6)
+        model.flip_bit(ref)
+        flipped = model.forward_acts(x)[0]
+        assert np.array_equal(model.forward_from(start, acts), flipped)
+        model.flip_bit(ref)
+    assert len(acts) == len(model.layers) + 1 and acts[-1] is logits
+
+
 # ---- gradients -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make_spec", SPECS)
+def test_gradient_pass_activations_equal_forward_acts(make_spec):
+    # the untargeted ranking scores candidates on the gradient pass's acts
+    spec = make_spec()
+    model = spec.assemble(spec.init_params(13))
+    gen = np.random.default_rng(13)
+    x = gen.normal(size=(7, *model.input_shape))
+    y = gen.integers(0, model.class_count, size=7)
+    _, _, _, acts = model.weight_bias_gradients(x, y)
+    _, want = model.forward_acts(x)
+    assert len(acts) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(acts, want))
 
 
 def test_single_linear_neuron_gradient_closed_form():
@@ -135,7 +169,8 @@ def test_single_linear_neuron_gradient_closed_form():
 def test_gradients_match_finite_differences(make_spec):
     spec = make_spec()
     model = spec.assemble(spec.init_params(5))
-    assert model.total_weights() <= 1000
+    assert sum(model.layers[i].weight_count
+               for i in model.weighted_indices()) <= 1000
     x = rng.normal(size=(6, *model.input_shape))
     y = rng.integers(0, model.class_count, size=6)
     _, grads = model.weight_gradients(x, y)
@@ -162,7 +197,7 @@ def test_bit_gradients_compose_weight_gradients_exactly():
     x = rng.normal(size=(5, *model.input_shape))
     y = rng.integers(0, 3, size=5)
     _, grads = model.weight_gradients(x, y)
-    bg = model.bit_gradients(grads)
+    bg = bit_gradients(model, grads)
     coeffs = qnn.bit_coefficients(8)
     for li in model.weighted_indices():
         flat = grads[li].reshape(-1)

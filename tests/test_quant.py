@@ -6,10 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flipsim.qnn.quant import (DegenerateQuantizerError, bit_coefficients,
-                               bit_planes, decode_bits, dequantize,
-                               encode_bits, quantize, round_half_away,
-                               toggle_bit)
-from oracles import twos_complement_value
+                               decode_bits, dequantize, encode_bits, quantize,
+                               round_half_away, toggle_bit)
+from oracles import bit_planes, twos_complement_value
 
 
 def test_step_size_from_layer_max():

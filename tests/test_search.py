@@ -12,10 +12,11 @@ from flipsim.qnn.model import (BitRef, loss_and_accuracy, metrics_from_logits,
                                softmax_cross_entropy)
 from flipsim.search import (Candidate, ProfileView, ProtectedMask,
                             SearchConfig, _incremental_logits,
-                            evaluate_candidate, protection_rounds,
-                            rank_candidates, replay_chain, search_chain,
+                            protection_rounds, rank_candidates, search_chain,
                             search_chain_targeted, select_flippable)
-from oracles import audit_chain, incremental_logits, rank_candidates_reference
+from oracles import (audit_chain, bit_gradients, bit_planes,
+                     evaluate_candidate, incremental_logits,
+                     rank_candidates_reference, replay_chain)
 
 rng = np.random.default_rng(17)
 
@@ -42,9 +43,9 @@ def test_rank_candidates_match_bruteforce_gradient_sort(small_setup):
     x, y = dataset.batch(32, 7)
     ranked = rank_candidates(model, image, x, y, p=4)
     _, grads = model.weight_gradients(x, y)
-    bg = model.bit_gradients(grads)
+    bg = bit_gradients(model, grads)
     li = model.weighted_indices()[0]
-    bits = qnn.bit_planes(model.layers[li].weight_q, 8)
+    bits = bit_planes(model.layers[li].weight_q, 8)
     eligible = []
     for idx in range(16):
         for bit in range(8):
@@ -259,6 +260,18 @@ def test_chain_replay_reproduces_recorded_metrics(small_setup):
     assert replayed == [s.metric for s in chain.steps]
 
 
+def test_resnet_chain_replay_reproduces_recorded_metrics(rank_models):
+    # every conv candidate reruns the suffix through the residual skip
+    models, dataset = rank_models
+    model = models["resnet"]
+    cfg = SearchConfig(p=4, max_flips=4, target_accuracy=0.0,
+                       eval_batch_size=32)
+    chain = search_chain(model, dataset, None, cfg)
+    assert len(chain) == 4
+    replayed = replay_chain(model, chain, dataset, cfg)
+    assert replayed == [s.metric for s in chain.steps]
+
+
 def test_chain_respects_constraints_audit(small_setup):
     model, dataset = small_setup
     image = WeightImage(model)
@@ -319,7 +332,9 @@ def test_direction_rule_consistency(small_setup):
     x, y = dataset.batch(64, 3)
     ranked = rank_candidates(model, image, x, y, p=10)
     for cand in ranked:
-        bit = model.get_bit(cand.ref)
+        layer = model.layers[cand.ref.layer]
+        bit = bit_planes(layer.weight_q, model.bit_width)[cand.ref.index,
+                                                          cand.ref.bit]
         assert bit == 1 - cand.mode  # stored value is the mode's source
         if cand.grad > 0:
             assert cand.mode == 1
@@ -332,7 +347,8 @@ def test_direction_rule_consistency(small_setup):
 
 @pytest.fixture(scope="module")
 def rank_models():
-    """A three-page MLP, a 4-bit MLP and a conv net on one blob dataset."""
+    """A three-page MLP, a 4-bit MLP, a conv net and a residual net on one
+    blob dataset."""
     dataset = qnn.gaussian_blobs(classes=4, shape=(1, 8, 8), train_per_class=24,
                                  test_per_class=12, noise=1.5, seed=8)
     cfg = qnn.TrainConfig(epochs=2, accuracy_floor=0.0)
@@ -343,7 +359,9 @@ def rank_models():
                            dataset, cfg, seed=1)
     conv = qnn.train_small(qnn.lenet_like(input_shape=(1, 8, 8), classes=4),
                            dataset, cfg, seed=1)
-    return {"mlp": mlp, "mlp4": mlp4, "conv": conv}, dataset
+    resnet = qnn.train_small(qnn.blob_resnet(input_shape=(1, 8, 8), classes=4),
+                             dataset, cfg, seed=1)
+    return {"mlp": mlp, "mlp4": mlp4, "conv": conv, "resnet": resnet}, dataset
 
 
 def _random_profile(gen, rate):
@@ -354,7 +372,7 @@ def _random_profile(gen, rate):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["mlp", "mlp4", "conv"]), st.sampled_from([1, -1]),
+@given(st.sampled_from(["mlp", "mlp4", "conv", "resnet"]), st.sampled_from([1, -1]),
        st.sampled_from([None, 1.0, 0.3, 0.01]), st.integers(1, 12),
        st.integers(0, 2 ** 16), st.data())
 def test_rank_candidates_match_reference(rank_models, kind, objective, rate, p,
