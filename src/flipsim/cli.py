@@ -384,6 +384,23 @@ def cmd_search(cfg, checkpoint=None, profile_path=None):
     return chains, info
 
 
+def _check_profile_geometry(cfg, profile_path):
+    """Refuse a profile templated on another DRAM geometry than ``cfg``'s.
+
+    ``cmd_template`` writes ``geometry.txt`` beside ``profile.csv``; its
+    page numbers only mean something on that geometry.
+    """
+    path = os.path.join(os.path.dirname(profile_path), "geometry.txt")
+    try:
+        profiled, _ = dram_mod.load_geometry(path)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    configured = dram_config(cfg)
+    if profiled != configured:
+        raise ConfigError(f"the profile was templated on {profiled} ({path}), "
+                          f"but the config gives {configured}")
+
+
 def _unreserved_locations(profile, steps):
     """Mask of profile entries at no (pfn, bop) location a chain step reserved."""
     used = np.array([s.pfn * PAGE_BITS + s.bop for s in steps if s.pfn is not None],
@@ -414,8 +431,9 @@ def cmd_exploit(cfg, checkpoint=None, profile_path=None, chain_path=None):
     os.makedirs(cfg.out, exist_ok=True)
     model = qnn.load_checkpoint(checkpoint or os.path.join(cfg.out, "checkpoint.qnn"))
     _check_search_settings(cfg, model.class_count)
-    profile = FlipProfile.load_csv(profile_path
-                                   or os.path.join(cfg.out, "profile.csv"))
+    profile_path = profile_path or os.path.join(cfg.out, "profile.csv")
+    _check_profile_geometry(cfg, profile_path)
+    profile = FlipProfile.load_csv(profile_path)
     if cfg.rate < 1.0:
         profile = sample_profile(profile, cfg.rate, cfg.sample_seed)
     records = read_chain(chain_path or os.path.join(cfg.out, "chain_1.jsonl"))

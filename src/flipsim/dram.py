@@ -184,7 +184,7 @@ class AddressFunction:
         span = cfg.in_row_page_size * 8
         pfn = np.asarray(pfn, dtype=np.int64)
         bop = np.asarray(bop, dtype=np.int64)
-        # in place where possible: cell synthesis maps about a million cells
+        # in place where possible: cell synthesis maps every cell of a bank
         rows, bitcols = np.divmod(pfn, cfg.in_row_pages)
         sets = rows % cfg.banks
         rows //= cfg.banks
@@ -275,10 +275,16 @@ class FlipProfile:
         return cls([], [], [], [])
 
     def save_csv(self, path):
+        # one repr per distinct bit pattern, so 0.0 and -0.0 keep their own
+        bits, which = np.unique(self.probability.view(np.int64),
+                                return_inverse=True)
+        text = [repr(p) for p in bits.view(np.float64).tolist()]
         with open(path, "w") as fh:
             fh.write("pfn,bop,direction,probability\n")
-            fh.write("".join([f"{pfn},{bop},{d},{p!r}\n"
-                              for pfn, bop, d, p in self.entries()]))
+            fh.write("".join([f"{pfn},{bop},{d},{text[i]}\n"
+                              for pfn, bop, d, i in zip(
+                                  self.pfn.tolist(), self.bop.tolist(),
+                                  self.direction.tolist(), which.tolist())]))
         return path
 
     @classmethod
@@ -324,7 +330,11 @@ class DramState:
          self.cprob, self.csscap) = cells
         self.ccur_dir = self.cbase_dir.copy()
         # cells sorted by (set, row, bit column); the cells of row key
-        # k = set * rows + row sit at [_row_start[k], _row_start[k + 1])
+        # k = set * rows + row sit at [_row_start[k], _row_start[k + 1]).
+        # Cells may come in any order; synthesize_cells already returns this
+        # one, and on sorted keys the stable sort (timsort) runs in linear
+        # time, a few ms per million cells against a tenth of a second or
+        # more on shuffled keys
         row_key = self.cset.astype(np.int64) * config.rows_per_bank + self.crow
         cell_key = row_key * config.row_bits + self.cbitcol
         order = np.argsort(cell_key, kind="stable")
@@ -496,6 +506,14 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
     full geometry, scaled proportionally to the simulated row count and row
     size.  Cells cluster on pages (most vulnerable pages carry more than one
     cell) and split ~70/30 toward the 1->0 direction.
+
+    The cells come back in :class:`DramState` order, sorted by (set, row,
+    bit column).  The random stream does not see that order.  Bank by bank,
+    it draws cluster sizes, page picks and bit offsets; a bank keeps the
+    first draw of each ``(pfn, bop)`` location, up to its target.  Then
+    directions, single-sided flags and probabilities are drawn for all kept
+    cells in that draw order, bank after bank, and each cell takes the
+    values drawn at its place in it.
     """
     rng = np.random.default_rng(seed)
     if isinstance(density, str):
@@ -513,12 +531,17 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
         if t > config.bank_capacity:
             raise ValueError(f"per-bank target {t:.0f} exceeds capacity "
                              f"{config.bank_capacity}")
+    targets = [int(round(t)) for t in per_bank]
 
     addr = AddressFunction(config)
-    all_pfn, all_bop = [], []
     pages_per_bank = config.rows_per_bank * config.in_row_pages
-    for bank, target in enumerate(per_bank):
-        target = int(round(target))
+    total = sum(t for t in targets if t > 0)
+    sets, rows, bitcols = (np.empty(total, dtype=np.int32) for _ in range(3))
+    drawn = np.empty(total, dtype=np.int64)  # each cell's place in draw order
+    # channel 0 fills the outputs from the front; channel 1 fills them from
+    # the back, reversed, and is turned round behind channel 0 at the end
+    lo, hi, n = 0, total, 0
+    for bank, target in enumerate(targets):
         if target <= 0:
             continue
         n_clusters = max(1, int(target / _CLUSTER_SIZES.dot(_CLUSTER_PROBS)) + 8)
@@ -534,31 +557,38 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
         pfns = g * config.in_row_pages + page_pick % config.in_row_pages
         pfns = np.repeat(pfns, sizes)[:target + 16]
         bops = rng.integers(0, PAGE_BITS, size=len(pfns))
-        key = pfns.astype(np.int64) * PAGE_BITS + bops
-        _, first = np.unique(key, return_index=True)
-        keep_mask = np.zeros(len(key), dtype=bool)
-        keep_mask[first] = True
-        pfns, bops = pfns[keep_mask][:target], bops[keep_mask][:target]
-        all_pfn.append(pfns)
-        all_bop.append(bops)
+        # in one bank, (pfn, bop) order is (row, bit column) order per channel
+        key = pfns * PAGE_BITS + bops
+        order = np.argsort(key)
+        key = key[order]
+        # the earliest draw of each location, in location order
+        first = np.minimum.reduceat(order, np.flatnonzero(np.diff(key, prepend=-1)))
+        is_first = np.zeros(len(key), dtype=bool)
+        is_first[first] = True
+        place = np.cumsum(is_first)[first] - 1  # among the bank's first draws
+        kept = place < target
+        first, place = first[kept], place[kept] + n
+        n += len(first)
+        s, r, c = addr.bit_addr_vec(pfns[first], bops[first])
+        upper = s >= config.banks  # channel 1
+        m = np.count_nonzero(upper)
+        for out, val in ((sets, s), (rows, r), (bitcols, c), (drawn, place)):
+            out[lo:lo + len(s) - m] = val[~upper]
+            out[hi - m:hi] = val[upper][::-1]
+        lo, hi = lo + len(s) - m, hi - m
 
-    if not all_pfn:
+    if n == 0:
         return _empty_cells()
-    pfn = np.concatenate(all_pfn)
-    bop = np.concatenate(all_bop)
-    del all_pfn, all_bop  # the address mapping below is the peak of memory
-    n = len(pfn)
-    sets, rowz, bitcols = addr.bit_addr_vec(pfn, bop)
-    sets = sets.astype(np.int32)
-    rowz = rowz.astype(np.int32)
-    bitcols = bitcols.astype(np.int32)
-    base_dir = (rng.random(n) >= one_to_zero).astype(np.int8)  # 0 => 1->0
-    sscap = rng.random(n) < single_sided_rate
+    for out in (sets, rows, bitcols, drawn):
+        out[lo:n] = out[hi:][::-1]
+    sets, rows, bitcols, drawn = sets[:n], rows[:n], bitcols[:n], drawn[:n]
+    base_dir = (rng.random(n) >= one_to_zero).astype(np.int8)[drawn]  # 0 => 1->0
+    sscap = (rng.random(n) < single_sided_rate)[drawn]
     if isinstance(probability, tuple):
-        prob = rng.uniform(probability[0], probability[1], size=n)
+        prob = rng.uniform(probability[0], probability[1], size=n)[drawn]
     else:
         prob = np.full(n, float(probability))
-    return sets, rowz, bitcols, base_dir, prob, sscap
+    return sets, rows, bitcols, base_dir, prob, sscap
 
 
 def new_dram(config, density="dense", cell_seed=0, hammer_seed=1, **cell_kwargs):

@@ -8,7 +8,10 @@ routes to the same answer.
 import numpy as np
 
 from flipsim import massage
-from flipsim.dram import OWNER_ATTACKER, FlipProfile
+from flipsim.dram import (_CLUSTER_PROBS, _CLUSTER_SIZES, DENSE_PER_BANK_RANGE,
+                          DENSITY_FACTORS, FULL_SIZE_ROW_BYTES, FULL_SIZE_ROWS,
+                          ONE_TO_ZERO_SHARE, OWNER_ATTACKER, SINGLE_SIDED_RATE,
+                          AddressFunction, FlipProfile, _empty_cells)
 from flipsim.image import PAGE_BITS, WeightImage
 from flipsim.qnn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU, ResidualAdd
 from flipsim.qnn.model import (BitRef, class_fraction, loss_and_accuracy,
@@ -446,3 +449,82 @@ def unreserved_locations(profile, steps):
     used = {(s.pfn, s.bop) for s in steps if s.pfn is not None}
     return np.array([(p, b) not in used for p, b, _, _ in profile.entries()],
                     dtype=bool)
+
+
+def synthesize_cells_reference(config, density="dense", seed=0,
+                               one_to_zero=ONE_TO_ZERO_SHARE,
+                               single_sided_rate=SINGLE_SIDED_RATE,
+                               probability=1.0):
+    """Draw a vulnerable-cell population for ``config``, in draw order.
+
+    The per-bank ``np.unique`` dedupe and one concatenation of all banks;
+    the package version returns the same cells already sorted.
+
+    ``density`` is a preset name (dense / moderate / low / rare) or an explicit
+    per-bank cell count.  The dense preset targets 35K-47K cells per bank at
+    full geometry, scaled proportionally to the simulated row count and row
+    size.  Cells cluster on pages (most vulnerable pages carry more than one
+    cell) and split ~70/30 toward the 1->0 direction.
+    """
+    rng = np.random.default_rng(seed)
+    if isinstance(density, str):
+        try:
+            factor = DENSITY_FACTORS[density]
+        except KeyError:
+            raise ValueError(f"unknown density preset {density!r}") from None
+        scale = (config.rows_per_bank / FULL_SIZE_ROWS) * \
+                (config.row_bytes / FULL_SIZE_ROW_BYTES) * config.channels
+        per_bank = [rng.uniform(*DENSE_PER_BANK_RANGE) * scale * factor
+                    for _ in range(config.banks)]
+    else:
+        per_bank = [float(density)] * config.banks
+    for t in per_bank:
+        if t > config.bank_capacity:
+            raise ValueError(f"per-bank target {t:.0f} exceeds capacity "
+                             f"{config.bank_capacity}")
+
+    addr = AddressFunction(config)
+    all_pfn, all_bop = [], []
+    pages_per_bank = config.rows_per_bank * config.in_row_pages
+    for bank, target in enumerate(per_bank):
+        target = int(round(target))
+        if target <= 0:
+            continue
+        n_clusters = max(1, int(target / _CLUSTER_SIZES.dot(_CLUSTER_PROBS)) + 8)
+        sizes = rng.choice(_CLUSTER_SIZES, size=n_clusters, p=_CLUSTER_PROBS)
+        while sizes.sum() < target:
+            sizes = np.concatenate([sizes, rng.choice(_CLUSTER_SIZES,
+                                                      size=n_clusters,
+                                                      p=_CLUSTER_PROBS)])
+        keep = np.searchsorted(np.cumsum(sizes), target) + 1
+        sizes = sizes[:keep]
+        page_pick = rng.integers(0, pages_per_bank, size=len(sizes))
+        g = (page_pick // config.in_row_pages) * config.banks + bank
+        pfns = g * config.in_row_pages + page_pick % config.in_row_pages
+        pfns = np.repeat(pfns, sizes)[:target + 16]
+        bops = rng.integers(0, PAGE_BITS, size=len(pfns))
+        key = pfns.astype(np.int64) * PAGE_BITS + bops
+        _, first = np.unique(key, return_index=True)
+        keep_mask = np.zeros(len(key), dtype=bool)
+        keep_mask[first] = True
+        pfns, bops = pfns[keep_mask][:target], bops[keep_mask][:target]
+        all_pfn.append(pfns)
+        all_bop.append(bops)
+
+    if not all_pfn:
+        return _empty_cells()
+    pfn = np.concatenate(all_pfn)
+    bop = np.concatenate(all_bop)
+    del all_pfn, all_bop  # the address mapping below is the peak of memory
+    n = len(pfn)
+    sets, rowz, bitcols = addr.bit_addr_vec(pfn, bop)
+    sets = sets.astype(np.int32)
+    rowz = rowz.astype(np.int32)
+    bitcols = bitcols.astype(np.int32)
+    base_dir = (rng.random(n) >= one_to_zero).astype(np.int8)  # 0 => 1->0
+    sscap = rng.random(n) < single_sided_rate
+    if isinstance(probability, tuple):
+        prob = rng.uniform(probability[0], probability[1], size=n)
+    else:
+        prob = np.full(n, float(probability))
+    return sets, rowz, bitcols, base_dir, prob, sscap

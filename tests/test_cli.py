@@ -192,6 +192,28 @@ def test_invalid_dram_setting_exits_config(fast_trained, tmp_path, capsys,
     assert not os.path.exists(out / "profile.csv")
 
 
+def test_exploit_on_another_geometry_exits_config(pipeline_out, tmp_path, capsys):
+    import shutil
+
+    out = tmp_path / "geo"
+    out.mkdir()
+    shutil.copy(os.path.join(pipeline_out, "checkpoint.qnn"), out)
+
+    def config_file(banks):
+        path = tmp_path / f"banks{banks}.cfg"
+        path.write_text(f"out = {out}\nseed = 4\ngeometry = desk\nbanks = {banks}\n")
+        return str(path)
+
+    assert cli.main(["template", "--config", config_file(4)]) == cli.EXIT_OK
+    assert cli.main(["search", "--config", config_file(4)]) == cli.EXIT_OK
+    capsys.readouterr()
+    # the profile's frames and rows belong to 4 banks, not 2
+    assert cli.main(["exploit", "--config", config_file(2)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "banks_per_dimm=4" in err and "banks_per_dimm=2" in err
+    assert not os.path.exists(out / "report.json")
+
+
 def test_pipeline_outputs_exist(pipeline_out):
     for name in ("checkpoint.qnn", "train.json", "profile.csv",
                  "template.json", "geometry.txt", "chain_1.jsonl",

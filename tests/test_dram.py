@@ -1,16 +1,19 @@
 """DRAM simulator: addressing, synthesis, templating, hammering, scrambling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import make_cells, tiny_dram
-from flipsim.dram import (OWNER_ATTACKER, AddressFunction, DramConfig,
-                          DramState, FlipProfile, bench, desk, full_dual,
-                          full_single, load_geometry, sample_profile,
-                          save_geometry, synthesize_cells, template)
+from flipsim.dram import (DENSITY_FACTORS, OWNER_ATTACKER, SINGLE_SIDED_RATE,
+                          AddressFunction, DramConfig, DramState, FlipProfile,
+                          bench, desk, full_dual, full_single, load_geometry,
+                          sample_profile, save_geometry, synthesize_cells,
+                          template)
 
 # ---- addressing -----------------------------------------------------------------
 
@@ -228,6 +231,59 @@ def test_direction_split_and_multicell_pages():
         pages[pfn] = pages.get(pfn, 0) + 1
     multi = sum(1 for v in pages.values() if v >= 2)
     assert multi / len(pages) >= 0.6
+
+
+DRAM_ARRAYS = ("cset", "crow", "cbitcol", "cbase_dir", "ccur_dir", "cprob",
+               "csscap", "_row_start")
+# one row of one page per bank: 20,016 draws over its 32,768 bit offsets
+# repeat a few thousand, far beyond the 16 spare draws
+CROWDED = DramConfig(banks_per_dimm=2, rows_per_bank=1, row_bytes=4096)
+
+
+@st.composite
+def synthesis_cases(draw):
+    channels = draw(st.sampled_from([1, 2]))
+    if draw(st.booleans()):
+        cfg = DramConfig(channels=channels, banks_per_dimm=draw(st.integers(1, 3)),
+                         rows_per_bank=1, row_bytes=4096)
+        count = st.integers(0, 30_000)
+    else:
+        cfg = DramConfig(channels=channels, banks_per_dimm=draw(st.integers(1, 4)),
+                         rows_per_bank=draw(st.sampled_from([16, 64, 256])))
+        count = st.integers(0, 3000)
+    density = draw(st.one_of(st.sampled_from(sorted(DENSITY_FACTORS)), count))
+    kwargs = {"seed": draw(st.integers(0, 2 ** 32 - 1)),
+              "probability": draw(st.sampled_from([1.0, (0.3, 0.9)])),
+              "single_sided_rate": draw(st.sampled_from([SINGLE_SIDED_RATE, 0.4]))}
+    return cfg, density, kwargs
+
+
+@settings(max_examples=60, deadline=None)
+@given(synthesis_cases())
+@example((CROWDED, 20_000, {"seed": 1, "probability": (0.3, 0.9),
+                            "single_sided_rate": 0.4}))
+@example((replace(CROWDED, channels=2, row_bytes=2048), 20_000,
+          {"seed": 2, "probability": 1.0, "single_sided_rate": SINGLE_SIDED_RATE}))
+def test_synthesis_matches_reference_in_dram_state_order(case):
+    cfg, density, kwargs = case
+    cells = synthesize_cells(cfg, density, **kwargs)
+    want = oracles.synthesize_cells_reference(cfg, density, **kwargs)
+    assert [a.dtype for a in cells] == [a.dtype for a in want]
+    got_state, want_state = DramState(cfg, cells), DramState(cfg, want)
+    for name in DRAM_ARRAYS:
+        assert np.array_equal(getattr(got_state, name),
+                              getattr(want_state, name)), name
+    # already in DramState order: the index build moved no cell
+    for name, got in zip(("cset", "crow", "cbitcol", "cbase_dir", "cprob",
+                          "csscap"), cells):
+        assert np.array_equal(got, getattr(got_state, name)), name
+
+
+def test_crowded_bank_ends_below_target():
+    for cfg in (CROWDED, replace(CROWDED, channels=2, row_bytes=2048)):
+        cells = synthesize_cells(cfg, 20_000, seed=1)
+        per_bank = np.bincount(cells[0] % cfg.banks, minlength=cfg.banks)
+        assert np.all(per_bank < 20_000) and np.all(per_bank > 10_000)
 
 
 def test_density_capacity_error():

@@ -171,8 +171,12 @@ def test_gradients_match_finite_differences(make_spec):
     model = spec.assemble(spec.init_params(5))
     assert sum(model.layers[i].weight_count
                for i in model.weighted_indices()) <= 1000
-    x = rng.normal(size=(6, *model.input_shape))
-    y = rng.integers(0, model.class_count, size=6)
+    # a stream of its own: inputs drawn from the module's rng would move with
+    # every test added above, and a 1e-4 difference step that crosses a ReLU
+    # kink breaks the bound (2 of 30 seeds do so for tiny_resnet_spec)
+    gen = np.random.default_rng(13)
+    x = gen.normal(size=(6, *model.input_shape))
+    y = gen.integers(0, model.class_count, size=6)
     _, grads = model.weight_gradients(x, y)
     fd = finite_difference_grads(model, x, y)
     for li, want in fd.items():

@@ -134,7 +134,8 @@ def test_cell_index_matches_lexsort_and_row_dict(channels, seed):
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 32767),
                           st.integers(0, 1),
-                          st.floats(0.0, 1.0, allow_nan=False)),
+                          st.one_of(st.floats(0.0, 1.0, allow_nan=False),
+                                    st.just(-0.0))),
                 max_size=40))
 def test_save_csv_bytes_match_per_line_writer(tmp_path_factory, rows):
     profile = FlipProfile.from_entries(rows)
