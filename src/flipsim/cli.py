@@ -5,6 +5,10 @@ defense | sensitivity``.  Every command is a pure function of its config file
 plus flags: identical seeds produce byte-identical outputs, so reports never
 embed timestamps or absolute paths.
 
+``search`` and ``exploit`` are thin I/O shells: ``_load_stage_inputs`` reads
+and checks their inputs, and ``search_stage`` / ``exploit_stage`` work on the
+loaded objects, so ``sensitivity`` loads once and passes chains in memory.
+
 Exit codes: 0 success, 2 infeasible chain (also a training run below its
 accuracy floor, and protect-top-N rounds that exhaust the bit space), 3
 attack integrity failure (precision violation / stale template / mapping
@@ -200,17 +204,11 @@ def dram_config(cfg):
     if cfg.geometry not in presets:
         raise ConfigError(f"unknown geometry preset {cfg.geometry!r}")
     base = presets[cfg.geometry]()
-    kwargs = {}
-    if cfg.channels:
-        kwargs["channels"] = cfg.channels
-    if cfg.banks:
-        kwargs["banks_per_dimm"] = cfg.banks
-    if cfg.rows:
-        kwargs["rows_per_bank"] = cfg.rows
-    if cfg.row_bytes:
-        kwargs["row_bytes"] = cfg.row_bytes
-    if cfg.hammer_mode:
-        kwargs["hammer_mode"] = cfg.hammer_mode
+    # a zero or empty setting keeps the preset's value
+    kwargs = {name: getattr(cfg, key) for key, name in (
+        ("channels", "channels"), ("banks", "banks_per_dimm"),
+        ("rows", "rows_per_bank"), ("row_bytes", "row_bytes"),
+        ("hammer_mode", "hammer_mode")) if getattr(cfg, key)}
     try:
         return replace(base, **kwargs)
     except ValueError as exc:
@@ -257,10 +255,10 @@ def _train_config(cfg):
 
 def _check_search_settings(cfg, class_count):
     """Reject search settings no search can run with, as a ConfigError."""
-    if cfg.p < 1:
-        raise ConfigError(f"p must be >= 1, got {cfg.p}")
-    if cfg.eval_batch < 1:
-        raise ConfigError(f"eval_batch must be >= 1, got {cfg.eval_batch}")
+    for key, low in (("p", 1), ("eval_batch", 1), ("chains", 1),
+                     ("verify_sample", massage.MIN_VERIFY_SAMPLE)):
+        if getattr(cfg, key) < low:
+            raise ConfigError(f"{key} must be >= {low}, got {getattr(cfg, key)}")
     if not 0.0 < cfg.rate <= 1.0:
         raise ConfigError(f"rate must be in (0, 1], got {cfg.rate}")
     if cfg.target_class != -1 and not 0 <= cfg.target_class < class_count:
@@ -350,18 +348,27 @@ def cmd_template(cfg, checkpoint=None):
     return path, info
 
 
-def cmd_search(cfg, checkpoint=None, profile_path=None):
+def _load_stage_inputs(cfg, checkpoint=None, profile_path=None, geometry=False):
+    """``(model, dataset, profile)``; ``geometry`` checks the profile's geometry."""
     os.makedirs(cfg.out, exist_ok=True)
     model = qnn.load_checkpoint(checkpoint or os.path.join(cfg.out, "checkpoint.qnn"))
     _check_search_settings(cfg, model.class_count)
-    profile = FlipProfile.load_csv(profile_path
-                                   or os.path.join(cfg.out, "profile.csv"))
-    if cfg.rate < 1.0:
-        profile = sample_profile(profile, cfg.rate, cfg.sample_seed)
-    dataset = build_dataset(cfg)
+    profile_path = profile_path or os.path.join(cfg.out, "profile.csv")
+    if geometry:
+        _check_profile_geometry(cfg, profile_path)
+    profile = FlipProfile.load_csv(profile_path)
+    return model, build_dataset(cfg), profile
+
+
+def cmd_search(cfg, checkpoint=None, profile_path=None):
+    return search_stage(cfg, *_load_stage_inputs(cfg, checkpoint, profile_path))
+
+
+def search_stage(cfg, model, dataset, profile):
+    """``cfg.chains`` disjoint chains on ``profile`` sampled at ``cfg.rate``."""
     chains = []
     excluded = ProtectedMask()
-    working = profile
+    working = sample_profile(profile, cfg.rate, cfg.sample_seed)
     for i in range(cfg.chains):
         scfg = search_config(cfg, protected=excluded)
         if cfg.target_class >= 0:
@@ -423,33 +430,29 @@ def _read_victim_block(state, image, placement, mapping):
 
 
 def cmd_exploit(cfg, checkpoint=None, profile_path=None, chain_path=None):
+    model, dataset, profile = _load_stage_inputs(cfg, checkpoint, profile_path,
+                                                 geometry=True)
+    records = read_chain(chain_path or os.path.join(cfg.out, "chain_1.jsonl"))
+    return exploit_stage(cfg, model, dataset, profile, records)
+
+
+def exploit_stage(cfg, model, dataset, profile, records):
     """Online phase: verify -> (retemplate) -> plan -> position -> hammer.
 
     The final accuracy is recomputed from the post-hammer weight image and
     must equal the chain's recorded terminal metric exactly.
     """
-    os.makedirs(cfg.out, exist_ok=True)
-    model = qnn.load_checkpoint(checkpoint or os.path.join(cfg.out, "checkpoint.qnn"))
-    _check_search_settings(cfg, model.class_count)
-    profile_path = profile_path or os.path.join(cfg.out, "profile.csv")
-    _check_profile_geometry(cfg, profile_path)
-    profile = FlipProfile.load_csv(profile_path)
-    if cfg.rate < 1.0:
-        profile = sample_profile(profile, cfg.rate, cfg.sample_seed)
-    records = read_chain(chain_path or os.path.join(cfg.out, "chain_1.jsonl"))
     if not records:
         raise ConfigError("chain file is empty")
+    profile = sample_profile(profile, cfg.rate, cfg.sample_seed)
     targets = [TargetBit(r["page"], r["bop"], r["mode"]) for r in records]
-    dataset = build_dataset(cfg)
 
     state, image, placement, attacker_pages = provision(cfg, model)
     rebooted = cfg.reboot_seed >= 0
     if rebooted:
         state.reboot(cfg.reboot_seed, cfg.toggle_probability)
 
-    # the config floor keeps the spot check meaningful; 0 would be vacuous
-    sample = max(massage.MIN_VERIFY_SAMPLE, cfg.verify_sample)
-    status = verify_template(state, profile, sample)
+    status = verify_template(state, profile, cfg.verify_sample)
     retemplate_stats = None
     working = profile
     if status == "obsolete":
@@ -606,24 +609,22 @@ def cmd_defense(cfg, mode):
 
 
 def cmd_sensitivity(cfg, checkpoint=None, profile_path=None):
-    """Search + exploit across profile sampling rates (1.0 .. 0.001)."""
-    os.makedirs(cfg.out, exist_ok=True)
+    """Search + exploit across profile sampling rates (1.0 .. 0.001).
+
+    The inputs are loaded once; the config's own ``rate`` is ignored.
+    """
     rates = [1.0, 0.1, 0.01, 0.001]
+    inputs = _load_stage_inputs(replace(cfg, rate=rates[0]), checkpoint,
+                                profile_path, geometry=True)
     results = []
     for i, rate in enumerate(rates):
-        sub = replace(cfg, rate=rate,
-                      out=os.path.join(cfg.out, f"rate_{i}"))
+        sub = replace(cfg, rate=rate, out=os.path.join(cfg.out, f"rate_{i}"))
         os.makedirs(sub.out, exist_ok=True)
-        chains, _ = cmd_search(sub, checkpoint or os.path.join(cfg.out, "checkpoint.qnn"),
-                               profile_path or os.path.join(cfg.out, "profile.csv"))
-        chain = chains[0]
+        chain = search_stage(sub, *inputs)[0][0]
         row = {"rate": rate, "flips": len(chain), "feasible": chain.feasible,
                "terminal_metric": chain.terminal_metric()}
         if chain.feasible and len(chain):
-            report = cmd_exploit(sub,
-                                 checkpoint or os.path.join(cfg.out, "checkpoint.qnn"),
-                                 profile_path or os.path.join(cfg.out, "profile.csv"),
-                                 os.path.join(sub.out, "chain_1.jsonl"))
+            report = exploit_stage(sub, *inputs, chain.records())
             row["final_metric"] = report["final_metric"]
         results.append(row)
     info = {"rates": results}
@@ -669,11 +670,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    overrides = {"seed": getattr(args, "seed", None),
-                 "out": getattr(args, "out", None),
-                 "rate": getattr(args, "rate", None),
-                 "chains": getattr(args, "chains", None),
-                 "target_class": getattr(args, "target_class", None)}
+    overrides = {key: getattr(args, key, None)
+                 for key in ("seed", "out", "rate", "chains", "target_class")}
     try:
         cfg = make_config(args.config, overrides)
     except (ConfigError, OSError, ValueError) as exc:

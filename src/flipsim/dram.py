@@ -242,10 +242,11 @@ class FlipProfile:
     """
 
     def __init__(self, pfn, bop, direction, probability):
-        self.pfn = np.asarray(pfn, dtype=np.int64)
-        self.bop = np.asarray(bop, dtype=np.int64)
-        self.direction = np.asarray(direction, dtype=np.int8)
-        self.probability = np.asarray(probability, dtype=np.float64)
+        # load_csv passes strided fields of one record array; copy them once
+        self.pfn = np.ascontiguousarray(pfn, dtype=np.int64)
+        self.bop = np.ascontiguousarray(bop, dtype=np.int64)
+        self.direction = np.ascontiguousarray(direction, dtype=np.int8)
+        self.probability = np.ascontiguousarray(probability, dtype=np.float64)
         if not (len(self.pfn) == len(self.bop) == len(self.direction)
                 == len(self.probability)):
             raise ValueError("profile columns differ in length")
@@ -293,11 +294,10 @@ class FlipProfile:
             header = fh.readline().strip()
             if header != "pfn,bop,direction,probability":
                 raise ValueError(f"unexpected profile header: {header}")
-            data = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
-        if data.size == 0:
-            return cls.empty()
-        return cls(data[:, 0].astype(np.int64), data[:, 1].astype(np.int64),
-                   data[:, 2].astype(np.int8), data[:, 3])
+            data = np.loadtxt(fh, delimiter=",", ndmin=1, dtype=[
+                ("pfn", "i8"), ("bop", "i8"), ("direction", "i1"),
+                ("probability", "f8")])
+        return cls(*(data[name] for name in data.dtype.names))
 
 
 def sample_profile(profile, rate, seed):
@@ -305,7 +305,7 @@ def sample_profile(profile, rate, seed):
     if not (0.0 < rate <= 1.0):
         raise ValueError("rate must be in (0, 1]")
     if rate == 1.0:
-        return profile.subset(np.ones(len(profile), dtype=bool))
+        return profile
     rng = np.random.default_rng(seed)
     return profile.subset(rng.random(len(profile)) < rate)
 

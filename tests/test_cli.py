@@ -153,6 +153,7 @@ def fast_trained(tmp_path_factory):
     ("eval_batch", {"eval_batch": 0}, []),
     ("rate", {}, ["--rate", "0"]),
     ("target_class", {}, ["--target-class", "99"]),
+    ("chains", {}, ["--chains", "-3"]),
 ])
 def test_invalid_search_setting_exits_config(fast_trained, tmp_path, capsys,
                                              key, setting, flags):
@@ -163,6 +164,22 @@ def test_invalid_search_setting_exits_config(fast_trained, tmp_path, capsys,
     capsys.readouterr()
     rc = cli.main(["search", "--config", str(cfgfile)] + flags)
     assert rc == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,key,setting", [
+    ("sensitivity", "chains", {"chains": 0}),
+    ("exploit", "verify_sample", {"verify_sample": 7}),
+])
+def test_invalid_stage_setting_exits_config(fast_trained, tmp_path, capsys,
+                                            command, key, setting):
+    # neither a crash deep in the command nor a silent override
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("\n".join(f"{k} = {v}" for k, v in
+                                 fast_overrides(fast_trained, **setting).items())
+                       + "\n")
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(cfgfile)]) == cli.EXIT_CONFIG
     assert key in capsys.readouterr().err
 
 
@@ -332,14 +349,33 @@ def test_three_alternative_chains_are_disjoint(tmp_path, pipeline_out, desk_cfg)
         assert os.path.exists(os.path.join(cfg.out, f"chain_{i}.jsonl"))
 
 
-def test_sensitivity_command_reports_all_rates(tmp_path, pipeline_out, desk_cfg):
+def test_sensitivity_command_reports_all_rates(tmp_path, pipeline_out, desk_cfg,
+                                              monkeypatch, capsys):
+    from collections import Counter
     from dataclasses import replace
 
+    from flipsim import dram
+
+    calls = Counter()
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(FlipProfile, "load_csv")
+    spy(qnn, "load_checkpoint")
+    spy(dram, "load_geometry")
+    checkpoint = os.path.join(pipeline_out, "checkpoint.qnn")
+    profile = os.path.join(pipeline_out, "profile.csv")
     cfg = replace(desk_cfg, out=str(tmp_path / "sens"))
     os.makedirs(cfg.out, exist_ok=True)
-    info = cli.cmd_sensitivity(
-        cfg, checkpoint=os.path.join(pipeline_out, "checkpoint.qnn"),
-        profile_path=os.path.join(pipeline_out, "profile.csv"))
+    info = cli.cmd_sensitivity(cfg, checkpoint=checkpoint, profile_path=profile)
+    # the sweep reads each input once, whatever the number of rates
+    assert calls == {"load_csv": 1, "load_checkpoint": 1, "load_geometry": 1}
     rates = [row["rate"] for row in info["rates"]]
     assert rates == [1.0, 0.1, 0.01, 0.001]
     assert info["rates"][0]["feasible"]
@@ -348,6 +384,29 @@ def test_sensitivity_command_reports_all_rates(tmp_path, pipeline_out, desk_cfg)
         if row["feasible"] and row["flips"]:
             assert row["final_metric"] == row["terminal_metric"]
     assert os.path.exists(os.path.join(cfg.out, "sensitivity.json"))
+
+    # chains handed over in memory give the files the two commands write
+    assert info["rates"][1]["feasible"]
+    solo = replace(desk_cfg, out=str(tmp_path / "solo"), rate=0.1)
+    cli.cmd_search(solo, checkpoint, profile)
+    cli.cmd_exploit(solo, checkpoint, profile)
+    for name in ("chain_1.jsonl", "trace_1.csv", "search.json", "plan.json",
+                 "report.json"):
+        with open(os.path.join(cfg.out, "rate_1", name), "rb") as fh:
+            swept = fh.read()
+        with open(os.path.join(solo.out, name), "rb") as fh:
+            assert fh.read() == swept, name
+
+    # a profile of another geometry stops the sweep before its first search
+    out = tmp_path / "geo"
+    cfgfile = tmp_path / "banks4.cfg"
+    cfgfile.write_text(f"out = {out}\nseed = 4\nbanks = 4\n")
+    capsys.readouterr()
+    rc = cli.main(["sensitivity", "--config", str(cfgfile), "--checkpoint",
+                   checkpoint, "--profile", profile])
+    assert rc == cli.EXIT_CONFIG
+    assert "banks_per_dimm=4" in capsys.readouterr().err
+    assert not os.path.exists(out / "rate_0")
 
 
 def test_defense_layer_lock_reports_both_sides(tmp_path, pipeline_out, desk_cfg):

@@ -146,15 +146,17 @@ def test_plan_honours_configured_recycling_threshold():
 
 
 def test_matching_fallback_beats_greedy_dead_end():
-    # two targets at the same bop: greedy least-options could starve one
+    # every target has two frames, so greedy goes in target order: bop 10
+    # takes f1, bop 20 takes f2 and bop 30 finds both its frames taken; the
+    # augmenting-path pass moves bop 10 to f2 and bop 20 to f3
     state = attacker_state()
-    p1 = state.addr.row_pfns(0, 5)[0]
-    p2 = state.addr.row_pfns(0, 8)[0]
-    profile = FlipProfile([p1, p1, p2], [50, 60, 50], [0, 0, 0], [1.0] * 3)
-    plan = plan_mapping([TargetBit(1, 50, 0), TargetBit(2, 60, 0)],
-                        profile, state)
+    f1, f2, f3 = (state.addr.row_pfns(0, r)[0] for r in (5, 8, 11))
+    profile = FlipProfile([f1, f2, f2, f3, f1, f2], [10, 10, 20, 20, 30, 30],
+                          [0] * 6, [1.0] * 6)
+    plan = plan_mapping([TargetBit(1, 10, 0), TargetBit(2, 20, 0),
+                         TargetBit(3, 30, 0)], profile, state)
     assignment = {e.pgid: e.ppn for e in plan.entries}
-    assert assignment == {1: p2, 2: p1}
+    assert assignment == {1: f2, 2: f3, 3: f1}
 
 
 # ---- plan_aggressors --------------------------------------------------------------
