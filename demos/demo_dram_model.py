@@ -45,15 +45,22 @@ profile = template(state)
 print(f"desk geometry, paper-proportional dense preset: {len(profile)} "
       f"flippable cells, {float((profile.direction == 0).mean()):.0%} 1->0")
 
+
+def directions(profile):
+    """``{(pfn, bop): direction}`` of every profile entry."""
+    return dict(zip(zip(profile.pfn.tolist(), profile.bop.tolist()),
+                    profile.direction.tolist()))
+
+
 print("\n== scrambling: reboots toggle direction, never location ==")
-before = {(p, b): d for p, b, d, _ in profile.entries()}
+before = directions(profile)
 state.reboot(boot_seed=42, toggle_probability=0.5)
 after_profile = template(state)
-after = {(p, b): d for p, b, d, _ in after_profile.entries()}
+after = directions(after_profile)
 same_locations = set(before) == set(after)
 toggled = sum(1 for k in before if before[k] != after[k])
 print(f"locations unchanged: {same_locations}; "
       f"{toggled}/{len(before)} directions toggled by the reboot")
 state.reboot(boot_seed=42, toggle_probability=0.5)
-again = {(p, b): d for p, b, d, _ in template(state).entries()}
+again = directions(template(state))
 print(f"same boot seed reproduces the same directions: {again == after}")

@@ -7,7 +7,8 @@ embed timestamps or absolute paths.
 
 ``search`` and ``exploit`` are thin I/O shells: ``_load_stage_inputs`` reads
 and checks their inputs, and ``search_stage`` / ``exploit_stage`` work on the
-loaded objects, so ``sensitivity`` loads once and passes chains in memory.
+loaded objects and a profile already sampled at ``rate``, so ``sensitivity``
+loads once, samples once per rate and passes chains in memory.
 
 Exit codes: 0 success, 2 infeasible chain (also a training run below its
 accuracy floor, and protect-top-N rounds that exhaust the bit space), 3
@@ -361,14 +362,16 @@ def _load_stage_inputs(cfg, checkpoint=None, profile_path=None, geometry=False):
 
 
 def cmd_search(cfg, checkpoint=None, profile_path=None):
-    return search_stage(cfg, *_load_stage_inputs(cfg, checkpoint, profile_path))
+    model, dataset, profile = _load_stage_inputs(cfg, checkpoint, profile_path)
+    return search_stage(cfg, model, dataset,
+                        sample_profile(profile, cfg.rate, cfg.sample_seed))
 
 
 def search_stage(cfg, model, dataset, profile):
-    """``cfg.chains`` disjoint chains on ``profile`` sampled at ``cfg.rate``."""
+    """``cfg.chains`` disjoint chains on ``profile``, already sampled."""
     chains = []
     excluded = ProtectedMask()
-    working = sample_profile(profile, cfg.rate, cfg.sample_seed)
+    working = profile
     for i in range(cfg.chains):
         scfg = search_config(cfg, protected=excluded)
         if cfg.target_class >= 0:
@@ -433,18 +436,20 @@ def cmd_exploit(cfg, checkpoint=None, profile_path=None, chain_path=None):
     model, dataset, profile = _load_stage_inputs(cfg, checkpoint, profile_path,
                                                  geometry=True)
     records = read_chain(chain_path or os.path.join(cfg.out, "chain_1.jsonl"))
-    return exploit_stage(cfg, model, dataset, profile, records)
+    return exploit_stage(cfg, model, dataset,
+                         sample_profile(profile, cfg.rate, cfg.sample_seed),
+                         records)
 
 
 def exploit_stage(cfg, model, dataset, profile, records):
     """Online phase: verify -> (retemplate) -> plan -> position -> hammer.
 
-    The final accuracy is recomputed from the post-hammer weight image and
-    must equal the chain's recorded terminal metric exactly.
+    ``profile`` is already sampled.  The final accuracy is recomputed from
+    the post-hammer weight image and must equal the chain's recorded
+    terminal metric exactly.
     """
     if not records:
         raise ConfigError("chain file is empty")
-    profile = sample_profile(profile, cfg.rate, cfg.sample_seed)
     targets = [TargetBit(r["page"], r["bop"], r["mode"]) for r in records]
 
     state, image, placement, attacker_pages = provision(cfg, model)
@@ -611,20 +616,22 @@ def cmd_defense(cfg, mode):
 def cmd_sensitivity(cfg, checkpoint=None, profile_path=None):
     """Search + exploit across profile sampling rates (1.0 .. 0.001).
 
-    The inputs are loaded once; the config's own ``rate`` is ignored.
+    The inputs are loaded once and the profile is sampled once per rate;
+    the config's own ``rate`` is ignored.
     """
     rates = [1.0, 0.1, 0.01, 0.001]
-    inputs = _load_stage_inputs(replace(cfg, rate=rates[0]), checkpoint,
-                                profile_path, geometry=True)
+    model, dataset, profile = _load_stage_inputs(
+        replace(cfg, rate=rates[0]), checkpoint, profile_path, geometry=True)
     results = []
     for i, rate in enumerate(rates):
         sub = replace(cfg, rate=rate, out=os.path.join(cfg.out, f"rate_{i}"))
         os.makedirs(sub.out, exist_ok=True)
-        chain = search_stage(sub, *inputs)[0][0]
+        sampled = sample_profile(profile, rate, cfg.sample_seed)
+        chain = search_stage(sub, model, dataset, sampled)[0][0]
         row = {"rate": rate, "flips": len(chain), "feasible": chain.feasible,
                "terminal_metric": chain.terminal_metric()}
         if chain.feasible and len(chain):
-            report = exploit_stage(sub, *inputs, chain.records())
+            report = exploit_stage(sub, model, dataset, sampled, chain.records())
             row["final_metric"] = report["final_metric"]
         results.append(row)
     info = {"rates": results}

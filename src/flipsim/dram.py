@@ -14,6 +14,7 @@ channel ``c`` at set ``c*banks + g % banks``, row ``g // banks``, row bytes
 row byte ``k // 8``.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,11 +259,6 @@ class FlipProfile:
         return FlipProfile(self.pfn[mask], self.bop[mask],
                            self.direction[mask], self.probability[mask])
 
-    def entries(self):
-        """``(pfn, bop, direction, probability)`` tuples of Python scalars."""
-        return zip(self.pfn.tolist(), self.bop.tolist(),
-                   self.direction.tolist(), self.probability.tolist())
-
     @classmethod
     def from_entries(cls, rows):
         rows = list(rows)
@@ -290,10 +286,14 @@ class FlipProfile:
 
     @classmethod
     def load_csv(cls, path):
-        with open(path) as fh:
+        with open(path) as fh, warnings.catch_warnings():
             header = fh.readline().strip()
             if header != "pfn,bop,direction,probability":
                 raise ValueError(f"unexpected profile header: {header}")
+            # a header-only file (no flippable attacker cell) is an empty
+            # profile, not a malformed one
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
             data = np.loadtxt(fh, delimiter=",", ndmin=1, dtype=[
                 ("pfn", "i8"), ("bop", "i8"), ("direction", "i1"),
                 ("probability", "f8")])

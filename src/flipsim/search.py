@@ -10,9 +10,15 @@ flips.
 
 An iteration pays once per layer for the layer's bit space, and that pass
 works on one eligibility bit mask per weight rather than on one entry per
-bit.  A dense-suffix candidate is then evaluated by propagating its flip's
-change through the batch rows it touches only, and each layer's candidates
-are scored together from one stack of logits.
+bit.  A layer's dense-suffix candidates are then evaluated together: their
+single-column changes are built as one array, and each flip's change is
+propagated through the batch rows it touches only and, past the fan-out,
+through the hidden units some flip of the layer can reach only.  A unit
+whose batch peak pre-activation stays at or below zero under every flip's
+largest push changes by an exact zero after its ReLU, because IEEE rounding
+is monotone, so leaving it out changes no value; the narrower products only
+sum in another order, the same ulp-level difference as the row gating.
+Each layer's candidates are scored together from one stack of logits.
 
 Untargeted searches maximize loss until accuracy falls to the target;
 targeted searches run the identical loop with the objective negated on a
@@ -41,9 +47,10 @@ def _sig_round(x, digits=11):
 
     Ranking keys use rounded losses so that the incremental and full forward
     evaluation paths order candidates identically.  The paths agree up to
-    float associativity: the incremental one sums in another order, and it
-    multiplies only the batch rows a flip reaches, so its BLAS calls take
-    other shapes than a full pass would.
+    float associativity: the incremental one multiplies only the batch rows
+    a flip reaches and, after a fan-out, only the hidden units a flip can
+    reach, so its BLAS calls take narrower shapes than a full pass would and
+    sum in another order.  The units it leaves out contribute exact zeros.
     """
     if x == 0.0 or not math.isfinite(x):
         return x
@@ -51,48 +58,86 @@ def _sig_round(x, digits=11):
     return round(x, digits - 1 - mag)
 
 
-def _incremental_logits(model, acts, ref, out=None):
-    """Logits after one dense-layer bit flip, via cascading low-rank updates.
+def _reachable_units(peak, col, fan):
+    """Units of a fan-out layer whose following ReLU a flip can change.
 
-    Only valid when every layer after the flipped one is Dense or ReLU; the
-    flip changes one column of the flipped layer's output, which stays a
-    single-column delta through ReLU and fans out only at the next dense
-    layer.  A batch row whose column delta is exactly zero there keeps its
-    logits, so only the other rows are propagated.  Adds the change into
-    ``out`` (a copy of ``acts[-1]``) when given, else into a fresh copy.
-    Returns ``None`` when the suffix has other layer kinds.
+    ``peak`` is each unit's batch maximum pre-activation, ``col`` the
+    ``(K, B)`` column changes of K flips and ``fan`` the ``(units, K)``
+    weights that fan each flip's column out.  A row's change to unit ``u``
+    is ``col[k, r] * fan[u, k]``, at most ``c * fan[u, k]`` with ``c`` the
+    flip's largest column change for a weight >= 0 and its smallest for a
+    weight < 0.  IEEE rounding is monotone, so a unit with ``peak <= 0`` and
+    ``peak + c * w <= 0`` for every flip stays at or below zero in every row:
+    its ReLU change is exactly zero, whichever flip is made.
     """
-    layer = model.layers[ref.layer]
-    if not isinstance(layer, Dense):
+    push = np.where(fan >= 0, col.max(axis=1), col.min(axis=1)) * fan
+    return np.flatnonzero((peak > 0) | (peak[:, None] + push > 0).any(axis=1))
+
+
+def _dense_suffix_logits(model, acts, refs, out=None):
+    """Logits after each of one dense layer's bit flips, one flip at a time.
+
+    Only valid when every layer after the flipped one is Dense or ReLU: a
+    flip changes one column of its layer's output, which stays a single
+    column through ReLU and fans out only at the next dense layer.  The K
+    flips' column changes are built together as one ``(K, B)`` array.  A
+    batch row whose column change is exactly zero at the fan-out keeps its
+    logits, so each flip propagates only its other rows.  When a ReLU and
+    another dense layer follow the fan-out, the fan-out weights, that ReLU's
+    cached input and output and the next layer's weight columns are sliced
+    once to the :func:`_reachable_units`; the others change by exact zeros.
+    Adds the changes into ``out`` (K copies of ``acts[-1]``) when given,
+    else into fresh copies.  Returns ``None`` when the suffix has other
+    layer kinds.
+    """
+    layers = model.layers
+    start = refs[0].layer
+    layer = layers[start]
+    if not isinstance(layer, Dense) or not all(
+            isinstance(lay, (Dense, ReLU)) for lay in layers[start + 1:]):
         return None
-    suffix = model.layers[ref.layer + 1:]
-    if not all(isinstance(lay, (Dense, ReLU)) for lay in suffix):
-        return None
-    j, i = divmod(ref.index, layer.in_features)
-    old = int(layer.weight_q.reshape(-1)[ref.index])
-    new = toggle_bit(old, ref.bit, model.bit_width)
-    step = (new - old) * layer.delta_w
-    col_delta = step * acts[ref.layer][:, i]
-    rows = delta = None
-    for m, lay in enumerate(suffix, ref.layer + 1):
-        pre = acts[m]
-        if isinstance(lay, ReLU):
-            if delta is None:
-                base = pre[:, j]
-                col_delta = np.maximum(base + col_delta, 0.0) - np.maximum(base, 0.0)
-            else:
-                pre = pre[rows]
-                delta = np.maximum(pre + delta, 0.0) - np.maximum(pre, 0.0)
-        elif delta is None:
-            rows = np.flatnonzero(col_delta)
-            delta = col_delta[rows, None] * lay.weights[:, j][None, :]
+    flat = np.array([ref.index for ref in refs], dtype=np.int64)
+    js, ins = np.divmod(flat, layer.in_features)
+    old = layer.weight_q.reshape(-1)[flat].tolist()
+    steps = np.array([toggle_bit(o, ref.bit, model.bit_width) - o
+                      for o, ref in zip(old, refs)]) * layer.delta_w
+    col = steps[:, None] * acts[start][:, ins].T
+    m = start + 1
+    while m < len(layers) and isinstance(layers[m], ReLU):
+        base = acts[m][:, js].T
+        col = np.maximum(base + col, 0.0) - np.maximum(base, 0.0)
+        m += 1
+    logits = np.repeat(acts[-1][None], len(refs), axis=0) if out is None else out
+    if m == len(layers):
+        logits[np.arange(len(refs)), :, js] += col
+        return logits
+    fan = layers[m].weights[:, js]
+    units = slice(None)
+    if m + 2 < len(layers) and isinstance(layers[m + 1], ReLU) \
+            and isinstance(layers[m + 2], Dense):
+        units = _reachable_units(acts[m + 1].max(axis=0), col, fan)
+        fan = fan[units]
+    # per layer after the fan-out: a ReLU's cached input and output (the
+    # output stands in for max(pre, 0)), or a dense layer's weights, transposed
+    tail = []
+    for q in range(m + 1, len(layers)):
+        cut = units if q <= m + 2 else slice(None)
+        if isinstance(layers[q], ReLU):
+            tail.append((acts[q][:, cut], acts[q + 1][:, cut]))
         else:
-            delta = delta @ lay.weights.T
-    logits = acts[-1].copy() if out is None else out
-    if delta is None:
-        logits[:, j] += col_delta
-    else:
-        logits[rows] += delta
+            tail.append(layers[q].weights[:, cut].T)
+    for k in range(len(refs)):
+        rows = np.flatnonzero(col[k])
+        delta = col[k, rows, None] * fan[:, k]
+        for stage in tail:
+            if isinstance(stage, tuple):
+                pre, post = stage
+                delta += pre[rows]
+                np.maximum(delta, 0.0, out=delta)
+                delta -= post[rows]
+            else:
+                delta = delta @ stage
+        logits[k, rows] += delta
     return logits
 
 
@@ -344,8 +389,8 @@ def rank_candidates(model, image, x, labels, p, *, objective=1, view=None,
             continue
         refs = [BitRef(layer_idx, *divmod(int(flat), bw)) for flat in picks]
         logits = np.repeat(acts[-1][None], len(refs), axis=0)
-        for k, ref in enumerate(refs):
-            if _incremental_logits(model, acts, ref, out=logits[k]) is None:
+        if _dense_suffix_logits(model, acts, refs, out=logits) is None:
+            for k, ref in enumerate(refs):
                 model.flip_bit(ref)
                 logits[k] = model.forward_from(layer_idx, acts)
                 model.flip_bit(ref)

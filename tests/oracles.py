@@ -137,7 +137,7 @@ def audit_chain(chain, profile, protected=None):
     if len(set(locations)) != len(locations):
         problems.append("physical location reused")
     entries = set()
-    for pfn, bop, d, _ in profile.entries():
+    for pfn, bop, d, _ in profile_entries(profile):
         entries.add((pfn, bop, d))
     for s in chain.steps:
         if s.pfn is None:
@@ -218,7 +218,7 @@ def layer_bit_pages(image, layer_idx):
 
 
 def incremental_logits(model, acts, ref):
-    """Logits after one dense-layer flip, propagating every batch row."""
+    """Logits after one dense-layer flip, propagating every row and unit."""
     layer = model.layers[ref.layer]
     if not isinstance(layer, Dense):
         return None
@@ -323,6 +323,12 @@ def rank_candidates_reference(model, image, x, labels, p, *, objective=1,
 # ---- DRAM and profile layer: the per-row and per-entry loops -----------------
 
 
+def profile_entries(profile):
+    """``(pfn, bop, direction, probability)`` tuples of Python scalars."""
+    return list(zip(profile.pfn.tolist(), profile.bop.tolist(),
+                    profile.direction.tolist(), profile.probability.tolist()))
+
+
 def read_bit(state, pfn, bop):
     """One stored bit of a DRAM state, read through its address function."""
     s, r, bitcol = state.addr.bit_addr(pfn, bop)
@@ -404,7 +410,7 @@ def verify_template(dram, profile, sample_size=8):
     """Walk every entry, sort the stable ones, probe evenly spaced picks."""
     if sample_size == 0:
         return "valid"
-    stable = [(p, b, d) for p, b, d, pr in profile.entries()
+    stable = [(p, b, d) for p, b, d, pr in profile_entries(profile)
               if pr >= 1.0 and probe_allowed(dram, p)]
     if not stable:
         return "valid"
@@ -422,7 +428,7 @@ def retemplate(dram, stale_profile, needed_bops):
     needed = set(int(b) for b in needed_bops)
     rows = []
     tested = 0
-    for pfn, bop, _, prob in stale_profile.entries():
+    for pfn, bop, _, prob in profile_entries(stale_profile):
         if bop not in needed or not probe_allowed(dram, pfn):
             continue
         tested += 1
@@ -447,7 +453,7 @@ def save_csv(profile, path):
 def unreserved_locations(profile, steps):
     """Keep mask: entries at no (pfn, bop) location a step reserved."""
     used = {(s.pfn, s.bop) for s in steps if s.pfn is not None}
-    return np.array([(p, b) not in used for p, b, _, _ in profile.entries()],
+    return np.array([(p, b) not in used for p, b, _, _ in profile_entries(profile)],
                     dtype=bool)
 
 

@@ -27,7 +27,8 @@ from flipsim.search import (ProfileView, ProtectedMask, SearchConfig,
                             protection_rounds, rank_candidates, search_chain,
                             search_chain_targeted, select_flippable)
 from oracles import (audit_chain, bit_gradients, evaluate_candidate,
-                     finite_difference_grads, twos_complement_value)
+                     finite_difference_grads, profile_entries,
+                     twos_complement_value)
 from test_massage import FakeImage, entry_for
 
 rng = np.random.default_rng(2024)
@@ -310,8 +311,8 @@ def test_criterion_08_scrambling_and_retemplate(pipeline_out, desk_cfg,
     state.reboot(777, toggle_probability=1.0)
     corrected, _ = retemplate(state, stale, needed)
     truth = {(p, b): d for p, b, d, _ in
-             state.ground_truth_profile(set(stale.pfn.tolist())).entries()}
-    for p, b, d, _ in corrected.entries():
+             profile_entries(state.ground_truth_profile(set(stale.pfn.tolist())))}
+    for p, b, d, _ in profile_entries(corrected):
         ok &= truth[(p, b)] == d
     covered = needed <= set(corrected.bop.tolist())
     ok &= covered

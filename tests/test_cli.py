@@ -369,13 +369,16 @@ def test_sensitivity_command_reports_all_rates(tmp_path, pipeline_out, desk_cfg,
     spy(FlipProfile, "load_csv")
     spy(qnn, "load_checkpoint")
     spy(dram, "load_geometry")
+    spy(cli, "sample_profile")
     checkpoint = os.path.join(pipeline_out, "checkpoint.qnn")
     profile = os.path.join(pipeline_out, "profile.csv")
     cfg = replace(desk_cfg, out=str(tmp_path / "sens"))
     os.makedirs(cfg.out, exist_ok=True)
     info = cli.cmd_sensitivity(cfg, checkpoint=checkpoint, profile_path=profile)
-    # the sweep reads each input once, whatever the number of rates
-    assert calls == {"load_csv": 1, "load_checkpoint": 1, "load_geometry": 1}
+    # the sweep reads each input once, whatever the number of rates, and
+    # draws one profile sample per rate for both stages
+    assert calls == {"load_csv": 1, "load_checkpoint": 1, "load_geometry": 1,
+                     "sample_profile": 4}
     rates = [row["rate"] for row in info["rates"]]
     assert rates == [1.0, 0.1, 0.01, 0.001]
     assert info["rates"][0]["feasible"]

@@ -15,6 +15,7 @@ from flipsim.massage import (MappingMismatch, MappingPlan, PageFrameCache,
                              plan_aggressors, plan_mapping, plan_to_json,
                              precise_hammer, release_and_remap, retemplate,
                              verify_template)
+from oracles import profile_entries
 
 
 class FakeImage:
@@ -304,9 +305,10 @@ def test_retemplate_restores_inverted_directions():
     state.reboot(42, toggle_probability=1.0)
     needed = {int(b) for b in stale.bop}
     corrected, stats = retemplate(state, stale, needed)
-    truth = {(p, b): d for p, b, d, _ in state.ground_truth_profile().entries()}
+    truth = {(p, b): d for p, b, d, _ in
+             profile_entries(state.ground_truth_profile())}
     assert len(corrected) == len(stale)
-    for p, b, d, _ in corrected.entries():
+    for p, b, d, _ in profile_entries(corrected):
         assert truth[(p, b)] == d
     assert stats["work_ratio"] == 1.0
 

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flipsim import qnn
 from flipsim.dram import FlipProfile
@@ -11,8 +12,9 @@ from flipsim.image import WeightImage
 from flipsim.qnn.model import (BitRef, loss_and_accuracy, metrics_from_logits,
                                softmax_cross_entropy)
 from flipsim.search import (Candidate, ProfileView, ProtectedMask,
-                            SearchConfig, _incremental_logits,
-                            protection_rounds, rank_candidates, search_chain,
+                            SearchConfig, _dense_suffix_logits,
+                            _reachable_units, protection_rounds,
+                            rank_candidates, search_chain,
                             search_chain_targeted, select_flippable)
 from oracles import (audit_chain, bit_gradients, bit_planes,
                      evaluate_candidate, incremental_logits,
@@ -122,14 +124,14 @@ def test_incremental_logits_match_forward_from(hidden, bit, data):
     layer = data.draw(st.sampled_from(dense))
     index = data.draw(st.integers(0, model.layers[layer].weight_count - 1))
     ref = BitRef(layer, index, bit)
-    fast = _incremental_logits(model, acts, ref)
+    fast = _dense_suffix_logits(model, acts, [ref])[0]
     model.flip_bit(ref)
     full = model.forward_from(layer, acts)
     model.flip_bit(ref)
     np.testing.assert_allclose(fast, full, rtol=1e-10, atol=1e-12)
     assert metrics_from_logits(fast, y)[1] == metrics_from_logits(full, y)[1]
     for conv in set(model.weighted_indices()) - set(dense):
-        assert _incremental_logits(model, acts, BitRef(conv, 0, bit)) is None
+        assert _dense_suffix_logits(model, acts, [BitRef(conv, 0, bit)]) is None
 
 
 def test_select_flippable_matches_table_style_entry(small_setup):
@@ -347,13 +349,22 @@ def test_direction_rule_consistency(small_setup):
 
 @pytest.fixture(scope="module")
 def rank_models():
-    """A three-page MLP, a 4-bit MLP, a conv net and a residual net on one
-    blob dataset."""
+    """A three-page MLP, the same MLP with most second-layer units dead, a
+    4-bit MLP, a conv net and a residual net on one blob dataset."""
     dataset = qnn.gaussian_blobs(classes=4, shape=(1, 8, 8), train_per_class=24,
                                  test_per_class=12, noise=1.5, seed=8)
     cfg = qnn.TrainConfig(epochs=2, accuracy_floor=0.0)
     mlp = qnn.train_small(qnn.blob_mlp(input_shape=(1, 8, 8), classes=4,
                                        hidden=(120, 24)), dataset, cfg, seed=1)
+    # lower 20 of the 24 second-layer biases to just below each unit's peak
+    # over the test split, where every batch is drawn: those units never
+    # fire, but a first-layer flip can push some of them above zero, so the
+    # ranking both drops units and keeps woken ones
+    dead = mlp.copy()
+    _, acts = dead.forward_acts(dataset.x_test)
+    pre = acts[4]
+    dead.layers[3].bias[:20] -= pre.max(axis=0)[:20] + np.linspace(
+        0.001, 0.5, 20) * pre.std()
     mlp4 = qnn.train_small(qnn.blob_mlp(input_shape=(1, 8, 8), classes=4,
                                         hidden=(40,), bit_width=4),
                            dataset, cfg, seed=1)
@@ -361,7 +372,8 @@ def rank_models():
                            dataset, cfg, seed=1)
     resnet = qnn.train_small(qnn.blob_resnet(input_shape=(1, 8, 8), classes=4),
                              dataset, cfg, seed=1)
-    return {"mlp": mlp, "mlp4": mlp4, "conv": conv, "resnet": resnet}, dataset
+    return {"mlp": mlp, "dead": dead, "mlp4": mlp4, "conv": conv,
+            "resnet": resnet}, dataset
 
 
 def _random_profile(gen, rate):
@@ -372,7 +384,8 @@ def _random_profile(gen, rate):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["mlp", "mlp4", "conv", "resnet"]), st.sampled_from([1, -1]),
+@given(st.sampled_from(["mlp", "dead", "mlp4", "conv", "resnet"]),
+       st.sampled_from([1, -1]),
        st.sampled_from([None, 1.0, 0.3, 0.01]), st.integers(1, 12),
        st.integers(0, 2 ** 16), st.data())
 def test_rank_candidates_match_reference(rank_models, kind, objective, rate, p,
@@ -427,7 +440,7 @@ def test_flip_into_dead_neuron_leaves_logits_exactly():
     _, acts = model.forward_acts(x)
     for bit in range(8):
         ref = BitRef(1, 3 * hidden.in_features + 2, bit)
-        fast = _incremental_logits(model, acts, ref)
+        fast = _dense_suffix_logits(model, acts, [ref])[0]
         assert np.array_equal(fast, acts[-1])
         model.flip_bit(ref)
         assert np.array_equal(model.forward_from(1, acts), acts[-1])
@@ -440,7 +453,7 @@ def test_last_layer_flip_updates_one_logit_column():
     _, acts = model.forward_acts(x)
     for index in range(model.layers[last].weight_count):
         ref = BitRef(last, index, 7)
-        fast = _incremental_logits(model, acts, ref)
+        fast = _dense_suffix_logits(model, acts, [ref])[0]
         assert np.array_equal(fast, incremental_logits(model, acts, ref))
         changed = np.flatnonzero((fast != acts[-1]).any(axis=0))
         assert set(changed) <= {index // model.layers[last].in_features}
@@ -454,9 +467,44 @@ def test_incremental_logits_add_into_given_buffer():
     model, x = _dense_net(hidden=(8, 5))
     _, acts = model.forward_acts(x)
     ref = BitRef(1, 9, 6)
-    out = acts[-1].copy()
-    assert _incremental_logits(model, acts, ref, out=out) is out
-    assert np.array_equal(out, _incremental_logits(model, acts, ref))
+    out = acts[-1][None].copy()
+    assert _dense_suffix_logits(model, acts, [ref], out=out) is out
+    assert np.array_equal(out, _dense_suffix_logits(model, acts, [ref]))
+
+
+# exact and signed zeros, subnormals, the smallest normal and an MSB-sized
+# push, beside ordinary values
+_EDGE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -2.2250738585072014e-308, 1.0, -1.0, 128.0, -128.0]),
+    st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _fan_out(draw):
+    """ReLU inputs ``(B, U)``, column changes ``(K, B)``, weights ``(U, K)``."""
+    b, u, k = (draw(st.integers(1, n)) for n in (5, 5, 3))
+    return (draw(arrays(np.float64, (b, u), elements=_EDGE)),
+            draw(arrays(np.float64, (k, b), elements=_EDGE)),
+            draw(arrays(np.float64, (u, k), elements=_EDGE)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fan_out())
+# dead units woken by an MSB flip: a positive push through a positive weight,
+# and a negative one through a negative weight
+@example((np.array([[-1.0]]), np.array([[128.0]]), np.array([[0.5]])))
+@example((np.array([[-1.0], [-3.0]]), np.array([[0.0, -128.0]]),
+          np.array([[-0.5]])))
+def test_dropped_units_change_by_exact_zero(case):
+    pre, col, fan = case
+    live = _reachable_units(pre.max(axis=0), col, fan)
+    dropped = np.setdiff1d(np.arange(pre.shape[1]), live)
+    post = pre * (pre > 0)  # the cached ReLU output, as ReLU computes it
+    for k in range(len(col)):
+        moved = np.maximum(pre + col[k, :, None] * fan[:, k], 0.0)
+        assert np.all((moved - np.maximum(pre, 0.0))[:, dropped] == 0.0)
+        assert np.all((moved - post)[:, dropped] == 0.0)
 
 
 @settings(max_examples=30, deadline=None)
