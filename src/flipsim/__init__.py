@@ -4,7 +4,7 @@ flip-aware chain search, and a deterministic DRAM / page-allocator model of
 the full online exploitation pipeline.
 """
 
-from . import cli, dram, image, massage, qnn, search
+from . import dram, image, massage, qnn, search
 from .dram import (DramConfig, DramState, FlipProfile, bench, desk,
                    full_dual, full_single, new_dram, sample_profile, template)
 from .image import StaleModeError, TargetBit, WeightImage

@@ -357,7 +357,10 @@ def _load_stage_inputs(cfg, checkpoint=None, profile_path=None, geometry=False):
     profile_path = profile_path or os.path.join(cfg.out, "profile.csv")
     if geometry:
         _check_profile_geometry(cfg, profile_path)
-    profile = FlipProfile.load_csv(profile_path)
+    try:
+        profile = FlipProfile.load_csv(profile_path)
+    except ValueError as exc:
+        raise ConfigError(f"{profile_path}: {exc}") from None
     return model, build_dataset(cfg), profile
 
 
@@ -435,7 +438,11 @@ def _read_victim_block(state, image, placement, mapping):
 def cmd_exploit(cfg, checkpoint=None, profile_path=None, chain_path=None):
     model, dataset, profile = _load_stage_inputs(cfg, checkpoint, profile_path,
                                                  geometry=True)
-    records = read_chain(chain_path or os.path.join(cfg.out, "chain_1.jsonl"))
+    chain_path = chain_path or os.path.join(cfg.out, "chain_1.jsonl")
+    try:
+        records = read_chain(chain_path)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{chain_path}: malformed chain record: {exc!r}") from None
     return exploit_stage(cfg, model, dataset,
                          sample_profile(profile, cfg.rate, cfg.sample_seed),
                          records)
@@ -524,6 +531,9 @@ def exploit_stage(cfg, model, dataset, profile, records):
 
 def cmd_random_flip_baseline(cfg, checkpoint=None, n_flips=100, trials=30):
     """Accuracy-drop distribution of uniform random distinct bit flips."""
+    for name, value, low in (("flips", n_flips, 0), ("trials", trials, 1)):
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
     os.makedirs(cfg.out, exist_ok=True)
     model = qnn.load_checkpoint(checkpoint or os.path.join(cfg.out, "checkpoint.qnn"))
     dataset = build_dataset(cfg)

@@ -321,8 +321,6 @@ class DramState:
         self.addr = AddressFunction(config)
         self._rows = {}
         self.owner = np.zeros(config.total_pages, dtype=np.int8)
-        self.boot_seed = None
-        self.toggle_probability = 0.5
         self._rng = np.random.default_rng(hammer_seed)
         if cells is None:
             cells = _empty_cells()
@@ -462,19 +460,17 @@ class DramState:
 
     # ---- scrambling ----
 
-    def reboot(self, boot_seed, toggle_probability=None):
+    def reboot(self, boot_seed, toggle_probability=0.5):
         """Re-key the scrambler: per-cell direction toggles, locations fixed.
 
-        The toggle is a keyed hash of (cell location, boot seed), so rebooting
-        twice with the same seed lands in the same state.
+        Each cell's direction toggles with ``toggle_probability``.  The toggle
+        is a keyed hash of (cell location, boot seed), so rebooting twice with
+        the same seed lands in the same state.
         """
-        if toggle_probability is not None:
-            self.toggle_probability = float(toggle_probability)
-        self.boot_seed = boot_seed
         if self.cell_count() == 0:
             return
         u = _keyed_uniform(self.cset, self.crow, self.cbitcol, boot_seed)
-        toggles = (u < self.toggle_probability).astype(np.int8)
+        toggles = (u < toggle_probability).astype(np.int8)
         self.ccur_dir = (self.cbase_dir ^ toggles).astype(np.int8)
 
     def ground_truth_profile(self, pfns=None):
@@ -610,11 +606,19 @@ def template(dram, scan_rows=None, repeats=1):
     direction, in single-sided mode only if it is single-sided capable, and
     a probabilistic cell only when its draw passes.
 
-    The sweep runs batched but matches hammering row by row: the draws come
-    from the DRAM's seeded stream in the order scan row, polarity, repeat,
-    cell, and the row buffers end as that loop's last hammers leave them.
+    The sweep runs batched but draws as hammering row by row would: from
+    the DRAM's seeded stream in the order scan row, polarity, repeat, cell.
     Deterministic given the DRAM state; with per-cell probability 1 the
     result projects the ground-truth cell set exactly.
+
+    No row buffer is written, because no later step reads the stripes a
+    sweep would leave in the attacker's scratch rows: ``cmd_template``
+    discards its state and ``exploit`` provisions a fresh one; each
+    single-cell probe of ``verify_template`` and ``retemplate`` writes its
+    victim and aggressor rows in full before it hammers; and
+    ``precise_hammer`` writes every attacker-owned in-row page of its
+    aggressor rows, and ``plan_aggressors`` requires one at each planned
+    column, so a planned flip never reads scratch bytes.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -628,7 +632,6 @@ def template(dram, scan_rows=None, repeats=1):
     if ((scan_s < 0) | (scan_s >= cfg.sets) | (scan_r < 0) | (scan_r >= nrows)
             | ~cfg.aggressors_in_bank(scan_r)).any():
         raise IndexError("a scan row or one of its aggressors is out of range")
-    aggr_rows = cfg.aggressor_rows(scan_r)
 
     # every (scan row, cell in that row) occurrence, in scan then cell order
     keys = scan_s * nrows + scan_r
@@ -643,7 +646,6 @@ def template(dram, scan_rows=None, repeats=1):
     cur = dram.ccur_dir[cell]
     eligible = np.stack([(cur == 1) & capable, (cur == 0) & capable])
     hits = np.where(eligible, repeats, 0)
-    last_hit = eligible.copy()
     pol, occ = np.nonzero(eligible & (dram.cprob[cell] < 1.0))
     if pol.size:
         pol_e, occ_e = np.repeat(pol, repeats), np.repeat(occ, repeats)
@@ -653,8 +655,6 @@ def template(dram, scan_rows=None, repeats=1):
             dram._rng.random(pol_e.size)
         passed = (draws < dram.cprob[cell[occ_e]]).reshape(pol.size, repeats)
         hits[pol, occ] = passed.sum(axis=1)
-        last_hit[pol, occ] = passed[:, -1]
-    _leave_rows_as_swept(dram, scan_s, scan_r, aggr_rows, counts, cell, last_hit[1])
 
     pol, occ = np.nonzero(hits)
     c = cell[occ]
@@ -665,26 +665,6 @@ def template(dram, scan_rows=None, repeats=1):
     flips = np.bincount(inv, weights=hits[pol, occ], minlength=len(key))
     return FlipProfile(key // (2 * PAGE_BITS), key // 2 % PAGE_BITS, key % 2,
                        flips / repeats)
-
-
-def _leave_rows_as_swept(dram, scan_s, scan_r, aggr_rows, counts, cell, final_flip):
-    """Write the row buffers as the row-by-row sweep would leave them.
-
-    Each scan row ends on a polarity-0 hammer: its victim row holds 0xFF with
-    the bits of the cells that flipped in that hammer (``final_flip``)
-    cleared, and its aggressor rows hold 0x00.  Later scan rows overwrite
-    earlier ones, in scan order.
-    """
-    ends = np.cumsum(counts)
-    for s, r, a, b, *aggr in zip(scan_s.tolist(), scan_r.tolist(),
-                                 (ends - counts).tolist(), ends.tolist(),
-                                 *(rows.tolist() for rows in aggr_rows)):
-        victim = dram.row(s, r)
-        victim[:] = 0xFF
-        cols = dram.cbitcol[cell[a:b][final_flip[a:b]]]
-        np.bitwise_xor.at(victim, cols // 8, (1 << cols % 8).astype(np.uint8))
-        for ar in aggr:
-            dram.row(s, ar)[:] = 0x00
 
 
 # ---- geometry files ------------------------------------------------------------

@@ -163,6 +163,7 @@ def write_chain(path, steps):
 
 
 def read_chain(path):
+    """The records of a :func:`write_chain` file; each must be a valid target."""
     steps = []
     with open(path) as fh:
         for line in fh:
@@ -170,7 +171,8 @@ def read_chain(path):
             if not line:
                 continue
             rec = json.loads(line)
-            steps.append({"page": int(rec["page"]), "bop": int(rec["bop"]),
-                          "mode": int(rec["mode"]),
+            target = TargetBit(int(rec["page"]), int(rec["bop"]), int(rec["mode"]))
+            steps.append({"page": target.page, "bop": target.bop,
+                          "mode": target.mode,
                           "expected_acc": float(rec["expected_acc"])})
     return steps

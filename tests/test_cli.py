@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -207,6 +209,81 @@ def test_invalid_dram_setting_exits_config(fast_trained, tmp_path, capsys,
     assert rc == cli.EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not os.path.exists(out / "profile.csv")
+
+
+def fast_config_file(tmp_path):
+    """A fast-settings config writing to ``tmp_path``."""
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("\n".join(f"{k} = {v}" for k, v in
+                                 fast_overrides(str(tmp_path)).items()) + "\n")
+    return str(cfgfile)
+
+
+@pytest.mark.parametrize("text", [
+    "pfn,bop,dir,probability\n1,2,0,1.0\n",
+    "pfn,bop,direction,probability\n1,x,0,1.0\n",
+], ids=["header", "non-integer-field"])
+def test_malformed_profile_exits_config(fast_trained, tmp_path, capsys, text):
+    profile = tmp_path / "bad_profile.csv"
+    profile.write_text(text)
+    capsys.readouterr()
+    rc = cli.main(["search", "--config", fast_config_file(tmp_path),
+                   "--checkpoint", os.path.join(fast_trained, "checkpoint.qnn"),
+                   "--profile", str(profile)])
+    assert rc == cli.EXIT_CONFIG
+    assert str(profile) in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "search.json")
+
+
+_RECORD = {"page": 1, "bop": 5, "mode": 0, "expected_acc": 0.5}
+
+
+@pytest.mark.parametrize("line", [
+    "{not json",
+    json.dumps({k: v for k, v in _RECORD.items() if k != "mode"}),
+    json.dumps({**_RECORD, "page": 0}),
+], ids=["not-json", "no-mode", "page-0"])
+def test_malformed_chain_exits_config(fast_trained, tmp_path, capsys, line):
+    chain = tmp_path / "bad_chain.jsonl"
+    chain.write_text(json.dumps(_RECORD) + "\n" + line + "\n")
+    capsys.readouterr()
+    rc = cli.main(["exploit", "--config", fast_config_file(tmp_path),
+                   "--checkpoint", os.path.join(fast_trained, "checkpoint.qnn"),
+                   "--profile", os.path.join(fast_trained, "profile.csv"),
+                   "--chain", str(chain)])
+    assert rc == cli.EXIT_CONFIG
+    assert str(chain) in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "report.json")
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--flips", "-1"], "flips"),
+    (["--trials", "-2"], "trials"),
+    (["--trials", "0"], "trials"),
+], ids=["flips-negative", "trials-negative", "trials-zero"])
+def test_invalid_random_baseline_counts_exit_config(fast_trained, tmp_path,
+                                                    capsys, flags, key):
+    capsys.readouterr()
+    rc = cli.main(["random-baseline", "--config", fast_config_file(tmp_path),
+                   "--checkpoint", os.path.join(fast_trained, "checkpoint.qnn")]
+                  + flags)
+    assert rc == cli.EXIT_CONFIG
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "random_baseline.json")
+
+
+def test_module_entry_point_runs_without_warning():
+    # the package must not import cli itself, or ``-m flipsim.cli`` runs a
+    # second copy of the module and warns about it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                    if p]
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "flipsim.cli",
+         "--help"], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
 
 
 def test_exploit_on_another_geometry_exits_config(pipeline_out, tmp_path, capsys):

@@ -433,6 +433,20 @@ def test_template_skips_foreign_rows():
     assert len(profile) == 0
 
 
+def test_template_leaves_row_buffers_untouched():
+    cfg = DramConfig(banks_per_dimm=2, rows_per_bank=64)
+    state = DramState(cfg, synthesize_cells(cfg, 400, seed=7), 0)
+    state.set_owner(range(cfg.total_pages), OWNER_ATTACKER)
+    rng = np.random.default_rng(3)
+    for key in [(0, 4), (0, 5), (1, 30)]:  # scan rows and aggressor rows
+        state.row(*key)[:] = rng.integers(0, 256, cfg.row_bytes, dtype=np.uint8)
+    before = {key: buf.copy() for key, buf in state._rows.items()}
+    assert len(template(state))
+    assert state._rows.keys() == before.keys()
+    for key, buf in before.items():
+        assert np.array_equal(state._rows[key], buf), key
+
+
 # ---- scrambling -------------------------------------------------------------------
 
 

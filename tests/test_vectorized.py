@@ -1,7 +1,7 @@
 """Array-built DRAM and profile layer against the per-row loops in oracles.py.
 
 Both sides start from identical DRAM states; they must agree on the profile,
-on every probe, on the seeded hammer stream's state and on the row buffers.
+on every probe and on the seeded hammer stream's state.
 """
 
 from types import SimpleNamespace
@@ -41,12 +41,6 @@ def rng_state(state):
     return state._rng.bit_generator.state
 
 
-def assert_same_rows(fast, slow):
-    assert fast._rows.keys() == slow._rows.keys()
-    for key, buf in slow._rows.items():
-        assert np.array_equal(fast._rows[key], buf), key
-
-
 def logged_probes(mp):
     """Route massage's single-cell probe through a log; returns the log."""
     calls = []
@@ -82,7 +76,6 @@ def test_template_verify_retemplate_match_row_loops(
     assert oracles.profile_entries(profile) == oracles.profile_entries(
         oracles.template(slow, scan_rows, repeats))
     assert rng_state(fast) == rng_state(slow)
-    assert_same_rows(fast, slow)
 
     for state in (fast, slow):
         state.reboot(seed, toggle)
