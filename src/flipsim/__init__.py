@@ -18,6 +18,6 @@ from .qnn import (BitRef, QuantizedModel, TrainConfig, TrainingFailure,
 from .search import (BitChain, Candidate, ChainStep, ProfileView,
                      ProtectedMask, SearchConfig, protection_rounds,
                      rank_candidates, search_chain, search_chain_targeted,
-                     select_flippable)
+                     search_pass, select_flippable)
 
 __version__ = "0.1.0"

@@ -361,7 +361,21 @@ def _load_stage_inputs(cfg, checkpoint=None, profile_path=None, geometry=False):
         profile = FlipProfile.load_csv(profile_path)
     except ValueError as exc:
         raise ConfigError(f"{profile_path}: {exc}") from None
+    _check_profile_ranges(profile, dram_config(cfg).total_pages, profile_path)
     return model, build_dataset(cfg), profile
+
+
+def _check_profile_ranges(profile, total_pages, path):
+    """Refuse profile entries no frame, bit or direction of the geometry has."""
+    bad = np.flatnonzero((profile.pfn < 0) | (profile.pfn >= total_pages)
+                         | (profile.bop < 0) | (profile.bop >= PAGE_BITS)
+                         | ((profile.direction != 0) & (profile.direction != 1)))
+    if len(bad):
+        i = int(bad[0])
+        raise ConfigError(
+            f"{path}: entry {i + 1} (pfn {profile.pfn[i]}, bop "
+            f"{profile.bop[i]}, direction {profile.direction[i]}) needs pfn "
+            f"< {total_pages}, bop < {PAGE_BITS} and direction 0 or 1")
 
 
 def cmd_search(cfg, checkpoint=None, profile_path=None):
@@ -540,12 +554,12 @@ def cmd_random_flip_baseline(cfg, checkpoint=None, n_flips=100, trials=30):
     image = WeightImage(model)
     _, clean = loss_and_accuracy(model, dataset.x_test, dataset.y_test)
     total_bits = image.weight_bytes * 8
+    n_flips = min(n_flips, total_bits)
     rng = np.random.default_rng(cfg.sample_seed)
     drops = []
     for _ in range(trials):
         work = model.copy()
-        picks = rng.choice(total_bits, size=min(n_flips, total_bits),
-                           replace=False)
+        picks = rng.choice(total_bits, size=n_flips, replace=False)
         for gbi in sorted(int(g) for g in picks):
             page, bop = gbi // PAGE_BITS + 1, gbi % PAGE_BITS
             work.flip_bit(image.addr_to_bit(page, bop))

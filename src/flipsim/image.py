@@ -68,6 +68,7 @@ class WeightImage:
             self.layer_offsets.append((i, off))
             off += model.layers[i].weight_count
         self._starts = [s for _, s in self.layer_offsets]
+        self._bit_pages = {}
 
     # ---- address mapping ----------------------------------------------------
 
@@ -105,10 +106,16 @@ class WeightImage:
 
         ``pages[i]`` is the page# holding weight ``i``'s byte and ``bops[i]``
         the bop of its bit 0, so bit ``b`` sits at ``(pages[i], bops[i] + b)``.
+        Both arrays are built once per layer and read-only.
         """
-        start = dict(self.layer_offsets)[layer_idx]
-        byte = start + np.arange(self.model.layers[layer_idx].weight_count)
-        return byte // PAGE_BYTES + 1, byte % PAGE_BYTES * 8
+        if layer_idx not in self._bit_pages:
+            start = dict(self.layer_offsets)[layer_idx]
+            byte = start + np.arange(self.model.layers[layer_idx].weight_count)
+            pair = (byte // PAGE_BYTES + 1, byte % PAGE_BYTES * 8)
+            for arr in pair:
+                arr.flags.writeable = False
+            self._bit_pages[layer_idx] = pair
+        return self._bit_pages[layer_idx]
 
     # ---- content ------------------------------------------------------------
 

@@ -19,7 +19,12 @@ class Dataset:
         return self.x_train.shape[1:]
 
     def batch(self, size, seed, from_class=None):
-        """A fixed seeded batch from the test split.
+        """A fixed seeded batch from the test split: :meth:`batch_rows`' rows."""
+        idx = self.batch_rows(size, seed, from_class)
+        return self.x_test[idx], self.y_test[idx]
+
+    def batch_rows(self, size, seed, from_class=None):
+        """Test-split row indices of a fixed seeded batch.
 
         Mixed batches are stratified: every class contributes an equal share
         (up to rounding), so per-class prevalence in the batch is flat rather
@@ -32,8 +37,7 @@ class Dataset:
             pool = np.flatnonzero(self.y_test == from_class)
             if pool.size == 0:
                 raise ValueError(f"no test samples of class {from_class}")
-            idx = rng.choice(pool, size=size, replace=pool.size < size)
-            return self.x_test[idx], self.y_test[idx]
+            return rng.choice(pool, size=size, replace=pool.size < size)
         per_class, extra = divmod(size, self.class_count)
         picks = []
         for c in range(self.class_count):
@@ -42,8 +46,7 @@ class Dataset:
             if want == 0:
                 continue
             picks.append(rng.choice(pool, size=want, replace=pool.size < want))
-        idx = rng.permutation(np.concatenate(picks))
-        return self.x_test[idx], self.y_test[idx]
+        return rng.permutation(np.concatenate(picks))
 
 
 def gaussian_blobs(classes=10, shape=(1, 8, 8), train_per_class=205,

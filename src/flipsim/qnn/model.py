@@ -218,23 +218,23 @@ def loss_and_accuracy(model, x, labels):
 
 
 def metrics_from_logits(logits, labels):
-    """Mean cross-entropy and top-1 accuracy of logits against ``labels``.
+    """Mean cross-entropy and top-1 accuracy of ``(B, C)`` logits."""
+    if logits.shape[0] == 0:
+        raise ValueError("empty batch")
+    nll, correct = row_metrics(logits, labels)
+    return float(nll.mean()), float(correct.mean())
 
-    ``(B, C)`` logits give two floats.  A stack ``(..., B, C)`` of logits
-    for several model states sharing ``labels`` gives two arrays of the
-    leading shape, each entry computed as the ``(B, C)`` call on that slice.
+
+def row_metrics(logits, labels):
+    """Per-row cross-entropy and top-1 correctness of ``(B, C)`` logits.
+
+    Each row's two values depend on that row and its label alone, so rows
+    scored in any subset or order get the same values bit for bit.
     """
     labels = np.asarray(labels)
-    n = logits.shape[-2]
-    if n == 0:
-        raise ValueError("empty batch")
     z = logits - logits.max(axis=-1, keepdims=True)
-    nll = -(z[..., np.arange(n), labels] - np.log(np.exp(z).sum(axis=-1)))
-    loss = nll.mean(axis=-1)
-    acc = (logits.argmax(axis=-1) == labels).mean(axis=-1)
-    if logits.ndim == 2:
-        return float(loss), float(acc)
-    return loss, acc
+    nll = -(z[np.arange(len(labels)), labels] - np.log(np.exp(z).sum(axis=-1)))
+    return nll, logits.argmax(axis=-1) == labels
 
 
 def class_fraction(model, x, target_class):

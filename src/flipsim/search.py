@@ -8,17 +8,26 @@ flippable candidate with the strongest evaluated effect.  Candidate flips are
 restored immediately after evaluation, so the model only accumulates committed
 flips.
 
+An iteration works from one pass per input row (:func:`search_pass`): a
+gradient pass over the eval batch gives the bit gradients and the batch loss
+and accuracy, and candidates are scored on the distinct inputs.  The
+targeted search's batch draws each test row of its class several times, so it
+scores the test split's rows once each and every eval row reads its test row.
+Passes over identical state are bit-identical, so the pass over a committed
+state both records that step and serves the next iteration.
+
 An iteration pays once per layer for the layer's bit space, and that pass
 works on one eligibility bit mask per weight rather than on one entry per
 bit.  A layer's dense-suffix candidates are then evaluated together: their
-single-column changes are built as one array, and each flip's change is
-propagated through the batch rows it touches only and, past the fan-out,
+single-column changes are built as one array, and only the (flip, row) pairs
+whose column change is nonzero are propagated, stacked, and past the fan-out
 through the hidden units some flip of the layer can reach only.  A unit
 whose batch peak pre-activation stays at or below zero under every flip's
 largest push changes by an exact zero after its ReLU, because IEEE rounding
-is monotone, so leaving it out changes no value; the narrower products only
+is monotone, so leaving it out changes no value; the stacked products only
 sum in another order, the same ulp-level difference as the row gating.
-Each layer's candidates are scored together from one stack of logits.
+Each candidate is then scored as the pass's per-row loss and correctness
+with its changed rows replaced (:class:`RowScores`).
 
 Untargeted searches maximize loss until accuracy falls to the target;
 targeted searches run the identical loop with the objective negated on a
@@ -33,8 +42,7 @@ import numpy as np
 
 from .image import PAGE_BITS, TargetBit, WeightImage
 from .qnn.layers import Dense, ReLU
-from .qnn.model import (BitRef, class_fraction, loss_and_accuracy,
-                         metrics_from_logits)
+from .qnn.model import BitRef, metrics_from_logits, row_metrics
 from .qnn.quant import bit_coefficients, toggle_bit
 
 
@@ -48,9 +56,10 @@ def _sig_round(x, digits=11):
     Ranking keys use rounded losses so that the incremental and full forward
     evaluation paths order candidates identically.  The paths agree up to
     float associativity: the incremental one multiplies only the batch rows
-    a flip reaches and, after a fan-out, only the hidden units a flip can
-    reach, so its BLAS calls take narrower shapes than a full pass would and
-    sum in another order.  The units it leaves out contribute exact zeros.
+    a flip reaches, stacked across flips, and, after a fan-out, only the
+    hidden units a flip can reach, so its BLAS calls take other shapes than
+    a full pass would and sum in another order.  The units it leaves out
+    contribute exact zeros.
     """
     if x == 0.0 or not math.isfinite(x):
         return x
@@ -74,21 +83,27 @@ def _reachable_units(peak, col, fan):
     return np.flatnonzero((peak > 0) | (peak[:, None] + push > 0).any(axis=1))
 
 
-def _dense_suffix_logits(model, acts, refs, out=None):
-    """Logits after each of one dense layer's bit flips, one flip at a time.
+# bytes of one stacked chunk of (flip, row) pairs at the widest layer
+_CHUNK_BYTES = 4 << 20
+
+
+def _dense_suffix_logits(model, acts, refs):
+    """Changed logits after each of one dense layer's bit flips, one at a time.
 
     Only valid when every layer after the flipped one is Dense or ReLU: a
     flip changes one column of its layer's output, which stays a single
     column through ReLU and fans out only at the next dense layer.  The K
     flips' column changes are built together as one ``(K, B)`` array.  A
     batch row whose column change is exactly zero at the fan-out keeps its
-    logits, so each flip propagates only its other rows.  When a ReLU and
-    another dense layer follow the fan-out, the fan-out weights, that ReLU's
-    cached input and output and the next layer's weight columns are sliced
-    once to the :func:`_reachable_units`; the others change by exact zeros.
-    Adds the changes into ``out`` (K copies of ``acts[-1]``) when given,
-    else into fresh copies.  Returns ``None`` when the suffix has other
-    layer kinds.
+    logits, so only the (flip, row) pairs with a nonzero change are
+    propagated, stacked in chunks of about ``_CHUNK_BYTES``.  When a ReLU
+    and another dense layer follow the fan-out, the fan-out weights, that
+    ReLU's cached input and output and the next layer's weight columns are
+    sliced once to the :func:`_reachable_units`; the others change by exact
+    zeros.  Returns ``(cand, rows, logits)``: flip ``refs[cand[i]]`` gives
+    row ``rows[i]`` the logits ``logits[i]``, pairs ordered by flip, then
+    row, and every other row keeps ``acts[-1]``.  Returns ``None`` when the
+    suffix has other layer kinds.
     """
     layers = model.layers
     start = refs[0].layer
@@ -107,10 +122,12 @@ def _dense_suffix_logits(model, acts, refs, out=None):
         base = acts[m][:, js].T
         col = np.maximum(base + col, 0.0) - np.maximum(base, 0.0)
         m += 1
-    logits = np.repeat(acts[-1][None], len(refs), axis=0) if out is None else out
+    cand, rows = np.nonzero(col)
+    change = col[cand, rows]
+    logits = acts[-1][rows]
     if m == len(layers):
-        logits[np.arange(len(refs)), :, js] += col
-        return logits
+        logits[np.arange(len(rows)), js[cand]] += change
+        return cand, rows, logits
     fan = layers[m].weights[:, js]
     units = slice(None)
     if m + 2 < len(layers) and isinstance(layers[m + 1], ReLU) \
@@ -126,19 +143,39 @@ def _dense_suffix_logits(model, acts, refs, out=None):
             tail.append((acts[q][:, cut], acts[q + 1][:, cut]))
         else:
             tail.append(layers[q].weights[:, cut].T)
-    for k in range(len(refs)):
-        rows = np.flatnonzero(col[k])
-        delta = col[k, rows, None] * fan[:, k]
+    width = max([len(fan)] + [w.shape[1] for w in tail if not isinstance(w, tuple)])
+    fan = fan.T
+    chunk = max(1, _CHUNK_BYTES // (8 * width))
+    for lo in range(0, len(rows), chunk):
+        part = slice(lo, lo + chunk)
+        at = rows[part]
+        delta = change[part, None] * fan[cand[part]]
         for stage in tail:
             if isinstance(stage, tuple):
                 pre, post = stage
-                delta += pre[rows]
+                delta += pre[at]
                 np.maximum(delta, 0.0, out=delta)
-                delta -= post[rows]
+                delta -= post[at]
             else:
                 delta = delta @ stage
-        logits[k, rows] += delta
-    return logits
+        logits[part] += delta
+    return cand, rows, logits
+
+
+def _rerun_suffix(model, acts, refs):
+    """Every row's logits after each flip, from :meth:`forward_from`.
+
+    The fallback for suffixes :func:`_dense_suffix_logits` does not cover,
+    in its ``(cand, rows, logits)`` form.
+    """
+    n = len(acts[-1])
+    logits = []
+    for ref in refs:
+        model.flip_bit(ref)
+        logits.append(model.forward_from(ref.layer, acts))
+        model.flip_bit(ref)
+    return (np.repeat(np.arange(len(refs)), n), np.tile(np.arange(n), len(refs)),
+            np.concatenate(logits))
 
 
 @dataclass(frozen=True)
@@ -319,35 +356,107 @@ def _top_bits(elig, mag, k, bw):
     return flat.ravel()[_topk_lowest_index(score.ravel(), k)]
 
 
-def rank_candidates(model, image, x, labels, p, *, objective=1, view=None,
-                    used_pages=(), protected=None, probe_x=None,
-                    target_class=None):
+class RowScores:
+    """Per-row loss, correctness and target hits of one model state's logits.
+
+    ``logits`` are the ``(S, C)`` logits of the scored inputs and ``labels``
+    their labels.  The eval batch is the rows ``rows`` of them (all rows
+    when ``None``; a row may repeat), and ``target_class``, when given, is
+    the class whose share of the scored inputs :meth:`score` reports.
+    """
+
+    def __init__(self, logits, labels, rows=None, target_class=None):
+        self.labels = np.asarray(labels)
+        self.rows = rows
+        self.target_class = target_class
+        self.nll, self.correct = row_metrics(logits, self.labels)
+        self.hits = (None if target_class is None
+                     else logits.argmax(axis=-1) == target_class)
+
+    def score(self, cand, rows, logits, k):
+        """Eval loss, eval accuracy and target share after each of k flips.
+
+        Flip ``cand[i]`` gives scored row ``rows[i]`` the logits
+        ``logits[i]``, at most one pair per flip and row; every other row
+        keeps its values.  Each flip's loss and accuracy equal
+        :func:`metrics_from_logits` over its full eval logits bit for bit:
+        the same per-row values, averaged in the same order.  The share is
+        zero without a ``target_class``.
+        """
+        nll = np.repeat(self.nll[None], k, axis=0)
+        correct = np.repeat(self.correct[None], k, axis=0)
+        nll[cand, rows], correct[cand, rows] = row_metrics(logits,
+                                                           self.labels[rows])
+        if self.rows is not None:
+            # np.take keeps each flip's eval rows contiguous, so its mean
+            # sums in the order of a 1-D mean; nll[:, rows] would be strided
+            nll, correct = (np.take(a, self.rows, axis=1) for a in (nll, correct))
+        loss, acc = nll.mean(axis=-1), correct.mean(axis=-1)
+        if self.hits is None:
+            return loss, acc, np.zeros(k)
+        hits = np.repeat(self.hits[None], k, axis=0)
+        hits[cand, rows] = logits.argmax(axis=-1) == self.target_class
+        return loss, acc, hits.mean(axis=-1)
+
+
+@dataclass(frozen=True)
+class SearchPass:
+    """What one search iteration knows of the model state it ranks from."""
+
+    grads: list
+    acts: list          # activations of the scored inputs
+    scores: RowScores
+    loss: float         # eval batch loss and accuracy
+    accuracy: float
+    metric: float       # target share of the scored inputs, else accuracy
+
+
+def search_pass(model, x, labels, rows=None, target_class=None):
+    """The passes one search iteration works from, on the model as it is.
+
+    The eval batch is ``x[rows]`` (all of ``x`` when ``rows`` is ``None``).
+    One gradient pass over it gives the weight gradients and the batch loss
+    and accuracy.  Candidates are scored on the inputs ``x``: with ``rows``
+    given, one forward pass over ``x`` gives their activations, so a row the
+    batch draws several times is propagated once.  ``metric`` is the share
+    of ``x`` classified into ``target_class`` when one is given, else the
+    batch accuracy.  Passes over the same state are bit-identical, so the
+    pass after a commit records it and ranks the next iteration.
+    """
+    labels = np.asarray(labels)
+    batch = slice(None) if rows is None else np.asarray(rows)
+    _, grads, _, acts = model.weight_bias_gradients(x[batch], labels[batch])
+    loss, accuracy = metrics_from_logits(acts[-1], labels[batch])
+    if rows is not None:
+        _, acts = model.forward_acts(x)
+    scores = RowScores(acts[-1], labels, rows, target_class)
+    metric = accuracy if target_class is None else float(scores.hits.mean())
+    return SearchPass(grads, acts, scores, loss, accuracy, metric)
+
+
+def rank_candidates(model, image, state, p, *, objective=1, view=None,
+                    used_pages=(), protected=None):
     """One iteration of gradient-based ranking plus per-candidate evaluation.
 
+    ``state`` is the :func:`search_pass` of ``model`` as it is.
     ``objective`` is +1 to raise the loss and -1 to lower it.  Per weighted
     layer, the ``p`` eligible bits with the largest absolute bit gradient are
     evaluated by flipping them.  Returns candidates sorted by evaluated
     effect: strongest accuracy movement in the objective's direction first,
     then loss, then number of matching physical locations, then lowest
-    (layer, index, bit).  Targeted searches (``probe_x``/``target_class``
-    given) rank primarily by the fraction of the probe inputs routed into
-    the target class, which keeps discriminating after the single-class
-    batch loss saturates at zero.
+    (layer, index, bit).  Targeted searches (a pass with a ``target_class``)
+    rank primarily by the share of the scored inputs routed into the target
+    class, which keeps discriminating after the single-class batch loss
+    saturates at zero.
 
     Eligibility is one bit mask per weight: a flip moves a bit off its stored
     value (so its mode is ``1 - bit``) and must move the loss the objective's
     way, its page must be untargeted, a matching location must remain, and
-    it must not be protected.  Each layer's candidates are flipped one at a
-    time into one stack of logits, scored in a single metrics call.
+    it must not be protected.  Each layer's candidates are flipped together,
+    each giving new logits only for the rows it changes, and
+    :meth:`RowScores.score` scores them from those rows.
     """
-    n_eval = len(x)
-    _, grads, _, acts = model.weight_bias_gradients(x, labels)
-    if probe_x is not None:
-        # candidates are scored on one pass over x and probe_x together; its
-        # first rows are not bit-identical to the gradient pass over x alone
-        x_all = np.concatenate([np.asarray(x, dtype=np.float64),
-                                np.asarray(probe_x, dtype=np.float64)])
-        _, acts = model.forward_acts(x_all)
+    grads, acts = state.grads, state.acts
     bw = model.bit_width
     full = np.uint8(2 ** bw - 1)
     sign_bit = np.uint8(1 << (bw - 1))
@@ -388,17 +497,10 @@ def rank_candidates(model, image, x, labels, p, *, objective=1, view=None,
         if not len(picks):
             continue
         refs = [BitRef(layer_idx, *divmod(int(flat), bw)) for flat in picks]
-        logits = np.repeat(acts[-1][None], len(refs), axis=0)
-        if _dense_suffix_logits(model, acts, refs, out=logits) is None:
-            for k, ref in enumerate(refs):
-                model.flip_bit(ref)
-                logits[k] = model.forward_from(layer_idx, acts)
-                model.flip_bit(ref)
-        loss, acc = metrics_from_logits(logits[:, :n_eval], labels)
-        if probe_x is None:
-            probe = np.zeros(len(refs))
-        else:
-            probe = (logits[:, n_eval:].argmax(axis=-1) == target_class).mean(axis=-1)
+        changed = _dense_suffix_logits(model, acts, refs)
+        if changed is None:
+            changed = _rerun_suffix(model, acts, refs)
+        loss, acc, probe = state.scores.score(*changed, len(refs))
         for k, ref in enumerate(refs):
             i, b = ref.index, ref.bit
             mode, bop = 1 - (int(stored[i]) >> b & 1), int(bops[i]) + b
@@ -446,28 +548,26 @@ def _run_search(model, dataset, profile, config, *, objective=1,
     work = model.copy()
     before_hash = model.state_hash()
     image = WeightImage(work)
-    x, y = dataset.batch(config.eval_batch_size, config.batch_seed,
-                         from_class=target_class)
-    clean_loss, clean_acc = loss_and_accuracy(work, x, y)
+    x, y = dataset.x_test, dataset.y_test
+    rows = dataset.batch_rows(config.eval_batch_size, config.batch_seed,
+                              from_class=target_class)
     if target_class is None:
-        metric_name, clean_metric = "accuracy", clean_acc
-    else:
-        metric_name = "target_fraction"
-        clean_metric = class_fraction(work, dataset.x_test, target_class)
+        # a stratified batch repeats a row only when its class runs short
+        x, y, rows = x[rows], y[rows], None
+    clean = state = search_pass(work, x, y, rows, target_class)
+    metric_name = "accuracy" if target_class is None else "target_fraction"
 
     view = ProfileView(profile) if profile is not None else None
     excluded = config.protected.copy() if config.protected else ProtectedMask()
     used_pages = set()
     steps, trace = [], []
     exhausted = False
-    feasible = _success(clean_metric, config, objective)
-    probe_x = dataset.x_test if target_class is not None else None
+    feasible = _success(clean.metric, config, objective)
 
     while not feasible and len(steps) < config.max_flips:
-        ranked = rank_candidates(work, image, x, y, config.p,
+        ranked = rank_candidates(work, image, state, config.p,
                                  objective=objective, view=view,
-                                 used_pages=used_pages, protected=excluded,
-                                 probe_x=probe_x, target_class=target_class)
+                                 used_pages=used_pages, protected=excluded)
         picked = select_flippable(ranked, view)
         if picked is None:
             exhausted = True
@@ -477,13 +577,9 @@ def _run_search(model, dataset, profile, config, *, objective=1,
         if view is not None:
             used_pages.add(cand.page)
         excluded.add_refs([cand.ref])
-        # the recorded per-step numbers come from a definitive full forward
-        # pass over the committed state, which replays bit-exactly
-        loss, acc = loss_and_accuracy(work, x, y)
-        if target_class is None:
-            metric = acc
-        else:
-            metric = class_fraction(work, dataset.x_test, target_class)
+        # the pass over the committed state records this step and ranks the next
+        state = search_pass(work, x, y, rows, target_class)
+        loss, acc, metric = state.loss, state.accuracy, state.metric
         steps.append(ChainStep(cand.ref, cand.page, cand.bop, cand.mode, pfn,
                                loss, acc, metric))
         trace.append({"iteration": len(steps), "candidates": len(ranked),
@@ -495,8 +591,8 @@ def _run_search(model, dataset, profile, config, *, objective=1,
 
     if model.state_hash() != before_hash:
         raise RuntimeError("search mutated its input model")
-    return BitChain(steps, feasible, metric_name, clean_metric, clean_acc,
-                    clean_loss, exhausted, trace)
+    return BitChain(steps, feasible, metric_name, clean.metric, clean.accuracy,
+                    clean.loss, exhausted, trace)
 
 
 def search_chain(model, dataset, profile, config):

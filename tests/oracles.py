@@ -254,20 +254,18 @@ def incremental_logits(model, acts, ref):
 
 def rank_candidates_reference(model, image, x, labels, p, *, objective=1,
                               view=None, used_pages=(), protected=None,
-                              probe_x=None, target_class=None):
+                              rows=None, target_class=None):
     """The ranking one bit array and one forward update at a time.
 
-    Full ``(n_weights, bit_width)`` eligibility arrays per layer, every batch
-    row propagated for every candidate, and one metrics call per candidate.
+    Full ``(n_weights, bit_width)`` eligibility arrays per layer, every row
+    of ``x`` propagated for every candidate, and one metrics call per
+    candidate on the eval rows ``x[rows]`` (all of ``x`` when ``rows`` is
+    None), as :func:`flipsim.search.search_pass` defines them.
     """
-    n_eval = len(x)
-    if probe_x is not None:
-        x_all = np.concatenate([np.asarray(x, dtype=np.float64),
-                                np.asarray(probe_x, dtype=np.float64)])
-    else:
-        x_all = x
-    _, acts = model.forward_acts(x_all)
-    _, grads = model.weight_gradients(x, labels)
+    labels = np.asarray(labels)
+    batch = slice(None) if rows is None else np.asarray(rows)
+    _, acts = model.forward_acts(x)
+    _, grads = model.weight_gradients(x[batch], labels[batch])
     bitgrads = bit_gradients(model, grads)
     used_pages = set(used_pages)
     avail = {m: view.availability(m) for m in (0, 1)} if view is not None else None
@@ -308,11 +306,11 @@ def rank_candidates_reference(model, image, x, labels, p, *, objective=1,
             model.flip_bit(ref)
             logits = model.forward_from(layer_idx, acts)
             model.flip_bit(ref)
-        loss, _ = softmax_cross_entropy(logits[:n_eval], labels)
-        acc = float((logits[:n_eval].argmax(axis=1) == np.asarray(labels)).mean())
+        loss, _ = softmax_cross_entropy(logits[batch], labels[batch])
+        acc = float((logits[batch].argmax(axis=1) == labels[batch]).mean())
         probe = 0.0
-        if probe_x is not None:
-            probe = float((logits[n_eval:].argmax(axis=1) == target_class).mean())
+        if target_class is not None:
+            probe = float((logits.argmax(axis=1) == target_class).mean())
         matches = view.match_count(bop, mode) if view is not None else 0
         candidates.append(Candidate(ref, grad, mode, page, bop, loss, acc,
                                     matches, probe))

@@ -25,7 +25,8 @@ from flipsim.massage import (MappingPlan, PageFrameCache, PlanEntry,
 from flipsim.qnn.model import BitRef, loss_and_accuracy
 from flipsim.search import (ProfileView, ProtectedMask, SearchConfig,
                             protection_rounds, rank_candidates, search_chain,
-                            search_chain_targeted, select_flippable)
+                            search_chain_targeted, search_pass,
+                            select_flippable)
 from oracles import (audit_chain, bit_gradients, evaluate_candidate,
                      finite_difference_grads, profile_entries,
                      twos_complement_value)
@@ -145,8 +146,8 @@ def test_criterion_04_selection_oracle(desk_model, desk_dataset, desk_cfg,
     used_pages = set()
     iterations = 0
     while iterations < 6:
-        ranked = rank_candidates(work, image, x, y, desk_cfg.p, view=view,
-                                 used_pages=used_pages)
+        ranked = rank_candidates(work, image, search_pass(work, x, y),
+                                 desk_cfg.p, view=view, used_pages=used_pages)
         if not ranked:
             break
         evals = {}

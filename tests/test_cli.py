@@ -11,7 +11,7 @@ import pytest
 from conftest import tiny_dram
 from flipsim import cli, qnn
 from flipsim.dram import OWNER_ATTACKER, FlipProfile
-from flipsim.image import TargetBit
+from flipsim.image import TargetBit, WeightImage
 from flipsim.massage import MappingPlan, PlanEntry, plan_aggressors
 
 
@@ -235,6 +235,33 @@ def test_malformed_profile_exits_config(fast_trained, tmp_path, capsys, text):
     assert not os.path.exists(tmp_path / "search.json")
 
 
+@pytest.mark.parametrize("command", ["search", "exploit"])
+@pytest.mark.parametrize("field", ["pfn", "bop", "direction"])
+def test_out_of_range_profile_entry_exits_config(fast_trained, tmp_path, capsys,
+                                                 command, field):
+    import shutil
+
+    total = cli.dram_config(cli.make_config(
+        overrides=fast_overrides(str(tmp_path)))).total_pages
+    entry = {"pfn": 7, "bop": 5, "direction": 1}
+    entry[field] = {"pfn": total, "bop": 32768, "direction": 7}[field]
+    shutil.copy(os.path.join(fast_trained, "geometry.txt"), tmp_path)
+    profile = tmp_path / "profile.csv"
+    with open(os.path.join(fast_trained, "profile.csv")) as fh:
+        text = fh.read()
+    profile.write_text(text + f"{entry['pfn']},{entry['bop']},"
+                              f"{entry['direction']},1.0\n")
+    capsys.readouterr()
+    rc = cli.main([command, "--config", fast_config_file(tmp_path),
+                   "--checkpoint", os.path.join(fast_trained, "checkpoint.qnn"),
+                   "--profile", str(profile)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(profile) in err and f"{field} {entry[field]}" in err
+    assert not os.path.exists(tmp_path / "search.json")
+    assert not os.path.exists(tmp_path / "report.json")
+
+
 _RECORD = {"page": 1, "bop": 5, "mode": 0, "expected_acc": 0.5}
 
 
@@ -392,6 +419,17 @@ def test_pages_retained_counts_each_aggressor_row(mode, aggressor_rows, channels
     actions = plan_aggressors(plan, state)
     retained = cli._pages_retained(state, {1: ppn}, actions)
     assert retained == 1 + aggressor_rows * state.config.in_row_pages
+
+
+def test_random_baseline_reports_flips_made(fast_trained, tmp_path):
+    cfg = cli.make_config(overrides=fast_overrides(str(tmp_path)))
+    checkpoint = os.path.join(fast_trained, "checkpoint.qnn")
+    total_bits = WeightImage(qnn.load_checkpoint(checkpoint)).weight_bytes * 8
+    drops, info = cli.cmd_random_flip_baseline(cfg, checkpoint,
+                                               n_flips=total_bits + 5, trials=1)
+    assert info["flips"] == total_bits
+    with open(tmp_path / "random_baseline.json") as fh:
+        assert json.load(fh)["flips"] == total_bits
 
 
 def test_random_baseline_csv(tmp_path, pipeline_out, desk_cfg):

@@ -9,13 +9,13 @@ from hypothesis.extra.numpy import arrays
 from flipsim import qnn
 from flipsim.dram import FlipProfile
 from flipsim.image import WeightImage
-from flipsim.qnn.model import (BitRef, loss_and_accuracy, metrics_from_logits,
-                               softmax_cross_entropy)
-from flipsim.search import (Candidate, ProfileView, ProtectedMask,
+from flipsim.qnn.model import BitRef, loss_and_accuracy, metrics_from_logits
+from flipsim.search import (Candidate, ProfileView, ProtectedMask, RowScores,
                             SearchConfig, _dense_suffix_logits,
                             _reachable_units, protection_rounds,
                             rank_candidates, search_chain,
-                            search_chain_targeted, select_flippable)
+                            search_chain_targeted, search_pass,
+                            select_flippable)
 from oracles import (audit_chain, bit_gradients, bit_planes,
                      evaluate_candidate, incremental_logits,
                      rank_candidates_reference, replay_chain)
@@ -35,6 +35,14 @@ def small_setup():
     return model, dataset
 
 
+def _flip_logits(acts, changed, k=1):
+    """The full logits of k flips: ``acts[-1]`` with each flip's changed rows."""
+    cand, rows, logits = changed
+    stack = np.repeat(acts[-1][None], k, axis=0)
+    stack[cand, rows] = logits
+    return stack
+
+
 def test_rank_candidates_match_bruteforce_gradient_sort(small_setup):
     # 16-weight single layer: top-4 |bit gradient| against a full sort
     dataset = qnn.gaussian_blobs(classes=4, shape=(4,), train_per_class=32,
@@ -43,7 +51,7 @@ def test_rank_candidates_match_bruteforce_gradient_sort(small_setup):
     model = spec.assemble(spec.init_params(3))
     image = WeightImage(model)
     x, y = dataset.batch(32, 7)
-    ranked = rank_candidates(model, image, x, y, p=4)
+    ranked = rank_candidates(model, image, search_pass(model, x, y), p=4)
     _, grads = model.weight_gradients(x, y)
     bg = bit_gradients(model, grads)
     li = model.weighted_indices()[0]
@@ -69,7 +77,7 @@ def test_all_zero_gradients_fall_back_to_tiebreak():
     x = np.zeros((8, 4))
     y = np.zeros(8, dtype=np.int64)
     # zero inputs: first layer gradients vanish, every bit ties at zero
-    ranked = rank_candidates(model, image, x, y, p=3)
+    ranked = rank_candidates(model, image, search_pass(model, x, y), p=3)
     assert len(ranked) == 3
     flat = [c.ref.index * 8 + c.ref.bit for c in ranked]
     assert flat == sorted(flat)[:3] == [0, 1, 2]
@@ -124,7 +132,7 @@ def test_incremental_logits_match_forward_from(hidden, bit, data):
     layer = data.draw(st.sampled_from(dense))
     index = data.draw(st.integers(0, model.layers[layer].weight_count - 1))
     ref = BitRef(layer, index, bit)
-    fast = _dense_suffix_logits(model, acts, [ref])[0]
+    fast = _flip_logits(acts, _dense_suffix_logits(model, acts, [ref]))[0]
     model.flip_bit(ref)
     full = model.forward_from(layer, acts)
     model.flip_bit(ref)
@@ -176,19 +184,20 @@ def test_rank_respects_page_rule_and_mask():
     model = spec.assemble(spec.init_params(3))
     image = WeightImage(model)
     x, y = dataset.batch(32, 7)
-    free = rank_candidates(model, image, x, y, p=6)
+    state = search_pass(model, x, y)
+    free = rank_candidates(model, image, state, p=6)
     best = free[0]
     pages = {c.page for c in free}
     assert len(pages) > 1
-    off_page = rank_candidates(model, image, x, y, p=6, used_pages={best.page})
+    off_page = rank_candidates(model, image, state, p=6, used_pages={best.page})
     assert off_page and all(c.page != best.page for c in off_page)
     mask = ProtectedMask({best.ref})
-    masked = rank_candidates(model, image, x, y, p=6, protected=mask)
+    masked = rank_candidates(model, image, state, p=6, protected=mask)
     assert best.ref not in {c.ref for c in masked}
     assert len(masked) == len(free)
     locked = ProtectedMask(locked_layers={best.ref.layer})
     assert all(c.ref.layer != best.ref.layer
-               for c in rank_candidates(model, image, x, y, p=6,
+               for c in rank_candidates(model, image, state, p=6,
                                         protected=locked))
 
 
@@ -332,7 +341,7 @@ def test_direction_rule_consistency(small_setup):
     model, dataset = small_setup
     image = WeightImage(model)
     x, y = dataset.batch(64, 3)
-    ranked = rank_candidates(model, image, x, y, p=10)
+    ranked = rank_candidates(model, image, search_pass(model, x, y), p=10)
     for cand in ranked:
         layer = model.layers[cand.ref.layer]
         bit = bit_planes(layer.weight_q, model.bit_width)[cand.ref.index,
@@ -395,14 +404,20 @@ def test_rank_candidates_match_reference(rank_models, kind, objective, rate, p,
     image = WeightImage(model)
     gen = np.random.default_rng(seed)
     target = data.draw(st.one_of(st.none(), st.integers(0, 3)))
-    x, y = dataset.batch(48, seed, from_class=target)
+    # a class has 12 test rows, so a batch asking more of one draws rows twice
+    rows = dataset.batch_rows(data.draw(st.integers(1, 64)), seed,
+                              from_class=target)
+    x, y = dataset.x_test, dataset.y_test
+    if data.draw(st.booleans()):
+        x, y, rows = x[rows], y[rows], None
     view = None if rate is None else ProfileView(_random_profile(gen, rate))
     used = data.draw(st.sets(st.integers(1, image.page_count),
                              max_size=image.page_count - 1))
     weighted = model.weighted_indices()
     locked = data.draw(st.sets(st.sampled_from(weighted), max_size=1))
     # protect the high bits of the steepest weights, where picks come from
-    _, grads = model.weight_gradients(x, y)
+    batch = slice(None) if rows is None else rows
+    _, grads = model.weight_gradients(x[batch], y[batch])
     refs = set()
     for li in weighted:
         steep = np.argsort(-np.abs(grads[li].reshape(-1)), kind="stable")
@@ -412,10 +427,10 @@ def test_rank_candidates_match_reference(rank_models, kind, objective, rate, p,
     protected = ProtectedMask(refs, locked)
     kwargs = dict(objective=objective, view=view, used_pages=used,
                   protected=protected)
-    if target is not None:
-        kwargs.update(probe_x=dataset.x_test, target_class=target)
-    got = rank_candidates(model, image, x, y, p, **kwargs)
-    want = rank_candidates_reference(model, image, x, y, p, **kwargs)
+    got = rank_candidates(model, image, search_pass(model, x, y, rows, target),
+                          p, **kwargs)
+    want = rank_candidates_reference(model, image, x, y, p, rows=rows,
+                                     target_class=target, **kwargs)
     assert [c.ref for c in got] == [c.ref for c in want]
     for a, b in zip(got, want):
         assert (a.grad, a.mode, a.page, a.bop, a.match_count, a.accuracy,
@@ -440,7 +455,7 @@ def test_flip_into_dead_neuron_leaves_logits_exactly():
     _, acts = model.forward_acts(x)
     for bit in range(8):
         ref = BitRef(1, 3 * hidden.in_features + 2, bit)
-        fast = _dense_suffix_logits(model, acts, [ref])[0]
+        fast = _flip_logits(acts, _dense_suffix_logits(model, acts, [ref]))[0]
         assert np.array_equal(fast, acts[-1])
         model.flip_bit(ref)
         assert np.array_equal(model.forward_from(1, acts), acts[-1])
@@ -453,7 +468,7 @@ def test_last_layer_flip_updates_one_logit_column():
     _, acts = model.forward_acts(x)
     for index in range(model.layers[last].weight_count):
         ref = BitRef(last, index, 7)
-        fast = _dense_suffix_logits(model, acts, [ref])[0]
+        fast = _flip_logits(acts, _dense_suffix_logits(model, acts, [ref]))[0]
         assert np.array_equal(fast, incremental_logits(model, acts, ref))
         changed = np.flatnonzero((fast != acts[-1]).any(axis=0))
         assert set(changed) <= {index // model.layers[last].in_features}
@@ -463,13 +478,21 @@ def test_last_layer_flip_updates_one_logit_column():
         model.flip_bit(ref)
 
 
-def test_incremental_logits_add_into_given_buffer():
+def test_changed_pairs_match_single_flips():
     model, x = _dense_net(hidden=(8, 5))
     _, acts = model.forward_acts(x)
-    ref = BitRef(1, 9, 6)
-    out = acts[-1][None].copy()
-    assert _dense_suffix_logits(model, acts, [ref], out=out) is out
-    assert np.array_equal(out, _dense_suffix_logits(model, acts, [ref]))
+    cached = acts[-1].copy()
+    refs = [BitRef(1, 9, 6), BitRef(1, 20, 7), BitRef(1, 9, 0)]
+    cand, rows, logits = _dense_suffix_logits(model, acts, refs)
+    assert not np.shares_memory(logits, acts[-1])
+    assert np.array_equal(acts[-1], cached)
+    assert np.all(np.diff(cand * len(x) + rows) > 0)  # by flip, then row
+    for k, ref in enumerate(refs):
+        one_cand, one_rows, one = _dense_suffix_logits(model, acts, [ref])
+        assert np.all(one_cand == 0)
+        assert np.array_equal(rows[cand == k], one_rows)
+        np.testing.assert_allclose(logits[cand == k], one, rtol=1e-12,
+                                   atol=1e-12)
 
 
 # exact and signed zeros, subnormals, the smallest normal and an MSB-sized
@@ -507,19 +530,78 @@ def test_dropped_units_change_by_exact_zero(case):
         assert np.all((moved - post)[:, dropped] == 0.0)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 40), st.integers(2, 7),
-       st.integers(0, 2 ** 16))
-def test_stacked_metrics_equal_separate_calls(k, batch, classes, seed):
-    gen = np.random.default_rng(seed)
-    logits = gen.normal(scale=4.0, size=(k, batch, classes))
-    logits[0, :, 0] = logits[0, :, 1]  # argmax ties go to the first class
-    labels = gen.integers(0, classes, size=batch)
-    loss, acc = metrics_from_logits(logits, labels)
-    assert loss.shape == acc.shape == (k,)
+# few distinct values, so that rows tie at the argmax; both signed zeros
+_LOGIT = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 40.0, -700.0])
+
+
+@st.composite
+def _changed_rows(draw):
+    """Base logits, labels, eval rows, target class and K flips' changes."""
+    n, c, k = draw(st.integers(1, 8)), draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    base = draw(arrays(np.float64, (n, c), elements=_LOGIT))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, c - 1)))
+    rows = draw(st.one_of(st.none(), arrays(np.int64, draw(st.integers(1, 12)),
+                                            elements=st.integers(0, n - 1))))
+    target = draw(st.one_of(st.none(), st.integers(0, c - 1)))
+    changed = draw(arrays(bool, (k, n)))
+    cand, at = np.nonzero(changed)
+    # a changed row may change by exact zeros, which turn -0.0 into 0.0
+    delta = draw(arrays(np.float64, (len(at), c),
+                        elements=st.one_of(st.just(0.0), _LOGIT)))
+    return base, labels, rows, target, k, (cand, at, base[at] + delta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_changed_rows())
+def test_changed_row_scores_equal_full_stack_metrics(case):
+    base, labels, rows, target, k, changed = case
+    loss, acc, share = RowScores(base, labels, rows, target).score(*changed, k)
+    stack = _flip_logits([base], changed, k)
+    batch = slice(None) if rows is None else rows
     for i in range(k):
-        one_loss, one_acc = metrics_from_logits(logits[i], labels)
-        assert isinstance(one_loss, float) and isinstance(one_acc, float)
-        assert acc[i] == one_acc
-        assert loss[i] == pytest.approx(one_loss, rel=1e-12)
-        assert one_loss == softmax_cross_entropy(logits[i], labels)[0]
+        want_loss, want_acc = metrics_from_logits(stack[i][batch], labels[batch])
+        assert loss[i] == want_loss and acc[i] == want_acc
+        want_share = 0.0 if target is None else float(
+            (stack[i].argmax(axis=1) == target).mean())
+        assert share[i] == want_share
+
+
+def test_search_takes_one_pass_per_iteration(small_setup, monkeypatch):
+    from flipsim import search
+    from flipsim.qnn import model as model_mod
+
+    model, dataset = small_setup
+    calls = {"grad": 0, "x_test": 0, "loss_and_accuracy": 0}
+    grad, forward = (model_mod.QuantizedModel.weight_bias_gradients,
+                     model_mod.QuantizedModel.forward_acts)
+
+    def spy_grad(self, x, labels):
+        calls["grad"] += 1
+        return grad(self, x, labels)
+
+    def spy_forward(self, x):
+        calls["x_test"] += x is dataset.x_test
+        return forward(self, x)
+
+    def spy_metrics(*args):
+        calls["loss_and_accuracy"] += 1
+        return loss_and_accuracy(*args)
+
+    monkeypatch.setattr(model_mod.QuantizedModel, "weight_bias_gradients",
+                        spy_grad)
+    monkeypatch.setattr(model_mod.QuantizedModel, "forward_acts", spy_forward)
+    for module in (model_mod, search):
+        monkeypatch.setattr(module, "loss_and_accuracy", spy_metrics,
+                            raising=False)
+    cfg = SearchConfig(p=6, max_flips=4, target_accuracy=0.0,
+                       target_fraction=1.1)
+    for target in (None, 2):
+        calls.update(grad=0, x_test=0)
+        if target is None:
+            chain = search_chain(model, dataset, None, cfg)
+        else:
+            chain = search_chain_targeted(model, dataset, None, cfg, target)
+        assert len(chain) == 4
+        assert calls["grad"] == len(chain) + 1
+        assert calls["x_test"] == (0 if target is None else len(chain) + 1)
+    assert calls["loss_and_accuracy"] == 0
