@@ -16,8 +16,8 @@ from .qnn import (BitRef, QuantizedModel, TrainConfig, TrainingFailure,
                   decode_bits, encode_bits, gaussian_blobs, load_checkpoint,
                   loss_and_accuracy, quantize, save_checkpoint, train_small)
 from .search import (BitChain, Candidate, ChainStep, ProfileView,
-                     ProtectedMask, SearchConfig, protection_rounds,
-                     rank_candidates, search_chain, search_chain_targeted,
-                     search_pass, select_flippable)
+                     ProtectedMask, SearchConfig, disjoint_chains,
+                     protection_rounds, rank_candidates, search_chain,
+                     search_chain_targeted, search_pass, select_flippable)
 
 __version__ = "0.1.0"

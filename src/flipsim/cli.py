@@ -22,6 +22,7 @@ import os
 import statistics
 import sys
 from dataclasses import dataclass, fields, replace
+from itertools import islice
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .massage import (MappingMismatch, PageFrameCache, PrecisionViolation,
                       release_and_remap, retemplate, verify_template)
 from .qnn.model import class_fraction, loss_and_accuracy
 from .search import (ExhaustedIterations, ProtectedMask, SearchConfig,
-                     protection_rounds, search_chain, search_chain_targeted)
+                     disjoint_chains, protection_rounds, search_chain)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -361,12 +362,14 @@ def _load_stage_inputs(cfg, checkpoint=None, profile_path=None, geometry=False):
         profile = FlipProfile.load_csv(profile_path)
     except ValueError as exc:
         raise ConfigError(f"{profile_path}: {exc}") from None
-    _check_profile_ranges(profile, dram_config(cfg).total_pages, profile_path)
+    _check_profile_entries(profile, dram_config(cfg).total_pages, profile_path)
     return model, build_dataset(cfg), profile
 
 
-def _check_profile_ranges(profile, total_pages, path):
-    """Refuse profile entries no frame, bit or direction of the geometry has."""
+def _check_profile_entries(profile, total_pages, path):
+    """Refuse profile entries no frame, bit or direction of the geometry has,
+    and entries that repeat a ``(pfn, bop)`` location: one cell would back
+    two flips."""
     bad = np.flatnonzero((profile.pfn < 0) | (profile.pfn >= total_pages)
                          | (profile.bop < 0) | (profile.bop >= PAGE_BITS)
                          | ((profile.direction != 0) & (profile.direction != 1)))
@@ -376,6 +379,13 @@ def _check_profile_ranges(profile, total_pages, path):
             f"{path}: entry {i + 1} (pfn {profile.pfn[i]}, bop "
             f"{profile.bop[i]}, direction {profile.direction[i]}) needs pfn "
             f"< {total_pages}, bop < {PAGE_BITS} and direction 0 or 1")
+    keys = profile.pfn * PAGE_BITS + profile.bop
+    if (np.diff(np.sort(keys)) == 0).any():
+        order = np.argsort(keys, kind="stable")
+        i = int(order[1:][np.diff(keys[order]) == 0].min())
+        raise ConfigError(
+            f"{path}: entry {i + 1} repeats the location pfn {profile.pfn[i]}, "
+            f"bop {profile.bop[i]}")
 
 
 def cmd_search(cfg, checkpoint=None, profile_path=None):
@@ -385,23 +395,17 @@ def cmd_search(cfg, checkpoint=None, profile_path=None):
 
 
 def search_stage(cfg, model, dataset, profile):
-    """``cfg.chains`` disjoint chains on ``profile``, already sampled."""
-    chains = []
-    excluded = ProtectedMask()
-    working = profile
-    for i in range(cfg.chains):
-        scfg = search_config(cfg, protected=excluded)
-        if cfg.target_class >= 0:
-            chain = search_chain_targeted(model, dataset, working, scfg,
-                                          cfg.target_class)
-        else:
-            chain = search_chain(model, dataset, working, scfg)
-        chains.append(chain)
-        write_chain(os.path.join(cfg.out, f"chain_{i + 1}.jsonl"), chain.records())
-        _write_trace(os.path.join(cfg.out, f"trace_{i + 1}.csv"), chain.trace)
-        # later chains must not reuse this chain's bits or locations
-        excluded.add_refs(s.ref for s in chain.steps)
-        working = working.subset(_unreserved_locations(working, chain.steps))
+    """``cfg.chains`` disjoint chains on ``profile``, already sampled.
+
+    Later chains reuse no bit and no profile location of earlier ones.
+    """
+    target = cfg.target_class if cfg.target_class >= 0 else None
+    chains = list(islice(disjoint_chains(model, dataset, profile,
+                                         search_config(cfg), target),
+                         cfg.chains))
+    for i, chain in enumerate(chains, 1):
+        write_chain(os.path.join(cfg.out, f"chain_{i}.jsonl"), chain.records())
+        _write_trace(os.path.join(cfg.out, f"trace_{i}.csv"), chain.trace)
     info = {"chains": [_chain_summary(c) for c in chains],
             "rate": cfg.rate,
             # published full-scale baseline for one candidate chain; kept out
@@ -426,13 +430,6 @@ def _check_profile_geometry(cfg, profile_path):
     if profiled != configured:
         raise ConfigError(f"the profile was templated on {profiled} ({path}), "
                           f"but the config gives {configured}")
-
-
-def _unreserved_locations(profile, steps):
-    """Mask of profile entries at no (pfn, bop) location a chain step reserved."""
-    used = np.array([s.pfn * PAGE_BITS + s.bop for s in steps if s.pfn is not None],
-                    dtype=np.int64)
-    return ~np.isin(profile.pfn * PAGE_BITS + profile.bop, used)
 
 
 def _pages_retained(state, mapping, actions):

@@ -8,7 +8,7 @@ Every forward pass is one walk over the layers.  It fills ``acts``, where
 ``acts[i]`` is the input of layer ``i`` and ``acts[len(layers)]`` the logits;
 a residual skip adds ``acts[source]``.  A walk from layer ``start`` takes
 ``acts[:start + 1]`` as given and appends the rest, so :meth:`forward_acts`,
-:meth:`forward_from` and :meth:`weight_bias_gradients` produce the same
+:meth:`forward_from` and :meth:`forward_tape` produce the same
 activations bit for bit.  It also returns one backward context per layer it
 ran (``None`` for a residual skip), which the gradient pass hands back to
 each layer's ``backward``.
@@ -122,15 +122,25 @@ class QuantizedModel:
         loss, grads, _, _ = self.weight_bias_gradients(x, labels)
         return loss, grads
 
-    def weight_bias_gradients(self, x, labels):
+    def forward_tape(self, x):
+        """Forward half of :meth:`weight_bias_gradients`: ``(acts, ctxs)``.
+
+        ``acts`` equal those of :meth:`forward_acts`; ``ctxs`` are what the
+        backward half needs, valid while the weights stay as they are.
+        """
+        acts = [np.asarray(x, dtype=np.float64)]
+        return acts, self._walk(0, acts)
+
+    def weight_bias_gradients(self, x, labels, tape=None):
         """Like :meth:`weight_gradients` but also returns bias gradients.
 
         Returns ``(loss, grads, bias_grads, acts)``; both gradient lists hold
         ``None`` for weightless layers, and ``acts`` are the activations of
-        the pass, equal to those of :meth:`forward_acts`.
+        the pass, equal to those of :meth:`forward_acts`.  ``tape``, the
+        :meth:`forward_tape` of ``x`` on the current weights, leaves only the
+        backward half to run.
         """
-        acts = [np.asarray(x, dtype=np.float64)]
-        ctxs = self._walk(0, acts)
+        acts, ctxs = tape or self.forward_tape(x)
         loss, dlogits = softmax_cross_entropy(acts[-1], labels)
         grads, bgrads = [None] * len(self.layers), [None] * len(self.layers)
         flow = [None] * (len(self.layers) + 1)

@@ -29,6 +29,15 @@ sum in another order, the same ulp-level difference as the row gating.
 Each candidate is then scored as the pass's per-row loss and correctness
 with its changed rows replaced (:class:`RowScores`).
 
+The disjoint chains of one command (alternative chains, or a defender's
+protection rounds) form one :class:`SearchSession`.  Each chain starts from
+the clean model and excludes the bits of the chains before it; the profile's
+locations are unique, and one :class:`ProfileView` serves every chain, so a
+reservation holds for the whole session.  Every chain's first iteration
+ranks from the one clean pass, and a pass scores each candidate once, so a
+later chain re-scores only the candidates its new exclusions bring in.  The
+backward half of a pass runs only when another iteration ranks from it.
+
 Untargeted searches maximize loss until accuracy falls to the target;
 targeted searches run the identical loop with the objective negated on a
 single-class batch, which amplifies the weights feeding the chosen class until
@@ -36,7 +45,9 @@ it captures the test set.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from itertools import islice
 
 import numpy as np
 
@@ -277,9 +288,12 @@ class ProtectedMask:
 class ProfileView:
     """Per-(bop, direction) location pools with one-shot reservations.
 
-    A physical location that backed one committed flip is never offered
-    again, even if its offset and direction match a later candidate.
-    Reservations hand out the lowest matching frame number first.
+    The profile holds each ``(pfn, bop)`` location once.  A location that
+    backed one committed flip is never offered again: reservations persist
+    for the view's life, which is a whole :class:`SearchSession`, so no
+    location backs two steps of one chain or of two chains.  Reservations
+    hand out the lowest free matching frame number first, and each one
+    lowers its pool's :meth:`match_count` by one.
     """
 
     def __init__(self, profile):
@@ -345,7 +359,11 @@ def _top_bits(elig, mag, k, bw):
     live = elig > 0
     best = np.where(live, np.ldexp(mag, _TOP_BIT[elig]), -1.0)
     if np.count_nonzero(live) > k:
-        cut = np.partition(best, len(best) - k)[len(best) - k]
+        # weights feeding dead units score exact zeros, which a partition
+        # orders slowly; with k positive scores the k-th largest is one
+        pool = best[best > 0]
+        pool = pool if len(pool) >= k else best
+        cut = np.partition(pool, len(pool) - k)[len(pool) - k]
         rows = np.flatnonzero(best >= cut)
     else:
         rows = np.flatnonzero(live)
@@ -401,37 +419,51 @@ class RowScores:
 
 @dataclass(frozen=True)
 class SearchPass:
-    """What one search iteration knows of the model state it ranks from."""
+    """What one search iteration knows of the model state it ranks from.
 
-    grads: list
+    :attr:`grads` runs the gradient pass's backward half when first read,
+    on the weights the pass was made on, so read it before they change; a
+    pass that only records a chain's last step never runs it.  ``memo``
+    holds each ref :func:`rank_candidates` has scored on this state.
+    """
+
     acts: list          # activations of the scored inputs
     scores: RowScores
     loss: float         # eval batch loss and accuracy
     accuracy: float
     metric: float       # target share of the scored inputs, else accuracy
+    backward: object = field(repr=False)  # () -> weight_bias_gradients
+    memo: dict = field(default_factory=dict, repr=False)  # ref -> scores
+
+    @cached_property
+    def grads(self):
+        return self.backward()[1]
 
 
 def search_pass(model, x, labels, rows=None, target_class=None):
     """The passes one search iteration works from, on the model as it is.
 
     The eval batch is ``x[rows]`` (all of ``x`` when ``rows`` is ``None``).
-    One gradient pass over it gives the weight gradients and the batch loss
-    and accuracy.  Candidates are scored on the inputs ``x``: with ``rows``
-    given, one forward pass over ``x`` gives their activations, so a row the
-    batch draws several times is propagated once.  ``metric`` is the share
+    One gradient pass over it gives the batch loss and accuracy and, when
+    :attr:`SearchPass.grads` is first read, the weight gradients.
+    Candidates are scored on the inputs ``x``: with ``rows`` given, one
+    forward pass over ``x`` gives their activations, so a row the batch
+    draws several times is propagated once.  ``metric`` is the share
     of ``x`` classified into ``target_class`` when one is given, else the
     batch accuracy.  Passes over the same state are bit-identical, so the
     pass after a commit records it and ranks the next iteration.
     """
     labels = np.asarray(labels)
     batch = slice(None) if rows is None else np.asarray(rows)
-    _, grads, _, acts = model.weight_bias_gradients(x[batch], labels[batch])
+    tape = model.forward_tape(x[batch])
+    acts = tape[0]
     loss, accuracy = metrics_from_logits(acts[-1], labels[batch])
+    backward = partial(model.weight_bias_gradients, acts[0], labels[batch], tape)
     if rows is not None:
         _, acts = model.forward_acts(x)
     scores = RowScores(acts[-1], labels, rows, target_class)
     metric = accuracy if target_class is None else float(scores.hits.mean())
-    return SearchPass(grads, acts, scores, loss, accuracy, metric)
+    return SearchPass(acts, scores, loss, accuracy, metric, backward)
 
 
 def rank_candidates(model, image, state, p, *, objective=1, view=None,
@@ -454,7 +486,10 @@ def rank_candidates(model, image, state, p, *, objective=1, view=None,
     way, its page must be untargeted, a matching location must remain, and
     it must not be protected.  Each layer's candidates are flipped together,
     each giving new logits only for the rows it changes, and
-    :meth:`RowScores.score` scores them from those rows.
+    :meth:`RowScores.score` scores them from those rows.  A candidate's
+    scores depend on the state alone, so each is scored once per pass and
+    kept in its ``memo``: a later ranking of the same pass, under other
+    eligibility, scores only the refs it has not met.
     """
     grads, acts = state.grads, state.acts
     bw = model.bit_width
@@ -497,17 +532,21 @@ def rank_candidates(model, image, state, p, *, objective=1, view=None,
         if not len(picks):
             continue
         refs = [BitRef(layer_idx, *divmod(int(flat), bw)) for flat in picks]
-        changed = _dense_suffix_logits(model, acts, refs)
-        if changed is None:
-            changed = _rerun_suffix(model, acts, refs)
-        loss, acc, probe = state.scores.score(*changed, len(refs))
-        for k, ref in enumerate(refs):
+        new = [ref for ref in refs if ref not in state.memo]
+        if new:
+            changed = _dense_suffix_logits(model, acts, new)
+            if changed is None:
+                changed = _rerun_suffix(model, acts, new)
+            scored = state.scores.score(*changed, len(new))
+            state.memo.update(zip(new, zip(*(a.tolist() for a in scored))))
+        for ref in refs:
             i, b = ref.index, ref.bit
             mode, bop = 1 - (int(stored[i]) >> b & 1), int(bops[i]) + b
             matches = view.match_count(bop, mode) if view is not None else 0
+            loss, acc, probe = state.memo[ref]
             candidates.append(Candidate(ref, float(code_grad[i] * coeffs[b]), mode,
-                                        int(pages[i]), bop, float(loss[k]),
-                                        float(acc[k]), matches, float(probe[k])))
+                                        int(pages[i]), bop, loss, acc, matches,
+                                        probe))
     candidates.sort(key=lambda c: _rank_key(c, objective))
     return candidates
 
@@ -543,42 +582,64 @@ def _success(metric, config, objective):
     return metric >= config.target_fraction
 
 
-def _run_search(model, dataset, profile, config, *, objective=1,
-                target_class=None):
-    work = model.copy()
-    before_hash = model.state_hash()
-    image = WeightImage(work)
-    x, y = dataset.x_test, dataset.y_test
-    rows = dataset.batch_rows(config.eval_batch_size, config.batch_seed,
-                              from_class=target_class)
-    if target_class is None:
-        # a stratified batch repeats a row only when its class runs short
-        x, y, rows = x[rows], y[rows], None
-    clean = state = search_pass(work, x, y, rows, target_class)
-    metric_name = "accuracy" if target_class is None else "target_fraction"
+class SearchSession:
+    """Disjoint chains from one clean model, eval batch and profile.
 
-    view = ProfileView(profile) if profile is not None else None
-    excluded = config.protected.copy() if config.protected else ProtectedMask()
+    Every chain starts from the clean ``model`` on a copy of its own and
+    excludes every bit the session's chains flipped before it, besides
+    ``config.protected``.  The session's one :class:`ProfileView` keeps its
+    reservations, so no location backs two steps of the session, and every
+    chain's first iteration ranks from the one clean :func:`search_pass`,
+    whose memo scores each candidate once.  ``target_class`` makes the
+    chains targeted.
+    """
+
+    def __init__(self, model, dataset, profile, config, target_class=None):
+        if target_class is not None and not 0 <= target_class < model.class_count:
+            raise ValueError("target_class out of range")
+        self.model, self.config, self.target_class = model, config, target_class
+        self.objective = 1 if target_class is None else -1
+        x, y = dataset.x_test, dataset.y_test
+        rows = dataset.batch_rows(config.eval_batch_size, config.batch_seed,
+                                  from_class=target_class)
+        if target_class is None:
+            # a stratified batch repeats a row only when its class runs short
+            x, y, rows = x[rows], y[rows], None
+        self.batch = (x, y, rows, target_class)
+        self.view = ProfileView(profile) if profile is not None else None
+        self.protected = (config.protected.copy() if config.protected
+                          else ProtectedMask())
+        self.clean = search_pass(model, *self.batch)
+
+
+def _run_search(s):
+    """The next chain of :class:`SearchSession` ``s``."""
+    config = s.config
+    work = s.model.copy()
+    before_hash = s.model.state_hash()
+    image = WeightImage(work)
+    clean = state = s.clean
+    metric_name = "accuracy" if s.target_class is None else "target_fraction"
     used_pages = set()
     steps, trace = [], []
     exhausted = False
-    feasible = _success(clean.metric, config, objective)
+    feasible = _success(clean.metric, config, s.objective)
 
     while not feasible and len(steps) < config.max_flips:
         ranked = rank_candidates(work, image, state, config.p,
-                                 objective=objective, view=view,
-                                 used_pages=used_pages, protected=excluded)
-        picked = select_flippable(ranked, view)
+                                 objective=s.objective, view=s.view,
+                                 used_pages=used_pages, protected=s.protected)
+        picked = select_flippable(ranked, s.view)
         if picked is None:
             exhausted = True
             break
         cand, pfn = picked
         image.apply_flips([TargetBit(cand.page, cand.bop, cand.mode)])
-        if view is not None:
+        if s.view is not None:
             used_pages.add(cand.page)
-        excluded.add_refs([cand.ref])
+        s.protected.add_refs([cand.ref])
         # the pass over the committed state records this step and ranks the next
-        state = search_pass(work, x, y, rows, target_class)
+        state = search_pass(work, *s.batch)
         loss, acc, metric = state.loss, state.accuracy, state.metric
         steps.append(ChainStep(cand.ref, cand.page, cand.bop, cand.mode, pfn,
                                loss, acc, metric))
@@ -587,41 +648,57 @@ def _run_search(model, dataset, profile, config, *, objective=1,
                       "bit": cand.ref.bit, "page": cand.page, "bop": cand.bop,
                       "mode": cand.mode, "loss": loss,
                       "accuracy": acc, "metric": metric})
-        feasible = _success(metric, config, objective)
+        feasible = _success(metric, config, s.objective)
 
-    if model.state_hash() != before_hash:
+    if s.model.state_hash() != before_hash:
         raise RuntimeError("search mutated its input model")
     return BitChain(steps, feasible, metric_name, clean.metric, clean.accuracy,
                     clean.loss, exhausted, trace)
 
 
-def search_chain(model, dataset, profile, config):
+def search_chain(model, dataset, profile, config, session=None):
     """Greedy chain search until batch accuracy drops to the target.
 
     With a ``profile`` every bit needs an unused matching location and the
     one-flip-per-page rule applies; with ``profile=None`` the search is
     unconstrained by memory, so neither does.  A bit is never picked twice,
-    nor one in ``config.protected``.
+    nor one in ``config.protected``.  ``session``, a :class:`SearchSession`
+    opened on the same arguments, makes the chain that session's next one.
 
     An unreachable target is a result, not an error: the partial chain comes
     back with ``feasible=False`` (``exhausted`` additionally marks that the
     candidate pool dried up, the expected outcome on very sparse profiles).
     """
-    return _run_search(model, dataset, profile, config, objective=1)
+    return _run_search(session or SearchSession(model, dataset, profile, config))
 
 
-def search_chain_targeted(model, dataset, profile, config, target_class):
+def search_chain_targeted(model, dataset, profile, config, target_class,
+                          session=None):
     """Funnel every input into ``target_class``.
 
     The evaluation batch is drawn solely from the target class and the
     objective is reversed (loss decreases), which saturates the weights
     feeding that class; success is the fraction of the whole test split
-    classified into the class.
+    classified into the class.  ``session`` is as in :func:`search_chain`.
     """
-    if target_class is None or not (0 <= target_class < model.class_count):
+    if target_class is None:
         raise ValueError("target_class out of range")
-    return _run_search(model, dataset, profile, config, objective=-1,
-                       target_class=target_class)
+    return _run_search(session or SearchSession(model, dataset, profile, config,
+                                                target_class))
+
+
+def disjoint_chains(model, dataset, profile, config, target_class=None):
+    """Chains of one :class:`SearchSession`, each disjoint from those before.
+
+    A generator: take as many chains as needed.
+    """
+    session = SearchSession(model, dataset, profile, config, target_class)
+    while True:
+        if target_class is None:
+            yield search_chain(model, dataset, profile, config, session)
+        else:
+            yield search_chain_targeted(model, dataset, profile, config,
+                                        target_class, session)
 
 
 def protection_rounds(model, dataset, config, rounds):
@@ -633,13 +710,9 @@ def protection_rounds(model, dataset, config, rounds):
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    protected = config.protected.copy() if config.protected else ProtectedMask()
     chains = []
-    for _ in range(rounds):
-        chain = search_chain(model, dataset, None,
-                             replace(config, protected=protected))
+    for chain in islice(disjoint_chains(model, dataset, None, config), rounds):
         if not chain.steps and not chain.feasible:
             raise ExhaustedIterations("bit space exhausted across rounds")
         chains.append(chain)
-        protected.add_refs(s.ref for s in chain.steps)
     return chains

@@ -5,6 +5,8 @@ code paths with the package) so the tests compare two genuinely different
 routes to the same answer.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from flipsim import massage
@@ -17,7 +19,9 @@ from flipsim.qnn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU, Residual
 from flipsim.qnn.model import (BitRef, class_fraction, loss_and_accuracy,
                                softmax_cross_entropy)
 from flipsim.qnn.quant import bit_coefficients, toggle_bit
-from flipsim.search import Candidate, _rank_key, _topk_lowest_index
+from flipsim.search import (Candidate, ProtectedMask, _rank_key,
+                            _topk_lowest_index, search_chain,
+                            search_chain_targeted)
 
 
 def twos_complement_value(bits_msb_first):
@@ -453,6 +457,30 @@ def unreserved_locations(profile, steps):
     used = {(s.pfn, s.bop) for s in steps if s.pfn is not None}
     return np.array([(p, b) not in used for p, b, _, _ in profile_entries(profile)],
                     dtype=bool)
+
+
+def disjoint_chains_reference(model, dataset, profile, config, count,
+                              target_class=None):
+    """``count`` disjoint chains, each a search of its own.
+
+    Chain i is a fresh :func:`flipsim.search.search_chain` (its own clean
+    pass and ``ProfileView``) with the bits of chains < i protected, on the
+    profile less every location they reserved.
+    """
+    protected = config.protected.copy() if config.protected else ProtectedMask()
+    chains = []
+    for _ in range(count):
+        cfg = replace(config, protected=protected)
+        if target_class is None:
+            chain = search_chain(model, dataset, profile, cfg)
+        else:
+            chain = search_chain_targeted(model, dataset, profile, cfg,
+                                          target_class)
+        chains.append(chain)
+        protected.add_refs(s.ref for s in chain.steps)
+        if profile is not None:
+            profile = profile.subset(unreserved_locations(profile, chain.steps))
+    return chains
 
 
 def synthesize_cells_reference(config, density="dense", seed=0,

@@ -262,6 +262,74 @@ def test_out_of_range_profile_entry_exits_config(fast_trained, tmp_path, capsys,
     assert not os.path.exists(tmp_path / "report.json")
 
 
+@pytest.mark.parametrize("command", ["search", "exploit"])
+@pytest.mark.parametrize("direction", ["same", "other"])
+def test_repeated_profile_location_exits_config(fast_trained, tmp_path, capsys,
+                                                command, direction):
+    import shutil
+
+    shutil.copy(os.path.join(fast_trained, "geometry.txt"), tmp_path)
+    profile = tmp_path / "profile.csv"
+    with open(os.path.join(fast_trained, "profile.csv")) as fh:
+        lines = fh.read().splitlines()
+    pfn, bop, d, prob = lines[1].split(",")
+    d = d if direction == "same" else str(1 - int(d))
+    lines.append(",".join([pfn, bop, d, prob]))
+    profile.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = cli.main([command, "--config", fast_config_file(tmp_path),
+                   "--checkpoint", os.path.join(fast_trained, "checkpoint.qnn"),
+                   "--profile", str(profile)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"entry {len(lines) - 1} repeats the location pfn {pfn}, bop {bop}" in err
+    assert not os.path.exists(tmp_path / "search.json")
+    assert not os.path.exists(tmp_path / "report.json")
+
+
+def _load_tracer():
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("target_class", [-1, 0])
+def test_chains_of_one_search_share_a_session(fast_trained, tmp_path,
+                                              monkeypatch, target_class):
+    from flipsim import search
+
+    passes = []
+    real_pass = search.search_pass
+
+    def spy(*args):
+        passes.append(args[0])
+        return real_pass(*args)
+
+    monkeypatch.setattr(search, "search_pass", spy)
+    cfg = cli.make_config(overrides=fast_overrides(
+        str(tmp_path), chains=3, target_class=target_class))
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        chains, _ = cli.cmd_search(
+            cfg, checkpoint=os.path.join(fast_trained, "checkpoint.qnn"),
+            profile_path=os.path.join(fast_trained, "profile.csv"))
+    finally:
+        tracer.uninstall()
+    names = [span[1] for span in tracer.spans]
+    chain_span = ("search.search_chain" if target_class < 0
+                  else "search.search_chain_targeted")
+    assert names.count(chain_span) == len(chains) == 3
+    assert names.count("search.ProfileView_init") == 1
+    # one clean pass, then one pass per committed step
+    assert len(passes) == 1 + sum(len(c) for c in chains)
+
+
 _RECORD = {"page": 1, "bop": 5, "mode": 0, "expected_acc": 0.5}
 
 

@@ -1,5 +1,7 @@
 """Gradient-guided flip-aware search: ranking, selection, chains."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,13 +14,15 @@ from flipsim.image import WeightImage
 from flipsim.qnn.model import BitRef, loss_and_accuracy, metrics_from_logits
 from flipsim.search import (Candidate, ProfileView, ProtectedMask, RowScores,
                             SearchConfig, _dense_suffix_logits,
-                            _reachable_units, protection_rounds,
+                            _reachable_units, _top_bits, _topk_lowest_index,
+                            disjoint_chains, protection_rounds,
                             rank_candidates, search_chain,
                             search_chain_targeted, search_pass,
                             select_flippable)
 from oracles import (audit_chain, bit_gradients, bit_planes,
-                     evaluate_candidate, incremental_logits,
-                     rank_candidates_reference, replay_chain)
+                     disjoint_chains_reference, evaluate_candidate,
+                     incremental_logits, rank_candidates_reference,
+                     replay_chain)
 
 rng = np.random.default_rng(17)
 
@@ -337,6 +341,25 @@ def test_protection_rounds_disjoint_and_round1_equals_plain(small_setup):
     assert [s.ref for s in rounds[0].steps] == [s.ref for s in plain.steps]
 
 
+def test_protection_rounds_take_one_clean_pass(small_setup, monkeypatch):
+    from flipsim import search
+
+    model, dataset = small_setup
+    passes = []
+    real = search.search_pass
+
+    def spy(work, *args):
+        passes.append(work)
+        return real(work, *args)
+
+    monkeypatch.setattr(search, "search_pass", spy)
+    cfg = SearchConfig(p=6, max_flips=3, target_accuracy=0.0)
+    rounds = protection_rounds(model, dataset, cfg, rounds=3)
+    # the clean pass, then one pass per committed step
+    assert len(passes) == 1 + sum(len(c) for c in rounds)
+    assert passes[0] is model
+
+
 def test_direction_rule_consistency(small_setup):
     model, dataset = small_setup
     image = WeightImage(model)
@@ -439,6 +462,100 @@ def test_rank_candidates_match_reference(rank_models, kind, objective, rate, p,
         assert a.loss == pytest.approx(b.loss, rel=1e-10)
     assert not any(c.ref.layer in locked or c.ref in refs for c in got)
     assert not any(c.page in used for c in got if view is not None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["mlp", "dead", "mlp4", "conv", "resnet"]),
+       st.sampled_from([1, -1]), st.sampled_from([None, 1.0, 0.3]),
+       st.integers(1, 12), st.integers(0, 2 ** 16), st.data())
+def test_memoized_ranking_matches_fresh_pass(rank_models, kind, objective,
+                                             rate, p, seed, data):
+    # a later chain's first iteration: the shared clean pass ranked again
+    # with more bits protected and fewer locations left
+    models, dataset = rank_models
+    model = models[kind]
+    image = WeightImage(model)
+    gen = np.random.default_rng(seed)
+    target = data.draw(st.one_of(st.none(), st.integers(0, 3)))
+    rows = dataset.batch_rows(data.draw(st.integers(1, 64)), seed,
+                              from_class=target)
+    x, y = dataset.x_test, dataset.y_test
+    if target is None:
+        x, y, rows = x[rows], y[rows], None
+    view = None if rate is None else ProfileView(_random_profile(gen, rate))
+    kwargs = dict(objective=objective, view=view)
+    state = search_pass(model, x, y, rows, target)
+    first = rank_candidates(model, image, state, p, **kwargs,
+                            protected=ProtectedMask())
+    taken = first[:data.draw(st.integers(0, len(first)))]
+    if view is not None:
+        for cand in taken:
+            view.reserve(cand.bop, cand.mode)
+    protected = ProtectedMask({c.ref for c in taken})
+    got = rank_candidates(model, image, state, p, **kwargs, protected=protected)
+    want = rank_candidates(model, image, search_pass(model, x, y, rows, target),
+                           p, **kwargs, protected=protected)
+    assert set(state.memo) == {c.ref for c in first} | {c.ref for c in got}
+    assert [c.ref for c in got] == [c.ref for c in want]
+    for a, b in zip(got, want):
+        assert (a.grad, a.mode, a.page, a.bop, a.match_count, a.accuracy,
+                a.probe_metric) == (b.grad, b.mode, b.page, b.bop,
+                                    b.match_count, b.accuracy, b.probe_metric)
+        assert a.loss == pytest.approx(b.loss, rel=1e-10)
+
+
+def _unique_locations(gen, rate):
+    """Up to two frames per (bop, direction) pool, each location once."""
+    low, high = _random_profile(gen, rate), _random_profile(gen, rate)
+    return FlipProfile(np.concatenate([low.pfn, high.pfn + 100_000]),
+                       np.concatenate([low.bop, high.bop]),
+                       np.concatenate([low.direction, high.direction]),
+                       np.concatenate([low.probability, high.probability]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["mlp", "dead", "resnet"]), st.integers(1, 3),
+       st.sampled_from([None, 1.0, 0.05, 0.005]),
+       st.one_of(st.none(), st.integers(0, 3)), st.integers(1, 8),
+       st.integers(1, 5), st.integers(0, 2 ** 16))
+def test_session_chains_match_fresh_searches(rank_models, kind, count, rate,
+                                             target, p, max_flips, seed):
+    models, dataset = rank_models
+    model = models[kind]
+    gen = np.random.default_rng(seed)
+    profile = None if rate is None else _unique_locations(gen, rate)
+    cfg = SearchConfig(p=p, max_flips=max_flips, target_accuracy=0.2,
+                       eval_batch_size=32, batch_seed=seed,
+                       protected=ProtectedMask({BitRef(model.weighted_indices()[-1],
+                                                       0, 7)}))
+    got = list(islice(disjoint_chains(model, dataset, profile, cfg, target),
+                      count))
+    want = disjoint_chains_reference(model, dataset, profile, cfg, count, target)
+    # refs, pfns, recorded metrics and trace rows, field for field
+    assert [repr(c) for c in got] == [repr(c) for c in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 8), st.integers(1, 12),
+       st.integers(0, 2 ** 16))
+@example(20, 8, 12, 0)
+def test_top_bits_match_full_bit_sort(n, bw, k, seed):
+    # most weights score exact zeros, as behind dead units; boundary ties go
+    # to the lowest flat index whether or not k scores are positive
+    gen = np.random.default_rng(seed)
+    elig = gen.integers(0, 2 ** bw, size=n).astype(np.uint8)
+    mag = np.where(gen.random(n) < 0.7, 0.0, gen.choice([0.5, 1.0, 3.0], n))
+    score = np.array([mag[i] * 2.0 ** b if elig[i] >> b & 1 else -1.0
+                      for i in range(n) for b in range(bw)])
+    got = _top_bits(elig, mag, k, bw)
+    assert got.tolist() == _topk_lowest_index(score, k).tolist()
+
+
+def test_top_bits_ties_at_zero_take_lowest_index():
+    # one positive score and k = 4: three picks tie at zero
+    elig = np.array([1, 3, 1, 2, 1], dtype=np.uint8)
+    mag = np.array([0.0, 0.0, 2.0, 0.0, 0.0])
+    assert _top_bits(elig, mag, 4, 2).tolist() == [4, 0, 2, 3]
 
 
 def _dense_net(hidden=(8,)):
@@ -571,13 +688,18 @@ def test_search_takes_one_pass_per_iteration(small_setup, monkeypatch):
     from flipsim.qnn import model as model_mod
 
     model, dataset = small_setup
-    calls = {"grad": 0, "x_test": 0, "loss_and_accuracy": 0}
-    grad, forward = (model_mod.QuantizedModel.weight_bias_gradients,
-                     model_mod.QuantizedModel.forward_acts)
+    calls = {"tape": 0, "backward": 0, "x_test": 0, "loss_and_accuracy": 0}
+    grad, tape, forward = (model_mod.QuantizedModel.weight_bias_gradients,
+                           model_mod.QuantizedModel.forward_tape,
+                           model_mod.QuantizedModel.forward_acts)
 
-    def spy_grad(self, x, labels):
-        calls["grad"] += 1
-        return grad(self, x, labels)
+    def spy_grad(self, x, labels, taped=None):
+        calls["backward"] += 1
+        return grad(self, x, labels, taped)
+
+    def spy_tape(self, x):
+        calls["tape"] += 1
+        return tape(self, x)
 
     def spy_forward(self, x):
         calls["x_test"] += x is dataset.x_test
@@ -589,6 +711,7 @@ def test_search_takes_one_pass_per_iteration(small_setup, monkeypatch):
 
     monkeypatch.setattr(model_mod.QuantizedModel, "weight_bias_gradients",
                         spy_grad)
+    monkeypatch.setattr(model_mod.QuantizedModel, "forward_tape", spy_tape)
     monkeypatch.setattr(model_mod.QuantizedModel, "forward_acts", spy_forward)
     for module in (model_mod, search):
         monkeypatch.setattr(module, "loss_and_accuracy", spy_metrics,
@@ -596,12 +719,14 @@ def test_search_takes_one_pass_per_iteration(small_setup, monkeypatch):
     cfg = SearchConfig(p=6, max_flips=4, target_accuracy=0.0,
                        target_fraction=1.1)
     for target in (None, 2):
-        calls.update(grad=0, x_test=0)
+        calls.update(tape=0, backward=0, x_test=0)
         if target is None:
             chain = search_chain(model, dataset, None, cfg)
         else:
             chain = search_chain_targeted(model, dataset, None, cfg, target)
         assert len(chain) == 4
-        assert calls["grad"] == len(chain) + 1
+        # one forward pass per state; no backward pass after the last commit
+        assert calls["tape"] == len(chain) + 1
+        assert calls["backward"] == len(chain)
         assert calls["x_test"] == (0 if target is None else len(chain) + 1)
     assert calls["loss_and_accuracy"] == 0

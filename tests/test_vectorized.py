@@ -4,15 +4,13 @@ Both sides start from identical DRAM states; they must agree on the profile,
 on every probe and on the seeded hammer stream's state.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from flipsim import cli, massage
+from flipsim import massage
 from flipsim.dram import (OWNER_ATTACKER, OWNER_VICTIM, DramConfig, DramState,
                           FlipProfile, synthesize_cells, template)
 
@@ -136,14 +134,3 @@ def test_save_csv_bytes_match_per_line_writer(tmp_path_factory, rows):
     profile.save_csv(str(out / "fast.csv"))
     oracles.save_csv(profile, str(out / "slow.csv"))
     assert (out / "fast.csv").read_bytes() == (out / "slow.csv").read_bytes()
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=30),
-       st.lists(st.one_of(st.none(), st.integers(0, 5)), max_size=6),
-       st.lists(st.integers(0, 5), min_size=6, max_size=6))
-def test_search_location_filter_matches_set_lookup(locations, step_pfns, step_bops):
-    profile = FlipProfile.from_entries([(p, b, 0, 1.0) for p, b in locations])
-    steps = [SimpleNamespace(pfn=p, bop=b) for p, b in zip(step_pfns, step_bops)]
-    kept = cli._unreserved_locations(profile, steps)
-    assert kept.tolist() == oracles.unreserved_locations(profile, steps).tolist()
