@@ -158,8 +158,6 @@ def make_config(path=None, overrides=None):
             if isinstance(raw, str):
                 raw = tuple(int(tok) for tok in raw.replace(",", " ").split())
             updates[key] = tuple(raw)
-        elif isinstance(current, bool):
-            updates[key] = str(raw).lower() in ("1", "true", "yes")
         elif isinstance(current, int):
             updates[key] = int(raw)
         elif isinstance(current, float):
@@ -206,11 +204,9 @@ def dram_config(cfg):
     if cfg.geometry not in presets:
         raise ConfigError(f"unknown geometry preset {cfg.geometry!r}")
     base = presets[cfg.geometry]()
-    # a zero or empty setting keeps the preset's value
-    kwargs = {name: getattr(cfg, key) for key, name in (
-        ("channels", "channels"), ("banks", "banks_per_dimm"),
-        ("rows", "rows_per_bank"), ("row_bytes", "row_bytes"),
-        ("hammer_mode", "hammer_mode")) if getattr(cfg, key)}
+    # a zero, empty or absent (dimms) setting keeps the preset's value
+    kwargs = {name: getattr(cfg, key) for key, name in dram_mod.GEOMETRY_KEYS
+              if getattr(cfg, key, None)}
     try:
         return replace(base, **kwargs)
     except ValueError as exc:
@@ -258,7 +254,8 @@ def _train_config(cfg):
 def _check_search_settings(cfg, class_count):
     """Reject search settings no search can run with, as a ConfigError."""
     for key, low in (("p", 1), ("eval_batch", 1), ("chains", 1),
-                     ("verify_sample", massage.MIN_VERIFY_SAMPLE)):
+                     ("verify_sample", massage.MIN_VERIFY_SAMPLE),
+                     ("noise_allocations", 0)):
         if getattr(cfg, key) < low:
             raise ConfigError(f"{key} must be >= {low}, got {getattr(cfg, key)}")
     if not 0.0 < cfg.rate <= 1.0:

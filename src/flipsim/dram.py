@@ -15,7 +15,7 @@ row byte ``k // 8``.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -258,6 +258,15 @@ class FlipProfile:
     def subset(self, mask):
         return FlipProfile(self.pfn[mask], self.bop[mask],
                            self.direction[mask], self.probability[mask])
+
+    def pools(self):
+        """``(pfns, start)``: frame numbers sorted by (bop, direction, pfn),
+        and ``start`` over the keys ``k = bop * 2 + direction``, so that key
+        ``k``'s frames are ``pfns[start[k]:start[k + 1]]``."""
+        span = int(self.pfn.max(initial=0)) + 1
+        key = np.sort((self.bop * 2 + self.direction) * span + self.pfn)
+        start = np.searchsorted(key, np.arange(2 * PAGE_BITS + 1) * span)
+        return key % span, start
 
     @classmethod
     def from_entries(cls, rows):
@@ -669,16 +678,14 @@ def template(dram, scan_rows=None, repeats=1):
 
 # ---- geometry files ------------------------------------------------------------
 
+# geometry.txt key -> DramConfig field, in file order
+GEOMETRY_KEYS = (("channels", "channels"), ("dimms", "dimms"),
+                 ("banks", "banks_per_dimm"), ("rows", "rows_per_bank"),
+                 ("row_bytes", "row_bytes"), ("hammer_mode", "hammer_mode"))
+
 
 def save_geometry(config, path, seeds=None):
-    lines = [
-        f"channels = {config.channels}",
-        f"dimms = {config.dimms}",
-        f"banks = {config.banks_per_dimm}",
-        f"rows = {config.rows_per_bank}",
-        f"row_bytes = {config.row_bytes}",
-        f"hammer_mode = {config.hammer_mode}",
-    ]
+    lines = [f"{key} = {getattr(config, name)}" for key, name in GEOMETRY_KEYS]
     for key, val in (seeds or {}).items():
         lines.append(f"{key} = {val}")
     with open(path, "w") as fh:
@@ -687,6 +694,7 @@ def save_geometry(config, path, seeds=None):
 
 
 def load_geometry(path):
+    """``(DramConfig, seeds)``; a missing geometry key keeps its default."""
     values = {}
     with open(path) as fh:
         for line in fh:
@@ -695,15 +703,9 @@ def load_geometry(path):
                 continue
             key, _, val = line.partition("=")
             values[key.strip()] = val.strip()
-    config = DramConfig(
-        channels=int(values.get("channels", 1)),
-        dimms=int(values.get("dimms", 1)),
-        banks_per_dimm=int(values.get("banks", 16)),
-        rows_per_bank=int(values.get("rows", 32768)),
-        row_bytes=int(values.get("row_bytes", 8192)),
-        hammer_mode=values.get("hammer_mode", "double"),
-    )
-    seeds = {k: int(v) for k, v in values.items()
-             if k not in {"channels", "dimms", "banks", "rows", "row_bytes",
-                          "hammer_mode"}}
+    names = dict(GEOMETRY_KEYS)
+    types = {f.name: f.type for f in fields(DramConfig)}
+    config = DramConfig(**{names[k]: types[names[k]](v)
+                           for k, v in values.items() if k in names})
+    seeds = {k: int(v) for k, v in values.items() if k not in names}
     return config, seeds

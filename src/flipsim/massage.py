@@ -5,6 +5,10 @@ freeing pushes to the head, allocating pops it, and overflowing the threshold
 spills the oldest half to a global pool.  Releasing the chosen physical frames
 in chain order and mapping victim pages in reverse order therefore lands every
 victim page exactly on its planned frame.
+
+The planner takes frames from :meth:`FlipProfile.pools`, the index the chain
+search reserves from too, and places targets with one routine,
+:func:`_assign`: least options first, Kuhn augmenting paths when one is stuck.
 """
 
 import json
@@ -24,11 +28,11 @@ class ThresholdViolation(ValueError):
 
 
 class MappingMismatch(RuntimeError):
-    """A victim page landed on an unplanned frame (foreign allocation noise)."""
+    """A victim page landed on an unplanned frame, or none (foreign allocations)."""
 
     def __init__(self, pgid, expected, got):
-        super().__init__(f"victim page {pgid} mapped to frame {got}, "
-                         f"planned {expected}")
+        where = "found no free frame" if got is None else f"mapped to frame {got}"
+        super().__init__(f"victim page {pgid} {where}, planned {expected}")
         self.pgid, self.expected, self.got = pgid, expected, got
 
 
@@ -71,12 +75,12 @@ class PageFrameCache:
             self.global_pool.sort()
 
     def allocate(self):
-        """Pop the most recently freed frame (stack policy)."""
+        """Pop the most recently freed frame (stack policy); None when empty."""
         if self._stack:
             return self._stack.pop()
         if self.global_pool:
             return self.global_pool.pop(0)
-        raise RuntimeError("no free frames")
+        return None
 
 
 @dataclass
@@ -111,19 +115,6 @@ class HammerAction:
     aggressor_rows: tuple  # DramConfig.aggressor_rows of victim_row
 
 
-def _candidate_frames(profile, target, owner):
-    """Attacker frames carrying a matching (bop, direction) profile entry."""
-    mask = (profile.bop == target.bop) & (profile.direction == target.mode)
-    frames = np.unique(profile.pfn[mask])
-    return [int(p) for p in frames if owner[int(p)] == OWNER_ATTACKER]
-
-
-def _entry_geometry(dram, ppn, bop):
-    s, row, col_base, col_span = dram.addr.in_row_page_of(ppn, bop)
-    _, _, stripe = dram.addr.bit_addr(ppn, bop)
-    return s, row, col_base, col_span, stripe
-
-
 def _conflicts(dram, geo, chosen_geos):
     """Aggressor-row conflicts between a candidate placement and prior picks.
 
@@ -150,89 +141,81 @@ def plan_mapping(chain_targets, profile, dram,
                  threshold=DEFAULT_RECYCLING_THRESHOLD):
     """Assign each target bit one attacker frame matching (bop, mode).
 
-    Targets with the fewest satisfiable frames are placed first; if the greedy
-    order dead-ends, an augmenting-path pass retries before reporting the
-    failing target.  A chain that would reach the page cache's recycling
-    ``threshold`` is rejected up front, as :func:`release_and_remap` would.
+    A target's frames are its pool of :meth:`FlipProfile.pools`, the index
+    :class:`flipsim.search.ProfileView` reserves from, less the frames the
+    attacker does not own and those whose victim row has an aggressor row
+    outside the bank.  :func:`_assign` places the targets on them.  A chain
+    that would reach the page cache's recycling ``threshold`` is rejected up
+    front, as :func:`release_and_remap` would.
     """
-    owner = dram.owner
     if len(chain_targets) >= threshold:
         raise ThresholdViolation(
             f"{len(chain_targets)} targets would reach the recycling "
             f"threshold {threshold}")
-    candidates = []
+    cfg = dram.config
+    span = cfg.in_row_page_size * 8
+    pfns, start = profile.pools()
+    options = []
     for tb in chain_targets:
-        frames = _candidate_frames(profile, tb, owner)
-        frames = [p for p in frames
-                  if _conflicts(dram, _entry_geometry(dram, p, tb.bop), []) is None]
-        if not frames:
+        k = tb.bop * 2 + tb.mode
+        frames = np.unique(pfns[start[k]:start[k + 1]])
+        frames = frames[dram.owner[frames] == OWNER_ATTACKER]
+        s, row, col = dram.addr.bit_addr_vec(frames, tb.bop)
+        keep = cfg.aggressors_in_bank(row)
+        if not keep.any():
             raise UnsatisfiablePlan(tb, "no attacker frame matches bop and "
                                         "direction")
-        candidates.append(frames)
-
-    order = sorted(range(len(chain_targets)), key=lambda i: (len(candidates[i]), i))
-    assignment = _greedy_assign(chain_targets, candidates, order, dram)
-    if assignment is None:
-        assignment = _matching_assign(chain_targets, candidates, dram)
-    if isinstance(assignment, int):
-        raise UnsatisfiablePlan(chain_targets[assignment],
-                                "candidate frames exhausted by other targets")
-
-    entries = []
-    for i, tb in enumerate(chain_targets):
-        ppn = assignment[i]
-        s, row, base, span, stripe = _entry_geometry(dram, ppn, tb.bop)
-        entries.append(PlanEntry(tb, tb.page, ppn, s, row, base, span, stripe))
-    counts = {i: len(candidates[i]) for i in range(len(chain_targets))}
-    return MappingPlan(entries, counts)
+        frames, s, row, col = (a[keep].tolist() for a in (frames, s, row, col))
+        options.append([(p, (si, r, c - c % span, span, c))
+                        for p, si, r, c in zip(frames, s, row, col)])
+    entries = [PlanEntry(tb, tb.page, ppn, *geo) for tb, (ppn, geo)
+               in zip(chain_targets, _assign(chain_targets, options, dram))]
+    return MappingPlan(entries, {i: len(o) for i, o in enumerate(options)})
 
 
-def _greedy_assign(targets, candidates, order, dram):
-    taken = {}
-    geos = []
-    for i in order:
-        placed = False
-        for ppn in candidates[i]:
-            if ppn in taken:
-                continue
-            geo = _entry_geometry(dram, ppn, targets[i].bop)
-            if _conflicts(dram, geo, geos) is not None:
-                continue
-            taken[ppn] = i
-            geos.append(geo)
-            placed = True
-            break
-        if not placed:
-            return None
-    return {i: p for p, i in taken.items()}
+def _assign(targets, options, dram):
+    """One ``(frame, geometry)`` of ``options[i]`` per target ``i``.
 
+    Targets with the fewest options go first, and each takes its first free
+    frame with no :func:`_conflicts` against the placements so far.  One that
+    finds no such frame takes one along a Kuhn augmenting path from the
+    current assignment, which moves earlier targets to other frames of
+    theirs; the path exists iff the targets placed so far and this one can
+    all hold distinct frames.  Paths ignore conflicts, so one final check
+    runs in chain order and names the first target that conflicts.
+    """
+    order = sorted(range(len(targets)), key=lambda i: (len(options[i]), i))
+    placed = {}   # target -> (frame, geometry)
+    holder = {}   # frame -> target
 
-def _matching_assign(targets, candidates, dram):
-    """Kuhn's augmenting paths over frames, then a final conflict check."""
-    match = {}
-
-    def try_assign(i, seen):
-        for ppn in candidates[i]:
+    def augment(i, seen):
+        for ppn, geo in options[i]:
             if ppn in seen:
                 continue
             seen.add(ppn)
-            if ppn not in match or try_assign(match[ppn], seen):
-                match[ppn] = i
+            if ppn not in holder or augment(holder[ppn], seen):
+                holder[ppn] = i
+                placed[i] = (ppn, geo)
                 return True
         return False
 
-    for i in range(len(targets)):
-        if not try_assign(i, set()):
-            return i
-    assignment = {i: p for p, i in match.items()}
+    for i in order:
+        geos = [geo for _, geo in placed.values()]
+        pick = next((opt for opt in options[i] if opt[0] not in holder
+                     and _conflicts(dram, opt[1], geos) is None), None)
+        if pick is not None:
+            holder[pick[0]] = i
+            placed[i] = pick
+        elif not augment(i, set()):
+            raise UnsatisfiablePlan(targets[i], "candidate frames exhausted by "
+                                                "other targets")
     geos = []
-    for i in range(len(targets)):
-        geo = _entry_geometry(dram, assignment[i], targets[i].bop)
-        why = _conflicts(dram, geo, geos)
+    for i, tb in enumerate(targets):
+        why = _conflicts(dram, placed[i][1], geos)
         if why is not None:
-            return i
-        geos.append(geo)
-    return assignment
+            raise UnsatisfiablePlan(tb, why)
+        geos.append(placed[i][1])
+    return [placed[i] for i in range(len(targets))]
 
 
 def plan_aggressors(plan, dram):
@@ -274,8 +257,9 @@ def release_and_remap(cache, plan, image, dram, noise=None):
 
     The LIFO pop sequence hands back exactly the planned frames, so victim
     page ``pgid_i`` lands on ``ppn_i``.  ``noise`` optionally injects foreign
-    allocations between the two phases; a stolen head frame surfaces as
-    :class:`MappingMismatch`.  Returns ``{pgid: pfn}``.
+    allocations between the two phases; a stolen head frame, or a victim
+    page that finds the cache empty, surfaces as :class:`MappingMismatch`.
+    Returns ``{pgid: pfn}``.
     """
     k = len(plan.entries)
     if k >= cache.recycling_threshold:
@@ -291,15 +275,17 @@ def release_and_remap(cache, plan, image, dram, noise=None):
     if noise:
         for _ in range(int(noise)):
             stolen = cache.allocate()
+            if stolen is None:
+                break
             dram.owner[stolen] = OWNER_VICTIM  # foreign process grabbed it
     mapping = {}
     for e in reversed(plan.entries):
         pfn = cache.allocate()
+        if pfn != e.ppn:
+            raise MappingMismatch(e.pgid, e.ppn, pfn)
         dram.owner[pfn] = OWNER_VICTIM
         dram.write_page(pfn, image.page_bytes(e.pgid))
         mapping[e.pgid] = pfn
-        if pfn != e.ppn:
-            raise MappingMismatch(e.pgid, e.ppn, pfn)
     return mapping
 
 

@@ -51,7 +51,7 @@ from itertools import islice
 
 import numpy as np
 
-from .image import PAGE_BITS, TargetBit, WeightImage
+from .image import TargetBit, WeightImage
 from .qnn.layers import Dense, ReLU
 from .qnn.model import BitRef, metrics_from_logits, row_metrics
 from .qnn.quant import bit_coefficients, toggle_bit
@@ -288,44 +288,32 @@ class ProtectedMask:
 class ProfileView:
     """Per-(bop, direction) location pools with one-shot reservations.
 
-    The profile holds each ``(pfn, bop)`` location once.  A location that
-    backed one committed flip is never offered again: reservations persist
-    for the view's life, which is a whole :class:`SearchSession`, so no
-    location backs two steps of one chain or of two chains.  Reservations
-    hand out the lowest free matching frame number first, and each one
+    One cursor per pool of :meth:`FlipProfile.pools`, whose ``(pfn, bop)``
+    locations are unique.  A location that backed a committed flip is never
+    offered again: reservations persist for the view's life, a whole
+    :class:`SearchSession`, so no location backs two steps of one chain or
+    of two.  A reservation takes the lowest free matching frame number and
     lowers its pool's :meth:`match_count` by one.
     """
 
     def __init__(self, profile):
-        order = np.lexsort((profile.pfn, profile.direction, profile.bop))
-        self._pfn = profile.pfn[order]
-        keys = profile.bop[order] * 2 + profile.direction[order]
-        uniq, starts = np.unique(keys, return_index=True)
-        self._start = dict(zip(uniq.tolist(), starts.tolist()))
-        self._taken = {}
-        self._counts = {0: np.zeros(PAGE_BITS, dtype=np.int64),
-                        1: np.zeros(PAGE_BITS, dtype=np.int64)}
-        for d in (0, 1):
-            mask = profile.direction == d
-            if mask.any():
-                self._counts[d] = np.bincount(profile.bop[mask],
-                                              minlength=PAGE_BITS).astype(np.int64)
+        self._pfn, start = profile.pools()
+        self._end = start[1:]
+        self._left = np.diff(start)  # each pool's cursor, as frames left
 
     def match_count(self, bop, mode):
-        return int(self._counts[mode][bop])
+        return int(self._left[bop * 2 + mode])
 
     def availability(self, mode):
-        return self._counts[mode] > 0
+        return self._left[mode::2] > 0
 
     def reserve(self, bop, mode):
-        if self._counts[mode][bop] <= 0:
+        k = bop * 2 + mode
+        left = self._left[k]
+        if not left:
             return None
-        key = int(bop) * 2 + int(mode)
-        offset = self._taken.get(key, 0)
-        pfn = int(self._pfn[self._start[key] + offset])
-        self._taken[key] = offset + 1
-        self._counts[mode][bop] -= 1
-        return pfn
+        self._left[k] = left - 1
+        return int(self._pfn[self._end[k] - left])
 
 
 def _topk_lowest_index(score, k):

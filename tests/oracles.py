@@ -15,6 +15,9 @@ from flipsim.dram import (_CLUSTER_PROBS, _CLUSTER_SIZES, DENSE_PER_BANK_RANGE,
                           ONE_TO_ZERO_SHARE, OWNER_ATTACKER, SINGLE_SIDED_RATE,
                           AddressFunction, FlipProfile, _empty_cells)
 from flipsim.image import PAGE_BITS, WeightImage
+from flipsim.massage import (DEFAULT_RECYCLING_THRESHOLD, MappingPlan,
+                             PlanEntry, ThresholdViolation, UnsatisfiablePlan,
+                             _conflicts)
 from flipsim.qnn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU, ResidualAdd
 from flipsim.qnn.model import (BitRef, class_fraction, loss_and_accuracy,
                                softmax_cross_entropy)
@@ -560,3 +563,152 @@ def synthesize_cells_reference(config, density="dense", seed=0,
     else:
         prob = np.full(n, float(probability))
     return sets, rowz, bitcols, base_dir, prob, sscap
+
+
+# ---- frame planning and reservation before the shared frame index ----------
+
+
+def _candidate_frames(profile, target, owner):
+    """Attacker frames carrying a matching (bop, direction) profile entry."""
+    mask = (profile.bop == target.bop) & (profile.direction == target.mode)
+    frames = np.unique(profile.pfn[mask])
+    return [int(p) for p in frames if owner[int(p)] == OWNER_ATTACKER]
+
+
+def _entry_geometry(dram, ppn, bop):
+    s, row, col_base, col_span = dram.addr.in_row_page_of(ppn, bop)
+    _, _, stripe = dram.addr.bit_addr(ppn, bop)
+    return s, row, col_base, col_span, stripe
+
+
+def _reference_candidates(chain_targets, profile, dram):
+    """Each target's frames, and the least-options-first order."""
+    owner = dram.owner
+    candidates = []
+    for tb in chain_targets:
+        frames = _candidate_frames(profile, tb, owner)
+        frames = [p for p in frames
+                  if _conflicts(dram, _entry_geometry(dram, p, tb.bop), []) is None]
+        if not frames:
+            raise UnsatisfiablePlan(tb, "no attacker frame matches bop and "
+                                        "direction")
+        candidates.append(frames)
+    order = sorted(range(len(chain_targets)), key=lambda i: (len(candidates[i]), i))
+    return candidates, order
+
+
+def greedy_assignment_reference(chain_targets, profile, dram):
+    """The reference planner's greedy pass: ``{target: frame}`` or None."""
+    candidates, order = _reference_candidates(chain_targets, profile, dram)
+    return _greedy_assign(chain_targets, candidates, order, dram)
+
+
+def plan_mapping_reference(chain_targets, profile, dram,
+                           threshold=DEFAULT_RECYCLING_THRESHOLD):
+    """:func:`flipsim.massage.plan_mapping` with a full-profile mask per
+    target and two assignment passes: a least-options-first greedy pass,
+    then, when it dead-ends, Kuhn's augmenting paths over all targets in
+    chain order followed by one conflict check."""
+    if len(chain_targets) >= threshold:
+        raise ThresholdViolation(
+            f"{len(chain_targets)} targets would reach the recycling "
+            f"threshold {threshold}")
+    candidates, order = _reference_candidates(chain_targets, profile, dram)
+    assignment = _greedy_assign(chain_targets, candidates, order, dram)
+    if assignment is None:
+        assignment = _matching_assign(chain_targets, candidates, dram)
+    if isinstance(assignment, int):
+        raise UnsatisfiablePlan(chain_targets[assignment],
+                                "candidate frames exhausted by other targets")
+
+    entries = []
+    for i, tb in enumerate(chain_targets):
+        ppn = assignment[i]
+        s, row, base, span, stripe = _entry_geometry(dram, ppn, tb.bop)
+        entries.append(PlanEntry(tb, tb.page, ppn, s, row, base, span, stripe))
+    counts = {i: len(candidates[i]) for i in range(len(chain_targets))}
+    return MappingPlan(entries, counts)
+
+
+def _greedy_assign(targets, candidates, order, dram):
+    taken = {}
+    geos = []
+    for i in order:
+        placed = False
+        for ppn in candidates[i]:
+            if ppn in taken:
+                continue
+            geo = _entry_geometry(dram, ppn, targets[i].bop)
+            if _conflicts(dram, geo, geos) is not None:
+                continue
+            taken[ppn] = i
+            geos.append(geo)
+            placed = True
+            break
+        if not placed:
+            return None
+    return {i: p for p, i in taken.items()}
+
+
+def _matching_assign(targets, candidates, dram):
+    """Kuhn's augmenting paths over frames, then a final conflict check."""
+    match = {}
+
+    def try_assign(i, seen):
+        for ppn in candidates[i]:
+            if ppn in seen:
+                continue
+            seen.add(ppn)
+            if ppn not in match or try_assign(match[ppn], seen):
+                match[ppn] = i
+                return True
+        return False
+
+    for i in range(len(targets)):
+        if not try_assign(i, set()):
+            return i
+    assignment = {i: p for p, i in match.items()}
+    geos = []
+    for i in range(len(targets)):
+        geo = _entry_geometry(dram, assignment[i], targets[i].bop)
+        why = _conflicts(dram, geo, geos)
+        if why is not None:
+            return i
+        geos.append(geo)
+    return assignment
+
+
+class ProfileViewReference:
+    """:class:`flipsim.search.ProfileView` from dicts of pool starts and
+    offsets and per-direction match-count arrays."""
+
+    def __init__(self, profile):
+        order = np.lexsort((profile.pfn, profile.direction, profile.bop))
+        self._pfn = profile.pfn[order]
+        keys = profile.bop[order] * 2 + profile.direction[order]
+        uniq, starts = np.unique(keys, return_index=True)
+        self._start = dict(zip(uniq.tolist(), starts.tolist()))
+        self._taken = {}
+        self._counts = {0: np.zeros(PAGE_BITS, dtype=np.int64),
+                        1: np.zeros(PAGE_BITS, dtype=np.int64)}
+        for d in (0, 1):
+            mask = profile.direction == d
+            if mask.any():
+                self._counts[d] = np.bincount(profile.bop[mask],
+                                              minlength=PAGE_BITS).astype(np.int64)
+
+    def match_count(self, bop, mode):
+        return int(self._counts[mode][bop])
+
+    def availability(self, mode):
+        return self._counts[mode] > 0
+
+    def reserve(self, bop, mode):
+        if self._counts[mode][bop] <= 0:
+            return None
+        key = int(bop) * 2 + int(mode)
+        offset = self._taken.get(key, 0)
+        pfn = int(self._pfn[self._start[key] + offset])
+        self._taken[key] = offset + 1
+        self._counts[mode][bop] -= 1
+        return pfn

@@ -172,6 +172,7 @@ def test_invalid_search_setting_exits_config(fast_trained, tmp_path, capsys,
 @pytest.mark.parametrize("command,key,setting", [
     ("sensitivity", "chains", {"chains": 0}),
     ("exploit", "verify_sample", {"verify_sample": 7}),
+    ("exploit", "noise_allocations", {"noise_allocations": -1}),
 ])
 def test_invalid_stage_setting_exits_config(fast_trained, tmp_path, capsys,
                                             command, key, setting):
@@ -457,6 +458,26 @@ def test_noise_mode_surfaces_integrity_error(pipeline_out, tmp_path, desk_cfg):
                         checkpoint=os.path.join(pipeline_out, "checkpoint.qnn"),
                         profile_path=os.path.join(pipeline_out, "profile.csv"),
                         chain_path=os.path.join(pipeline_out, "chain_1.jsonl"))
+
+
+def test_noise_beyond_freed_frames_exits_integrity(pipeline_out, tmp_path,
+                                                   capsys):
+    # foreign allocations take every freed frame, so the first victim page
+    # finds the page cache empty
+    chain = os.path.join(pipeline_out, "chain_1.jsonl")
+    with open(chain) as fh:
+        flips = sum(1 for line in fh if line.strip())
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(f"seed = 4\nout = {tmp_path / 'drained'}\n"
+                       f"noise_allocations = {flips + 1}\n")
+    os.makedirs(tmp_path / "drained")
+    capsys.readouterr()
+    rc = cli.main(["exploit", "--config", str(cfgfile),
+                   "--checkpoint", os.path.join(pipeline_out, "checkpoint.qnn"),
+                   "--profile", os.path.join(pipeline_out, "profile.csv"),
+                   "--chain", chain])
+    assert rc == cli.EXIT_INTEGRITY
+    assert "found no free frame" in capsys.readouterr().err
 
 
 def test_exploit_plans_against_configured_recycling_threshold(pipeline_out, tmp_path,

@@ -561,3 +561,16 @@ def test_state_evolution_deterministic():
     (p1, d1), (p2, d2) = run(), run()
     assert p1 == p2
     assert np.array_equal(d1, d2)
+
+
+def test_geometry_file_text_and_defaults(tmp_path):
+    path = tmp_path / "geom.txt"
+    save_geometry(DramConfig(channels=2, rows_per_bank=64), str(path),
+                  seeds={"cell_seed": 7})
+    assert path.read_text() == ("channels = 2\ndimms = 1\nbanks = 16\n"
+                                "rows = 64\nrow_bytes = 8192\n"
+                                "hammer_mode = double\ncell_seed = 7\n")
+    # a key the file leaves out keeps the DramConfig default
+    path.write_text("rows = 64\nhammer_mode = single\nboot_seed = 3\n")
+    assert load_geometry(str(path)) == (
+        DramConfig(rows_per_bank=64, hammer_mode="single"), {"boot_seed": 3})

@@ -4,18 +4,19 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_cells, tiny_dram
-from flipsim.dram import OWNER_ATTACKER, OWNER_VICTIM, FlipProfile
-from flipsim.image import TargetBit
+from flipsim.dram import OWNER_ATTACKER, OWNER_FREE, OWNER_VICTIM, FlipProfile
+from flipsim.image import PAGE_BITS, TargetBit
 from flipsim.massage import (MappingMismatch, MappingPlan, PageFrameCache,
                              PlanEntry, ThresholdViolation, UnsatisfiablePlan,
-                             plan_aggressors, plan_mapping, plan_to_json,
-                             precise_hammer, release_and_remap, retemplate,
-                             verify_template)
-from oracles import profile_entries
+                             _conflicts, plan_aggressors, plan_mapping,
+                             plan_to_json, precise_hammer, release_and_remap,
+                             retemplate, verify_template)
+from oracles import (greedy_assignment_reference, plan_mapping_reference,
+                     profile_entries)
 
 
 class FakeImage:
@@ -69,9 +70,13 @@ def test_allocate_falls_back_to_global_pool():
     cache = PageFrameCache(recycling_threshold=4)
     for pfn in (3, 1, 4, 1 + 10, 5):
         cache.free(pfn)
+    # the fifth free spilled the oldest two, 3 and 1, to the sorted pool
     while len(cache):
         cache.allocate()
-    assert cache.allocate() in cache.global_pool or True  # drains sorted pool
+    assert cache.allocate() == 1
+    assert cache.global_pool == [3]
+    assert cache.allocate() == 3
+    assert cache.allocate() is None
 
 
 # ---- plan_mapping -----------------------------------------------------------------
@@ -146,18 +151,99 @@ def test_plan_honours_configured_recycling_threshold():
         plan_mapping(targets, profile, state, threshold=2)
 
 
-def test_matching_fallback_beats_greedy_dead_end():
-    # every target has two frames, so greedy goes in target order: bop 10
-    # takes f1, bop 20 takes f2 and bop 30 finds both its frames taken; the
-    # augmenting-path pass moves bop 10 to f2 and bop 20 to f3
+def dead_end_case():
+    """Three targets on frames f1, f2, f3 where greedy order dead-ends."""
     state = attacker_state()
     f1, f2, f3 = (state.addr.row_pfns(0, r)[0] for r in (5, 8, 11))
     profile = FlipProfile([f1, f2, f2, f3, f1, f2], [10, 10, 20, 20, 30, 30],
                           [0] * 6, [1.0] * 6)
-    plan = plan_mapping([TargetBit(1, 10, 0), TargetBit(2, 20, 0),
-                         TargetBit(3, 30, 0)], profile, state)
+    targets = [TargetBit(1, 10, 0), TargetBit(2, 20, 0), TargetBit(3, 30, 0)]
+    return state, profile, targets
+
+
+def test_matching_fallback_beats_greedy_dead_end():
+    # every target has two frames, so greedy goes in target order: bop 10
+    # takes f1, bop 20 takes f2 and bop 30 finds both its frames taken; the
+    # augmenting path moves bop 10 to f2 and bop 20 to f3
+    state, profile, targets = dead_end_case()
+    f1, f2, f3 = (state.addr.row_pfns(0, r)[0] for r in (5, 8, 11))
+    plan = plan_mapping(targets, profile, state)
     assignment = {e.pgid: e.ppn for e in plan.entries}
     assert assignment == {1: f2, 2: f3, 3: f1}
+
+
+@st.composite
+def planning_cases(draw):
+    """A tiny DRAM with random attacker ownership, a profile whose frames
+    are shared across bops, and 1-8 targets on those bops."""
+    state = tiny_dram(rows=draw(st.sampled_from([16, 64])),
+                      channels=draw(st.sampled_from([1, 2])),
+                      hammer_mode=draw(st.sampled_from(["double", "single"])))
+    total = state.config.total_pages
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    attacker = rng.random(total) < draw(st.sampled_from([0.8, 1.0]))
+    state.owner[:] = np.where(attacker, OWNER_ATTACKER,
+                              rng.choice([OWNER_FREE, OWNER_VICTIM], total))
+    pool = rng.choice(total, size=draw(st.sampled_from([5, 6, 12])),
+                      replace=False).tolist()
+    bops = draw(st.lists(st.integers(0, PAGE_BITS - 1), min_size=1, max_size=8,
+                         unique=True))
+    rows = []
+    for bop in bops:
+        # a location holds one direction
+        free = pool
+        for direction in (0, 1):
+            frames = draw(st.lists(st.sampled_from(free), min_size=1,
+                                   max_size=4, unique=True))
+            rows += [(pfn, bop, direction, 1.0) for pfn in frames]
+            free = [pfn for pfn in free if pfn not in frames]
+    targets = [TargetBit(i + 1, draw(st.sampled_from(bops)),
+                         draw(st.sampled_from([0, 1])))
+               for i in range(draw(st.integers(1, 8)))]
+    return state, FlipProfile.from_entries(rows), targets
+
+
+def _outcome(plan, *args):
+    try:
+        return plan(*args)
+    except UnsatisfiablePlan as exc:
+        return exc
+
+
+@settings(max_examples=500, deadline=None)
+@given(planning_cases())
+@example(dead_end_case())
+def test_plan_mapping_matches_reference_planner(case):
+    state, profile, targets = case
+    got = _outcome(plan_mapping, targets, profile, state)
+    want = _outcome(plan_mapping_reference, targets, profile, state)
+    unmatched = "no attacker frame matches"
+    if isinstance(want, UnsatisfiablePlan) and unmatched in str(want):
+        assert isinstance(got, UnsatisfiablePlan) and str(got) == str(want)
+        return
+    assert not (isinstance(got, UnsatisfiablePlan) and unmatched in str(got))
+    if greedy_assignment_reference(targets, profile, state) is not None:
+        assert got.entries == want.entries
+        assert got.candidate_counts == want.candidate_counts
+    if isinstance(got, UnsatisfiablePlan):
+        # no frame-distinct assignment exists, so the reference fails too
+        if "candidate frames exhausted" in str(got):
+            assert isinstance(want, UnsatisfiablePlan)
+        return
+    locations = {(p, b, d) for p, b, d, _ in profile_entries(profile)}
+    assert len({e.ppn for e in got.entries}) == len(targets)
+    geos = []
+    for e, tb in zip(got.entries, targets):
+        assert e.target == tb and e.pgid == tb.page
+        assert state.owner[e.ppn] == OWNER_ATTACKER
+        assert (e.ppn, tb.bop, tb.mode) in locations
+        s, row, base, span = state.addr.in_row_page_of(e.ppn, tb.bop)
+        geo = (s, row, base, span, state.addr.bit_addr(e.ppn, tb.bop)[2])
+        assert (e.set, e.victim_row, e.col_base, e.col_span,
+                e.stripe_bitcol) == geo
+        assert state.config.aggressors_in_bank(row)
+        assert _conflicts(state, geo, geos) is None
+        geos.append(geo)
 
 
 # ---- plan_aggressors --------------------------------------------------------------

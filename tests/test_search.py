@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from flipsim import qnn
 from flipsim.dram import FlipProfile
-from flipsim.image import WeightImage
+from flipsim.image import PAGE_BITS, WeightImage
 from flipsim.qnn.model import BitRef, loss_and_accuracy, metrics_from_logits
 from flipsim.search import (Candidate, ProfileView, ProtectedMask, RowScores,
                             SearchConfig, _dense_suffix_logits,
@@ -19,8 +19,8 @@ from flipsim.search import (Candidate, ProfileView, ProtectedMask, RowScores,
                             rank_candidates, search_chain,
                             search_chain_targeted, search_pass,
                             select_flippable)
-from oracles import (audit_chain, bit_gradients, bit_planes,
-                     disjoint_chains_reference, evaluate_candidate,
+from oracles import (ProfileViewReference, audit_chain, bit_gradients,
+                     bit_planes, disjoint_chains_reference, evaluate_candidate,
                      incremental_logits, rank_candidates_reference,
                      replay_chain)
 
@@ -225,6 +225,29 @@ def test_no_location_reuse():
     view = ProfileView(profile)
     assert view.reserve(123, 0) == 9
     assert view.reserve(123, 0) is None
+
+
+_VIEW_BOPS = [0, 1, 7, 4847, PAGE_BITS - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 30), st.sampled_from(_VIEW_BOPS)),
+                       st.integers(0, 1), max_size=40),
+       st.lists(st.tuples(st.sampled_from(["reserve", "count", "availability"]),
+                          st.sampled_from(_VIEW_BOPS), st.integers(0, 1)),
+                max_size=60))
+def test_profile_view_matches_reference(locations, ops):
+    profile = FlipProfile.from_entries(
+        [(pfn, bop, d, 1.0) for (pfn, bop), d in locations.items()])
+    view, ref = ProfileView(profile), ProfileViewReference(profile)
+    for op, bop, mode in ops:
+        if op == "reserve":
+            assert view.reserve(bop, mode) == ref.reserve(bop, mode)
+        elif op == "count":
+            assert view.match_count(bop, mode) == ref.match_count(bop, mode)
+        else:
+            assert np.array_equal(view.availability(mode),
+                                  ref.availability(mode))
 
 
 def test_empty_profile_immediately_infeasible(small_setup):
