@@ -34,7 +34,9 @@ state.row(0, 5)[:] = 0
 solid = np.zeros(cfg.row_bytes, dtype=np.uint8)
 stripe = solid.copy()
 stripe[100 // 8] ^= 1 << (100 % 8)  # complement only bit column 100
-flips = state.hammer(0, 5, upper=stripe.tobytes(), lower=stripe.tobytes())
+for aggressor in cfg.aggressor_rows(5):  # rows 4 and 6 take the stripe
+    state.row(0, aggressor)[:] = stripe
+flips = state.hammer(0, 5)
 print(f"two vulnerable cells in the row, stripe at column 100 only -> "
       f"flipped {[c for _, _, c in flips]} (cell 7000 untouched)")
 

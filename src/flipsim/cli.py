@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import statistics
+import struct
 import sys
 from dataclasses import dataclass, fields, replace
 from itertools import islice
@@ -326,9 +327,18 @@ def cmd_train(cfg):
     return path, info
 
 
+def _load_checkpoint(cfg, checkpoint=None):
+    """The model at ``checkpoint`` or the run's own; malformed: ConfigError."""
+    path = checkpoint or os.path.join(cfg.out, "checkpoint.qnn")
+    try:
+        return qnn.load_checkpoint(path)
+    except (ValueError, struct.error) as exc:
+        raise ConfigError(f"{path}: malformed checkpoint: {exc}") from None
+
+
 def cmd_template(cfg, checkpoint=None):
     os.makedirs(cfg.out, exist_ok=True)
-    model = qnn.load_checkpoint(checkpoint or os.path.join(cfg.out, "checkpoint.qnn"))
+    model = _load_checkpoint(cfg, checkpoint)
     state, _, _, attacker_pages = provision(cfg, model)
     profile = template(state)
     path = os.path.join(cfg.out, "profile.csv")
@@ -350,7 +360,7 @@ def cmd_template(cfg, checkpoint=None):
 def _load_stage_inputs(cfg, checkpoint=None, profile_path=None, geometry=False):
     """``(model, dataset, profile)``; ``geometry`` checks the profile's geometry."""
     os.makedirs(cfg.out, exist_ok=True)
-    model = qnn.load_checkpoint(checkpoint or os.path.join(cfg.out, "checkpoint.qnn"))
+    model = _load_checkpoint(cfg, checkpoint)
     _check_search_settings(cfg, model.class_count)
     profile_path = profile_path or os.path.join(cfg.out, "profile.csv")
     if geometry:
@@ -466,6 +476,9 @@ def exploit_stage(cfg, model, dataset, profile, records):
     if not records:
         raise ConfigError("chain file is empty")
     targets = [TargetBit(r["page"], r["bop"], r["mode"]) for r in records]
+    for i, t in enumerate(targets):
+        if t.page in {u.page for u in targets[:i]}:  # one frame per victim page
+            raise ConfigError(f"chain targets victim page {t.page} more than once")
 
     state, image, placement, attacker_pages = provision(cfg, model)
     rebooted = cfg.reboot_seed >= 0
@@ -538,23 +551,26 @@ def exploit_stage(cfg, model, dataset, profile, records):
 
 
 def cmd_random_flip_baseline(cfg, checkpoint=None, n_flips=100, trials=30):
-    """Accuracy-drop distribution of uniform random distinct bit flips."""
+    """Accuracy-drop distribution of uniform random distinct bit flips
+    among the bits a search can flip, each weight byte's bit_width low bits."""
     for name, value, low in (("flips", n_flips, 0), ("trials", trials, 1)):
         if value < low:
             raise ConfigError(f"{name} must be >= {low}, got {value}")
     os.makedirs(cfg.out, exist_ok=True)
-    model = qnn.load_checkpoint(checkpoint or os.path.join(cfg.out, "checkpoint.qnn"))
+    model = _load_checkpoint(cfg, checkpoint)
     dataset = build_dataset(cfg)
     image = WeightImage(model)
     _, clean = loss_and_accuracy(model, dataset.x_test, dataset.y_test)
-    total_bits = image.weight_bytes * 8
+    width = model.bit_width
+    total_bits = image.weight_bytes * width
     n_flips = min(n_flips, total_bits)
     rng = np.random.default_rng(cfg.sample_seed)
     drops = []
     for _ in range(trials):
         work = model.copy()
         picks = rng.choice(total_bits, size=n_flips, replace=False)
-        for gbi in sorted(int(g) for g in picks):
+        for g in sorted(int(g) for g in picks):
+            gbi = g // width * 8 + g % width
             page, bop = gbi // PAGE_BITS + 1, gbi % PAGE_BITS
             work.flip_bit(image.addr_to_bit(page, bop))
         _, acc = loss_and_accuracy(work, dataset.x_test, dataset.y_test)
@@ -601,7 +617,7 @@ def cmd_defense(cfg, mode):
                 "wider_needs_at_least_as_many":
                     (wide_med >= base_med) if usable else None}
     elif mode == "topn":
-        model = qnn.load_checkpoint(os.path.join(cfg.out, "checkpoint.qnn"))
+        model = _load_checkpoint(cfg)
         chains = protection_rounds(model, dataset, search_config(cfg), rounds=10)
         curve_path = os.path.join(cfg.out, "defense_topn_curves.csv")
         with open(curve_path, "w") as fh:
@@ -616,7 +632,7 @@ def cmd_defense(cfg, mode):
                            for i, c in enumerate(chains)],
                 "all_rounds_succeed": all(c.feasible for c in chains)}
     elif mode == "layer-lock":
-        model = qnn.load_checkpoint(os.path.join(cfg.out, "checkpoint.qnn"))
+        model = _load_checkpoint(cfg)
         weighted = model.weighted_indices()
         free_chain = search_chain(model, dataset, None, search_config(cfg))
         mask = ProtectedMask(locked_layers={weighted[0], weighted[-1]})

@@ -412,56 +412,73 @@ class DramState:
     def cell_count(self):
         return len(self.cset)
 
+    def cell_at(self, pfn, bop):
+        """Index of the cell at each ``(pfn, bop)`` of two equal-length
+        arrays, or -1 where none is; of several cells at one location, the
+        first."""
+        sets, rows, bitcols = self.addr.bit_addr_vec(pfn, bop)
+        out = []
+        for k, c in zip((sets * self.config.rows_per_bank + rows).tolist(),
+                        bitcols.tolist()):
+            lo, hi = self._row_start[k], self._row_start[k + 1]
+            j = lo + int(np.searchsorted(self.cbitcol[lo:hi], c))
+            out.append(j if j < hi and self.cbitcol[j] == c else -1)
+        return np.array(out, dtype=np.int64)
+
     # ---- hammering ----
 
-    def hammer(self, s, victim_row, upper=None, lower=None):
+    def stripe_flips(self, cells, polarity):
+        """Which of ``cells`` flip when a stripe of ``polarity`` hits them.
+
+        A row-hammer stripe of polarity 1 (stored 0, aggressor bits 1) flips
+        0->1 cells; polarity 0 flips 1->0 cells.  A cell flips when its
+        current direction equals the polarity, in single-sided mode only if
+        it is single-sided capable, and, if probabilistic, only when its
+        draw passes.  Each such cell takes one draw from the seeded stream,
+        in the order given.  ``polarity`` is one value or one per cell;
+        index -1 never flips.  Returns a boolean mask over ``cells``.
+        """
+        cells = np.asarray(cells, dtype=np.int64)
+        polarity = np.broadcast_to(polarity, cells.shape)
+        at = np.flatnonzero(cells >= 0)
+        at = at[self.ccur_dir[cells[at]] == polarity[at]]
+        if self.config.hammer_mode == "single":
+            at = at[self.csscap[cells[at]]]
+        prob = self.cprob[cells[at]]
+        chancy = np.flatnonzero(prob < 1.0)
+        failed = self._rng.random(chancy.size) >= prob[chancy]
+        at = np.delete(at, chancy[failed])
+        flips = np.zeros(cells.shape, dtype=bool)
+        flips[at] = True
+        return flips
+
+    def hammer(self, s, victim_row):
         """One hammering action against ``(s, victim_row)``.
 
-        ``upper``/``lower`` optionally overwrite the aggressor rows of
-        :meth:`DramConfig.aggressor_rows` before activation: double-sided,
-        rows victim_row - 1 / + 1; single-sided, the one aggressor row takes
-        ``upper``, or ``lower`` when ``upper`` is None.  A victim row with an
-        aggressor row outside the bank raises IndexError.  A vulnerable cell
-        flips iff its stored bit equals its current direction's source value,
-        the aggressor bit(s) in the same column equal the complement, and
-        (for probabilistic cells) a draw from the seeded stream passes.
-        Single-sided mode additionally requires the cell's
-        single-sided-capable flag.  Returns flipped cell coordinates as
-        (set, row, bitcol) triples.
+        The aggressor rows of :meth:`DramConfig.aggressor_rows` hammer with
+        the data they hold; callers write them with :meth:`row` first.  A
+        victim row with an aggressor row outside the bank raises IndexError.
+        A vulnerable cell sees a stripe when every aggressor bit in its
+        column differs from its stored bit, and then flips by
+        :meth:`stripe_flips` with polarity ``1 - stored``.  Returns flipped
+        cell coordinates as (set, row, bitcol) triples.
         """
         cfg = self.config
         if not cfg.aggressors_in_bank(victim_row):
             raise IndexError(f"an aggressor row of row {victim_row} lies "
                              f"outside the bank")
-        aggr = cfg.aggressor_rows(victim_row)
-        contents = (upper, lower) if len(aggr) == 2 else \
-            (upper if upper is not None else lower,)
-        for r, content in zip(aggr, contents):
-            if content is not None:
-                self.row(s, r)[:] = np.frombuffer(bytes(content), dtype=np.uint8)
-        aggr_rows = [self.row(s, r) for r in aggr]
-
+        aggr_rows = [self.row(s, r) for r in cfg.aggressor_rows(victim_row)]
         idx = self.cells_in_row(s, victim_row)
         if idx.size == 0:
             return []
         victim = self.row(s, victim_row)
-        bitcols = self.cbitcol[idx]
-        bytes_, bits = np.divmod(bitcols, 8)
+        bytes_, bits = np.divmod(self.cbitcol[idx], 8)
         stored = (victim[bytes_] >> bits) & 1
-        source = (1 - self.ccur_dir[idx]).astype(np.uint8)  # dir 0: 1->0
-        cond = stored == source
+        striped = np.ones(idx.size, dtype=bool)
         for row_buf in aggr_rows:
-            aggr_bits = (row_buf[bytes_] >> bits) & 1
-            cond &= aggr_bits == (1 - stored)
-        if cfg.hammer_mode == "single":
-            cond &= self.csscap[idx]
-        probabilistic = cond & (self.cprob[idx] < 1.0)
-        if probabilistic.any():
-            draws = self._rng.random(int(probabilistic.sum()))
-            passed = np.ones(idx.size, dtype=bool)
-            passed[probabilistic] = draws < self.cprob[idx][probabilistic]
-            cond &= passed
-        flipped = idx[cond]
+            striped &= ((row_buf[bytes_] >> bits) & 1) != stored
+        idx, stored = idx[striped], stored[striped]
+        flipped = idx[self.stripe_flips(idx, 1 - stored)]
         for ci in flipped:
             byte, bit = divmod(int(self.cbitcol[ci]), 8)
             victim[byte] ^= np.uint8(1 << bit)
@@ -611,23 +628,24 @@ def template(dram, scan_rows=None, repeats=1):
     in (set, row) order, so profiling never corrupts foreign memory.  Each
     scan row is hammered ``repeats`` times with polarity 1 (victim 0x00,
     aggressors 0xFF), then ``repeats`` times with polarity 0 (victim 0xFF,
-    aggressors 0x00).  A cell flips in the polarity equal to its current
-    direction, in single-sided mode only if it is single-sided capable, and
-    a probabilistic cell only when its draw passes.
+    aggressors 0x00), so every cell of the row meets a stripe of each
+    polarity.
 
-    The sweep runs batched but draws as hammering row by row would: from
-    the DRAM's seeded stream in the order scan row, polarity, repeat, cell.
-    Deterministic given the DRAM state; with per-cell probability 1 the
-    result projects the ground-truth cell set exactly.
+    The sweep runs batched: it lists every hammer's cells in the order
+    scan row, polarity, repeat, cell and passes them to
+    :meth:`DramState.stripe_flips` at once, so cells flip and draw from the
+    DRAM's seeded stream as hammering row by row would.  Deterministic
+    given the DRAM state; with per-cell probability 1 the result projects
+    the ground-truth cell set exactly.
 
     No row buffer is written, because no later step reads the stripes a
     sweep would leave in the attacker's scratch rows: ``cmd_template``
-    discards its state and ``exploit`` provisions a fresh one; each
-    single-cell probe of ``verify_template`` and ``retemplate`` writes its
-    victim and aggressor rows in full before it hammers; and
-    ``precise_hammer`` writes every attacker-owned in-row page of its
-    aggressor rows, and ``plan_aggressors`` requires one at each planned
-    column, so a planned flip never reads scratch bytes.
+    discards its state and ``exploit`` provisions a fresh one;
+    ``verify_template`` and ``retemplate`` apply the flip rule to single
+    cells and read no row; and ``precise_hammer`` writes every
+    attacker-owned in-row page of its aggressor rows, and
+    ``plan_aggressors`` requires one at each planned column, so a planned
+    flip never reads scratch bytes.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -642,38 +660,21 @@ def template(dram, scan_rows=None, repeats=1):
             | ~cfg.aggressors_in_bank(scan_r)).any():
         raise IndexError("a scan row or one of its aggressors is out of range")
 
-    # every (scan row, cell in that row) occurrence, in scan then cell order
-    keys = scan_s * nrows + scan_r
+    # one hammer per (scan row, polarity 1 then 0, repeat), each over the
+    # cells of its row: hammer j covers cells [start[j], start[j] + counts[j])
+    keys = np.repeat(scan_s * nrows + scan_r, 2 * repeats)
     start = dram._row_start[keys]
     counts = dram._row_start[keys + 1] - start
-    scan = np.repeat(np.arange(len(keys)), counts)
-    cell = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts,
-                                               counts)
-
-    # axis 0 is the polarity: 1 (0->1) first, then 0 (1->0)
-    capable = dram.csscap[cell] if cfg.hammer_mode == "single" else True
-    cur = dram.ccur_dir[cell]
-    eligible = np.stack([(cur == 1) & capable, (cur == 0) & capable])
-    hits = np.where(eligible, repeats, 0)
-    pol, occ = np.nonzero(eligible & (dram.cprob[cell] < 1.0))
-    if pol.size:
-        pol_e, occ_e = np.repeat(pol, repeats), np.repeat(occ, repeats)
-        rep_e = np.tile(np.arange(repeats), pol.size)
-        draws = np.empty(pol_e.size)
-        draws[np.lexsort((occ_e, rep_e, pol_e, scan[occ_e]))] = \
-            dram._rng.random(pol_e.size)
-        passed = (draws < dram.cprob[cell[occ_e]]).reshape(pol.size, repeats)
-        hits[pol, occ] = passed.sum(axis=1)
-
-    pol, occ = np.nonzero(hits)
-    c = cell[occ]
+    cells = np.arange(counts.sum()) + np.repeat(
+        start - np.cumsum(counts) + counts, counts)
+    polarity = np.repeat(np.arange(len(keys)) // repeats % 2 ^ 1, counts)
+    flips = dram.stripe_flips(cells, polarity)
+    c, pol = cells[flips], polarity[flips]
     pfn, bop = dram.addr.cell_to_page_vec(dram.cset[c], dram.crow[c],
                                           dram.cbitcol[c])
-    key, inv = np.unique((pfn * PAGE_BITS + bop) * 2 + 1 - pol,
-                         return_inverse=True)
-    flips = np.bincount(inv, weights=hits[pol, occ], minlength=len(key))
+    key, hits = np.unique((pfn * PAGE_BITS + bop) * 2 + pol, return_counts=True)
     return FlipProfile(key // (2 * PAGE_BITS), key // 2 % PAGE_BITS, key % 2,
-                       flips / repeats)
+                       hits / repeats)
 
 
 # ---- geometry files ------------------------------------------------------------

@@ -292,25 +292,6 @@ def release_and_remap(cache, plan, image, dram, noise=None):
 # ---- template validity and correction -------------------------------------------
 
 
-def _single_cell_probe(dram, pfn, bop, direction):
-    """Hammer one attacker cell with a stripe only at its column.
-
-    Returns True iff the cell flipped in ``direction``.  The victim row is
-    scratch attacker memory, so contents are expendable.
-    """
-    s, row, bitcol = dram.addr.bit_addr(pfn, bop)
-    source = 1 - direction
-    victim = np.zeros(dram.config.row_bytes, dtype=np.uint8)
-    byte, bit = divmod(bitcol, 8)
-    if source:
-        victim[byte] |= np.uint8(1 << bit)
-    aggr = victim.copy()
-    aggr[byte] ^= np.uint8(1 << bit)
-    dram.row(s, row)[:] = victim
-    flips = dram.hammer(s, row, upper=aggr.tobytes(), lower=aggr.tobytes())
-    return (s, row, bitcol) in flips
-
-
 def _sandwiched(dram, profile):
     """Profile entries whose row lies inside an attacker-owned sandwich."""
     s, row, _ = dram.addr.bit_addr_vec(profile.pfn, profile.bop)
@@ -322,11 +303,13 @@ def verify_template(dram, profile, sample_size=MIN_VERIFY_SAMPLE):
 
     The candidates are the entries with probability 1 in rows of
     :meth:`DramState.sandwich_mask`, ordered by (pfn, bop, direction).
-    ``sample_size`` of them, evenly spaced over that order, are probed one
-    at a time in that order with :func:`_single_cell_probe`, each one hammer
-    call, so the probes draw from the DRAM's seeded stream as the order says.
-    With ``sample_size == 0`` the check is vacuously valid; configs should
-    keep the default minimum of 8 cells.
+    ``sample_size`` of them, evenly spaced over that order, are checked one
+    at a time in that order: the cell at the entry's location must flip
+    under :meth:`DramState.stripe_flips` with the recorded direction as the
+    polarity.  The checks draw from the DRAM's seeded stream in that order,
+    up to the first failure, and write no row.  With ``sample_size == 0``
+    the check is vacuously valid; configs should keep the default minimum
+    of 8 cells.
     """
     if sample_size == 0:
         return "valid"
@@ -336,11 +319,11 @@ def verify_template(dram, profile, sample_size=MIN_VERIFY_SAMPLE):
         return "valid"
     stable = stable[np.lexsort((profile.direction[stable], profile.bop[stable],
                                 profile.pfn[stable]))]
-    picks = np.unique(np.linspace(0, len(stable) - 1,
-                                  min(sample_size, len(stable))).astype(int))
-    for i in stable[picks].tolist():
-        if not _single_cell_probe(dram, int(profile.pfn[i]), int(profile.bop[i]),
-                                  int(profile.direction[i])):
+    spaced = np.linspace(0, len(stable) - 1, min(sample_size, len(stable)))
+    picks = stable[np.unique(spaced.astype(int))]
+    cells = dram.cell_at(profile.pfn[picks], profile.bop[picks])
+    for cell, direction in zip(cells.tolist(), profile.direction[picks].tolist()):
+        if not dram.stripe_flips([cell], direction)[0]:
             return "obsolete"
     return "valid"
 
@@ -350,28 +333,29 @@ def retemplate(dram, stale_profile, needed_bops):
 
     Location invariance lets the stale profile prune the work: entries whose
     bop is not needed, or whose row lies outside
-    :meth:`DramState.sandwich_mask`, are dropped untested.  The rest are
-    re-hammered in profile order, polarity 1 then, if it did not flip,
-    polarity 0 (their recorded direction is ignored), so the probes draw from
-    the DRAM's seeded stream in that order; each is re-recorded with the
-    current direction.  Returns ``(corrected_profile, stats)``.
+    :meth:`DramState.sandwich_mask`, are dropped untested.  The cell at each
+    remaining entry's location meets a stripe of polarity 1 then, if it did
+    not flip, polarity 0 (the recorded direction is ignored), in profile
+    order, and is re-recorded with the polarity that flipped it.  A cell
+    flips under at most one polarity and draws at most once, so one
+    :meth:`DramState.stripe_flips` call over the (1, 0) pairs draws from the
+    DRAM's seeded stream as the probes one by one would.  No row is
+    written.  Returns ``(corrected_profile, stats)``.
     """
     needed = np.fromiter((int(b) for b in needed_bops), dtype=np.int64)
     picks = np.flatnonzero(np.isin(stale_profile.bop, needed)
                            & _sandwiched(dram, stale_profile))
-    rows = []
-    for pfn, bop, prob in zip(stale_profile.pfn[picks].tolist(),
-                              stale_profile.bop[picks].tolist(),
-                              stale_profile.probability[picks].tolist()):
-        if _single_cell_probe(dram, pfn, bop, 1):
-            rows.append((pfn, bop, 1, prob))
-        elif _single_cell_probe(dram, pfn, bop, 0):
-            rows.append((pfn, bop, 0, prob))
-    total = max(len(stale_profile), 1)
+    pfn, bop = stale_profile.pfn[picks], stale_profile.bop[picks]
+    cells = np.repeat(dram.cell_at(pfn, bop), 2)
+    flips = dram.stripe_flips(cells, np.tile([1, 0], len(picks))).reshape(-1, 2)
+    hit = flips.any(axis=1)
+    rows = zip(pfn[hit].tolist(), bop[hit].tolist(),
+               flips[hit, 0].astype(int).tolist(),
+               stale_profile.probability[picks][hit].tolist())
     stats = {
         "cells_retested": len(picks),
         "profile_entries": len(stale_profile),
-        "work_ratio": len(picks) / total,
+        "work_ratio": len(picks) / max(len(stale_profile), 1),
     }
     return FlipProfile.from_entries(sorted(rows)), stats
 

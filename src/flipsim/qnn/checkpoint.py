@@ -104,7 +104,6 @@ def model_from_bytes(blob):
     input_shape = tuple(r.take(f"<{rank}I")) if rank > 1 else (r.take("<I"),)
     n_layers = r.take("<I")
     layers = []
-    weighted_meta = []
     for _ in range(n_layers):
         tag = r.take("<B")
         if tag == _KIND_TAGS["dense"]:
@@ -113,7 +112,6 @@ def model_from_bytes(blob):
             blen = r.take("<I")
             bias = np.frombuffer(r.bytes(8 * blen), dtype="<f8").copy()
             layer = Dense(np.zeros((fout, fin), dtype=np.int8), delta, bias)
-            weighted_meta.append((layer, (fout, fin)))
         elif tag == _KIND_TAGS["conv2d"]:
             cin, cout, kh, kw, stride, pad = r.take("<IIIIII")
             delta = r.take("<d")
@@ -121,7 +119,6 @@ def model_from_bytes(blob):
             bias = np.frombuffer(r.bytes(8 * blen), dtype="<f8").copy()
             layer = Conv2d(np.zeros((cout, cin, kh, kw), dtype=np.int8),
                            delta, bias, stride, pad)
-            weighted_meta.append((layer, (cout, cin, kh, kw)))
         elif tag == _KIND_TAGS["relu"]:
             layer = ReLU()
         elif tag == _KIND_TAGS["maxpool"]:
@@ -135,11 +132,6 @@ def model_from_bytes(blob):
             raise ValueError(f"unknown layer tag {tag}")
         layers.append(layer)
     body_start = ((r.off + PAGE - 1) // PAGE) * PAGE
-    off = body_start
-    for layer, shape in weighted_meta:
-        n = int(np.prod(shape))
-        layer.weight_q = np.frombuffer(blob[off:off + n],
-                                       dtype=np.int8).copy().reshape(shape)
-        layer.invalidate()
-        off += n
-    return QuantizedModel(layers, bit_width, class_count, input_shape)
+    model = QuantizedModel(layers, bit_width, class_count, input_shape)
+    model.load_weight_block(blob[body_start:])
+    return model

@@ -181,6 +181,11 @@ class QuantizedModel:
         return b"".join(parts)
 
     def load_weight_block(self, blob):
+        """Read :meth:`weight_block`'s layout; trailing bytes are ignored."""
+        need = sum(self.layers[i].weight_count for i in self.weighted_indices())
+        if len(blob) < need:
+            raise ValueError(f"weight block too short: {len(blob)} of {need} "
+                             f"bytes")
         off = 0
         for i in self.weighted_indices():
             layer = self.layers[i]
@@ -189,8 +194,6 @@ class QuantizedModel:
             layer.weight_q = arr.reshape(layer.weight_q.shape)
             layer.invalidate()
             off += n
-        if off > len(blob):
-            raise ValueError("weight block too short")
 
     def state_hash(self):
         h = hashlib.blake2b(digest_size=16)

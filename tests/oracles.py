@@ -9,7 +9,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from flipsim import massage
 from flipsim.dram import (_CLUSTER_PROBS, _CLUSTER_SIZES, DENSE_PER_BANK_RANGE,
                           DENSITY_FACTORS, FULL_SIZE_ROW_BYTES, FULL_SIZE_ROWS,
                           ONE_TO_ZERO_SHARE, OWNER_ATTACKER, SINGLE_SIDED_RATE,
@@ -393,6 +392,79 @@ def row_spans(cset, crow):
     return spans
 
 
+def hammer(dram, s, victim_row, upper=None, lower=None):
+    """One hammering action against ``(s, victim_row)``, cell by row bits.
+
+    ``upper``/``lower`` optionally overwrite the aggressor rows of
+    :meth:`DramConfig.aggressor_rows` before activation: double-sided,
+    rows victim_row - 1 / + 1; single-sided, the one aggressor row takes
+    ``upper``, or ``lower`` when ``upper`` is None.  A victim row with an
+    aggressor row outside the bank raises IndexError.  A vulnerable cell
+    flips iff its stored bit equals its current direction's source value,
+    the aggressor bit(s) in the same column equal the complement, and
+    (for probabilistic cells) a draw from the seeded stream passes.
+    Single-sided mode additionally requires the cell's
+    single-sided-capable flag.  Returns flipped cell coordinates as
+    (set, row, bitcol) triples.
+    """
+    cfg = dram.config
+    if not cfg.aggressors_in_bank(victim_row):
+        raise IndexError(f"an aggressor row of row {victim_row} lies "
+                         f"outside the bank")
+    aggr = cfg.aggressor_rows(victim_row)
+    contents = (upper, lower) if len(aggr) == 2 else \
+        (upper if upper is not None else lower,)
+    for r, content in zip(aggr, contents):
+        if content is not None:
+            dram.row(s, r)[:] = np.frombuffer(bytes(content), dtype=np.uint8)
+    aggr_rows = [dram.row(s, r) for r in aggr]
+
+    idx = dram.cells_in_row(s, victim_row)
+    if idx.size == 0:
+        return []
+    victim = dram.row(s, victim_row)
+    bitcols = dram.cbitcol[idx]
+    bytes_, bits = np.divmod(bitcols, 8)
+    stored = (victim[bytes_] >> bits) & 1
+    source = (1 - dram.ccur_dir[idx]).astype(np.uint8)  # dir 0: 1->0
+    cond = stored == source
+    for row_buf in aggr_rows:
+        aggr_bits = (row_buf[bytes_] >> bits) & 1
+        cond &= aggr_bits == (1 - stored)
+    if cfg.hammer_mode == "single":
+        cond &= dram.csscap[idx]
+    probabilistic = cond & (dram.cprob[idx] < 1.0)
+    if probabilistic.any():
+        draws = dram._rng.random(int(probabilistic.sum()))
+        passed = np.ones(idx.size, dtype=bool)
+        passed[probabilistic] = draws < dram.cprob[idx][probabilistic]
+        cond &= passed
+    flipped = idx[cond]
+    for ci in flipped:
+        byte, bit = divmod(int(dram.cbitcol[ci]), 8)
+        victim[byte] ^= np.uint8(1 << bit)
+    return [(s, victim_row, int(dram.cbitcol[ci])) for ci in flipped]
+
+
+def single_cell_probe(dram, pfn, bop, direction):
+    """Hammer one attacker cell with a stripe only at its column.
+
+    Returns True iff the cell flipped in ``direction``.  The victim row is
+    scratch attacker memory, so contents are expendable.
+    """
+    s, row, bitcol = dram.addr.bit_addr(pfn, bop)
+    source = 1 - direction
+    victim = np.zeros(dram.config.row_bytes, dtype=np.uint8)
+    byte, bit = divmod(bitcol, 8)
+    if source:
+        victim[byte] |= np.uint8(1 << bit)
+    aggr = victim.copy()
+    aggr[byte] ^= np.uint8(1 << bit)
+    dram.row(s, row)[:] = victim
+    flips = hammer(dram, s, row, upper=aggr.tobytes(), lower=aggr.tobytes())
+    return (s, row, bitcol) in flips
+
+
 def template(dram, scan_rows=None, repeats=1):
     """One hammer call per scan row, polarity and repeat, flips tallied."""
     if scan_rows is None:
@@ -404,7 +476,7 @@ def template(dram, scan_rows=None, repeats=1):
             aggr = np.full(row_bytes, aggr_fill, dtype=np.uint8).tobytes()
             for _ in range(repeats):
                 dram.row(s, r)[:] = victim_fill
-                for s_, r_, c in dram.hammer(s, r, upper=aggr, lower=aggr):
+                for s_, r_, c in hammer(dram, s, r, upper=aggr, lower=aggr):
                     key = cell_to_page(dram.config, s_, r_, c) + (direction,)
                     counts[key] = counts.get(key, 0) + 1
     return FlipProfile.from_entries([(p, b, d, counts[(p, b, d)] / repeats)
@@ -423,7 +495,7 @@ def verify_template(dram, profile, sample_size=8):
     picks = np.unique(np.linspace(0, len(stable) - 1,
                                   min(sample_size, len(stable))).astype(int))
     for i in picks:
-        if not massage._single_cell_probe(dram, *stable[i]):
+        if not single_cell_probe(dram, *stable[i]):
             return "obsolete"
     return "valid"
 
@@ -437,9 +509,9 @@ def retemplate(dram, stale_profile, needed_bops):
         if bop not in needed or not probe_allowed(dram, pfn):
             continue
         tested += 1
-        if massage._single_cell_probe(dram, pfn, bop, 1):
+        if single_cell_probe(dram, pfn, bop, 1):
             rows.append((pfn, bop, 1, prob))
-        elif massage._single_cell_probe(dram, pfn, bop, 0):
+        elif single_cell_probe(dram, pfn, bop, 0):
             rows.append((pfn, bop, 0, prob))
     stats = {"cells_retested": tested,
              "profile_entries": len(stale_profile),

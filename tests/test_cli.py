@@ -494,6 +494,34 @@ def test_exploit_plans_against_configured_recycling_threshold(pipeline_out, tmp_
                         chain_path=os.path.join(pipeline_out, "chain_1.jsonl"))
 
 
+@pytest.mark.parametrize("edit", ["move-second-onto-first", "repeat-first"])
+def test_exploit_refuses_a_victim_page_twice(pipeline_out, tmp_path, capsys,
+                                             monkeypatch, edit):
+    with open(os.path.join(pipeline_out, "chain_1.jsonl")) as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    if edit == "repeat-first":
+        records.insert(1, records[0])
+    else:
+        records[1]["page"] = records[0]["page"]
+    chain = tmp_path / "twice.jsonl"
+    chain.write_text("".join(json.dumps(r) + "\n" for r in records))
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(f"seed = 4\nout = {tmp_path}\n")
+
+    def no_provision(*args):
+        raise AssertionError("the chain must be refused before provisioning")
+
+    monkeypatch.setattr(cli, "provision", no_provision)
+    capsys.readouterr()
+    rc = cli.main(["exploit", "--config", str(cfgfile),
+                   "--checkpoint", os.path.join(pipeline_out, "checkpoint.qnn"),
+                   "--profile", os.path.join(pipeline_out, "profile.csv"),
+                   "--chain", str(chain)])
+    assert rc == cli.EXIT_CONFIG
+    assert f"victim page {records[0]['page']}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "report.json")
+
+
 @pytest.mark.parametrize("mode, aggressor_rows, channels", [
     ("double", 2, 1), ("single", 1, 1), ("double", 2, 2), ("single", 1, 2),
 ], ids=["double-2", "single-1", "double-2-dual", "single-1-dual"])
@@ -519,6 +547,44 @@ def test_random_baseline_reports_flips_made(fast_trained, tmp_path):
     assert info["flips"] == total_bits
     with open(tmp_path / "random_baseline.json") as fh:
         assert json.load(fh)["flips"] == total_bits
+
+
+def test_random_baseline_flips_only_the_low_bits_below_8_bits(tmp_path,
+                                                              monkeypatch):
+    cfg = cli.make_config(overrides=fast_overrides(str(tmp_path), bit_width=4))
+    checkpoint, _ = cli.cmd_train(cfg)
+    bits = []
+    flip_bit = qnn.QuantizedModel.flip_bit
+
+    def logged(self, ref):
+        bits.append(ref.bit)
+        return flip_bit(self, ref)
+
+    monkeypatch.setattr(qnn.QuantizedModel, "flip_bit", logged)
+    total_bits = WeightImage(qnn.load_checkpoint(checkpoint)).weight_bytes * 4
+    drops, info = cli.cmd_random_flip_baseline(cfg, checkpoint, n_flips=200,
+                                               trials=2)
+    assert len(drops) == 2 and info["flips"] == 200
+    assert len(bits) == 400 and max(bits) < 4
+    _, info = cli.cmd_random_flip_baseline(cfg, checkpoint,
+                                           n_flips=total_bits + 1, trials=1)
+    assert info["flips"] == total_bits
+
+
+@pytest.mark.parametrize("cut", ["weight-block", "header", "magic"])
+def test_malformed_checkpoint_exits_config(fast_trained, tmp_path, capsys, cut):
+    with open(os.path.join(fast_trained, "checkpoint.qnn"), "rb") as fh:
+        blob = fh.read()
+    blob = {"weight-block": blob[:len(blob) - 1000], "header": blob[:30],
+            "magic": b"QNN0" + blob[4:]}[cut]
+    bad = tmp_path / "bad.qnn"
+    bad.write_bytes(blob)
+    capsys.readouterr()
+    rc = cli.main(["search", "--config", fast_config_file(tmp_path),
+                   "--checkpoint", str(bad),
+                   "--profile", os.path.join(fast_trained, "profile.csv")])
+    assert rc == cli.EXIT_CONFIG
+    assert f"{bad}: malformed checkpoint" in capsys.readouterr().err
 
 
 def test_random_baseline_csv(tmp_path, pipeline_out, desk_cfg):

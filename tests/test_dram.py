@@ -302,42 +302,47 @@ def _one_cell_state(direction, prob=1.0, sscap=False, hammer_mode="double"):
     return tiny_dram(cells, hammer_mode=hammer_mode)
 
 
+def _aggressors(state, upper, lower=None):
+    """Fill the aggressor rows of victim row 5 with ``upper``/``lower``."""
+    for r, fill in zip(state.config.aggressor_rows(5), (upper, lower)):
+        state.row(0, r)[:] = fill
+
+
 def test_stripe_flips_zero_to_one():
     state = _one_cell_state(direction=1)
-    ones = np.full(state.config.row_bytes, 0xFF, dtype=np.uint8).tobytes()
     state.row(0, 5)[:] = 0
-    flips = state.hammer(0, 5, upper=ones, lower=ones)
+    _aggressors(state, 0xFF, 0xFF)
+    flips = state.hammer(0, 5)
     assert flips == [(0, 5, 100)]
     assert oracles.read_bit(state, *state.addr.cell_to_page(0, 5, 100)) == 1
 
 
 def test_solid_pattern_never_flips():
     state = _one_cell_state(direction=1)
-    zeros = np.zeros(state.config.row_bytes, dtype=np.uint8).tobytes()
     state.row(0, 5)[:] = 0
-    assert state.hammer(0, 5, upper=zeros, lower=zeros) == []
+    _aggressors(state, 0x00, 0x00)
+    assert state.hammer(0, 5) == []
 
 
 def test_wrong_stored_value_never_flips():
     state = _one_cell_state(direction=1)  # 0 -> 1 cell
-    ones = np.full(state.config.row_bytes, 0xFF, dtype=np.uint8).tobytes()
     state.row(0, 5)[:] = 0xFF  # stored 1, direction needs 0
-    assert state.hammer(0, 5, upper=ones, lower=ones) == []
+    _aggressors(state, 0xFF, 0xFF)
+    assert state.hammer(0, 5) == []
 
 
 def test_one_aggressor_solid_blocks_double_sided():
     state = _one_cell_state(direction=1)
-    ones = np.full(state.config.row_bytes, 0xFF, dtype=np.uint8).tobytes()
-    zeros = np.zeros(state.config.row_bytes, dtype=np.uint8).tobytes()
     state.row(0, 5)[:] = 0
-    assert state.hammer(0, 5, upper=ones, lower=zeros) == []
+    _aggressors(state, 0xFF, 0x00)
+    assert state.hammer(0, 5) == []
 
 
 def test_non_vulnerable_column_never_flips():
     state = _one_cell_state(direction=1)
-    ones = np.full(state.config.row_bytes, 0xFF, dtype=np.uint8).tobytes()
     state.row(0, 5)[:] = 0
-    state.hammer(0, 5, upper=ones, lower=ones)
+    _aggressors(state, 0xFF, 0xFF)
+    state.hammer(0, 5)
     row = state.row(0, 5)
     assert int(row.sum()) == row[100 // 8]  # only the cell's byte changed
 
@@ -363,9 +368,9 @@ def test_double_sided_needs_both_neighbors():
 def test_single_sided_requires_capability_flag():
     for sscap, expect in ((False, 0), (True, 1)):
         state = _one_cell_state(direction=1, sscap=sscap, hammer_mode="single")
-        ones = np.full(state.config.row_bytes, 0xFF, dtype=np.uint8).tobytes()
         state.row(0, 5)[:] = 0
-        flips = state.hammer(0, 5, upper=ones)
+        _aggressors(state, 0xFF)
+        flips = state.hammer(0, 5)
         assert len(flips) == expect
 
 

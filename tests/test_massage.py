@@ -416,6 +416,22 @@ def test_retemplate_work_ratio_filters_pages():
     assert stats["cells_retested"] <= len(stale)
 
 
+@pytest.mark.parametrize("toggle", [0.0, 1.0])
+def test_verify_and_retemplate_leave_row_buffers_untouched(toggle):
+    state = cells_state()
+    profile = state.ground_truth_profile()
+    rng = np.random.default_rng(3)
+    for row in range(0, 64, 5):
+        state.row(0, row)[:] = rng.integers(0, 256, state.config.row_bytes)
+    before = {key: buf.copy() for key, buf in state._rows.items()}
+    state.reboot(42, toggle_probability=toggle)
+    verify_template(state, profile)
+    retemplate(state, profile, {int(b) for b in profile.bop})
+    assert state._rows.keys() == before.keys()
+    for key, buf in before.items():
+        assert np.array_equal(state._rows[key], buf), key
+
+
 # ---- precise hammering ---------------------------------------------------------------
 
 

@@ -1,7 +1,8 @@
 """Array-built DRAM and profile layer against the per-row loops in oracles.py.
 
 Both sides start from identical DRAM states; they must agree on the profile,
-on every probe and on the seeded hammer stream's state.
+on every probed cell, on every row buffer and on the seeded hammer stream's
+state.
 """
 
 import numpy as np
@@ -40,16 +41,37 @@ def rng_state(state):
 
 
 def logged_probes(mp):
-    """Route massage's single-cell probe through a log; returns the log."""
-    calls = []
-    probe = massage._single_cell_probe
+    """Log ``((pfn, bop), polarity)`` of every cell the package's
+    stripe_flips and the reference single-cell probe see, in call order;
+    returns both logs."""
+    fast, slow = [], []
+    stripe_flips = DramState.stripe_flips
+    probe = oracles.single_cell_probe
 
-    def logged(dram, pfn, bop, direction):
-        calls.append((pfn, bop, direction))
+    def logged_flips(self, cells, polarity):
+        cells = np.asarray(cells)
+        for c, pol in zip(cells.tolist(),
+                          np.broadcast_to(polarity, cells.shape).tolist()):
+            fast.append((None if c < 0 else oracles.cell_to_page(
+                self.config, int(self.cset[c]), int(self.crow[c]),
+                int(self.cbitcol[c])), pol))
+        return stripe_flips(self, cells, polarity)
+
+    def logged_probe(dram, pfn, bop, direction):
+        slow.append(((pfn, bop), direction))
         return probe(dram, pfn, bop, direction)
 
-    mp.setattr(massage, "_single_cell_probe", logged)
-    return calls
+    mp.setattr(DramState, "stripe_flips", logged_flips)
+    mp.setattr(oracles, "single_cell_probe", logged_probe)
+    return fast, slow
+
+
+def located(log):
+    """The cells of ``log`` in order, each run of one cell kept once:
+    retemplate's package side offers every cell both polarities in one call,
+    the reference probes polarity 0 only when polarity 1 did not flip."""
+    locs = [loc for loc, _ in log]
+    return [x for i, x in enumerate(locs) if i == 0 or locs[i - 1] != x]
 
 
 scan_row_lists = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 15)),
@@ -78,24 +100,49 @@ def test_template_verify_retemplate_match_row_loops(
     for state in (fast, slow):
         state.reboot(seed, toggle)
     with pytest.MonkeyPatch.context() as mp:
-        probes = logged_probes(mp)
+        fast_cells, slow_cells = logged_probes(mp)
         verdict = massage.verify_template(fast, profile)
-        fast_probes = probes[:]
-        del probes[:]
         assert verdict == oracles.verify_template(slow, profile)
-        assert fast_probes == probes
+        assert fast_cells == slow_cells
         assert rng_state(fast) == rng_state(slow)
 
         needed = set(profile.bop[::3].tolist())
-        del probes[:]
+        del fast_cells[:], slow_cells[:]
         corrected, stats = massage.retemplate(fast, profile, needed)
-        fast_probes = probes[:]
-        del probes[:]
         want, want_stats = oracles.retemplate(slow, profile, needed)
-        assert fast_probes == probes
+        assert fast_cells == [(loc, pol) for loc in located(slow_cells)
+                              for pol in (1, 0)]
     assert oracles.profile_entries(corrected) == oracles.profile_entries(want)
     assert stats == want_stats
     assert rng_state(fast) == rng_state(slow)
+
+
+@settings(max_examples=40, deadline=None)
+@given(channels=st.sampled_from([1, 2]), mode=st.sampled_from(["double", "single"]),
+       seed=st.integers(0, 2 ** 16),
+       hammers=st.lists(st.tuples(st.integers(0, 1), st.integers(1, 14),
+                                  st.sampled_from([0x00, 0x0F, 0xFF])),
+                        min_size=1, max_size=8))
+def test_hammer_matches_reference_on_random_rows(channels, mode, seed, hammers):
+    fast, slow = twin_states(channels, mode, 1.0, seed)
+    rng = np.random.default_rng(seed)
+    row_bytes = fast.config.row_bytes
+    for s, r, sparsity in hammers:
+        victim = rng.integers(0, 256, row_bytes, dtype=np.uint8)
+        # aggressors complement the victim except where random bits punch
+        # holes, so stripes hit some cells and miss others
+        upper, lower = (~victim ^ (rng.integers(0, 256, row_bytes, dtype=np.uint8)
+                                   & np.uint8(sparsity)) for _ in range(2))
+        for state in (fast, slow):
+            state.row(s, r)[:] = victim
+        for a, content in zip(fast.config.aggressor_rows(r), (upper, lower)):
+            fast.row(s, a)[:] = content
+        assert fast.hammer(s, r) == oracles.hammer(slow, s, r, upper.tobytes(),
+                                                   lower.tobytes())
+        assert fast._rows.keys() == slow._rows.keys()
+        for key, buf in fast._rows.items():
+            assert np.array_equal(buf, slow._rows[key]), key
+        assert rng_state(fast) == rng_state(slow)
 
 
 @settings(max_examples=30, deadline=None)
