@@ -13,11 +13,14 @@ from flipsim.dram import (AddressFunction, DramConfig, DramState, desk,
 
 print("== page-to-row addressing ==")
 for name, cfg in (("single channel", full_single()), ("dual channel", full_dual())):
-    addr = AddressFunction(cfg)
-    segs = addr.page_segments(6)
+    n = cfg.in_row_page_size
+    # the first bit of each channel's share of page 6
+    sets, rows, cols = AddressFunction(cfg).bit_addr_vec(
+        [6] * cfg.channels, np.arange(cfg.channels) * (n * 8))
     print(f"{name}: page 6 lives at "
-          + ", ".join(f"(bank-set {s}, row {r}, bytes {b}..{b + n - 1})"
-                      for s, r, b, _, n in segs))
+          + ", ".join(f"(bank-set {s}, row {r}, bytes {c // 8}..{c // 8 + n - 1})"
+                      for s, r, c in zip(sets.tolist(), rows.tolist(),
+                                         cols.tolist())))
 print("single channel packs two whole pages per row; dual channel splits "
       "each page across the two channels, four in-row pages per row")
 

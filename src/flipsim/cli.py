@@ -38,6 +38,7 @@ from .massage import (MappingMismatch, PageFrameCache, PrecisionViolation,
                       plan_mapping, plan_to_json, precise_hammer,
                       release_and_remap, retemplate, verify_template)
 from .qnn.model import class_fraction, loss_and_accuracy
+from .qnn.quant import SUPPORTED_BIT_WIDTHS
 from .search import (ExhaustedIterations, ProtectedMask, SearchConfig,
                      disjoint_chains, protection_rounds, search_chain)
 
@@ -252,6 +253,19 @@ def _train_config(cfg):
                            accuracy_floor=cfg.accuracy_floor)
 
 
+def _check_training_settings(cfg, class_count):
+    """Reject model and training settings no training can run with."""
+    for key, value, low in (("classes", class_count, 2), ("epochs", cfg.epochs, 0),
+                            ("train_batch", cfg.train_batch, 1),
+                            ("width_multiplier", cfg.width_multiplier, 1),
+                            ("hidden", min(cfg.hidden, default=1), 1)):
+        if value < low:
+            raise ConfigError(f"{key} must be >= {low}, got {value}")
+    if cfg.bit_width not in SUPPORTED_BIT_WIDTHS:
+        raise ConfigError(f"bit_width must be in [{SUPPORTED_BIT_WIDTHS[0]}, "
+                          f"{SUPPORTED_BIT_WIDTHS[-1]}], got {cfg.bit_width}")
+
+
 def _check_search_settings(cfg, class_count):
     """Reject search settings no search can run with, as a ConfigError."""
     for key, low in (("p", 1), ("eval_batch", 1), ("chains", 1),
@@ -310,6 +324,7 @@ def _chain_summary(chain):
 def cmd_train(cfg):
     os.makedirs(cfg.out, exist_ok=True)
     dataset = build_dataset(cfg)
+    _check_training_settings(cfg, dataset.class_count)
     spec = build_model_spec(cfg, dataset=dataset)
     model = qnn.train_small(spec, dataset, _train_config(cfg), cfg.train_seed)
     path = os.path.join(cfg.out, "checkpoint.qnn")
@@ -476,9 +491,14 @@ def exploit_stage(cfg, model, dataset, profile, records):
     if not records:
         raise ConfigError("chain file is empty")
     targets = [TargetBit(r["page"], r["bop"], r["mode"]) for r in records]
+    image = WeightImage(model)
     for i, t in enumerate(targets):
         if t.page in {u.page for u in targets[:i]}:  # one frame per victim page
             raise ConfigError(f"chain targets victim page {t.page} more than once")
+        try:
+            image.addr_to_bit(t.page, t.bop)
+        except IndexError as exc:
+            raise ConfigError(f"chain record {i + 1}: {exc}") from None
 
     state, image, placement, attacker_pages = provision(cfg, model)
     rebooted = cfg.reboot_seed >= 0
@@ -592,6 +612,7 @@ def cmd_defense(cfg, mode):
     dataset = build_dataset(cfg)
     _check_search_settings(cfg, dataset.class_count)
     if mode == "width":
+        _check_training_settings(cfg, dataset.class_count)
         seeds = [cfg.seed + i for i in range(5)]
         rows = []
         for s in seeds:

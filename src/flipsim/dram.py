@@ -11,7 +11,8 @@ page and ``in_row_pages = row_bytes // n``, page ``pfn`` splits as
 ``g, q = divmod(pfn, in_row_pages)``; its bytes ``[c*n, (c+1)*n)`` sit in
 channel ``c`` at set ``c*banks + g % banks``, row ``g // banks``, row bytes
 ``[q*n, (q+1)*n)``.  Within a row, bit column ``k`` stores bit ``k % 8`` of
-row byte ``k // 8``.
+row byte ``k // 8``.  ``AddressFunction.bit_addr_vec`` and its inverse
+``cell_to_page_vec`` are this formula's one owner.
 """
 
 import warnings
@@ -138,49 +139,20 @@ def bench(hammer_mode="double"):
 
 
 class AddressFunction:
-    """Bijection between (pfn, byte/bit offset) and (set, row, column)."""
+    """Bijection between (pfn, bop) and (set, row, bit column), stated once
+    by the pair :meth:`bit_addr_vec` / :meth:`cell_to_page_vec`."""
 
     def __init__(self, config):
         self.config = config
 
-    def page_segments(self, pfn):
-        """In-row segments of a page: (set, row, row_byte_base, page_off, n)."""
-        cfg = self.config
-        if not (0 <= pfn < cfg.total_pages):
-            raise IndexError(f"pfn {pfn} out of range")
-        n = cfg.in_row_page_size
-        g, q = divmod(pfn, cfg.in_row_pages)
-        return [(c * cfg.banks + g % cfg.banks, g // cfg.banks, q * n, c * n, n)
-                for c in range(cfg.channels)]
-
-    def bit_addr(self, pfn, bop):
-        """(pfn, bop) -> (set, row, bit column)."""
-        if not (0 <= pfn < self.config.total_pages):
-            raise IndexError(f"pfn {pfn} out of range")
-        if not (0 <= bop < PAGE_BITS):
-            raise IndexError(f"bop {bop} out of range")
-        s, row, bitcol = self.bit_addr_vec(pfn, bop)
-        return int(s), int(row), int(bitcol)
-
-    def cell_to_page(self, s, row, bitcol):
-        """(set, row, bit column) -> (pfn, bop); inverse of :meth:`bit_addr`."""
-        pfn, bop = self.cell_to_page_vec(s, row, bitcol)
-        return int(pfn), int(bop)
-
     def row_pfns(self, s, row):
         """Physical pages with bytes resident in this (set, row), by in-row slot."""
         cfg = self.config
-        g = row * cfg.banks + s % cfg.banks
-        return list(range(g * cfg.in_row_pages, (g + 1) * cfg.in_row_pages))
-
-    def in_row_page_of(self, pfn, bop):
-        """(set, row, first bit column, bit span) of the in-row page holding bop."""
-        s, row, bitcol = self.bit_addr(pfn, bop)
-        span = self.config.in_row_page_size * 8
-        return s, row, bitcol - bitcol % span, span
+        bitcols = np.arange(cfg.in_row_pages) * (cfg.in_row_page_size * 8)
+        return self.cell_to_page_vec(s, row, bitcols)[0].tolist()
 
     def bit_addr_vec(self, pfn, bop):
-        """Vectorized :meth:`bit_addr` over equal-length index arrays."""
+        """(pfn, bop) -> (set, row, bit column), over equal-length arrays."""
         cfg = self.config
         span = cfg.in_row_page_size * 8
         pfn = np.asarray(pfn, dtype=np.int64)
@@ -197,7 +169,7 @@ class AddressFunction:
         return sets, rows, bitcols
 
     def cell_to_page_vec(self, sets, rows, bitcols):
-        """Vectorized :meth:`cell_to_page`; inverse of :meth:`bit_addr_vec`."""
+        """Inverse of :meth:`bit_addr_vec`; ``sets``/``rows`` may be scalars."""
         cfg = self.config
         span = cfg.in_row_page_size * 8
         channel, bank = np.divmod(np.asarray(sets, dtype=np.int64), cfg.banks)
@@ -364,18 +336,26 @@ class DramState:
             self._rows[key] = buf
         return buf
 
+    def _page_bytes(self, pfn):
+        """Views of page ``pfn``'s row bytes, one per channel, in page order."""
+        cfg = self.config
+        if not 0 <= pfn < cfg.total_pages:
+            raise IndexError(f"pfn {pfn} out of range")
+        n = cfg.in_row_page_size
+        at = np.column_stack(self.addr.bit_addr_vec(
+            np.full(cfg.channels, pfn), np.arange(cfg.channels) * (n * 8)))
+        return [self.row(s, r)[c // 8:c // 8 + n] for s, r, c in at.tolist()]
+
     def write_page(self, pfn, data):
         data = np.frombuffer(bytes(data), dtype=np.uint8)
         if data.size != PAGE_BYTES:
             raise ValueError("pages are 4096 bytes")
-        for s, r, base, off, n in self.addr.page_segments(pfn):
-            self.row(s, r)[base:base + n] = data[off:off + n]
+        for buf, part in zip(self._page_bytes(pfn),
+                             np.split(data, self.config.channels)):
+            buf[:] = part
 
     def read_page(self, pfn):
-        out = np.zeros(PAGE_BYTES, dtype=np.uint8)
-        for s, r, base, off, n in self.addr.page_segments(pfn):
-            out[off:off + n] = self.row(s, r)[base:base + n]
-        return out.tobytes()
+        return b"".join(buf.tobytes() for buf in self._page_bytes(pfn))
 
     # ---- ownership ----
 
@@ -389,7 +369,9 @@ class DramState:
         memory.  Row ``r`` qualifies when rows ``r - 1``, ``r`` and ``r + 1``
         are all owned, so the rows at a bank edge never do.  The two channel
         sets of a dual-channel bank hold the same pages, so set ``s`` reads
-        bank ``s % banks``.
+        bank ``s % banks``.  The owner map is read as ``(row, bank, slot)``
+        by one reshape: :meth:`AddressFunction.cell_to_page_vec` numbers the
+        pages in that order, and a test ties the two together.
         """
         cfg = self.config
         owned = (self.owner == OWNER_ATTACKER).reshape(
@@ -408,9 +390,6 @@ class DramState:
         k = s * cfg.rows_per_bank + r
         return np.arange(self._row_start[k], self._row_start[k + 1],
                          dtype=np.int64)
-
-    def cell_count(self):
-        return len(self.cset)
 
     def cell_at(self, pfn, bop):
         """Index of the cell at each ``(pfn, bop)`` of two equal-length
@@ -493,21 +472,11 @@ class DramState:
         is a keyed hash of (cell location, boot seed), so rebooting twice with
         the same seed lands in the same state.
         """
-        if self.cell_count() == 0:
+        if len(self.cset) == 0:
             return
         u = _keyed_uniform(self.cset, self.crow, self.cbitcol, boot_seed)
         toggles = (u < toggle_probability).astype(np.int8)
         self.ccur_dir = (self.cbase_dir ^ toggles).astype(np.int8)
-
-    def ground_truth_profile(self, pfns=None):
-        """Current cells projected through the address map (test oracle aid)."""
-        pfn, bop = self.addr.cell_to_page_vec(self.cset, self.crow, self.cbitcol)
-        order = np.lexsort((self.cprob, self.ccur_dir, bop, pfn))
-        if pfns is not None:
-            wanted = np.fromiter((int(p) for p in pfns), dtype=np.int64)
-            order = order[np.isin(pfn[order], wanted)]
-        return FlipProfile(pfn[order], bop[order], self.ccur_dir[order],
-                           self.cprob[order])
 
 
 def _empty_cells():
@@ -557,6 +526,7 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
 
     addr = AddressFunction(config)
     pages_per_bank = config.rows_per_bank * config.in_row_pages
+    span = config.in_row_page_size * 8
     total = sum(t for t in targets if t > 0)
     sets, rows, bitcols = (np.empty(total, dtype=np.int32) for _ in range(3))
     drawn = np.empty(total, dtype=np.int64)  # each cell's place in draw order
@@ -574,9 +544,9 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
                                                       p=_CLUSTER_PROBS)])
         keep = np.searchsorted(np.cumsum(sizes), target) + 1
         sizes = sizes[:keep]
-        page_pick = rng.integers(0, pages_per_bank, size=len(sizes))
-        g = (page_pick // config.in_row_pages) * config.banks + bank
-        pfns = g * config.in_row_pages + page_pick % config.in_row_pages
+        row, slot = np.divmod(rng.integers(0, pages_per_bank, size=len(sizes)),
+                              config.in_row_pages)
+        pfns, _ = addr.cell_to_page_vec(bank, row, slot * span)
         pfns = np.repeat(pfns, sizes)[:target + 16]
         bops = rng.integers(0, PAGE_BITS, size=len(pfns))
         # in one bank, (pfn, bop) order is (row, bit column) order per channel

@@ -72,23 +72,6 @@ class WeightImage:
 
     # ---- address mapping ----------------------------------------------------
 
-    def bit_to_addr(self, ref):
-        """BitRef -> (page#, bop)."""
-        pos = None
-        for j, (layer_idx, start) in enumerate(self.layer_offsets):
-            if layer_idx == ref.layer:
-                pos = j
-                break
-        if pos is None:
-            raise IndexError(f"layer {ref.layer} holds no weights")
-        layer = self.model.layers[ref.layer]
-        if not (0 <= ref.index < layer.weight_count):
-            raise IndexError("weight index out of range")
-        if not (0 <= ref.bit < self.model.bit_width):
-            raise IndexError("bit position out of range")
-        gbi = (self.layer_offsets[pos][1] + ref.index) * 8 + ref.bit
-        return gbi // PAGE_BITS + 1, gbi % PAGE_BITS
-
     def addr_to_bit(self, page, bop):
         """(page#, bop) -> BitRef; padding bits are not addressable."""
         if not (1 <= page <= self.page_count) or not (0 <= bop < PAGE_BITS):

@@ -246,7 +246,7 @@ def _check_aggressor_ownership(plan, dram, actions):
         for member in act.members:
             e = plan.entries[member]
             for r in act.aggressor_rows:
-                pfn, _ = dram.addr.cell_to_page(act.set, r, e.col_base)
+                pfn = dram.addr.row_pfns(act.set, r)[e.col_base // e.col_span]
                 if dram.owner[pfn] != OWNER_ATTACKER or pfn in victim_frames:
                     raise UnsatisfiablePlan(
                         e.target, f"aggressor frame {pfn} not attacker-owned")

@@ -208,14 +208,12 @@ class QuantizedModel:
 def softmax_cross_entropy(logits, labels):
     """Mean cross-entropy and its logit gradient, numerically stable."""
     labels = np.asarray(labels)
-    if logits.shape[0] == 0:
-        raise ValueError("empty batch")
-    z = logits - logits.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    probs = ez / ez.sum(axis=1, keepdims=True)
     n = logits.shape[0]
-    nll = -(z[np.arange(n), labels] - np.log(ez.sum(axis=1)))
-    dlogits = probs.copy()
+    if n == 0:
+        raise ValueError("empty batch")
+    nll, _ = row_metrics(logits, labels)
+    ez = np.exp(logits - logits.max(axis=1, keepdims=True))
+    dlogits = ez / ez.sum(axis=1, keepdims=True)
     dlogits[np.arange(n), labels] -= 1.0
     return float(nll.mean()), dlogits / n
 

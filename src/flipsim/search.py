@@ -273,9 +273,6 @@ class ProtectedMask:
             self.refs.add(ref)
             self._by_layer.setdefault(ref.layer, set()).add((ref.index, ref.bit))
 
-    def contains(self, ref):
-        return ref.layer in self.locked_layers or ref in self.refs
-
     def layer_refs(self, layer_idx):
         """``(indices, bits)`` arrays of the explicit refs in one layer."""
         pairs = sorted(self._by_layer.get(layer_idx, ()))

@@ -128,6 +128,11 @@ def finite_difference_grads(model, x, labels, step=1e-4):
     return out
 
 
+def protected_contains(mask, ref):
+    """Whether a :class:`ProtectedMask` keeps ``ref`` from being flipped."""
+    return ref.layer in mask.locked_layers or ref in mask.refs
+
+
 def audit_chain(chain, profile, protected=None):
     """Independent scan of an emitted chain against the selection constraints.
 
@@ -156,7 +161,7 @@ def audit_chain(chain, profile, protected=None):
             problems.append("bad mode")
     if protected is not None:
         for s in chain.steps:
-            if protected.contains(s.ref):
+            if protected_contains(protected, s.ref):
                 problems.append(f"protected bit {s.ref} flipped")
     return problems
 
@@ -213,6 +218,24 @@ def replay_chain(model, chain, dataset, config, target_class=None):
             metric = class_fraction(work, dataset.x_test, target_class)
         out.append(metric)
     return out
+
+
+def bit_to_addr(image, ref):
+    """BitRef -> (page#, bop) of a :class:`WeightImage`, one bit at a time."""
+    pos = None
+    for j, (layer_idx, start) in enumerate(image.layer_offsets):
+        if layer_idx == ref.layer:
+            pos = j
+            break
+    if pos is None:
+        raise IndexError(f"layer {ref.layer} holds no weights")
+    layer = image.model.layers[ref.layer]
+    if not (0 <= ref.index < layer.weight_count):
+        raise IndexError("weight index out of range")
+    if not (0 <= ref.bit < image.model.bit_width):
+        raise IndexError("bit position out of range")
+    gbi = (image.layer_offsets[pos][1] + ref.index) * 8 + ref.bit
+    return gbi // PAGE_BITS + 1, gbi % PAGE_BITS
 
 
 def layer_bit_pages(image, layer_idx):
@@ -334,8 +357,8 @@ def profile_entries(profile):
 
 
 def read_bit(state, pfn, bop):
-    """One stored bit of a DRAM state, read through its address function."""
-    s, r, bitcol = state.addr.bit_addr(pfn, bop)
+    """One stored bit of a DRAM state, read through the byte-wise oracle."""
+    s, r, bitcol, _, _ = bit_addr(state.config, pfn, bop)
     byte, bit = divmod(bitcol, 8)
     return int(state.row(s, r)[byte] >> bit) & 1
 
@@ -353,16 +376,34 @@ def cell_to_page(config, s, row, bitcol):
     return pfn, (channel * 2048 + inner) * 8 + bit
 
 
-def bit_addr(addr, pfn, bop):
+def bit_addr(config, pfn, bop):
     """Scalar (pfn, bop) -> (set, row, bit column, in-row page base, span).
 
-    Walks the page's in-row segments to the one holding the byte.
+    The inverse of :func:`cell_to_page`, written out by bytes.
     """
+    if not (0 <= pfn < config.total_pages and 0 <= bop < PAGE_BITS):
+        raise IndexError(f"({pfn}, {bop}) out of range")
     byte, bit = divmod(bop, 8)
-    for s, row, base, off, n in addr.page_segments(pfn):
-        if off <= byte < off + n:
-            return s, row, (base + byte - off) * 8 + bit, base * 8, n * 8
-    raise AssertionError("byte outside every segment")
+    if config.channels == 1:
+        g, h = divmod(pfn, config.in_row_pages)
+        row, s = divmod(g, config.sets)
+        return s, row, (h * 4096 + byte) * 8 + bit, h * 4096 * 8, 4096 * 8
+    channel, inner = divmod(byte, 2048)
+    g, q = divmod(pfn, config.in_row_pages)
+    row, bank = divmod(g, config.banks)
+    return (channel * config.banks + bank, row, (q * 2048 + inner) * 8 + bit,
+            q * 2048 * 8, 2048 * 8)
+
+
+def ground_truth_profile(dram, pfns=None):
+    """Current cells projected through the address map."""
+    pfn, bop = dram.addr.cell_to_page_vec(dram.cset, dram.crow, dram.cbitcol)
+    order = np.lexsort((dram.cprob, dram.ccur_dir, bop, pfn))
+    if pfns is not None:
+        wanted = np.fromiter((int(p) for p in pfns), dtype=np.int64)
+        order = order[np.isin(pfn[order], wanted)]
+    return FlipProfile(pfn[order], bop[order], dram.ccur_dir[order],
+                       dram.cprob[order])
 
 
 def _row_owned(dram, s, r):
@@ -377,7 +418,7 @@ def sandwich_rows(dram):
 
 
 def probe_allowed(dram, pfn):
-    s, row, _, _ = dram.addr.in_row_page_of(pfn, 0)
+    s, row, _, _, _ = bit_addr(dram.config, pfn, 0)
     if not (0 < row < dram.config.rows_per_bank - 1):
         return False
     return all(_row_owned(dram, s, r) for r in (row - 1, row, row + 1))
@@ -452,7 +493,7 @@ def single_cell_probe(dram, pfn, bop, direction):
     Returns True iff the cell flipped in ``direction``.  The victim row is
     scratch attacker memory, so contents are expendable.
     """
-    s, row, bitcol = dram.addr.bit_addr(pfn, bop)
+    s, row, bitcol, _, _ = bit_addr(dram.config, pfn, bop)
     source = 1 - direction
     victim = np.zeros(dram.config.row_bytes, dtype=np.uint8)
     byte, bit = divmod(bitcol, 8)
@@ -648,8 +689,7 @@ def _candidate_frames(profile, target, owner):
 
 
 def _entry_geometry(dram, ppn, bop):
-    s, row, col_base, col_span = dram.addr.in_row_page_of(ppn, bop)
-    _, _, stripe = dram.addr.bit_addr(ppn, bop)
+    s, row, stripe, col_base, col_span = bit_addr(dram.config, ppn, bop)
     return s, row, col_base, col_span, stripe
 
 

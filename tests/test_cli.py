@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 from conftest import tiny_dram
 from flipsim import cli, qnn
 from flipsim.dram import OWNER_ATTACKER, FlipProfile
@@ -137,6 +138,25 @@ def test_unknown_arch_exits_config(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["train", "--config", str(cfgfile)]) == cli.EXIT_CONFIG
     assert "arch" in capsys.readouterr().err
+    assert not os.path.exists(out / "checkpoint.qnn")
+
+
+@pytest.mark.parametrize("command", [["train"], ["defense", "--mode", "width"]],
+                         ids=["train", "defense-width"])
+@pytest.mark.parametrize("key,value", [
+    ("bit_width", 9), ("bit_width", 1), ("train_batch", 0), ("classes", 1),
+    ("hidden", 0), ("width_multiplier", 0), ("epochs", -1),
+])
+def test_invalid_training_setting_exits_config(tmp_path, capsys, command, key,
+                                               value):
+    out = tmp_path / "t"
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("\n".join(f"{k} = {v}" for k, v in
+                                 fast_overrides(str(out), **{key: value}).items())
+                       + "\n")
+    capsys.readouterr()
+    assert cli.main(command + ["--config", str(cfgfile)]) == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
     assert not os.path.exists(out / "checkpoint.qnn")
 
 
@@ -494,16 +514,16 @@ def test_exploit_plans_against_configured_recycling_threshold(pipeline_out, tmp_
                         chain_path=os.path.join(pipeline_out, "chain_1.jsonl"))
 
 
-@pytest.mark.parametrize("edit", ["move-second-onto-first", "repeat-first"])
-def test_exploit_refuses_a_victim_page_twice(pipeline_out, tmp_path, capsys,
-                                             monkeypatch, edit):
+def pipeline_chain(pipeline_out):
     with open(os.path.join(pipeline_out, "chain_1.jsonl")) as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
-    if edit == "repeat-first":
-        records.insert(1, records[0])
-    else:
-        records[1]["page"] = records[0]["page"]
-    chain = tmp_path / "twice.jsonl"
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def exploit_refused_before_provision(pipeline_out, tmp_path, capsys,
+                                     monkeypatch, records):
+    """Run ``exploit`` on ``records``; it must exit 4 before provisioning.
+    Returns its stderr."""
+    chain = tmp_path / "edited.jsonl"
     chain.write_text("".join(json.dumps(r) + "\n" for r in records))
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text(f"seed = 4\nout = {tmp_path}\n")
@@ -518,8 +538,41 @@ def test_exploit_refuses_a_victim_page_twice(pipeline_out, tmp_path, capsys,
                    "--profile", os.path.join(pipeline_out, "profile.csv"),
                    "--chain", str(chain)])
     assert rc == cli.EXIT_CONFIG
-    assert f"victim page {records[0]['page']}" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "report.json")
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", ["move-second-onto-first", "repeat-first"])
+def test_exploit_refuses_a_victim_page_twice(pipeline_out, tmp_path, capsys,
+                                             monkeypatch, edit):
+    records = pipeline_chain(pipeline_out)
+    if edit == "repeat-first":
+        records.insert(1, records[0])
+    else:
+        records[1]["page"] = records[0]["page"]
+    err = exploit_refused_before_provision(pipeline_out, tmp_path, capsys,
+                                           monkeypatch, records)
+    assert f"victim page {records[0]['page']}" in err
+
+
+@pytest.mark.parametrize("edit", ["page-past-image", "bop-in-padding"])
+def test_exploit_refuses_a_target_outside_the_image(pipeline_out, tmp_path,
+                                                    capsys, monkeypatch, edit):
+    image = WeightImage(qnn.load_checkpoint(
+        os.path.join(pipeline_out, "checkpoint.qnn")))
+    records = pipeline_chain(pipeline_out)
+    if edit == "page-past-image":
+        i, page, bop = 1, 999, records[1]["bop"]
+    else:
+        # the first bit after the weight block, on its last page (moved
+        # onto the record already there, if any)
+        assert image.weight_bytes % 4096
+        page, bop = image.page_count, image.weight_bytes % 4096 * 8
+        i = next((j for j, r in enumerate(records) if r["page"] == page), 1)
+    records[i].update(page=page, bop=bop)
+    err = exploit_refused_before_provision(pipeline_out, tmp_path, capsys,
+                                           monkeypatch, records)
+    assert f"chain record {i + 1}: " in err
 
 
 @pytest.mark.parametrize("mode, aggressor_rows, channels", [
@@ -529,8 +582,7 @@ def test_pages_retained_counts_each_aggressor_row(mode, aggressor_rows, channels
     state = tiny_dram(hammer_mode=mode, channels=channels)
     state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
     ppn = state.addr.row_pfns(0, 7)[0]
-    s, row, base, span = state.addr.in_row_page_of(ppn, 5)
-    _, _, stripe = state.addr.bit_addr(ppn, 5)
+    s, row, stripe, base, span = oracles.bit_addr(state.config, ppn, 5)
     tb = TargetBit(1, 5, 0)
     plan = MappingPlan([PlanEntry(tb, 1, ppn, s, row, base, span, stripe)])
     actions = plan_aggressors(plan, state)

@@ -21,22 +21,20 @@ from flipsim.dram import (DENSITY_FACTORS, OWNER_ATTACKER, SINGLE_SIDED_RATE,
 
 def test_single_channel_pair_shares_row():
     addr = AddressFunction(full_single())
-    (s0, r0, base0, _, n0), = addr.page_segments(0)
-    (s1, r1, base1, _, n1), = addr.page_segments(1)
-    assert (s0, r0) == (s1, r1)
-    assert n0 == n1 == 4096
-    assert {base0, base1} == {0, 4096}
+    # first and last byte of pages 0 and 1
+    sets, rows, cols = addr.bit_addr_vec([0, 0, 1, 1], [0, 32767, 0, 32767])
+    assert len(set(zip(sets.tolist(), rows.tolist()))) == 1
+    assert (cols // 8).tolist() == [0, 4095, 4096, 8191]
 
 
 def test_dual_channel_page_splits_across_channels():
     cfg = full_dual()
     addr = AddressFunction(cfg)
-    segs = addr.page_segments(0)
-    assert len(segs) == 2
-    (sa, ra, _, offa, na), (sb, rb, _, offb, nb) = segs
-    assert na == nb == 2048
-    assert ra == rb
-    assert sb == sa + cfg.banks
+    # first and last byte of each half of page 0
+    sets, rows, cols = addr.bit_addr_vec([0] * 4, [0, 16383, 16384, 32767])
+    assert len(set(rows.tolist())) == 1
+    assert sets.tolist() == [sets[0]] * 2 + [sets[0] + cfg.banks] * 2
+    assert (cols // 8).tolist() == [0, 2047, 0, 2047]
     # each row carries four in-row pages
     assert cfg.in_row_pages == 4
 
@@ -54,9 +52,10 @@ def test_addressing_bijective(kind, data):
     addr = AddressFunction(cfg)
     pfn = data.draw(st.integers(0, cfg.total_pages - 1))
     bop = data.draw(st.integers(0, 32767))
-    s, r, col = addr.bit_addr(pfn, bop)
-    assert addr.cell_to_page(s, r, col) == (pfn, bop)
-    assert pfn in addr.row_pfns(s, r)
+    s, r, col = addr.bit_addr_vec([pfn], [bop])
+    back = addr.cell_to_page_vec(s, r, col)
+    assert (back[0].tolist(), back[1].tolist()) == ([pfn], [bop])
+    assert pfn in addr.row_pfns(int(s[0]), int(r[0]))
 
 
 def test_vectorized_addressing_matches_scalar():
@@ -69,10 +68,9 @@ def test_vectorized_addressing_matches_scalar():
         sets, rows, cols = addr.bit_addr_vec(pfn, bop)
         for i in range(200):
             p, b = int(pfn[i]), int(bop[i])
-            s, r, c, base, span = oracles.bit_addr(addr, p, b)
+            s, r, c, base, span = oracles.bit_addr(cfg, p, b)
             assert (sets[i], rows[i], cols[i]) == (s, r, c)
-            assert addr.bit_addr(p, b) == (s, r, c)
-            assert addr.in_row_page_of(p, b) == (s, r, base, span)
+            assert addr.row_pfns(s, r)[base // span] == p
 
 
 @pytest.mark.parametrize("channels", [1, 2])
@@ -93,16 +91,19 @@ def test_address_core_matches_bytewise_oracle(channels):
     got = addr.bit_addr_vec(want[:, 0], want[:, 1])
     for a, b in zip(got, (sets, rows, cols)):
         assert np.array_equal(a, b)
-    # page_segments lists exactly the row bytes the oracle assigns each page
+    # write_page puts each page byte on the row byte the oracle assigns it,
+    # and read_page reads it back from there
     assert set(pfn.tolist()) == set(range(cfg.total_pages))
-    by_page = {}
+    state = DramState(cfg)
+    pages = np.random.default_rng(channels).integers(
+        0, 256, size=(cfg.total_pages, 4096), dtype=np.uint8)
+    for p in range(cfg.total_pages):
+        state.write_page(p, pages[p].tobytes())
     for s, r, b, p, o in zip(sets.tolist(), rows.tolist(), byte.tolist(),
                              pfn.tolist(), (bop // 8).tolist()):
-        by_page.setdefault(p, set()).add((s, r, b, o))
-    for p, placed in by_page.items():
-        segs = {(s, r, base + i, off + i)
-                for s, r, base, off, n in addr.page_segments(p) for i in range(n)}
-        assert segs == placed
+        assert state.row(s, r)[b] == pages[p, o]
+    for p in range(cfg.total_pages):
+        assert state.read_page(p) == pages[p].tobytes()
     # row_pfns lists the row's residents, slot q holding row bytes q*n..
     n = cfg.in_row_page_size
     for s in range(cfg.sets):
@@ -150,11 +151,16 @@ def test_one_row_bank_has_no_hammerable_row(mode):
     assert _conflicts(state, (0, 0, 0, 32768, 0), []) is not None
 
 
-def test_bit_addr_rejects_out_of_range():
-    addr = AddressFunction(DramConfig(banks_per_dimm=2, rows_per_bank=16))
-    for pfn, bop in ((-1, 0), (addr.config.total_pages, 0), (0, -1), (0, 32768)):
-        with pytest.raises(IndexError):
-            addr.bit_addr(pfn, bop)
+def test_page_io_rejects_out_of_range_pfn():
+    for channels in (1, 2):
+        state = DramState(DramConfig(channels=channels, banks_per_dimm=2,
+                                     rows_per_bank=16))
+        for pfn in (-1, state.config.total_pages):
+            with pytest.raises(IndexError):
+                state.read_page(pfn)
+            with pytest.raises(IndexError):
+                state.write_page(pfn, bytes(4096))
+        assert state._rows == {}
 
 
 def test_enumerating_row_recovers_residents():
@@ -162,11 +168,8 @@ def test_enumerating_row_recovers_residents():
     addr = AddressFunction(cfg)
     s, r = 1, 3
     pfns = addr.row_pfns(s, r)
-    seen = set()
-    for col in range(0, cfg.row_bits, 8):
-        pfn, _ = addr.cell_to_page(s, r, col)
-        seen.add(pfn)
-    assert seen == set(pfns)
+    seen, _ = addr.cell_to_page_vec(s, r, np.arange(0, cfg.row_bits, 8))
+    assert set(seen.tolist()) == set(pfns)
 
 
 def test_page_io_roundtrip():
@@ -228,7 +231,8 @@ def test_direction_split_and_multicell_pages():
     addr = AddressFunction(cfg)
     pages = {}
     for i in range(len(sets)):
-        pfn, _ = addr.cell_to_page(int(sets[i]), int(rows[i]), int(cols[i]))
+        pfn, _ = oracles.cell_to_page(cfg, int(sets[i]), int(rows[i]),
+                                      int(cols[i]))
         pages[pfn] = pages.get(pfn, 0) + 1
     multi = sum(1 for v in pages.values() if v >= 2)
     assert multi / len(pages) >= 0.6
@@ -314,7 +318,8 @@ def test_stripe_flips_zero_to_one():
     _aggressors(state, 0xFF, 0xFF)
     flips = state.hammer(0, 5)
     assert flips == [(0, 5, 100)]
-    assert oracles.read_bit(state, *state.addr.cell_to_page(0, 5, 100)) == 1
+    assert oracles.read_bit(
+        state, *oracles.cell_to_page(state.config, 0, 5, 100)) == 1
 
 
 def test_solid_pattern_never_flips():
@@ -400,7 +405,7 @@ def test_template_single_cell():
     state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
     profile = template(state, scan_rows=[(0, 5)])
     assert len(profile) == 1
-    pfn, bop = state.addr.cell_to_page(0, 5, 100)
+    pfn, bop = oracles.cell_to_page(state.config, 0, 5, 100)
     entry = oracles.profile_entries(profile)[0]
     assert entry == (pfn, bop, 0, 1.0)
 
@@ -424,7 +429,7 @@ def test_template_matches_ground_truth_projection():
     scanned_pfns = set()
     for s, r in [(s, r) for s in range(cfg.sets) for r in range(1, cfg.rows_per_bank - 1)]:
         scanned_pfns.update(state.addr.row_pfns(s, r))
-    truth = state.ground_truth_profile(scanned_pfns)
+    truth = oracles.ground_truth_profile(state, scanned_pfns)
     assert oracles.profile_entries(profile) == oracles.profile_entries(truth)
 
 

@@ -15,7 +15,8 @@ from flipsim.massage import (MappingMismatch, MappingPlan, PageFrameCache,
                              _conflicts, plan_aggressors, plan_mapping,
                              plan_to_json, precise_hammer, release_and_remap,
                              retemplate, verify_template)
-from oracles import (greedy_assignment_reference, plan_mapping_reference,
+from oracles import (bit_addr, greedy_assignment_reference,
+                     ground_truth_profile, plan_mapping_reference,
                      profile_entries)
 
 
@@ -32,8 +33,7 @@ class FakeImage:
 
 
 def entry_for(dram, tb, ppn):
-    s, row, base, span = dram.addr.in_row_page_of(ppn, tb.bop)
-    _, _, stripe = dram.addr.bit_addr(ppn, tb.bop)
+    s, row, stripe, base, span = bit_addr(dram.config, ppn, tb.bop)
     return PlanEntry(tb, tb.page, ppn, s, row, base, span, stripe)
 
 
@@ -237,8 +237,8 @@ def test_plan_mapping_matches_reference_planner(case):
         assert e.target == tb and e.pgid == tb.page
         assert state.owner[e.ppn] == OWNER_ATTACKER
         assert (e.ppn, tb.bop, tb.mode) in locations
-        s, row, base, span = state.addr.in_row_page_of(e.ppn, tb.bop)
-        geo = (s, row, base, span, state.addr.bit_addr(e.ppn, tb.bop)[2])
+        s, row, stripe, base, span = bit_addr(state.config, e.ppn, tb.bop)
+        geo = (s, row, base, span, stripe)
         assert (e.set, e.victim_row, e.col_base, e.col_span,
                 e.stripe_bitcol) == geo
         assert state.config.aggressors_in_bank(row)
@@ -367,32 +367,32 @@ def cells_state(n=24, rows=64, seed=5):
 
 def test_verify_valid_without_reboot():
     state = cells_state()
-    profile = state.ground_truth_profile()
+    profile = ground_truth_profile(state)
     assert verify_template(state, profile) == "valid"
 
 
 def test_verify_obsolete_after_full_inversion():
     state = cells_state()
-    profile = state.ground_truth_profile()
+    profile = ground_truth_profile(state)
     state.reboot(42, toggle_probability=1.0)
     assert verify_template(state, profile) == "obsolete"
 
 
 def test_verify_sample_zero_vacuously_valid():
     state = cells_state()
-    profile = state.ground_truth_profile()
+    profile = ground_truth_profile(state)
     state.reboot(42, toggle_probability=1.0)
     assert verify_template(state, profile, sample_size=0) == "valid"
 
 
 def test_retemplate_restores_inverted_directions():
     state = cells_state()
-    stale = state.ground_truth_profile()
+    stale = ground_truth_profile(state)
     state.reboot(42, toggle_probability=1.0)
     needed = {int(b) for b in stale.bop}
     corrected, stats = retemplate(state, stale, needed)
     truth = {(p, b): d for p, b, d, _ in
-             profile_entries(state.ground_truth_profile())}
+             profile_entries(ground_truth_profile(state))}
     assert len(corrected) == len(stale)
     for p, b, d, _ in profile_entries(corrected):
         assert truth[(p, b)] == d
@@ -401,7 +401,7 @@ def test_retemplate_restores_inverted_directions():
 
 def test_retemplate_empty_needed_set():
     state = cells_state()
-    stale = state.ground_truth_profile()
+    stale = ground_truth_profile(state)
     corrected, stats = retemplate(state, stale, set())
     assert len(corrected) == 0
     assert stats["cells_retested"] == 0
@@ -409,7 +409,7 @@ def test_retemplate_empty_needed_set():
 
 def test_retemplate_work_ratio_filters_pages():
     state = cells_state(n=40)
-    stale = state.ground_truth_profile()
+    stale = ground_truth_profile(state)
     needed = {int(stale.bop[0])}
     corrected, stats = retemplate(state, stale, needed)
     assert stats["work_ratio"] < 1.0
@@ -419,7 +419,7 @@ def test_retemplate_work_ratio_filters_pages():
 @pytest.mark.parametrize("toggle", [0.0, 1.0])
 def test_verify_and_retemplate_leave_row_buffers_untouched(toggle):
     state = cells_state()
-    profile = state.ground_truth_profile()
+    profile = ground_truth_profile(state)
     rng = np.random.default_rng(3)
     for row in range(0, 64, 5):
         state.row(0, row)[:] = rng.integers(0, 256, state.config.row_bytes)
@@ -486,7 +486,8 @@ def test_merged_actions_do_not_interfere_across_victims(channels):
         target_bop = offsets[0]
         for bop in offsets:
             stored = (contents[pgid][bop // 8] >> (bop % 8)) & 1
-            cells.append(addr.bit_addr(ppn, bop) + (int(1 - stored), 1.0, False))
+            cells.append(bit_addr(addr.config, ppn, bop)[:3]
+                         + (int(1 - stored), 1.0, False))
         targets[pgid] = TargetBit(pgid, target_bop,
                                   int(1 - ((contents[pgid][target_bop // 8]
                                             >> (target_bop % 8)) & 1)))
