@@ -16,7 +16,7 @@ from flipsim.massage import (PageFrameCache, plan_aggressors, plan_mapping,
                              precise_hammer, release_and_remap,
                              verify_template)
 from flipsim.qnn.model import loss_and_accuracy
-from flipsim.search import SearchConfig, search_chain
+from flipsim.search import search_chain
 
 cfg = cli.make_config(overrides={"seed": 4})
 
@@ -42,13 +42,14 @@ print(f"profile: {len(profile)} flippable cells, "
       f"at 2.2 flips/s would take ~{len(profile) / 2.2 / 3600:.1f} h to scan")
 
 print("\n== offline: flip-aware bit search ==")
-search_cfg = SearchConfig(p=cfg.p, batch_seed=cfg.batch_seed)
-chain = search_chain(model, dataset, profile, search_cfg)
+# the search places every step on one of the attacker's frames, as the
+# planner will, so each committed step is one the exploit can position
+chain = search_chain(model, dataset, profile, cli.search_config(cfg))
 print(f"chain of {len(chain)} flips, accuracy "
       f"{chain.clean_accuracy:.3f} -> {chain.terminal_metric():.3f}:")
 for step in chain.steps:
-    print(f"  (page {step.page}, bop {step.bop}, mode {step.mode}) "
-          f"-> accuracy {step.accuracy:.4f}")
+    print(f"  (page {step.page}, bop {step.bop}, mode {step.mode}) on frame "
+          f"{step.pfn} -> accuracy {step.accuracy:.4f}")
 
 print("\n== online: verify template, position pages, hammer ==")
 status = verify_template(state, profile, cfg.verify_sample)

@@ -174,6 +174,13 @@ def make_config(path=None, overrides=None):
 
 def build_dataset(cfg):
     if cfg.dataset == "blobs":
+        for key, value, low in (("classes", cfg.classes, 2),
+                                ("train_per_class", cfg.train_per_class, 1),
+                                ("test_per_class", cfg.test_per_class, 1),
+                                ("blob_shape", min(cfg.blob_shape, default=0), 1),
+                                ("blob_noise", cfg.blob_noise, 0)):
+            if value < low:
+                raise ConfigError(f"{key} must be >= {low}, got {value}")
         return qnn.gaussian_blobs(cfg.classes, cfg.blob_shape,
                                   cfg.train_per_class, cfg.test_per_class,
                                   cfg.blob_noise, cfg.data_seed)
@@ -215,6 +222,11 @@ def dram_config(cfg):
         raise ConfigError(f"dram geometry: {exc}") from None
 
 
+def attacker_frames(cfg, geometry):
+    """How many frames the attacker holds: frames ``[0, n)`` of ``geometry``."""
+    return int(geometry.total_pages * cfg.attacker_budget)
+
+
 def provision(cfg, model):
     """Instantiate DRAM, mark the attacker's region, place the victim image.
 
@@ -233,7 +245,7 @@ def provision(cfg, model):
                      one_to_zero=cfg.direction_split)
     image = WeightImage(model)
     total = geometry.total_pages
-    attacker = int(total * cfg.attacker_budget)
+    attacker = attacker_frames(cfg, geometry)
     if attacker + image.page_count > total:
         raise ConfigError("attacker budget leaves no room for the victim image")
     state.set_owner(range(attacker), OWNER_ATTACKER)
@@ -281,9 +293,13 @@ def _check_search_settings(cfg, class_count):
 
 
 def search_config(cfg, protected=None):
+    """``cfg``'s search, on the attacker frames :func:`provision` sets."""
+    geometry = dram_config(cfg)
     return SearchConfig(p=cfg.p, target_accuracy=cfg.target_accuracy,
                         max_flips=cfg.max_flips, eval_batch_size=cfg.eval_batch,
-                        batch_seed=cfg.batch_seed, protected=protected)
+                        batch_seed=cfg.batch_seed, protected=protected,
+                        dram=geometry,
+                        attacker_frames=attacker_frames(cfg, geometry))
 
 
 def _write_json(path, obj):
@@ -343,17 +359,25 @@ def cmd_train(cfg):
 
 
 def _load_checkpoint(cfg, checkpoint=None):
-    """The model at ``checkpoint`` or the run's own; malformed: ConfigError."""
+    """``(model, dataset)``: the model at ``checkpoint`` or the run's own and
+    ``cfg``'s dataset; a malformed checkpoint or a misfit is a ConfigError."""
     path = checkpoint or os.path.join(cfg.out, "checkpoint.qnn")
     try:
-        return qnn.load_checkpoint(path)
+        model = qnn.load_checkpoint(path)
     except (ValueError, struct.error) as exc:
         raise ConfigError(f"{path}: malformed checkpoint: {exc}") from None
+    dataset = build_dataset(cfg)
+    if (model.input_shape, model.class_count) != (dataset.input_shape,
+                                                  dataset.class_count):
+        raise ConfigError(f"{path}: the checkpoint takes inputs {model.input_shape} "
+                          f"in {model.class_count} classes, the dataset "
+                          f"{dataset.input_shape} in {dataset.class_count}")
+    return model, dataset
 
 
 def cmd_template(cfg, checkpoint=None):
     os.makedirs(cfg.out, exist_ok=True)
-    model = _load_checkpoint(cfg, checkpoint)
+    model, _ = _load_checkpoint(cfg, checkpoint)
     state, _, _, attacker_pages = provision(cfg, model)
     profile = template(state)
     path = os.path.join(cfg.out, "profile.csv")
@@ -375,7 +399,7 @@ def cmd_template(cfg, checkpoint=None):
 def _load_stage_inputs(cfg, checkpoint=None, profile_path=None, geometry=False):
     """``(model, dataset, profile)``; ``geometry`` checks the profile's geometry."""
     os.makedirs(cfg.out, exist_ok=True)
-    model = _load_checkpoint(cfg, checkpoint)
+    model, dataset = _load_checkpoint(cfg, checkpoint)
     _check_search_settings(cfg, model.class_count)
     profile_path = profile_path or os.path.join(cfg.out, "profile.csv")
     if geometry:
@@ -385,7 +409,7 @@ def _load_stage_inputs(cfg, checkpoint=None, profile_path=None, geometry=False):
     except ValueError as exc:
         raise ConfigError(f"{profile_path}: {exc}") from None
     _check_profile_entries(profile, dram_config(cfg).total_pages, profile_path)
-    return model, build_dataset(cfg), profile
+    return model, dataset, profile
 
 
 def _check_profile_entries(profile, total_pages, path):
@@ -419,7 +443,8 @@ def cmd_search(cfg, checkpoint=None, profile_path=None):
 def search_stage(cfg, model, dataset, profile):
     """``cfg.chains`` disjoint chains on ``profile``, already sampled.
 
-    Later chains reuse no bit and no profile location of earlier ones.
+    Later chains reuse no bit of earlier ones, but may reuse profile
+    locations: each chain is planned and hammered on its own.
     """
     target = cfg.target_class if cfg.target_class >= 0 else None
     chains = list(islice(disjoint_chains(model, dataset, profile,
@@ -577,8 +602,7 @@ def cmd_random_flip_baseline(cfg, checkpoint=None, n_flips=100, trials=30):
         if value < low:
             raise ConfigError(f"{name} must be >= {low}, got {value}")
     os.makedirs(cfg.out, exist_ok=True)
-    model = _load_checkpoint(cfg, checkpoint)
-    dataset = build_dataset(cfg)
+    model, dataset = _load_checkpoint(cfg, checkpoint)
     image = WeightImage(model)
     _, clean = loss_and_accuracy(model, dataset.x_test, dataset.y_test)
     width = model.bit_width
@@ -638,7 +662,7 @@ def cmd_defense(cfg, mode):
                 "wider_needs_at_least_as_many":
                     (wide_med >= base_med) if usable else None}
     elif mode == "topn":
-        model = _load_checkpoint(cfg)
+        model, dataset = _load_checkpoint(cfg)
         chains = protection_rounds(model, dataset, search_config(cfg), rounds=10)
         curve_path = os.path.join(cfg.out, "defense_topn_curves.csv")
         with open(curve_path, "w") as fh:
@@ -653,7 +677,7 @@ def cmd_defense(cfg, mode):
                            for i, c in enumerate(chains)],
                 "all_rounds_succeed": all(c.feasible for c in chains)}
     elif mode == "layer-lock":
-        model = _load_checkpoint(cfg)
+        model, dataset = _load_checkpoint(cfg)
         weighted = model.weighted_indices()
         free_chain = search_chain(model, dataset, None, search_config(cfg))
         mask = ProtectedMask(locked_layers={weighted[0], weighted[-1]})

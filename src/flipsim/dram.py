@@ -115,6 +115,22 @@ class DramConfig:
             inside = inside & (0 <= r) & (r < self.rows_per_bank)
         return inside
 
+    def conflict(self, victim, placed):
+        """Why victim ``(set, row, bit column)`` cannot join the victims
+        ``placed``, or None.  Victims may share a row (their actions merge),
+        but no victim page may sit in another's aggressor row at the same
+        in-row page, in either channel of the bank, since a page spans both;
+        single-sided mode has no second aggressor to keep the pattern of the
+        other in-row pages, so there the whole aggressor row is out."""
+        s, row, col = victim
+        span = self.in_row_page_size * 8
+        for o_s, o_row, o_col in placed:
+            near = o_row in self.aggressor_rows(row) or row in self.aggressor_rows(o_row)
+            if near and (s - o_s) % self.banks == 0 and (
+                    col // span == o_col // span or self.hammer_mode == "single"):
+                return f"aggressor row collides with victim at row {o_row}"
+        return None
+
 
 def full_single():
     return DramConfig()

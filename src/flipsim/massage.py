@@ -6,9 +6,9 @@ spills the oldest half to a global pool.  Releasing the chosen physical frames
 in chain order and mapping victim pages in reverse order therefore lands every
 victim page exactly on its planned frame.
 
-The planner takes frames from :meth:`FlipProfile.pools`, the index the chain
-search reserves from too, and places targets with one routine,
-:func:`_assign`: least options first, Kuhn augmenting paths when one is stuck.
+The planner replays a chain, step by step, through the chain search's own
+frame placer, :class:`flipsim.search.ProfileView`, so it puts every step on
+the frame the search placed it on.
 """
 
 import json
@@ -18,6 +18,7 @@ import numpy as np
 
 from .dram import (HAMMER_SECONDS_PER_ACTION, OWNER_ATTACKER, OWNER_FREE,
                    OWNER_VICTIM, FlipProfile)
+from .search import ProfileView
 
 DEFAULT_RECYCLING_THRESHOLD = 180
 MIN_VERIFY_SAMPLE = 8
@@ -115,107 +116,32 @@ class HammerAction:
     aggressor_rows: tuple  # DramConfig.aggressor_rows of victim_row
 
 
-def _conflicts(dram, geo, chosen_geos):
-    """Aggressor-row conflicts between a candidate placement and prior picks.
-
-    Every aggressor row must lie inside the bank.  Two victims may share a
-    row (their actions merge), but a victim in-row page must never coincide
-    with another victim's aggressor in-row page.  Double-sided mode tolerates
-    a victim at a *different* column range of an aggressor row (the
-    controlled second aggressor keeps the solid pattern); single-sided mode
-    has no second aggressor, so a victim anywhere in an aggressor row is out.
-    """
-    s, row, base, _, _ = geo
-    cfg = dram.config
-    if not cfg.aggressors_in_bank(row):
-        return "an aggressor row of the victim lies outside the bank"
-    for o_s, o_row, o_base, _, _ in chosen_geos:
-        if s != o_s or (base != o_base and cfg.hammer_mode == "double"):
-            continue
-        if o_row in cfg.aggressor_rows(row) or row in cfg.aggressor_rows(o_row):
-            return f"aggressor row collides with victim at row {o_row}"
-    return None
-
-
 def plan_mapping(chain_targets, profile, dram,
                  threshold=DEFAULT_RECYCLING_THRESHOLD):
-    """Assign each target bit one attacker frame matching (bop, mode).
+    """Place each target bit on one attacker frame matching (bop, mode).
 
-    A target's frames are its pool of :meth:`FlipProfile.pools`, the index
-    :class:`flipsim.search.ProfileView` reserves from, less the frames the
-    attacker does not own and those whose victim row has an aggressor row
-    outside the bank.  :func:`_assign` places the targets on them.  A chain
-    that would reach the page cache's recycling ``threshold`` is rejected up
-    front, as :func:`release_and_remap` would.
+    The targets replay in chain order through a fresh
+    :class:`flipsim.search.ProfileView`, the placer the chain search commits
+    through, over the frames ``dram`` gives the attacker: a chain searched
+    on this profile and attacker range lands every step on its recorded
+    frame.  A chain that would reach the page cache's recycling
+    ``threshold`` is rejected up front, as :func:`release_and_remap` would.
     """
     if len(chain_targets) >= threshold:
         raise ThresholdViolation(
             f"{len(chain_targets)} targets would reach the recycling "
             f"threshold {threshold}")
-    cfg = dram.config
-    span = cfg.in_row_page_size * 8
-    pfns, start = profile.pools()
-    options = []
+    view = ProfileView(profile, dram.config, dram.owner == OWNER_ATTACKER)
+    counts = {i: view.match_count(tb.bop, tb.mode)
+              for i, tb in enumerate(chain_targets)}
     for tb in chain_targets:
-        k = tb.bop * 2 + tb.mode
-        frames = np.unique(pfns[start[k]:start[k + 1]])
-        frames = frames[dram.owner[frames] == OWNER_ATTACKER]
-        s, row, col = dram.addr.bit_addr_vec(frames, tb.bop)
-        keep = cfg.aggressors_in_bank(row)
-        if not keep.any():
-            raise UnsatisfiablePlan(tb, "no attacker frame matches bop and "
-                                        "direction")
-        frames, s, row, col = (a[keep].tolist() for a in (frames, s, row, col))
-        options.append([(p, (si, r, c - c % span, span, c))
-                        for p, si, r, c in zip(frames, s, row, col)])
-    entries = [PlanEntry(tb, tb.page, ppn, *geo) for tb, (ppn, geo)
-               in zip(chain_targets, _assign(chain_targets, options, dram))]
-    return MappingPlan(entries, {i: len(o) for i, o in enumerate(options)})
-
-
-def _assign(targets, options, dram):
-    """One ``(frame, geometry)`` of ``options[i]`` per target ``i``.
-
-    Targets with the fewest options go first, and each takes its first free
-    frame with no :func:`_conflicts` against the placements so far.  One that
-    finds no such frame takes one along a Kuhn augmenting path from the
-    current assignment, which moves earlier targets to other frames of
-    theirs; the path exists iff the targets placed so far and this one can
-    all hold distinct frames.  Paths ignore conflicts, so one final check
-    runs in chain order and names the first target that conflicts.
-    """
-    order = sorted(range(len(targets)), key=lambda i: (len(options[i]), i))
-    placed = {}   # target -> (frame, geometry)
-    holder = {}   # frame -> target
-
-    def augment(i, seen):
-        for ppn, geo in options[i]:
-            if ppn in seen:
-                continue
-            seen.add(ppn)
-            if ppn not in holder or augment(holder[ppn], seen):
-                holder[ppn] = i
-                placed[i] = (ppn, geo)
-                return True
-        return False
-
-    for i in order:
-        geos = [geo for _, geo in placed.values()]
-        pick = next((opt for opt in options[i] if opt[0] not in holder
-                     and _conflicts(dram, opt[1], geos) is None), None)
-        if pick is not None:
-            holder[pick[0]] = i
-            placed[i] = pick
-        elif not augment(i, set()):
-            raise UnsatisfiablePlan(targets[i], "candidate frames exhausted by "
-                                                "other targets")
-    geos = []
-    for i, tb in enumerate(targets):
-        why = _conflicts(dram, placed[i][1], geos)
-        if why is not None:
+        pfn, why = view.place(tb.bop, tb.mode)
+        if pfn is None:
             raise UnsatisfiablePlan(tb, why)
-        geos.append(placed[i][1])
-    return [placed[i] for i in range(len(targets))]
+    span = dram.config.in_row_page_size * 8
+    return MappingPlan([PlanEntry(tb, tb.page, pfn, s, row, c - c % span, span, c)
+                        for tb, (pfn, (s, row, c))
+                        in zip(chain_targets, view.held.items())], counts)
 
 
 def plan_aggressors(plan, dram):

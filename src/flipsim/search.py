@@ -2,11 +2,11 @@
 
 Each iteration ranks the top-p bits per weighted layer by absolute bit
 gradient among bits that are currently eligible (loss moves the right way,
-page not yet targeted, a matching unused profile location exists, not
-protected), evaluates every candidate by actually flipping it, and commits the
-flippable candidate with the strongest evaluated effect.  Candidate flips are
-restored immediately after evaluation, so the model only accumulates committed
-flips.
+page not yet targeted, a matching profile frame is free, not protected),
+evaluates every candidate by actually flipping it, and commits the strongest
+one that the chain's frame placer, :class:`ProfileView`, places; the planner
+replays a chain through the same placer.  Candidate flips are restored
+immediately after evaluation, so the model only accumulates committed flips.
 
 An iteration works from one pass per input row (:func:`search_pass`): a
 gradient pass over the eval batch gives the bit gradients and the batch loss
@@ -31,12 +31,13 @@ with its changed rows replaced (:class:`RowScores`).
 
 The disjoint chains of one command (alternative chains, or a defender's
 protection rounds) form one :class:`SearchSession`.  Each chain starts from
-the clean model and excludes the bits of the chains before it; the profile's
-locations are unique, and one :class:`ProfileView` serves every chain, so a
-reservation holds for the whole session.  Every chain's first iteration
-ranks from the one clean pass, and a pass scores each candidate once, so a
-later chain re-scores only the candidates its new exclusions bring in.  The
-backward half of a pass runs only when another iteration ranks from it.
+the clean model and excludes the bits of the chains before it.  The session
+indexes the profile once, in one :class:`ProfileView`, and each chain starts
+it with no frame held: every chain is planned on its own, so chains share no
+bit but may share frames.  Every chain's first iteration ranks from the one
+clean pass, and a pass scores each candidate once, so a later chain
+re-scores only the candidates its new exclusions bring in.  The backward
+half of a pass runs only when another iteration ranks from it.
 
 Untargeted searches maximize loss until accuracy falls to the target;
 targeted searches run the identical loop with the objective negated on a
@@ -51,6 +52,7 @@ from itertools import islice
 
 import numpy as np
 
+from .dram import AddressFunction
 from .image import TargetBit, WeightImage
 from .qnn.layers import Dense, ReLU
 from .qnn.model import BitRef, metrics_from_logits, row_metrics
@@ -254,6 +256,8 @@ class SearchConfig:
     batch_seed: int = 1234
     target_fraction: float = 0.9
     protected: "ProtectedMask | None" = None
+    dram: "DramConfig | None" = None    # a profile's DRAM geometry
+    attacker_frames: int | None = None  # the attacker holds frames [0, n)
 
 
 class ProtectedMask:
@@ -283,34 +287,58 @@ class ProtectedMask:
 
 
 class ProfileView:
-    """Per-(bop, direction) location pools with one-shot reservations.
+    """The one frame placer, shared by the chain search and the planner.
 
-    One cursor per pool of :meth:`FlipProfile.pools`, whose ``(pfn, bop)``
-    locations are unique.  A location that backed a committed flip is never
-    offered again: reservations persist for the view's life, a whole
-    :class:`SearchSession`, so no location backs two steps of one chain or
-    of two.  A reservation takes the lowest free matching frame number and
-    lowers its pool's :meth:`match_count` by one.
+    Its index is the pools of :meth:`FlipProfile.pools` less the frames
+    outside ``attacker`` (a bool per frame) and those whose row has an
+    aggressor row outside the bank.  :meth:`place` holds, for a chain's next
+    step, the lowest frame of its ``(bop, mode)`` pool that no earlier step
+    holds and that passes :meth:`DramConfig.conflict` against the steps
+    placed so far; :attr:`held` maps each held frame, in chain order, to
+    its step's ``(set, row, bit column)``.  :meth:`match_count` and
+    :meth:`availability` count the frames no step holds; :meth:`clear`
+    starts a chain.
     """
 
-    def __init__(self, profile):
-        self._pfn, start = profile.pools()
-        self._end = start[1:]
-        self._left = np.diff(start)  # each pool's cursor, as frames left
+    def __init__(self, profile, config, attacker):
+        self.config = config
+        self._addr = AddressFunction(config)
+        pfn, start = profile.pools()
+        keep = attacker[pfn] & config.aggressors_in_bank(
+            self._addr.bit_addr_vec(pfn, 0)[1])
+        self._pfn = pfn[keep]
+        self._start = np.concatenate([[0], np.cumsum(keep)])[start]
+        self.clear()
+
+    def clear(self):
+        self._free = np.diff(self._start)  # each pool's frames no step holds
+        self.held = {}
 
     def match_count(self, bop, mode):
-        return int(self._left[bop * 2 + mode])
+        return int(self._free[bop * 2 + mode])
 
     def availability(self, mode):
-        return self._left[mode::2] > 0
+        return self._free[mode::2] > 0
 
-    def reserve(self, bop, mode):
+    def place(self, bop, mode):
+        """``(pfn, None)`` with the frame now held, or ``(None, why)``."""
         k = bop * 2 + mode
-        left = self._left[k]
-        if not left:
-            return None
-        self._left[k] = left - 1
-        return int(self._pfn[self._end[k] - left])
+        frames = self._pfn[self._start[k]:self._start[k + 1]]
+        why = ("candidate frames exhausted by other targets" if len(frames)
+               else "no attacker frame matches bop and direction")
+        victims = zip(*(a.tolist() for a in self._addr.bit_addr_vec(frames, bop)))
+        for pfn, victim in zip(frames.tolist(), victims):
+            if pfn in self.held:
+                continue
+            why = self.config.conflict(victim, self.held.values())
+            if why is None:
+                self.held[pfn] = victim
+                # the frame leaves every pool it is in
+                pools = np.searchsorted(self._start, np.flatnonzero(self._pfn == pfn),
+                                        "right") - 1
+                np.subtract.at(self._free, pools, 1)
+                return pfn, None
+        return None, why
 
 
 def _topk_lowest_index(score, k):
@@ -460,7 +488,7 @@ def rank_candidates(model, image, state, p, *, objective=1, view=None,
     layer, the ``p`` eligible bits with the largest absolute bit gradient are
     evaluated by flipping them.  Returns candidates sorted by evaluated
     effect: strongest accuracy movement in the objective's direction first,
-    then loss, then number of matching physical locations, then lowest
+    then loss, then number of free matching frames, then lowest
     (layer, index, bit).  Targeted searches (a pass with a ``target_class``)
     rank primarily by the share of the scored inputs routed into the target
     class, which keeps discriminating after the single-class batch loss
@@ -468,7 +496,7 @@ def rank_candidates(model, image, state, p, *, objective=1, view=None,
 
     Eligibility is one bit mask per weight: a flip moves a bit off its stored
     value (so its mode is ``1 - bit``) and must move the loss the objective's
-    way, its page must be untargeted, a matching location must remain, and
+    way, its page must be untargeted, a matching frame must be free, and
     it must not be protected.  Each layer's candidates are flipped together,
     each giving new logits only for the rows it changes, and
     :meth:`RowScores.score` scores them from those rows.  A candidate's
@@ -485,7 +513,7 @@ def rank_candidates(model, image, state, p, *, objective=1, view=None,
         page_used = np.zeros(image.page_count + 1, dtype=bool)
         page_used[list(used_pages)] = True
     if view is not None:
-        # per in-page byte: bits with a location left for a stored 0 (a 0->1
+        # per in-page byte: bits with a free frame for a stored 0 (a 0->1
         # flip, mode 1) and for a stored 1 (mode 0)
         avail = [np.packbits(view.availability(1 - s).reshape(-1, 8), axis=1,
                              bitorder="little").ravel() for s in (0, 1)]
@@ -545,18 +573,11 @@ def _rank_key(c, objective):
 
 
 def select_flippable(ranked, view):
-    """First ranked candidate with an unused matching physical location.
-
-    :func:`rank_candidates` has already applied the page rule and the
-    protected mask.  Reserves the chosen location and returns
-    ``(candidate, pfn)``, with ``pfn`` ``None`` when there is no ``view``;
-    ``None`` when the iteration is exhausted.
-    """
+    """``(candidate, pfn)``: the first ranked candidate ``view`` places and
+    the frame it holds for it (``None`` without a ``view``), or ``None``."""
     for cand in ranked:
-        if view is None:
-            return cand, None
-        pfn = view.reserve(cand.bop, cand.mode)
-        if pfn is not None:
+        pfn = None if view is None else view.place(cand.bop, cand.mode)[0]
+        if view is None or pfn is not None:
             return cand, pfn
     return None
 
@@ -572,11 +593,12 @@ class SearchSession:
 
     Every chain starts from the clean ``model`` on a copy of its own and
     excludes every bit the session's chains flipped before it, besides
-    ``config.protected``.  The session's one :class:`ProfileView` keeps its
-    reservations, so no location backs two steps of the session, and every
-    chain's first iteration ranks from the one clean :func:`search_pass`,
-    whose memo scores each candidate once.  ``target_class`` makes the
-    chains targeted.
+    ``config.protected``.  The session builds one :class:`ProfileView` over
+    ``config.dram``'s attacker frames, and each chain starts it with no
+    frame held, so chains share no bit but may share frames.  Every chain's
+    first iteration ranks from the one clean :func:`search_pass`, whose
+    memo scores each candidate once.  ``target_class`` makes the chains
+    targeted.
     """
 
     def __init__(self, model, dataset, profile, config, target_class=None):
@@ -591,7 +613,11 @@ class SearchSession:
             # a stratified batch repeats a row only when its class runs short
             x, y, rows = x[rows], y[rows], None
         self.batch = (x, y, rows, target_class)
-        self.view = ProfileView(profile) if profile is not None else None
+        if profile is not None and None in (config.dram, config.attacker_frames):
+            raise ValueError("a profile needs config.dram and attacker_frames")
+        self.view = None if profile is None else ProfileView(
+            profile, config.dram,
+            np.arange(config.dram.total_pages) < config.attacker_frames)
         self.protected = (config.protected.copy() if config.protected
                           else ProtectedMask())
         self.clean = search_pass(model, *self.batch)
@@ -609,6 +635,8 @@ def _run_search(s):
     steps, trace = [], []
     exhausted = False
     feasible = _success(clean.metric, config, s.objective)
+    if s.view is not None:
+        s.view.clear()
 
     while not feasible and len(steps) < config.max_flips:
         ranked = rank_candidates(work, image, state, config.p,
@@ -644,9 +672,10 @@ def _run_search(s):
 def search_chain(model, dataset, profile, config, session=None):
     """Greedy chain search until batch accuracy drops to the target.
 
-    With a ``profile`` every bit needs an unused matching location and the
-    one-flip-per-page rule applies; with ``profile=None`` the search is
-    unconstrained by memory, so neither does.  A bit is never picked twice,
+    With a ``profile`` on ``config.dram`` every step needs a frame the
+    chain's :class:`ProfileView` places, and the one-flip-per-page rule
+    applies; with ``profile=None`` the search is unconstrained by memory, so
+    neither does.  A bit is never picked twice,
     nor one in ``config.protected``.  ``session``, a :class:`SearchSession`
     opened on the same arguments, makes the chain that session's next one.
 

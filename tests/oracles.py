@@ -15,8 +15,7 @@ from flipsim.dram import (_CLUSTER_PROBS, _CLUSTER_SIZES, DENSE_PER_BANK_RANGE,
                           AddressFunction, FlipProfile, _empty_cells)
 from flipsim.image import PAGE_BITS, WeightImage
 from flipsim.massage import (DEFAULT_RECYCLING_THRESHOLD, MappingPlan,
-                             PlanEntry, ThresholdViolation, UnsatisfiablePlan,
-                             _conflicts)
+                             PlanEntry, ThresholdViolation, UnsatisfiablePlan)
 from flipsim.qnn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU, ResidualAdd
 from flipsim.qnn.model import (BitRef, class_fraction, loss_and_accuracy,
                                softmax_cross_entropy)
@@ -136,27 +135,27 @@ def protected_contains(mask, ref):
 def audit_chain(chain, profile, protected=None):
     """Independent scan of an emitted chain against the selection constraints.
 
-    Checks: one flip per page, no physical location reused, every reserved
-    location exists in the profile with matching offset and direction, and no
+    Checks: one flip per page, no frame placed twice, every placed location
+    exists in the profile with matching offset and direction, and no
     protected bit was flipped.  Returns a list of violation strings.
     """
     problems = []
     pages = [s.page for s in chain.steps]
     if len(set(pages)) != len(pages):
         problems.append("page targeted more than once")
-    locations = [(s.pfn, s.bop) for s in chain.steps if s.pfn is not None]
-    if len(set(locations)) != len(locations):
-        problems.append("physical location reused")
+    frames = [s.pfn for s in chain.steps if s.pfn is not None]
+    if len(set(frames)) != len(frames):
+        problems.append("frame placed twice")
     entries = set()
     for pfn, bop, d, _ in profile_entries(profile):
         entries.add((pfn, bop, d))
     for s in chain.steps:
         if s.pfn is None:
-            problems.append(f"step ({s.page},{s.bop}) carries no reservation")
+            problems.append(f"step ({s.page},{s.bop}) carries no frame")
             continue
         if (s.pfn, s.bop, s.mode) not in entries:
             problems.append(
-                f"reserved ({s.pfn},{s.bop},{s.mode}) not in the profile")
+                f"placed ({s.pfn},{s.bop},{s.mode}) not in the profile")
         if s.mode not in (0, 1):
             problems.append("bad mode")
     if protected is not None:
@@ -568,20 +567,13 @@ def save_csv(profile, path):
                      f"{int(profile.direction[i])},{float(profile.probability[i])!r}\n")
 
 
-def unreserved_locations(profile, steps):
-    """Keep mask: entries at no (pfn, bop) location a step reserved."""
-    used = {(s.pfn, s.bop) for s in steps if s.pfn is not None}
-    return np.array([(p, b) not in used for p, b, _, _ in profile_entries(profile)],
-                    dtype=bool)
-
-
 def disjoint_chains_reference(model, dataset, profile, config, count,
                               target_class=None):
     """``count`` disjoint chains, each a search of its own.
 
     Chain i is a fresh :func:`flipsim.search.search_chain` (its own clean
-    pass and ``ProfileView``) with the bits of chains < i protected, on the
-    profile less every location they reserved.
+    pass and ``ProfileView``) on the whole profile, with the bits of chains
+    < i protected.
     """
     protected = config.protected.copy() if config.protected else ProtectedMask()
     chains = []
@@ -594,8 +586,6 @@ def disjoint_chains_reference(model, dataset, profile, config, count,
                                           target_class)
         chains.append(chain)
         protected.add_refs(s.ref for s in chain.steps)
-        if profile is not None:
-            profile = profile.subset(unreserved_locations(profile, chain.steps))
     return chains
 
 
@@ -678,149 +668,96 @@ def synthesize_cells_reference(config, density="dense", seed=0,
     return sets, rowz, bitcols, base_dir, prob, sscap
 
 
-# ---- frame planning and reservation before the shared frame index ----------
+# ---- frame placement ------------------------------------------------------------
 
 
-def _candidate_frames(profile, target, owner):
-    """Attacker frames carrying a matching (bop, direction) profile entry."""
-    mask = (profile.bop == target.bop) & (profile.direction == target.mode)
-    frames = np.unique(profile.pfn[mask])
-    return [int(p) for p in frames if owner[int(p)] == OWNER_ATTACKER]
+def hammerable_reference(config, row):
+    """Whether every aggressor row of victim ``row`` lies inside the bank."""
+    if config.hammer_mode == "double":
+        return 1 <= row <= config.rows_per_bank - 2
+    return config.rows_per_bank >= 2 and 0 <= row < config.rows_per_bank
 
 
-def _entry_geometry(dram, ppn, bop):
-    s, row, stripe, col_base, col_span = bit_addr(dram.config, ppn, bop)
-    return s, row, col_base, col_span, stripe
+def _single_aggressor(config, row):
+    return row - 1 if row == config.rows_per_bank - 1 else row + 1
 
 
-def _reference_candidates(chain_targets, profile, dram):
-    """Each target's frames, and the least-options-first order."""
-    owner = dram.owner
-    candidates = []
-    for tb in chain_targets:
-        frames = _candidate_frames(profile, tb, owner)
-        frames = [p for p in frames
-                  if _conflicts(dram, _entry_geometry(dram, p, tb.bop), []) is None]
-        if not frames:
-            raise UnsatisfiablePlan(tb, "no attacker frame matches bop and "
-                                        "direction")
-        candidates.append(frames)
-    order = sorted(range(len(chain_targets)), key=lambda i: (len(candidates[i]), i))
-    return candidates, order
+def collides_reference(config, victim, placed):
+    """Whether victim ``(set, row, bit column)`` and one of ``placed`` sit in
+    one bank, either channel, with one's row an aggressor row of the other;
+    double-sided hammering spares victims in other in-row pages of that row."""
+    s, row, col = victim
+    span = config.in_row_page_size * 8
+    for o_s, o_row, o_col in placed:
+        if o_s % config.banks != s % config.banks:
+            continue
+        if config.hammer_mode == "double":
+            if o_col // span == col // span and abs(o_row - row) == 1:
+                return True
+        elif o_row == _single_aggressor(config, row) or \
+                row == _single_aggressor(config, o_row):
+            return True
+    return False
 
 
-def greedy_assignment_reference(chain_targets, profile, dram):
-    """The reference planner's greedy pass: ``{target: frame}`` or None."""
-    candidates, order = _reference_candidates(chain_targets, profile, dram)
-    return _greedy_assign(chain_targets, candidates, order, dram)
+class ProfileViewReference:
+    """:class:`flipsim.search.ProfileView` as a scan over a list of entries.
+
+    ``place`` returns the frame or None.
+    """
+
+    def __init__(self, profile, config, attacker):
+        self.config = config
+        self.entries = []  # (bop, direction, pfn, (set, row, bit column))
+        for pfn, bop, d, _ in profile_entries(profile):
+            s, row, col, _, _ = bit_addr(config, pfn, bop)
+            if attacker[pfn] and hammerable_reference(config, row):
+                self.entries.append((bop, d, pfn, (s, row, col)))
+        self.clear()
+
+    def clear(self):
+        self.held, self.placed = [], []
+
+    def _free(self, bop, mode):
+        return sorted((pfn, victim) for b, d, pfn, victim in self.entries
+                      if b == bop and d == mode and pfn not in self.held)
+
+    def match_count(self, bop, mode):
+        return len(self._free(bop, mode))
+
+    def availability(self, mode):
+        avail = np.zeros(PAGE_BITS, dtype=bool)
+        for bop, d, pfn, _ in self.entries:
+            if d == mode and pfn not in self.held:
+                avail[bop] = True
+        return avail
+
+    def place(self, bop, mode):
+        for pfn, victim in self._free(bop, mode):
+            if not collides_reference(self.config, victim, self.placed):
+                self.held.append(pfn)
+                self.placed.append(victim)
+                return pfn
+        return None
 
 
 def plan_mapping_reference(chain_targets, profile, dram,
                            threshold=DEFAULT_RECYCLING_THRESHOLD):
-    """:func:`flipsim.massage.plan_mapping` with a full-profile mask per
-    target and two assignment passes: a least-options-first greedy pass,
-    then, when it dead-ends, Kuhn's augmenting paths over all targets in
-    chain order followed by one conflict check."""
+    """:func:`flipsim.massage.plan_mapping` through
+    :class:`ProfileViewReference`, in chain order."""
     if len(chain_targets) >= threshold:
         raise ThresholdViolation(
             f"{len(chain_targets)} targets would reach the recycling "
             f"threshold {threshold}")
-    candidates, order = _reference_candidates(chain_targets, profile, dram)
-    assignment = _greedy_assign(chain_targets, candidates, order, dram)
-    if assignment is None:
-        assignment = _matching_assign(chain_targets, candidates, dram)
-    if isinstance(assignment, int):
-        raise UnsatisfiablePlan(chain_targets[assignment],
-                                "candidate frames exhausted by other targets")
-
+    view = ProfileViewReference(profile, dram.config,
+                                dram.owner == OWNER_ATTACKER)
+    counts = {i: view.match_count(tb.bop, tb.mode)
+              for i, tb in enumerate(chain_targets)}
     entries = []
-    for i, tb in enumerate(chain_targets):
-        ppn = assignment[i]
-        s, row, base, span, stripe = _entry_geometry(dram, ppn, tb.bop)
-        entries.append(PlanEntry(tb, tb.page, ppn, s, row, base, span, stripe))
-    counts = {i: len(candidates[i]) for i in range(len(chain_targets))}
+    for tb in chain_targets:
+        pfn = view.place(tb.bop, tb.mode)
+        if pfn is None:
+            raise UnsatisfiablePlan(tb, "no frame placed")
+        s, row, stripe, base, span = bit_addr(dram.config, pfn, tb.bop)
+        entries.append(PlanEntry(tb, tb.page, pfn, s, row, base, span, stripe))
     return MappingPlan(entries, counts)
-
-
-def _greedy_assign(targets, candidates, order, dram):
-    taken = {}
-    geos = []
-    for i in order:
-        placed = False
-        for ppn in candidates[i]:
-            if ppn in taken:
-                continue
-            geo = _entry_geometry(dram, ppn, targets[i].bop)
-            if _conflicts(dram, geo, geos) is not None:
-                continue
-            taken[ppn] = i
-            geos.append(geo)
-            placed = True
-            break
-        if not placed:
-            return None
-    return {i: p for p, i in taken.items()}
-
-
-def _matching_assign(targets, candidates, dram):
-    """Kuhn's augmenting paths over frames, then a final conflict check."""
-    match = {}
-
-    def try_assign(i, seen):
-        for ppn in candidates[i]:
-            if ppn in seen:
-                continue
-            seen.add(ppn)
-            if ppn not in match or try_assign(match[ppn], seen):
-                match[ppn] = i
-                return True
-        return False
-
-    for i in range(len(targets)):
-        if not try_assign(i, set()):
-            return i
-    assignment = {i: p for p, i in match.items()}
-    geos = []
-    for i in range(len(targets)):
-        geo = _entry_geometry(dram, assignment[i], targets[i].bop)
-        why = _conflicts(dram, geo, geos)
-        if why is not None:
-            return i
-        geos.append(geo)
-    return assignment
-
-
-class ProfileViewReference:
-    """:class:`flipsim.search.ProfileView` from dicts of pool starts and
-    offsets and per-direction match-count arrays."""
-
-    def __init__(self, profile):
-        order = np.lexsort((profile.pfn, profile.direction, profile.bop))
-        self._pfn = profile.pfn[order]
-        keys = profile.bop[order] * 2 + profile.direction[order]
-        uniq, starts = np.unique(keys, return_index=True)
-        self._start = dict(zip(uniq.tolist(), starts.tolist()))
-        self._taken = {}
-        self._counts = {0: np.zeros(PAGE_BITS, dtype=np.int64),
-                        1: np.zeros(PAGE_BITS, dtype=np.int64)}
-        for d in (0, 1):
-            mask = profile.direction == d
-            if mask.any():
-                self._counts[d] = np.bincount(profile.bop[mask],
-                                              minlength=PAGE_BITS).astype(np.int64)
-
-    def match_count(self, bop, mode):
-        return int(self._counts[mode][bop])
-
-    def availability(self, mode):
-        return self._counts[mode] > 0
-
-    def reserve(self, bop, mode):
-        if self._counts[mode][bop] <= 0:
-            return None
-        key = int(bop) * 2 + int(mode)
-        offset = self._taken.get(key, 0)
-        pfn = int(self._pfn[self._start[key] + offset])
-        self._taken[key] = offset + 1
-        self._counts[mode][bop] -= 1
-        return pfn

@@ -117,8 +117,7 @@ def test_criterion_03_random_vs_targeted_contrast(desk_model, desk_dataset,
     median_drop = statistics.median(drops)
 
     chain = search_chain(desk_model, desk_dataset, bench_profile,
-                         SearchConfig(p=desk_cfg.p,
-                                      batch_seed=desk_cfg.batch_seed))
+                         cli.search_config(desk_cfg))
     ok = median_drop < 0.02 and chain.feasible and len(chain) <= 30 \
         and chain.terminal_metric() <= 0.11
     verdict(3, ok,
@@ -142,7 +141,9 @@ def test_criterion_04_selection_oracle(desk_model, desk_dataset, desk_cfg,
     work = desk_model.copy()
     image = WeightImage(work)
     x, y = desk_dataset.batch(desk_cfg.eval_batch, desk_cfg.batch_seed)
-    view = ProfileView(profile)
+    geometry = cli.dram_config(desk_cfg)
+    view = ProfileView(profile, geometry, np.arange(geometry.total_pages)
+                       < cli.attacker_frames(desk_cfg, geometry))
     used_pages = set()
     iterations = 0
     while iterations < 6:
@@ -181,7 +182,7 @@ def test_criterion_05_constraint_audit(desk_model, desk_dataset, desk_cfg,
                                        bench_profile):
     problems = []
     chains = 0
-    cfg = SearchConfig(p=desk_cfg.p, batch_seed=desk_cfg.batch_seed)
+    cfg = cli.search_config(desk_cfg)
     chain = search_chain(desk_model, desk_dataset, bench_profile, cfg)
     problems += audit_chain(chain, bench_profile)
     chains += 1
@@ -196,7 +197,7 @@ def test_criterion_05_constraint_audit(desk_model, desk_dataset, desk_cfg,
     problems += audit_chain(sparse, sampled)
     chains += 1
     verdict(5, not problems,
-            f"{chains} chains scanned independently: page rule, location "
+            f"{chains} chains scanned independently: page rule, frame "
             f"reuse, direction/offset match, protected mask all clean"
             + ("" if not problems else f"; problems: {problems}"))
 
@@ -339,8 +340,8 @@ def test_criterion_09_sensitivity(desk_model, desk_dataset, desk_cfg,
             prof = bench_profile if rate == 1.0 else \
                 sample_profile(bench_profile, rate, seed=s)
             chain = search_chain(desk_model, desk_dataset, prof,
-                                 SearchConfig(p=desk_cfg.p, max_flips=45,
-                                              batch_seed=desk_cfg.batch_seed))
+                                 replace(cli.search_config(desk_cfg),
+                                         max_flips=45))
             lengths.append(len(chain))
             feasible += chain.feasible
         medians[rate] = statistics.median(lengths)
@@ -350,8 +351,7 @@ def test_criterion_09_sensitivity(desk_model, desk_dataset, desk_cfg,
     majority = all(success[r] >= 3 for r in success)
     rare = search_chain(desk_model, desk_dataset,
                         sample_profile(bench_profile, 0.001, seed=1),
-                        SearchConfig(p=desk_cfg.p, max_flips=45,
-                                     batch_seed=desk_cfg.batch_seed))
+                        replace(cli.search_config(desk_cfg), max_flips=45))
     rare_reported = rare.feasible or (not rare.feasible and len(rare) >= 0)
     rows.append(f"rate 0.001: feasible={rare.feasible} (reported as such)")
     verdict(9, monotone and majority and rare_reported, "; ".join(rows))
@@ -367,9 +367,8 @@ def test_criterion_10_targeted_variant(desk_model, desk_dataset, desk_cfg,
     for s in (1, 2, 3, 4, 5):
         chain = search_chain_targeted(
             desk_model, desk_dataset, bench_profile,
-            SearchConfig(p=desk_cfg.p, max_flips=30,
-                         batch_seed=desk_cfg.batch_seed + s,
-                         target_fraction=0.9), 0)
+            replace(cli.search_config(desk_cfg),
+                    batch_seed=desk_cfg.batch_seed + s, target_fraction=0.9), 0)
         if chain.feasible and len(chain) <= 30 and chain.terminal_metric() >= 0.9:
             passes += 1
             flips.append(len(chain))

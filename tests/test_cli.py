@@ -319,6 +319,55 @@ def _load_tracer():
     return module
 
 
+@pytest.mark.parametrize("key,value", [
+    ("test_per_class", 0), ("train_per_class", 0), ("blob_noise", -1),
+])
+def test_invalid_dataset_setting_exits_config(tmp_path, capsys, key, value):
+    out = tmp_path / "t"
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("\n".join(f"{k} = {v}" for k, v in
+                                 fast_overrides(str(out), **{key: value}).items())
+                       + "\n")
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfgfile)]) == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(out / "checkpoint.qnn")
+
+
+@pytest.mark.parametrize("command", [["search"], ["exploit"], ["template"],
+                                     ["random-baseline"],
+                                     ["defense", "--mode", "topn"]])
+@pytest.mark.parametrize("setting", [{"blob_shape": "1 4 4"}, {"classes": 3}],
+                         ids=["input-shape", "class-count"])
+def test_dataset_that_does_not_fit_the_checkpoint_exits_config(
+        fast_trained, tmp_path, capsys, command, setting):
+    out = tmp_path / "o"
+    out.mkdir()
+    for name in ("checkpoint.qnn", "profile.csv", "geometry.txt"):
+        with open(os.path.join(fast_trained, name), "rb") as src:
+            (out / name).write_bytes(src.read())
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("\n".join(f"{k} = {v}" for k, v in
+                                 fast_overrides(str(out), **setting).items())
+                       + "\n")
+    capsys.readouterr()
+    assert cli.main(command + ["--config", str(cfgfile)]) == cli.EXIT_CONFIG
+    assert "the checkpoint takes inputs" in capsys.readouterr().err
+
+
+def test_blob_resnet_quantizer_collapse_exits_infeasible(tmp_path, capsys):
+    # a training step leaves a layer with no positive weight, which the
+    # max-based quantizer step cannot encode
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(f"seed = 7\narch = blob_resnet\ngeometry = desk\n"
+                       f"out = {tmp_path / 'r'}\n")
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfgfile)]) == cli.EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert "training failure: training stopped in epoch" in err
+    assert "step size would be <= 0" in err
+
+
 @pytest.mark.parametrize("target_class", [-1, 0])
 def test_chains_of_one_search_share_a_session(fast_trained, tmp_path,
                                               monkeypatch, target_class):
@@ -659,14 +708,19 @@ def test_three_alternative_chains_are_disjoint(tmp_path, pipeline_out, desk_cfg)
         profile_path=os.path.join(pipeline_out, "profile.csv"))
     assert len(chains) == 3
     assert all(c.feasible for c in chains)
-    refs, locations = set(), set()
+    # no bit twice; profile locations may repeat, since each chain is
+    # planned on its own and replays onto the frames its search placed
+    model, _ = cli._load_checkpoint(cfg, os.path.join(pipeline_out,
+                                                      "checkpoint.qnn"))
+    state = cli.provision(cfg, model)[0]
+    profile = FlipProfile.load_csv(os.path.join(pipeline_out, "profile.csv"))
+    refs = set()
     for chain in chains:
         these = {s.ref for s in chain.steps}
-        locs = {(s.pfn, s.bop) for s in chain.steps}
         assert not (these & refs)
-        assert not (locs & locations)
         refs |= these
-        locations |= locs
+        plan = cli.plan_mapping(chain.targets(), profile, state)
+        assert [e.ppn for e in plan.entries] == [s.pfn for s in chain.steps]
     for i in (1, 2, 3):
         assert os.path.exists(os.path.join(cfg.out, f"chain_{i}.jsonl"))
 

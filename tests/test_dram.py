@@ -140,7 +140,7 @@ def test_aggressor_rows_at_bank_edges():
 
 @pytest.mark.parametrize("mode", ["double", "single"])
 def test_one_row_bank_has_no_hammerable_row(mode):
-    from flipsim.massage import _conflicts
+    from flipsim.search import ProfileView
 
     state = tiny_dram(rows=1, hammer_mode=mode)
     assert not state.config.aggressors_in_bank(0)
@@ -148,7 +148,11 @@ def test_one_row_bank_has_no_hammerable_row(mode):
         state.hammer(0, 0)
     with pytest.raises(IndexError):
         template(state, scan_rows=[(0, 0)])
-    assert _conflicts(state, (0, 0, 0, 32768, 0), []) is not None
+    # the frame placer indexes no frame of the bank
+    view = ProfileView(FlipProfile([0], [0], [0], [1.0]), state.config,
+                       np.ones(state.config.total_pages, dtype=bool))
+    assert view.match_count(0, 0) == 0
+    assert view.place(0, 0)[0] is None
 
 
 def test_page_io_rejects_out_of_range_pfn():

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_cells, tiny_dram
@@ -12,12 +12,11 @@ from flipsim.dram import OWNER_ATTACKER, OWNER_FREE, OWNER_VICTIM, FlipProfile
 from flipsim.image import PAGE_BITS, TargetBit
 from flipsim.massage import (MappingMismatch, MappingPlan, PageFrameCache,
                              PlanEntry, ThresholdViolation, UnsatisfiablePlan,
-                             _conflicts, plan_aggressors, plan_mapping,
-                             plan_to_json, precise_hammer, release_and_remap,
-                             retemplate, verify_template)
-from oracles import (bit_addr, greedy_assignment_reference,
-                     ground_truth_profile, plan_mapping_reference,
-                     profile_entries)
+                             plan_aggressors, plan_mapping, plan_to_json,
+                             precise_hammer, release_and_remap, retemplate,
+                             verify_template)
+from oracles import (bit_addr, collides_reference, ground_truth_profile,
+                     plan_mapping_reference, profile_entries)
 
 
 class FakeImage:
@@ -98,24 +97,39 @@ def test_single_target_single_candidate():
     assert plan.entries[0].pgid == 1
 
 
-def test_least_options_first_avoids_conflict():
-    # A has one candidate (the shared frame), B has five: naive order can
-    # give the shared frame to B; exhaustive check says A must get it
+def test_replay_places_in_chain_order():
+    # the chain's first target takes the lowest frame of its pool, even one
+    # a later target needed: the replay places steps as the search did
     state = attacker_state()
     shared = state.addr.row_pfns(0, 5)[0]
     others = [state.addr.row_pfns(0, r)[0] for r in (8, 11, 14, 17)]
-    profile = FlipProfile(
-        [shared] + [shared] + others,
-        [100] + [200] * 5,
-        [0] * 6,
-        [1.0] * 6,
-    )
-    target_a = TargetBit(1, 100, 0)
-    target_b = TargetBit(2, 200, 0)
-    plan = plan_mapping([target_b, target_a], profile, state)
-    by_page = {e.pgid: e.ppn for e in plan.entries}
-    assert by_page[1] == shared
-    assert by_page[2] in others
+    profile = FlipProfile([shared] + [shared] + others, [100] + [200] * 5,
+                          [0] * 6, [1.0] * 6)
+    target_a, target_b = TargetBit(1, 100, 0), TargetBit(2, 200, 0)
+    plan = plan_mapping([target_a, target_b], profile, state)
+    assert [e.ppn for e in plan.entries] == [shared, others[0]]
+    assert plan.candidate_counts == {0: 1, 1: 5}
+    with pytest.raises(UnsatisfiablePlan, match="exhausted by other") as err:
+        plan_mapping([target_b, target_a], profile, state)
+    assert err.value.target == target_a
+
+
+@pytest.mark.parametrize("mode", ["double", "single"])
+def test_replay_skips_frames_that_collide(mode):
+    # the second target's lowest frame sits in the first one's aggressor
+    # row, at the same in-row page: it takes its next frame
+    state = tiny_dram(rows=32, hammer_mode=mode)
+    state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
+    first = state.addr.row_pfns(0, 5)[0]
+    beside, far = state.addr.row_pfns(0, 6)[0], state.addr.row_pfns(0, 20)[0]
+    profile = FlipProfile([first, beside, far], [100, 200, 200], [0] * 3,
+                          [1.0] * 3)
+    targets = [TargetBit(1, 100, 0), TargetBit(2, 200, 0)]
+    plan = plan_mapping(targets, profile, state)
+    assert [e.ppn for e in plan.entries] == [first, far]
+    with pytest.raises(UnsatisfiablePlan, match="collides with victim at row 5"):
+        plan_mapping(targets, profile.subset(np.array([True, True, False])),
+                     state)
 
 
 def test_unsatisfiable_names_the_target():
@@ -151,25 +165,21 @@ def test_plan_honours_configured_recycling_threshold():
         plan_mapping(targets, profile, state, threshold=2)
 
 
-def dead_end_case():
-    """Three targets on frames f1, f2, f3 where greedy order dead-ends."""
-    state = attacker_state()
-    f1, f2, f3 = (state.addr.row_pfns(0, r)[0] for r in (5, 8, 11))
-    profile = FlipProfile([f1, f2, f2, f3, f1, f2], [10, 10, 20, 20, 30, 30],
-                          [0] * 6, [1.0] * 6)
-    targets = [TargetBit(1, 10, 0), TargetBit(2, 20, 0), TargetBit(3, 30, 0)]
-    return state, profile, targets
-
-
-def test_matching_fallback_beats_greedy_dead_end():
-    # every target has two frames, so greedy goes in target order: bop 10
-    # takes f1, bop 20 takes f2 and bop 30 finds both its frames taken; the
-    # augmenting path moves bop 10 to f2 and bop 20 to f3
-    state, profile, targets = dead_end_case()
-    f1, f2, f3 = (state.addr.row_pfns(0, r)[0] for r in (5, 8, 11))
+def test_replay_skips_a_frame_in_the_other_channels_aggressor_row():
+    # dual channel: the first victim bit sits in channel 1, but its page's
+    # channel-0 half lies in the second victim's aggressor row, where the
+    # attacker cannot write the stripe pattern
+    state = tiny_dram(rows=32, channels=2)
+    state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
+    first = state.addr.row_pfns(0, 5)[0]
+    beside, far = state.addr.row_pfns(0, 6)[0], state.addr.row_pfns(0, 20)[0]
+    profile = FlipProfile([first, beside, far], [20000, 100, 100], [0] * 3,
+                          [1.0] * 3)
+    targets = [TargetBit(1, 20000, 0), TargetBit(2, 100, 0)]
     plan = plan_mapping(targets, profile, state)
-    assignment = {e.pgid: e.ppn for e in plan.entries}
-    assert assignment == {1: f2, 2: f3, 3: f1}
+    assert [e.ppn for e in plan.entries] == [first, far]
+    assert [e.set for e in plan.entries] == [2, 0]
+    plan_aggressors(plan, state)
 
 
 @st.composite
@@ -212,24 +222,16 @@ def _outcome(plan, *args):
 
 @settings(max_examples=500, deadline=None)
 @given(planning_cases())
-@example(dead_end_case())
 def test_plan_mapping_matches_reference_planner(case):
     state, profile, targets = case
     got = _outcome(plan_mapping, targets, profile, state)
     want = _outcome(plan_mapping_reference, targets, profile, state)
-    unmatched = "no attacker frame matches"
-    if isinstance(want, UnsatisfiablePlan) and unmatched in str(want):
-        assert isinstance(got, UnsatisfiablePlan) and str(got) == str(want)
+    if isinstance(want, UnsatisfiablePlan):
+        assert isinstance(got, UnsatisfiablePlan)
+        assert got.target is want.target
         return
-    assert not (isinstance(got, UnsatisfiablePlan) and unmatched in str(got))
-    if greedy_assignment_reference(targets, profile, state) is not None:
-        assert got.entries == want.entries
-        assert got.candidate_counts == want.candidate_counts
-    if isinstance(got, UnsatisfiablePlan):
-        # no frame-distinct assignment exists, so the reference fails too
-        if "candidate frames exhausted" in str(got):
-            assert isinstance(want, UnsatisfiablePlan)
-        return
+    assert got.entries == want.entries
+    assert got.candidate_counts == want.candidate_counts
     locations = {(p, b, d) for p, b, d, _ in profile_entries(profile)}
     assert len({e.ppn for e in got.entries}) == len(targets)
     geos = []
@@ -242,8 +244,8 @@ def test_plan_mapping_matches_reference_planner(case):
         assert (e.set, e.victim_row, e.col_base, e.col_span,
                 e.stripe_bitcol) == geo
         assert state.config.aggressors_in_bank(row)
-        assert _conflicts(state, geo, geos) is None
-        geos.append(geo)
+        assert not collides_reference(state.config, (s, row, stripe), geos)
+        geos.append((s, row, stripe))
 
 
 # ---- plan_aggressors --------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from flipsim import qnn
-from flipsim.dram import FlipProfile
+from flipsim.dram import DramConfig, FlipProfile, full_single
 from flipsim.image import PAGE_BITS, WeightImage
 from flipsim.qnn.model import BitRef, loss_and_accuracy, metrics_from_logits
 from flipsim.search import (Candidate, ProfileView, ProtectedMask, RowScores,
@@ -25,6 +25,17 @@ from oracles import (ProfileViewReference, audit_chain, bit_gradients,
                      rank_candidates_reference, replay_chain)
 
 rng = np.random.default_rng(17)
+
+# a geometry wide enough for every frame number these tests draw, all of
+# whose frames the attacker holds
+GEOMETRY = full_single()
+PLACED = dict(dram=GEOMETRY, attacker_frames=GEOMETRY.total_pages)
+
+
+def _view(profile):
+    """A placer over every frame of :data:`GEOMETRY`."""
+    return ProfileView(profile, GEOMETRY,
+                       np.ones(GEOMETRY.total_pages, dtype=bool))
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +161,7 @@ def test_select_flippable_matches_table_style_entry(small_setup):
     model, _ = small_setup
     # candidate (page 1, bop 4847, mode 0) with a matching profile entry
     profile = FlipProfile([77], [4847], [0], [1.0])
-    view = ProfileView(profile)
+    view = _view(profile)
     cand = Candidate(BitRef(1, 605, 7), -0.5, 0, 1, 4847, 2.0, 0.5, 1)
     picked = select_flippable([cand], view)
     assert picked is not None
@@ -160,7 +171,7 @@ def test_select_flippable_matches_table_style_entry(small_setup):
 
 def test_select_skips_opposite_direction():
     profile = FlipProfile([77], [4847], [1], [1.0])
-    view = ProfileView(profile)
+    view = _view(profile)
     cand = Candidate(BitRef(1, 605, 7), -0.5, 0, 1, 4847, 2.0, 0.5, 0)
     assert select_flippable([cand], view) is None
 
@@ -169,9 +180,9 @@ def test_select_prefers_more_locations_on_ties(small_setup):
     model, dataset = small_setup
     image = WeightImage(model)
     x, y = dataset.batch(64, 3)
-    profile_rows = [(10, 100, 0, 1.0), (11, 100, 0, 1.0), (12, 200, 0, 1.0)]
+    profile_rows = [(110, 100, 0, 1.0), (111, 100, 0, 1.0), (112, 200, 0, 1.0)]
     profile = FlipProfile.from_entries(profile_rows)
-    view = ProfileView(profile)
+    view = _view(profile)
     a = Candidate(BitRef(1, 2, 7), -0.5, 0, 1, 200, 2.0, 0.5, 1)
     b = Candidate(BitRef(1, 9, 7), -0.5, 0, 1, 100, 2.0, 0.5, 2)
     ranked = sorted([a, b], key=lambda c: (c.accuracy, -c.loss, -c.match_count,
@@ -222,28 +233,45 @@ def test_protected_mask_layer_refs_list_each_ref():
 
 
 def test_no_location_reuse():
-    profile = FlipProfile([9], [123], [0], [1.0])
-    view = ProfileView(profile)
-    assert view.reserve(123, 0) == 9
-    assert view.reserve(123, 0) is None
+    # within a chain a frame backs one step; the next chain starts afresh
+    profile = FlipProfile([109, 109], [123, 124], [0, 0], [1.0, 1.0])
+    view = _view(profile)
+    assert view.place(123, 0) == (109, None)
+    assert view.match_count(124, 0) == 0
+    assert view.place(124, 0) == (
+        None, "candidate frames exhausted by other targets")
+    view.clear()
+    assert view.place(124, 0) == (109, None)
 
 
 _VIEW_BOPS = [0, 1, 7, 4847, PAGE_BITS - 1]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.tuples(st.integers(0, 30), st.sampled_from(_VIEW_BOPS)),
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 2]), st.sampled_from(["double", "single"]),
+       st.dictionaries(st.tuples(st.integers(0, 31), st.sampled_from(_VIEW_BOPS)),
                        st.integers(0, 1), max_size=40),
-       st.lists(st.tuples(st.sampled_from(["reserve", "count", "availability"]),
+       st.integers(0, 2 ** 16),
+       st.lists(st.tuples(st.sampled_from(["place", "count", "availability",
+                                           "clear"]),
                           st.sampled_from(_VIEW_BOPS), st.integers(0, 1)),
                 max_size=60))
-def test_profile_view_matches_reference(locations, ops):
+def test_profile_view_matches_reference(channels, hammer, locations, seed,
+                                        ops):
+    # 8 rows of 2 banks: bank edges, shared rows and aggressor rows abound
+    config = DramConfig(channels=channels, banks_per_dimm=2, rows_per_bank=8,
+                        hammer_mode=hammer)
+    attacker = np.random.default_rng(seed).random(config.total_pages) < 0.8
     profile = FlipProfile.from_entries(
         [(pfn, bop, d, 1.0) for (pfn, bop), d in locations.items()])
-    view, ref = ProfileView(profile), ProfileViewReference(profile)
+    view = ProfileView(profile, config, attacker)
+    ref = ProfileViewReference(profile, config, attacker)
     for op, bop, mode in ops:
-        if op == "reserve":
-            assert view.reserve(bop, mode) == ref.reserve(bop, mode)
+        if op == "place":
+            assert view.place(bop, mode)[0] == ref.place(bop, mode)
+        elif op == "clear":
+            view.clear()
+            ref.clear()
         elif op == "count":
             assert view.match_count(bop, mode) == ref.match_count(bop, mode)
         else:
@@ -254,7 +282,7 @@ def test_profile_view_matches_reference(locations, ops):
 def test_empty_profile_immediately_infeasible(small_setup):
     model, dataset = small_setup
     chain = search_chain(model, dataset, FlipProfile.empty(),
-                         SearchConfig(p=4, max_flips=5))
+                         SearchConfig(p=4, max_flips=5, **PLACED))
     assert len(chain) == 0
     assert not chain.feasible
     assert chain.exhausted
@@ -321,7 +349,7 @@ def test_chain_respects_constraints_audit(small_setup):
         entries.append((pfn, int(bop), int(r.integers(0, 2)), 1.0))
         pfn += 1
     profile = FlipProfile.from_entries(entries)
-    cfg = SearchConfig(p=8, max_flips=8, target_accuracy=0.0)
+    cfg = SearchConfig(p=8, max_flips=8, target_accuracy=0.0, **PLACED)
     chain = search_chain(model, dataset, profile, cfg)
     assert len(chain) > 0
     assert audit_chain(chain, profile) == []
@@ -339,7 +367,8 @@ def test_targeted_single_class_dataset_trivial():
                             qnn.TrainConfig(epochs=2, accuracy_floor=0.0), seed=3)
     chain = search_chain_targeted(model, dataset, FlipProfile.empty(),
                                   SearchConfig(p=4, max_flips=5,
-                                               target_fraction=0.9), 0)
+                                               target_fraction=0.9,
+                                               **PLACED), 0)
     assert chain.feasible
     assert len(chain) == 0
 
@@ -457,7 +486,7 @@ def test_rank_candidates_match_reference(rank_models, kind, objective, rate, p,
     x, y = dataset.x_test, dataset.y_test
     if data.draw(st.booleans()):
         x, y, rows = x[rows], y[rows], None
-    view = None if rate is None else ProfileView(_random_profile(gen, rate))
+    view = None if rate is None else _view(_random_profile(gen, rate))
     used = data.draw(st.sets(st.integers(1, image.page_count),
                              max_size=image.page_count - 1))
     weighted = model.weighted_indices()
@@ -506,7 +535,7 @@ def test_memoized_ranking_matches_fresh_pass(rank_models, kind, objective,
     x, y = dataset.x_test, dataset.y_test
     if target is None:
         x, y, rows = x[rows], y[rows], None
-    view = None if rate is None else ProfileView(_random_profile(gen, rate))
+    view = None if rate is None else _view(_random_profile(gen, rate))
     kwargs = dict(objective=objective, view=view)
     state = search_pass(model, x, y, rows, target)
     first = rank_candidates(model, image, state, p, **kwargs,
@@ -514,7 +543,7 @@ def test_memoized_ranking_matches_fresh_pass(rank_models, kind, objective,
     taken = first[:data.draw(st.integers(0, len(first)))]
     if view is not None:
         for cand in taken:
-            view.reserve(cand.bop, cand.mode)
+            view.place(cand.bop, cand.mode)
     protected = ProtectedMask({c.ref for c in taken})
     got = rank_candidates(model, image, state, p, **kwargs, protected=protected)
     want = rank_candidates(model, image, search_pass(model, x, y, rows, target),
@@ -549,7 +578,7 @@ def test_session_chains_match_fresh_searches(rank_models, kind, count, rate,
     gen = np.random.default_rng(seed)
     profile = None if rate is None else _unique_locations(gen, rate)
     cfg = SearchConfig(p=p, max_flips=max_flips, target_accuracy=0.2,
-                       eval_batch_size=32, batch_seed=seed,
+                       eval_batch_size=32, batch_seed=seed, **PLACED,
                        protected=ProtectedMask({BitRef(model.weighted_indices()[-1],
                                                        0, 7)}))
     got = list(islice(disjoint_chains(model, dataset, profile, cfg, target),
