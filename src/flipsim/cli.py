@@ -17,6 +17,7 @@ mismatch), 4 configuration error.
 """
 
 import argparse
+import copy
 import json
 import os
 import statistics
@@ -506,12 +507,14 @@ def cmd_exploit(cfg, checkpoint=None, profile_path=None, chain_path=None):
                          records)
 
 
-def exploit_stage(cfg, model, dataset, profile, records):
+def exploit_stage(cfg, model, dataset, profile, records, provisioned=None):
     """Online phase: verify -> (retemplate) -> plan -> position -> hammer.
 
-    ``profile`` is already sampled.  The final accuracy is recomputed from
-    the post-hammer weight image and must equal the chain's recorded
-    terminal metric exactly.
+    ``profile`` is already sampled.  ``provisioned`` is a :func:`provision`
+    result of ``cfg`` and ``model`` for the stage to work on and change;
+    by default the stage provisions afresh.  The final accuracy is
+    recomputed from the post-hammer weight image and must equal the chain's
+    recorded terminal metric exactly.
     """
     if not records:
         raise ConfigError("chain file is empty")
@@ -525,7 +528,8 @@ def exploit_stage(cfg, model, dataset, profile, records):
         except IndexError as exc:
             raise ConfigError(f"chain record {i + 1}: {exc}") from None
 
-    state, image, placement, attacker_pages = provision(cfg, model)
+    state, image, placement, attacker_pages = (provisioned
+                                               or provision(cfg, model))
     rebooted = cfg.reboot_seed >= 0
     if rebooted:
         state.reboot(cfg.reboot_seed, cfg.toggle_probability)
@@ -696,11 +700,13 @@ def cmd_sensitivity(cfg, checkpoint=None, profile_path=None):
     """Search + exploit across profile sampling rates (1.0 .. 0.001).
 
     The inputs are loaded once and the profile is sampled once per rate;
-    the config's own ``rate`` is ignored.
+    the config's own ``rate`` is ignored.  The DRAM is provisioned once,
+    before the first exploit, and each exploit works on a deep copy of it.
     """
     rates = [1.0, 0.1, 0.01, 0.001]
     model, dataset, profile = _load_stage_inputs(
         replace(cfg, rate=rates[0]), checkpoint, profile_path, geometry=True)
+    clean = None
     results = []
     for i, rate in enumerate(rates):
         sub = replace(cfg, rate=rate, out=os.path.join(cfg.out, f"rate_{i}"))
@@ -710,7 +716,9 @@ def cmd_sensitivity(cfg, checkpoint=None, profile_path=None):
         row = {"rate": rate, "flips": len(chain), "feasible": chain.feasible,
                "terminal_metric": chain.terminal_metric()}
         if chain.feasible and len(chain):
-            report = exploit_stage(sub, model, dataset, sampled, chain.records())
+            clean = clean or provision(sub, model)
+            report = exploit_stage(sub, model, dataset, sampled, chain.records(),
+                                   copy.deepcopy(clean))
             row["final_metric"] = report["final_metric"]
         results.append(row)
     info = {"rates": results}

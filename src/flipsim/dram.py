@@ -15,6 +15,7 @@ row byte ``k // 8``.  ``AddressFunction.bit_addr_vec`` and its inverse
 ``cell_to_page_vec`` are this formula's one owner.
 """
 
+import copy
 import warnings
 from dataclasses import dataclass, fields
 
@@ -41,6 +42,10 @@ ONE_TO_ZERO_SHARE = 0.7
 
 _CLUSTER_SIZES = np.array([1, 2, 3, 4])
 _CLUSTER_PROBS = np.array([0.35, 0.35, 0.20, 0.10])
+# uniforms per random() call when synthesis draws the per-cell flags
+_DRAW_CHUNK = 1 << 16
+# profile entries per block that FlipProfile.save_csv formats and writes
+_CSV_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -269,16 +274,28 @@ class FlipProfile:
         return cls([], [], [], [])
 
     def save_csv(self, path):
-        # one repr per distinct bit pattern, so 0.0 and -0.0 keep their own
-        bits, which = np.unique(self.probability.view(np.int64),
-                                return_inverse=True)
-        text = [repr(p) for p in bits.view(np.float64).tolist()]
+        """Write ``pfn,bop,direction,probability`` lines, one per entry.
+
+        Each probability is printed by ``repr``, so it reads back bit for
+        bit.  Entries go out ``_CSV_BLOCK`` at a time: only one block's
+        Python ints and strings are alive at once, whatever the profile's
+        size.
+        """
         with open(path, "w") as fh:
             fh.write("pfn,bop,direction,probability\n")
-            fh.write("".join([f"{pfn},{bop},{d},{text[i]}\n"
-                              for pfn, bop, d, i in zip(
-                                  self.pfn.tolist(), self.bop.tolist(),
-                                  self.direction.tolist(), which.tolist())]))
+            for at in range(0, len(self), _CSV_BLOCK):
+                block = slice(at, at + _CSV_BLOCK)
+                # one repr per distinct bit pattern, so 0.0 and -0.0 keep
+                # their own
+                bits, which = np.unique(self.probability[block].view(np.int64),
+                                        return_inverse=True)
+                text = [repr(p) for p in bits.view(np.float64).tolist()]
+                fh.write("".join([f"{pfn},{bop},{d},{text[i]}\n"
+                                  for pfn, bop, d, i in zip(
+                                      self.pfn[block].tolist(),
+                                      self.bop[block].tolist(),
+                                      self.direction[block].tolist(),
+                                      which.tolist())]))
         return path
 
     @classmethod
@@ -311,7 +328,19 @@ def sample_profile(profile, rate, seed):
 
 
 class DramState:
-    """Cell array, vulnerable-cell set, owner map and hammering engine."""
+    """Cell array, vulnerable-cell set, owner map and hammering engine.
+
+    ``cells`` is the tuple :func:`synthesize_cells` returns: set, row, bit
+    column, base direction, flip probability and single-sided flag per cell.
+    The state indexes the cells in (set, row, bit column) order.  Cells that
+    come in that order, as :func:`synthesize_cells` returns them, are kept
+    as given, not copied; cells in any other order are sorted stably into
+    new arrays.  Either way ``cset``, ``crow``, ``cbitcol``, ``cbase_dir``,
+    ``cprob`` and ``csscap`` are read-only views, so a state never writes
+    its caller's arrays; ``ccur_dir``, the direction a reboot re-keys, is
+    the state's own writable copy.  A deep copy shares the read-only arrays
+    and copies everything else.
+    """
 
     def __init__(self, config, cells=None, hammer_seed=0):
         self.config = config
@@ -321,24 +350,36 @@ class DramState:
         self._rng = np.random.default_rng(hammer_seed)
         if cells is None:
             cells = _empty_cells()
-        (self.cset, self.crow, self.cbitcol, self.cbase_dir,
-         self.cprob, self.csscap) = cells
-        self.ccur_dir = self.cbase_dir.copy()
-        # cells sorted by (set, row, bit column); the cells of row key
-        # k = set * rows + row sit at [_row_start[k], _row_start[k + 1]).
-        # Cells may come in any order; synthesize_cells already returns this
-        # one, and on sorted keys the stable sort (timsort) runs in linear
-        # time, a few ms per million cells against a tenth of a second or
-        # more on shuffled keys
-        row_key = self.cset.astype(np.int64) * config.rows_per_bank + self.crow
-        cell_key = row_key * config.row_bits + self.cbitcol
-        order = np.argsort(cell_key, kind="stable")
+        # the cells of row key k = set * rows + row sit at
+        # [_row_start[k], _row_start[k + 1]); the keys are int32 where every
+        # cell key fits, so the order check costs a few bytes per cell
+        rows, keys = config.rows_per_bank, config.sets * config.rows_per_bank
+        kdt = np.int32 if keys * config.row_bits <= 2 ** 31 else np.int64
+        row_key = cells[0].astype(kdt)
+        row_key *= rows
+        row_key += cells[1]
+        cell_key = row_key * config.row_bits
+        cell_key += cells[2]
+        if np.any(cell_key[1:] < cell_key[:-1]):
+            order = np.argsort(cell_key, kind="stable")
+            cells = [a[order] for a in cells]
+            row_key = row_key[order]
         del cell_key
-        for name in ("cset", "crow", "cbitcol", "cbase_dir", "ccur_dir",
-                     "cprob", "csscap"):
-            setattr(self, name, getattr(self, name)[order])
-        self._row_start = np.searchsorted(
-            row_key[order], np.arange(config.sets * config.rows_per_bank + 1))
+        self._row_start = np.searchsorted(row_key, np.arange(keys + 1, dtype=kdt))
+        for name, a in zip(("cset", "crow", "cbitcol", "cbase_dir", "cprob",
+                            "csscap"), cells):
+            a = a.view()
+            a.flags.writeable = False
+            setattr(self, name, a)
+        self.ccur_dir = self.cbase_dir.copy()
+
+    def __deepcopy__(self, memo):
+        clone = copy.copy(self)
+        memo[id(self)] = clone
+        for name, value in vars(self).items():
+            if not (isinstance(value, np.ndarray) and not value.flags.writeable):
+                setattr(clone, name, copy.deepcopy(value, memo))
+        return clone
 
     # ---- storage ----
 
@@ -521,6 +562,12 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
     directions, single-sided flags and probabilities are drawn for all kept
     cells in that draw order, bank after bank, and each cell takes the
     values drawn at its place in it.
+
+    Memory stays near the result's own size.  The outputs are allocated
+    once; a bank's sort and first-draw temporaries are freed before its
+    cells are mapped, and the next bank starts with none of them.  The
+    direction and single-sided flags are drawn ``_DRAW_CHUNK`` uniforms at
+    a time into int8 and bool arrays, which gives the stream one call would.
     """
     rng = np.random.default_rng(seed)
     if isinstance(density, str):
@@ -544,8 +591,8 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
     pages_per_bank = config.rows_per_bank * config.in_row_pages
     span = config.in_row_page_size * 8
     total = sum(t for t in targets if t > 0)
-    sets, rows, bitcols = (np.empty(total, dtype=np.int32) for _ in range(3))
-    drawn = np.empty(total, dtype=np.int64)  # each cell's place in draw order
+    sets, rows, bitcols, drawn = (np.empty(total, dtype=np.int32)
+                                  for _ in range(4))  # drawn: place in draw order
     # channel 0 fills the outputs from the front; channel 1 fills them from
     # the back, reversed, and is turned round behind channel 0 at the end
     lo, hi, n = 0, total, 0
@@ -562,8 +609,9 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
         sizes = sizes[:keep]
         row, slot = np.divmod(rng.integers(0, pages_per_bank, size=len(sizes)),
                               config.in_row_pages)
-        pfns, _ = addr.cell_to_page_vec(bank, row, slot * span)
+        pfns = addr.cell_to_page_vec(bank, row, slot * span)[0]
         pfns = np.repeat(pfns, sizes)[:target + 16]
+        del sizes, row, slot
         bops = rng.integers(0, PAGE_BITS, size=len(pfns))
         # in one bank, (pfn, bop) order is (row, bit column) order per channel
         key = pfns * PAGE_BITS + bops
@@ -571,27 +619,41 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
         key = key[order]
         # the earliest draw of each location, in location order
         first = np.minimum.reduceat(order, np.flatnonzero(np.diff(key, prepend=-1)))
-        is_first = np.zeros(len(key), dtype=bool)
+        del key, order
+        is_first = np.zeros(len(pfns), dtype=bool)
         is_first[first] = True
         place = np.cumsum(is_first)[first] - 1  # among the bank's first draws
+        del is_first
         kept = place < target
         first, place = first[kept], place[kept] + n
         n += len(first)
-        s, r, c = addr.bit_addr_vec(pfns[first], bops[first])
+        pfns, bops = pfns[first], bops[first]
+        del first, kept
+        s, r, c = addr.bit_addr_vec(pfns, bops)
+        del pfns, bops
         upper = s >= config.banks  # channel 1
         m = np.count_nonzero(upper)
         for out, val in ((sets, s), (rows, r), (bitcols, c), (drawn, place)):
             out[lo:lo + len(s) - m] = val[~upper]
             out[hi - m:hi] = val[upper][::-1]
         lo, hi = lo + len(s) - m, hi - m
+        # the next bank's draws start with only the outputs allocated
+        del s, r, c, place, upper, val
 
     if n == 0:
         return _empty_cells()
     for out in (sets, rows, bitcols, drawn):
         out[lo:n] = out[hi:][::-1]
     sets, rows, bitcols, drawn = sets[:n], rows[:n], bitcols[:n], drawn[:n]
-    base_dir = (rng.random(n) >= one_to_zero).astype(np.int8)[drawn]  # 0 => 1->0
-    sscap = (rng.random(n) < single_sided_rate)[drawn]
+    # one uniform per cell and flag, in draw order; chunks of random() give
+    # the stream one call would, without a float64 array of n
+    base_dir, sscap = np.empty(n, dtype=np.int8), np.empty(n, dtype=bool)
+    for out, flag, share in ((base_dir, np.greater_equal, one_to_zero),  # 0 => 1->0
+                             (sscap, np.less, single_sided_rate)):
+        for at in range(0, n, _DRAW_CHUNK):
+            chunk = out[at:at + _DRAW_CHUNK]
+            flag(rng.random(len(chunk)), share, out=chunk)
+    base_dir, sscap = base_dir[drawn], sscap[drawn]
     if isinstance(probability, tuple):
         prob = rng.uniform(probability[0], probability[1], size=n)[drawn]
     else:
@@ -600,8 +662,10 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
 
 
 def new_dram(config, density="dense", cell_seed=0, hammer_seed=1, **cell_kwargs):
-    cells = synthesize_cells(config, density, cell_seed, **cell_kwargs)
-    return DramState(config, cells, hammer_seed)
+    # no local name holds the cells: the state's read-only views are their
+    # only reference
+    return DramState(config, synthesize_cells(config, density, cell_seed,
+                                              **cell_kwargs), hammer_seed)
 
 
 # ---- templating ----------------------------------------------------------------

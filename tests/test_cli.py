@@ -746,15 +746,17 @@ def test_sensitivity_command_reports_all_rates(tmp_path, pipeline_out, desk_cfg,
     spy(qnn, "load_checkpoint")
     spy(dram, "load_geometry")
     spy(cli, "sample_profile")
+    spy(cli, "provision")
     checkpoint = os.path.join(pipeline_out, "checkpoint.qnn")
     profile = os.path.join(pipeline_out, "profile.csv")
     cfg = replace(desk_cfg, out=str(tmp_path / "sens"))
     os.makedirs(cfg.out, exist_ok=True)
     info = cli.cmd_sensitivity(cfg, checkpoint=checkpoint, profile_path=profile)
-    # the sweep reads each input once, whatever the number of rates, and
-    # draws one profile sample per rate for both stages
+    # the sweep reads each input once and provisions its DRAM once,
+    # whatever the number of rates, and draws one profile sample per rate
+    # for both stages
     assert calls == {"load_csv": 1, "load_checkpoint": 1, "load_geometry": 1,
-                     "sample_profile": 4}
+                     "sample_profile": 4, "provision": 1}
     rates = [row["rate"] for row in info["rates"]]
     assert rates == [1.0, 0.1, 0.01, 0.001]
     assert info["rates"][0]["feasible"]
@@ -786,6 +788,47 @@ def test_sensitivity_command_reports_all_rates(tmp_path, pipeline_out, desk_cfg,
     assert rc == cli.EXIT_CONFIG
     assert "banks_per_dimm=4" in capsys.readouterr().err
     assert not os.path.exists(out / "rate_0")
+
+
+def _assert_same_provision(got, want):
+    state, image, placement, attacker = got
+    w_state, w_image, w_placement, w_attacker = want
+    assert (placement, attacker, state.config) == (w_placement, w_attacker,
+                                                   w_state.config)
+    for name in ("cset", "crow", "cbitcol", "cbase_dir", "ccur_dir", "cprob",
+                 "csscap", "_row_start", "owner"):
+        a, b = getattr(state, name), getattr(w_state, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert a.flags.writeable == b.flags.writeable, name
+    assert state._rows.keys() == w_state._rows.keys()
+    for key, buf in state._rows.items():
+        assert np.array_equal(buf, w_state._rows[key]), key
+    assert state._rng.bit_generator.state == w_state._rng.bit_generator.state
+    assert np.array_equal(image.pages, w_image.pages)
+    assert (image.weight_bytes, image.layer_offsets) == (w_image.weight_bytes,
+                                                         w_image.layer_offsets)
+
+
+def test_deep_copied_provision_equals_a_fresh_one(desk_cfg, desk_model):
+    import copy
+
+    clean = cli.provision(desk_cfg, desk_model)
+    copied = copy.deepcopy(clean)
+    _assert_same_provision(copied, cli.provision(desk_cfg, desk_model))
+    # the copy shares only the read-only cell arrays with the clean state
+    state = copied[0]
+    for name, value in vars(state).items():
+        if isinstance(value, np.ndarray):
+            shared = np.shares_memory(value, getattr(clean[0], name))
+            assert shared == (not value.flags.writeable), name
+    # an exploit's changes to the copy leave the clean result as provisioned
+    state.reboot(777)
+    state.stripe_flips(np.arange(len(state.cset)), 1)
+    state.write_page(0, bytes(range(256)) * 16)
+    state.set_owner([1, 2], 0)
+    copied[1].pages[0, 0] ^= 1
+    copied[2][1] = 0
+    _assert_same_provision(clean, cli.provision(desk_cfg, desk_model))
 
 
 def test_defense_layer_lock_reports_both_sides(tmp_path, pipeline_out, desk_cfg):

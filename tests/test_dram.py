@@ -1,5 +1,6 @@
 """DRAM simulator: addressing, synthesis, templating, hammering, scrambling."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -13,8 +14,9 @@ from conftest import make_cells, tiny_dram
 from flipsim.dram import (DENSITY_FACTORS, OWNER_ATTACKER, SINGLE_SIDED_RATE,
                           AddressFunction, DramConfig, DramState, FlipProfile,
                           bench, desk, full_dual, full_single, load_geometry,
-                          sample_profile, save_geometry, synthesize_cells,
-                          template)
+                          new_dram, sample_profile, save_geometry,
+                          synthesize_cells, template)
+from flipsim.massage import retemplate, verify_template
 
 # ---- addressing -----------------------------------------------------------------
 
@@ -295,6 +297,73 @@ def test_crowded_bank_ends_below_target():
         assert np.all(per_bank < 20_000) and np.all(per_bank > 10_000)
 
 
+def _traced_peak(fn):
+    """``(fn(), bytes)``: the result and the traced peak allocated while
+    ``fn`` ran."""
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cfg", [DramConfig(banks_per_dimm=4, rows_per_bank=256),
+                                 DramConfig(channels=2, banks_per_dimm=3,
+                                            rows_per_bank=128)])
+def test_new_dram_peak_stays_near_the_state_it_keeps(cfg):
+    # the state keeps synthesis's in-order arrays instead of copying them,
+    # and synthesis frees each bank's temporaries: the peak was about 3x
+    state, peak = _traced_peak(lambda: new_dram(cfg, 40_000, cell_seed=3))
+    kept = sum(getattr(state, name).nbytes for name in DRAM_ARRAYS + ("owner",))
+    assert len(state.cset) > 3 * 30_000
+    assert peak <= 2 * kept, (peak, kept)
+
+
+CELL_ARRAYS = ("cset", "crow", "cbitcol", "cbase_dir", "cprob", "csscap")
+
+
+def test_kept_read_only_cells_serve_every_dram_step():
+    cfg = DramConfig(channels=2, banks_per_dimm=2, rows_per_bank=32)
+    cells = synthesize_cells(cfg, 800, seed=5, single_sided_rate=0.3)
+    given = [a.copy() for a in cells]
+    kept = DramState(cfg, cells, 3)
+    # the same cells in reverse order are sorted into arrays of its own
+    shuffled = DramState(cfg, tuple(a[::-1] for a in given), 3)
+    for name, a in zip(CELL_ARRAYS, cells):
+        assert np.shares_memory(getattr(kept, name), a), name
+        assert not np.shares_memory(getattr(shuffled, name), a), name
+        for state in (kept, shuffled):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(state, name)[:1] = 0
+    assert kept.ccur_dir.flags.writeable
+    assert not np.shares_memory(kept.ccur_dir, cells[3])
+
+    def run(state):
+        state.set_owner(range(cfg.total_pages), OWNER_ATTACKER)
+        profile = template(state)
+        flips = []
+        for s, r in ((0, 7), (cfg.banks + 1, 12)):
+            for stored in (0x00, 0xFF):
+                state.row(s, r)[:] = stored
+                for a in cfg.aggressor_rows(r):
+                    state.row(s, a)[:] = 0xFF ^ stored
+                flips += state.hammer(s, r)
+        state.reboot(777)
+        status = verify_template(state, profile)
+        fixed, stats = retemplate(state, profile, set(profile.bop.tolist()))
+        return (oracles.profile_entries(profile), flips, status,
+                oracles.profile_entries(fixed), stats, state.ccur_dir.tolist())
+
+    got = run(kept)
+    assert got[1] and got[2] == "obsolete" and got[4]["cells_retested"]
+    assert got == run(shuffled)
+    # the caller's arrays are left as they were, and still writable
+    for a, b in zip(cells, given):
+        assert a.flags.writeable and np.array_equal(a, b)
+
+
 def test_density_capacity_error():
     cfg = DramConfig(banks_per_dimm=1, rows_per_bank=4)
     with pytest.raises(ValueError):
@@ -539,6 +608,19 @@ def test_profile_csv_roundtrip(tmp_path):
     profile.save_csv(str(path))
     back = FlipProfile.load_csv(str(path))
     assert oracles.profile_entries(back) == oracles.profile_entries(profile)
+
+
+def test_save_csv_peak_does_not_grow_with_entries(tmp_path):
+    # entries are formatted a block at a time; formatting all of them at
+    # once took about 18 MB here, and grew with the profile
+    rng = np.random.default_rng(2)
+    n = 100_000
+    profile = FlipProfile(rng.integers(0, 10 ** 6, n), rng.integers(0, 32768, n),
+                          rng.integers(0, 2, n), rng.choice([1.0, 0.5, 0.25], n))
+    path, peak = _traced_peak(lambda: profile.save_csv(str(tmp_path / "p.csv")))
+    assert peak <= 5 * 2 ** 20, peak
+    assert oracles.profile_entries(FlipProfile.load_csv(path)) == \
+        oracles.profile_entries(profile)
 
 
 def test_header_only_profile_loads_empty_without_warning(tmp_path):
