@@ -239,11 +239,13 @@ def provision(cfg, model):
     if isinstance(density, str) and density not in dram_mod.DENSITY_FACTORS:
         raise ConfigError(f"unknown density preset {density!r}; choose one of "
                           f"{sorted(dram_mod.DENSITY_FACTORS)}")
-    if cfg.density_count > geometry.bank_capacity:
-        raise ConfigError(f"density_count {cfg.density_count} exceeds the "
-                          f"{geometry.bank_capacity} cells of a bank")
-    state = new_dram(geometry, density, cfg.cell_seed, cfg.hammer_seed,
-                     one_to_zero=cfg.direction_split)
+    try:
+        state = new_dram(geometry, density, cfg.cell_seed, cfg.hammer_seed,
+                         one_to_zero=cfg.direction_split)
+    except ValueError as exc:
+        # only an explicit count can exceed a bank's capacity or the cells
+        # its synthesis sort key holds
+        raise ConfigError(f"density_count {cfg.density_count}: {exc}") from None
     image = WeightImage(model)
     total = geometry.total_pages
     attacker = attacker_frames(cfg, geometry)
@@ -415,17 +417,20 @@ def _load_stage_inputs(cfg, checkpoint=None, profile_path=None, geometry=False):
 
 def _check_profile_entries(profile, total_pages, path):
     """Refuse profile entries no frame, bit or direction of the geometry has,
-    and entries that repeat a ``(pfn, bop)`` location: one cell would back
-    two flips."""
+    entries whose probability is NaN or outside [0, 1], and entries that
+    repeat a ``(pfn, bop)`` location: one cell would back two flips."""
     bad = np.flatnonzero((profile.pfn < 0) | (profile.pfn >= total_pages)
                          | (profile.bop < 0) | (profile.bop >= PAGE_BITS)
-                         | ((profile.direction != 0) & (profile.direction != 1)))
+                         | ((profile.direction != 0) & (profile.direction != 1))
+                         | ~((profile.probability >= 0)
+                             & (profile.probability <= 1)))
     if len(bad):
         i = int(bad[0])
         raise ConfigError(
             f"{path}: entry {i + 1} (pfn {profile.pfn[i]}, bop "
-            f"{profile.bop[i]}, direction {profile.direction[i]}) needs pfn "
-            f"< {total_pages}, bop < {PAGE_BITS} and direction 0 or 1")
+            f"{profile.bop[i]}, direction {profile.direction[i]}, probability "
+            f"{profile.probability[i]}) needs pfn < {total_pages}, bop < "
+            f"{PAGE_BITS}, direction 0 or 1 and probability in [0, 1]")
     keys = profile.pfn * PAGE_BITS + profile.bop
     if (np.diff(np.sort(keys)) == 0).any():
         order = np.argsort(keys, kind="stable")

@@ -42,7 +42,8 @@ ONE_TO_ZERO_SHARE = 0.7
 
 _CLUSTER_SIZES = np.array([1, 2, 3, 4])
 _CLUSTER_PROBS = np.array([0.35, 0.35, 0.20, 0.10])
-# uniforms per random() call when synthesis draws the per-cell flags
+# cells per chunk when synthesis draws the per-cell flags (uniforms per
+# random() call) and when a reboot hashes the per-cell toggles
 _DRAW_CHUNK = 1 << 16
 # profile entries per block that FlipProfile.save_csv formats and writes
 _CSV_BLOCK = 1 << 14
@@ -228,6 +229,25 @@ def _keyed_uniform(sets, rows, bitcols, seed):
 # ---- flip profile --------------------------------------------------------------
 
 
+def _decimal_into(out, x):
+    """Write the int64 values ``x`` in decimal into the uint8 matrix ``out``,
+    one per row, right-aligned with NUL bytes to their left.  ``out`` must
+    be as wide as the longest text."""
+    neg = x < 0
+    mag = x.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)  # |x|, the int64 minimum included
+    for k in range(1, out.shape[1] + 1):
+        col = out[:, -k]
+        np.remainder(mag, 10, out=col, casting="unsafe")
+        col += ord("0")
+        if k > 1:
+            lead = mag == 0  # no digit left: the sign, then padding
+            col[lead] = 0
+            col[lead & neg] = ord("-")
+            neg &= ~lead
+        mag //= 10
+
+
 class FlipProfile:
     """Templating output: (pfn, bop, direction, probability) per flippable cell.
 
@@ -276,26 +296,41 @@ class FlipProfile:
     def save_csv(self, path):
         """Write ``pfn,bop,direction,probability`` lines, one per entry.
 
-        Each probability is printed by ``repr``, so it reads back bit for
-        bit.  Entries go out ``_CSV_BLOCK`` at a time: only one block's
-        Python ints and strings are alive at once, whatever the profile's
-        size.
+        The integers are printed in decimal and each probability by
+        ``repr``, so it reads back bit for bit.  Entries go out
+        ``_CSV_BLOCK`` at a time, each block formatted in bulk as one
+        ``uint8`` matrix, a row per entry: the three integer fields as
+        right-aligned ASCII digits, the commas, and the ``repr`` of the
+        row's probability looked up among the block's distinct bit patterns.
+        Bytes a row does not use stay NUL, and the block is written as the
+        matrix's non-NUL bytes, in row order.  Memory stays at one block's
+        matrix, whatever the profile's size.
         """
-        with open(path, "w") as fh:
-            fh.write("pfn,bop,direction,probability\n")
+        with open(path, "wb") as fh:
+            fh.write(b"pfn,bop,direction,probability\n")
             for at in range(0, len(self), _CSV_BLOCK):
                 block = slice(at, at + _CSV_BLOCK)
                 # one repr per distinct bit pattern, so 0.0 and -0.0 keep
                 # their own
                 bits, which = np.unique(self.probability[block].view(np.int64),
                                         return_inverse=True)
-                text = [repr(p) for p in bits.view(np.float64).tolist()]
-                fh.write("".join([f"{pfn},{bop},{d},{text[i]}\n"
-                                  for pfn, bop, d, i in zip(
-                                      self.pfn[block].tolist(),
-                                      self.bop[block].tolist(),
-                                      self.direction[block].tolist(),
-                                      which.tolist())]))
+                # fixed-width bytes pad each text with NULs
+                table = np.array([(repr(p) + "\n").encode() for p in
+                                  bits.view(np.float64).tolist()])
+                table = table.view(np.uint8).reshape(len(table), -1)
+                ints = [a[block].astype(np.int64)
+                        for a in (self.pfn, self.bop, self.direction)]
+                widths = [max(len(str(int(a.min()))), len(str(int(a.max()))))
+                          for a in ints]
+                mat = np.zeros((len(which), sum(widths) + 3 + table.shape[1]),
+                               dtype=np.uint8)
+                col = 0
+                for a, w in zip(ints, widths):
+                    _decimal_into(mat[:, col:col + w], a)
+                    mat[:, col + w] = ord(",")
+                    col += w + 1
+                mat[:, col:] = table[which]
+                fh.write(mat[mat != 0])
         return path
 
     @classmethod
@@ -527,13 +562,18 @@ class DramState:
 
         Each cell's direction toggles with ``toggle_probability``.  The toggle
         is a keyed hash of (cell location, boot seed), so rebooting twice with
-        the same seed lands in the same state.
+        the same seed lands in the same state.  The hash runs over
+        ``_DRAW_CHUNK`` cells at a time, so its uint64 temporaries stay
+        small whatever the cell count.
         """
-        if len(self.cset) == 0:
-            return
-        u = _keyed_uniform(self.cset, self.crow, self.cbitcol, boot_seed)
-        toggles = (u < toggle_probability).astype(np.int8)
-        self.ccur_dir = (self.cbase_dir ^ toggles).astype(np.int8)
+        cur = np.empty_like(self.cbase_dir)
+        for at in range(0, len(cur), _DRAW_CHUNK):
+            cells = slice(at, at + _DRAW_CHUNK)
+            u = _keyed_uniform(self.cset[cells], self.crow[cells],
+                               self.cbitcol[cells], boot_seed)
+            np.bitwise_xor(self.cbase_dir[cells], u < toggle_probability,
+                           out=cur[cells])
+        self.ccur_dir = cur
 
 
 def _empty_cells():
@@ -563,6 +603,14 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
     cells in that draw order, bank after bank, and each cell takes the
     values drawn at its place in it.
 
+    A bank dedupes its ``m`` draws with one in-place sort of packed int64
+    keys ``(pfn * PAGE_BITS + bop) << sh | draw``, ``sh = (m - 1).bit_length()``:
+    each location's earliest draw heads its run of equal ``key >> sh``.  The
+    location takes ``(total_pages * PAGE_BITS - 1).bit_length()`` bits (35
+    at full geometry) and ``m`` is at most the bank's target plus 16, so a
+    target whose key would need more than 63 bits raises ValueError before
+    anything is drawn, as a target above the bank's capacity does.
+
     Memory stays near the result's own size.  The outputs are allocated
     once; a bank's sort and first-draw temporaries are freed before its
     cells are mapped, and the next bank starts with none of them.  The
@@ -581,10 +629,17 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
                     for _ in range(config.banks)]
     else:
         per_bank = [float(density)] * config.banks
+    # a bank's sort key packs a location below total_pages * PAGE_BITS and a
+    # draw index below target + 16 into 63 bits
+    loc_bits = (config.total_pages * PAGE_BITS - 1).bit_length()
     for t in per_bank:
         if t > config.bank_capacity:
             raise ValueError(f"per-bank target {t:.0f} exceeds capacity "
                              f"{config.bank_capacity}")
+        if loc_bits + (max(int(round(t)), 0) + 15).bit_length() > 63:
+            raise ValueError(f"per-bank target {t:.0f} exceeds the "
+                             f"{2 ** (63 - loc_bits) - 16} cells a bank's "
+                             f"packed sort key holds")
     targets = [int(round(t)) for t in per_bank]
 
     addr = AddressFunction(config)
@@ -612,25 +667,36 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
         pfns = addr.cell_to_page_vec(bank, row, slot * span)[0]
         pfns = np.repeat(pfns, sizes)[:target + 16]
         del sizes, row, slot
-        bops = rng.integers(0, PAGE_BITS, size=len(pfns))
-        # in one bank, (pfn, bop) order is (row, bit column) order per channel
-        key = pfns * PAGE_BITS + bops
-        order = np.argsort(key)
-        key = key[order]
-        # the earliest draw of each location, in location order
-        first = np.minimum.reduceat(order, np.flatnonzero(np.diff(key, prepend=-1)))
-        del key, order
-        is_first = np.zeros(len(pfns), dtype=bool)
+        # key = (pfn * PAGE_BITS + bop) << sh | draw, sorted once; in one
+        # bank, (pfn, bop) order is (row, bit column) order per channel
+        m = len(pfns)
+        sh = (m - 1).bit_length()
+        key = pfns * PAGE_BITS
+        del pfns
+        key += rng.integers(0, PAGE_BITS, size=m)
+        key <<= sh
+        key |= np.arange(m)
+        key.sort()
+        # each location's run starts with its earliest draw
+        loc = key >> sh
+        head = np.empty(m, dtype=bool)
+        head[0] = True
+        np.not_equal(loc[1:], loc[:-1], out=head[1:])
+        loc, first = loc[head], key[head]
+        del key, head
+        first &= (1 << sh) - 1
+        is_first = np.zeros(m, dtype=bool)
         is_first[first] = True
         place = np.cumsum(is_first)[first] - 1  # among the bank's first draws
-        del is_first
+        del is_first, first
         kept = place < target
-        first, place = first[kept], place[kept] + n
-        n += len(first)
-        pfns, bops = pfns[first], bops[first]
-        del first, kept
-        s, r, c = addr.bit_addr_vec(pfns, bops)
-        del pfns, bops
+        loc, place = loc[kept], place[kept] + n
+        n += len(loc)
+        del kept
+        bops = loc % PAGE_BITS
+        loc //= PAGE_BITS  # the frame numbers
+        s, r, c = addr.bit_addr_vec(loc, bops)
+        del loc, bops
         upper = s >= config.banks  # channel 1
         m = np.count_nonzero(upper)
         for out, val in ((sets, s), (rows, r), (bitcols, c), (drawn, place)):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dram import (HAMMER_SECONDS_PER_ACTION, OWNER_ATTACKER, OWNER_FREE,
-                   OWNER_VICTIM, FlipProfile)
+                   OWNER_VICTIM, PAGE_BITS, FlipProfile)
 from .search import ProfileView
 
 DEFAULT_RECYCLING_THRESHOLD = 180
@@ -236,6 +236,12 @@ def verify_template(dram, profile, sample_size=MIN_VERIFY_SAMPLE):
     up to the first failure, and write no row.  With ``sample_size == 0``
     the check is vacuously valid; configs should keep the default minimum
     of 8 cells.
+
+    The order is one stable sort of the packed keys ``(pfn * PAGE_BITS +
+    bop) * 2 + direction``, linear on a profile already in that order, as
+    :func:`~flipsim.dram.template` writes it.  The key orders as the three
+    fields do for ``0 <= bop < PAGE_BITS`` and direction 0 or 1, which the
+    CLI checks of every profile it loads.
     """
     if sample_size == 0:
         return "valid"
@@ -243,8 +249,11 @@ def verify_template(dram, profile, sample_size=MIN_VERIFY_SAMPLE):
                             & _sandwiched(dram, profile))
     if not stable.size:
         return "valid"
-    stable = stable[np.lexsort((profile.direction[stable], profile.bop[stable],
-                                profile.pfn[stable]))]
+    key = profile.pfn[stable] * PAGE_BITS
+    key += profile.bop[stable]
+    key *= 2
+    key += profile.direction[stable]
+    stable = stable[np.argsort(key, kind="stable")]
     spaced = np.linspace(0, len(stable) - 1, min(sample_size, len(stable)))
     picks = stable[np.unique(spaced.astype(int))]
     cells = dram.cell_at(profile.pfn[picks], profile.bop[picks])

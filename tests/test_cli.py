@@ -213,6 +213,8 @@ def test_invalid_stage_setting_exits_config(fast_trained, tmp_path, capsys,
     ("row_bytes", {"row_bytes": 1000}),
     ("banks_per_dimm", {"banks": -1}),
     ("density_count", {"density_count": 1000000000}),
+    # below a full bank's 2**31 cells, above what its synthesis key packs
+    ("density_count", {"geometry": "full-single", "density_count": 2 ** 28}),
 ])
 def test_invalid_dram_setting_exits_config(fast_trained, tmp_path, capsys,
                                            key, setting):
@@ -257,21 +259,23 @@ def test_malformed_profile_exits_config(fast_trained, tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("command", ["search", "exploit"])
-@pytest.mark.parametrize("field", ["pfn", "bop", "direction"])
+@pytest.mark.parametrize("field", ["pfn", "bop", "direction", "probability"])
 def test_out_of_range_profile_entry_exits_config(fast_trained, tmp_path, capsys,
                                                  command, field):
     import shutil
 
     total = cli.dram_config(cli.make_config(
         overrides=fast_overrides(str(tmp_path)))).total_pages
-    entry = {"pfn": 7, "bop": 5, "direction": 1}
-    entry[field] = {"pfn": total, "bop": 32768, "direction": 7}[field]
+    entry = {"pfn": 7, "bop": 5, "direction": 1, "probability": 1.0}
+    # a probability of 7.0 would pass as a stable cell
+    entry[field] = {"pfn": total, "bop": 32768, "direction": 7,
+                    "probability": 7.0}[field]
     shutil.copy(os.path.join(fast_trained, "geometry.txt"), tmp_path)
     profile = tmp_path / "profile.csv"
     with open(os.path.join(fast_trained, "profile.csv")) as fh:
         text = fh.read()
     profile.write_text(text + f"{entry['pfn']},{entry['bop']},"
-                              f"{entry['direction']},1.0\n")
+                              f"{entry['direction']},{entry['probability']}\n")
     capsys.readouterr()
     rc = cli.main([command, "--config", fast_config_file(tmp_path),
                    "--checkpoint", os.path.join(fast_trained, "checkpoint.qnn"),
@@ -281,6 +285,18 @@ def test_out_of_range_profile_entry_exits_config(fast_trained, tmp_path, capsys,
     assert str(profile) in err and f"{field} {entry[field]}" in err
     assert not os.path.exists(tmp_path / "search.json")
     assert not os.path.exists(tmp_path / "report.json")
+
+
+@pytest.mark.parametrize("probability", ["-0.5", "7.0", "nan", "-inf"])
+def test_profile_probability_outside_unit_interval_is_refused(tmp_path,
+                                                             probability):
+    path = tmp_path / "profile.csv"
+    path.write_text("pfn,bop,direction,probability\n3,5,0,1.0\n4,6,1,0.0\n"
+                    f"9,2,1,{probability}\n")
+    profile = FlipProfile.load_csv(str(path))
+    with pytest.raises(cli.ConfigError,
+                       match=rf"entry 3 \(.*probability {probability}\)"):
+        cli._check_profile_entries(profile, 16, path)
 
 
 @pytest.mark.parametrize("command", ["search", "exploit"])

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_cells, tiny_dram
-from flipsim.dram import (DENSITY_FACTORS, OWNER_ATTACKER, SINGLE_SIDED_RATE,
-                          AddressFunction, DramConfig, DramState, FlipProfile,
-                          bench, desk, full_dual, full_single, load_geometry,
-                          new_dram, sample_profile, save_geometry,
-                          synthesize_cells, template)
+from flipsim.dram import (_DRAW_CHUNK, DENSITY_FACTORS, OWNER_ATTACKER,
+                          SINGLE_SIDED_RATE, AddressFunction, DramConfig,
+                          DramState, FlipProfile, _keyed_uniform, bench, desk,
+                          full_dual, full_single, load_geometry, new_dram,
+                          sample_profile, save_geometry, synthesize_cells,
+                          template)
 from flipsim.massage import retemplate, verify_template
 
 # ---- addressing -----------------------------------------------------------------
@@ -370,6 +371,20 @@ def test_density_capacity_error():
         synthesize_cells(cfg, 10 ** 9, seed=0)
 
 
+def test_target_beyond_the_packed_sort_key_raises_before_allocating():
+    # 2**28 is below a full bank's 2**31 cells, but a 35-bit location and a
+    # 29-bit draw index do not fit one int64 key
+    cfg = full_single()
+    assert 2 ** 28 < cfg.bank_capacity
+
+    def synthesize():
+        with pytest.raises(ValueError, match="packed sort key"):
+            synthesize_cells(cfg, 2 ** 28, seed=0)
+
+    _, peak = _traced_peak(synthesize)
+    assert peak < 2 ** 20, peak
+
+
 # ---- hammering --------------------------------------------------------------------
 
 
@@ -567,6 +582,21 @@ def test_reboot_preserves_locations():
     state.reboot(5, toggle_probability=0.5)
     after = {(p, b) for p, b, _, _ in oracles.profile_entries(template(state))}
     assert before == after
+
+
+def test_reboot_hashes_by_chunk_as_over_the_whole_array():
+    # hashing all cells at once held about 24 bytes of uint64 temporaries
+    # a cell; a chunk at a time holds a few MB whatever the cell count
+    cfg = DramConfig(banks_per_dimm=4, rows_per_bank=256)
+    state = new_dram(cfg, 80_000, cell_seed=2)
+    n = len(state.cset)
+    assert n > 4 * _DRAW_CHUNK and n % _DRAW_CHUNK  # a partial last chunk
+    u = _keyed_uniform(state.cset, state.crow, state.cbitcol, 777)
+    want = state.cbase_dir ^ (u < 0.3)
+    _, peak = _traced_peak(lambda: state.reboot(777, 0.3))
+    assert state.ccur_dir.dtype == np.int8
+    assert np.array_equal(state.ccur_dir, want)
+    assert peak <= n + 4 * 2 ** 20, peak
 
 
 # ---- sampling ---------------------------------------------------------------------

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import oracles
 from flipsim import massage
-from flipsim.dram import (OWNER_ATTACKER, OWNER_VICTIM, DramConfig, DramState,
-                          FlipProfile, synthesize_cells, template)
+from flipsim.dram import (_CSV_BLOCK, OWNER_ATTACKER, OWNER_VICTIM, DramConfig,
+                          DramState, FlipProfile, synthesize_cells, template)
 
 
 def twin_states(channels, mode, attacker_share, seed):
@@ -169,11 +169,40 @@ def test_cell_index_matches_lexsort_and_row_dict(channels, seed):
             assert state.cells_in_row(s, r).tolist() == list(range(first, end))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 32767),
-                          st.integers(0, 1),
-                          st.one_of(st.floats(0.0, 1.0, allow_nan=False),
-                                    st.just(-0.0))),
+@settings(max_examples=40, deadline=None)
+@given(channels=st.sampled_from([1, 2]), mode=st.sampled_from(["double", "single"]),
+       attacker_share=st.floats(0.75, 1.0), toggle=st.sampled_from([0.0, 0.3, 1.0]),
+       repeats=st.integers(1, 2), seed=st.integers(0, 2 ** 16),
+       reverse=st.booleans(), sample_size=st.sampled_from([1, 8, 50]))
+def test_verify_template_matches_reference_in_any_entry_order(
+        channels, mode, attacker_share, toggle, repeats, seed, reverse,
+        sample_size):
+    fast, slow = twin_states(channels, mode, attacker_share, seed)
+    profile = template(fast, repeats=repeats)
+    template(slow, repeats=repeats)
+    order = (np.arange(len(profile))[::-1] if reverse
+             else np.random.default_rng(seed).permutation(len(profile)))
+    profile = profile.subset(order)
+    for state in (fast, slow):
+        state.reboot(seed, toggle)
+    with pytest.MonkeyPatch.context() as mp:
+        fast_cells, slow_cells = logged_probes(mp)
+        verdict = massage.verify_template(fast, profile, sample_size)
+        assert verdict == oracles.verify_template(slow, profile, sample_size)
+    assert fast_cells == slow_cells
+    assert rng_state(fast) == rng_state(slow)
+
+
+INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.integers(0, 300), INT64),
+                          st.one_of(st.integers(0, 32767), INT64),
+                          st.integers(-128, 127),
+                          st.one_of(st.floats(0.0, 1.0), st.floats(),
+                                    st.sampled_from([-0.0, 5e-324, 2.5e-310,
+                                                     float("inf"), float("nan")]))),
                 max_size=40))
 def test_save_csv_bytes_match_per_line_writer(tmp_path_factory, rows):
     profile = FlipProfile.from_entries(rows)
@@ -181,3 +210,21 @@ def test_save_csv_bytes_match_per_line_writer(tmp_path_factory, rows):
     profile.save_csv(str(out / "fast.csv"))
     oracles.save_csv(profile, str(out / "slow.csv"))
     assert (out / "fast.csv").read_bytes() == (out / "slow.csv").read_bytes()
+
+
+def test_save_csv_bytes_match_per_line_writer_over_blocks(tmp_path):
+    # several blocks, each with its own widths and distinct probabilities
+    rng = np.random.default_rng(5)
+    n = 2 * _CSV_BLOCK + 1000
+    pfn = rng.integers(0, 10 ** 6, n)
+    pfn[_CSV_BLOCK:2 * _CSV_BLOCK] = rng.integers(-2 ** 63, 2 ** 63 - 1,
+                                                  _CSV_BLOCK, dtype=np.int64)
+    pfn[-2:] = -2 ** 63, 2 ** 63 - 1
+    probs = [1.0, 0.5, 1 / 3, 0.1, -0.0, 0.0, 5e-324, float("inf"),
+             float("nan")]
+    profile = FlipProfile(pfn, rng.integers(-40_000, 40_000, n),
+                          rng.integers(-128, 128, n), rng.choice(probs, n))
+    profile.save_csv(str(tmp_path / "fast.csv"))
+    oracles.save_csv(profile, str(tmp_path / "slow.csv"))
+    assert (tmp_path / "fast.csv").read_bytes() == \
+        (tmp_path / "slow.csv").read_bytes()
