@@ -53,8 +53,52 @@ class ConfigError(ValueError):
     pass
 
 
+_PRESETS = {"bench": dram_mod.bench, "desk": dram_mod.desk,
+            "full-single": dram_mod.full_single, "full-dual": dram_mod.full_dual}
+
+# The domain of every ExperimentConfig key but the free-form ones (``out``,
+# the ``idx_*`` paths, the geometry overrides DramConfig checks).
+DOMAINS = {
+    "seed": "[0, inf)", "dataset": ("blobs", "idx"), "classes": "[2, inf)",
+    # channels, height, width: lenet's two 2x2 pools need 4x4 images
+    "blob_shape": ["[1, inf)", "[4, inf)", "[4, inf)"], "blob_noise": "[0, inf)",
+    "train_per_class": "[1, inf)", "test_per_class": "[1, inf)",
+    "arch": qnn.ARCHITECTURES, "hidden": "[1, inf)", "width_multiplier": "[1, inf)",
+    "bit_width": SUPPORTED_BIT_WIDTHS, "epochs": "[0, inf)", "lr": "[0, inf)",
+    "momentum": "[0, 1)", "weight_decay": "[0, inf)", "train_batch": "[1, inf)",
+    "accuracy_floor": "[0, 1]", "geometry": tuple(_PRESETS),
+    "density": tuple(dram_mod.DENSITY_FACTORS), "density_count": "[0, inf)",
+    "attacker_budget": "(0, 1)", "direction_split": "[0, 1]",
+    "recycling_threshold": "[0, inf)", "noise_allocations": "[0, inf)",
+    "reboot_seed": "[-1, inf)", "toggle_probability": "[0, 1]",
+    "verify_sample": f"[{massage.MIN_VERIFY_SAMPLE}, inf)", "p": "[1, inf)",
+    "target_accuracy": "[0, 1]", "max_flips": "[0, inf)", "eval_batch": "[1, inf)",
+    "chains": "[1, inf)", "rate": "(0, 1]",
+    "target_class": "[-1, inf)",  # build_dataset checks it against the classes
+}
+
+
+def _in_domain(value, domain):
+    """Whether ``value`` lies in ``domain``: an interval such as ``"(0, 1]"``
+    (every element of a tuple must; NaN and the infinities never do), a list
+    of intervals, one per element, or a collection of choices."""
+    if isinstance(domain, list):
+        return len(value) == len(domain) and all(map(_in_domain, value, domain))
+    if isinstance(value, tuple):
+        return all(_in_domain(v, domain) for v in value)
+    if isinstance(domain, str):
+        low, high = map(float, domain[1:-1].split(","))
+        return ((low < value if domain[0] == "(" else low <= value)
+                and (value < high if domain[-1] == ")" else value <= high))
+    return value in domain
+
+
 @dataclass
 class ExperimentConfig:
+    """One run's settings.  Making one (``make_config``, any ``replace``)
+    checks every key against :data:`DOMAINS` and the geometry against
+    DramConfig, so a value outside them is a ConfigError before any command."""
+
     seed: int = 7
     out: str = "out"
     # dataset
@@ -104,6 +148,13 @@ class ExperimentConfig:
     target_class: int = -1
     rate: float = 1.0
 
+    def __post_init__(self):
+        for key, domain in DOMAINS.items():
+            value = getattr(self, key)
+            if not _in_domain(value, domain):
+                raise ConfigError(f"{key} must be in {domain}, got {value!r}")
+        dram_config(self)
+
     # derived seeds (one master seed fans out to every component)
     @property
     def data_seed(self):
@@ -130,9 +181,6 @@ class ExperimentConfig:
         return self.seed * 1000 + 6
 
 
-_TUPLE_KEYS = {"hidden", "blob_shape"}
-
-
 def parse_config_file(path):
     values = {}
     with open(path) as fh:
@@ -151,22 +199,17 @@ def make_config(path=None, overrides=None):
     values = parse_config_file(path) if path else {}
     values.update({k: v for k, v in (overrides or {}).items() if v is not None})
     cfg = ExperimentConfig()
-    valid = {f.name: f for f in fields(ExperimentConfig)}
+    names = {f.name for f in fields(cfg)}
     updates = {}
     for key, raw in values.items():
-        if key not in valid:
+        if key not in names:
             raise ConfigError(f"unknown config key {key!r}")
-        current = getattr(cfg, key)
-        if key in _TUPLE_KEYS:
-            if isinstance(raw, str):
-                raw = tuple(int(tok) for tok in raw.replace(",", " ").split())
-            updates[key] = tuple(raw)
-        elif isinstance(current, int):
-            updates[key] = int(raw)
-        elif isinstance(current, float):
-            updates[key] = float(raw)
+        kind = type(getattr(cfg, key))
+        if kind is tuple:
+            raw = raw.replace(",", " ").split() if isinstance(raw, str) else raw
+            updates[key] = tuple(int(tok) for tok in raw)
         else:
-            updates[key] = raw
+            updates[key] = kind(raw)
     return replace(cfg, **updates)
 
 
@@ -175,25 +218,24 @@ def make_config(path=None, overrides=None):
 
 def build_dataset(cfg):
     if cfg.dataset == "blobs":
-        for key, value, low in (("classes", cfg.classes, 2),
-                                ("train_per_class", cfg.train_per_class, 1),
-                                ("test_per_class", cfg.test_per_class, 1),
-                                ("blob_shape", min(cfg.blob_shape, default=0), 1),
-                                ("blob_noise", cfg.blob_noise, 0)):
-            if value < low:
-                raise ConfigError(f"{key} must be >= {low}, got {value}")
-        return qnn.gaussian_blobs(cfg.classes, cfg.blob_shape,
-                                  cfg.train_per_class, cfg.test_per_class,
-                                  cfg.blob_noise, cfg.data_seed)
-    if cfg.dataset == "idx":
+        dataset = qnn.gaussian_blobs(cfg.classes, cfg.blob_shape,
+                                     cfg.train_per_class, cfg.test_per_class,
+                                     cfg.blob_noise, cfg.data_seed)
+    else:
         for key in ("idx_train_images", "idx_train_labels", "idx_test_images",
                     "idx_test_labels"):
             path = getattr(cfg, key)
             if not path or not os.path.exists(path):
                 raise ConfigError(f"{key} missing or not found: {path!r}")
-        return qnn.load_idx_dataset(cfg.idx_train_images, cfg.idx_train_labels,
-                                    cfg.idx_test_images, cfg.idx_test_labels)
-    raise ConfigError(f"unknown dataset kind {cfg.dataset!r}")
+        dataset = qnn.load_idx_dataset(cfg.idx_train_images, cfg.idx_train_labels,
+                                       cfg.idx_test_images, cfg.idx_test_labels)
+    count = dataset.class_count
+    if count < 2:
+        raise ConfigError(f"the dataset has {count} class; classes must be >= 2")
+    if cfg.target_class >= count:
+        raise ConfigError(f"target_class must be -1 (untargeted) or in "
+                          f"[0, {count}), got {cfg.target_class}")
+    return dataset
 
 
 def build_model_spec(cfg, width_multiplier=None, dataset=None):
@@ -201,24 +243,16 @@ def build_model_spec(cfg, width_multiplier=None, dataset=None):
         shape, classes = dataset.input_shape, dataset.class_count
     else:
         shape, classes = cfg.blob_shape, cfg.classes
-    if cfg.arch not in qnn.ARCHITECTURES:
-        raise ConfigError(f"unknown arch {cfg.arch!r}; choose one of "
-                          f"{list(qnn.ARCHITECTURES)}")
     return qnn.build_spec(cfg.arch, shape, classes, cfg.bit_width,
                           cfg.hidden, width_multiplier or cfg.width_multiplier)
 
 
 def dram_config(cfg):
-    presets = {"bench": dram_mod.bench, "desk": dram_mod.desk,
-               "full-single": dram_mod.full_single, "full-dual": dram_mod.full_dual}
-    if cfg.geometry not in presets:
-        raise ConfigError(f"unknown geometry preset {cfg.geometry!r}")
-    base = presets[cfg.geometry]()
     # a zero, empty or absent (dimms) setting keeps the preset's value
     kwargs = {name: getattr(cfg, key) for key, name in dram_mod.GEOMETRY_KEYS
               if getattr(cfg, key, None)}
     try:
-        return replace(base, **kwargs)
+        return replace(_PRESETS[cfg.geometry](), **kwargs)
     except ValueError as exc:
         raise ConfigError(f"dram geometry: {exc}") from None
 
@@ -236,9 +270,6 @@ def provision(cfg, model):
     """
     geometry = dram_config(cfg)
     density = cfg.density_count if cfg.density_count > 0 else cfg.density
-    if isinstance(density, str) and density not in dram_mod.DENSITY_FACTORS:
-        raise ConfigError(f"unknown density preset {density!r}; choose one of "
-                          f"{sorted(dram_mod.DENSITY_FACTORS)}")
     try:
         state = new_dram(geometry, density, cfg.cell_seed, cfg.hammer_seed,
                          one_to_zero=cfg.direction_split)
@@ -266,33 +297,6 @@ def _train_config(cfg):
                            weight_decay=cfg.weight_decay,
                            batch_size=cfg.train_batch,
                            accuracy_floor=cfg.accuracy_floor)
-
-
-def _check_training_settings(cfg, class_count):
-    """Reject model and training settings no training can run with."""
-    for key, value, low in (("classes", class_count, 2), ("epochs", cfg.epochs, 0),
-                            ("train_batch", cfg.train_batch, 1),
-                            ("width_multiplier", cfg.width_multiplier, 1),
-                            ("hidden", min(cfg.hidden, default=1), 1)):
-        if value < low:
-            raise ConfigError(f"{key} must be >= {low}, got {value}")
-    if cfg.bit_width not in SUPPORTED_BIT_WIDTHS:
-        raise ConfigError(f"bit_width must be in [{SUPPORTED_BIT_WIDTHS[0]}, "
-                          f"{SUPPORTED_BIT_WIDTHS[-1]}], got {cfg.bit_width}")
-
-
-def _check_search_settings(cfg, class_count):
-    """Reject search settings no search can run with, as a ConfigError."""
-    for key, low in (("p", 1), ("eval_batch", 1), ("chains", 1),
-                     ("verify_sample", massage.MIN_VERIFY_SAMPLE),
-                     ("noise_allocations", 0)):
-        if getattr(cfg, key) < low:
-            raise ConfigError(f"{key} must be >= {low}, got {getattr(cfg, key)}")
-    if not 0.0 < cfg.rate <= 1.0:
-        raise ConfigError(f"rate must be in (0, 1], got {cfg.rate}")
-    if cfg.target_class != -1 and not 0 <= cfg.target_class < class_count:
-        raise ConfigError(f"target_class must be -1 (untargeted) or in "
-                          f"[0, {class_count}), got {cfg.target_class}")
 
 
 def search_config(cfg, protected=None):
@@ -343,7 +347,6 @@ def _chain_summary(chain):
 def cmd_train(cfg):
     os.makedirs(cfg.out, exist_ok=True)
     dataset = build_dataset(cfg)
-    _check_training_settings(cfg, dataset.class_count)
     spec = build_model_spec(cfg, dataset=dataset)
     model = qnn.train_small(spec, dataset, _train_config(cfg), cfg.train_seed)
     path = os.path.join(cfg.out, "checkpoint.qnn")
@@ -403,7 +406,6 @@ def _load_stage_inputs(cfg, checkpoint=None, profile_path=None, geometry=False):
     """``(model, dataset, profile)``; ``geometry`` checks the profile's geometry."""
     os.makedirs(cfg.out, exist_ok=True)
     model, dataset = _load_checkpoint(cfg, checkpoint)
-    _check_search_settings(cfg, model.class_count)
     profile_path = profile_path or os.path.join(cfg.out, "profile.csv")
     if geometry:
         _check_profile_geometry(cfg, profile_path)
@@ -642,10 +644,7 @@ def cmd_random_flip_baseline(cfg, checkpoint=None, n_flips=100, trials=30):
 
 def cmd_defense(cfg, mode):
     os.makedirs(cfg.out, exist_ok=True)
-    dataset = build_dataset(cfg)
-    _check_search_settings(cfg, dataset.class_count)
     if mode == "width":
-        _check_training_settings(cfg, dataset.class_count)
         seeds = [cfg.seed + i for i in range(5)]
         rows = []
         for s in seeds:
@@ -705,12 +704,13 @@ def cmd_sensitivity(cfg, checkpoint=None, profile_path=None):
     """Search + exploit across profile sampling rates (1.0 .. 0.001).
 
     The inputs are loaded once and the profile is sampled once per rate;
-    the config's own ``rate`` is ignored.  The DRAM is provisioned once,
-    before the first exploit, and each exploit works on a deep copy of it.
+    the config's ``rate`` is ignored, but must still lie in (0, 1].  The DRAM
+    is provisioned once, before the first exploit; each exploit works on a
+    deep copy of it.
     """
     rates = [1.0, 0.1, 0.01, 0.001]
-    model, dataset, profile = _load_stage_inputs(
-        replace(cfg, rate=rates[0]), checkpoint, profile_path, geometry=True)
+    model, dataset, profile = _load_stage_inputs(cfg, checkpoint, profile_path,
+                                                 geometry=True)
     clean = None
     results = []
     for i, rate in enumerate(rates):

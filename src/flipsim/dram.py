@@ -619,10 +619,7 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
     """
     rng = np.random.default_rng(seed)
     if isinstance(density, str):
-        try:
-            factor = DENSITY_FACTORS[density]
-        except KeyError:
-            raise ValueError(f"unknown density preset {density!r}") from None
+        factor = DENSITY_FACTORS[density]
         scale = (config.rows_per_bank / FULL_SIZE_ROWS) * \
                 (config.row_bytes / FULL_SIZE_ROW_BYTES) * config.channels
         per_bank = [rng.uniform(*DENSE_PER_BANK_RANGE) * scale * factor

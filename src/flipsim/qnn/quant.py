@@ -12,7 +12,7 @@ SUPPORTED_BIT_WIDTHS = range(2, 9)
 
 
 class DegenerateQuantizerError(ValueError):
-    """Raised when the quantizer step size would be zero or negative."""
+    """Raised for a non-finite weight or a step size that would be <= 0."""
 
 
 def round_half_away(x):
@@ -30,15 +30,15 @@ def quantize(weights, bit_width=8):
 
     Returns ``(weight_q, delta_w)`` where ``delta_w = max(weights) / qmax`` and
     ``weight_q = round(weights / delta_w)`` clamped into the signed range.
-    Raises :class:`DegenerateQuantizerError` when ``max(weights) <= 0`` (an
-    all-zero tensor is the canonical case: the step size would collapse to 0)
-    or when the step size would be subnormal, where dividing by it overflows.
+    Raises :class:`DegenerateQuantizerError` for a non-finite weight, when
+    ``max(weights) <= 0`` (an all-zero tensor is the canonical case) or when
+    the step size would be subnormal, where dividing by it overflows.
     """
     if bit_width not in SUPPORTED_BIT_WIDTHS:
         raise ValueError(f"unsupported bit width {bit_width}")
     w = np.asarray(weights, dtype=np.float64)
     if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
+        raise DegenerateQuantizerError("weights must be finite")
     qmax = 2 ** (bit_width - 1) - 1
     qmin = -(2 ** (bit_width - 1))
     top = float(w.max()) if w.size else 0.0

@@ -26,7 +26,7 @@ class TrainConfig:
 
 class TrainingFailure(RuntimeError):
     """Training gave no usable model: the budget ran out below the accuracy
-    floor, or, as ``reason`` says, a layer lost its quantizer step size."""
+    floor, or, as ``reason`` says, a layer has no quantizer step size."""
 
     def __init__(self, accuracy, floor, history, reason=None):
         super().__init__(
@@ -43,21 +43,20 @@ def train_small(spec, dataset, config=None, seed=0):
 
     Returns the final quantized model.  With ``epochs == 0`` the result is
     exactly the quantized initialization.  Raises :class:`TrainingFailure`
-    when the test accuracy stays under ``config.accuracy_floor`` or a step
-    leaves a layer no positive weight for the max-based quantizer step.
+    when the test accuracy stays under ``config.accuracy_floor`` or a layer
+    has no quantizer step: a weight is not finite, or none is positive.
     """
     config = config or TrainConfig()
     rng = np.random.default_rng(seed)
     params = spec.init_params(seed)
-    model = spec.assemble(params)
-    weighted = model.weighted_indices()
-    momenta = {i: {"w": np.zeros_like(params[i]["w"]),
-                   "b": np.zeros_like(params[i]["b"])} for i in weighted}
-
     n = len(dataset.y_train)
     batch_size = min(config.batch_size, n)
     history = []
     try:
+        model = spec.assemble(params)
+        weighted = model.weighted_indices()
+        momenta = {i: {"w": np.zeros_like(params[i]["w"]),
+                       "b": np.zeros_like(params[i]["b"])} for i in weighted}
         for _ in range(config.epochs):
             order = rng.permutation(n)
             for start in range(0, n - batch_size + 1, batch_size):
