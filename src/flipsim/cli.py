@@ -53,6 +53,25 @@ class ConfigError(ValueError):
     pass
 
 
+class MetricMismatch(PrecisionViolation):
+    """The attacked model's metric is not the one its chain recorded.
+
+    The flips landed as planned (:func:`precise_hammer` checks them), so
+    the exploit measured the metric under other settings than the search.
+    """
+
+    # besides the weights, the recorded metric depends on these keys
+    KEYS = ("eval_batch", "batch_seed", "blob_noise", "train_per_class",
+            "test_per_class", "target_class")
+
+    def __init__(self, final, expected):
+        RuntimeError.__init__(
+            self, f"final metric {final!r} is not the chain's recorded metric "
+            f"{expected!r}; the flips landed as planned, so check that the "
+            f"exploit's {', '.join(self.KEYS)} equal the search's")
+        self.final, self.expected = final, expected
+
+
 _PRESETS = {"bench": dram_mod.bench, "desk": dram_mod.desk,
             "full-single": dram_mod.full_single, "full-dual": dram_mod.full_dual}
 
@@ -566,8 +585,7 @@ def exploit_stage(cfg, model, dataset, profile, records, provisioned=None):
         _, final_metric = loss_and_accuracy(attacked, xb, yb)
     expected = records[-1]["expected_acc"]
     if final_metric != expected:
-        raise PrecisionViolation(
-            {("metric", final_metric)}, {("metric", expected)})
+        raise MetricMismatch(final_metric, expected)
     _, clean_test_acc = loss_and_accuracy(model, dataset.x_test, dataset.y_test)
     _, final_test_acc = loss_and_accuracy(attacked, dataset.x_test,
                                           dataset.y_test)

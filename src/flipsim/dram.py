@@ -696,9 +696,11 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
         del loc, bops
         upper = s >= config.banks  # channel 1
         m = np.count_nonzero(upper)
+        lower = ~upper if m else slice(None)  # a bank all in channel 0 is not split
         for out, val in ((sets, s), (rows, r), (bitcols, c), (drawn, place)):
-            out[lo:lo + len(s) - m] = val[~upper]
-            out[hi - m:hi] = val[upper][::-1]
+            out[lo:lo + len(s) - m] = val[lower]
+            if m:
+                out[hi - m:hi] = val[upper][::-1]
         lo, hi = lo + len(s) - m, hi - m
         # the next bank's draws start with only the outputs allocated
         del s, r, c, place, upper, val

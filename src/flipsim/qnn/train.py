@@ -38,6 +38,9 @@ class TrainingFailure(RuntimeError):
         self.history = history
 
 
+# a diverging step overflows to inf and nan, which the quantizer reports as
+# a TrainingFailure; numpy need not also warn on the way
+@np.errstate(over="ignore", invalid="ignore")
 def train_small(spec, dataset, config=None, seed=0):
     """Train ``spec`` on ``dataset``; deterministic given ``seed``.
 

@@ -20,8 +20,10 @@ An iteration pays once per layer for the layer's bit space, and that pass
 works on one eligibility bit mask per weight rather than on one entry per
 bit.  A layer's dense-suffix candidates are then evaluated together: their
 single-column changes are built as one array, and only the (flip, row) pairs
-whose column change is nonzero are propagated, stacked, and past the fan-out
-through the hidden units some flip of the layer can reach only.  A unit
+whose column change is nonzero are propagated, stacked in blocks of about
+an L2 cache (``_BLOCK_BYTES`` at the widest stage, every array freed with
+its block), and past the fan-out through the hidden units some flip of the
+layer can reach only.  A unit
 whose batch peak pre-activation stays at or below zero under every flip's
 largest push changes by an exact zero after its ReLU, because IEEE rounding
 is monotone, so leaving it out changes no value; the stacked products only
@@ -37,7 +39,10 @@ it with no frame held: every chain is planned on its own, so chains share no
 bit but may share frames.  Every chain's first iteration ranks from the one
 clean pass, and a pass scores each candidate once, so a later chain
 re-scores only the candidates its new exclusions bring in.  The backward
-half of a pass runs only when another iteration ranks from it.
+half of a pass runs only when another iteration ranks from it, and the pass
+drops its forward tape once that half has run.  A chain releases the pass
+it ranked before it makes the next one, so it holds at most the session's
+clean pass and its current pass.
 
 Untargeted searches maximize loss until accuracy falls to the target;
 targeted searches run the identical loop with the objective negated on a
@@ -96,8 +101,10 @@ def _reachable_units(peak, col, fan):
     return np.flatnonzero((peak > 0) | (peak[:, None] + push > 0).any(axis=1))
 
 
-# bytes of one stacked chunk of (flip, row) pairs at the widest layer
-_CHUNK_BYTES = 4 << 20
+# bytes of one block of stacked (flip, row) pairs at the widest stage: about
+# an L2 cache; larger blocks leave freed heap the process keeps resident,
+# smaller ones stall the BLAS threads on a busy host
+_BLOCK_BYTES = 2 << 20
 
 
 def _dense_suffix_logits(model, acts, refs):
@@ -109,7 +116,11 @@ def _dense_suffix_logits(model, acts, refs):
     flips' column changes are built together as one ``(K, B)`` array.  A
     batch row whose column change is exactly zero at the fan-out keeps its
     logits, so only the (flip, row) pairs with a nonzero change are
-    propagated, stacked in chunks of about ``_CHUNK_BYTES``.  When a ReLU
+    propagated, stacked in blocks of pairs whose widest stage array takes
+    about ``_BLOCK_BYTES``; every array of a block is freed before the next
+    block starts, so the working set past the returned arrays is a few
+    blocks, whatever the pair count.  The block size sets only the row
+    count of each product, which moves logits by ulps.  When a ReLU
     and another dense layer follow the fan-out, the fan-out weights, that
     ReLU's cached input and output and the next layer's weight columns are
     sliced once to the :func:`_reachable_units`; the others change by exact
@@ -158,11 +169,12 @@ def _dense_suffix_logits(model, acts, refs):
             tail.append(layers[q].weights[:, cut].T)
     width = max([len(fan)] + [w.shape[1] for w in tail if not isinstance(w, tuple)])
     fan = fan.T
-    chunk = max(1, _CHUNK_BYTES // (8 * width))
-    for lo in range(0, len(rows), chunk):
-        part = slice(lo, lo + chunk)
+    block = max(1, _BLOCK_BYTES // (8 * width))
+    for lo in range(0, len(rows), block):
+        part = slice(lo, lo + block)
         at = rows[part]
-        delta = change[part, None] * fan[cand[part]]
+        delta = fan[cand[part]]
+        delta *= change[part, None]
         for stage in tail:
             if isinstance(stage, tuple):
                 pre, post = stage
@@ -172,6 +184,8 @@ def _dense_suffix_logits(model, acts, refs):
             else:
                 delta = delta @ stage
         logits[part] += delta
+        # the next block's arrays are built after this one's are freed
+        del at, delta
     return cand, rows, logits
 
 
@@ -430,14 +444,15 @@ class RowScores:
         return loss, acc, hits.mean(axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass
 class SearchPass:
     """What one search iteration knows of the model state it ranks from.
 
     :attr:`grads` runs the gradient pass's backward half when first read,
     on the weights the pass was made on, so read it before they change; a
-    pass that only records a chain's last step never runs it.  ``memo``
-    holds each ref :func:`rank_candidates` has scored on this state.
+    pass that only records a chain's last step never runs it.  Reading it
+    drops ``backward`` and with it the forward tape.  ``memo`` holds each
+    ref :func:`rank_candidates` has scored on this state.
     """
 
     acts: list          # activations of the scored inputs
@@ -445,12 +460,14 @@ class SearchPass:
     loss: float         # eval batch loss and accuracy
     accuracy: float
     metric: float       # target share of the scored inputs, else accuracy
-    backward: object = field(repr=False)  # () -> weight_bias_gradients
+    backward: object = field(repr=False)  # () -> weight_bias_gradients, or None
     memo: dict = field(default_factory=dict, repr=False)  # ref -> scores
 
     @cached_property
     def grads(self):
-        return self.backward()[1]
+        grads = self.backward()[1]
+        self.backward = None
+        return grads
 
 
 def search_pass(model, x, labels, rows=None, target_class=None):
@@ -642,6 +659,7 @@ def _run_search(s):
         ranked = rank_candidates(work, image, state, config.p,
                                  objective=s.objective, view=s.view,
                                  used_pages=used_pages, protected=s.protected)
+        state = None  # ranked: freed before the next pass is made
         picked = select_flippable(ranked, s.view)
         if picked is None:
             exhausted = True

@@ -71,8 +71,9 @@ def test_value_outside_its_domain_exits_config_before_any_work(
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+# a diverging run reports its failure once, in the exit-2 line, not also
+# through numpy's warnings
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("key,value,why", [
     # finite settings in their domain whose training step overflows
     ("weight_decay", "1e9", "weights must be finite"),
@@ -98,6 +99,20 @@ def fast_run(tmp_path_factory):
     cli.cmd_template(cfg)
     cli.cmd_search(cfg)
     return out
+
+
+def test_exploit_under_other_eval_settings_names_the_metric_keys(fast_run,
+                                                                  tmp_path):
+    # the chain recorded its metric on a 64-row batch; the exploit lands
+    # every flip, then measures a 3-row batch
+    out = tmp_path / "o"
+    shutil.copytree(fast_run, out)
+    rc, err = run(["exploit", "--config",
+                   write_config(tmp_path / "c.cfg", out, eval_batch=3)])
+    assert rc == cli.EXIT_INTEGRITY
+    assert "the chain's recorded metric" in err and "extra flips" not in err
+    for key in cli.MetricMismatch.KEYS:
+        assert key in err
 
 
 def _near(domain, default):

@@ -1,6 +1,8 @@
 """Gradient-guided flip-aware search: ranking, selection, chains."""
 
+import weakref
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from flipsim import qnn
+from flipsim import search as _search
 from flipsim.dram import DramConfig, FlipProfile, full_single
 from flipsim.image import PAGE_BITS, WeightImage
-from flipsim.qnn.model import BitRef, loss_and_accuracy, metrics_from_logits
+from flipsim.qnn.model import (BitRef, QuantizedModel, loss_and_accuracy,
+                               metrics_from_logits)
 from flipsim.search import (Candidate, ProfileView, ProtectedMask, RowScores,
                             SearchConfig, _dense_suffix_logits,
                             _reachable_units, _top_bits, _topk_lowest_index,
@@ -23,6 +27,7 @@ from oracles import (ProfileViewReference, audit_chain, bit_gradients,
                      bit_planes, disjoint_chains_reference, evaluate_candidate,
                      incremental_logits, protected_contains,
                      rank_candidates_reference, replay_chain)
+from test_dram import _traced_peak
 
 rng = np.random.default_rng(17)
 
@@ -783,3 +788,100 @@ def test_search_takes_one_pass_per_iteration(small_setup, monkeypatch):
         assert calls["backward"] == len(chain)
         assert calls["x_test"] == (0 if target is None else len(chain) + 1)
     assert calls["loss_and_accuracy"] == 0
+
+
+# ---- the search's working set ------------------------------------------------
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["mlp", "dead"]), st.one_of(st.none(), st.integers(0, 3)),
+       st.sampled_from([None, 1.0, 0.05]), st.integers(1, 8), st.integers(1, 5),
+       st.integers(0, 2 ** 16))
+def test_block_size_changes_no_chain(rank_models, kind, target, rate, p,
+                                     max_flips, seed):
+    # one (flip, row) pair per block against the default blocks: the products
+    # take other row counts, so logits may move by ulps, and no chain moves
+    models, dataset = rank_models
+    model = models[kind]
+    gen = np.random.default_rng(seed)
+    profile = None if rate is None else _unique_locations(gen, rate)
+    cfg = SearchConfig(p=p, max_flips=max_flips, target_accuracy=0.2,
+                       eval_batch_size=32, batch_seed=seed, **PLACED)
+    state = search_pass(model, dataset.x_test, dataset.y_test)
+    layer = model.weighted_indices()[0]
+    size = model.layers[layer].weight_q.size
+    refs = [BitRef(layer, int(i), int(b)) for i, b in
+            zip(gen.choice(size, 12, replace=False), gen.integers(0, 8, 12))]
+    runs = []
+    for block_bytes in (1, _search._BLOCK_BYTES):
+        with mock.patch.object(_search, "_BLOCK_BYTES", block_bytes):
+            chain = (search_chain(model, dataset, profile, cfg) if target is None
+                     else search_chain_targeted(model, dataset, profile, cfg,
+                                                target))
+            runs.append((repr(chain), _dense_suffix_logits(model, state.acts,
+                                                           refs)))
+    (chain_one, changed_one), (chain, changed) = runs
+    assert chain_one == chain
+    for got, want in zip(changed_one[:2], changed[:2]):  # the (flip, row) pairs
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_allclose(changed_one[2], changed[2], rtol=0, atol=1e-12)
+
+
+def test_changed_rows_peak_stays_within_a_few_blocks():
+    # 128 flips of a first-layer weight each change most of 320 rows, and
+    # every pair runs through 128 fan-out units: many blocks of work, whose
+    # arrays must not pile up
+    spec = qnn.blob_mlp(input_shape=(16,), classes=4, hidden=(64, 128))
+    model = spec.assemble(spec.init_params(5))
+    x = np.random.default_rng(5).normal(size=(320, 16))
+    _, acts = model.forward_acts(x)
+    layer = model.weighted_indices()[0]
+    refs = [BitRef(layer, i * 17 % model.layers[layer].weight_q.size, 6)
+            for i in range(128)]
+    (cand, rows, logits), peak = _traced_peak(
+        lambda: _dense_suffix_logits(model, acts, refs))
+    block = 2 << 20  # about an L2 cache
+    assert len(rows) * 8 * 128 >= 8 * block  # the call spans 8 or more blocks
+    returned = cand.nbytes + rows.nbytes + logits.nbytes
+    # a block's gather and its ReLU operand, and the arrays made before the
+    # first block (column changes, the fan-out units' cached activations)
+    assert peak < 4 * block + returned, (len(rows), peak / block)
+
+
+def test_chain_holds_two_passes_and_drops_spent_tapes(small_setup, monkeypatch):
+    model, dataset = small_setup
+    passes, tapes, live = [], [], []
+    make_pass, rank = _search.search_pass, _search.rank_candidates
+    tape = QuantizedModel.forward_tape
+
+    class Context(list):  # a list a weak reference can follow
+        pass
+
+    def spy_tape(self, x):
+        acts, ctxs = tape(self, x)
+        ctxs = Context(ctxs)
+        tapes.append(weakref.ref(ctxs))
+        return acts, ctxs
+
+    def spy_pass(*args):
+        state = make_pass(*args)
+        passes.append(weakref.ref(state))
+        live.append(sum(ref() is not None for ref in passes))
+        return state
+
+    def spy_rank(model, image, state, *args, **kwargs):
+        ranked = rank(model, image, state, *args, **kwargs)
+        # the ranking read the pass's gradients: its tape is gone
+        made = next(i for i, ref in enumerate(passes) if ref() is state)
+        assert tapes[made]() is None, made
+        return ranked
+
+    monkeypatch.setattr(QuantizedModel, "forward_tape", spy_tape)
+    monkeypatch.setattr(_search, "search_pass", spy_pass)
+    monkeypatch.setattr(_search, "rank_candidates", spy_rank)
+    cfg = SearchConfig(p=6, max_flips=4, target_accuracy=0.0,
+                       target_fraction=1.1)
+    chain = search_chain_targeted(model, dataset, None, cfg, 2)
+    assert len(chain) == 4 and len(passes) == len(chain) + 1 == len(tapes)
+    # the session's clean pass and the chain's current one
+    assert max(live) == 2, live
