@@ -9,7 +9,7 @@ every stage.
 
 import numpy as np
 
-from flipsim import cli, qnn
+from flipsim import cli, experiment, qnn
 from flipsim.dram import template
 from flipsim.image import WeightImage
 from flipsim.massage import (PageFrameCache, plan_aggressors, plan_mapping,
@@ -21,8 +21,8 @@ from flipsim.search import search_chain
 cfg = cli.make_config(overrides={"seed": 4})
 
 print("== victim model ==")
-dataset = cli.build_dataset(cfg)
-spec = cli.build_model_spec(cfg)
+dataset = experiment.build_dataset(cfg)
+spec = experiment.build_model_spec(cfg, dataset)
 model = qnn.train_small(spec, dataset,
                         qnn.TrainConfig(epochs=cfg.epochs, lr=cfg.lr,
                                         accuracy_floor=cfg.accuracy_floor),
@@ -33,7 +33,7 @@ print(f"clean accuracy {clean:.3f}, {image.weight_bytes} weight bytes over "
       f"{image.page_count} pages")
 
 print("\n== offline: memory templating ==")
-state, image, placement, attacker_pages = cli.provision(cfg, model)
+state, image, placement, attacker_pages = experiment.provision(cfg, model)
 profile = template(state)
 print(f"attacker holds {attacker_pages} of {state.config.total_pages} frames "
       f"({attacker_pages / state.config.total_pages:.0%} of memory)")
@@ -44,7 +44,7 @@ print(f"profile: {len(profile)} flippable cells, "
 print("\n== offline: flip-aware bit search ==")
 # the search places every step on one of the attacker's frames, as the
 # planner will, so each committed step is one the exploit can position
-chain = search_chain(model, dataset, profile, cli.search_config(cfg))
+chain = search_chain(model, dataset, profile, experiment.search_config(cfg))
 print(f"chain of {len(chain)} flips, accuracy "
       f"{chain.clean_accuracy:.3f} -> {chain.terminal_metric():.3f}:")
 for step in chain.steps:

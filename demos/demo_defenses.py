@@ -8,12 +8,12 @@ defense.
 
 import statistics
 
-from flipsim import cli, qnn
+from flipsim import cli, experiment, qnn
 from flipsim.search import (ProtectedMask, SearchConfig, protection_rounds,
                             search_chain)
 
 cfg = cli.make_config(overrides={"seed": 4})
-dataset = cli.build_dataset(cfg)
+dataset = experiment.build_dataset(cfg)
 
 print("== width ablation: does a 2x-wide model need more flips? ==")
 rows = []
@@ -34,7 +34,7 @@ print("wider models consistently need at least as many flips, but are not "
       "immune")
 
 print("\n== protect-top-N: lock the bits the attack would use, repeat ==")
-spec = cli.build_model_spec(cfg)
+spec = experiment.build_model_spec(cfg, dataset)
 model = qnn.train_small(spec, dataset,
                         qnn.TrainConfig(epochs=cfg.epochs, lr=cfg.lr,
                                         accuracy_floor=cfg.accuracy_floor),

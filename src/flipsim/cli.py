@@ -1,14 +1,11 @@
-"""Command-line orchestrator for the full attack pipeline.
+"""Command-line shells over :mod:`flipsim.experiment`.
 
 Subcommands: ``train | template | search | exploit | random-baseline |
-defense | sensitivity``.  Every command is a pure function of its config file
-plus flags: identical seeds produce byte-identical outputs, so reports never
-embed timestamps or absolute paths.
-
-``search`` and ``exploit`` are thin I/O shells: ``_load_stage_inputs`` reads
-and checks their inputs, and ``search_stage`` / ``exploit_stage`` work on the
-loaded objects and a profile already sampled at ``rate``, so ``sensitivity``
-loads once, samples once per rate and passes chains in memory.
+defense | sensitivity``.  This module alone reads and writes files: a
+``cmd_*`` loads and checks its inputs, calls :mod:`flipsim.experiment`, then
+writes what that returned.  Every command is a pure function of its config
+file plus flags: identical seeds produce byte-identical outputs, so reports
+never embed timestamps or absolute paths.
 
 Exit codes: 0 success, 2 infeasible chain (also a training run below its
 accuracy floor, and protect-top-N rounds that exhaust the bit space), 3
@@ -20,184 +17,29 @@ import argparse
 import copy
 import json
 import os
-import statistics
 import struct
 import sys
-from dataclasses import dataclass, fields, replace
-from itertools import islice
-
-import numpy as np
+from dataclasses import fields, replace
 
 from . import dram as dram_mod
-from . import massage, qnn, search
-from .dram import (FLIPS_PER_SECOND, OWNER_ATTACKER, OWNER_VICTIM, PAGE_BITS,
-                   FlipProfile, new_dram, sample_profile, save_geometry,
-                   template)
-from .image import StaleModeError, TargetBit, WeightImage, read_chain, write_chain
-from .massage import (MappingMismatch, PageFrameCache, PrecisionViolation,
-                      ThresholdViolation, UnsatisfiablePlan, plan_aggressors,
-                      plan_mapping, plan_to_json, precise_hammer,
-                      release_and_remap, retemplate, verify_template)
-from .qnn.model import class_fraction, loss_and_accuracy
-from .qnn.quant import SUPPORTED_BIT_WIDTHS
-from .search import (ExhaustedIterations, ProtectedMask, SearchConfig,
-                     disjoint_chains, protection_rounds, search_chain)
+from . import qnn
+from .dram import (FLIPS_PER_SECOND, FlipProfile, sample_profile,
+                   save_geometry, template)
+from .experiment import (ConfigError, ExperimentConfig, build_dataset,
+                         chain_targets, check_profile_entries, dram_config,
+                         exploit_stage, layer_lock_defense, provision,
+                         random_baseline, search_stage, topn_defense,
+                         train_model, width_defense)
+from .image import StaleModeError, WeightImage, read_chain, write_chain
+from .massage import (MappingMismatch, PrecisionViolation, ThresholdViolation,
+                      UnsatisfiablePlan)
+from .qnn.model import loss_and_accuracy
+from .search import ExhaustedIterations
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_INTEGRITY = 3
 EXIT_CONFIG = 4
-
-
-class ConfigError(ValueError):
-    pass
-
-
-class MetricMismatch(PrecisionViolation):
-    """The attacked model's metric is not the one its chain recorded.
-
-    The flips landed as planned (:func:`precise_hammer` checks them), so
-    the exploit measured the metric under other settings than the search.
-    """
-
-    # besides the weights, the recorded metric depends on these keys
-    KEYS = ("eval_batch", "batch_seed", "blob_noise", "train_per_class",
-            "test_per_class", "target_class")
-
-    def __init__(self, final, expected):
-        RuntimeError.__init__(
-            self, f"final metric {final!r} is not the chain's recorded metric "
-            f"{expected!r}; the flips landed as planned, so check that the "
-            f"exploit's {', '.join(self.KEYS)} equal the search's")
-        self.final, self.expected = final, expected
-
-
-_PRESETS = {"bench": dram_mod.bench, "desk": dram_mod.desk,
-            "full-single": dram_mod.full_single, "full-dual": dram_mod.full_dual}
-
-# The domain of every ExperimentConfig key but the free-form ones (``out``,
-# the ``idx_*`` paths, the geometry overrides DramConfig checks).
-DOMAINS = {
-    "seed": "[0, inf)", "dataset": ("blobs", "idx"), "classes": "[2, inf)",
-    # channels, height, width: lenet's two 2x2 pools need 4x4 images
-    "blob_shape": ["[1, inf)", "[4, inf)", "[4, inf)"], "blob_noise": "[0, inf)",
-    "train_per_class": "[1, inf)", "test_per_class": "[1, inf)",
-    "arch": qnn.ARCHITECTURES, "hidden": "[1, inf)", "width_multiplier": "[1, inf)",
-    "bit_width": SUPPORTED_BIT_WIDTHS, "epochs": "[0, inf)", "lr": "[0, inf)",
-    "momentum": "[0, 1)", "weight_decay": "[0, inf)", "train_batch": "[1, inf)",
-    "accuracy_floor": "[0, 1]", "geometry": tuple(_PRESETS),
-    "density": tuple(dram_mod.DENSITY_FACTORS), "density_count": "[0, inf)",
-    "attacker_budget": "(0, 1)", "direction_split": "[0, 1]",
-    "recycling_threshold": "[0, inf)", "noise_allocations": "[0, inf)",
-    "reboot_seed": "[-1, inf)", "toggle_probability": "[0, 1]",
-    "verify_sample": f"[{massage.MIN_VERIFY_SAMPLE}, inf)", "p": "[1, inf)",
-    "target_accuracy": "[0, 1]", "max_flips": "[0, inf)", "eval_batch": "[1, inf)",
-    "chains": "[1, inf)", "rate": "(0, 1]",
-    "target_class": "[-1, inf)",  # build_dataset checks it against the classes
-}
-
-
-def _in_domain(value, domain):
-    """Whether ``value`` lies in ``domain``: an interval such as ``"(0, 1]"``
-    (every element of a tuple must; NaN and the infinities never do), a list
-    of intervals, one per element, or a collection of choices."""
-    if isinstance(domain, list):
-        return len(value) == len(domain) and all(map(_in_domain, value, domain))
-    if isinstance(value, tuple):
-        return all(_in_domain(v, domain) for v in value)
-    if isinstance(domain, str):
-        low, high = map(float, domain[1:-1].split(","))
-        return ((low < value if domain[0] == "(" else low <= value)
-                and (value < high if domain[-1] == ")" else value <= high))
-    return value in domain
-
-
-@dataclass
-class ExperimentConfig:
-    """One run's settings.  Making one (``make_config``, any ``replace``)
-    checks every key against :data:`DOMAINS` and the geometry against
-    DramConfig, so a value outside them is a ConfigError before any command."""
-
-    seed: int = 7
-    out: str = "out"
-    # dataset
-    dataset: str = "blobs"
-    classes: int = 10
-    blob_shape: tuple = (1, 8, 8)
-    train_per_class: int = 205
-    test_per_class: int = 51
-    blob_noise: float = 1.75
-    idx_train_images: str = ""
-    idx_train_labels: str = ""
-    idx_test_images: str = ""
-    idx_test_labels: str = ""
-    # model / training
-    arch: str = "blob_mlp"
-    hidden: tuple = (522, 256, 128)
-    width_multiplier: int = 1
-    bit_width: int = 8
-    epochs: int = 2
-    lr: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    train_batch: int = 128
-    accuracy_floor: float = 0.85
-    # dram
-    geometry: str = "bench"
-    channels: int = 0            # 0 -> take from the preset
-    banks: int = 0
-    rows: int = 0
-    row_bytes: int = 0
-    hammer_mode: str = ""
-    density: str = "dense"
-    density_count: int = 250_000  # explicit per-bank cells; 0 -> density preset
-    attacker_budget: float = 0.2
-    direction_split: float = dram_mod.ONE_TO_ZERO_SHARE
-    recycling_threshold: int = massage.DEFAULT_RECYCLING_THRESHOLD
-    noise_allocations: int = 0
-    reboot_seed: int = -1        # >= 0 -> reboot before the exploit
-    toggle_probability: float = 0.5
-    verify_sample: int = 8
-    # search
-    p: int = 64
-    target_accuracy: float = 0.11
-    max_flips: int = 30
-    eval_batch: int = 256
-    chains: int = 1
-    target_class: int = -1
-    rate: float = 1.0
-
-    def __post_init__(self):
-        for key, domain in DOMAINS.items():
-            value = getattr(self, key)
-            if not _in_domain(value, domain):
-                raise ConfigError(f"{key} must be in {domain}, got {value!r}")
-        dram_config(self)
-
-    # derived seeds (one master seed fans out to every component)
-    @property
-    def data_seed(self):
-        return self.seed * 1000 + 1
-
-    @property
-    def train_seed(self):
-        return self.seed * 1000 + 2
-
-    @property
-    def cell_seed(self):
-        return self.seed * 1000 + 3
-
-    @property
-    def hammer_seed(self):
-        return self.seed * 1000 + 4
-
-    @property
-    def batch_seed(self):
-        return self.seed * 1000 + 5
-
-    @property
-    def sample_seed(self):
-        return self.seed * 1000 + 6
 
 
 def parse_config_file(path):
@@ -232,155 +74,40 @@ def make_config(path=None, overrides=None):
     return replace(cfg, **updates)
 
 
-# ---- building blocks -------------------------------------------------------------
-
-
-def build_dataset(cfg):
-    if cfg.dataset == "blobs":
-        dataset = qnn.gaussian_blobs(cfg.classes, cfg.blob_shape,
-                                     cfg.train_per_class, cfg.test_per_class,
-                                     cfg.blob_noise, cfg.data_seed)
-    else:
-        for key in ("idx_train_images", "idx_train_labels", "idx_test_images",
-                    "idx_test_labels"):
-            path = getattr(cfg, key)
-            if not path or not os.path.exists(path):
-                raise ConfigError(f"{key} missing or not found: {path!r}")
-        dataset = qnn.load_idx_dataset(cfg.idx_train_images, cfg.idx_train_labels,
-                                       cfg.idx_test_images, cfg.idx_test_labels)
-    count = dataset.class_count
-    if count < 2:
-        raise ConfigError(f"the dataset has {count} class; classes must be >= 2")
-    if cfg.target_class >= count:
-        raise ConfigError(f"target_class must be -1 (untargeted) or in "
-                          f"[0, {count}), got {cfg.target_class}")
-    return dataset
-
-
-def build_model_spec(cfg, width_multiplier=None, dataset=None):
-    if dataset is not None:
-        shape, classes = dataset.input_shape, dataset.class_count
-    else:
-        shape, classes = cfg.blob_shape, cfg.classes
-    return qnn.build_spec(cfg.arch, shape, classes, cfg.bit_width,
-                          cfg.hidden, width_multiplier or cfg.width_multiplier)
-
-
-def dram_config(cfg):
-    # a zero, empty or absent (dimms) setting keeps the preset's value
-    kwargs = {name: getattr(cfg, key) for key, name in dram_mod.GEOMETRY_KEYS
-              if getattr(cfg, key, None)}
-    try:
-        return replace(_PRESETS[cfg.geometry](), **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"dram geometry: {exc}") from None
-
-
-def attacker_frames(cfg, geometry):
-    """How many frames the attacker holds: frames ``[0, n)`` of ``geometry``."""
-    return int(geometry.total_pages * cfg.attacker_budget)
-
-
-def provision(cfg, model):
-    """Instantiate DRAM, mark the attacker's region, place the victim image.
-
-    The attacker holds a contiguous low range of frames (the configured
-    fraction of memory); the victim weight file initially sits at the top.
-    """
-    geometry = dram_config(cfg)
-    density = cfg.density_count if cfg.density_count > 0 else cfg.density
-    try:
-        state = new_dram(geometry, density, cfg.cell_seed, cfg.hammer_seed,
-                         one_to_zero=cfg.direction_split)
-    except ValueError as exc:
-        # only an explicit count can exceed a bank's capacity or the cells
-        # its synthesis sort key holds
-        raise ConfigError(f"density_count {cfg.density_count}: {exc}") from None
-    image = WeightImage(model)
-    total = geometry.total_pages
-    attacker = attacker_frames(cfg, geometry)
-    if attacker + image.page_count > total:
-        raise ConfigError("attacker budget leaves no room for the victim image")
-    state.set_owner(range(attacker), OWNER_ATTACKER)
-    placement = {}
-    for pgid in range(1, image.page_count + 1):
-        pfn = total - image.page_count + (pgid - 1)
-        state.set_owner([pfn], OWNER_VICTIM)
-        state.write_page(pfn, image.page_bytes(pgid))
-        placement[pgid] = pfn
-    return state, image, placement, attacker
-
-
-def _train_config(cfg):
-    return qnn.TrainConfig(epochs=cfg.epochs, lr=cfg.lr, momentum=cfg.momentum,
-                           weight_decay=cfg.weight_decay,
-                           batch_size=cfg.train_batch,
-                           accuracy_floor=cfg.accuracy_floor)
-
-
-def search_config(cfg, protected=None):
-    """``cfg``'s search, on the attacker frames :func:`provision` sets."""
-    geometry = dram_config(cfg)
-    return SearchConfig(p=cfg.p, target_accuracy=cfg.target_accuracy,
-                        max_flips=cfg.max_flips, eval_batch_size=cfg.eval_batch,
-                        batch_seed=cfg.batch_seed, protected=protected,
-                        dram=geometry,
-                        attacker_frames=attacker_frames(cfg, geometry))
-
-
-def _write_json(path, obj):
+def _write_json(path, obj, end="\n"):
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path
+        fh.write(end)
 
 
-def _write_trace(path, trace):
-    cols = ["iteration", "candidates", "layer", "index", "bit", "page", "bop",
-            "mode", "loss", "accuracy", "metric"]
+def _write_csv(path, cols, rows):
+    """A header line, then one line per row: floats by ``repr``."""
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for row in trace:
-            fh.write(",".join(repr(row[c]) if isinstance(row[c], float)
-                              else str(row[c]) for c in cols) + "\n")
-    return path
+        for row in rows:
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
 
 
-def _chain_summary(chain):
-    return {
-        "flips": len(chain),
-        "feasible": chain.feasible,
-        "exhausted": chain.exhausted,
-        "metric": chain.metric_name,
-        "clean_metric": chain.clean_metric,
-        "terminal_metric": chain.terminal_metric(),
-        "per_step_metric": [s.metric for s in chain.steps],
-        "one_to_zero_share": (sum(1 for s in chain.steps if s.mode == 0)
-                              / len(chain) if len(chain) else None),
-    }
+_TRACE_COLUMNS = ["iteration", "candidates", "layer", "index", "bit", "page",
+                  "bop", "mode", "loss", "accuracy", "metric"]
 
 
-# ---- commands ---------------------------------------------------------------------
+def _write_search(out, chains, info):
+    """What a search writes: ``chain_N.jsonl``, ``trace_N.csv``, ``search.json``."""
+    os.makedirs(out, exist_ok=True)
+    for i, chain in enumerate(chains, 1):
+        write_chain(os.path.join(out, f"chain_{i}.jsonl"), chain.records())
+        _write_csv(os.path.join(out, f"trace_{i}.csv"), _TRACE_COLUMNS,
+                   ([row[c] for c in _TRACE_COLUMNS] for row in chain.trace))
+    _write_json(os.path.join(out, "search.json"), info)
 
 
-def cmd_train(cfg):
-    os.makedirs(cfg.out, exist_ok=True)
-    dataset = build_dataset(cfg)
-    spec = build_model_spec(cfg, dataset=dataset)
-    model = qnn.train_small(spec, dataset, _train_config(cfg), cfg.train_seed)
-    path = os.path.join(cfg.out, "checkpoint.qnn")
-    qnn.save_checkpoint(model, path)
-    _, acc = loss_and_accuracy(model, dataset.x_test, dataset.y_test)
-    image = WeightImage(model)
-    info = {
-        "clean_accuracy": acc,
-        "weight_bytes": image.weight_bytes,
-        "weight_pages": image.page_count,
-        "header_pages": qnn.header_pages(model),
-        "seed": cfg.seed,
-    }
-    _write_json(os.path.join(cfg.out, "train.json"), info)
-    return path, info
+def _write_exploit(out, report, plan_rows):
+    """What an exploit writes: ``plan.json`` (no final newline), ``report.json``."""
+    os.makedirs(out, exist_ok=True)
+    _write_json(os.path.join(out, "plan.json"), plan_rows, end="")
+    _write_json(os.path.join(out, "report.json"), report)
 
 
 def _load_checkpoint(cfg, checkpoint=None):
@@ -400,11 +127,59 @@ def _load_checkpoint(cfg, checkpoint=None):
     return model, dataset
 
 
-def cmd_template(cfg, checkpoint=None):
+def _load_stage_inputs(cfg, checkpoint=None, profile_path=None):
+    """``(model, dataset, profile)``, each checked against ``cfg``.
+
+    The profile must come from ``cfg``'s DRAM geometry: ``cmd_template``
+    writes ``geometry.txt`` beside ``profile.csv``, and the profile's page
+    numbers only mean something on that geometry.
+    """
+    model, dataset = _load_checkpoint(cfg, checkpoint)
+    profile_path = profile_path or os.path.join(cfg.out, "profile.csv")
+    try:
+        profile = FlipProfile.load_csv(profile_path)
+    except ValueError as exc:
+        raise ConfigError(f"{profile_path}: {exc}") from None
+    path = os.path.join(os.path.dirname(profile_path), "geometry.txt")
+    try:
+        profiled, _ = dram_mod.load_geometry(path)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    configured = dram_config(cfg)
+    if profiled != configured:
+        raise ConfigError(f"the profile was templated on {profiled} ({path}), "
+                          f"but the config gives {configured}")
+    check_profile_entries(profile, configured.total_pages, profile_path)
+    return model, dataset, profile
+
+
+# ---- commands ---------------------------------------------------------------------
+
+
+def cmd_train(cfg):
+    dataset = build_dataset(cfg)
+    model = train_model(cfg, dataset)
     os.makedirs(cfg.out, exist_ok=True)
+    path = os.path.join(cfg.out, "checkpoint.qnn")
+    qnn.save_checkpoint(model, path)
+    _, acc = loss_and_accuracy(model, dataset.x_test, dataset.y_test)
+    image = WeightImage(model)
+    info = {
+        "clean_accuracy": acc,
+        "weight_bytes": image.weight_bytes,
+        "weight_pages": image.page_count,
+        "header_pages": qnn.header_pages(model),
+        "seed": cfg.seed,
+    }
+    _write_json(os.path.join(cfg.out, "train.json"), info)
+    return path, info
+
+
+def cmd_template(cfg, checkpoint=None):
     model, _ = _load_checkpoint(cfg, checkpoint)
     state, _, _, attacker_pages = provision(cfg, model)
     profile = template(state)
+    os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "profile.csv")
     profile.save_csv(path)
     save_geometry(state.config, os.path.join(cfg.out, "geometry.txt"),
@@ -421,299 +196,56 @@ def cmd_template(cfg, checkpoint=None):
     return path, info
 
 
-def _load_stage_inputs(cfg, checkpoint=None, profile_path=None, geometry=False):
-    """``(model, dataset, profile)``; ``geometry`` checks the profile's geometry."""
-    os.makedirs(cfg.out, exist_ok=True)
-    model, dataset = _load_checkpoint(cfg, checkpoint)
-    profile_path = profile_path or os.path.join(cfg.out, "profile.csv")
-    if geometry:
-        _check_profile_geometry(cfg, profile_path)
-    try:
-        profile = FlipProfile.load_csv(profile_path)
-    except ValueError as exc:
-        raise ConfigError(f"{profile_path}: {exc}") from None
-    _check_profile_entries(profile, dram_config(cfg).total_pages, profile_path)
-    return model, dataset, profile
-
-
-def _check_profile_entries(profile, total_pages, path):
-    """Refuse profile entries no frame, bit or direction of the geometry has,
-    entries whose probability is NaN or outside [0, 1], and entries that
-    repeat a ``(pfn, bop)`` location: one cell would back two flips."""
-    bad = np.flatnonzero((profile.pfn < 0) | (profile.pfn >= total_pages)
-                         | (profile.bop < 0) | (profile.bop >= PAGE_BITS)
-                         | ((profile.direction != 0) & (profile.direction != 1))
-                         | ~((profile.probability >= 0)
-                             & (profile.probability <= 1)))
-    if len(bad):
-        i = int(bad[0])
-        raise ConfigError(
-            f"{path}: entry {i + 1} (pfn {profile.pfn[i]}, bop "
-            f"{profile.bop[i]}, direction {profile.direction[i]}, probability "
-            f"{profile.probability[i]}) needs pfn < {total_pages}, bop < "
-            f"{PAGE_BITS}, direction 0 or 1 and probability in [0, 1]")
-    keys = profile.pfn * PAGE_BITS + profile.bop
-    if (np.diff(np.sort(keys)) == 0).any():
-        order = np.argsort(keys, kind="stable")
-        i = int(order[1:][np.diff(keys[order]) == 0].min())
-        raise ConfigError(
-            f"{path}: entry {i + 1} repeats the location pfn {profile.pfn[i]}, "
-            f"bop {profile.bop[i]}")
-
-
 def cmd_search(cfg, checkpoint=None, profile_path=None):
     model, dataset, profile = _load_stage_inputs(cfg, checkpoint, profile_path)
-    return search_stage(cfg, model, dataset,
-                        sample_profile(profile, cfg.rate, cfg.sample_seed))
-
-
-def search_stage(cfg, model, dataset, profile):
-    """``cfg.chains`` disjoint chains on ``profile``, already sampled.
-
-    Later chains reuse no bit of earlier ones, but may reuse profile
-    locations: each chain is planned and hammered on its own.
-    """
-    target = cfg.target_class if cfg.target_class >= 0 else None
-    chains = list(islice(disjoint_chains(model, dataset, profile,
-                                         search_config(cfg), target),
-                         cfg.chains))
-    for i, chain in enumerate(chains, 1):
-        write_chain(os.path.join(cfg.out, f"chain_{i}.jsonl"), chain.records())
-        _write_trace(os.path.join(cfg.out, f"trace_{i}.csv"), chain.trace)
-    info = {"chains": [_chain_summary(c) for c in chains],
-            "rate": cfg.rate,
-            # published full-scale baseline for one candidate chain; kept out
-            # of any assertion and reported for orientation only
-            "full_scale_seconds_per_chain_reference": 120.0}
-    _write_json(os.path.join(cfg.out, "search.json"), info)
+    chains, info = search_stage(cfg, model, dataset,
+                                sample_profile(profile, cfg.rate, cfg.sample_seed))
+    _write_search(cfg.out, chains, info)
     return chains, info
 
 
-def _check_profile_geometry(cfg, profile_path):
-    """Refuse a profile templated on another DRAM geometry than ``cfg``'s.
-
-    ``cmd_template`` writes ``geometry.txt`` beside ``profile.csv``; its
-    page numbers only mean something on that geometry.
-    """
-    path = os.path.join(os.path.dirname(profile_path), "geometry.txt")
-    try:
-        profiled, _ = dram_mod.load_geometry(path)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    configured = dram_config(cfg)
-    if profiled != configured:
-        raise ConfigError(f"the profile was templated on {profiled} ({path}), "
-                          f"but the config gives {configured}")
-
-
-def _pages_retained(state, mapping, actions):
-    """Victim frames plus every page resident in an action's aggressor rows."""
-    return len(mapping) + state.config.in_row_pages * sum(
-        len(a.aggressor_rows) for a in actions)
-
-
-def _read_victim_block(state, image, placement, mapping):
-    positions = dict(placement)
-    positions.update(mapping)
-    blob = b"".join(state.read_page(positions[pgid])
-                    for pgid in range(1, image.page_count + 1))
-    return blob[:image.weight_bytes]
-
-
 def cmd_exploit(cfg, checkpoint=None, profile_path=None, chain_path=None):
-    model, dataset, profile = _load_stage_inputs(cfg, checkpoint, profile_path,
-                                                 geometry=True)
+    model, dataset, profile = _load_stage_inputs(cfg, checkpoint, profile_path)
     chain_path = chain_path or os.path.join(cfg.out, "chain_1.jsonl")
     try:
         records = read_chain(chain_path)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{chain_path}: malformed chain record: {exc!r}") from None
-    return exploit_stage(cfg, model, dataset,
-                         sample_profile(profile, cfg.rate, cfg.sample_seed),
-                         records)
-
-
-def exploit_stage(cfg, model, dataset, profile, records, provisioned=None):
-    """Online phase: verify -> (retemplate) -> plan -> position -> hammer.
-
-    ``profile`` is already sampled.  ``provisioned`` is a :func:`provision`
-    result of ``cfg`` and ``model`` for the stage to work on and change;
-    by default the stage provisions afresh.  The final accuracy is
-    recomputed from the post-hammer weight image and must equal the chain's
-    recorded terminal metric exactly.
-    """
-    if not records:
-        raise ConfigError("chain file is empty")
-    targets = [TargetBit(r["page"], r["bop"], r["mode"]) for r in records]
-    image = WeightImage(model)
-    for i, t in enumerate(targets):
-        if t.page in {u.page for u in targets[:i]}:  # one frame per victim page
-            raise ConfigError(f"chain targets victim page {t.page} more than once")
-        try:
-            image.addr_to_bit(t.page, t.bop)
-        except IndexError as exc:
-            raise ConfigError(f"chain record {i + 1}: {exc}") from None
-
-    state, image, placement, attacker_pages = (provisioned
-                                               or provision(cfg, model))
-    rebooted = cfg.reboot_seed >= 0
-    if rebooted:
-        state.reboot(cfg.reboot_seed, cfg.toggle_probability)
-
-    status = verify_template(state, profile, cfg.verify_sample)
-    retemplate_stats = None
-    working = profile
-    if status == "obsolete":
-        working, retemplate_stats = retemplate(state, profile,
-                                               {t.bop for t in targets})
-
-    plan = plan_mapping(targets, working, state, cfg.recycling_threshold)
-    actions = plan_aggressors(plan, state)
-    cache = PageFrameCache(cfg.recycling_threshold)
-    mapping = release_and_remap(cache, plan, image, state,
-                                noise=cfg.noise_allocations)
-    hammer_report = precise_hammer(state, plan, actions, mapping)
-    plan_to_json(plan, actions, os.path.join(cfg.out, "plan.json"))
-
-    attacked = model.copy()
-    attacked.load_weight_block(_read_victim_block(state, image, placement,
-                                                  mapping))
-    if cfg.target_class >= 0:
-        final_metric = class_fraction(attacked, dataset.x_test, cfg.target_class)
-    else:
-        xb, yb = dataset.batch(cfg.eval_batch, cfg.batch_seed)
-        _, final_metric = loss_and_accuracy(attacked, xb, yb)
-    expected = records[-1]["expected_acc"]
-    if final_metric != expected:
-        raise MetricMismatch(final_metric, expected)
-    _, clean_test_acc = loss_and_accuracy(model, dataset.x_test, dataset.y_test)
-    _, final_test_acc = loss_and_accuracy(attacked, dataset.x_test,
-                                          dataset.y_test)
-
-    report = {
-        "chain": records,
-        "per_step_metric": [r["expected_acc"] for r in records],
-        # chain pages count weight-block pages; the same page in the
-        # checkpoint file sits header_pages later
-        "page_numbering": {"weight_block_page_offset": qnn.header_pages(model)},
-        "flips_attempted": len(targets),
-        "flips_achieved": len(hammer_report["flips"]),
-        "final_metric": final_metric,
-        "expected_metric": expected,
-        "clean_test_accuracy": clean_test_acc,
-        "final_test_accuracy": final_test_acc,
-        "template_status": status,
-        "rebooted": rebooted,
-        "retemplate": retemplate_stats and {
-            **retemplate_stats,
-            "seconds_estimate":
-                retemplate_stats["cells_retested"] / FLIPS_PER_SECOND,
-        },
-        "planning": {
-            "memory_fraction_held": attacker_pages / state.config.total_pages,
-            "pages_retained_after_mapping": _pages_retained(state, mapping,
-                                                            actions),
-            "candidate_locations": sorted(plan.candidate_counts.values()),
-        },
-        "hammer": {
-            "actions": hammer_report["actions"],
-            "seconds_estimate": hammer_report["hammer_seconds_estimate"],
-        },
-    }
-    _write_json(os.path.join(cfg.out, "report.json"), report)
+    chain_targets(WeightImage(model), records)  # refused before any DRAM is built
+    report, plan_rows = exploit_stage(
+        cfg, model, dataset, sample_profile(profile, cfg.rate, cfg.sample_seed),
+        records, provision(cfg, model))
+    _write_exploit(cfg.out, report, plan_rows)
     return report
 
 
 def cmd_random_flip_baseline(cfg, checkpoint=None, n_flips=100, trials=30):
-    """Accuracy-drop distribution of uniform random distinct bit flips
-    among the bits a search can flip, each weight byte's bit_width low bits."""
-    for name, value, low in (("flips", n_flips, 0), ("trials", trials, 1)):
-        if value < low:
-            raise ConfigError(f"{name} must be >= {low}, got {value}")
-    os.makedirs(cfg.out, exist_ok=True)
+    """:func:`experiment.random_baseline` of the checkpoint."""
     model, dataset = _load_checkpoint(cfg, checkpoint)
-    image = WeightImage(model)
-    _, clean = loss_and_accuracy(model, dataset.x_test, dataset.y_test)
-    width = model.bit_width
-    total_bits = image.weight_bytes * width
-    n_flips = min(n_flips, total_bits)
-    rng = np.random.default_rng(cfg.sample_seed)
-    drops = []
-    for _ in range(trials):
-        work = model.copy()
-        picks = rng.choice(total_bits, size=n_flips, replace=False)
-        for g in sorted(int(g) for g in picks):
-            gbi = g // width * 8 + g % width
-            page, bop = gbi // PAGE_BITS + 1, gbi % PAGE_BITS
-            work.flip_bit(image.addr_to_bit(page, bop))
-        _, acc = loss_and_accuracy(work, dataset.x_test, dataset.y_test)
-        drops.append(clean - acc)
-    path = os.path.join(cfg.out, "random_baseline.csv")
-    with open(path, "w") as fh:
-        fh.write("trial,accuracy_drop\n")
-        for i, d in enumerate(drops):
-            fh.write(f"{i},{d!r}\n")
-    info = {"clean_accuracy": clean, "flips": n_flips, "trials": trials,
-            "median_drop": statistics.median(drops) if drops else 0.0,
-            "max_drop": max(drops) if drops else 0.0}
+    drops, info = random_baseline(cfg, model, dataset, n_flips, trials)
+    os.makedirs(cfg.out, exist_ok=True)
+    _write_csv(os.path.join(cfg.out, "random_baseline.csv"),
+               ["trial", "accuracy_drop"], enumerate(drops))
     _write_json(os.path.join(cfg.out, "random_baseline.json"), info)
     return drops, info
 
 
 def cmd_defense(cfg, mode):
-    os.makedirs(cfg.out, exist_ok=True)
+    """The ``width``, ``topn`` or ``layer-lock`` defense study; the last two
+    attack the checkpoint in ``cfg.out``."""
     if mode == "width":
-        seeds = [cfg.seed + i for i in range(5)]
-        rows = []
-        for s in seeds:
-            sub = replace(cfg, seed=s)
-            data = build_dataset(sub)
-            lengths = {}
-            for label, mult in (("base", 1), ("wide", 2)):
-                spec = build_model_spec(sub, width_multiplier=mult, dataset=data)
-                try:
-                    model = qnn.train_small(spec, data, _train_config(sub),
-                                            sub.train_seed)
-                except qnn.TrainingFailure:
-                    lengths[label] = None  # this init never cleared the floor
-                    continue
-                chain = search_chain(model, data, None, search_config(sub))
-                lengths[label] = len(chain) if chain.feasible else sub.max_flips + 1
-            rows.append({"seed": s, **lengths})
-        usable = [r for r in rows if r["base"] is not None and r["wide"] is not None]
-        base_med = statistics.median(r["base"] for r in usable) if usable else None
-        wide_med = statistics.median(r["wide"] for r in usable) if usable else None
-        info = {"mode": mode, "per_seed": rows,
-                "median_base": base_med, "median_wide": wide_med,
-                "wider_needs_at_least_as_many":
-                    (wide_med >= base_med) if usable else None}
+        info = width_defense(cfg)
     elif mode == "topn":
-        model, dataset = _load_checkpoint(cfg)
-        chains = protection_rounds(model, dataset, search_config(cfg), rounds=10)
-        curve_path = os.path.join(cfg.out, "defense_topn_curves.csv")
-        with open(curve_path, "w") as fh:
-            fh.write("round,flip,metric\n")
-            for i, chain in enumerate(chains, 1):
-                for j, s in enumerate(chain.steps, 1):
-                    fh.write(f"{i},{j},{s.metric!r}\n")
-        info = {"mode": mode,
-                "rounds": [{"round": i + 1, "flips": len(c),
-                            "feasible": c.feasible,
-                            "terminal_metric": c.terminal_metric()}
-                           for i, c in enumerate(chains)],
-                "all_rounds_succeed": all(c.feasible for c in chains)}
+        chains, info = topn_defense(cfg, *_load_checkpoint(cfg))
+        _write_csv(os.path.join(cfg.out, "defense_topn_curves.csv"),
+                   ["round", "flip", "metric"],
+                   [(i, j, s.metric) for i, chain in enumerate(chains, 1)
+                    for j, s in enumerate(chain.steps, 1)])
     elif mode == "layer-lock":
-        model, dataset = _load_checkpoint(cfg)
-        weighted = model.weighted_indices()
-        free_chain = search_chain(model, dataset, None, search_config(cfg))
-        mask = ProtectedMask(locked_layers={weighted[0], weighted[-1]})
-        locked_chain = search_chain(model, dataset, None,
-                                    search_config(cfg, protected=mask))
-        info = {"mode": mode,
-                "unlocked": _chain_summary(free_chain),
-                "locked_first_last": _chain_summary(locked_chain)}
+        info = layer_lock_defense(cfg, *_load_checkpoint(cfg))
     else:
         raise ConfigError(f"unknown defense mode {mode!r}")
+    os.makedirs(cfg.out, exist_ok=True)
     _write_json(os.path.join(cfg.out, f"defense_{mode}.json"), info)
     return info
 
@@ -724,27 +256,32 @@ def cmd_sensitivity(cfg, checkpoint=None, profile_path=None):
     The inputs are loaded once and the profile is sampled once per rate;
     the config's ``rate`` is ignored, but must still lie in (0, 1].  The DRAM
     is provisioned once, before the first exploit; each exploit works on a
-    deep copy of it.
+    deep copy of it.  Rate ``i`` writes the files of a search and an exploit
+    into ``rate_i/``.
     """
     rates = [1.0, 0.1, 0.01, 0.001]
-    model, dataset, profile = _load_stage_inputs(cfg, checkpoint, profile_path,
-                                                 geometry=True)
+    model, dataset, profile = _load_stage_inputs(cfg, checkpoint, profile_path)
     clean = None
     results = []
     for i, rate in enumerate(rates):
-        sub = replace(cfg, rate=rate, out=os.path.join(cfg.out, f"rate_{i}"))
-        os.makedirs(sub.out, exist_ok=True)
+        sub = replace(cfg, rate=rate)
+        out = os.path.join(cfg.out, f"rate_{i}")
         sampled = sample_profile(profile, rate, cfg.sample_seed)
-        chain = search_stage(sub, model, dataset, sampled)[0][0]
+        chains, info = search_stage(sub, model, dataset, sampled)
+        _write_search(out, chains, info)
+        chain = chains[0]
         row = {"rate": rate, "flips": len(chain), "feasible": chain.feasible,
                "terminal_metric": chain.terminal_metric()}
         if chain.feasible and len(chain):
             clean = clean or provision(sub, model)
-            report = exploit_stage(sub, model, dataset, sampled, chain.records(),
-                                   copy.deepcopy(clean))
+            report, plan_rows = exploit_stage(sub, model, dataset, sampled,
+                                              chain.records(),
+                                              copy.deepcopy(clean))
+            _write_exploit(out, report, plan_rows)
             row["final_metric"] = report["final_metric"]
         results.append(row)
     info = {"rates": results}
+    os.makedirs(cfg.out, exist_ok=True)
     _write_json(os.path.join(cfg.out, "sensitivity.json"), info)
     return info
 

@@ -11,7 +11,6 @@ frame placer, :class:`flipsim.search.ProfileView`, so it puts every step on
 the frame the search placed it on.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -345,8 +344,8 @@ def precise_hammer(dram, plan, actions, mapping):
     }
 
 
-def plan_to_json(plan, actions, path):
-    """Plan dump consumed by report tooling."""
+def plan_to_json(plan, actions):
+    """The plan as JSON rows, one per victim page, for report tooling."""
     action_of = {}
     for aid, act in enumerate(actions):
         for m in act.members:
@@ -362,6 +361,4 @@ def plan_to_json(plan, actions, path):
             "stripe_bitcol": e.stripe_bitcol,
             "action": action_of[idx],
         })
-    with open(path, "w") as fh:
-        json.dump(rows, fh, indent=2, sort_keys=True)
-    return path
+    return rows

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from flipsim import cli, qnn
+from flipsim import cli, experiment, qnn
 from flipsim.dram import OWNER_ATTACKER, OWNER_VICTIM, bench, new_dram, template
 from flipsim.image import WeightImage
 
@@ -21,13 +21,13 @@ def desk_cfg():
 
 @pytest.fixture(scope="session")
 def desk_dataset(desk_cfg):
-    return cli.build_dataset(desk_cfg)
+    return experiment.build_dataset(desk_cfg)
 
 
 @pytest.fixture(scope="session")
 def desk_model(desk_cfg, desk_dataset):
     """The frozen desk-scale checkpoint every attack test runs against."""
-    spec = cli.build_model_spec(desk_cfg)
+    spec = experiment.build_model_spec(desk_cfg, desk_dataset)
     train_cfg = qnn.TrainConfig(epochs=desk_cfg.epochs, lr=desk_cfg.lr,
                                 momentum=desk_cfg.momentum,
                                 accuracy_floor=desk_cfg.accuracy_floor)
@@ -37,7 +37,7 @@ def desk_model(desk_cfg, desk_dataset):
 @pytest.fixture(scope="session")
 def bench_state(desk_cfg, desk_model):
     """Provisioned DRAM: attacker low frames, victim image at the top."""
-    state, image, placement, attacker_pages = cli.provision(desk_cfg, desk_model)
+    state, _, _, _ = experiment.provision(desk_cfg, desk_model)
     return state
 
 

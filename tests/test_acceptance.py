@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import make_cells, tiny_dram
-from flipsim import cli, qnn
+from flipsim import cli, experiment, qnn
 from flipsim.dram import (OWNER_ATTACKER, FlipProfile, sample_profile)
 from flipsim.image import TargetBit, WeightImage, read_chain
 from flipsim.massage import (MappingPlan, PageFrameCache, PlanEntry,
@@ -117,7 +117,7 @@ def test_criterion_03_random_vs_targeted_contrast(desk_model, desk_dataset,
     median_drop = statistics.median(drops)
 
     chain = search_chain(desk_model, desk_dataset, bench_profile,
-                         cli.search_config(desk_cfg))
+                         experiment.search_config(desk_cfg))
     ok = median_drop < 0.02 and chain.feasible and len(chain) <= 30 \
         and chain.terminal_metric() <= 0.11
     verdict(3, ok,
@@ -141,9 +141,9 @@ def test_criterion_04_selection_oracle(desk_model, desk_dataset, desk_cfg,
     work = desk_model.copy()
     image = WeightImage(work)
     x, y = desk_dataset.batch(desk_cfg.eval_batch, desk_cfg.batch_seed)
-    geometry = cli.dram_config(desk_cfg)
+    geometry = experiment.dram_config(desk_cfg)
     view = ProfileView(profile, geometry, np.arange(geometry.total_pages)
-                       < cli.attacker_frames(desk_cfg, geometry))
+                       < experiment.attacker_frames(desk_cfg, geometry))
     used_pages = set()
     iterations = 0
     while iterations < 6:
@@ -182,7 +182,7 @@ def test_criterion_05_constraint_audit(desk_model, desk_dataset, desk_cfg,
                                        bench_profile):
     problems = []
     chains = 0
-    cfg = cli.search_config(desk_cfg)
+    cfg = experiment.search_config(desk_cfg)
     chain = search_chain(desk_model, desk_dataset, bench_profile, cfg)
     problems += audit_chain(chain, bench_profile)
     chains += 1
@@ -308,7 +308,7 @@ def test_criterion_08_scrambling_and_retemplate(pipeline_out, desk_cfg,
         results.append(f"toggle={toggle}: {status}, exact final metric")
     # direction-correct retemplate entries for every chain bop at full inversion
     model = qnn.load_checkpoint(os.path.join(pipeline_out, "checkpoint.qnn"))
-    state, _, _, _ = cli.provision(desk_cfg, model)
+    state, _, _, _ = experiment.provision(desk_cfg, model)
     stale = FlipProfile.load_csv(os.path.join(pipeline_out, "profile.csv"))
     state.reboot(777, toggle_probability=1.0)
     corrected, _ = retemplate(state, stale, needed)
@@ -340,7 +340,7 @@ def test_criterion_09_sensitivity(desk_model, desk_dataset, desk_cfg,
             prof = bench_profile if rate == 1.0 else \
                 sample_profile(bench_profile, rate, seed=s)
             chain = search_chain(desk_model, desk_dataset, prof,
-                                 replace(cli.search_config(desk_cfg),
+                                 replace(experiment.search_config(desk_cfg),
                                          max_flips=45))
             lengths.append(len(chain))
             feasible += chain.feasible
@@ -351,7 +351,7 @@ def test_criterion_09_sensitivity(desk_model, desk_dataset, desk_cfg,
     majority = all(success[r] >= 3 for r in success)
     rare = search_chain(desk_model, desk_dataset,
                         sample_profile(bench_profile, 0.001, seed=1),
-                        replace(cli.search_config(desk_cfg), max_flips=45))
+                        replace(experiment.search_config(desk_cfg), max_flips=45))
     rare_reported = rare.feasible or (not rare.feasible and len(rare) >= 0)
     rows.append(f"rate 0.001: feasible={rare.feasible} (reported as such)")
     verdict(9, monotone and majority and rare_reported, "; ".join(rows))
@@ -367,7 +367,7 @@ def test_criterion_10_targeted_variant(desk_model, desk_dataset, desk_cfg,
     for s in (1, 2, 3, 4, 5):
         chain = search_chain_targeted(
             desk_model, desk_dataset, bench_profile,
-            replace(cli.search_config(desk_cfg),
+            replace(experiment.search_config(desk_cfg),
                     batch_seed=desk_cfg.batch_seed + s, target_fraction=0.9), 0)
         if chain.feasible and len(chain) <= 30 and chain.terminal_metric() >= 0.9:
             passes += 1

@@ -1,7 +1,9 @@
 """Command surface: config parsing, outputs, exit codes."""
 
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,10 +12,10 @@ import pytest
 
 import oracles
 from conftest import tiny_dram
-from flipsim import cli, qnn
+from flipsim import cli, experiment, qnn
 from flipsim.dram import OWNER_ATTACKER, FlipProfile
 from flipsim.image import TargetBit, WeightImage
-from flipsim.massage import MappingPlan, PlanEntry, plan_aggressors
+from flipsim.massage import MappingPlan, PlanEntry, plan_aggressors, plan_mapping
 
 
 def fast_overrides(out, **extra):
@@ -296,7 +298,7 @@ def test_profile_probability_outside_unit_interval_is_refused(tmp_path,
     profile = FlipProfile.load_csv(str(path))
     with pytest.raises(cli.ConfigError,
                        match=rf"entry 3 \(.*probability {probability}\)"):
-        cli._check_profile_entries(profile, 16, path)
+        experiment.check_profile_entries(profile, 16, path)
 
 
 @pytest.mark.parametrize("command", ["search", "exploit"])
@@ -453,6 +455,21 @@ def test_invalid_random_baseline_counts_exit_config(fast_trained, tmp_path,
     assert not os.path.exists(tmp_path / "random_baseline.json")
 
 
+def test_console_script_resolves_and_prints_help(capsys):
+    # Python 3.10 has no tomllib, so the one table is read with a regex
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(path) as fh:
+        table = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", fh.read(),
+                          re.M | re.S).group(1)
+    scripts = dict(re.findall(r'^\s*([\w-]+)\s*=\s*"([^"]+)"', table, re.M))
+    module, name = scripts["flipsim"].split(":")
+    main = getattr(importlib.import_module(module), name)
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: flipsim")
+
+
 def test_module_entry_point_runs_without_warning():
     # the package must not import cli itself, or ``-m flipsim.cli`` runs a
     # second copy of the module and warns about it
@@ -467,7 +484,8 @@ def test_module_entry_point_runs_without_warning():
     assert done.stderr == ""
 
 
-def test_exploit_on_another_geometry_exits_config(pipeline_out, tmp_path, capsys):
+def test_search_and_exploit_on_another_geometry_exit_config(pipeline_out,
+                                                           tmp_path, capsys):
     import shutil
 
     out = tmp_path / "geo"
@@ -480,13 +498,44 @@ def test_exploit_on_another_geometry_exits_config(pipeline_out, tmp_path, capsys
         return str(path)
 
     assert cli.main(["template", "--config", config_file(4)]) == cli.EXIT_OK
+    # the profile's frames and rows belong to 4 banks, not 2
+    capsys.readouterr()
+    assert cli.main(["search", "--config", config_file(2)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "banks_per_dimm=4" in err and "banks_per_dimm=2" in err
+    for name in ("search.json", "chain_1.jsonl", "trace_1.csv"):
+        assert not os.path.exists(out / name), name
     assert cli.main(["search", "--config", config_file(4)]) == cli.EXIT_OK
     capsys.readouterr()
-    # the profile's frames and rows belong to 4 banks, not 2
     assert cli.main(["exploit", "--config", config_file(2)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "banks_per_dimm=4" in err and "banks_per_dimm=2" in err
     assert not os.path.exists(out / "report.json")
+
+
+def test_stages_write_nothing_and_return_what_the_commands_write(
+        pipeline_out, desk_cfg, tmp_path):
+    # pipeline_out holds what cmd_search and cmd_exploit wrote on desk_cfg,
+    # whose rate of 1 samples the whole profile
+    from dataclasses import replace
+
+    model, dataset, profile = cli._load_stage_inputs(replace(desk_cfg,
+                                                             out=pipeline_out))
+    nowhere = replace(desk_cfg, out=str(tmp_path / "nowhere"))
+    chains, info = experiment.search_stage(nowhere, model, dataset, profile)
+    report, plan_rows = experiment.exploit_stage(
+        nowhere, model, dataset, profile, chains[0].records(),
+        experiment.provision(nowhere, model))
+    assert not os.path.exists(nowhere.out)
+    written = tmp_path / "written"
+    cli._write_search(str(written), chains, info)
+    cli._write_exploit(str(written), report, plan_rows)
+    assert sorted(os.listdir(written)) == ["chain_1.jsonl", "plan.json",
+                                           "report.json", "search.json",
+                                           "trace_1.csv"]
+    for name in os.listdir(written):
+        with open(os.path.join(pipeline_out, name), "rb") as fh:
+            assert (written / name).read_bytes() == fh.read(), name
 
 
 def test_pipeline_outputs_exist(pipeline_out):
@@ -651,7 +700,7 @@ def test_pages_retained_counts_each_aggressor_row(mode, aggressor_rows, channels
     tb = TargetBit(1, 5, 0)
     plan = MappingPlan([PlanEntry(tb, 1, ppn, s, row, base, span, stripe)])
     actions = plan_aggressors(plan, state)
-    retained = cli._pages_retained(state, {1: ppn}, actions)
+    retained = experiment._pages_retained(state, {1: ppn}, actions)
     assert retained == 1 + aggressor_rows * state.config.in_row_pages
 
 
@@ -735,7 +784,7 @@ def test_three_alternative_chains_are_disjoint(tmp_path, pipeline_out, desk_cfg)
         these = {s.ref for s in chain.steps}
         assert not (these & refs)
         refs |= these
-        plan = cli.plan_mapping(chain.targets(), profile, state)
+        plan = plan_mapping(chain.targets(), profile, state)
         assert [e.ppn for e in plan.entries] == [s.pfn for s in chain.steps]
     for i in (1, 2, 3):
         assert os.path.exists(os.path.join(cfg.out, f"chain_{i}.jsonl"))

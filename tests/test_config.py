@@ -1,7 +1,7 @@
 """The config contract: every key's domain is checked when a config is made.
 
 A config the CLI accepts either works or fails with its documented exit
-code (0, 2, 3 or 4); a value outside its :data:`cli.DOMAINS` entry exits 4
+code (0, 2, 3 or 4); a value outside its :data:`experiment.DOMAINS` entry exits 4
 before any command runs.
 """
 
@@ -12,12 +12,14 @@ import os
 import shutil
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flipsim import cli
+from flipsim import cli, experiment
 from test_cli import fast_overrides
+from test_data import _write_idx_images, _write_idx_labels
 
 COMMANDS = [["train"], ["template"], ["search"], ["exploit"],
             ["random-baseline"], ["defense", "--mode", "width"],
@@ -48,9 +50,9 @@ def run(argv):
 
 
 def test_every_config_key_has_a_domain_or_is_free_form():
-    keys = {f.name for f in fields(cli.ExperimentConfig)}
+    keys = {f.name for f in fields(experiment.ExperimentConfig)}
     assert FREE_FORM <= keys
-    assert set(cli.DOMAINS) == keys - FREE_FORM
+    assert set(experiment.DOMAINS) == keys - FREE_FORM
 
 
 @pytest.mark.parametrize("command", COMMANDS, ids=COMMAND_IDS)
@@ -90,6 +92,25 @@ def test_untrainable_setting_exits_infeasible(tmp_path, key, value, why):
     assert not (out / "checkpoint.qnn").exists()
 
 
+def test_idx_images_outside_the_blob_shape_domain_exit_config(tmp_path):
+    # lenet's two 2x2 pools cannot take 3x3 images, from a config or a file
+    rng = np.random.default_rng(0)
+    paths = {}
+    for split, n in (("train", 12), ("test", 6)):
+        images, labels = (str(tmp_path / f"{split}-{kind}.idx")
+                          for kind in ("images", "labels"))
+        _write_idx_images(images, rng.integers(0, 256, size=(n, 3, 3)))
+        _write_idx_labels(labels, np.arange(n) % 2)
+        paths.update({f"idx_{split}_images": images,
+                      f"idx_{split}_labels": labels})
+    out = tmp_path / "o"
+    rc, err = run(["train", "--config", write_config(
+        tmp_path / "c.cfg", out, dataset="idx", arch="lenet", **paths)])
+    assert rc == cli.EXIT_CONFIG
+    assert "the dataset's inputs are (1, 3, 3)" in err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def fast_run(tmp_path_factory):
     """A checkpoint, its profile and a chain on the fast settings."""
@@ -111,7 +132,7 @@ def test_exploit_under_other_eval_settings_names_the_metric_keys(fast_run,
                    write_config(tmp_path / "c.cfg", out, eval_batch=3)])
     assert rc == cli.EXIT_INTEGRITY
     assert "the chain's recorded metric" in err and "extra flips" not in err
-    for key in cli.MetricMismatch.KEYS:
+    for key in experiment.MetricMismatch.KEYS:
         assert key in err
 
 
@@ -140,14 +161,14 @@ def _near(domain, default):
 
 
 def _setting(key):
-    default = getattr(cli.ExperimentConfig(), key)
-    value = _near(cli.DOMAINS[key], default)
+    default = getattr(experiment.ExperimentConfig(), key)
+    value = _near(experiment.DOMAINS[key], default)
     if isinstance(default, tuple):
         return value.map(lambda t: " ".join(map(str, t)))
     return value.map(lambda v: repr(v) if isinstance(v, float) else v)
 
 
-SETTINGS = st.sampled_from(sorted(cli.DOMAINS)).flatmap(
+SETTINGS = st.sampled_from(sorted(experiment.DOMAINS)).flatmap(
     lambda key: st.tuples(st.just(key), _setting(key)))
 
 

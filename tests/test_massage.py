@@ -1,7 +1,5 @@
 """Page cache, positioning plans, template validity, precise hammering."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,14 +287,13 @@ def test_victim_at_bank_edge_rejected():
 
 
 @pytest.mark.parametrize("channels", [1, 2])
-def test_single_sided_plan_json_lists_one_aggressor_row(tmp_path, channels):
+def test_single_sided_plan_json_lists_one_aggressor_row(channels):
     state = tiny_dram(hammer_mode="single", channels=channels)
     state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
     ppn = state.addr.row_pfns(0, 7)[0]
     plan = MappingPlan([entry_for(state, TargetBit(1, 5, 0), ppn)])
     actions = plan_aggressors(plan, state)
-    plan_to_json(plan, actions, str(tmp_path / "plan.json"))
-    rows = json.loads((tmp_path / "plan.json").read_text())
+    rows = plan_to_json(plan, actions)
     assert rows[0]["aggressor_rows"] == [8]
 
 

@@ -2,7 +2,7 @@
 
 The search and the planner share one frame placer, :class:`ProfileView`:
 :func:`plan_mapping` replays a chain through a fresh placer over the frames
-:func:`cli.provision` gives the attacker, the range the search placed on.
+:func:`experiment.provision` gives the attacker, the range the search placed on.
 """
 
 from itertools import islice
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flipsim import cli, qnn
+from flipsim import cli, experiment, qnn
 from flipsim.dram import sample_profile, template
 from flipsim.massage import plan_aggressors, plan_mapping
 from flipsim.search import disjoint_chains
@@ -22,8 +22,8 @@ from oracles import collides_reference
 def small_model():
     """The default 50-page MLP after one epoch: room for long chains."""
     cfg = cli.make_config(overrides={"seed": 4})
-    dataset = cli.build_dataset(cfg)
-    spec = cli.build_model_spec(cfg, dataset=dataset)
+    dataset = experiment.build_dataset(cfg)
+    spec = experiment.build_model_spec(cfg, dataset)
     model = qnn.train_small(spec, dataset,
                             qnn.TrainConfig(epochs=1, accuracy_floor=0.0),
                             cfg.train_seed)
@@ -33,7 +33,7 @@ def small_model():
 def _replays(cfg, model, chain, profile):
     """Each prefix's planned frames against the search's own, and the plan's
     victims against the aggressor rows of the victims before them."""
-    state = cli.provision(cfg, model)[0]
+    state = experiment.provision(cfg, model)[0]
     frames = [s.pfn for s in chain.steps]
     targets = chain.targets()
     for k in range(1, len(targets) + 1):
@@ -62,10 +62,10 @@ def test_committed_prefixes_replay_onto_the_search_frames(
         "seed": seed, "geometry": "desk", "hammer_mode": hammer_mode,
         "channels": channels, "density_count": density, "rate": rate,
         "p": p, "max_flips": 16, "target_accuracy": 0.0, "eval_batch": 64})
-    profile = sample_profile(template(cli.provision(cfg, model)[0]), rate,
+    profile = sample_profile(template(experiment.provision(cfg, model)[0]), rate,
                              cfg.sample_seed)
     for chain in islice(disjoint_chains(model, dataset, profile,
-                                        cli.search_config(cfg)), chains):
+                                        experiment.search_config(cfg)), chains):
         _replays(cfg, model, chain, profile)
 
 
@@ -78,7 +78,9 @@ def test_desk_chain_plans_and_hammers_exactly(tmp_path, seed):
     cli.cmd_train(cfg)
     cli.cmd_template(cfg)
     [chain], _ = cli.cmd_search(cfg)
-    model, dataset, profile = cli._load_stage_inputs(cfg, geometry=True)
+    model, dataset, profile = cli._load_stage_inputs(cfg)
     _replays(cfg, model, chain, profile)
-    report = cli.exploit_stage(cfg, model, dataset, profile, chain.records())
+    report, _ = experiment.exploit_stage(cfg, model, dataset, profile,
+                                         chain.records(),
+                                         experiment.provision(cfg, model))
     assert report["final_metric"] == chain.terminal_metric()
