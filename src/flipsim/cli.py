@@ -42,22 +42,8 @@ EXIT_INTEGRITY = 3
 EXIT_CONFIG = 4
 
 
-def parse_config_file(path):
-    values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = line.partition("=")
-            if not sep:
-                raise ConfigError(f"bad config line: {line!r}")
-            values[key.strip()] = val.strip()
-    return values
-
-
 def make_config(path=None, overrides=None):
-    values = parse_config_file(path) if path else {}
+    values = dram_mod.read_key_values(path) if path else {}
     values.update({k: v for k, v in (overrides or {}).items() if v is not None})
     cfg = ExperimentConfig()
     names = {f.name for f in fields(cfg)}

@@ -809,16 +809,27 @@ def save_geometry(config, path, seeds=None):
     return path
 
 
-def load_geometry(path):
-    """``(DramConfig, seeds)``; a missing geometry key keeps its default."""
+def read_key_values(path):
+    """The ``key = value`` lines of a config or geometry file, as strings.
+
+    Blank and ``#`` lines are skipped; a line without ``=`` is refused.
+    """
     values = {}
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, val = line.partition("=")
+            key, sep, val = line.partition("=")
+            if not sep:
+                raise ValueError(f"line {n}, {line!r}, is not 'key = value'")
             values[key.strip()] = val.strip()
+    return values
+
+
+def load_geometry(path):
+    """``(DramConfig, seeds)``; a missing geometry key keeps its default."""
+    values = read_key_values(path)
     names = dict(GEOMETRY_KEYS)
     types = {f.name: f.type for f in fields(DramConfig)}
     config = DramConfig(**{names[k]: types[names[k]](v)

@@ -309,17 +309,23 @@ def check_profile_entries(profile, total_pages, path):
 
 def chain_targets(image, records):
     """The chain's target bits; refuse an empty chain, a victim page targeted
-    twice and a bit outside ``image``'s weight block."""
+    twice, a bit outside ``image``'s weight block and a bit of a weight byte
+    above the model's bit width."""
     if not records:
         raise ConfigError("chain file is empty")
     targets = [TargetBit(r["page"], r["bop"], r["mode"]) for r in records]
+    width = image.model.bit_width
     for i, t in enumerate(targets):
         if t.page in {u.page for u in targets[:i]}:  # one frame per victim page
             raise ConfigError(f"chain targets victim page {t.page} more than once")
         try:
-            image.addr_to_bit(t.page, t.bop)
+            bit = image.addr_to_bit(t.page, t.bop).bit
         except IndexError as exc:
             raise ConfigError(f"chain record {i + 1}: {exc}") from None
+        if bit >= width:
+            raise ConfigError(f"chain record {i + 1}: ({t.page}, {t.bop}) is bit "
+                              f"{bit} of a weight byte; the model's codes have "
+                              f"{width} bits")
     return targets
 
 

@@ -1,68 +1,46 @@
 """Desk-scale architecture builders.
 
-Each builder returns float master parameters plus a function assembling a
-quantized model from them, which is what the trainer needs for quantization-
-aware updates.
+Each builder lists blank layers in a :class:`FloatSpec`, which draws float
+master parameters and quantizes them into a model: what the trainer needs
+for quantization-aware updates.
 """
 
 import numpy as np
 
 from .layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU, ResidualAdd
 from .model import QuantizedModel
-from .quant import quantize
 
 
 class FloatSpec:
-    """Layer plan with float master weights; quantizes into a model."""
+    """Blank layers with float master weights; quantizes into a model."""
 
-    def __init__(self, plan, input_shape, class_count, bit_width=8):
-        self.plan = plan            # list of ("kind", params dict)
-        self.input_shape = tuple(input_shape)
-        self.class_count = int(class_count)
-        self.bit_width = int(bit_width)
+    def __init__(self, layers, input_shape, class_count, bit_width=8):
+        # a blank model checks the layers' shapes once
+        self.skeleton = QuantizedModel(layers, bit_width, class_count,
+                                       input_shape)
+        self.bit_width = self.skeleton.bit_width
 
     def init_params(self, seed):
         """He-normal float weights and zero biases, driven by one seed."""
         rng = np.random.default_rng(seed)
         params = []
-        for kind, cfg in self.plan:
-            if kind == "dense":
-                fan_in = cfg["in"]
-                w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                               size=(cfg["out"], cfg["in"]))
-                params.append({"w": w, "b": np.zeros(cfg["out"])})
-            elif kind == "conv2d":
-                fan_in = cfg["in"] * cfg["k"] * cfg["k"]
-                w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                               size=(cfg["out"], cfg["in"], cfg["k"], cfg["k"]))
-                params.append({"w": w, "b": np.zeros(cfg["out"])})
+        for layer in self.skeleton.layers:
+            if layer.weighted:
+                shape = layer.weight_q.shape
+                w = rng.normal(0.0, np.sqrt(2.0 / np.prod(shape[1:])), size=shape)
+                params.append({"w": w, "b": np.zeros(shape[0])})
             else:
                 params.append(None)
         return params
 
     def assemble(self, params):
         """Quantize float params into a fresh :class:`QuantizedModel`."""
-        layers = []
-        for (kind, cfg), p in zip(self.plan, params):
-            if kind == "dense":
-                q, delta = quantize(p["w"], self.bit_width)
-                layers.append(Dense(q, delta, p["b"].copy()))
-            elif kind == "conv2d":
-                q, delta = quantize(p["w"], self.bit_width)
-                layers.append(Conv2d(q, delta, p["b"].copy(),
-                                     cfg.get("stride", 1), cfg.get("pad", 0)))
-            elif kind == "relu":
-                layers.append(ReLU())
-            elif kind == "maxpool":
-                layers.append(MaxPool2d(cfg["k"], cfg.get("stride")))
-            elif kind == "flatten":
-                layers.append(Flatten())
-            elif kind == "residual_add":
-                layers.append(ResidualAdd(cfg["source"]))
-            else:
-                raise ValueError(f"unknown layer kind {kind}")
-        return QuantizedModel(layers, self.bit_width, self.class_count,
-                              self.input_shape)
+        model = self.skeleton.copy()
+        for layer, p in zip(model.layers, params):
+            if layer.weighted:
+                layer.set_float_weights(p["w"], self.bit_width)
+                layer.bias = p["b"].copy()
+        return model
 
 
 def blob_mlp(input_shape=(1, 8, 8), classes=10, hidden=(512, 256), bit_width=8):
@@ -71,48 +49,40 @@ def blob_mlp(input_shape=(1, 8, 8), classes=10, hidden=(512, 256), bit_width=8):
     With the default widths the weight block spans ~41 pages, enough room for
     chains bound by the one-flip-per-page rule.
     """
-    dim = int(np.prod(input_shape))
-    plan = [("flatten", {})]
-    prev = dim
+    layers = [Flatten()]
+    prev = int(np.prod(input_shape))
     for h in hidden:
-        plan.append(("dense", {"in": prev, "out": h}))
-        plan.append(("relu", {}))
+        layers += [Dense(prev, h), ReLU()]
         prev = h
-    plan.append(("dense", {"in": prev, "out": classes}))
-    return FloatSpec(plan, input_shape, classes, bit_width)
+    layers.append(Dense(prev, classes))
+    return FloatSpec(layers, input_shape, classes, bit_width)
 
 
 def lenet_like(input_shape=(1, 8, 8), classes=10, bit_width=8):
     """Small conv net (conv/pool/dense) for training and gradient tests."""
     c, h, w = input_shape
-    plan = [
-        ("conv2d", {"in": c, "out": 6, "k": 3, "pad": 1}),
-        ("relu", {}),
-        ("maxpool", {"k": 2}),
-        ("conv2d", {"in": 6, "out": 16, "k": 3, "pad": 1}),
-        ("relu", {}),
-        ("maxpool", {"k": 2}),
-        ("flatten", {}),
-        ("dense", {"in": 16 * (h // 4) * (w // 4), "out": 32}),
-        ("relu", {}),
-        ("dense", {"in": 32, "out": classes}),
+    layers = [
+        Conv2d(c, 6, 3, 3, pad=1), ReLU(), MaxPool2d(2, 2),
+        Conv2d(6, 16, 3, 3, pad=1), ReLU(), MaxPool2d(2, 2),
+        Flatten(), Dense(16 * (h // 4) * (w // 4), 32), ReLU(),
+        Dense(32, classes),
     ]
-    return FloatSpec(plan, input_shape, classes, bit_width)
+    return FloatSpec(layers, input_shape, classes, bit_width)
 
 
 def blob_resnet(input_shape=(1, 8, 8), classes=10, width=8, bit_width=8):
     """Tiny residual net exercising the skip-connection path."""
     c, h, w = input_shape
-    plan = [
-        ("conv2d", {"in": c, "out": width, "k": 3, "pad": 1}),   # 0
-        ("relu", {}),                                            # 1
-        ("conv2d", {"in": width, "out": width, "k": 3, "pad": 1}),  # 2
-        ("residual_add", {"source": 2}),   # adds the input of layer 2
-        ("relu", {}),
-        ("flatten", {}),
-        ("dense", {"in": width * h * w, "out": classes}),
+    layers = [
+        Conv2d(c, width, 3, 3, pad=1),      # 0
+        ReLU(),                             # 1
+        Conv2d(width, width, 3, 3, pad=1),  # 2
+        ResidualAdd(2),                     # adds the input of layer 2
+        ReLU(),
+        Flatten(),
+        Dense(width * h * w, classes),
     ]
-    return FloatSpec(plan, input_shape, classes, bit_width)
+    return FloatSpec(layers, input_shape, classes, bit_width)
 
 
 ARCHITECTURES = ("blob_mlp", "lenet", "blob_resnet")

@@ -4,9 +4,9 @@ Layout (little-endian throughout):
 
 * magic ``QNN1``
 * u32 bit width, u32 class count, u32 input rank, rank x u32 dims
-* u32 layer count, then one record per layer:
-  u8 kind tag, kind-specific u32 shape fields, and for weighted layers a
-  f64 step size plus u32-length f64 bias array
+* u32 layer count, then one record per layer: a u8 tag, the index of the
+  layer's class in :data:`LAYER_KINDS`; the values of the class's ``fields``
+  as u32; and for weighted layers a f64 step size plus a u32-length f64 bias
 * zero padding to the next 4096-byte boundary
 * the weight block: every layer's integer codes as two's-complement bytes,
   in layer order (this contiguous block is what the attack pages target)
@@ -22,29 +22,18 @@ from .model import QuantizedModel
 MAGIC = b"QNN1"
 PAGE = 4096
 
-_KIND_TAGS = {"dense": 0, "conv2d": 1, "relu": 2, "maxpool": 3,
-              "residual_add": 4, "flatten": 5}
+# a record's tag is its layer class's index here
+LAYER_KINDS = (Dense, Conv2d, ReLU, MaxPool2d, ResidualAdd, Flatten)
 
 
 def _pack_layer(layer):
-    tag = _KIND_TAGS[layer.kind]
-    head = struct.pack("<B", tag)
-    if isinstance(layer, Dense):
-        body = struct.pack("<II", layer.in_features, layer.out_features)
-        body += struct.pack("<d", layer.delta_w)
-        body += struct.pack("<I", layer.bias.size) + layer.bias.astype("<f8").tobytes()
-    elif isinstance(layer, Conv2d):
-        body = struct.pack("<IIIIII", layer.in_channels, layer.out_channels,
-                           layer.kh, layer.kw, layer.stride, layer.pad)
-        body += struct.pack("<d", layer.delta_w)
-        body += struct.pack("<I", layer.bias.size) + layer.bias.astype("<f8").tobytes()
-    elif isinstance(layer, MaxPool2d):
-        body = struct.pack("<II", layer.k, layer.stride)
-    elif isinstance(layer, ResidualAdd):
-        body = struct.pack("<I", layer.source)
-    else:
-        body = b""
-    return head + body
+    values = layer.field_values()
+    head = struct.pack(f"<B{len(values)}I", LAYER_KINDS.index(type(layer)),
+                       *values)
+    if not layer.weighted:
+        return head
+    return (head + struct.pack("<dI", layer.delta_w, layer.bias.size)
+            + layer.bias.astype("<f8").tobytes())
 
 
 class _Reader:
@@ -55,7 +44,7 @@ class _Reader:
     def take(self, fmt):
         vals = struct.unpack_from(fmt, self.blob, self.off)
         self.off += struct.calcsize(fmt)
-        return vals if len(vals) > 1 else vals[0]
+        return vals
 
     def bytes(self, n):
         out = self.blob[self.off:self.off + n]
@@ -101,36 +90,20 @@ def model_from_bytes(blob):
     r = _Reader(blob)
     r.off = 4
     bit_width, class_count, rank = r.take("<III")
-    input_shape = tuple(r.take(f"<{rank}I")) if rank > 1 else (r.take("<I"),)
-    n_layers = r.take("<I")
+    input_shape = r.take(f"<{rank}I")
+    (n_layers,) = r.take("<I")
     layers = []
     for _ in range(n_layers):
-        tag = r.take("<B")
-        if tag == _KIND_TAGS["dense"]:
-            fin, fout = r.take("<II")
-            delta = r.take("<d")
-            blen = r.take("<I")
-            bias = np.frombuffer(r.bytes(8 * blen), dtype="<f8").copy()
-            layer = Dense(np.zeros((fout, fin), dtype=np.int8), delta, bias)
-        elif tag == _KIND_TAGS["conv2d"]:
-            cin, cout, kh, kw, stride, pad = r.take("<IIIIII")
-            delta = r.take("<d")
-            blen = r.take("<I")
-            bias = np.frombuffer(r.bytes(8 * blen), dtype="<f8").copy()
-            layer = Conv2d(np.zeros((cout, cin, kh, kw), dtype=np.int8),
-                           delta, bias, stride, pad)
-        elif tag == _KIND_TAGS["relu"]:
-            layer = ReLU()
-        elif tag == _KIND_TAGS["maxpool"]:
-            k, stride = r.take("<II")
-            layer = MaxPool2d(k, stride)
-        elif tag == _KIND_TAGS["residual_add"]:
-            layer = ResidualAdd(r.take("<I"))
-        elif tag == _KIND_TAGS["flatten"]:
-            layer = Flatten()
-        else:
+        (tag,) = r.take("<B")
+        if tag >= len(LAYER_KINDS):
             raise ValueError(f"unknown layer tag {tag}")
-        layers.append(layer)
+        kind = LAYER_KINDS[tag]
+        values = r.take(f"<{len(kind.fields)}I")
+        if kind.weighted:
+            delta, blen = r.take("<dI")
+            bias = np.frombuffer(r.bytes(8 * blen), dtype="<f8").copy()
+            values += (delta, bias)
+        layers.append(kind(*values))
     body_start = ((r.off + PAGE - 1) // PAGE) * PAGE
     model = QuantizedModel(layers, bit_width, class_count, input_shape)
     model.load_weight_block(blob[body_start:])

@@ -4,6 +4,11 @@ Weighted layers (dense, conv2d) hold integer weight codes plus a step size and
 compute with the dequantized values; biases and activations stay in float64.
 Each layer implements ``forward_train``, which returns its output and a
 context that ``backward`` consumes for training and attack gradients.
+
+A class's ``fields`` name the attributes that fix its shape, in the order
+its constructor takes them and its checkpoint record stores them.  A
+weighted layer's constructor also takes the step size and the bias, and
+starts from zero codes.
 """
 
 import numpy as np
@@ -12,8 +17,12 @@ from .quant import dequantize, quantize
 
 
 class Layer:
-    kind = "?"
+    fields = ()
     weighted = False
+
+    def field_values(self):
+        """The values of :attr:`fields`: a blank layer's constructor arguments."""
+        return tuple(getattr(self, name) for name in self.fields)
 
     def forward_train(self, x):
         raise NotImplementedError
@@ -26,19 +35,28 @@ class Layer:
         raise NotImplementedError
 
     def copy(self):
-        raise NotImplementedError
+        return type(self)(*self.field_values())
 
 
 class _WeightedLayer(Layer):
     weighted = True
 
-    def __init__(self, weight_q, delta_w, bias):
+    def __init__(self, shape, delta_w, bias):
         if delta_w <= 0:
             raise ValueError("delta_w must be positive")
-        self.weight_q = np.asarray(weight_q, dtype=np.int8)
+        self.weight_q = np.zeros(shape, dtype=np.int8)
         self.delta_w = float(delta_w)
-        self.bias = np.asarray(bias, dtype=np.float64)
+        self.bias = np.zeros(shape[0]) if bias is None else np.asarray(
+            bias, dtype=np.float64)
+        if self.bias.shape != (shape[0],):
+            raise ValueError(f"bias of shape {self.bias.shape} for "
+                             f"{shape[0]} outputs")
         self._w = None
+
+    def copy(self):
+        layer = type(self)(*self.field_values(), self.delta_w, self.bias.copy())
+        layer.weight_q = self.weight_q.copy()
+        return layer
 
     @property
     def weights(self):
@@ -60,11 +78,11 @@ class _WeightedLayer(Layer):
 
 
 class Dense(_WeightedLayer):
-    kind = "dense"
+    fields = ("in_features", "out_features")
 
-    def __init__(self, weight_q, delta_w, bias):
-        super().__init__(weight_q, delta_w, bias)
-        self.out_features, self.in_features = self.weight_q.shape
+    def __init__(self, in_features, out_features, delta_w=1.0, bias=None):
+        self.in_features, self.out_features = int(in_features), int(out_features)
+        super().__init__((self.out_features, self.in_features), delta_w, bias)
 
     def forward_train(self, x):
         return x @ self.weights.T + self.bias, x
@@ -80,11 +98,10 @@ class Dense(_WeightedLayer):
             raise ValueError(f"dense expects ({self.in_features},), got {in_shape}")
         return (self.out_features,)
 
-    def copy(self):
-        return Dense(self.weight_q.copy(), self.delta_w, self.bias.copy())
-
 
 def _conv_spans(size, k, stride, pad):
+    if stride < 1:
+        raise ValueError(f"stride {stride} must be at least 1")
     return (size + 2 * pad - k) // stride + 1
 
 
@@ -115,13 +132,15 @@ def _col2im(cols, x_shape, kh, kw, stride, pad, ho, wo):
 
 
 class Conv2d(_WeightedLayer):
-    kind = "conv2d"
+    fields = ("in_channels", "out_channels", "kh", "kw", "stride", "pad")
 
-    def __init__(self, weight_q, delta_w, bias, stride=1, pad=0):
-        super().__init__(weight_q, delta_w, bias)
-        self.out_channels, self.in_channels, self.kh, self.kw = self.weight_q.shape
-        self.stride = int(stride)
-        self.pad = int(pad)
+    def __init__(self, in_channels, out_channels, kh, kw, stride=1, pad=0,
+                 delta_w=1.0, bias=None):
+        self.in_channels, self.out_channels = int(in_channels), int(out_channels)
+        self.kh, self.kw = int(kh), int(kw)
+        self.stride, self.pad = int(stride), int(pad)
+        super().__init__((self.out_channels, self.in_channels, self.kh, self.kw),
+                         delta_w, bias)
 
     def forward_train(self, x):
         cols, (ho, wo) = _im2col(x, self.kh, self.kw, self.stride, self.pad)
@@ -148,14 +167,8 @@ class Conv2d(_WeightedLayer):
                 _conv_spans(h, self.kh, self.stride, self.pad),
                 _conv_spans(w, self.kw, self.stride, self.pad))
 
-    def copy(self):
-        return Conv2d(self.weight_q.copy(), self.delta_w, self.bias.copy(),
-                      self.stride, self.pad)
-
 
 class ReLU(Layer):
-    kind = "relu"
-
     def forward_train(self, x):
         mask = x > 0
         return x * mask, mask
@@ -166,16 +179,12 @@ class ReLU(Layer):
     def out_shape(self, in_shape):
         return in_shape
 
-    def copy(self):
-        return ReLU()
-
 
 class MaxPool2d(Layer):
-    kind = "maxpool"
+    fields = ("k", "stride")
 
-    def __init__(self, k=2, stride=None):
-        self.k = int(k)
-        self.stride = int(stride) if stride is not None else self.k
+    def __init__(self, k, stride):
+        self.k, self.stride = int(k), int(stride)
 
     def forward_train(self, x):
         b, c, h, w = x.shape
@@ -208,13 +217,8 @@ class MaxPool2d(Layer):
         return (c, _conv_spans(h, self.k, self.stride, 0),
                 _conv_spans(w, self.k, self.stride, 0))
 
-    def copy(self):
-        return MaxPool2d(self.k, self.stride)
-
 
 class Flatten(Layer):
-    kind = "flatten"
-
     def forward_train(self, x):
         return x.reshape(x.shape[0], -1), x.shape
 
@@ -227,9 +231,6 @@ class Flatten(Layer):
             n *= d
         return (n,)
 
-    def copy(self):
-        return Flatten()
-
 
 class ResidualAdd(Layer):
     """Adds the activation that entered layer ``source`` to the current one.
@@ -238,7 +239,7 @@ class ResidualAdd(Layer):
     layer), so the skip path must be upstream of this layer and shape-equal.
     """
 
-    kind = "residual_add"
+    fields = ("source",)
 
     def __init__(self, source):
         self.source = int(source)
@@ -248,6 +249,3 @@ class ResidualAdd(Layer):
 
     def out_shape(self, in_shape):
         return in_shape
-
-    def copy(self):
-        return ResidualAdd(self.source)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import ResidualAdd
-from .quant import toggle_bit
+from .quant import SUPPORTED_BIT_WIDTHS, toggle_bit
 
 
 @dataclass(frozen=True, order=True)
@@ -36,6 +36,8 @@ class QuantizedModel:
     def __init__(self, layers, bit_width, class_count, input_shape):
         if class_count < 2:
             raise ValueError("need at least two classes")
+        if bit_width not in SUPPORTED_BIT_WIDTHS:
+            raise ValueError(f"unsupported bit width {bit_width}")
         self.layers = list(layers)
         self.bit_width = int(bit_width)
         self.class_count = int(class_count)

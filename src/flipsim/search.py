@@ -126,8 +126,8 @@ def _dense_suffix_logits(model, acts, refs):
     sliced once to the :func:`_reachable_units`; the others change by exact
     zeros.  Returns ``(cand, rows, logits)``: flip ``refs[cand[i]]`` gives
     row ``rows[i]`` the logits ``logits[i]``, pairs ordered by flip, then
-    row, and every other row keeps ``acts[-1]``.  Returns ``None`` when the
-    suffix has other layer kinds.
+    row, and every other row keeps ``acts[-1]``; :func:`_settle_ties` sets
+    near ties.  Returns ``None`` when the suffix has other layer kinds.
     """
     layers = model.layers
     start = refs[0].layer
@@ -151,7 +151,7 @@ def _dense_suffix_logits(model, acts, refs):
     logits = acts[-1][rows]
     if m == len(layers):
         logits[np.arange(len(rows)), js[cand]] += change
-        return cand, rows, logits
+        return _settle_ties(model, acts, refs, cand, rows, logits)
     fan = layers[m].weights[:, js]
     units = slice(None)
     if m + 2 < len(layers) and isinstance(layers[m + 1], ReLU) \
@@ -186,6 +186,20 @@ def _dense_suffix_logits(model, acts, refs):
         logits[part] += delta
         # the next block's arrays are built after this one's are freed
         del at, delta
+    return _settle_ties(model, acts, refs, cand, rows, logits)
+
+
+def _settle_ties(model, acts, refs, cand, rows, logits):
+    """``(cand, rows, logits)`` with :meth:`forward_from`'s logits on each pair
+    whose top two lie within rounding (1e-9 of the top's magnitude plus the
+    row's largest before the flip), so a tie breaks as in the full forward."""
+    cols = np.ascontiguousarray(logits.T)  # class-major: fast reductions
+    top = cols.max(axis=0)
+    top -= 1e-9 * (np.abs(top) + np.abs(acts[-1]).max(axis=1)[rows])
+    near = np.flatnonzero(np.count_nonzero(cols >= top, axis=0) > 1)
+    for k in np.unique(cand[near]).tolist():
+        pick = near[cand[near] == k]
+        logits[pick] = _rerun_suffix(model, acts, [refs[k]])[2][rows[pick]]
     return cand, rows, logits
 
 

@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -737,12 +738,19 @@ def test_random_baseline_flips_only_the_low_bits_below_8_bits(tmp_path,
     assert info["flips"] == total_bits
 
 
-@pytest.mark.parametrize("cut", ["weight-block", "header", "magic"])
+@pytest.mark.parametrize("cut", ["weight-block", "header", "magic", "bit-width",
+                                 "bias", "tag"])
 def test_malformed_checkpoint_exits_config(fast_trained, tmp_path, capsys, cut):
     with open(os.path.join(fast_trained, "checkpoint.qnn"), "rb") as fh:
         blob = fh.read()
+    model = qnn.model_from_bytes(blob)
+    model.layers[-1].bias = model.layers[-1].bias[:1]  # one bias, ten outputs
+    tag_at = 20 + 4 * len(model.input_shape)  # the first layer record's tag
     blob = {"weight-block": blob[:len(blob) - 1000], "header": blob[:30],
-            "magic": b"QNN0" + blob[4:]}[cut]
+            "magic": b"QNN0" + blob[4:],
+            "bit-width": blob[:4] + struct.pack("<I", 9) + blob[8:],
+            "bias": qnn.checkpoint_bytes(model),
+            "tag": blob[:tag_at] + bytes([6]) + blob[tag_at + 1:]}[cut]
     bad = tmp_path / "bad.qnn"
     bad.write_bytes(blob)
     capsys.readouterr()
@@ -750,7 +758,51 @@ def test_malformed_checkpoint_exits_config(fast_trained, tmp_path, capsys, cut):
                    "--checkpoint", str(bad),
                    "--profile", os.path.join(fast_trained, "profile.csv")])
     assert rc == cli.EXIT_CONFIG
-    assert f"{bad}: malformed checkpoint" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{bad}: malformed checkpoint" in err
+    assert {"bit-width": "bit width 9", "bias": "bias",
+            "tag": "layer tag 6"}.get(cut, "") in err
+    assert not os.path.exists(tmp_path / "search.json")
+
+
+def test_exploit_refuses_a_chain_bit_above_the_bit_width(fast_trained, tmp_path,
+                                                         capsys):
+    narrow = tmp_path / "narrow"
+    checkpoint, _ = cli.cmd_train(cli.make_config(
+        overrides=fast_overrides(str(narrow), bit_width=4)))
+    chain = tmp_path / "chain.jsonl"
+    # bop 7340 is bit 4 of weight byte 917: outside a 4-bit code
+    chain.write_text(json.dumps({**_RECORD, "bop": 7340}) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["exploit", "--config", fast_config_file(tmp_path),
+                   "--checkpoint", checkpoint,
+                   "--profile", os.path.join(fast_trained, "profile.csv"),
+                   "--chain", str(chain)])
+    assert rc == cli.EXIT_CONFIG
+    assert "chain record 1: (1, 7340) is bit 4" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "plan.json")
+    assert not os.path.exists(tmp_path / "report.json")
+
+
+@pytest.mark.parametrize("name", ["config", "geometry"])
+def test_line_without_equals_sign_exits_config(fast_trained, tmp_path, capsys,
+                                               name):
+    import shutil
+    from pathlib import Path
+
+    for kept in ("profile.csv", "geometry.txt"):
+        shutil.copy(os.path.join(fast_trained, kept), tmp_path)
+    config = fast_config_file(tmp_path)
+    path = Path(config) if name == "config" else tmp_path / "geometry.txt"
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].replace(" =", "", 1)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["search", "--config", config,
+                   "--checkpoint", os.path.join(fast_trained, "checkpoint.qnn")])
+    assert rc == cli.EXIT_CONFIG
+    assert f"line 3, {lines[2]!r}, is not 'key = value'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "search.json")
 
 
 def test_random_baseline_csv(tmp_path, pipeline_out, desk_cfg):

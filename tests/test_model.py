@@ -1,5 +1,7 @@
 """Inference engine against naive reimplementations and analytic cases."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,16 +17,12 @@ rng = np.random.default_rng(42)
 
 
 def tiny_conv_spec():
-    plan = [
-        ("conv2d", {"in": 1, "out": 3, "k": 3, "pad": 1}),
-        ("relu", {}),
-        ("maxpool", {"k": 2}),
-        ("conv2d", {"in": 3, "out": 4, "k": 3, "pad": 0, "stride": 2}),
-        ("relu", {}),
-        ("flatten", {}),
-        ("dense", {"in": 4, "out": 3}),
+    layers = [
+        qnn.Conv2d(1, 3, 3, 3, pad=1), qnn.ReLU(), qnn.MaxPool2d(2, 2),
+        qnn.Conv2d(3, 4, 3, 3, stride=2, pad=0), qnn.ReLU(), qnn.Flatten(),
+        Dense(4, 3),
     ]
-    return FloatSpec(plan, (1, 6, 6), 3)
+    return FloatSpec(layers, (1, 6, 6), 3)
 
 
 def tiny_mlp_spec():
@@ -40,9 +38,9 @@ SPECS = [tiny_mlp_spec, tiny_conv_spec, tiny_resnet_spec]
 
 def test_identity_dense_layer_passes_input_through():
     w = np.eye(4)
-    q, delta = qnn.quantize(w, 8)
-    model = QuantizedModel(
-        [qnn.Flatten(), Dense(q, delta, np.zeros(4))], 8, 4, (1, 2, 2))
+    layer = Dense(4, 4)
+    layer.set_float_weights(w, 8)
+    model = QuantizedModel([qnn.Flatten(), layer], 8, 4, (1, 2, 2))
     x = rng.normal(size=(5, 1, 2, 2))
     logits = model.forward(x)
     # identity weights quantize to 127 * delta = 1.0 exactly
@@ -50,8 +48,7 @@ def test_identity_dense_layer_passes_input_through():
 
 
 def test_zero_weight_model_outputs_biases_only():
-    q = np.zeros((4, 4), dtype=np.int8)
-    layer = Dense(q, 1.0, np.array([1.0, -2.0, 0.5, 0.0]))
+    layer = Dense(4, 4, 1.0, np.array([1.0, -2.0, 0.5, 0.0]))
     model = QuantizedModel([qnn.Flatten(), layer], 8, 4, (1, 2, 2))
     logits = model.forward(rng.normal(size=(3, 1, 2, 2)))
     assert np.allclose(logits, np.tile(layer.bias, (3, 1)))
@@ -152,8 +149,8 @@ def test_gradient_pass_activations_equal_forward_acts(make_spec):
 
 def test_single_linear_neuron_gradient_closed_form():
     # one dense neuron into 2 logits; compare against the hand chain rule
-    q = np.array([[100], [0]], dtype=np.int8)
-    layer = Dense(q, 0.01, np.zeros(2))
+    layer = Dense(1, 2, 0.01)
+    layer.weight_q[0, 0] = 100
     model = QuantizedModel([qnn.Flatten(), layer], 8, 2, (1, 1, 1))
     x = np.array([[[[2.0]]]])
     y = np.array([0])
@@ -289,3 +286,39 @@ def test_checkpoints_byte_identical_across_runs(tmp_path):
     a = qnn.checkpoint_bytes(spec.assemble(spec.init_params(33)))
     b = qnn.checkpoint_bytes(spec.assemble(spec.init_params(33)))
     assert a == b
+
+
+def test_checkpoint_with_a_zero_stride_is_refused():
+    spec = qnn.lenet_like()
+    for i in (0, 2):  # a conv and a pool
+        model = spec.assemble(spec.init_params(0))
+        model.layers[i].stride = 0
+        with pytest.raises(ValueError, match="stride 0"):
+            qnn.model_from_bytes(qnn.checkpoint_bytes(model))
+
+
+# sha256 of each architecture's initial checkpoint on 1x8x8 inputs in 10
+# classes; drawing and quantizing run no BLAS product, so the thread count
+# cannot move them
+CHECKPOINT_SHA256 = {
+    ("blob_mlp", 8, 0): "10ee09a7f2893655e7ba005e81132a314e7d3954a0473c999c92717150d61e13",
+    ("blob_mlp", 8, 1): "aff9fb35857526759c325b5cdc765fde119479e12f6e02a2c34b5e73a63a89a2",
+    ("blob_mlp", 4, 0): "30603fe07f66c1d7f441f5ec6687c2b3189cc6b30bda08fae0ba5938bbb64962",
+    ("blob_mlp", 4, 1): "8545c1bb3fa7b169b0d0992b91f9f7f7a7dc9604c78dedb8c2b3aa7d04ab02a3",
+    ("lenet", 8, 0): "0dbee0ef85973e332c3a22e644ba535520b646f14cf46f000a0f713c4555c81e",
+    ("lenet", 8, 1): "6bd35ea5a57daffd4b3612080df0fdcfed7262ae30abe76feb93e74c0085c86c",
+    ("lenet", 4, 0): "4c6bfad40f0661536dff80a7cc204eb18ee7075e5e2e930d8f0e41a777badfe8",
+    ("lenet", 4, 1): "05575f9d6037a957402ede0702d8cc44b5a060b06782bb626ad518f24d5aa160",
+    ("blob_resnet", 8, 0): "636abc94357259ad8482d6fb82fb0da2dc30f1819cebc85f612ee9928d957ba4",
+    ("blob_resnet", 8, 1): "505ab4bab4b60ee76f3e62a2b9954720245c3c5da54fe9578975d85fc242f4b2",
+    ("blob_resnet", 4, 0): "f8eb59576fa9bc93871443a434984689be92b5f670f876d4a92d6b16af125bb6",
+    ("blob_resnet", 4, 1): "926a83c0652ab88859a703319c1b377a5175a24cf2a2e9d362656027b50a95e2",
+}
+
+
+@pytest.mark.parametrize("arch,bit_width,seed", sorted(CHECKPOINT_SHA256))
+def test_initial_checkpoint_bytes_are_pinned(arch, bit_width, seed):
+    spec = qnn.build_spec(arch, (1, 8, 8), 10, bit_width)
+    blob = qnn.checkpoint_bytes(spec.assemble(spec.init_params(seed)))
+    assert (hashlib.sha256(blob).hexdigest()
+            == CHECKPOINT_SHA256[arch, bit_width, seed])
