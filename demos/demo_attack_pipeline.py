@@ -46,7 +46,7 @@ print("\n== offline: flip-aware bit search ==")
 # planner will, so each committed step is one the exploit can position
 chain = search_chain(model, dataset, profile, experiment.search_config(cfg))
 print(f"chain of {len(chain)} flips, accuracy "
-      f"{chain.clean_accuracy:.3f} -> {chain.terminal_metric():.3f}:")
+      f"{chain.clean_metric:.3f} -> {chain.terminal_metric():.3f}:")
 for step in chain.steps:
     print(f"  (page {step.page}, bop {step.bop}, mode {step.mode}) on frame "
           f"{step.pfn} -> accuracy {step.accuracy:.4f}")

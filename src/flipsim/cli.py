@@ -19,7 +19,7 @@ import json
 import os
 import struct
 import sys
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 
 from . import dram as dram_mod
 from . import qnn
@@ -85,7 +85,8 @@ def _write_search(out, chains, info):
     for i, chain in enumerate(chains, 1):
         write_chain(os.path.join(out, f"chain_{i}.jsonl"), chain.records())
         _write_csv(os.path.join(out, f"trace_{i}.csv"), _TRACE_COLUMNS,
-                   ([row[c] for c in _TRACE_COLUMNS] for row in chain.trace))
+                   ((j, s.candidates, *astuple(s.ref), s.page, s.bop, s.mode, s.loss,
+                     s.accuracy, s.metric) for j, s in enumerate(chain.steps, 1)))
     _write_json(os.path.join(out, "search.json"), info)
 
 

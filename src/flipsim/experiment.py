@@ -24,10 +24,10 @@ from .image import TargetBit, WeightImage
 from .massage import (PageFrameCache, PrecisionViolation, plan_aggressors,
                       plan_mapping, plan_to_json, precise_hammer,
                       release_and_remap, retemplate, verify_template)
-from .qnn.model import class_fraction, loss_and_accuracy
+from .qnn.model import loss_and_accuracy
 from .qnn.quant import SUPPORTED_BIT_WIDTHS
-from .search import (ProtectedMask, SearchConfig, disjoint_chains,
-                     protection_rounds, search_chain)
+from .search import (ProtectedMask, SearchConfig, disjoint_chains, eval_inputs,
+                     protection_rounds, search_chain, search_pass)
 
 
 class ConfigError(ValueError):
@@ -384,9 +384,10 @@ def exploit_stage(cfg, model, dataset, profile, records, provisioned):
 
     ``(report, plan rows)``.  ``profile`` is already sampled, and
     ``provisioned`` is a :func:`provision` result of ``cfg`` and ``model``
-    that the stage changes.  The final metric is recomputed from the
-    post-hammer weight image and must equal the chain's recorded terminal
-    metric exactly.
+    that the stage changes.  The final metric is the search's own
+    :func:`search_pass` metric of the model loaded from the post-hammer
+    weight image, and must equal the chain's recorded terminal metric
+    exactly.
     """
     state, image, placement, attacker_pages = provisioned
     targets = chain_targets(image, records)
@@ -411,11 +412,9 @@ def exploit_stage(cfg, model, dataset, profile, records, provisioned):
     attacked = model.copy()
     attacked.load_weight_block(_read_victim_block(state, image, placement,
                                                   mapping))
-    if cfg.target_class >= 0:
-        final_metric = class_fraction(attacked, dataset.x_test, cfg.target_class)
-    else:
-        xb, yb = dataset.batch(cfg.eval_batch, cfg.batch_seed)
-        _, final_metric = loss_and_accuracy(attacked, xb, yb)
+    target = cfg.target_class if cfg.target_class >= 0 else None
+    final_metric = search_pass(attacked, *eval_inputs(
+        dataset, search_config(cfg), target)).metric
     expected = records[-1]["expected_acc"]
     if final_metric != expected:
         raise MetricMismatch(final_metric, expected)

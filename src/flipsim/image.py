@@ -1,11 +1,12 @@
-"""Paged view of the model's weight bytes.
+"""Paged addresses of the model's weight bytes.
 
 The serialized weight block is split into 4 KiB pages; every weight bit gets a
 (page#, bop) address where page numbers are 1-based and bop counts bits within
 the page, 0..32767.  The bit-within-byte convention: bop ``byte_offset*8 + i``
 addresses bit ``i`` of that byte counting from the LSB, so a byte's MSB sits
 at ``byte_offset*8 + 7``.  Profile files and the DRAM simulator share this
-convention.
+convention.  The model holds the bytes: a :class:`WeightImage` only maps
+addresses to weight bits and reads or flips them in the model.
 """
 
 import json
@@ -49,25 +50,20 @@ class TargetBit:
 
 
 class WeightImage:
-    """Byte image of the weight block plus the bit<->address bijection."""
+    """The bit<->address bijection over ``model``'s weight block."""
 
     def __init__(self, model):
         self.model = model
-        blob = model.weight_block()
-        if not blob:
-            raise ValueError("model has no weights to image")
-        self.weight_bytes = len(blob)
-        self.page_count = -(-self.weight_bytes // PAGE_BYTES)
-        padded = np.zeros(self.page_count * PAGE_BYTES, dtype=np.uint8)
-        padded[:self.weight_bytes] = np.frombuffer(blob, dtype=np.uint8)
-        self.pages = padded.reshape(self.page_count, PAGE_BYTES)
         # byte offset of each weighted layer inside the block
         self.layer_offsets = []
         off = 0
         for i in model.weighted_indices():
             self.layer_offsets.append((i, off))
             off += model.layers[i].weight_count
-        self._starts = [s for _, s in self.layer_offsets]
+        if not off:
+            raise ValueError("model has no weights to image")
+        self.weight_bytes = off
+        self.page_count = -(-off // PAGE_BYTES)
         self._bit_pages = {}
 
     # ---- address mapping ----------------------------------------------------
@@ -80,7 +76,7 @@ class WeightImage:
         byte, bit = divmod(gbi, 8)
         if byte >= self.weight_bytes:
             raise IndexError(f"({page}, {bop}) addresses page padding")
-        j = bisect_right(self._starts, byte) - 1
+        j = bisect_right(self.layer_offsets, byte, key=lambda lo: lo[1]) - 1
         layer_idx, start = self.layer_offsets[j]
         return BitRef(layer_idx, byte - start, bit)
 
@@ -103,52 +99,49 @@ class WeightImage:
     # ---- content ------------------------------------------------------------
 
     def get_bit(self, page, bop):
-        gbi = (page - 1) * PAGE_BITS + bop
-        byte, bit = divmod(gbi, 8)
-        return int(self.pages[page - 1, byte % PAGE_BYTES] >> bit) & 1
+        """The bit stored at ``(page, bop)``, read from the model's code."""
+        ref = self.addr_to_bit(page, bop)
+        code = self.model.layers[ref.layer].weight_q.reshape(-1)[ref.index]
+        return int(code) >> ref.bit & 1
 
     def page_bytes(self, page):
-        return self.pages[page - 1].tobytes()
+        """The 4 KiB of page ``page``: the model's weight block, zero-padded."""
+        self.addr_to_bit(page, 0)  # refuses a page outside the image
+        blob = self.model.weight_block()[(page - 1) * PAGE_BYTES:page * PAGE_BYTES]
+        return blob.ljust(PAGE_BYTES, b"\0")
 
     def apply_flips(self, flips):
-        """Toggle each target bit in the image and the backing model.
+        """Toggle each target bit in the model.
 
-        Every flip's stored bit must equal its mode's source value, or a
-        :class:`StaleModeError` is raised before anything is modified.
-        Returns the induced model delta: ``[(BitRef, old_q, new_q), ...]``.
+        Every target is checked before any bit is flipped: one in page
+        padding raises :class:`IndexError`, one whose stored bit is not its
+        mode's source value :class:`StaleModeError`.  Returns the induced
+        model delta: ``[(BitRef, old_q, new_q), ...]``.
         """
         for tb in flips:
-            if self.get_bit(tb.page, tb.bop) != tb.source_value:
+            stored = self.get_bit(tb.page, tb.bop)
+            if stored != tb.source_value:
                 raise StaleModeError(
                     f"target ({tb.page}, {tb.bop}, mode {tb.mode}) expects "
-                    f"stored bit {tb.source_value}, found "
-                    f"{self.get_bit(tb.page, tb.bop)}"
-                )
+                    f"stored bit {tb.source_value}, found {stored}")
         delta = []
-        for tb in flips:
-            ref = self.addr_to_bit(tb.page, tb.bop)
-            layer = self.model.layers[ref.layer]
-            old = int(layer.weight_q.reshape(-1)[ref.index])
+        for ref in [self.addr_to_bit(tb.page, tb.bop) for tb in flips]:
+            codes = self.model.layers[ref.layer].weight_q.reshape(-1)
+            old = int(codes[ref.index])
             self.model.flip_bit(ref)
-            new = int(layer.weight_q.reshape(-1)[ref.index])
-            gbi = (tb.page - 1) * PAGE_BITS + tb.bop
-            byte, bit = divmod(gbi, 8)
-            self.pages[tb.page - 1, byte % PAGE_BYTES] ^= np.uint8(1 << bit)
-            delta.append((ref, old, new))
+            delta.append((ref, old, int(codes[ref.index])))
         return delta
 
 
 # ---- chain files -------------------------------------------------------------
 
 
-def write_chain(path, steps):
-    """JSON-lines chain file: one {page, bop, mode, expected_acc} per target."""
+def write_chain(path, records):
+    """JSON-lines chain file: one ``ChainStep.record()``, {page, bop, mode,
+    expected_acc}, per target."""
     with open(path, "w") as fh:
-        for step in steps:
-            fh.write(json.dumps({"page": step["page"], "bop": step["bop"],
-                                 "mode": step["mode"],
-                                 "expected_acc": step["expected_acc"]},
-                                sort_keys=True) + "\n")
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
     return path
 
 

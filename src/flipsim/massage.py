@@ -134,7 +134,7 @@ def plan_mapping(chain_targets, profile, dram,
     counts = {i: view.match_count(tb.bop, tb.mode)
               for i, tb in enumerate(chain_targets)}
     for tb in chain_targets:
-        pfn, why = view.place(tb.bop, tb.mode)
+        pfn, why = view.place(tb.page, tb.bop, tb.mode)
         if pfn is None:
             raise UnsatisfiablePlan(tb, why)
     span = dram.config.in_row_page_size * 8

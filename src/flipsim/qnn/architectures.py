@@ -88,14 +88,13 @@ def blob_resnet(input_shape=(1, 8, 8), classes=10, width=8, bit_width=8):
 ARCHITECTURES = ("blob_mlp", "lenet", "blob_resnet")
 
 
-def build_spec(arch, input_shape, classes, bit_width=8, hidden=None,
+def build_spec(arch, input_shape, classes, bit_width=8, hidden=(512, 256),
                width_multiplier=1):
     """Named architecture lookup used by the CLI; see ``ARCHITECTURES``."""
     if arch not in ARCHITECTURES:
         raise ValueError(f"unknown architecture {arch!r}")
     if arch == "blob_mlp":
-        base = hidden or (512, 256)
-        scaled = tuple(int(h * width_multiplier) for h in base)
+        scaled = tuple(int(h * width_multiplier) for h in hidden)
         return blob_mlp(input_shape, classes, scaled, bit_width)
     if arch == "lenet":
         return lenet_like(input_shape, classes, bit_width)

@@ -90,16 +90,13 @@ def _read_idx(path):
     return data.reshape(dims)
 
 
-def load_idx_dataset(train_images, train_labels, test_images, test_labels,
-                     normalize=True):
-    """MNIST-style dataset from four IDX files; images become (1, H, W)."""
-    x_tr = _read_idx(train_images).astype(np.float64)
+def load_idx_dataset(train_images, train_labels, test_images, test_labels):
+    """MNIST-style dataset from four IDX files; images become (1, H, W), their
+    pixels scaled from [0, 255] to [0, 1]."""
+    x_tr = _read_idx(train_images).astype(np.float64) / 255.0
     y_tr = _read_idx(train_labels).astype(np.int64)
-    x_te = _read_idx(test_images).astype(np.float64)
+    x_te = _read_idx(test_images).astype(np.float64) / 255.0
     y_te = _read_idx(test_labels).astype(np.int64)
-    if normalize:
-        x_tr /= 255.0
-        x_te /= 255.0
     x_tr = x_tr[:, None, :, :]
     x_te = x_te[:, None, :, :]
     classes = int(max(y_tr.max(), y_te.max())) + 1

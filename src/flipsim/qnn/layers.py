@@ -102,6 +102,8 @@ class Dense(_WeightedLayer):
 def _conv_spans(size, k, stride, pad):
     if stride < 1:
         raise ValueError(f"stride {stride} must be at least 1")
+    if k > size + 2 * pad:
+        raise ValueError(f"kernel {k} is wider than the padded input {size + 2 * pad}")
     return (size + 2 * pad - k) // stride + 1
 
 

@@ -248,9 +248,3 @@ def row_metrics(logits, labels):
     z = logits - logits.max(axis=-1, keepdims=True)
     nll = -(z[np.arange(len(labels)), labels] - np.log(np.exp(z).sum(axis=-1)))
     return nll, logits.argmax(axis=-1) == labels
-
-
-def class_fraction(model, x, target_class):
-    """Fraction of inputs the model routes into ``target_class``."""
-    logits = model.forward(x)
-    return float((logits.argmax(axis=1) == target_class).mean())

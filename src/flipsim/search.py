@@ -242,6 +242,7 @@ class ChainStep:
     loss: float
     accuracy: float
     metric: float
+    candidates: int  # how many candidates its iteration ranked
 
     def target(self):
         return TargetBit(self.page, self.bop, self.mode)
@@ -257,10 +258,7 @@ class BitChain:
     feasible: bool
     metric_name: str
     clean_metric: float
-    clean_accuracy: float
-    clean_loss: float
     exhausted: bool = False
-    trace: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.steps)
@@ -323,9 +321,10 @@ class ProfileView:
     step, the lowest frame of its ``(bop, mode)`` pool that no earlier step
     holds and that passes :meth:`DramConfig.conflict` against the steps
     placed so far; :attr:`held` maps each held frame, in chain order, to
-    its step's ``(set, row, bit column)``.  :meth:`match_count` and
-    :meth:`availability` count the frames no step holds; :meth:`clear`
-    starts a chain.
+    its step's ``(set, row, bit column)``.  :attr:`pages` holds the steps'
+    victim pages, which :func:`rank_candidates` masks: one flip per page.
+    :meth:`match_count` and :meth:`availability` count the frames no step
+    holds; :meth:`clear` starts a chain.
     """
 
     def __init__(self, profile, config, attacker):
@@ -341,6 +340,7 @@ class ProfileView:
     def clear(self):
         self._free = np.diff(self._start)  # each pool's frames no step holds
         self.held = {}
+        self.pages = set()
 
     def match_count(self, bop, mode):
         return int(self._free[bop * 2 + mode])
@@ -348,8 +348,8 @@ class ProfileView:
     def availability(self, mode):
         return self._free[mode::2] > 0
 
-    def place(self, bop, mode):
-        """``(pfn, None)`` with the frame now held, or ``(None, why)``."""
+    def place(self, page, bop, mode):
+        """``(pfn, None)``, the frame held and ``page`` bound, or ``(None, why)``."""
         k = bop * 2 + mode
         frames = self._pfn[self._start[k]:self._start[k + 1]]
         why = ("candidate frames exhausted by other targets" if len(frames)
@@ -361,6 +361,7 @@ class ProfileView:
             why = self.config.conflict(victim, self.held.values())
             if why is None:
                 self.held[pfn] = victim
+                self.pages.add(page)
                 # the frame leaves every pool it is in
                 pools = np.searchsorted(self._start, np.flatnonzero(self._pfn == pfn),
                                         "right") - 1
@@ -510,8 +511,20 @@ def search_pass(model, x, labels, rows=None, target_class=None):
     return SearchPass(acts, scores, loss, accuracy, metric, backward)
 
 
+def eval_inputs(dataset, config, target_class=None):
+    """:func:`search_pass`'s arguments after the model: ``config``'s batch of
+    the test split, or of ``target_class`` scoring the whole split."""
+    x, y = dataset.x_test, dataset.y_test
+    rows = dataset.batch_rows(config.eval_batch_size, config.batch_seed,
+                              from_class=target_class)
+    if target_class is None:
+        # a stratified batch repeats a row only when its class runs short
+        return x[rows], y[rows], None, None
+    return x, y, rows, target_class
+
+
 def rank_candidates(model, image, state, p, *, objective=1, view=None,
-                    used_pages=(), protected=None):
+                    protected=None):
     """One iteration of gradient-based ranking plus per-candidate evaluation.
 
     ``state`` is the :func:`search_pass` of ``model`` as it is.
@@ -527,9 +540,9 @@ def rank_candidates(model, image, state, p, *, objective=1, view=None,
 
     Eligibility is one bit mask per weight: a flip moves a bit off its stored
     value (so its mode is ``1 - bit``) and must move the loss the objective's
-    way, its page must be untargeted, a matching frame must be free, and
-    it must not be protected.  Each layer's candidates are flipped together,
-    each giving new logits only for the rows it changes, and
+    way, its page must not be bound in ``view``, a matching frame must be
+    free, and it must not be protected.  Each layer's candidates are flipped
+    together, each giving new logits only for the rows it changes, and
     :meth:`RowScores.score` scores them from those rows.  A candidate's
     scores depend on the state alone, so each is scored once per pass and
     kept in its ``memo``: a later ranking of the same pass, under other
@@ -540,10 +553,9 @@ def rank_candidates(model, image, state, p, *, objective=1, view=None,
     full = np.uint8(2 ** bw - 1)
     sign_bit = np.uint8(1 << (bw - 1))
     coeffs = bit_coefficients(bw)
-    if used_pages:
-        page_used = np.zeros(image.page_count + 1, dtype=bool)
-        page_used[list(used_pages)] = True
     if view is not None:
+        bound = np.zeros(image.page_count + 1, dtype=bool)
+        bound[list(view.pages)] = True
         # per in-page byte: bits with a free frame for a stored 0 (a 0->1
         # flip, mode 1) and for a stored 1 (mode 0)
         avail = [np.packbits(view.availability(1 - s).reshape(-1, 8), axis=1,
@@ -567,9 +579,8 @@ def rank_candidates(model, image, state, p, *, objective=1, view=None,
             idx, bit = protected.layer_refs(layer_idx)
             np.bitwise_and.at(elig, idx, ~np.left_shift(1, bit).astype(np.uint8))
         pages, bops = image.layer_bit_pages(layer_idx)
-        if used_pages:
-            elig[page_used[pages]] = 0
         if view is not None:
+            elig[bound[pages]] = 0
             byte = bops >> 3
             elig &= (avail[0][byte] & ~stored) | (avail[1][byte] & stored)
         picks = _top_bits(elig, np.abs(code_grad), p, bw)
@@ -607,7 +618,7 @@ def select_flippable(ranked, view):
     """``(candidate, pfn)``: the first ranked candidate ``view`` places and
     the frame it holds for it (``None`` without a ``view``), or ``None``."""
     for cand in ranked:
-        pfn = None if view is None else view.place(cand.bop, cand.mode)[0]
+        pfn = view.place(cand.page, cand.bop, cand.mode)[0] if view else None
         if view is None or pfn is not None:
             return cand, pfn
     return None
@@ -637,13 +648,7 @@ class SearchSession:
             raise ValueError("target_class out of range")
         self.model, self.config, self.target_class = model, config, target_class
         self.objective = 1 if target_class is None else -1
-        x, y = dataset.x_test, dataset.y_test
-        rows = dataset.batch_rows(config.eval_batch_size, config.batch_seed,
-                                  from_class=target_class)
-        if target_class is None:
-            # a stratified batch repeats a row only when its class runs short
-            x, y, rows = x[rows], y[rows], None
-        self.batch = (x, y, rows, target_class)
+        self.batch = eval_inputs(dataset, config, target_class)
         if profile is not None and None in (config.dram, config.attacker_frames):
             raise ValueError("a profile needs config.dram and attacker_frames")
         self.view = None if profile is None else ProfileView(
@@ -662,8 +667,7 @@ def _run_search(s):
     image = WeightImage(work)
     clean = state = s.clean
     metric_name = "accuracy" if s.target_class is None else "target_fraction"
-    used_pages = set()
-    steps, trace = [], []
+    steps = []
     exhausted = False
     feasible = _success(clean.metric, config, s.objective)
     if s.view is not None:
@@ -672,7 +676,7 @@ def _run_search(s):
     while not feasible and len(steps) < config.max_flips:
         ranked = rank_candidates(work, image, state, config.p,
                                  objective=s.objective, view=s.view,
-                                 used_pages=used_pages, protected=s.protected)
+                                 protected=s.protected)
         state = None  # ranked: freed before the next pass is made
         picked = select_flippable(ranked, s.view)
         if picked is None:
@@ -680,34 +684,26 @@ def _run_search(s):
             break
         cand, pfn = picked
         image.apply_flips([TargetBit(cand.page, cand.bop, cand.mode)])
-        if s.view is not None:
-            used_pages.add(cand.page)
         s.protected.add_refs([cand.ref])
         # the pass over the committed state records this step and ranks the next
         state = search_pass(work, *s.batch)
-        loss, acc, metric = state.loss, state.accuracy, state.metric
         steps.append(ChainStep(cand.ref, cand.page, cand.bop, cand.mode, pfn,
-                               loss, acc, metric))
-        trace.append({"iteration": len(steps), "candidates": len(ranked),
-                      "layer": cand.ref.layer, "index": cand.ref.index,
-                      "bit": cand.ref.bit, "page": cand.page, "bop": cand.bop,
-                      "mode": cand.mode, "loss": loss,
-                      "accuracy": acc, "metric": metric})
-        feasible = _success(metric, config, s.objective)
+                               state.loss, state.accuracy, state.metric,
+                               len(ranked)))
+        feasible = _success(state.metric, config, s.objective)
 
     if s.model.state_hash() != before_hash:
         raise RuntimeError("search mutated its input model")
-    return BitChain(steps, feasible, metric_name, clean.metric, clean.accuracy,
-                    clean.loss, exhausted, trace)
+    return BitChain(steps, feasible, metric_name, clean.metric, exhausted)
 
 
 def search_chain(model, dataset, profile, config, session=None):
     """Greedy chain search until batch accuracy drops to the target.
 
     With a ``profile`` on ``config.dram`` every step needs a frame the
-    chain's :class:`ProfileView` places, and the one-flip-per-page rule
-    applies; with ``profile=None`` the search is unconstrained by memory, so
-    neither does.  A bit is never picked twice,
+    chain's :class:`ProfileView` places, and the view's one-flip-per-page
+    rule applies; with ``profile=None`` the search is unconstrained by
+    memory, so neither does.  A bit is never picked twice,
     nor one in ``config.protected``.  ``session``, a :class:`SearchSession`
     opened on the same arguments, makes the chain that session's next one.
 

@@ -17,8 +17,7 @@ from flipsim.image import PAGE_BITS, WeightImage
 from flipsim.massage import (DEFAULT_RECYCLING_THRESHOLD, MappingPlan,
                              PlanEntry, ThresholdViolation, UnsatisfiablePlan)
 from flipsim.qnn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU, ResidualAdd
-from flipsim.qnn.model import (BitRef, class_fraction, loss_and_accuracy,
-                               softmax_cross_entropy)
+from flipsim.qnn.model import BitRef, loss_and_accuracy, softmax_cross_entropy
 from flipsim.qnn.quant import bit_coefficients, toggle_bit
 from flipsim.search import (Candidate, ProtectedMask, _rank_key,
                             _topk_lowest_index, search_chain,
@@ -214,7 +213,9 @@ def replay_chain(model, chain, dataset, config, target_class=None):
         if target_class is None:
             _, metric = loss_and_accuracy(work, x, y)
         else:
-            metric = class_fraction(work, dataset.x_test, target_class)
+            # the share of the test split routed into the class
+            logits = work.forward(dataset.x_test)
+            metric = float((logits.argmax(axis=1) == target_class).mean())
         out.append(metric)
     return out
 
@@ -703,7 +704,8 @@ def collides_reference(config, victim, placed):
 class ProfileViewReference:
     """:class:`flipsim.search.ProfileView` as a scan over a list of entries.
 
-    ``place`` returns the frame or None.
+    ``place`` returns the frame or None; ``pages`` lists the pages of the
+    placed steps.
     """
 
     def __init__(self, profile, config, attacker):
@@ -716,7 +718,7 @@ class ProfileViewReference:
         self.clear()
 
     def clear(self):
-        self.held, self.placed = [], []
+        self.held, self.placed, self.pages = [], [], set()
 
     def _free(self, bop, mode):
         return sorted((pfn, victim) for b, d, pfn, victim in self.entries
@@ -732,11 +734,12 @@ class ProfileViewReference:
                 avail[bop] = True
         return avail
 
-    def place(self, bop, mode):
+    def place(self, page, bop, mode):
         for pfn, victim in self._free(bop, mode):
             if not collides_reference(self.config, victim, self.placed):
                 self.held.append(pfn)
                 self.placed.append(victim)
+                self.pages.add(page)
                 return pfn
         return None
 
@@ -755,7 +758,7 @@ def plan_mapping_reference(chain_targets, profile, dram,
               for i, tb in enumerate(chain_targets)}
     entries = []
     for tb in chain_targets:
-        pfn = view.place(tb.bop, tb.mode)
+        pfn = view.place(tb.page, tb.bop, tb.mode)
         if pfn is None:
             raise UnsatisfiablePlan(tb, "no frame placed")
         s, row, stripe, base, span = bit_addr(dram.config, pfn, tb.bop)

@@ -15,7 +15,7 @@ import oracles
 from conftest import tiny_dram
 from flipsim import cli, experiment, qnn
 from flipsim.dram import OWNER_ATTACKER, FlipProfile
-from flipsim.image import TargetBit, WeightImage
+from flipsim.image import TargetBit, WeightImage, read_chain
 from flipsim.massage import MappingPlan, PlanEntry, plan_aggressors, plan_mapping
 
 
@@ -25,6 +25,17 @@ def fast_overrides(out, **extra):
             "density_count": 0, "eval_batch": 64, "p": 8, "max_flips": 4}
     base.update(extra)
     return base
+
+
+def test_empty_hidden_trains_a_linear_model(tmp_path):
+    # an empty ``hidden =`` line names no hidden layer, not some default MLP
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in
+                               fast_overrides(str(tmp_path), hidden="").items()))
+    assert cli.main(["train", "--config", str(cfgfile)]) == cli.EXIT_OK
+    model = qnn.load_checkpoint(str(tmp_path / "checkpoint.qnn"))
+    assert [type(layer) for layer in model.layers] == [qnn.Flatten, qnn.Dense]
+    assert (model.layers[1].in_features, model.layers[1].out_features) == (64, 10)
 
 
 def test_config_file_and_overrides(tmp_path):
@@ -739,18 +750,22 @@ def test_random_baseline_flips_only_the_low_bits_below_8_bits(tmp_path,
 
 
 @pytest.mark.parametrize("cut", ["weight-block", "header", "magic", "bit-width",
-                                 "bias", "tag"])
+                                 "bias", "tag", "kernel"])
 def test_malformed_checkpoint_exits_config(fast_trained, tmp_path, capsys, cut):
     with open(os.path.join(fast_trained, "checkpoint.qnn"), "rb") as fh:
         blob = fh.read()
     model = qnn.model_from_bytes(blob)
     model.layers[-1].bias = model.layers[-1].bias[:1]  # one bias, ten outputs
     tag_at = 20 + 4 * len(model.input_shape)  # the first layer record's tag
+    spec = qnn.lenet_like(model.input_shape, model.class_count)
+    lenet = qnn.checkpoint_bytes(spec.assemble(spec.init_params(0)))
+    kh_at = tag_at + 9  # the first conv record's kh, after its two channel counts
     blob = {"weight-block": blob[:len(blob) - 1000], "header": blob[:30],
             "magic": b"QNN0" + blob[4:],
             "bit-width": blob[:4] + struct.pack("<I", 9) + blob[8:],
             "bias": qnn.checkpoint_bytes(model),
-            "tag": blob[:tag_at] + bytes([6]) + blob[tag_at + 1:]}[cut]
+            "tag": blob[:tag_at] + bytes([6]) + blob[tag_at + 1:],
+            "kernel": lenet[:kh_at] + struct.pack("<I", 40) + lenet[kh_at + 4:]}[cut]
     bad = tmp_path / "bad.qnn"
     bad.write_bytes(blob)
     capsys.readouterr()
@@ -760,8 +775,8 @@ def test_malformed_checkpoint_exits_config(fast_trained, tmp_path, capsys, cut):
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"{bad}: malformed checkpoint" in err
-    assert {"bit-width": "bit width 9", "bias": "bias",
-            "tag": "layer tag 6"}.get(cut, "") in err
+    assert {"bit-width": "bit width 9", "bias": "bias", "tag": "layer tag 6",
+            "kernel": "kernel 40 is wider than the padded input 10"}.get(cut, "") in err
     assert not os.path.exists(tmp_path / "search.json")
 
 
@@ -816,13 +831,20 @@ def test_random_baseline_csv(tmp_path, pipeline_out, desk_cfg):
     assert info["median_drop"] == 0.0
 
 
-def test_three_alternative_chains_are_disjoint(tmp_path, pipeline_out, desk_cfg):
+@pytest.fixture(scope="module")
+def three_chains(tmp_path_factory, pipeline_out, desk_cfg):
+    """``(cfg, chains)``: a three-chain desk search on the pipeline's inputs."""
     from dataclasses import replace
 
-    cfg = replace(desk_cfg, out=str(tmp_path / "multi"), chains=3)
-    chains, info = cli.cmd_search(
+    cfg = replace(desk_cfg, out=str(tmp_path_factory.mktemp("multi")), chains=3)
+    chains, _ = cli.cmd_search(
         cfg, checkpoint=os.path.join(pipeline_out, "checkpoint.qnn"),
         profile_path=os.path.join(pipeline_out, "profile.csv"))
+    return cfg, chains
+
+
+def test_three_alternative_chains_are_disjoint(three_chains, pipeline_out):
+    cfg, chains = three_chains
     assert len(chains) == 3
     assert all(c.feasible for c in chains)
     # no bit twice; profile locations may repeat, since each chain is
@@ -840,6 +862,27 @@ def test_three_alternative_chains_are_disjoint(tmp_path, pipeline_out, desk_cfg)
         assert [e.ppn for e in plan.entries] == [s.pfn for s in chain.steps]
     for i in (1, 2, 3):
         assert os.path.exists(os.path.join(cfg.out, f"chain_{i}.jsonl"))
+
+
+def test_trace_rows_are_the_chain_steps(three_chains):
+    import csv
+
+    cfg, chains = three_chains
+    for i, chain in enumerate(chains, 1):
+        with open(os.path.join(cfg.out, f"trace_{i}.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        records = read_chain(os.path.join(cfg.out, f"chain_{i}.jsonl"))
+        assert len(rows) == len(records) == len(chain) > 0
+        for j, (row, rec, step) in enumerate(zip(rows, records, chain.steps), 1):
+            assert {k: int(row[k]) for k in ("page", "bop", "mode")} == \
+                {k: rec[k] for k in ("page", "bop", "mode")}
+            assert float(row["metric"]) == rec["expected_acc"] == step.metric
+            assert [int(row[k]) for k in ("iteration", "candidates", "layer",
+                                          "index", "bit", "page", "bop", "mode")] \
+                == [j, step.candidates, step.ref.layer, step.ref.index,
+                    step.ref.bit, step.page, step.bop, step.mode]
+            assert (float(row["loss"]), float(row["accuracy"])) == (step.loss,
+                                                                   step.accuracy)
 
 
 def test_sensitivity_command_reports_all_rates(tmp_path, pipeline_out, desk_cfg,
@@ -921,7 +964,9 @@ def _assert_same_provision(got, want):
     for key, buf in state._rows.items():
         assert np.array_equal(buf, w_state._rows[key]), key
     assert state._rng.bit_generator.state == w_state._rng.bit_generator.state
-    assert np.array_equal(image.pages, w_image.pages)
+    pages = range(1, image.page_count + 1)
+    assert [image.page_bytes(p) for p in pages] == [w_image.page_bytes(p)
+                                                     for p in pages]
     assert (image.weight_bytes, image.layer_offsets) == (w_image.weight_bytes,
                                                          w_image.layer_offsets)
 
@@ -943,7 +988,8 @@ def test_deep_copied_provision_equals_a_fresh_one(desk_cfg, desk_model):
     state.stripe_flips(np.arange(len(state.cset)), 1)
     state.write_page(0, bytes(range(256)) * 16)
     state.set_owner([1, 2], 0)
-    copied[1].pages[0, 0] ^= 1
+    copied[1].apply_flips([TargetBit(1, 0, 1 - copied[1].get_bit(1, 0))])
+    assert copied[1].page_bytes(1) != clean[1].page_bytes(1)
     copied[2][1] = 0
     _assert_same_provision(clean, cli.provision(desk_cfg, desk_model))
 

@@ -155,7 +155,7 @@ def test_one_row_bank_has_no_hammerable_row(mode):
     view = ProfileView(FlipProfile([0], [0], [0], [1.0]), state.config,
                        np.ones(state.config.total_pages, dtype=bool))
     assert view.match_count(0, 0) == 0
-    assert view.place(0, 0)[0] is None
+    assert view.place(1, 0, 0)[0] is None
 
 
 def test_page_io_rejects_out_of_range_pfn():

@@ -25,6 +25,12 @@ def image(small_model):
     return WeightImage(small_model)
 
 
+def _pages(img):
+    """The image's pages as a ``(page_count, 4096)`` byte array."""
+    blob = b"".join(img.page_bytes(p) for p in range(1, img.page_count + 1))
+    return np.frombuffer(blob, dtype=np.uint8).reshape(img.page_count, 4096)
+
+
 def test_page_count_examples():
     # 8192 weight bytes -> 2 pages; 4097 -> 2 pages with 4095 pad bytes
     spec = qnn.blob_mlp(input_shape=(16,), classes=16, hidden=(496,))
@@ -43,7 +49,7 @@ def test_exact_two_pages():
 
 
 def test_pages_concatenate_to_weight_block(image, small_model):
-    flat = image.pages.reshape(-1)
+    flat = _pages(image).reshape(-1)
     assert flat[:image.weight_bytes].tobytes() == small_model.weight_block()
     # padding after the block is zero
     assert np.all(flat[image.weight_bytes:] == 0)
@@ -90,19 +96,19 @@ def test_padding_not_addressable(image):
 
 
 def test_apply_flips_empty_noop(image):
-    before = image.pages.copy()
+    before = _pages(image)
     assert image.apply_flips([]) == []
-    assert np.array_equal(image.pages, before)
+    assert np.array_equal(_pages(image), before)
 
 
 def test_apply_single_flip_one_byte_power_of_two(small_model):
     img = WeightImage(small_model.copy())
-    before = img.pages.copy()
+    before = _pages(img)
     page, bop = 1, 1235
     stored = img.get_bit(page, bop)
     tb = TargetBit(page, bop, mode=1 - stored)
     delta = img.apply_flips([tb])
-    diff = before ^ img.pages
+    diff = before ^ _pages(img)
     nonzero = np.flatnonzero(diff.reshape(-1))
     assert len(nonzero) == 1
     assert diff.reshape(-1)[nonzero[0]] in {1, 2, 4, 8, 16, 32, 64, 128}
@@ -112,7 +118,7 @@ def test_apply_single_flip_one_byte_power_of_two(small_model):
 def test_apply_then_invert_restores(small_model):
     img = WeightImage(small_model.copy())
     before_hash = img.model.state_hash()
-    before = img.pages.copy()
+    before = _pages(img)
     flips = []
     for bop in (5, 77, 4098, 9000):
         stored = img.get_bit(1, bop)
@@ -120,20 +126,31 @@ def test_apply_then_invert_restores(small_model):
     img.apply_flips(flips)
     inverse = [TargetBit(t.page, t.bop, 1 - t.mode) for t in flips]
     img.apply_flips(inverse)
-    assert np.array_equal(img.pages, before)
+    assert np.array_equal(_pages(img), before)
     assert img.model.state_hash() == before_hash
 
 
 def test_stale_mode_rejected_before_any_change(small_model):
     img = WeightImage(small_model.copy())
-    before = img.pages.copy()
+    before = _pages(img)
     stored0 = img.get_bit(1, 0)
     good = TargetBit(1, 0, 1 - stored0)
     stored1 = img.get_bit(1, 9)
     stale = TargetBit(1, 9, stored1)  # wrong source value
     with pytest.raises(StaleModeError):
         img.apply_flips([good, stale])
-    assert np.array_equal(img.pages, before)
+    assert np.array_equal(_pages(img), before)
+
+
+def test_padding_target_rejected_before_any_change(small_model):
+    img = WeightImage(small_model.copy())
+    assert img.weight_bytes % 4096, "the model must end inside a page"
+    before = img.model.state_hash()
+    good = TargetBit(1, 0, 1 - img.get_bit(1, 0))
+    padding = TargetBit(img.page_count, img.weight_bytes % 4096 * 8, 1)
+    with pytest.raises(IndexError):
+        img.apply_flips([good, padding])
+    assert img.model.state_hash() == before
 
 
 def test_model_and_image_stay_consistent(small_model):
@@ -141,13 +158,13 @@ def test_model_and_image_stay_consistent(small_model):
     stored = img.get_bit(2, 100)
     img.apply_flips([TargetBit(2, 100, 1 - stored)])
     rebuilt = WeightImage(img.model)
-    assert np.array_equal(rebuilt.pages, img.pages)
+    assert np.array_equal(_pages(rebuilt), _pages(img))
 
 
 def test_load_block_roundtrip(small_model):
     # the exploit reads the victim's pages back into a model this way
     img = WeightImage(small_model.copy())
-    blob = img.pages.reshape(-1)[:img.weight_bytes].tobytes()
+    blob = _pages(img).reshape(-1)[:img.weight_bytes].tobytes()
     img.apply_flips([TargetBit(1, 3, 1 - img.get_bit(1, 3))])
     img.model.load_weight_block(blob)
     assert img.model.state_hash() == small_model.state_hash()

@@ -209,7 +209,14 @@ def test_rank_respects_page_rule_and_mask():
     best = free[0]
     pages = {c.page for c in free}
     assert len(pages) > 1
-    off_page = rank_candidates(model, image, state, p=6, used_pages={best.page})
+    # two frames per direction hold every bop: the view leaves every bit
+    # eligible, and binds the page of the step it places
+    view = _view(FlipProfile.from_entries(
+        [(pfn, bop, pfn % 2, 1.0) for pfn in range(100, 104)
+         for bop in range(PAGE_BITS)]))
+    assert view.place(best.page, best.bop, best.mode)[0] is not None
+    assert view.pages == {best.page}
+    off_page = rank_candidates(model, image, state, p=6, view=view)
     assert off_page and all(c.page != best.page for c in off_page)
     mask = ProtectedMask({best.ref})
     masked = rank_candidates(model, image, state, p=6, protected=mask)
@@ -241,12 +248,15 @@ def test_no_location_reuse():
     # within a chain a frame backs one step; the next chain starts afresh
     profile = FlipProfile([109, 109], [123, 124], [0, 0], [1.0, 1.0])
     view = _view(profile)
-    assert view.place(123, 0) == (109, None)
+    assert view.place(1, 123, 0) == (109, None)
     assert view.match_count(124, 0) == 0
-    assert view.place(124, 0) == (
+    assert view.place(2, 124, 0) == (
         None, "candidate frames exhausted by other targets")
+    assert view.pages == {1}  # a step that finds no frame binds no page
     view.clear()
-    assert view.place(124, 0) == (109, None)
+    assert view.pages == set()
+    assert view.place(2, 124, 0) == (109, None)
+    assert view.pages == {2}
 
 
 _VIEW_BOPS = [0, 1, 7, 4847, PAGE_BITS - 1]
@@ -259,7 +269,8 @@ _VIEW_BOPS = [0, 1, 7, 4847, PAGE_BITS - 1]
        st.integers(0, 2 ** 16),
        st.lists(st.tuples(st.sampled_from(["place", "count", "availability",
                                            "clear"]),
-                          st.sampled_from(_VIEW_BOPS), st.integers(0, 1)),
+                          st.integers(1, 4), st.sampled_from(_VIEW_BOPS),
+                          st.integers(0, 1)),
                 max_size=60))
 def test_profile_view_matches_reference(channels, hammer, locations, seed,
                                         ops):
@@ -271,9 +282,10 @@ def test_profile_view_matches_reference(channels, hammer, locations, seed,
         [(pfn, bop, d, 1.0) for (pfn, bop), d in locations.items()])
     view = ProfileView(profile, config, attacker)
     ref = ProfileViewReference(profile, config, attacker)
-    for op, bop, mode in ops:
+    for op, page, bop, mode in ops:
         if op == "place":
-            assert view.place(bop, mode)[0] == ref.place(bop, mode)
+            assert view.place(page, bop, mode)[0] == ref.place(page, bop, mode)
+            assert view.pages == ref.pages
         elif op == "clear":
             view.clear()
             ref.clear()
@@ -494,6 +506,8 @@ def test_rank_candidates_match_reference(rank_models, kind, objective, rate, p,
     view = None if rate is None else _view(_random_profile(gen, rate))
     used = data.draw(st.sets(st.integers(1, image.page_count),
                              max_size=image.page_count - 1))
+    if view is not None:
+        view.pages |= used  # pages earlier steps bound
     weighted = model.weighted_indices()
     locked = data.draw(st.sets(st.sampled_from(weighted), max_size=1))
     # protect the high bits of the steepest weights, where picks come from
@@ -506,12 +520,12 @@ def test_rank_candidates_match_reference(rank_models, kind, objective, rate, p,
             top = model.bit_width - 1
             refs |= {BitRef(li, int(idx), top), BitRef(li, int(idx), top - 1)}
     protected = ProtectedMask(refs, locked)
-    kwargs = dict(objective=objective, view=view, used_pages=used,
-                  protected=protected)
+    kwargs = dict(objective=objective, view=view, protected=protected)
     got = rank_candidates(model, image, search_pass(model, x, y, rows, target),
                           p, **kwargs)
-    want = rank_candidates_reference(model, image, x, y, p, rows=rows,
-                                     target_class=target, **kwargs)
+    want = rank_candidates_reference(
+        model, image, x, y, p, rows=rows, target_class=target,
+        used_pages=view.pages if view is not None else (), **kwargs)
     assert [c.ref for c in got] == [c.ref for c in want]
     for a, b in zip(got, want):
         assert (a.grad, a.mode, a.page, a.bop, a.match_count, a.accuracy,
@@ -548,7 +562,7 @@ def test_memoized_ranking_matches_fresh_pass(rank_models, kind, objective,
     taken = first[:data.draw(st.integers(0, len(first)))]
     if view is not None:
         for cand in taken:
-            view.place(cand.bop, cand.mode)
+            view.place(cand.page, cand.bop, cand.mode)
     protected = ProtectedMask({c.ref for c in taken})
     got = rank_candidates(model, image, state, p, **kwargs, protected=protected)
     want = rank_candidates(model, image, search_pass(model, x, y, rows, target),
