@@ -10,7 +10,7 @@ every stage.
 import numpy as np
 
 from flipsim import cli, experiment, qnn
-from flipsim.dram import template
+from flipsim.dram import HAMMER_SECONDS_PER_ACTION, template
 from flipsim.image import WeightImage
 from flipsim.massage import (PageFrameCache, plan_aggressors, plan_mapping,
                              precise_hammer, release_and_remap,
@@ -56,15 +56,16 @@ status = verify_template(state, profile, cfg.verify_sample)
 print(f"template spot-check: {status}")
 plan = plan_mapping(chain.targets(), profile, state)
 for e in plan.entries:
-    print(f"  victim page {e.pgid} -> frame {e.ppn} "
+    print(f"  victim page {e.target.page} -> frame {e.ppn} "
           f"(bank {e.set}, row {e.victim_row})")
 actions = plan_aggressors(plan, state)
 print(f"{len(plan.entries)} victims merged into {len(actions)} hammering "
-      f"actions (~{0.19 * len(actions):.2f} s of real hammering)")
+      f"actions (~{HAMMER_SECONDS_PER_ACTION * len(actions):.2f} s of real "
+      f"hammering)")
 mapping = release_and_remap(PageFrameCache(cfg.recycling_threshold), plan,
                             image, state)
-report = precise_hammer(state, plan, actions, mapping)
-print(f"flipped exactly {len(report['flips'])} targeted bits")
+flips = precise_hammer(state, plan, actions)
+print(f"flipped exactly {len(flips)} targeted bits")
 
 print("\n== damage assessment ==")
 positions = dict(placement)

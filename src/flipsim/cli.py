@@ -117,9 +117,9 @@ def _load_checkpoint(cfg, checkpoint=None):
 def _load_stage_inputs(cfg, checkpoint=None, profile_path=None):
     """``(model, dataset, profile)``, each checked against ``cfg``.
 
-    The profile must come from ``cfg``'s DRAM geometry: ``cmd_template``
-    writes ``geometry.txt`` beside ``profile.csv``, and the profile's page
-    numbers only mean something on that geometry.
+    The profile must come from ``cfg``'s DRAM: ``cmd_template`` writes
+    ``geometry.txt`` beside ``profile.csv``, and the profile's page numbers
+    and cells only mean something on that geometry and those seeds.
     """
     model, dataset = _load_checkpoint(cfg, checkpoint)
     profile_path = profile_path or os.path.join(cfg.out, "profile.csv")
@@ -129,9 +129,13 @@ def _load_stage_inputs(cfg, checkpoint=None, profile_path=None):
         raise ConfigError(f"{profile_path}: {exc}") from None
     path = os.path.join(os.path.dirname(profile_path), "geometry.txt")
     try:
-        profiled, _ = dram_mod.load_geometry(path)
+        profiled, seeds = dram_mod.load_geometry(path)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    for key, value in seeds.items():
+        if value != getattr(cfg, key, None):
+            raise ConfigError(f"{path} records {key} = {value}, but the config "
+                              f"gives {getattr(cfg, key, None)}")
     configured = dram_config(cfg)
     if profiled != configured:
         raise ConfigError(f"the profile was templated on {profiled} ({path}), "

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import dram as dram_mod
 from . import massage, qnn
-from .dram import (FLIPS_PER_SECOND, OWNER_ATTACKER, OWNER_VICTIM, PAGE_BITS,
-                   new_dram)
+from .dram import (FLIPS_PER_SECOND, HAMMER_SECONDS_PER_ACTION, OWNER_ATTACKER,
+                   OWNER_VICTIM, PAGE_BITS, new_dram)
 from .image import TargetBit, WeightImage
 from .massage import (PageFrameCache, PrecisionViolation, plan_aggressors,
                       plan_mapping, plan_to_json, precise_hammer,
@@ -42,7 +42,7 @@ class MetricMismatch(PrecisionViolation):
     """
 
     # besides the weights, the recorded metric depends on these keys
-    KEYS = ("eval_batch", "batch_seed", "blob_noise", "train_per_class",
+    KEYS = ("eval_batch", "seed", "blob_noise", "train_per_class",
             "test_per_class", "target_class")
 
     def __init__(self, final, expected):
@@ -402,12 +402,12 @@ def exploit_stage(cfg, model, dataset, profile, records, provisioned):
         working, retemplate_stats = retemplate(state, profile,
                                                {t.bop for t in targets})
 
-    plan = plan_mapping(targets, working, state, cfg.recycling_threshold)
+    plan = plan_mapping(targets, working, state)
     actions = plan_aggressors(plan, state)
     cache = PageFrameCache(cfg.recycling_threshold)
     mapping = release_and_remap(cache, plan, image, state,
                                 noise=cfg.noise_allocations)
-    hammer_report = precise_hammer(state, plan, actions, mapping)
+    flips = precise_hammer(state, plan, actions)
 
     attacked = model.copy()
     attacked.load_weight_block(_read_victim_block(state, image, placement,
@@ -429,7 +429,7 @@ def exploit_stage(cfg, model, dataset, profile, records, provisioned):
         # checkpoint file sits header_pages later
         "page_numbering": {"weight_block_page_offset": qnn.header_pages(model)},
         "flips_attempted": len(targets),
-        "flips_achieved": len(hammer_report["flips"]),
+        "flips_achieved": len(flips),
         "final_metric": final_metric,
         "expected_metric": expected,
         "clean_test_accuracy": clean_test_acc,
@@ -445,11 +445,11 @@ def exploit_stage(cfg, model, dataset, profile, records, provisioned):
             "memory_fraction_held": attacker_pages / state.config.total_pages,
             "pages_retained_after_mapping": _pages_retained(state, mapping,
                                                             actions),
-            "candidate_locations": sorted(plan.candidate_counts.values()),
+            "candidate_locations": sorted(plan.candidate_counts),
         },
         "hammer": {
-            "actions": hammer_report["actions"],
-            "seconds_estimate": hammer_report["hammer_seconds_estimate"],
+            "actions": len(actions),
+            "seconds_estimate": len(actions) * HAMMER_SECONDS_PER_ACTION,
         },
     }
     return report, plan_to_json(plan, actions)

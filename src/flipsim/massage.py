@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dram import (HAMMER_SECONDS_PER_ACTION, OWNER_ATTACKER, OWNER_FREE,
-                   OWNER_VICTIM, PAGE_BITS, FlipProfile)
+from .dram import (OWNER_ATTACKER, OWNER_FREE, OWNER_VICTIM, PAGE_BITS,
+                   FlipProfile)
 from .search import ProfileView
 
 DEFAULT_RECYCLING_THRESHOLD = 180
@@ -85,20 +85,17 @@ class PageFrameCache:
 
 @dataclass
 class PlanEntry:
-    target: "TargetBit"
-    pgid: int              # victim weight page (1-based)
+    target: "TargetBit"    # its page is the victim weight page (1-based)
     ppn: int               # exploitable physical frame
     set: int
     victim_row: int
-    col_base: int          # first bit column of the victim in-row page
-    col_span: int
     stripe_bitcol: int     # bit column that must flip
 
 
 @dataclass
 class MappingPlan:
     entries: list          # chain order (release order pp1..ppK)
-    candidate_counts: dict = field(default_factory=dict)
+    candidate_counts: list = field(default_factory=list)  # per entry
 
     def __len__(self):
         return len(self.entries)
@@ -115,66 +112,52 @@ class HammerAction:
     aggressor_rows: tuple  # DramConfig.aggressor_rows of victim_row
 
 
-def plan_mapping(chain_targets, profile, dram,
-                 threshold=DEFAULT_RECYCLING_THRESHOLD):
+def plan_mapping(chain_targets, profile, dram):
     """Place each target bit on one attacker frame matching (bop, mode).
 
     The targets replay in chain order through a fresh
     :class:`flipsim.search.ProfileView`, the placer the chain search commits
     through, over the frames ``dram`` gives the attacker: a chain searched
     on this profile and attacker range lands every step on its recorded
-    frame.  A chain that would reach the page cache's recycling
-    ``threshold`` is rejected up front, as :func:`release_and_remap` would.
+    frame.
     """
-    if len(chain_targets) >= threshold:
-        raise ThresholdViolation(
-            f"{len(chain_targets)} targets would reach the recycling "
-            f"threshold {threshold}")
     view = ProfileView(profile, dram.config, dram.owner == OWNER_ATTACKER)
-    counts = {i: view.match_count(tb.bop, tb.mode)
-              for i, tb in enumerate(chain_targets)}
+    counts = [view.match_count(tb.bop, tb.mode) for tb in chain_targets]
     for tb in chain_targets:
         pfn, why = view.place(tb.page, tb.bop, tb.mode)
         if pfn is None:
             raise UnsatisfiablePlan(tb, why)
-    span = dram.config.in_row_page_size * 8
-    return MappingPlan([PlanEntry(tb, tb.page, pfn, s, row, c - c % span, span, c)
-                        for tb, (pfn, (s, row, c))
+    return MappingPlan([PlanEntry(tb, pfn, s, row, c) for tb, (pfn, (s, row, c))
                         in zip(chain_targets, view.held.items())], counts)
 
 
 def plan_aggressors(plan, dram):
     """Reserve aggressor in-row pages and merge victims sharing both rows.
 
+    Each victim's aggressor rows must lie in its bank and hold, at the
+    victim's in-row slot, an attacker frame no victim is planned on.
     Returns the hammering actions; each action is one row activation pair
     and may serve several victims resident in the same row.
     """
     cfg = dram.config
+    span = cfg.in_row_page_size * 8
+    victim_frames = {e.ppn for e in plan.entries}
     merged = {}
     for idx, e in enumerate(plan.entries):
         if not cfg.aggressors_in_bank(e.victim_row):
             raise UnsatisfiablePlan(e.target, "aggressor row outside the bank")
+        for r in cfg.aggressor_rows(e.victim_row):
+            pfn = dram.addr.row_pfns(e.set, r)[e.stripe_bitcol // span]
+            if dram.owner[pfn] != OWNER_ATTACKER or pfn in victim_frames:
+                raise UnsatisfiablePlan(
+                    e.target, f"aggressor frame {pfn} not attacker-owned")
         merged.setdefault((e.set, e.victim_row), []).append(idx)
     actions = []
     for (s, vrow), members in sorted(merged.items()):
         stripes = tuple(sorted(plan.entries[m].stripe_bitcol for m in members))
         actions.append(HammerAction(s, vrow, stripes, tuple(members),
                                     cfg.aggressor_rows(vrow)))
-    _check_aggressor_ownership(plan, dram, actions)
     return actions
-
-
-def _check_aggressor_ownership(plan, dram, actions):
-    """The direct aggressor in-row pages of every action must be writable."""
-    victim_frames = {e.ppn for e in plan.entries}
-    for act in actions:
-        for member in act.members:
-            e = plan.entries[member]
-            for r in act.aggressor_rows:
-                pfn = dram.addr.row_pfns(act.set, r)[e.col_base // e.col_span]
-                if dram.owner[pfn] != OWNER_ATTACKER or pfn in victim_frames:
-                    raise UnsatisfiablePlan(
-                        e.target, f"aggressor frame {pfn} not attacker-owned")
 
 
 def release_and_remap(cache, plan, image, dram, noise=None):
@@ -184,7 +167,8 @@ def release_and_remap(cache, plan, image, dram, noise=None):
     page ``pgid_i`` lands on ``ppn_i``.  ``noise`` optionally injects foreign
     allocations between the two phases; a stolen head frame, or a victim
     page that finds the cache empty, surfaces as :class:`MappingMismatch`.
-    Returns ``{pgid: pfn}``.
+    A plan that would reach the cache's recycling threshold is refused
+    before any frame is freed.  Returns ``{pgid: pfn}``.
     """
     k = len(plan.entries)
     if k >= cache.recycling_threshold:
@@ -207,10 +191,10 @@ def release_and_remap(cache, plan, image, dram, noise=None):
     for e in reversed(plan.entries):
         pfn = cache.allocate()
         if pfn != e.ppn:
-            raise MappingMismatch(e.pgid, e.ppn, pfn)
+            raise MappingMismatch(e.target.page, e.ppn, pfn)
         dram.owner[pfn] = OWNER_VICTIM
-        dram.write_page(pfn, image.page_bytes(e.pgid))
-        mapping[e.pgid] = pfn
+        dram.write_page(pfn, image.page_bytes(e.target.page))
+        mapping[e.target.page] = pfn
     return mapping
 
 
@@ -297,21 +281,18 @@ def retemplate(dram, stale_profile, needed_bops):
 # ---- precise hammering -----------------------------------------------------------
 
 
-def precise_hammer(dram, plan, actions, mapping):
+def precise_hammer(dram, plan, actions):
     """Targeted-stripe hammering of every merged action.
 
     Aggressor rows copy the victim row except at the stripe columns, so only
-    the targeted bits see a stripe.  Afterwards the victim image read back
-    from DRAM must differ from the pre-attack image at exactly the targeted
-    bits, otherwise :class:`PrecisionViolation` aborts the attack.
+    the targeted bits see a stripe.  Afterwards each victim page, read at
+    its planned frame, must differ from its pre-attack bytes at exactly the
+    targeted bits, otherwise :class:`PrecisionViolation` aborts the attack.
+    Returns the sorted ``(page, bop)`` flips observed.
     """
-    targeted = {(e.pgid, e.target.bop) for e in plan.entries}
-    before = {}
-    for e in plan.entries:
-        if e.pgid not in before:
-            before[e.pgid] = np.frombuffer(dram.read_page(mapping[e.pgid]),
-                                           dtype=np.uint8).copy()
-    flips = []
+    frames = {e.target.page: e.ppn for e in plan.entries}
+    before = {page: np.frombuffer(dram.read_page(pfn), dtype=np.uint8)
+              for page, pfn in frames.items()}
     for act in actions:
         victim = dram.row(act.set, act.victim_row)
         content = victim.copy()
@@ -325,23 +306,16 @@ def precise_hammer(dram, plan, actions, mapping):
                 dram.owner[dram.addr.row_pfns(act.set, r)] == OWNER_ATTACKER,
                 dram.config.in_row_page_size)
             np.copyto(dram.row(act.set, r), content, where=writable)
-        flips.extend(dram.hammer(act.set, act.victim_row))
+        dram.hammer(act.set, act.victim_row)
     observed = set()
-    for e in plan.entries:
-        after = np.frombuffer(dram.read_page(mapping[e.pgid]), dtype=np.uint8)
-        diff = before[e.pgid] ^ after
-        for byte in np.flatnonzero(diff):
-            for bit in range(8):
-                if diff[byte] >> bit & 1:
-                    observed.add((e.pgid, int(byte) * 8 + bit))
+    for page, pfn in frames.items():
+        diff = before[page] ^ np.frombuffer(dram.read_page(pfn), dtype=np.uint8)
+        observed.update((page, bop) for bop in np.flatnonzero(
+            np.unpackbits(diff, bitorder="little")).tolist())
+    targeted = {(e.target.page, e.target.bop) for e in plan.entries}
     if observed != targeted:
         raise PrecisionViolation(observed - targeted, targeted - observed)
-    return {
-        "flips": sorted(observed),
-        "actions": len(actions),
-        "hammer_seconds_estimate": len(actions) * HAMMER_SECONDS_PER_ACTION,
-        "raw_cell_flips": len(flips),
-    }
+    return sorted(observed)
 
 
 def plan_to_json(plan, actions):
@@ -353,7 +327,7 @@ def plan_to_json(plan, actions):
     rows = []
     for idx, e in enumerate(plan.entries):
         rows.append({
-            "pgid": e.pgid,
+            "pgid": e.target.page,
             "ppn": e.ppn,
             "set": e.set,
             "victim_row": e.victim_row,

@@ -14,8 +14,7 @@ from flipsim.dram import (_CLUSTER_PROBS, _CLUSTER_SIZES, DENSE_PER_BANK_RANGE,
                           ONE_TO_ZERO_SHARE, OWNER_ATTACKER, SINGLE_SIDED_RATE,
                           AddressFunction, FlipProfile, _empty_cells)
 from flipsim.image import PAGE_BITS, WeightImage
-from flipsim.massage import (DEFAULT_RECYCLING_THRESHOLD, MappingPlan,
-                             PlanEntry, ThresholdViolation, UnsatisfiablePlan)
+from flipsim.massage import MappingPlan, PlanEntry, UnsatisfiablePlan
 from flipsim.qnn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU, ResidualAdd
 from flipsim.qnn.model import BitRef, loss_and_accuracy, softmax_cross_entropy
 from flipsim.qnn.quant import bit_coefficients, toggle_bit
@@ -744,23 +743,17 @@ class ProfileViewReference:
         return None
 
 
-def plan_mapping_reference(chain_targets, profile, dram,
-                           threshold=DEFAULT_RECYCLING_THRESHOLD):
+def plan_mapping_reference(chain_targets, profile, dram):
     """:func:`flipsim.massage.plan_mapping` through
     :class:`ProfileViewReference`, in chain order."""
-    if len(chain_targets) >= threshold:
-        raise ThresholdViolation(
-            f"{len(chain_targets)} targets would reach the recycling "
-            f"threshold {threshold}")
     view = ProfileViewReference(profile, dram.config,
                                 dram.owner == OWNER_ATTACKER)
-    counts = {i: view.match_count(tb.bop, tb.mode)
-              for i, tb in enumerate(chain_targets)}
+    counts = [view.match_count(tb.bop, tb.mode) for tb in chain_targets]
     entries = []
     for tb in chain_targets:
         pfn = view.place(tb.page, tb.bop, tb.mode)
         if pfn is None:
             raise UnsatisfiablePlan(tb, "no frame placed")
-        s, row, stripe, base, span = bit_addr(dram.config, pfn, tb.bop)
-        entries.append(PlanEntry(tb, tb.page, pfn, s, row, base, span, stripe))
+        s, row, stripe, _, _ = bit_addr(dram.config, pfn, tb.bop)
+        entries.append(PlanEntry(tb, pfn, s, row, stripe))
     return MappingPlan(entries, counts)

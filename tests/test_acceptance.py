@@ -221,7 +221,7 @@ def test_criterion_06_lifo_positioning():
         plan = MappingPlan(entries)
         mapping = release_and_remap(PageFrameCache(), plan, FakeImage(pages),
                                     state)
-        exact = mapping == {e.pgid: e.ppn for e in plan.entries}
+        exact = mapping == {e.target.page: e.ppn for e in plan.entries}
         ok &= exact
         details.append(f"K={k}:{'ok' if exact else 'MISMATCH'}")
     state = tiny_dram(banks=4, rows=3 * 180 + 8)
@@ -269,11 +269,11 @@ def test_criterion_07_precise_hammering():
                    for b in chosen]
         plan = MappingPlan([entry_for(state, tb, ppn) for tb in targets])
         actions = plan_aggressors(plan, state)
-        mapping = release_and_remap(PageFrameCache(), plan,
-                                    FakeImage({1: content}), state)
+        release_and_remap(PageFrameCache(), plan, FakeImage({1: content}),
+                          state)
         try:
-            report = precise_hammer(state, plan, actions, mapping)
-            if sorted(f[1] for f in report["flips"]) == sorted(int(b) for b in chosen):
+            flips = precise_hammer(state, plan, actions)
+            if sorted(f[1] for f in flips) == sorted(int(b) for b in chosen):
                 exact += 1
         except Exception:
             pass

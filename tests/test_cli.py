@@ -525,6 +525,29 @@ def test_search_and_exploit_on_another_geometry_exit_config(pipeline_out,
     assert not os.path.exists(out / "report.json")
 
 
+@pytest.mark.parametrize("command", ["search", "exploit"])
+def test_a_seed_other_than_the_templated_one_exits_config(
+        pipeline_out, tmp_path, capsys, monkeypatch, command):
+    # geometry.txt records the cell and hammer seeds of the DRAM the profile
+    # was templated on; a run with another master seed has other cells
+    out = tmp_path / "o"
+
+    def no_provision(*args):
+        raise AssertionError("the seed must be refused before any DRAM is built")
+
+    monkeypatch.setattr(cli, "provision", no_provision)
+    flags = ["--checkpoint", os.path.join(pipeline_out, "checkpoint.qnn"),
+             "--profile", os.path.join(pipeline_out, "profile.csv")]
+    if command == "exploit":
+        flags += ["--chain", os.path.join(pipeline_out, "chain_1.jsonl")]
+    capsys.readouterr()
+    rc = cli.main([command, "--seed", "5", "--out", str(out)] + flags)
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cell_seed = 4003" in err and "5003" in err and "geometry.txt" in err
+    assert not out.exists()
+
+
 def test_stages_write_nothing_and_return_what_the_commands_write(
         pipeline_out, desk_cfg, tmp_path):
     # pipeline_out holds what cmd_search and cmd_exploit wrote on desk_cfg,
@@ -563,6 +586,12 @@ def test_pipeline_report_consistency(pipeline_out):
     assert report["final_metric"] == report["expected_metric"]
     assert report["flips_achieved"] == report["flips_attempted"]
     assert report["template_status"] == "valid"
+    # the report owns the hammer-time estimate: one per merged action
+    with open(os.path.join(pipeline_out, "plan.json")) as fh:
+        actions = {row["action"] for row in json.load(fh)}
+    assert report["hammer"]["actions"] == len(actions)
+    assert report["hammer"]["seconds_estimate"] == \
+        pytest.approx(0.19 * len(actions))
     with open(os.path.join(pipeline_out, "search.json")) as fh:
         search_info = json.load(fh)
     assert search_info["chains"][0]["feasible"]
@@ -632,8 +661,8 @@ def test_exploit_plans_against_configured_recycling_threshold(pipeline_out, tmp_
 
     cfg = replace(desk_cfg, out=str(tmp_path / "tight"), recycling_threshold=2)
     os.makedirs(cfg.out, exist_ok=True)
-    # plan_mapping's message: the chain is refused before any frame is freed
-    with pytest.raises(cli.ThresholdViolation, match="targets would reach"):
+    # release_and_remap's message: the chain is refused before any frame is freed
+    with pytest.raises(cli.ThresholdViolation, match="would cross the recycling"):
         cli.cmd_exploit(cfg,
                         checkpoint=os.path.join(pipeline_out, "checkpoint.qnn"),
                         profile_path=os.path.join(pipeline_out, "profile.csv"),
@@ -708,9 +737,9 @@ def test_pages_retained_counts_each_aggressor_row(mode, aggressor_rows, channels
     state = tiny_dram(hammer_mode=mode, channels=channels)
     state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
     ppn = state.addr.row_pfns(0, 7)[0]
-    s, row, stripe, base, span = oracles.bit_addr(state.config, ppn, 5)
+    s, row, stripe, _, _ = oracles.bit_addr(state.config, ppn, 5)
     tb = TargetBit(1, 5, 0)
-    plan = MappingPlan([PlanEntry(tb, 1, ppn, s, row, base, span, stripe)])
+    plan = MappingPlan([PlanEntry(tb, ppn, s, row, stripe)])
     actions = plan_aggressors(plan, state)
     retained = experiment._pages_retained(state, {1: ppn}, actions)
     assert retained == 1 + aggressor_rows * state.config.in_row_pages

@@ -136,6 +136,13 @@ def test_exploit_under_other_eval_settings_names_the_metric_keys(fast_run,
         assert key in err
 
 
+def test_metric_keys_are_config_keys():
+    # the mismatch message tells the user to compare these keys of the two
+    # runs' configs
+    names = {f.name for f in fields(experiment.ExperimentConfig)}
+    assert set(experiment.MetricMismatch.KEYS) <= names
+
+
 def _near(domain, default):
     """Values of ``default``'s type in ``domain`` or just outside it."""
     if isinstance(domain, list):

@@ -30,8 +30,8 @@ class FakeImage:
 
 
 def entry_for(dram, tb, ppn):
-    s, row, stripe, base, span = bit_addr(dram.config, ppn, tb.bop)
-    return PlanEntry(tb, tb.page, ppn, s, row, base, span, stripe)
+    s, row, stripe, _, _ = bit_addr(dram.config, ppn, tb.bop)
+    return PlanEntry(tb, ppn, s, row, stripe)
 
 
 # ---- LIFO cache -------------------------------------------------------------------
@@ -92,7 +92,7 @@ def test_single_target_single_candidate():
     tb = TargetBit(1, 4847, 0)
     plan = plan_mapping([tb], profile, state)
     assert plan.entries[0].ppn == ppn
-    assert plan.entries[0].pgid == 1
+    assert plan.entries[0].target is tb
 
 
 def test_replay_places_in_chain_order():
@@ -106,7 +106,7 @@ def test_replay_places_in_chain_order():
     target_a, target_b = TargetBit(1, 100, 0), TargetBit(2, 200, 0)
     plan = plan_mapping([target_a, target_b], profile, state)
     assert [e.ppn for e in plan.entries] == [shared, others[0]]
-    assert plan.candidate_counts == {0: 1, 1: 5}
+    assert plan.candidate_counts == [1, 5]
     with pytest.raises(UnsatisfiablePlan, match="exhausted by other") as err:
         plan_mapping([target_b, target_a], profile, state)
     assert err.value.target == target_a
@@ -144,23 +144,6 @@ def test_direction_mismatch_unsatisfiable():
     profile = FlipProfile([state.addr.row_pfns(0, 5)[0]], [100], [1], [1.0])
     with pytest.raises(UnsatisfiablePlan):
         plan_mapping([TargetBit(1, 100, 0)], profile, state)
-
-
-def test_plan_rejects_chain_at_threshold():
-    state = attacker_state()
-    targets = [TargetBit(i + 1, 0, 0) for i in range(180)]
-    with pytest.raises(ThresholdViolation):
-        plan_mapping(targets, FlipProfile.empty(), state)
-
-
-def test_plan_honours_configured_recycling_threshold():
-    state = attacker_state()
-    frames = [state.addr.row_pfns(0, r)[0] for r in (5, 10, 15)]
-    profile = FlipProfile(frames, [100, 101, 102], [0, 0, 0], [1.0] * 3)
-    targets = [TargetBit(i + 1, 100 + i, 0) for i in range(3)]
-    assert len(plan_mapping(targets, profile, state)) == 3
-    with pytest.raises(ThresholdViolation):
-        plan_mapping(targets, profile, state, threshold=2)
 
 
 def test_replay_skips_a_frame_in_the_other_channels_aggressor_row():
@@ -234,13 +217,14 @@ def test_plan_mapping_matches_reference_planner(case):
     assert len({e.ppn for e in got.entries}) == len(targets)
     geos = []
     for e, tb in zip(got.entries, targets):
-        assert e.target == tb and e.pgid == tb.page
+        assert e.target == tb
         assert state.owner[e.ppn] == OWNER_ATTACKER
         assert (e.ppn, tb.bop, tb.mode) in locations
         s, row, stripe, base, span = bit_addr(state.config, e.ppn, tb.bop)
-        geo = (s, row, base, span, stripe)
-        assert (e.set, e.victim_row, e.col_base, e.col_span,
-                e.stripe_bitcol) == geo
+        assert (e.set, e.victim_row, e.stripe_bitcol) == (s, row, stripe)
+        # the in-row slot plan_aggressors reads off the stripe column
+        assert e.stripe_bitcol // (state.config.in_row_page_size * 8) == \
+            base // span
         assert state.config.aggressors_in_bank(row)
         assert not collides_reference(state.config, (s, row, stripe), geos)
         geos.append((s, row, stripe))
@@ -318,9 +302,9 @@ def test_release_and_remap_exact_mapping(k):
     plan, image = remap_case(state, k)
     cache = PageFrameCache()
     mapping = release_and_remap(cache, plan, image, state)
-    assert mapping == {e.pgid: e.ppn for e in plan.entries}
+    assert mapping == {e.target.page: e.ppn for e in plan.entries}
     for e in plan.entries:
-        assert state.read_page(e.ppn) == image.page_bytes(e.pgid)
+        assert state.read_page(e.ppn) == image.page_bytes(e.target.page)
         assert state.owner[e.ppn] == OWNER_VICTIM
 
 
@@ -328,7 +312,7 @@ def test_release_and_remap_k179():
     state = attacker_state(rows=3 * 179 + 8, banks=4)
     plan, image = remap_case(state, 179)
     mapping = release_and_remap(PageFrameCache(), plan, image, state)
-    assert mapping == {e.pgid: e.ppn for e in plan.entries}
+    assert mapping == {e.target.page: e.ppn for e in plan.entries}
 
 
 def test_release_and_remap_k180_rejected():
@@ -452,18 +436,14 @@ def test_two_targets_one_in_row_page_single_action():
     image = FakeImage({1: content})
     actions = plan_aggressors(plan, state)
     assert len(actions) == 1
-    mapping = release_and_remap(PageFrameCache(), plan, image, state)
-    report = precise_hammer(state, plan, actions, mapping)
-    assert sorted(f[1] for f in report["flips"]) == sorted(bops)
-    assert report["actions"] == 1
-    assert report["hammer_seconds_estimate"] == pytest.approx(0.19)
+    release_and_remap(PageFrameCache(), plan, image, state)
+    assert precise_hammer(state, plan, actions) == [(1, b) for b in sorted(bops)]
 
 
 def test_zero_targets_no_flips():
     state = attacker_state()
     plan = MappingPlan([])
-    report = precise_hammer(state, plan, [], {})
-    assert report["flips"] == [] and report["actions"] == 0
+    assert precise_hammer(state, plan, []) == []
 
 
 @pytest.mark.parametrize("channels", [1, 2])
@@ -497,12 +477,9 @@ def test_merged_actions_do_not_interfere_across_victims(channels):
     plan = MappingPlan(entries)
     actions = plan_aggressors(plan, state)
     assert len(actions) == 3  # pages 3+4 merge
-    mapping = release_and_remap(PageFrameCache(), plan,
-                                FakeImage(contents), state)
-    report = precise_hammer(state, plan, actions, mapping)
-    got = sorted(report["flips"])
+    release_and_remap(PageFrameCache(), plan, FakeImage(contents), state)
     want = sorted((pgid, tb.bop) for pgid, tb in targets.items())
-    assert got == want
+    assert precise_hammer(state, plan, actions) == want
 
 
 def test_stale_direction_surfaces_precision_violation():
@@ -518,10 +495,9 @@ def test_stale_direction_surfaces_precision_violation():
     tb = TargetBit(1, bop, int(1 - stored))
     plan = MappingPlan([entry_for(state, tb, ppn)])
     actions = plan_aggressors(plan, state)
-    mapping = release_and_remap(PageFrameCache(), plan, FakeImage({1: content}),
-                                state)
+    release_and_remap(PageFrameCache(), plan, FakeImage({1: content}), state)
     # scrambling toggled the cell after planning: the flip never lands
     state.ccur_dir[:] = 1 - state.ccur_dir
     with pytest.raises(PrecisionViolation) as err:
-        precise_hammer(state, plan, actions, mapping)
+        precise_hammer(state, plan, actions)
     assert (1, bop) in err.value.missing
