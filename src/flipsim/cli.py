@@ -10,7 +10,8 @@ never embed timestamps or absolute paths.
 Exit codes: 0 success, 2 infeasible chain (also a training run below its
 accuracy floor, and protect-top-N rounds that exhaust the bit space), 3
 attack integrity failure (precision violation / stale template / mapping
-mismatch), 4 configuration error.
+mismatch), 4 configuration error.  ``sensitivity`` reports a rate whose
+chain cannot be planned in its row and goes on.
 """
 
 import argparse
@@ -248,7 +249,9 @@ def cmd_sensitivity(cfg, checkpoint=None, profile_path=None):
     the config's ``rate`` is ignored, but must still lie in (0, 1].  The DRAM
     is provisioned once, before the first exploit; each exploit works on a
     deep copy of it.  Rate ``i`` writes the files of a search and an exploit
-    into ``rate_i/``.
+    into ``rate_i/``.  A rate whose chain cannot be planned keeps its search
+    files and reports the planner's refusal as its ``plan_error``; the
+    later rates still run.
     """
     rates = [1.0, 0.1, 0.01, 0.001]
     model, dataset, profile = _load_stage_inputs(cfg, checkpoint, profile_path)
@@ -265,11 +268,15 @@ def cmd_sensitivity(cfg, checkpoint=None, profile_path=None):
                "terminal_metric": chain.terminal_metric()}
         if chain.feasible and len(chain):
             clean = clean or provision(sub, model)
-            report, plan_rows = exploit_stage(sub, model, dataset, sampled,
-                                              chain.records(),
-                                              copy.deepcopy(clean))
-            _write_exploit(out, report, plan_rows)
-            row["final_metric"] = report["final_metric"]
+            try:
+                report, plan_rows = exploit_stage(sub, model, dataset, sampled,
+                                                  chain.records(),
+                                                  copy.deepcopy(clean))
+            except UnsatisfiablePlan as exc:
+                row["plan_error"] = str(exc)
+            else:
+                _write_exploit(out, report, plan_rows)
+                row["final_metric"] = report["final_metric"]
         results.append(row)
     info = {"rates": results}
     os.makedirs(cfg.out, exist_ok=True)

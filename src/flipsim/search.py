@@ -22,14 +22,20 @@ bit.  A layer's dense-suffix candidates are then evaluated together: their
 single-column changes are built as one array, and only the (flip, row) pairs
 whose column change is nonzero are propagated, stacked in blocks of about
 an L2 cache (``_BLOCK_BYTES`` at the widest stage, every array freed with
-its block), and past the fan-out through the hidden units some flip of the
-layer can reach only.  A unit
-whose batch peak pre-activation stays at or below zero under every flip's
-largest push changes by an exact zero after its ReLU, because IEEE rounding
-is monotone, so leaving it out changes no value; the stacked products only
-sum in another order, the same ulp-level difference as the row gating.
-Each candidate is then scored as the pass's per-row loss and correctness
-with its changed rows replaced (:class:`RowScores`).
+its block).  Past the fan-out one reach rule trims every ReLU, per group of
+scored rows of one label: a group's pairs run only through the units that
+some row of the group activates or that a bound on some flip's push can
+wake.  At the first ReLU the bound is each flip's signed push over
+the group's rows; at a later one it is the absolute weights from the
+fan-out times the flip's largest column change over the group, widened for
+rounding: a ReLU's output change can exceed its push by half an ulp of the
+pre-activation, and a sum of products rounds by a few ulps in any order.
+Every bound errs upwards and IEEE rounding is monotone, so a dropped unit
+stays at or below zero in every pair of its group and changes by an exact
+zero after its ReLU: leaving it out changes no value, and the stacked
+products only sum in another order, the same ulp-level difference as the
+row gating.  Each candidate is then scored as the pass's per-row loss and
+correctness with its changed rows replaced (:class:`RowScores`).
 
 The disjoint chains of one command (alternative chains, or a defender's
 protection rounds) form one :class:`SearchSession`.  Each chain starts from
@@ -75,9 +81,9 @@ def _sig_round(x, digits=11):
     evaluation paths order candidates identically.  The paths agree up to
     float associativity: the incremental one multiplies only the batch rows
     a flip reaches, stacked across flips, and, after a fan-out, only the
-    hidden units a flip can reach, so its BLAS calls take other shapes than
-    a full pass would and sum in another order.  The units it leaves out
-    contribute exact zeros.
+    hidden units each group of rows can reach, so its BLAS calls take other
+    shapes than a full pass would and sum in another order.  The units it
+    leaves out contribute exact zeros.
     """
     if x == 0.0 or not math.isfinite(x):
         return x
@@ -85,29 +91,105 @@ def _sig_round(x, digits=11):
     return round(x, digits - 1 - mag)
 
 
-def _reachable_units(peak, col, fan):
-    """Units of a fan-out layer whose following ReLU a flip can change.
-
-    ``peak`` is each unit's batch maximum pre-activation, ``col`` the
-    ``(K, B)`` column changes of K flips and ``fan`` the ``(units, K)``
-    weights that fan each flip's column out.  A row's change to unit ``u``
-    is ``col[k, r] * fan[u, k]``, at most ``c * fan[u, k]`` with ``c`` the
-    flip's largest column change for a weight >= 0 and its smallest for a
-    weight < 0.  IEEE rounding is monotone, so a unit with ``peak <= 0`` and
-    ``peak + c * w <= 0`` for every flip stays at or below zero in every row:
-    its ReLU change is exactly zero, whichever flip is made.
-    """
-    push = np.where(fan >= 0, col.max(axis=1), col.min(axis=1)) * fan
-    return np.flatnonzero((peak > 0) | (peak[:, None] + push > 0).any(axis=1))
-
-
 # bytes of one block of stacked (flip, row) pairs at the widest stage: about
 # an L2 cache; larger blocks leave freed heap the process keeps resident,
 # smaller ones stall the BLAS threads on a busy host
 _BLOCK_BYTES = 2 << 20
 
+def _row_groups(labels, rows, hit):
+    """The (flip, row) pairs and the changed rows ``hit`` laid out by label.
 
-def _dense_suffix_logits(model, acts, refs):
+    The changed rows of each label form one group, in label order, and
+    ``labels=None`` makes one group.  Returns ``(order, pair_cuts, members,
+    member_cuts)``: group ``g``'s pairs are
+    ``order[pair_cuts[g]:pair_cuts[g + 1]]``, in pair order, and its rows
+    ``members[member_cuts[g]:member_cuts[g + 1]]``; with one group
+    ``order`` is a slice.
+    """
+    if labels is None or not len(hit):
+        return slice(None), [0, len(rows)], hit, [0, len(hit)]
+    kinds, of_hit = np.unique(labels[hit], return_inverse=True)
+    # the smallest integer type: a stable sort of it is a radix sort
+    of_row = np.zeros(len(labels), dtype=np.min_scalar_type(len(kinds) - 1))
+    of_row[hit] = of_hit
+    of_pair = of_row[rows]
+    pair_cuts = np.concatenate([[0], np.cumsum(np.bincount(of_pair))])
+    order = (np.argsort(of_pair, kind="stable") if len(kinds) > 1
+             else slice(None))
+    members = hit[np.argsort(of_row[hit], kind="stable")]
+    member_cuts = np.concatenate([[0], np.cumsum(np.bincount(of_hit))])
+    return order, pair_cuts, members, member_cuts
+
+
+def _reach(pres, relus, dense, cuts, cols, fan):
+    """Units of each ReLU after a fan-out that each group's pairs can change.
+
+    The groups' rows are stacked, group ``g`` on rows ``cuts[g]`` to
+    ``cuts[g + 1]`` of ``cols``, the ``(K, rows)`` column changes of K
+    flips, and of ``pres[q]``, ReLU ``q``'s cached input.  ``fan`` holds
+    the ``(units, K)`` weights that fan each flip's column out to the first
+    ReLU, and ``dense`` the absolute weights of the dense layer after each
+    ReLU but the last.  Returns ``{q: keep}``, ``keep[g, u]`` true when
+    unit ``u`` of ReLU ``q`` may change in a pair of group ``g``.
+
+    One rule serves every ReLU: a unit is kept when its peak input over the
+    group is above zero or when a bound on the push of some flip's pairs
+    of the group can lift it there; a bound over the whole batch settles
+    most units, and the group's own bound the rest.  At the first ReLU the
+    push of pair ``(k, r)`` is ``col[k, r] * fan[u, k]``, at most the larger
+    of ``hi * fan[u, k]`` and ``lo * fan[u, k]``, with ``hi`` and ``lo`` the
+    flip's largest and smallest column changes over the group.  At a later
+    ReLU its size is at most ``bound[u, k] * |col[k, r]| + extra[u]``:
+    ``bound`` carries the absolute weights from the fan-out, and ``extra``
+    the rounding.  The fan-out's product may underflow by half of
+    ``2**-1074``, which ``extra`` starts at.  A ReLU's output change may
+    exceed its push by the rounding of ``pre + push``, half an ulp of at
+    most ``peak + push``, and by that of the subtraction, which a
+    ``2**-52 * (peak + push)`` term and ``2**-50`` relative cover; the next
+    dense layer's ``n`` products may round, or underflow, by ``n * 2**-52``
+    relative and ``n * 2**-1075`` absolute in any summation order, which
+    ``(n + 1) * 2**-50`` and ``n * 2**-1073`` cover.  IEEE rounding is
+    monotone, so a unit left out stays at or below zero in every pair of
+    its group: its ReLU change is exactly zero.
+    """
+    first = cuts[:-1]
+    hi = np.maximum.reduceat(cols, first, axis=1).T
+    lo = np.minimum.reduceat(cols, first, axis=1).T
+    size = np.maximum(hi, -lo)  # (groups, K): a flip's largest |column change|
+    bound, extra = np.abs(fan), np.full(len(fan), 2.0 ** -1074)
+    widen = 1 + 2.0 ** -50
+    keep = {}
+    for i, q in enumerate(relus):
+        peak = np.maximum.reduceat(pres[q], first, axis=0)
+        # the largest push of any pair into each unit, in size
+        top = ((bound * size.max(axis=0)).max(axis=1) + extra) * widen
+        if i:
+            upper = top + 2.0 ** -1073
+        else:
+            upper = np.maximum(hi.max(axis=0) * fan,
+                               lo.min(axis=0) * fan).max(axis=1)
+        kept = (peak > 0) | ~(peak + upper <= 0)
+        g, u = np.nonzero(kept & ~(peak > 0))
+        if i:
+            push = ((bound[u] * size[g]).max(axis=1) + extra[u]) * widen \
+                + 2.0 ** -1073
+        else:
+            push = np.maximum(hi[g] * fan[u], lo[g] * fan[u]).max(axis=1)
+        kept[g, u] = ~(peak[g, u] + push <= 0)
+        keep[q] = kept
+        if i < len(dense):
+            union = kept.any(axis=0)
+            n = dense[i].shape[1]
+            w = dense[i][:, union]
+            slack = extra[union] * widen \
+                + (np.maximum(peak.max(axis=0), 0.0) + top)[union] * 2.0 ** -52
+            grow = 1 + (n + 1) * 2.0 ** -50
+            bound = (w @ bound[union]) * grow
+            extra = (w @ slack) * grow + n * 2.0 ** -1073 * (1 + size.max())
+    return keep
+
+
+def _dense_suffix_logits(model, acts, refs, labels=None):
     """Changed logits after each of one dense layer's bit flips, one at a time.
 
     Only valid when every layer after the flipped one is Dense or ReLU: a
@@ -116,18 +198,21 @@ def _dense_suffix_logits(model, acts, refs):
     flips' column changes are built together as one ``(K, B)`` array.  A
     batch row whose column change is exactly zero at the fan-out keeps its
     logits, so only the (flip, row) pairs with a nonzero change are
-    propagated, stacked in blocks of pairs whose widest stage array takes
-    about ``_BLOCK_BYTES``; every array of a block is freed before the next
-    block starts, so the working set past the returned arrays is a few
-    blocks, whatever the pair count.  The block size sets only the row
-    count of each product, which moves logits by ulps.  When a ReLU
-    and another dense layer follow the fan-out, the fan-out weights, that
-    ReLU's cached input and output and the next layer's weight columns are
-    sliced once to the :func:`_reachable_units`; the others change by exact
-    zeros.  Returns ``(cand, rows, logits)``: flip ``refs[cand[i]]`` gives
-    row ``rows[i]`` the logits ``logits[i]``, pairs ordered by flip, then
-    row, and every other row keeps ``acts[-1]``; :func:`_settle_ties` sets
-    near ties.  Returns ``None`` when the suffix has other layer kinds.
+    propagated.  When ReLU and dense layers alternate after the fan-out,
+    the rows fall into groups of their ``labels`` (:func:`_row_groups`),
+    and one reach rule (:func:`_reach`) gives each group the units of each
+    ReLU that some pair of the group can change: the fan-out weights, each
+    ReLU's cached input and the next dense layer's weights are sliced to
+    them, and every other unit changes by an exact zero.  A group's pairs
+    are stacked in blocks whose widest stage array takes about
+    ``_BLOCK_BYTES``; every array of a block is freed before the next block
+    starts, so the working set past the returned arrays is a few blocks,
+    whatever the pair count.  The groups and the block size set only which
+    units and how many rows each product takes, which moves logits by ulps.
+    Returns ``(cand, rows, logits)``: flip ``refs[cand[i]]`` gives row
+    ``rows[i]`` the logits ``logits[i]``, pairs ordered by flip, then row,
+    and every other row keeps ``acts[-1]``; :func:`_settle_ties` sets near
+    ties.  Returns ``None`` when the suffix has other layer kinds.
     """
     layers = model.layers
     start = refs[0].layer
@@ -148,44 +233,66 @@ def _dense_suffix_logits(model, acts, refs):
         m += 1
     cand, rows = np.nonzero(col)
     change = col[cand, rows]
-    logits = acts[-1][rows]
     if m == len(layers):
+        logits = acts[-1][rows]
         logits[np.arange(len(rows)), js[cand]] += change
         return _settle_ties(model, acts, refs, cand, rows, logits)
     fan = layers[m].weights[:, js]
-    units = slice(None)
-    if m + 2 < len(layers) and isinstance(layers[m + 1], ReLU) \
-            and isinstance(layers[m + 2], Dense):
-        units = _reachable_units(acts[m + 1].max(axis=0), col, fan)
-        fan = fan[units]
-    # per layer after the fan-out: a ReLU's cached input and output (the
-    # output stands in for max(pre, 0)), or a dense layer's weights, transposed
-    tail = []
-    for q in range(m + 1, len(layers)):
-        cut = units if q <= m + 2 else slice(None)
-        if isinstance(layers[q], ReLU):
-            tail.append((acts[q][:, cut], acts[q + 1][:, cut]))
-        else:
-            tail.append(layers[q].weights[:, cut].T)
-    width = max([len(fan)] + [w.shape[1] for w in tail if not isinstance(w, tuple)])
-    fan = fan.T
-    block = max(1, _BLOCK_BYTES // (8 * width))
-    for lo in range(0, len(rows), block):
-        part = slice(lo, lo + block)
-        at = rows[part]
-        delta = fan[cand[part]]
-        delta *= change[part, None]
-        for stage in tail:
-            if isinstance(stage, tuple):
-                pre, post = stage
-                delta += pre[at]
-                np.maximum(delta, 0.0, out=delta)
-                delta -= post[at]
+    relus = list(range(m + 1, len(layers), 2))
+    if not all(isinstance(layers[q], ReLU) and q + 1 < len(layers)
+               and isinstance(layers[q + 1], Dense) for q in relus):
+        relus = []
+    order, pair_cuts, members, member_cuts = _row_groups(
+        labels if relus else None, rows, np.flatnonzero(col.any(axis=0)))
+    slot = np.empty(len(acts[-1]), dtype=np.int64)
+    slot[members] = np.arange(len(members))
+    # each pair's row as a place in its group's run of members
+    at = slot[rows[order]] - np.repeat(member_cuts[:-1], np.diff(pair_cuts))
+    cand_g, change_g, moved = cand[order], change[order], acts[-1][rows[order]]
+    # each ReLU's cached input on the members
+    pres = {q: acts[q][members] for q in range(m + 1, len(layers))
+            if isinstance(layers[q], ReLU)}
+    keep = {}
+    if relus and len(rows):
+        keep = _reach(pres, relus,
+                      [np.abs(layers[q + 1].weights) for q in relus[:-1]],
+                      member_cuts, col[:, members], fan)
+    for g in range(len(pair_cuts) - 1):
+        units = {q: np.flatnonzero(kept[g]) for q, kept in keep.items()}
+        r0, r1 = member_cuts[g], member_cuts[g + 1]
+        # per layer after the fan-out: a ReLU's cached input, or a dense
+        # layer's weights, transposed, each cut to the group's units
+        tail = []
+        for q in range(m + 1, len(layers)):
+            if isinstance(layers[q], ReLU):
+                tail.append(pres[q][r0:r1, units.get(q, slice(None))])
             else:
-                delta = delta @ stage
-        logits[part] += delta
-        # the next block's arrays are built after this one's are freed
-        del at, delta
+                tail.append(layers[q].weights[units.get(q + 1, slice(None))]
+                            [:, units.get(q - 1, slice(None))].T)
+        group_fan = fan[units.get(m + 1, slice(None))].T
+        width = max([group_fan.shape[1]] + [w.shape[1] for w in tail])
+        block = max(1, _BLOCK_BYTES // (8 * width))
+        for lo in range(pair_cuts[g], pair_cuts[g + 1], block):
+            part = slice(lo, min(lo + block, pair_cuts[g + 1]))
+            local = at[part]
+            delta = group_fan[cand_g[part]]
+            delta *= change_g[part, None]
+            for q, stage in enumerate(tail, m + 1):
+                if q in pres:  # max(pre + delta, 0) - max(pre, 0)
+                    pre = stage[local]
+                    delta += pre
+                    np.maximum(delta, 0.0, out=delta)
+                    delta -= np.maximum(pre, 0.0, out=pre)
+                    del pre
+                else:
+                    delta = delta @ stage
+            moved[part] += delta
+            # the next block's arrays are built after this one's are freed
+            del local, delta
+    logits = moved
+    if len(pair_cuts) > 2:  # back in pair order
+        logits = np.empty_like(moved)
+        logits[order] = moved
     return _settle_ties(model, acts, refs, cand, rows, logits)
 
 
@@ -589,7 +696,7 @@ def rank_candidates(model, image, state, p, *, objective=1, view=None,
         refs = [BitRef(layer_idx, *divmod(int(flat), bw)) for flat in picks]
         new = [ref for ref in refs if ref not in state.memo]
         if new:
-            changed = _dense_suffix_logits(model, acts, new)
+            changed = _dense_suffix_logits(model, acts, new, state.scores.labels)
             if changed is None:
                 changed = _rerun_suffix(model, acts, new)
             scored = state.scores.score(*changed, len(new))

@@ -979,6 +979,41 @@ def test_sensitivity_command_reports_all_rates(tmp_path, pipeline_out, desk_cfg,
     assert not os.path.exists(out / "rate_0")
 
 
+def test_sensitivity_keeps_the_study_when_a_rate_cannot_be_planned(
+        tmp_path, pipeline_out, desk_cfg, capsys):
+    # on two channels with a reboot before the exploit, the rate-0.1 chain's
+    # first target has no attacker frame left after the retemplate
+    from dataclasses import replace
+
+    checkpoint = os.path.join(pipeline_out, "checkpoint.qnn")
+    cfg = replace(desk_cfg, banks=4, channels=2, reboot_seed=777,
+                  out=str(tmp_path / "sens"))
+    cli.cmd_template(cfg, checkpoint)
+    info = cli.cmd_sensitivity(cfg, checkpoint=checkpoint)
+    rows = info["rates"]
+    assert [row["rate"] for row in rows] == [1.0, 0.1, 0.01, 0.001]
+    assert rows[0]["final_metric"] == rows[0]["terminal_metric"]
+    refused = rows[1]
+    assert refused["feasible"] and "final_metric" not in refused
+    assert refused["plan_error"] == ("target (page 50, bop 1271, mode 0) "
+                                     "unsatisfiable: no attacker frame "
+                                     "matches bop and direction")
+    # the refused rate keeps its search files and writes no exploit file
+    assert sorted(os.listdir(tmp_path / "sens" / "rate_1")) == [
+        "chain_1.jsonl", "search.json", "trace_1.csv"]
+    with open(tmp_path / "sens" / "sensitivity.json") as fh:
+        assert json.load(fh) == info
+
+    # the command exits 0 and prints the study
+    cfgfile = tmp_path / "dual.cfg"
+    cfgfile.write_text(f"out = {tmp_path / 'sens'}\nseed = 4\nbanks = 4\n"
+                       "channels = 2\nreboot_seed = 777\n")
+    capsys.readouterr()
+    assert cli.main(["sensitivity", "--config", str(cfgfile), "--checkpoint",
+                     checkpoint]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out) == info
+
+
 def _assert_same_provision(got, want):
     state, image, placement, attacker = got
     w_state, w_image, w_placement, w_attacker = want

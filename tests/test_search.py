@@ -1,7 +1,7 @@
 """Gradient-guided flip-aware search: ranking, selection, chains."""
 
 import weakref
-from itertools import islice
+from itertools import islice, product
 from unittest import mock
 
 import numpy as np
@@ -17,8 +17,8 @@ from flipsim.image import PAGE_BITS, WeightImage
 from flipsim.qnn.model import (BitRef, QuantizedModel, loss_and_accuracy,
                                metrics_from_logits)
 from flipsim.search import (Candidate, ProfileView, ProtectedMask, RowScores,
-                            SearchConfig, _dense_suffix_logits,
-                            _reachable_units, _top_bits, _topk_lowest_index,
+                            SearchConfig, _dense_suffix_logits, _reach,
+                            _top_bits, _topk_lowest_index,
                             disjoint_chains, protection_rounds,
                             rank_candidates, search_chain,
                             search_chain_targeted, search_pass,
@@ -130,7 +130,7 @@ def test_dead_path_flip_leaves_loss_unchanged():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(st.lists(st.integers(1, 12), max_size=2), st.none()),
+@given(st.one_of(st.lists(st.integers(1, 12), max_size=3), st.none()),
        st.integers(0, 7), st.data())
 def test_incremental_logits_match_forward_from(hidden, bit, data):
     # hidden=None picks lenet_like: its dense tail runs incrementally, its
@@ -152,7 +152,8 @@ def test_incremental_logits_match_forward_from(hidden, bit, data):
     layer = data.draw(st.sampled_from(dense))
     index = data.draw(st.integers(0, model.layers[layer].weight_count - 1))
     ref = BitRef(layer, index, bit)
-    fast = _flip_logits(acts, _dense_suffix_logits(model, acts, [ref]))[0]
+    labels = data.draw(st.sampled_from([None, y]))
+    fast = _flip_logits(acts, _dense_suffix_logits(model, acts, [ref], labels))[0]
     model.flip_bit(ref)
     full = model.forward_from(layer, acts)
     model.flip_bit(ref)
@@ -452,7 +453,8 @@ def test_direction_rule_consistency(small_setup):
 @pytest.fixture(scope="module")
 def rank_models():
     """A three-page MLP, the same MLP with most second-layer units dead, a
-    4-bit MLP, a conv net and a residual net on one blob dataset."""
+    4-bit MLP, an MLP with three hidden layers, a conv net and a residual
+    net on one blob dataset."""
     dataset = qnn.gaussian_blobs(classes=4, shape=(1, 8, 8), train_per_class=24,
                                  test_per_class=12, noise=1.5, seed=8)
     cfg = qnn.TrainConfig(epochs=2, accuracy_floor=0.0)
@@ -470,11 +472,14 @@ def rank_models():
     mlp4 = qnn.train_small(qnn.blob_mlp(input_shape=(1, 8, 8), classes=4,
                                         hidden=(40,), bit_width=4),
                            dataset, cfg, seed=1)
+    # a first-layer flip fans out into two ReLUs that both drop units
+    deep = qnn.train_small(qnn.blob_mlp(input_shape=(1, 8, 8), classes=4,
+                                        hidden=(48, 32, 16)), dataset, cfg, seed=1)
     conv = qnn.train_small(qnn.lenet_like(input_shape=(1, 8, 8), classes=4),
                            dataset, cfg, seed=1)
     resnet = qnn.train_small(qnn.blob_resnet(input_shape=(1, 8, 8), classes=4),
                              dataset, cfg, seed=1)
-    return {"mlp": mlp, "dead": dead, "mlp4": mlp4, "conv": conv,
+    return {"mlp": mlp, "dead": dead, "mlp4": mlp4, "deep": deep, "conv": conv,
             "resnet": resnet}, dataset
 
 
@@ -486,7 +491,7 @@ def _random_profile(gen, rate):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["mlp", "dead", "mlp4", "conv", "resnet"]),
+@given(st.sampled_from(["mlp", "dead", "mlp4", "deep", "conv", "resnet"]),
        st.sampled_from([1, -1]),
        st.sampled_from([None, 1.0, 0.3, 0.01]), st.integers(1, 12),
        st.integers(0, 2 ** 16), st.data())
@@ -638,17 +643,19 @@ def _dense_net(hidden=(8,)):
 
 
 def test_flip_into_dead_neuron_leaves_logits_exactly():
-    model, x = _dense_net()
-    hidden = model.layers[1]
-    hidden.bias[3] = -1e6  # neuron 3 never fires, flipped or not
-    _, acts = model.forward_acts(x)
-    for bit in range(8):
-        ref = BitRef(1, 3 * hidden.in_features + 2, bit)
-        fast = _flip_logits(acts, _dense_suffix_logits(model, acts, [ref]))[0]
-        assert np.array_equal(fast, acts[-1])
-        model.flip_bit(ref)
-        assert np.array_equal(model.forward_from(1, acts), acts[-1])
-        model.flip_bit(ref)
+    # one hidden layer, and three: the dead unit's flips change no row
+    for hidden in ((8,), (8, 5, 4)):
+        model, x = _dense_net(hidden)
+        first = model.layers[1]
+        first.bias[3] = -1e6  # neuron 3 never fires, flipped or not
+        _, acts = model.forward_acts(x)
+        for bit in range(8):
+            ref = BitRef(1, 3 * first.in_features + 2, bit)
+            fast = _flip_logits(acts, _dense_suffix_logits(model, acts, [ref]))[0]
+            assert np.array_equal(fast, acts[-1])
+            model.flip_bit(ref)
+            assert np.array_equal(model.forward_from(1, acts), acts[-1])
+            model.flip_bit(ref)
 
 
 def test_last_layer_flip_updates_one_logit_column():
@@ -668,20 +675,43 @@ def test_last_layer_flip_updates_one_logit_column():
 
 
 def test_changed_pairs_match_single_flips():
-    model, x = _dense_net(hidden=(8, 5))
-    _, acts = model.forward_acts(x)
-    cached = acts[-1].copy()
+    # with (8, 5, 4) a first-layer flip's pairs pass two ReLUs that drop
+    # units; the rows fall in one group, or in groups of their labels
+    labels = np.random.default_rng(1).integers(0, 3, 20)
     refs = [BitRef(1, 9, 6), BitRef(1, 20, 7), BitRef(1, 9, 0)]
-    cand, rows, logits = _dense_suffix_logits(model, acts, refs)
-    assert not np.shares_memory(logits, acts[-1])
-    assert np.array_equal(acts[-1], cached)
-    assert np.all(np.diff(cand * len(x) + rows) > 0)  # by flip, then row
-    for k, ref in enumerate(refs):
-        one_cand, one_rows, one = _dense_suffix_logits(model, acts, [ref])
-        assert np.all(one_cand == 0)
-        assert np.array_equal(rows[cand == k], one_rows)
-        np.testing.assert_allclose(logits[cand == k], one, rtol=1e-12,
-                                   atol=1e-12)
+    for hidden, groups in product(((8, 5), (8, 5, 4)), (None, labels)):
+        model, x = _dense_net(hidden)
+        # after the fan-out, units 0 and 1 of each ReLU sit just below zero
+        # on every row, where the MSB flip wakes some; unit 2 never wakes
+        for dense in range(3, 2 * len(hidden), 2):
+            _, acts = model.forward_acts(x)
+            model.layers[dense].bias[:2] -= acts[dense + 1].max(axis=0)[:2] + 0.05
+            model.layers[dense].bias[2] -= 1e6
+        _, acts = model.forward_acts(x)
+        cached = acts[-1].copy()
+        kept = []
+
+        def record(*args):
+            kept.append(_reach(*args))
+            return kept[-1]
+
+        with mock.patch.object(_search, "_reach", record):
+            cand, rows, logits = _dense_suffix_logits(model, acts, refs, groups)
+        assert all(not keep.all() for keep in kept[0].values())  # units drop
+        assert not np.shares_memory(logits, acts[-1])
+        assert np.array_equal(acts[-1], cached)
+        assert np.all(np.diff(cand * len(x) + rows) > 0)  # by flip, then row
+        for k, ref in enumerate(refs):
+            one_cand, one_rows, one = _dense_suffix_logits(model, acts, [ref])
+            assert np.all(one_cand == 0)
+            assert np.array_equal(rows[cand == k], one_rows)
+            np.testing.assert_allclose(logits[cand == k], one, rtol=1e-12,
+                                       atol=1e-12)
+            model.flip_bit(ref)
+            np.testing.assert_allclose(logits[cand == k],
+                                       model.forward_from(1, acts)[one_rows],
+                                       rtol=1e-12, atol=1e-12)
+            model.flip_bit(ref)
 
 
 # exact and signed zeros, subnormals, the smallest normal and an MSB-sized
@@ -693,30 +723,88 @@ _EDGE = st.one_of(
 
 
 @st.composite
-def _fan_out(draw):
-    """ReLU inputs ``(B, U)``, column changes ``(K, B)``, weights ``(U, K)``."""
-    b, u, k = (draw(st.integers(1, n)) for n in (5, 5, 3))
-    return (draw(arrays(np.float64, (b, u), elements=_EDGE)),
-            draw(arrays(np.float64, (k, b), elements=_EDGE)),
-            draw(arrays(np.float64, (u, k), elements=_EDGE)))
+def _two_relu_suffix(draw):
+    """Row groups ``(B,)``, column changes ``(K, B)``, fan-out weights
+    ``(U, K)``, the first ReLU's inputs ``(B, U)``, the dense weights
+    ``(V, U)`` after it and the second ReLU's inputs ``(B, V)``."""
+    b, u, v, k = (draw(st.integers(1, n)) for n in (5, 5, 4, 3))
+    groups = draw(st.one_of(st.just(np.zeros(b, dtype=np.int64)),
+                            st.just(np.arange(b)),
+                            arrays(np.int64, b, elements=st.integers(0, 2))))
+    return (groups, draw(arrays(np.float64, (k, b), elements=_EDGE)),
+            draw(arrays(np.float64, (u, k), elements=_EDGE)),
+            draw(arrays(np.float64, (b, u), elements=_EDGE)),
+            draw(arrays(np.float64, (v, u), elements=_EDGE)),
+            draw(arrays(np.float64, (b, v), elements=_EDGE)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(_fan_out())
+def _relu_change(pre, push):
+    """A ReLU's output change, against both forms of its cached output."""
+    moved = np.maximum(pre + push, 0.0)
+    return moved - np.maximum(pre, 0.0), moved - pre * (pre > 0)
+
+
+def _sums(out, weights):
+    """``weights @ out`` summed in three orders: BLAS, forward and reversed."""
+    terms = weights * out
+    return [weights @ out, np.array([sum(t) for t in terms.tolist()]),
+            np.array([sum(reversed(t)) for t in terms.tolist()])]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_two_relu_suffix())
 # dead units woken by an MSB flip: a positive push through a positive weight,
-# and a negative one through a negative weight
-@example((np.array([[-1.0]]), np.array([[128.0]]), np.array([[0.5]])))
-@example((np.array([[-1.0], [-3.0]]), np.array([[0.0, -128.0]]),
-          np.array([[-0.5]])))
+# and a negative one through a negative weight, each carried to the second ReLU
+@example((np.zeros(1, dtype=np.int64), np.array([[128.0]]), np.array([[0.5]]),
+          np.array([[-1.0]]), np.array([[1.0]]), np.array([[-60.0]])))
+@example((np.zeros(2, dtype=np.int64), np.array([[0.0, -128.0]]),
+          np.array([[-0.5]]), np.array([[-1.0], [-3.0]]), np.array([[-2.0]]),
+          np.array([[-100.0], [-1.0]])))
+# the first ReLU's change rounds to 2**-52 from a push of 0.75 of that, and
+# the second unit sits 2**-60 below the change: only a bound that covers
+# the rounding of pre + push keeps it
+@example((np.zeros(1, dtype=np.int64), np.array([[1.5 * 2.0 ** -53]]),
+          np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]),
+          np.array([[-(2.0 ** -52 - 2.0 ** -60)]])))
+# a one and eight halves of its ulp: summed from the smallest up they reach
+# 1 + 2**-50, from the largest down they stay at 1; only a relative widening
+# for the summation order keeps the unit 2**-51 beyond one
+@example((np.zeros(1, dtype=np.int64), np.array([[1.0]]),
+          np.array([[1.0]] + [[2.0 ** -53]] * 8), np.zeros((1, 9)),
+          np.ones((1, 9)), np.array([[-(1 + 2.0 ** -51)]])))
+# the bound's weight product underflows to zero, the pair's does not: only
+# the absolute widening keeps the unit
+@example((np.zeros(1, dtype=np.int64), np.array([[2.0 ** 600]]),
+          np.array([[2.0 ** -600]]), np.array([[0.0]]),
+          np.array([[2.0 ** -600]]), np.array([[-(2.0 ** -640)]])))
+# the pair's fan-out product rounds up to 2**-1074 from 0.6 of that, and a
+# weight of 128 carries it 28 * 2**-1074 above the second unit's input: only
+# an absolute term for the fan-out's underflow keeps the unit
+@example((np.zeros(1, dtype=np.int64), np.array([[0.6]]), np.array([[5e-324]]),
+          np.array([[0.0]]), np.array([[128.0]]), np.array([[-100 * 5e-324]])))
 def test_dropped_units_change_by_exact_zero(case):
-    pre, col, fan = case
-    live = _reachable_units(pre.max(axis=0), col, fan)
-    dropped = np.setdiff1d(np.arange(pre.shape[1]), live)
-    post = pre * (pre > 0)  # the cached ReLU output, as ReLU computes it
-    for k in range(len(col)):
-        moved = np.maximum(pre + col[k, :, None] * fan[:, k], 0.0)
-        assert np.all((moved - np.maximum(pre, 0.0))[:, dropped] == 0.0)
-        assert np.all((moved - post)[:, dropped] == 0.0)
+    groups, col, fan, pre1, weights, pre2 = case
+    # the groups' rows stacked in group order, as the evaluator stacks them
+    members = np.argsort(groups, kind="stable")
+    _, sizes = np.unique(groups, return_counts=True)
+    cuts = np.concatenate([[0], np.cumsum(sizes)])
+    keep = _reach({1: pre1[members], 3: pre2[members]}, [1, 3],
+                  [np.abs(weights)], cuts, col[:, members], fan)
+    for g in range(len(sizes)):
+        dropped = [np.flatnonzero(~keep[q][g]) for q in (1, 3)]
+        kept = np.flatnonzero(keep[1][g])
+        for k in range(len(col)):
+            for r in members[cuts[g]:cuts[g + 1]]:
+                firsts = _relu_change(pre1[r], col[k, r] * fan[:, k])
+                for out in firsts:
+                    assert np.all(out[dropped[0]] == 0.0)
+                out = firsts[0]
+                # the second ReLU sees the kept units' changes summed in any
+                # order, or every unit's
+                pushes = _sums(out[kept], weights[:, kept]) + _sums(out, weights)
+                for push in pushes:
+                    for second in _relu_change(pre2[r], push):
+                        assert np.all(second[dropped[1]] == 0.0)
 
 
 # few distinct values, so that rows tie at the argmax; both signed zeros
@@ -808,7 +896,8 @@ def test_search_takes_one_pass_per_iteration(small_setup, monkeypatch):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.sampled_from(["mlp", "dead"]), st.one_of(st.none(), st.integers(0, 3)),
+@given(st.sampled_from(["mlp", "dead", "deep"]),
+       st.one_of(st.none(), st.integers(0, 3)),
        st.sampled_from([None, 1.0, 0.05]), st.integers(1, 8), st.integers(1, 5),
        st.integers(0, 2 ** 16))
 def test_block_size_changes_no_chain(rank_models, kind, target, rate, p,
@@ -839,6 +928,49 @@ def test_block_size_changes_no_chain(rank_models, kind, target, rate, p,
     for got, want in zip(changed_one[:2], changed[:2]):  # the (flip, row) pairs
         np.testing.assert_array_equal(got, want)
     np.testing.assert_allclose(changed_one[2], changed[2], rtol=0, atol=1e-12)
+
+
+# each row's group: its label, one group, every row alone
+_GROUPINGS = (lambda y: y, np.zeros_like, lambda y: np.arange(len(y)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["mlp", "dead", "deep"]),
+       st.one_of(st.none(), st.integers(0, 3)),
+       st.sampled_from([None, 1.0, 0.05]), st.integers(1, 8), st.integers(1, 5),
+       st.integers(0, 2 ** 16))
+def test_row_groups_change_no_chain(rank_models, kind, target, rate, p,
+                                    max_flips, seed):
+    # each grouping cuts each product to other units, so logits may move by
+    # ulps, and no chain moves
+    models, dataset = rank_models
+    model = models[kind]
+    gen = np.random.default_rng(seed)
+    profile = None if rate is None else _unique_locations(gen, rate)
+    cfg = SearchConfig(p=p, max_flips=max_flips, target_accuracy=0.2,
+                       eval_batch_size=32, batch_seed=seed, **PLACED)
+    state = search_pass(model, dataset.x_test, dataset.y_test)
+    layer = model.weighted_indices()[0]
+    size = model.layers[layer].weight_q.size
+    refs = [BitRef(layer, int(i), int(b)) for i, b in
+            zip(gen.choice(size, 12, replace=False), gen.integers(0, 8, 12))]
+    runs = []
+    for regroup in _GROUPINGS:
+        def grouped(model, acts, refs, labels, regroup=regroup):
+            return _dense_suffix_logits(model, acts, refs, regroup(labels))
+
+        with mock.patch.object(_search, "_dense_suffix_logits", grouped):
+            chain = (search_chain(model, dataset, profile, cfg) if target is None
+                     else search_chain_targeted(model, dataset, profile, cfg,
+                                                target))
+            runs.append((repr(chain), grouped(model, state.acts, refs,
+                                              dataset.y_test)))
+    (chain, changed), *others = runs
+    for other_chain, other in others:
+        assert other_chain == chain
+        for got, want in zip(other[:2], changed[:2]):  # the (flip, row) pairs
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(other[2], changed[2], rtol=0, atol=1e-12)
 
 
 def test_changed_rows_peak_stays_within_a_few_blocks():
