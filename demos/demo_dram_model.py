@@ -30,8 +30,7 @@ cells = (np.array([0, 0], dtype=np.int32),        # set
          np.array([5, 5], dtype=np.int32),        # row
          np.array([100, 7000], dtype=np.int32),   # bit column
          np.array([1, 1], dtype=np.int8),         # both flip 0 -> 1
-         np.array([1.0, 1.0]),
-         np.array([False, False]))
+         np.array([False, False]))                # not single-sided capable
 state = DramState(cfg, cells)
 state.row(0, 5)[:] = 0
 solid = np.zeros(cfg.row_bytes, dtype=np.uint8)

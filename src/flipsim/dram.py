@@ -281,18 +281,6 @@ class FlipProfile:
         start = np.searchsorted(key, np.arange(2 * PAGE_BITS + 1) * span)
         return key % span, start
 
-    @classmethod
-    def from_entries(cls, rows):
-        rows = list(rows)
-        if not rows:
-            return cls.empty()
-        pfn, bop, d, p = zip(*rows)
-        return cls(pfn, bop, d, p)
-
-    @classmethod
-    def empty(cls):
-        return cls([], [], [], [])
-
     def save_csv(self, path):
         """Write ``pfn,bop,direction,probability`` lines, one per entry.
 
@@ -366,23 +354,22 @@ class DramState:
     """Cell array, vulnerable-cell set, owner map and hammering engine.
 
     ``cells`` is the tuple :func:`synthesize_cells` returns: set, row, bit
-    column, base direction, flip probability and single-sided flag per cell.
-    The state indexes the cells in (set, row, bit column) order.  Cells that
-    come in that order, as :func:`synthesize_cells` returns them, are kept
-    as given, not copied; cells in any other order are sorted stably into
-    new arrays.  Either way ``cset``, ``crow``, ``cbitcol``, ``cbase_dir``,
-    ``cprob`` and ``csscap`` are read-only views, so a state never writes
-    its caller's arrays; ``ccur_dir``, the direction a reboot re-keys, is
-    the state's own writable copy.  A deep copy shares the read-only arrays
-    and copies everything else.
+    column, base direction and single-sided flag per cell.  The state
+    indexes the cells in (set, row, bit column) order.  Cells that come in
+    that order, as :func:`synthesize_cells` returns them, are kept as given,
+    not copied; cells in any other order are sorted stably into new arrays.
+    Either way ``cset``, ``crow``, ``cbitcol``, ``cbase_dir`` and ``csscap``
+    are read-only views, so a state never writes its caller's arrays;
+    ``ccur_dir``, the direction a reboot re-keys, is the state's own
+    writable copy.  A deep copy shares the read-only arrays and copies
+    everything else.
     """
 
-    def __init__(self, config, cells=None, hammer_seed=0):
+    def __init__(self, config, cells=None):
         self.config = config
         self.addr = AddressFunction(config)
         self._rows = {}
         self.owner = np.zeros(config.total_pages, dtype=np.int8)
-        self._rng = np.random.default_rng(hammer_seed)
         if cells is None:
             cells = _empty_cells()
         # the cells of row key k = set * rows + row sit at
@@ -401,8 +388,8 @@ class DramState:
             row_key = row_key[order]
         del cell_key
         self._row_start = np.searchsorted(row_key, np.arange(keys + 1, dtype=kdt))
-        for name, a in zip(("cset", "crow", "cbitcol", "cbase_dir", "cprob",
-                            "csscap"), cells):
+        for name, a in zip(("cset", "crow", "cbitcol", "cbase_dir", "csscap"),
+                           cells):
             a = a.view()
             a.flags.writeable = False
             setattr(self, name, a)
@@ -498,30 +485,22 @@ class DramState:
 
     # ---- hammering ----
 
-    def stripe_flips(self, cells, polarity):
-        """Which of ``cells`` flip when a stripe of ``polarity`` hits them.
+    def flip_direction(self, cells):
+        """The direction each of ``cells`` flips in under a stripe, or -1.
 
         A row-hammer stripe of polarity 1 (stored 0, aggressor bits 1) flips
-        0->1 cells; polarity 0 flips 1->0 cells.  A cell flips when its
-        current direction equals the polarity, in single-sided mode only if
-        it is single-sided capable, and, if probabilistic, only when its
-        draw passes.  Each such cell takes one draw from the seeded stream,
-        in the order given.  ``polarity`` is one value or one per cell;
-        index -1 never flips.  Returns a boolean mask over ``cells``.
+        0->1 cells; polarity 0 flips 1->0 cells.  So a cell flips exactly
+        when the stripe's polarity equals its current direction and, in
+        single-sided mode, it is single-sided capable.  A cell that cannot
+        flip, and index -1, read -1.  This is the one flip rule.
         """
         cells = np.asarray(cells, dtype=np.int64)
-        polarity = np.broadcast_to(polarity, cells.shape)
-        at = np.flatnonzero(cells >= 0)
-        at = at[self.ccur_dir[cells[at]] == polarity[at]]
+        can = cells >= 0
         if self.config.hammer_mode == "single":
-            at = at[self.csscap[cells[at]]]
-        prob = self.cprob[cells[at]]
-        chancy = np.flatnonzero(prob < 1.0)
-        failed = self._rng.random(chancy.size) >= prob[chancy]
-        at = np.delete(at, chancy[failed])
-        flips = np.zeros(cells.shape, dtype=bool)
-        flips[at] = True
-        return flips
+            can[can] = self.csscap[cells[can]]
+        out = np.full(cells.shape, -1, dtype=np.int8)
+        out[can] = self.ccur_dir[cells[can]]
+        return out
 
     def hammer(self, s, victim_row):
         """One hammering action against ``(s, victim_row)``.
@@ -530,9 +509,9 @@ class DramState:
         the data they hold; callers write them with :meth:`row` first.  A
         victim row with an aggressor row outside the bank raises IndexError.
         A vulnerable cell sees a stripe when every aggressor bit in its
-        column differs from its stored bit, and then flips by
-        :meth:`stripe_flips` with polarity ``1 - stored``.  Returns flipped
-        cell coordinates as (set, row, bitcol) triples.
+        column differs from its stored bit, and then flips when
+        :meth:`flip_direction` is ``1 - stored``.  Returns flipped cell
+        coordinates as (set, row, bitcol) triples.
         """
         cfg = self.config
         if not cfg.aggressors_in_bank(victim_row):
@@ -549,7 +528,7 @@ class DramState:
         for row_buf in aggr_rows:
             striped &= ((row_buf[bytes_] >> bits) & 1) != stored
         idx, stored = idx[striped], stored[striped]
-        flipped = idx[self.stripe_flips(idx, 1 - stored)]
+        flipped = idx[self.flip_direction(idx) == 1 - stored]
         for ci in flipped:
             byte, bit = divmod(int(self.cbitcol[ci]), 8)
             victim[byte] ^= np.uint8(1 << bit)
@@ -579,29 +558,29 @@ class DramState:
 def _empty_cells():
     return (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32),
             np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int8),
-            np.empty(0, dtype=np.float64), np.empty(0, dtype=bool))
+            np.empty(0, dtype=bool))
 
 
 # ---- cell synthesis ------------------------------------------------------------
 
 
-def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SHARE,
-                     single_sided_rate=SINGLE_SIDED_RATE, probability=1.0):
+def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SHARE):
     """Draw a vulnerable-cell population for ``config``.
 
     ``density`` is a preset name (dense / moderate / low / rare) or an explicit
     per-bank cell count.  The dense preset targets 35K-47K cells per bank at
     full geometry, scaled proportionally to the simulated row count and row
     size.  Cells cluster on pages (most vulnerable pages carry more than one
-    cell) and split ~70/30 toward the 1->0 direction.
+    cell) and split ~70/30 toward the 1->0 direction; a ``SINGLE_SIDED_RATE``
+    share is single-sided capable.
 
     The cells come back in :class:`DramState` order, sorted by (set, row,
     bit column).  The random stream does not see that order.  Bank by bank,
     it draws cluster sizes, page picks and bit offsets; a bank keeps the
     first draw of each ``(pfn, bop)`` location, up to its target.  Then
-    directions, single-sided flags and probabilities are drawn for all kept
-    cells in that draw order, bank after bank, and each cell takes the
-    values drawn at its place in it.
+    directions and single-sided flags are drawn for all kept cells in that
+    draw order, bank after bank, and each cell takes the values drawn at
+    its place in it.
 
     A bank dedupes its ``m`` draws with one in-place sort of packed int64
     keys ``(pfn * PAGE_BITS + bop) << sh | draw``, ``sh = (m - 1).bit_length()``:
@@ -714,44 +693,34 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
     # the stream one call would, without a float64 array of n
     base_dir, sscap = np.empty(n, dtype=np.int8), np.empty(n, dtype=bool)
     for out, flag, share in ((base_dir, np.greater_equal, one_to_zero),  # 0 => 1->0
-                             (sscap, np.less, single_sided_rate)):
+                             (sscap, np.less, SINGLE_SIDED_RATE)):
         for at in range(0, n, _DRAW_CHUNK):
             chunk = out[at:at + _DRAW_CHUNK]
             flag(rng.random(len(chunk)), share, out=chunk)
-    base_dir, sscap = base_dir[drawn], sscap[drawn]
-    if isinstance(probability, tuple):
-        prob = rng.uniform(probability[0], probability[1], size=n)[drawn]
-    else:
-        prob = np.full(n, float(probability))
-    return sets, rows, bitcols, base_dir, prob, sscap
+    return sets, rows, bitcols, base_dir[drawn], sscap[drawn]
 
 
-def new_dram(config, density="dense", cell_seed=0, hammer_seed=1, **cell_kwargs):
+def new_dram(config, density="dense", cell_seed=0, one_to_zero=ONE_TO_ZERO_SHARE):
     # no local name holds the cells: the state's read-only views are their
     # only reference
     return DramState(config, synthesize_cells(config, density, cell_seed,
-                                              **cell_kwargs), hammer_seed)
+                                              one_to_zero))
 
 
 # ---- templating ----------------------------------------------------------------
 
 
-def template(dram, scan_rows=None, repeats=1):
-    """Scan rows with both stripe polarities and record every observed flip.
+def template(dram):
+    """Record the flip of every cell in an attacker-owned sandwich.
 
-    By default the scanned rows are those of :meth:`DramState.sandwich_mask`
-    in (set, row) order, so profiling never corrupts foreign memory.  Each
-    scan row is hammered ``repeats`` times with polarity 1 (victim 0x00,
-    aggressors 0xFF), then ``repeats`` times with polarity 0 (victim 0xFF,
-    aggressors 0x00), so every cell of the row meets a stripe of each
-    polarity.
-
-    The sweep runs batched: it lists every hammer's cells in the order
-    scan row, polarity, repeat, cell and passes them to
-    :meth:`DramState.stripe_flips` at once, so cells flip and draw from the
-    DRAM's seeded stream as hammering row by row would.  Deterministic
-    given the DRAM state; with per-cell probability 1 the result projects
-    the ground-truth cell set exactly.
+    The scanned rows are those of :meth:`DramState.sandwich_mask`, so
+    profiling never corrupts foreign memory.  Hammering a row with both
+    stripe polarities (victim 0x00 under aggressors 0xFF, then the
+    inverse) flips each of its cells at most once, in the direction
+    :meth:`DramState.flip_direction` gives, so each cell that can flip is
+    listed once, under that direction, with probability 1.0.  The entries
+    are sorted by (pfn, bop, direction): the profile projects the
+    ground-truth cell set exactly.
 
     No row buffer is written, because no later step reads the stripes a
     sweep would leave in the attacker's scratch rows: ``cmd_template``
@@ -762,34 +731,25 @@ def template(dram, scan_rows=None, repeats=1):
     ``plan_aggressors`` requires one at each planned column, so a planned
     flip never reads scratch bytes.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    cfg = dram.config
-    nrows = cfg.rows_per_bank
-    if scan_rows is None:
-        scan_s, scan_r = np.nonzero(dram.sandwich_mask())
-    else:
-        scan_s, scan_r = np.asarray(list(scan_rows),
-                                    dtype=np.int64).reshape(-1, 2).T
-    if ((scan_s < 0) | (scan_s >= cfg.sets) | (scan_r < 0) | (scan_r >= nrows)
-            | ~cfg.aggressors_in_bank(scan_r)).any():
-        raise IndexError("a scan row or one of its aggressors is out of range")
-
-    # one hammer per (scan row, polarity 1 then 0, repeat), each over the
-    # cells of its row: hammer j covers cells [start[j], start[j] + counts[j])
-    keys = np.repeat(scan_s * nrows + scan_r, 2 * repeats)
-    start = dram._row_start[keys]
-    counts = dram._row_start[keys + 1] - start
-    cells = np.arange(counts.sum()) + np.repeat(
-        start - np.cumsum(counts) + counts, counts)
-    polarity = np.repeat(np.arange(len(keys)) // repeats % 2 ^ 1, counts)
-    flips = dram.stripe_flips(cells, polarity)
-    c, pol = cells[flips], polarity[flips]
-    pfn, bop = dram.addr.cell_to_page_vec(dram.cset[c], dram.crow[c],
-                                          dram.cbitcol[c])
-    key, hits = np.unique((pfn * PAGE_BITS + bop) * 2 + pol, return_counts=True)
+    scanned = np.flatnonzero(np.repeat(dram.sandwich_mask().ravel(),
+                                       np.diff(dram._row_start)))
+    direction = dram.flip_direction(scanned)
+    flips = direction >= 0
+    scanned, direction = scanned[flips], direction[flips]
+    # each temporary goes once used: a few arrays of the flipped cells set
+    # the peak
+    at = [a[scanned] for a in (dram.cset, dram.crow, dram.cbitcol)]
+    del scanned, flips
+    key, bop = dram.addr.cell_to_page_vec(*at)
+    del at
+    # key = (pfn * PAGE_BITS + bop) * 2 + direction, built in place
+    key *= PAGE_BITS
+    key += bop
+    key *= 2
+    key += direction
+    key.sort()
     return FlipProfile(key // (2 * PAGE_BITS), key // 2 % PAGE_BITS, key % 2,
-                       hits / repeats)
+                       np.ones(len(key)))
 
 
 # ---- geometry files ------------------------------------------------------------

@@ -170,6 +170,8 @@ class ExperimentConfig:
 
     @property
     def hammer_seed(self):
+        # seeds nothing: cells flip deterministically.  geometry.txt still
+        # records it, and the commands that read that file check it
         return self.seed * 1000 + 4
 
     @property
@@ -241,8 +243,7 @@ def provision(cfg, model):
     geometry = dram_config(cfg)
     density = cfg.density_count if cfg.density_count > 0 else cfg.density
     try:
-        state = new_dram(geometry, density, cfg.cell_seed, cfg.hammer_seed,
-                         one_to_zero=cfg.direction_split)
+        state = new_dram(geometry, density, cfg.cell_seed, cfg.direction_split)
     except ValueError as exc:
         # only an explicit count can exceed a bank's capacity or the cells
         # its synthesis sort key holds

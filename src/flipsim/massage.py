@@ -208,17 +208,15 @@ def _sandwiched(dram, profile):
 
 
 def verify_template(dram, profile, sample_size=MIN_VERIFY_SAMPLE):
-    """Spot-check stable profile entries; 'obsolete' on the first mismatch.
+    """Spot-check stable profile entries; 'obsolete' if any has changed.
 
     The candidates are the entries with probability 1 in rows of
     :meth:`DramState.sandwich_mask`, ordered by (pfn, bop, direction).
-    ``sample_size`` of them, evenly spaced over that order, are checked one
-    at a time in that order: the cell at the entry's location must flip
-    under :meth:`DramState.stripe_flips` with the recorded direction as the
-    polarity.  The checks draw from the DRAM's seeded stream in that order,
-    up to the first failure, and write no row.  With ``sample_size == 0``
-    the check is vacuously valid; configs should keep the default minimum
-    of 8 cells.
+    ``sample_size`` of them, evenly spaced over that order, are checked at
+    once: the cell at each entry's location must flip, by
+    :meth:`DramState.flip_direction`, in the recorded direction.  No row is
+    written.  A sample of no entry is valid; configs should keep the
+    default minimum of 8 cells.
 
     The order is one stable sort of the packed keys ``(pfn * PAGE_BITS +
     bop) * 2 + direction``, linear on a profile already in that order, as
@@ -226,12 +224,8 @@ def verify_template(dram, profile, sample_size=MIN_VERIFY_SAMPLE):
     fields do for ``0 <= bop < PAGE_BITS`` and direction 0 or 1, which the
     CLI checks of every profile it loads.
     """
-    if sample_size == 0:
-        return "valid"
     stable = np.flatnonzero((profile.probability >= 1.0)
                             & _sandwiched(dram, profile))
-    if not stable.size:
-        return "valid"
     key = profile.pfn[stable] * PAGE_BITS
     key += profile.bop[stable]
     key *= 2
@@ -240,10 +234,8 @@ def verify_template(dram, profile, sample_size=MIN_VERIFY_SAMPLE):
     spaced = np.linspace(0, len(stable) - 1, min(sample_size, len(stable)))
     picks = stable[np.unique(spaced.astype(int))]
     cells = dram.cell_at(profile.pfn[picks], profile.bop[picks])
-    for cell, direction in zip(cells.tolist(), profile.direction[picks].tolist()):
-        if not dram.stripe_flips([cell], direction)[0]:
-            return "obsolete"
-    return "valid"
+    same = dram.flip_direction(cells) == profile.direction[picks]
+    return "valid" if same.all() else "obsolete"
 
 
 def retemplate(dram, stale_profile, needed_bops):
@@ -252,30 +244,28 @@ def retemplate(dram, stale_profile, needed_bops):
     Location invariance lets the stale profile prune the work: entries whose
     bop is not needed, or whose row lies outside
     :meth:`DramState.sandwich_mask`, are dropped untested.  The cell at each
-    remaining entry's location meets a stripe of polarity 1 then, if it did
-    not flip, polarity 0 (the recorded direction is ignored), in profile
-    order, and is re-recorded with the polarity that flipped it.  A cell
-    flips under at most one polarity and draws at most once, so one
-    :meth:`DramState.stripe_flips` call over the (1, 0) pairs draws from the
-    DRAM's seeded stream as the probes one by one would.  No row is
+    remaining entry's location is tested once (the recorded direction is
+    ignored) and, if it can flip, re-recorded with the direction
+    :meth:`DramState.flip_direction` gives, in (pfn, bop) order.  No row is
     written.  Returns ``(corrected_profile, stats)``.
     """
     needed = np.fromiter((int(b) for b in needed_bops), dtype=np.int64)
     picks = np.flatnonzero(np.isin(stale_profile.bop, needed)
                            & _sandwiched(dram, stale_profile))
-    pfn, bop = stale_profile.pfn[picks], stale_profile.bop[picks]
-    cells = np.repeat(dram.cell_at(pfn, bop), 2)
-    flips = dram.stripe_flips(cells, np.tile([1, 0], len(picks))).reshape(-1, 2)
-    hit = flips.any(axis=1)
-    rows = zip(pfn[hit].tolist(), bop[hit].tolist(),
-               flips[hit, 0].astype(int).tolist(),
-               stale_profile.probability[picks][hit].tolist())
+    direction = dram.flip_direction(
+        dram.cell_at(stale_profile.pfn[picks], stale_profile.bop[picks]))
+    hit = picks[direction >= 0]
+    direction = direction[direction >= 0]
+    order = np.lexsort((stale_profile.bop[hit], stale_profile.pfn[hit]))
+    hit = hit[order]
+    corrected = FlipProfile(stale_profile.pfn[hit], stale_profile.bop[hit],
+                            direction[order], stale_profile.probability[hit])
     stats = {
         "cells_retested": len(picks),
         "profile_entries": len(stale_profile),
         "work_ratio": len(picks) / max(len(stale_profile), 1),
     }
-    return FlipProfile.from_entries(sorted(rows)), stats
+    return corrected, stats
 
 
 # ---- precise hammering -----------------------------------------------------------

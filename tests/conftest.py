@@ -60,23 +60,21 @@ def pipeline_out(tmp_path_factory, desk_cfg):
     return out
 
 
-def tiny_dram(cells=None, banks=2, rows=32, hammer_mode="double", seed=9,
-              channels=1):
+def tiny_dram(cells=None, banks=2, rows=32, hammer_mode="double", channels=1):
     """Small blank DRAM for targeted machinery tests."""
     from flipsim.dram import DramConfig, DramState, _empty_cells
 
     config = DramConfig(banks_per_dimm=banks, rows_per_bank=rows,
                         hammer_mode=hammer_mode, channels=channels)
-    return DramState(config, cells if cells is not None else _empty_cells(),
-                     hammer_seed=seed)
+    return DramState(config, cells if cells is not None else _empty_cells())
 
 
 def make_cells(entries):
-    """Cell arrays from (set, row, bitcol, direction, prob, sscap) tuples."""
+    """Cell arrays from (set, row, bitcol, direction, sscap) tuples."""
     if not entries:
         from flipsim.dram import _empty_cells
         return _empty_cells()
-    s, r, c, d, p, cap = zip(*entries)
+    s, r, c, d, cap = zip(*entries)
     return (np.array(s, dtype=np.int32), np.array(r, dtype=np.int32),
             np.array(c, dtype=np.int32), np.array(d, dtype=np.int8),
-            np.array(p, dtype=np.float64), np.array(cap, dtype=bool))
+            np.array(cap, dtype=bool))

@@ -355,6 +355,11 @@ def profile_entries(profile):
                     profile.direction.tolist(), profile.probability.tolist()))
 
 
+def profile_of(rows):
+    """The profile of ``(pfn, bop, direction, probability)`` tuples, in order."""
+    return FlipProfile(*(zip(*rows) if rows else ([], [], [], [])))
+
+
 def read_bit(state, pfn, bop):
     """One stored bit of a DRAM state, read through the byte-wise oracle."""
     s, r, bitcol, _, _ = bit_addr(state.config, pfn, bop)
@@ -397,12 +402,12 @@ def bit_addr(config, pfn, bop):
 def ground_truth_profile(dram, pfns=None):
     """Current cells projected through the address map."""
     pfn, bop = dram.addr.cell_to_page_vec(dram.cset, dram.crow, dram.cbitcol)
-    order = np.lexsort((dram.cprob, dram.ccur_dir, bop, pfn))
+    order = np.lexsort((dram.ccur_dir, bop, pfn))
     if pfns is not None:
         wanted = np.fromiter((int(p) for p in pfns), dtype=np.int64)
         order = order[np.isin(pfn[order], wanted)]
     return FlipProfile(pfn[order], bop[order], dram.ccur_dir[order],
-                       dram.cprob[order])
+                       np.ones(len(order)))
 
 
 def _row_owned(dram, s, r):
@@ -440,9 +445,8 @@ def hammer(dram, s, victim_row, upper=None, lower=None):
     rows victim_row - 1 / + 1; single-sided, the one aggressor row takes
     ``upper``, or ``lower`` when ``upper`` is None.  A victim row with an
     aggressor row outside the bank raises IndexError.  A vulnerable cell
-    flips iff its stored bit equals its current direction's source value,
-    the aggressor bit(s) in the same column equal the complement, and
-    (for probabilistic cells) a draw from the seeded stream passes.
+    flips iff its stored bit equals its current direction's source value
+    and the aggressor bit(s) in the same column equal the complement.
     Single-sided mode additionally requires the cell's
     single-sided-capable flag.  Returns flipped cell coordinates as
     (set, row, bitcol) triples.
@@ -473,12 +477,6 @@ def hammer(dram, s, victim_row, upper=None, lower=None):
         cond &= aggr_bits == (1 - stored)
     if cfg.hammer_mode == "single":
         cond &= dram.csscap[idx]
-    probabilistic = cond & (dram.cprob[idx] < 1.0)
-    if probabilistic.any():
-        draws = dram._rng.random(int(probabilistic.sum()))
-        passed = np.ones(idx.size, dtype=bool)
-        passed[probabilistic] = draws < dram.cprob[idx][probabilistic]
-        cond &= passed
     flipped = idx[cond]
     for ci in flipped:
         byte, bit = divmod(int(dram.cbitcol[ci]), 8)
@@ -505,22 +503,17 @@ def single_cell_probe(dram, pfn, bop, direction):
     return (s, row, bitcol) in flips
 
 
-def template(dram, scan_rows=None, repeats=1):
-    """One hammer call per scan row, polarity and repeat, flips tallied."""
-    if scan_rows is None:
-        scan_rows = sandwich_rows(dram)
-    counts = {}
+def template(dram):
+    """One hammer call per sandwiched row and polarity, flips collected."""
+    seen = set()
     row_bytes = dram.config.row_bytes
-    for s, r in scan_rows:
+    for s, r in sandwich_rows(dram):
         for direction, victim_fill, aggr_fill in ((1, 0x00, 0xFF), (0, 0xFF, 0x00)):
             aggr = np.full(row_bytes, aggr_fill, dtype=np.uint8).tobytes()
-            for _ in range(repeats):
-                dram.row(s, r)[:] = victim_fill
-                for s_, r_, c in hammer(dram, s, r, upper=aggr, lower=aggr):
-                    key = cell_to_page(dram.config, s_, r_, c) + (direction,)
-                    counts[key] = counts.get(key, 0) + 1
-    return FlipProfile.from_entries([(p, b, d, counts[(p, b, d)] / repeats)
-                                     for p, b, d in sorted(counts)])
+            dram.row(s, r)[:] = victim_fill
+            for s_, r_, c in hammer(dram, s, r, upper=aggr, lower=aggr):
+                seen.add(cell_to_page(dram.config, s_, r_, c) + (direction,))
+    return profile_of([key + (1.0,) for key in sorted(seen)])
 
 
 def verify_template(dram, profile, sample_size=8):
@@ -556,7 +549,7 @@ def retemplate(dram, stale_profile, needed_bops):
     stats = {"cells_retested": tested,
              "profile_entries": len(stale_profile),
              "work_ratio": tested / max(len(stale_profile), 1)}
-    return FlipProfile.from_entries(sorted(rows)), stats
+    return profile_of(sorted(rows)), stats
 
 
 def save_csv(profile, path):
@@ -590,9 +583,7 @@ def disjoint_chains_reference(model, dataset, profile, config, count,
 
 
 def synthesize_cells_reference(config, density="dense", seed=0,
-                               one_to_zero=ONE_TO_ZERO_SHARE,
-                               single_sided_rate=SINGLE_SIDED_RATE,
-                               probability=1.0):
+                               one_to_zero=ONE_TO_ZERO_SHARE):
     """Draw a vulnerable-cell population for ``config``, in draw order.
 
     The per-bank ``np.unique`` dedupe and one concatenation of all banks;
@@ -660,12 +651,8 @@ def synthesize_cells_reference(config, density="dense", seed=0,
     rowz = rowz.astype(np.int32)
     bitcols = bitcols.astype(np.int32)
     base_dir = (rng.random(n) >= one_to_zero).astype(np.int8)  # 0 => 1->0
-    sscap = rng.random(n) < single_sided_rate
-    if isinstance(probability, tuple):
-        prob = rng.uniform(probability[0], probability[1], size=n)
-    else:
-        prob = np.full(n, float(probability))
-    return sets, rowz, bitcols, base_dir, prob, sscap
+    sscap = rng.random(n) < SINGLE_SIDED_RATE
+    return sets, rowz, bitcols, base_dir, sscap
 
 
 # ---- frame placement ------------------------------------------------------------

@@ -258,7 +258,7 @@ def test_criterion_07_precise_hammering():
         cells = []
         for bop in bops:
             stored = (content[bop // 8] >> (bop % 8)) & 1
-            cells.append((0, 5, int(bop), int(1 - stored), 1.0, False))
+            cells.append((0, 5, int(bop), int(1 - stored), False))
         state = tiny_dram(make_cells(cells))
         state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
         ppn = state.addr.row_pfns(0, 5)[0]

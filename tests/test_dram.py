@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 import oracles
 from conftest import make_cells, tiny_dram
 from flipsim.dram import (_DRAW_CHUNK, DENSITY_FACTORS, OWNER_ATTACKER,
-                          SINGLE_SIDED_RATE, AddressFunction, DramConfig,
-                          DramState, FlipProfile, _keyed_uniform, bench, desk,
-                          full_dual, full_single, load_geometry, new_dram,
-                          sample_profile, save_geometry, synthesize_cells,
-                          template)
+                          AddressFunction, DramConfig, DramState, FlipProfile,
+                          _keyed_uniform, bench, desk, full_dual, full_single,
+                          load_geometry, new_dram, sample_profile,
+                          save_geometry, synthesize_cells, template)
 from flipsim.massage import retemplate, verify_template
 
 # ---- addressing -----------------------------------------------------------------
@@ -149,8 +148,8 @@ def test_one_row_bank_has_no_hammerable_row(mode):
     assert not state.config.aggressors_in_bank(0)
     with pytest.raises(IndexError):
         state.hammer(0, 0)
-    with pytest.raises(IndexError):
-        template(state, scan_rows=[(0, 0)])
+    state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
+    assert not state.sandwich_mask().any() and len(template(state)) == 0
     # the frame placer indexes no frame of the bank
     view = ProfileView(FlipProfile([0], [0], [0], [1.0]), state.config,
                        np.ones(state.config.total_pages, dtype=bool))
@@ -202,18 +201,6 @@ def test_dense_preset_full_size_counts_per_bank():
     assert 4.4 <= hours.min() and hours.max() <= 5.95
 
 
-def test_probabilistic_cells_estimated_by_repetition():
-    cfg = DramConfig(banks_per_dimm=2, rows_per_bank=64)
-    cells = synthesize_cells(cfg, 400, seed=9, probability=(0.3, 0.9))
-    state = DramState(cfg, cells, hammer_seed=12)
-    state.set_owner(range(cfg.total_pages), OWNER_ATTACKER)
-    profile = template(state, repeats=4)
-    assert len(profile) > 0
-    assert np.all((profile.probability > 0.0) & (profile.probability <= 1.0))
-    assert (profile.probability < 1.0).any()
-    assert np.all(np.isin(profile.probability, [0.25, 0.5, 0.75, 1.0]))
-
-
 def test_density_zero_like_empty():
     cells = synthesize_cells(desk(), 0, seed=1)
     assert len(cells[0]) == 0
@@ -231,10 +218,9 @@ def test_desk_scale_proportional_counts():
 def test_direction_split_and_multicell_pages():
     cfg = DramConfig(banks_per_dimm=4, rows_per_bank=256)
     cells = synthesize_cells(cfg, "dense", seed=3)
-    sets, rows, cols, dirs, prob, sscap = cells
+    sets, rows, cols, dirs, sscap = cells
     share = float((dirs == 0).mean())
     assert 0.6 <= share <= 0.8
-    assert np.all(prob == 1.0)
     addr = AddressFunction(cfg)
     pages = {}
     for i in range(len(sets)):
@@ -245,8 +231,9 @@ def test_direction_split_and_multicell_pages():
     assert multi / len(pages) >= 0.6
 
 
-DRAM_ARRAYS = ("cset", "crow", "cbitcol", "cbase_dir", "ccur_dir", "cprob",
-               "csscap", "_row_start")
+CELL_ARRAYS = ("cset", "crow", "cbitcol", "cbase_dir", "csscap")
+DRAM_ARRAYS = ("cset", "crow", "cbitcol", "cbase_dir", "ccur_dir", "csscap",
+               "_row_start")
 # one row of one page per bank: 20,016 draws over its 32,768 bit offsets
 # repeat a few thousand, far beyond the 16 spare draws
 CROWDED = DramConfig(banks_per_dimm=2, rows_per_bank=1, row_bytes=4096)
@@ -264,30 +251,24 @@ def synthesis_cases(draw):
                          rows_per_bank=draw(st.sampled_from([16, 64, 256])))
         count = st.integers(0, 3000)
     density = draw(st.one_of(st.sampled_from(sorted(DENSITY_FACTORS)), count))
-    kwargs = {"seed": draw(st.integers(0, 2 ** 32 - 1)),
-              "probability": draw(st.sampled_from([1.0, (0.3, 0.9)])),
-              "single_sided_rate": draw(st.sampled_from([SINGLE_SIDED_RATE, 0.4]))}
-    return cfg, density, kwargs
+    return cfg, density, draw(st.integers(0, 2 ** 32 - 1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(synthesis_cases())
-@example((CROWDED, 20_000, {"seed": 1, "probability": (0.3, 0.9),
-                            "single_sided_rate": 0.4}))
-@example((replace(CROWDED, channels=2, row_bytes=2048), 20_000,
-          {"seed": 2, "probability": 1.0, "single_sided_rate": SINGLE_SIDED_RATE}))
+@example((CROWDED, 20_000, 1))
+@example((replace(CROWDED, channels=2, row_bytes=2048), 20_000, 2))
 def test_synthesis_matches_reference_in_dram_state_order(case):
-    cfg, density, kwargs = case
-    cells = synthesize_cells(cfg, density, **kwargs)
-    want = oracles.synthesize_cells_reference(cfg, density, **kwargs)
+    cfg, density, seed = case
+    cells = synthesize_cells(cfg, density, seed)
+    want = oracles.synthesize_cells_reference(cfg, density, seed)
     assert [a.dtype for a in cells] == [a.dtype for a in want]
     got_state, want_state = DramState(cfg, cells), DramState(cfg, want)
     for name in DRAM_ARRAYS:
         assert np.array_equal(getattr(got_state, name),
                               getattr(want_state, name)), name
     # already in DramState order: the index build moved no cell
-    for name, got in zip(("cset", "crow", "cbitcol", "cbase_dir", "cprob",
-                          "csscap"), cells):
+    for name, got in zip(CELL_ARRAYS, cells):
         assert np.array_equal(got, getattr(got_state, name)), name
 
 
@@ -318,20 +299,22 @@ def test_new_dram_peak_stays_near_the_state_it_keeps(cfg):
     # and synthesis frees each bank's temporaries: the peak was about 3x
     state, peak = _traced_peak(lambda: new_dram(cfg, 40_000, cell_seed=3))
     kept = sum(getattr(state, name).nbytes for name in DRAM_ARRAYS + ("owner",))
-    assert len(state.cset) > 3 * 30_000
-    assert peak <= 2 * kept, (peak, kept)
-
-
-CELL_ARRAYS = ("cset", "crow", "cbitcol", "cbase_dir", "cprob", "csscap")
+    n = len(state.cset)
+    assert n > 3 * 30_000
+    # twice what the state kept when it also held a float64 flip
+    # probability per cell: dropping that array left the peak, set by
+    # synthesis's per-bank temporaries, where it was
+    assert peak <= 2 * (kept + 8 * n), (peak, kept)
 
 
 def test_kept_read_only_cells_serve_every_dram_step():
     cfg = DramConfig(channels=2, banks_per_dimm=2, rows_per_bank=32)
-    cells = synthesize_cells(cfg, 800, seed=5, single_sided_rate=0.3)
+    cells = synthesize_cells(cfg, 800, seed=5)
+    cells = cells[:4] + (np.random.default_rng(5).random(len(cells[0])) < 0.3,)
     given = [a.copy() for a in cells]
-    kept = DramState(cfg, cells, 3)
+    kept = DramState(cfg, cells)
     # the same cells in reverse order are sorted into arrays of its own
-    shuffled = DramState(cfg, tuple(a[::-1] for a in given), 3)
+    shuffled = DramState(cfg, tuple(a[::-1] for a in given))
     for name, a in zip(CELL_ARRAYS, cells):
         assert np.shares_memory(getattr(kept, name), a), name
         assert not np.shares_memory(getattr(shuffled, name), a), name
@@ -388,9 +371,9 @@ def test_target_beyond_the_packed_sort_key_raises_before_allocating():
 # ---- hammering --------------------------------------------------------------------
 
 
-def _one_cell_state(direction, prob=1.0, sscap=False, hammer_mode="double"):
+def _one_cell_state(direction, sscap=False, hammer_mode="double"):
     # a single vulnerable cell at (set 0, row 5, bitcol 100)
-    cells = make_cells([(0, 5, 100, direction, prob, sscap)])
+    cells = make_cells([(0, 5, 100, direction, sscap)])
     return tiny_dram(cells, hammer_mode=hammer_mode)
 
 
@@ -470,11 +453,9 @@ def test_single_sided_requires_capability_flag():
 def test_single_sided_subset_of_double_sided():
     cfg = DramConfig(banks_per_dimm=2, rows_per_bank=128)
     cells = synthesize_cells(cfg, 2000, seed=4)
-    single = DramState(cfg, cells, hammer_seed=0)
-    single.config = cfg  # same cells under both modes
-    state_d = DramState(DramConfig(banks_per_dimm=2, rows_per_bank=128), cells, 0)
-    state_s = DramState(DramConfig(banks_per_dimm=2, rows_per_bank=128,
-                                   hammer_mode="single"), cells, 0)
+    # the same cells under both modes
+    state_d = DramState(cfg, cells)
+    state_s = DramState(replace(cfg, hammer_mode="single"), cells)
     for state in (state_d, state_s):
         state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
     prof_d = template(state_d)
@@ -491,7 +472,7 @@ def test_single_sided_subset_of_double_sided():
 def test_template_single_cell():
     state = _one_cell_state(direction=0)
     state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
-    profile = template(state, scan_rows=[(0, 5)])
+    profile = template(state)
     assert len(profile) == 1
     pfn, bop = oracles.cell_to_page(state.config, 0, 5, 100)
     entry = oracles.profile_entries(profile)[0]
@@ -501,7 +482,7 @@ def test_template_single_cell():
 def test_template_deterministic():
     cfg = DramConfig(banks_per_dimm=2, rows_per_bank=64)
     cells = synthesize_cells(cfg, 500, seed=6)
-    a = DramState(cfg, cells, 0)
+    a = DramState(cfg, cells)
     a.set_owner(range(cfg.total_pages), OWNER_ATTACKER)
     first = template(a)
     second = template(a)
@@ -511,7 +492,7 @@ def test_template_deterministic():
 def test_template_matches_ground_truth_projection():
     cfg = DramConfig(banks_per_dimm=2, rows_per_bank=64)
     cells = synthesize_cells(cfg, 400, seed=7)
-    state = DramState(cfg, cells, 0)
+    state = DramState(cfg, cells)
     state.set_owner(range(cfg.total_pages), OWNER_ATTACKER)
     profile = template(state)
     scanned_pfns = set()
@@ -519,6 +500,19 @@ def test_template_matches_ground_truth_projection():
         scanned_pfns.update(state.addr.row_pfns(s, r))
     truth = oracles.ground_truth_profile(state, scanned_pfns)
     assert oracles.profile_entries(profile) == oracles.profile_entries(truth)
+
+
+def test_template_peak_stays_near_the_profile_it_returns():
+    # each scanned cell is listed once, under its own direction; listing it
+    # once per polarity in int64 arrays peaked at 4.6x the profile
+    cfg = DramConfig(banks_per_dimm=4, rows_per_bank=256)
+    state = new_dram(cfg, 40_000, cell_seed=3)
+    state.set_owner(range(cfg.total_pages), OWNER_ATTACKER)
+    profile, peak = _traced_peak(lambda: template(state))
+    returned = sum(a.nbytes for a in (profile.pfn, profile.bop,
+                                      profile.direction, profile.probability))
+    assert len(profile) > 150_000
+    assert peak <= 2.5 * returned, (peak, returned)
 
 
 def test_template_skips_foreign_rows():
@@ -533,7 +527,7 @@ def test_template_skips_foreign_rows():
 
 def test_template_leaves_row_buffers_untouched():
     cfg = DramConfig(banks_per_dimm=2, rows_per_bank=64)
-    state = DramState(cfg, synthesize_cells(cfg, 400, seed=7), 0)
+    state = DramState(cfg, synthesize_cells(cfg, 400, seed=7))
     state.set_owner(range(cfg.total_pages), OWNER_ATTACKER)
     rng = np.random.default_rng(3)
     for key in [(0, 4), (0, 5), (1, 30)]:  # scan rows and aggressor rows
@@ -550,7 +544,7 @@ def test_template_leaves_row_buffers_untouched():
 
 def test_reboot_keyed_not_cumulative():
     cfg = DramConfig(banks_per_dimm=2, rows_per_bank=64)
-    state = DramState(cfg, synthesize_cells(cfg, 300, seed=8), 0)
+    state = DramState(cfg, synthesize_cells(cfg, 300, seed=8))
     state.reboot(1, toggle_probability=0.5)
     after_first = state.ccur_dir.copy()
     state.reboot(2, toggle_probability=0.5)
@@ -560,7 +554,7 @@ def test_reboot_keyed_not_cumulative():
 
 def test_reboot_toggle_zero_keeps_directions():
     cfg = DramConfig(banks_per_dimm=2, rows_per_bank=64)
-    state = DramState(cfg, synthesize_cells(cfg, 300, seed=8), 0)
+    state = DramState(cfg, synthesize_cells(cfg, 300, seed=8))
     base = state.ccur_dir.copy()
     state.reboot(99, toggle_probability=0.0)
     assert np.array_equal(state.ccur_dir, base)
@@ -568,7 +562,7 @@ def test_reboot_toggle_zero_keeps_directions():
 
 def test_reboot_toggle_one_inverts_all():
     cfg = DramConfig(banks_per_dimm=2, rows_per_bank=64)
-    state = DramState(cfg, synthesize_cells(cfg, 300, seed=8), 0)
+    state = DramState(cfg, synthesize_cells(cfg, 300, seed=8))
     base = state.ccur_dir.copy()
     state.reboot(99, toggle_probability=1.0)
     assert np.array_equal(state.ccur_dir, 1 - base)
@@ -576,7 +570,7 @@ def test_reboot_toggle_one_inverts_all():
 
 def test_reboot_preserves_locations():
     cfg = DramConfig(banks_per_dimm=2, rows_per_bank=64)
-    state = DramState(cfg, synthesize_cells(cfg, 300, seed=8), 0)
+    state = DramState(cfg, synthesize_cells(cfg, 300, seed=8))
     state.set_owner(range(cfg.total_pages), OWNER_ATTACKER)
     before = {(p, b) for p, b, _, _ in oracles.profile_entries(template(state))}
     state.reboot(5, toggle_probability=0.5)
@@ -624,7 +618,7 @@ def test_sample_tiny_profile_can_empty():
 
 
 def test_sample_rate_validation():
-    profile = FlipProfile.empty()
+    profile = oracles.profile_of([])
     with pytest.raises(ValueError):
         sample_profile(profile, 0.0, seed=0)
 
@@ -655,7 +649,7 @@ def test_save_csv_peak_does_not_grow_with_entries(tmp_path):
 
 def test_header_only_profile_loads_empty_without_warning(tmp_path):
     path = tmp_path / "p.csv"
-    FlipProfile.empty().save_csv(str(path))
+    oracles.profile_of([]).save_csv(str(path))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         back = FlipProfile.load_csv(str(path))
@@ -678,7 +672,7 @@ def test_state_evolution_deterministic():
     cfg = DramConfig(banks_per_dimm=2, rows_per_bank=64)
 
     def run():
-        state = DramState(cfg, synthesize_cells(cfg, 500, seed=11), 3)
+        state = DramState(cfg, synthesize_cells(cfg, 500, seed=11))
         state.set_owner(range(cfg.total_pages), OWNER_ATTACKER)
         profile = template(state)
         state.reboot(2, 0.5)

@@ -14,7 +14,7 @@ from flipsim.massage import (MappingMismatch, MappingPlan, PageFrameCache,
                              precise_hammer, release_and_remap, retemplate,
                              verify_template)
 from oracles import (bit_addr, collides_reference, ground_truth_profile,
-                     plan_mapping_reference, profile_entries)
+                     plan_mapping_reference, profile_entries, profile_of)
 
 
 class FakeImage:
@@ -191,7 +191,7 @@ def planning_cases(draw):
     targets = [TargetBit(i + 1, draw(st.sampled_from(bops)),
                          draw(st.sampled_from([0, 1])))
                for i in range(draw(st.integers(1, 8)))]
-    return state, FlipProfile.from_entries(rows), targets
+    return state, profile_of(rows), targets
 
 
 def _outcome(plan, *args):
@@ -342,7 +342,7 @@ def cells_state(n=24, rows=64, seed=5):
         if (row, col) in used:
             continue
         used.add((row, col))
-        entries.append((0, row, col, int(rng.integers(0, 2)), 1.0, False))
+        entries.append((0, row, col, int(rng.integers(0, 2)), False))
     state = tiny_dram(make_cells(entries), rows=rows)
     state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
     return state
@@ -426,7 +426,7 @@ def test_two_targets_one_in_row_page_single_action():
     entries = []
     for bop in bops:
         stored = (content[bop // 8] >> (bop % 8)) & 1
-        entries.append((0, 5, bop, int(1 - stored), 1.0, False))
+        entries.append((0, 5, bop, int(1 - stored), False))
     state = tiny_dram(make_cells(entries))
     state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
     ppn = state.addr.row_pfns(0, 5)[0]
@@ -466,7 +466,7 @@ def test_merged_actions_do_not_interfere_across_victims(channels):
         for bop in offsets:
             stored = (contents[pgid][bop // 8] >> (bop % 8)) & 1
             cells.append(bit_addr(addr.config, ppn, bop)[:3]
-                         + (int(1 - stored), 1.0, False))
+                         + (int(1 - stored), False))
         targets[pgid] = TargetBit(pgid, target_bop,
                                   int(1 - ((contents[pgid][target_bop // 8]
                                             >> (target_bop % 8)) & 1)))
@@ -489,7 +489,7 @@ def test_stale_direction_surfaces_precision_violation():
     content = rng.integers(0, 256, size=4096, dtype=np.uint8)
     bop = 5000
     stored = (content[bop // 8] >> (bop % 8)) & 1
-    state = tiny_dram(make_cells([(0, 5, bop, int(1 - stored), 1.0, False)]))
+    state = tiny_dram(make_cells([(0, 5, bop, int(1 - stored), False)]))
     state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
     ppn = state.addr.row_pfns(0, 5)[0]
     tb = TargetBit(1, bop, int(1 - stored))

@@ -25,7 +25,7 @@ from flipsim.search import (Candidate, ProfileView, ProtectedMask, RowScores,
                             select_flippable)
 from oracles import (ProfileViewReference, audit_chain, bit_gradients,
                      bit_planes, disjoint_chains_reference, evaluate_candidate,
-                     incremental_logits, protected_contains,
+                     incremental_logits, profile_of, protected_contains,
                      rank_candidates_reference, replay_chain)
 from test_dram import _traced_peak
 
@@ -187,7 +187,7 @@ def test_select_prefers_more_locations_on_ties(small_setup):
     image = WeightImage(model)
     x, y = dataset.batch(64, 3)
     profile_rows = [(110, 100, 0, 1.0), (111, 100, 0, 1.0), (112, 200, 0, 1.0)]
-    profile = FlipProfile.from_entries(profile_rows)
+    profile = profile_of(profile_rows)
     view = _view(profile)
     a = Candidate(BitRef(1, 2, 7), -0.5, 0, 1, 200, 2.0, 0.5, 1)
     b = Candidate(BitRef(1, 9, 7), -0.5, 0, 1, 100, 2.0, 0.5, 2)
@@ -212,7 +212,7 @@ def test_rank_respects_page_rule_and_mask():
     assert len(pages) > 1
     # two frames per direction hold every bop: the view leaves every bit
     # eligible, and binds the page of the step it places
-    view = _view(FlipProfile.from_entries(
+    view = _view(profile_of(
         [(pfn, bop, pfn % 2, 1.0) for pfn in range(100, 104)
          for bop in range(PAGE_BITS)]))
     assert view.place(best.page, best.bop, best.mode)[0] is not None
@@ -279,7 +279,7 @@ def test_profile_view_matches_reference(channels, hammer, locations, seed,
     config = DramConfig(channels=channels, banks_per_dimm=2, rows_per_bank=8,
                         hammer_mode=hammer)
     attacker = np.random.default_rng(seed).random(config.total_pages) < 0.8
-    profile = FlipProfile.from_entries(
+    profile = profile_of(
         [(pfn, bop, d, 1.0) for (pfn, bop), d in locations.items()])
     view = ProfileView(profile, config, attacker)
     ref = ProfileViewReference(profile, config, attacker)
@@ -299,7 +299,7 @@ def test_profile_view_matches_reference(channels, hammer, locations, seed,
 
 def test_empty_profile_immediately_infeasible(small_setup):
     model, dataset = small_setup
-    chain = search_chain(model, dataset, FlipProfile.empty(),
+    chain = search_chain(model, dataset, profile_of([]),
                          SearchConfig(p=4, max_flips=5, **PLACED))
     assert len(chain) == 0
     assert not chain.feasible
@@ -366,7 +366,7 @@ def test_chain_respects_constraints_audit(small_setup):
     for bop in r.integers(0, 32768, size=3000):
         entries.append((pfn, int(bop), int(r.integers(0, 2)), 1.0))
         pfn += 1
-    profile = FlipProfile.from_entries(entries)
+    profile = profile_of(entries)
     cfg = SearchConfig(p=8, max_flips=8, target_accuracy=0.0, **PLACED)
     chain = search_chain(model, dataset, profile, cfg)
     assert len(chain) > 0
@@ -383,7 +383,7 @@ def test_targeted_single_class_dataset_trivial():
     spec = qnn.blob_mlp(input_shape=(4,), classes=2, hidden=(8,))
     model = qnn.train_small(spec, dataset,
                             qnn.TrainConfig(epochs=2, accuracy_floor=0.0), seed=3)
-    chain = search_chain_targeted(model, dataset, FlipProfile.empty(),
+    chain = search_chain_targeted(model, dataset, profile_of([]),
                                   SearchConfig(p=4, max_flips=5,
                                                target_fraction=0.9,
                                                **PLACED), 0)
