@@ -516,19 +516,25 @@ def template(dram):
     return profile_of([key + (1.0,) for key in sorted(seen)])
 
 
-def verify_template(dram, profile, sample_size=8):
-    """Walk every entry, sort the stable ones, probe evenly spaced picks."""
+def verify_picks(dram, profile, sample_size=8):
+    """Walk every entry, sort the stable ones, return evenly spaced picks
+    as ``(pfn, bop, direction)`` tuples."""
     if sample_size == 0:
-        return "valid"
+        return []
     stable = [(p, b, d) for p, b, d, pr in profile_entries(profile)
               if pr >= 1.0 and probe_allowed(dram, p)]
     if not stable:
-        return "valid"
+        return []
     stable.sort()
     picks = np.unique(np.linspace(0, len(stable) - 1,
                                   min(sample_size, len(stable))).astype(int))
-    for i in picks:
-        if not single_cell_probe(dram, *stable[i]):
+    return [stable[i] for i in picks]
+
+
+def verify_template(dram, profile, sample_size=8):
+    """Probe each of :func:`verify_picks`."""
+    for pick in verify_picks(dram, profile, sample_size):
+        if not single_cell_probe(dram, *pick):
             return "obsolete"
     return "valid"
 

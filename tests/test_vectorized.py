@@ -122,6 +122,22 @@ def test_verify_template_matches_reference_in_any_entry_order(
     profile = profile.subset(order)
     # a hand-made profile's entries below probability 1 are never sampled
     profile.probability[rng.random(len(profile)) < 0.3] = 0.5
+
+    # the sample is the oracle's: a wrong direction at any one of its picks
+    # is seen, and wrong directions at every other entry are not
+    at = {(p, b): i for i, (p, b, _, _) in
+          enumerate(oracles.profile_entries(profile))}
+    picked = [at[p, b] for p, b, _ in
+              oracles.verify_picks(slow, profile, sample_size)]
+    for i in picked:
+        wrong = profile.subset(np.arange(len(profile)))
+        wrong.direction[i] ^= 1
+        assert massage.verify_template(fast, wrong, sample_size) == "obsolete"
+    others = profile.subset(np.arange(len(profile)))
+    others.direction ^= 1
+    others.direction[picked] ^= 1
+    assert massage.verify_template(fast, others, sample_size) == "valid"
+
     for state in (fast, slow):
         state.reboot(seed, toggle)
     assert massage.verify_template(fast, profile, sample_size) == \
