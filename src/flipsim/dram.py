@@ -46,7 +46,8 @@ _CLUSTER_PROBS = np.array([0.35, 0.35, 0.20, 0.10])
 # random() call) and when a reboot hashes the per-cell toggles
 _DRAW_CHUNK = 1 << 16
 # cells per chunk when synthesis maps a bank's cells to (set, row, bit column)
-_MAP_CHUNK = 1 << 12
+# and places them in its outputs
+_MAP_CHUNK = 1 << 13
 # profile entries per block that FlipProfile.save_csv formats and writes
 _CSV_BLOCK = 1 << 14
 
@@ -594,7 +595,7 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
 
     Memory stays near the result's own size.  The outputs are allocated
     once; a bank's sort and first-draw temporaries are freed before its
-    cells are mapped, ``_MAP_CHUNK`` at a time into int32, and the next
+    cells are mapped and placed ``_MAP_CHUNK`` at a time, and the next
     bank starts with none of them.  The direction and single-sided flags
     are drawn ``_DRAW_CHUNK`` uniforms at a time into int8 and bool arrays,
     which gives the stream one call would.
@@ -666,31 +667,27 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
         first &= (1 << sh) - 1
         is_first = np.zeros(m, dtype=bool)
         is_first[first] = True
-        # among the bank's first draws
-        place = np.cumsum(is_first, dtype=np.int32)[first] - 1
+        place = np.cumsum(is_first)[first] - 1  # among the bank's first draws
         del is_first, first
         kept = place < target
         loc, place = loc[kept], place[kept] + n
         n += len(loc)
         del kept
-        # a chunk at a time, so that the address function's int64
-        # temporaries are the size of one chunk
-        s, r, c = (np.empty(len(loc), dtype=np.int32) for _ in range(3))
+        # mapped and placed a chunk at a time, so that the address
+        # function's int64 temporaries are the size of one chunk
         for at in range(0, len(loc), _MAP_CHUNK):
             to = slice(at, at + _MAP_CHUNK)
-            s[to], r[to], c[to] = addr.bit_addr_vec(loc[to] // PAGE_BITS,
-                                                    loc[to] % PAGE_BITS)
-        del loc
-        upper = s >= config.banks  # channel 1
-        m = np.count_nonzero(upper)
-        lower = ~upper if m else slice(None)  # a bank all in channel 0 is not split
-        for out, val in ((sets, s), (rows, r), (bitcols, c), (drawn, place)):
-            out[lo:lo + len(s) - m] = val[lower]
-            if m:
-                out[hi - m:hi] = val[upper][::-1]
-        lo, hi = lo + len(s) - m, hi - m
+            s, r, c = addr.bit_addr_vec(loc[to] // PAGE_BITS, loc[to] % PAGE_BITS)
+            upper = s >= config.banks  # channel 1
+            m = np.count_nonzero(upper)
+            lower = ~upper if m else slice(None)  # all in channel 0: not split
+            for out, val in ((sets, s), (rows, r), (bitcols, c), (drawn, place[to])):
+                out[lo:lo + len(s) - m] = val[lower]
+                if m:
+                    out[hi - m:hi] = val[upper][::-1]
+            lo, hi = lo + len(s) - m, hi - m
         # the next bank's draws start with only the outputs allocated
-        del s, r, c, place, upper, lower, val
+        del loc, place, s, r, c, upper, lower, val
 
     if n == 0:
         return _empty_cells()
