@@ -7,15 +7,14 @@ directions without moving any cell.
 
 import numpy as np
 
-from flipsim.dram import (AddressFunction, DramConfig, DramState, desk,
-                          full_dual, full_single, synthesize_cells, template,
-                          OWNER_ATTACKER)
+from flipsim.dram import (DramConfig, DramState, desk, full_dual, full_single,
+                          synthesize_cells, template, OWNER_ATTACKER)
 
 print("== page-to-row addressing ==")
 for name, cfg in (("single channel", full_single()), ("dual channel", full_dual())):
     n = cfg.in_row_page_size
     # the first bit of each channel's share of page 6
-    sets, rows, cols = AddressFunction(cfg).bit_addr_vec(
+    sets, rows, cols = cfg.bit_addr_vec(
         [6] * cfg.channels, np.arange(cfg.channels) * (n * 8))
     print(f"{name}: page 6 lives at "
           + ", ".join(f"(bank-set {s}, row {r}, bytes {c // 8}..{c // 8 + n - 1})"

@@ -10,8 +10,9 @@ never embed timestamps or absolute paths.
 Exit codes: 0 success, 2 infeasible chain (also a training run below its
 accuracy floor, and protect-top-N rounds that exhaust the bit space), 3
 attack integrity failure (precision violation / stale template / mapping
-mismatch), 4 configuration error.  ``sensitivity`` reports a rate whose
-chain cannot be planned in its row and goes on.
+mismatch), 4 configuration error (also a malformed command line).
+``sensitivity`` reports a rate whose chain cannot be planned in its row and
+goes on.
 """
 
 import argparse
@@ -293,8 +294,17 @@ def _common_flags(sub):
     sub.add_argument("--out", default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits ``EXIT_CONFIG`` on a malformed command line, not argparse's 2,
+    which means an infeasible chain here; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="flipsim")
+    parser = _Parser(prog="flipsim")
     subs = parser.add_subparsers(dest="command", required=True)
     for name in ("train", "template", "search", "exploit", "random-baseline",
                  "defense", "sensitivity"):
@@ -304,6 +314,7 @@ def build_parser():
             sub.add_argument("--checkpoint", default=None)
         if name in ("search", "exploit", "sensitivity"):
             sub.add_argument("--profile", default=None)
+        if name in ("search", "exploit"):
             sub.add_argument("--rate", type=float, default=None)
         if name == "search":
             sub.add_argument("--chains", type=int, default=None)

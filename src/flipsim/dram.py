@@ -11,7 +11,7 @@ page and ``in_row_pages = row_bytes // n``, page ``pfn`` splits as
 ``g, q = divmod(pfn, in_row_pages)``; its bytes ``[c*n, (c+1)*n)`` sit in
 channel ``c`` at set ``c*banks + g % banks``, row ``g // banks``, row bytes
 ``[q*n, (q+1)*n)``.  Within a row, bit column ``k`` stores bit ``k % 8`` of
-row byte ``k // 8``.  ``AddressFunction.bit_addr_vec`` and its inverse
+row byte ``k // 8``.  ``DramConfig.bit_addr_vec`` and its inverse
 ``cell_to_page_vec`` are this formula's one owner.
 """
 
@@ -140,6 +140,41 @@ class DramConfig:
                 return f"aggressor row collides with victim at row {o_row}"
         return None
 
+    def row_pfns(self, s, row):
+        """Physical pages with bytes resident in this (set, row), by in-row slot."""
+        bitcols = np.arange(self.in_row_pages) * (self.in_row_page_size * 8)
+        return self.cell_to_page_vec(s, row, bitcols)[0].tolist()
+
+    def bit_addr_vec(self, pfn, bop):
+        """(pfn, bop) -> (set, row, bit column), over equal-length arrays."""
+        span = self.in_row_page_size * 8
+        pfn = np.asarray(pfn, dtype=np.int64)
+        bop = np.asarray(bop, dtype=np.int64)
+        # in place where possible: cell synthesis maps every cell of a bank
+        rows, bitcols = np.divmod(pfn, self.in_row_pages)
+        sets = rows % self.banks
+        rows //= self.banks
+        bitcols *= span
+        bitcols += bop % span
+        channel = bop // span
+        channel *= self.banks
+        sets += channel
+        return sets, rows, bitcols
+
+    def cell_to_page_vec(self, sets, rows, bitcols):
+        """Inverse of :meth:`bit_addr_vec`; ``sets``/``rows`` may be scalars."""
+        span = self.in_row_page_size * 8
+        channel, bank = np.divmod(np.asarray(sets, dtype=np.int64), self.banks)
+        q, bop = np.divmod(np.asarray(bitcols, dtype=np.int64), span)
+        # in place, as in bit_addr_vec: templating maps every flipped cell
+        pfn = np.asarray(rows, dtype=np.int64) * self.banks
+        pfn += bank
+        pfn *= self.in_row_pages
+        pfn += q
+        channel *= span
+        bop += channel
+        return pfn, bop
+
 
 def full_single():
     return DramConfig()
@@ -154,59 +189,13 @@ def desk():
     return DramConfig(banks_per_dimm=2, rows_per_bank=256)
 
 
-def bench(hammer_mode="double"):
+def bench():
     """Acceptance-scale geometry: 16 banks x 1024 rows x 8 KiB rows.
 
     Big enough that a dense synthetic profile gives the search realistic bit
     offset coverage while templating still runs in seconds.
     """
-    return DramConfig(rows_per_bank=1024, hammer_mode=hammer_mode)
-
-
-class AddressFunction:
-    """Bijection between (pfn, bop) and (set, row, bit column), stated once
-    by the pair :meth:`bit_addr_vec` / :meth:`cell_to_page_vec`."""
-
-    def __init__(self, config):
-        self.config = config
-
-    def row_pfns(self, s, row):
-        """Physical pages with bytes resident in this (set, row), by in-row slot."""
-        cfg = self.config
-        bitcols = np.arange(cfg.in_row_pages) * (cfg.in_row_page_size * 8)
-        return self.cell_to_page_vec(s, row, bitcols)[0].tolist()
-
-    def bit_addr_vec(self, pfn, bop):
-        """(pfn, bop) -> (set, row, bit column), over equal-length arrays."""
-        cfg = self.config
-        span = cfg.in_row_page_size * 8
-        pfn = np.asarray(pfn, dtype=np.int64)
-        bop = np.asarray(bop, dtype=np.int64)
-        # in place where possible: cell synthesis maps every cell of a bank
-        rows, bitcols = np.divmod(pfn, cfg.in_row_pages)
-        sets = rows % cfg.banks
-        rows //= cfg.banks
-        bitcols *= span
-        bitcols += bop % span
-        channel = bop // span
-        channel *= cfg.banks
-        sets += channel
-        return sets, rows, bitcols
-
-    def cell_to_page_vec(self, sets, rows, bitcols):
-        """Inverse of :meth:`bit_addr_vec`; ``sets``/``rows`` may be scalars."""
-        cfg = self.config
-        span = cfg.in_row_page_size * 8
-        channel, bank = np.divmod(np.asarray(sets, dtype=np.int64), cfg.banks)
-        q, bop = np.divmod(np.asarray(bitcols, dtype=np.int64), span)
-        # in place, as in bit_addr_vec: templating maps every flipped cell
-        pfn = np.asarray(rows, dtype=np.int64) * cfg.banks
-        pfn += bank
-        pfn *= cfg.in_row_pages
-        pfn += q
-        channel *= span
-        bop += channel
-        return pfn, bop
+    return DramConfig(rows_per_bank=1024)
 
 
 # ---- scrambling hash -----------------------------------------------------------
@@ -370,7 +359,6 @@ class DramState:
 
     def __init__(self, config, cells=None):
         self.config = config
-        self.addr = AddressFunction(config)
         self._rows = {}
         self.owner = np.zeros(config.total_pages, dtype=np.int8)
         if cells is None:
@@ -424,7 +412,7 @@ class DramState:
         if not 0 <= pfn < cfg.total_pages:
             raise IndexError(f"pfn {pfn} out of range")
         n = cfg.in_row_page_size
-        at = np.column_stack(self.addr.bit_addr_vec(
+        at = np.column_stack(self.config.bit_addr_vec(
             np.full(cfg.channels, pfn), np.arange(cfg.channels) * (n * 8)))
         return [self.row(s, r)[c // 8:c // 8 + n] for s, r, c in at.tolist()]
 
@@ -452,7 +440,7 @@ class DramState:
         are all owned, so the rows at a bank edge never do.  The two channel
         sets of a dual-channel bank hold the same pages, so set ``s`` reads
         bank ``s % banks``.  The owner map is read as ``(row, bank, slot)``
-        by one reshape: :meth:`AddressFunction.cell_to_page_vec` numbers the
+        by one reshape: :meth:`DramConfig.cell_to_page_vec` numbers the
         pages in that order, and a test ties the two together.
         """
         cfg = self.config
@@ -477,7 +465,7 @@ class DramState:
         """Index of the cell at each ``(pfn, bop)`` of two equal-length
         arrays, or -1 where none is; of several cells at one location, the
         first."""
-        sets, rows, bitcols = self.addr.bit_addr_vec(pfn, bop)
+        sets, rows, bitcols = self.config.bit_addr_vec(pfn, bop)
         out = []
         for k, c in zip((sets * self.config.rows_per_bank + rows).tolist(),
                         bitcols.tolist()):
@@ -510,7 +498,8 @@ class DramState:
 
         The aggressor rows of :meth:`DramConfig.aggressor_rows` hammer with
         the data they hold; callers write them with :meth:`row` first.  A
-        victim row with an aggressor row outside the bank raises IndexError.
+        victim row outside the bank, or with an aggressor row outside it,
+        raises IndexError.
         A vulnerable cell sees a stripe when every aggressor bit in its
         column differs from its stored bit, and then flips when
         :meth:`flip_direction` is ``1 - stored``.  Returns flipped cell
@@ -521,10 +510,8 @@ class DramState:
             raise IndexError(f"an aggressor row of row {victim_row} lies "
                              f"outside the bank")
         aggr_rows = [self.row(s, r) for r in cfg.aggressor_rows(victim_row)]
-        idx = self.cells_in_row(s, victim_row)
-        if idx.size == 0:
-            return []
         victim = self.row(s, victim_row)
+        idx = self.cells_in_row(s, victim_row)
         bytes_, bits = np.divmod(self.cbitcol[idx], 8)
         stored = (victim[bytes_] >> bits) & 1
         striped = np.ones(idx.size, dtype=bool)
@@ -622,7 +609,6 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
                              f"packed sort key holds")
     targets = [int(round(t)) for t in per_bank]
 
-    addr = AddressFunction(config)
     pages_per_bank = config.rows_per_bank * config.in_row_pages
     span = config.in_row_page_size * 8
     total = sum(t for t in targets if t > 0)
@@ -644,7 +630,7 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
         sizes = sizes[:keep]
         row, slot = np.divmod(rng.integers(0, pages_per_bank, size=len(sizes)),
                               config.in_row_pages)
-        pfns = addr.cell_to_page_vec(bank, row, slot * span)[0]
+        pfns = config.cell_to_page_vec(bank, row, slot * span)[0]
         pfns = np.repeat(pfns, sizes)[:target + 16]
         del sizes, row, slot
         # key = (pfn * PAGE_BITS + bop) << sh | draw, sorted once; in one
@@ -677,7 +663,7 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
         # function's int64 temporaries are the size of one chunk
         for at in range(0, len(loc), _MAP_CHUNK):
             to = slice(at, at + _MAP_CHUNK)
-            s, r, c = addr.bit_addr_vec(loc[to] // PAGE_BITS, loc[to] % PAGE_BITS)
+            s, r, c = config.bit_addr_vec(loc[to] // PAGE_BITS, loc[to] % PAGE_BITS)
             upper = s >= config.banks  # channel 1
             m = np.count_nonzero(upper)
             lower = ~upper if m else slice(None)  # all in channel 0: not split
@@ -689,8 +675,6 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
         # the next bank's draws start with only the outputs allocated
         del loc, place, s, r, c, upper, lower, val
 
-    if n == 0:
-        return _empty_cells()
     for out in (sets, rows, bitcols, drawn):
         out[lo:n] = out[hi:][::-1]
     sets, rows, bitcols, drawn = sets[:n], rows[:n], bitcols[:n], drawn[:n]
@@ -745,7 +729,7 @@ def template(dram):
     # the peak
     at = [a[scanned] for a in (dram.cset, dram.crow, dram.cbitcol)]
     del scanned, flips
-    key, bop = dram.addr.cell_to_page_vec(*at)
+    key, bop = dram.config.cell_to_page_vec(*at)
     del at
     # key = (pfn * PAGE_BITS + bop) * 2 + direction, built in place
     key *= PAGE_BITS

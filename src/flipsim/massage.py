@@ -1,10 +1,12 @@
 """Simulated OS page allocation and the online positioning/hammering logic.
 
-The per-cpu free-page cache is a LIFO stack with a recycling threshold:
-freeing pushes to the head, allocating pops it, and overflowing the threshold
-spills the oldest half to a global pool.  Releasing the chosen physical frames
-in chain order and mapping victim pages in reverse order therefore lands every
-victim page exactly on its planned frame.
+The per-cpu free-page cache is a LIFO stack: freeing pushes to the head and
+allocating pops it.  Its recycling threshold is where the kernel would spill
+the oldest frames to a global pool; :func:`release_and_remap` refuses any
+plan that would reach it, so every plan stays below it and no spill is
+modelled.  Releasing the chosen physical frames in chain order and mapping
+victim pages in reverse order therefore lands every victim page exactly on
+its planned frame.
 
 The planner replays a chain, step by step, through the chain search's own
 frame placer, :class:`flipsim.search.ProfileView`, so it puts every step on
@@ -55,32 +57,19 @@ class PrecisionViolation(RuntimeError):
 
 
 class PageFrameCache:
-    """LIFO per-cpu free page cache backed by a global pool."""
+    """LIFO per-cpu free page cache, kept below its recycling threshold."""
 
     def __init__(self, recycling_threshold=DEFAULT_RECYCLING_THRESHOLD):
         self.recycling_threshold = int(recycling_threshold)
         self._stack = []            # head is the end of the list
-        self.global_pool = []       # spilled frames, kept sorted
-
-    def __len__(self):
-        return len(self._stack)
 
     def free(self, pfn):
-        """Push a freed frame; spill the oldest half past the threshold."""
+        """Push a freed frame."""
         self._stack.append(int(pfn))
-        if len(self._stack) > self.recycling_threshold:
-            spill = len(self._stack) // 2
-            batch, self._stack = self._stack[:spill], self._stack[spill:]
-            self.global_pool.extend(batch)
-            self.global_pool.sort()
 
     def allocate(self):
         """Pop the most recently freed frame (stack policy); None when empty."""
-        if self._stack:
-            return self._stack.pop()
-        if self.global_pool:
-            return self.global_pool.pop(0)
-        return None
+        return self._stack.pop() if self._stack else None
 
 
 @dataclass
@@ -96,9 +85,6 @@ class PlanEntry:
 class MappingPlan:
     entries: list          # chain order (release order pp1..ppK)
     candidate_counts: list = field(default_factory=list)  # per entry
-
-    def __len__(self):
-        return len(self.entries)
 
 
 @dataclass
@@ -147,7 +133,7 @@ def plan_aggressors(plan, dram):
         if not cfg.aggressors_in_bank(e.victim_row):
             raise UnsatisfiablePlan(e.target, "aggressor row outside the bank")
         for r in cfg.aggressor_rows(e.victim_row):
-            pfn = dram.addr.row_pfns(e.set, r)[e.stripe_bitcol // span]
+            pfn = dram.config.row_pfns(e.set, r)[e.stripe_bitcol // span]
             if dram.owner[pfn] != OWNER_ATTACKER or pfn in victim_frames:
                 raise UnsatisfiablePlan(
                     e.target, f"aggressor frame {pfn} not attacker-owned")
@@ -203,7 +189,7 @@ def release_and_remap(cache, plan, image, dram, noise=None):
 
 def _sandwiched(dram, profile):
     """Profile entries whose row lies inside an attacker-owned sandwich."""
-    s, row, _ = dram.addr.bit_addr_vec(profile.pfn, profile.bop)
+    s, row, _ = dram.config.bit_addr_vec(profile.pfn, profile.bop)
     return dram.sandwich_mask()[s, row]
 
 
@@ -293,7 +279,7 @@ def precise_hammer(dram, plan, actions):
             # only attacker in-row pages are writable; victim pages that
             # co-reside in an aggressor row keep their bytes
             writable = np.repeat(
-                dram.owner[dram.addr.row_pfns(act.set, r)] == OWNER_ATTACKER,
+                dram.owner[dram.config.row_pfns(act.set, r)] == OWNER_ATTACKER,
                 dram.config.in_row_page_size)
             np.copyto(dram.row(act.set, r), content, where=writable)
         dram.hammer(act.set, act.victim_row)

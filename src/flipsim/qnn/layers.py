@@ -128,9 +128,7 @@ def _col2im(cols, x_shape, kh, kw, stride, pad, ho, wo):
         for j in range(kw):
             xp[:, :, i : i + stride * ho : stride,
                j : j + stride * wo : stride] += cols[:, :, i, j]
-    if pad:
-        return xp[:, :, pad : pad + h, pad : pad + w]
-    return xp
+    return xp[:, :, pad : pad + h, pad : pad + w]
 
 
 class Conv2d(_WeightedLayer):
@@ -189,14 +187,9 @@ class MaxPool2d(Layer):
         self.k, self.stride = int(k), int(stride)
 
     def forward_train(self, x):
-        b, c, h, w = x.shape
-        ho = _conv_spans(h, self.k, self.stride, 0)
-        wo = _conv_spans(w, self.k, self.stride, 0)
-        win = np.empty((b, c, self.k * self.k, ho, wo), dtype=np.float64)
-        for i in range(self.k):
-            for j in range(self.k):
-                win[:, :, i * self.k + j] = x[:, :, i : i + self.stride * ho : self.stride,
-                                              j : j + self.stride * wo : self.stride]
+        k = self.k
+        cols, (ho, wo) = _im2col(x, k, k, self.stride, 0)
+        win = cols.reshape(x.shape[0], x.shape[1], k * k, ho, wo)
         # argmax takes the first maximum, which fixes tie routing
         arg = win.argmax(axis=2)
         y = np.take_along_axis(win, arg[:, :, None], axis=2)[:, :, 0]
@@ -204,14 +197,14 @@ class MaxPool2d(Layer):
 
     def backward(self, ctx, g):
         arg, x_shape, ho, wo = ctx
-        b, c, h, w = x_shape
+        b, c = x_shape[:2]
         grad_x = np.zeros(x_shape, dtype=np.float64)
-        oi, oj = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
-        for bi in range(b):
-            for ci in range(c):
-                ii = oi * self.stride + arg[bi, ci] // self.k
-                jj = oj * self.stride + arg[bi, ci] % self.k
-                np.add.at(grad_x[bi, ci], (ii.ravel(), jj.ravel()), g[bi, ci].ravel())
+        # one scatter, in the (batch, channel, row, column) order of g, so
+        # overlapping windows add up in the same order as one per channel
+        ii = np.arange(ho)[:, None] * self.stride + arg // self.k
+        jj = np.arange(wo) * self.stride + arg % self.k
+        np.add.at(grad_x, (np.arange(b)[:, None, None, None],
+                           np.arange(c)[:, None, None], ii, jj), g)
         return grad_x, None, None
 
     def out_shape(self, in_shape):

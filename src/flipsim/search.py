@@ -63,7 +63,6 @@ from itertools import islice
 
 import numpy as np
 
-from .dram import AddressFunction
 from .image import TargetBit, WeightImage
 from .qnn.layers import Dense, ReLU
 from .qnn.model import BitRef, metrics_from_logits, row_metrics
@@ -436,10 +435,9 @@ class ProfileView:
 
     def __init__(self, profile, config, attacker):
         self.config = config
-        self._addr = AddressFunction(config)
         pfn, start = profile.pools()
         keep = attacker[pfn] & config.aggressors_in_bank(
-            self._addr.bit_addr_vec(pfn, 0)[1])
+            config.bit_addr_vec(pfn, 0)[1])
         self._pfn = pfn[keep]
         self._start = np.concatenate([[0], np.cumsum(keep)])[start]
         self.clear()
@@ -461,7 +459,7 @@ class ProfileView:
         frames = self._pfn[self._start[k]:self._start[k + 1]]
         why = ("candidate frames exhausted by other targets" if len(frames)
                else "no attacker frame matches bop and direction")
-        victims = zip(*(a.tolist() for a in self._addr.bit_addr_vec(frames, bop)))
+        victims = zip(*(a.tolist() for a in self.config.bit_addr_vec(frames, bop)))
         for pfn, victim in zip(frames.tolist(), victims):
             if pfn in self.held:
                 continue

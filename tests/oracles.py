@@ -12,7 +12,7 @@ import numpy as np
 from flipsim.dram import (_CLUSTER_PROBS, _CLUSTER_SIZES, DENSE_PER_BANK_RANGE,
                           DENSITY_FACTORS, FULL_SIZE_ROW_BYTES, FULL_SIZE_ROWS,
                           ONE_TO_ZERO_SHARE, OWNER_ATTACKER, SINGLE_SIDED_RATE,
-                          AddressFunction, FlipProfile, _empty_cells)
+                          FlipProfile, _empty_cells)
 from flipsim.image import PAGE_BITS, WeightImage
 from flipsim.massage import MappingPlan, PlanEntry, UnsatisfiablePlan
 from flipsim.qnn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU, ResidualAdd
@@ -91,6 +91,29 @@ def naive_forward(model, batch):
             acts.append(x)
         outs.append(x)
     return np.stack(outs)
+
+
+def maxpool_reference(x, k, stride, g):
+    """``(y, grad_x)`` of a max pool, one window at a time: each window's
+    first maximum in row-major order takes the window's gradient, added in
+    (batch, channel, row, column) window order."""
+    b, c, h, w = x.shape
+    ho, wo = (h - k) // stride + 1, (w - k) // stride + 1
+    y = np.zeros((b, c, ho, wo))
+    grad_x = np.zeros(x.shape)
+    for bi in range(b):
+        for ci in range(c):
+            for oy in range(ho):
+                for ox in range(wo):
+                    best = None
+                    for dy in range(k):
+                        for dx in range(k):
+                            at = (oy * stride + dy, ox * stride + dx)
+                            if best is None or x[bi, ci][at] > x[bi, ci][best]:
+                                best = at
+                    y[bi, ci, oy, ox] = x[bi, ci][best]
+                    grad_x[bi, ci][best] += g[bi, ci, oy, ox]
+    return y, grad_x
 
 
 def naive_accuracy(model, x, labels):
@@ -401,7 +424,7 @@ def bit_addr(config, pfn, bop):
 
 def ground_truth_profile(dram, pfns=None):
     """Current cells projected through the address map."""
-    pfn, bop = dram.addr.cell_to_page_vec(dram.cset, dram.crow, dram.cbitcol)
+    pfn, bop = dram.config.cell_to_page_vec(dram.cset, dram.crow, dram.cbitcol)
     order = np.lexsort((dram.ccur_dir, bop, pfn))
     if pfns is not None:
         wanted = np.fromiter((int(p) for p in pfns), dtype=np.int64)
@@ -411,7 +434,7 @@ def ground_truth_profile(dram, pfns=None):
 
 
 def _row_owned(dram, s, r):
-    return all(dram.owner[p] == OWNER_ATTACKER for p in dram.addr.row_pfns(s, r))
+    return all(dram.owner[p] == OWNER_ATTACKER for p in dram.config.row_pfns(s, r))
 
 
 def sandwich_rows(dram):
@@ -618,7 +641,6 @@ def synthesize_cells_reference(config, density="dense", seed=0,
             raise ValueError(f"per-bank target {t:.0f} exceeds capacity "
                              f"{config.bank_capacity}")
 
-    addr = AddressFunction(config)
     all_pfn, all_bop = [], []
     pages_per_bank = config.rows_per_bank * config.in_row_pages
     for bank, target in enumerate(per_bank):
@@ -652,7 +674,7 @@ def synthesize_cells_reference(config, density="dense", seed=0,
     bop = np.concatenate(all_bop)
     del all_pfn, all_bop  # the address mapping below is the peak of memory
     n = len(pfn)
-    sets, rowz, bitcols = addr.bit_addr_vec(pfn, bop)
+    sets, rowz, bitcols = config.bit_addr_vec(pfn, bop)
     sets = sets.astype(np.int32)
     rowz = rowz.astype(np.int32)
     bitcols = bitcols.astype(np.int32)

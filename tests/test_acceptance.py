@@ -214,7 +214,7 @@ def test_criterion_06_lifo_positioning():
         entries, pages = [], {}
         row = 2
         for i in range(k):
-            ppn = state.addr.row_pfns(0, row)[0]
+            ppn = state.config.row_pfns(0, row)[0]
             entries.append(entry_for(state, TargetBit(i + 1, 10 + i, 0), ppn))
             pages[i + 1] = gen.integers(0, 256, size=4096, dtype=np.uint8)
             row += 3
@@ -231,7 +231,7 @@ def test_criterion_06_lifo_positioning():
     pages = {}
     row = 2
     for i in range(180):
-        ppn = state.addr.row_pfns(0, row)[0]
+        ppn = state.config.row_pfns(0, row)[0]
         entries.append(entry_for(state, TargetBit(i + 1, 10 + i, 0), ppn))
         pages[i + 1] = gen.integers(0, 256, size=4096, dtype=np.uint8)
         row += 3
@@ -261,7 +261,7 @@ def test_criterion_07_precise_hammering():
             cells.append((0, 5, int(bop), int(1 - stored), False))
         state = tiny_dram(make_cells(cells))
         state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
-        ppn = state.addr.row_pfns(0, 5)[0]
+        ppn = state.config.row_pfns(0, 5)[0]
         n_targets = int(gen.integers(1, min(3, n_cells) + 1))
         chosen = gen.choice(bops, size=n_targets, replace=False)
         targets = [TargetBit(1, int(b),

@@ -482,6 +482,21 @@ def test_console_script_resolves_and_prints_help(capsys):
     assert capsys.readouterr().out.startswith("usage: flipsim")
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--seed", "x"],
+    ["search", "--bogus"],
+    [],
+    # sensitivity ignores the rate, so it takes no --rate flag
+    ["sensitivity", "--rate", "0.5"],
+])
+def test_malformed_command_line_exits_config(argv, capsys):
+    # argparse's own code is 2, which means an infeasible chain here
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+
+
 def test_module_entry_point_runs_without_warning():
     # the package must not import cli itself, or ``-m flipsim.cli`` runs a
     # second copy of the module and warns about it
@@ -736,7 +751,7 @@ def test_exploit_refuses_a_target_outside_the_image(pipeline_out, tmp_path,
 def test_pages_retained_counts_each_aggressor_row(mode, aggressor_rows, channels):
     state = tiny_dram(hammer_mode=mode, channels=channels)
     state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
-    ppn = state.addr.row_pfns(0, 7)[0]
+    ppn = state.config.row_pfns(0, 7)[0]
     s, row, stripe, _, _ = oracles.bit_addr(state.config, ppn, 5)
     tb = TargetBit(1, 5, 0)
     plan = MappingPlan([PlanEntry(tb, ppn, s, row, stripe)])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import make_cells, tiny_dram
 from flipsim.dram import (_DRAW_CHUNK, DENSITY_FACTORS, OWNER_ATTACKER,
-                          AddressFunction, DramConfig, DramState, FlipProfile,
+                          DramConfig, DramState, FlipProfile, _empty_cells,
                           _keyed_uniform, bench, desk, full_dual, full_single,
                           load_geometry, new_dram, sample_profile,
                           save_geometry, synthesize_cells, template)
@@ -22,18 +22,17 @@ from flipsim.massage import retemplate, verify_template
 
 
 def test_single_channel_pair_shares_row():
-    addr = AddressFunction(full_single())
     # first and last byte of pages 0 and 1
-    sets, rows, cols = addr.bit_addr_vec([0, 0, 1, 1], [0, 32767, 0, 32767])
+    sets, rows, cols = full_single().bit_addr_vec([0, 0, 1, 1],
+                                                  [0, 32767, 0, 32767])
     assert len(set(zip(sets.tolist(), rows.tolist()))) == 1
     assert (cols // 8).tolist() == [0, 4095, 4096, 8191]
 
 
 def test_dual_channel_page_splits_across_channels():
     cfg = full_dual()
-    addr = AddressFunction(cfg)
     # first and last byte of each half of page 0
-    sets, rows, cols = addr.bit_addr_vec([0] * 4, [0, 16383, 16384, 32767])
+    sets, rows, cols = cfg.bit_addr_vec([0] * 4, [0, 16383, 16384, 32767])
     assert len(set(rows.tolist())) == 1
     assert sets.tolist() == [sets[0]] * 2 + [sets[0] + cfg.banks] * 2
     assert (cols // 8).tolist() == [0, 2047, 0, 2047]
@@ -51,28 +50,26 @@ def test_in_row_page_size_follows_channel_count():
 def test_addressing_bijective(kind, data):
     cfg = DramConfig(banks_per_dimm=4, rows_per_bank=64,
                      channels=1 if kind == "single" else 2)
-    addr = AddressFunction(cfg)
     pfn = data.draw(st.integers(0, cfg.total_pages - 1))
     bop = data.draw(st.integers(0, 32767))
-    s, r, col = addr.bit_addr_vec([pfn], [bop])
-    back = addr.cell_to_page_vec(s, r, col)
+    s, r, col = cfg.bit_addr_vec([pfn], [bop])
+    back = cfg.cell_to_page_vec(s, r, col)
     assert (back[0].tolist(), back[1].tolist()) == ([pfn], [bop])
-    assert pfn in addr.row_pfns(int(s[0]), int(r[0]))
+    assert pfn in cfg.row_pfns(int(s[0]), int(r[0]))
 
 
 def test_vectorized_addressing_matches_scalar():
     for cfg in (DramConfig(banks_per_dimm=4, rows_per_bank=32),
                 DramConfig(banks_per_dimm=4, rows_per_bank=32, channels=2)):
-        addr = AddressFunction(cfg)
         rng = np.random.default_rng(0)
         pfn = rng.integers(0, cfg.total_pages, size=200)
         bop = rng.integers(0, 32768, size=200)
-        sets, rows, cols = addr.bit_addr_vec(pfn, bop)
+        sets, rows, cols = cfg.bit_addr_vec(pfn, bop)
         for i in range(200):
             p, b = int(pfn[i]), int(bop[i])
             s, r, c, base, span = oracles.bit_addr(cfg, p, b)
             assert (sets[i], rows[i], cols[i]) == (s, r, c)
-            assert addr.row_pfns(s, r)[base // span] == p
+            assert cfg.row_pfns(s, r)[base // span] == p
 
 
 @pytest.mark.parametrize("channels", [1, 2])
@@ -80,7 +77,6 @@ def test_address_core_matches_bytewise_oracle(channels):
     # every row byte of a small geometry, one bit of each, against the
     # byte-by-byte oracle that keeps its own per-channel formulas
     cfg = DramConfig(channels=channels, banks_per_dimm=2, rows_per_bank=3)
-    addr = AddressFunction(cfg)
     sets, rows, byte = np.meshgrid(np.arange(cfg.sets),
                                    np.arange(cfg.rows_per_bank),
                                    np.arange(cfg.row_bytes), indexing="ij")
@@ -88,9 +84,9 @@ def test_address_core_matches_bytewise_oracle(channels):
     cols = byte * 8 + byte % 8
     want = np.array([oracles.cell_to_page(cfg, s, r, c) for s, r, c in
                      zip(sets.tolist(), rows.tolist(), cols.tolist())])
-    pfn, bop = addr.cell_to_page_vec(sets, rows, cols)
+    pfn, bop = cfg.cell_to_page_vec(sets, rows, cols)
     assert np.array_equal(pfn, want[:, 0]) and np.array_equal(bop, want[:, 1])
-    got = addr.bit_addr_vec(want[:, 0], want[:, 1])
+    got = cfg.bit_addr_vec(want[:, 0], want[:, 1])
     for a, b in zip(got, (sets, rows, cols)):
         assert np.array_equal(a, b)
     # write_page puts each page byte on the row byte the oracle assigns it,
@@ -112,7 +108,7 @@ def test_address_core_matches_bytewise_oracle(channels):
         for r in range(cfg.rows_per_bank):
             here = (sets == s) & (rows == r)
             slots = pfn[here][::n]
-            assert addr.row_pfns(s, r) == slots.tolist()
+            assert cfg.row_pfns(s, r) == slots.tolist()
 
 
 @pytest.mark.parametrize("mode", ["double", "single"])
@@ -171,10 +167,9 @@ def test_page_io_rejects_out_of_range_pfn():
 
 def test_enumerating_row_recovers_residents():
     cfg = DramConfig(banks_per_dimm=2, rows_per_bank=16)
-    addr = AddressFunction(cfg)
     s, r = 1, 3
-    pfns = addr.row_pfns(s, r)
-    seen, _ = addr.cell_to_page_vec(s, r, np.arange(0, cfg.row_bits, 8))
+    pfns = cfg.row_pfns(s, r)
+    seen, _ = cfg.cell_to_page_vec(s, r, np.arange(0, cfg.row_bits, 8))
     assert set(seen.tolist()) == set(pfns)
 
 
@@ -192,7 +187,6 @@ def test_page_io_roundtrip():
 def test_dense_preset_full_size_counts_per_bank():
     cells = synthesize_cells(full_single(), "dense", seed=5)
     sets = cells[0]
-    addr = AddressFunction(full_single())
     per_bank = np.bincount(sets, minlength=16)
     assert len(per_bank) == 16
     assert per_bank.min() >= 35_000 and per_bank.max() <= 47_000
@@ -202,8 +196,11 @@ def test_dense_preset_full_size_counts_per_bank():
 
 
 def test_density_zero_like_empty():
+    # the general path, with no bank drawing a cell, returns what an empty
+    # state holds, dtypes included
     cells = synthesize_cells(desk(), 0, seed=1)
-    assert len(cells[0]) == 0
+    assert [(a.dtype, a.shape) for a in cells] == [
+        (a.dtype, a.shape) for a in _empty_cells()]
 
 
 def test_desk_scale_proportional_counts():
@@ -221,7 +218,6 @@ def test_direction_split_and_multicell_pages():
     sets, rows, cols, dirs, sscap = cells
     share = float((dirs == 0).mean())
     assert 0.6 <= share <= 0.8
-    addr = AddressFunction(cfg)
     pages = {}
     for i in range(len(sets)):
         pfn, _ = oracles.cell_to_page(cfg, int(sets[i]), int(rows[i]),
@@ -437,6 +433,17 @@ def test_double_sided_needs_both_neighbors():
         state.hammer(0, 0)
 
 
+def test_single_sided_victim_row_outside_the_bank_raises():
+    state = _one_cell_state(direction=1, hammer_mode="single")
+    last = state.config.rows_per_bank - 1
+    # rows -1 and last + 1 have their one aggressor, row 0 or the last row,
+    # inside the bank; the victim row itself is not
+    for victim in (-1, last + 1):
+        assert state.config.aggressors_in_bank(victim)
+        with pytest.raises(IndexError):
+            state.hammer(0, victim)
+
+
 def test_single_sided_requires_capability_flag():
     for sscap, expect in ((False, 0), (True, 1)):
         state = _one_cell_state(direction=1, sscap=sscap, hammer_mode="single")
@@ -493,7 +500,7 @@ def test_template_matches_ground_truth_projection():
     profile = template(state)
     scanned_pfns = set()
     for s, r in [(s, r) for s in range(cfg.sets) for r in range(1, cfg.rows_per_bank - 1)]:
-        scanned_pfns.update(state.addr.row_pfns(s, r))
+        scanned_pfns.update(state.config.row_pfns(s, r))
     truth = oracles.ground_truth_profile(state, scanned_pfns)
     assert oracles.profile_entries(profile) == oracles.profile_entries(truth)
 
@@ -515,7 +522,7 @@ def test_template_skips_foreign_rows():
     state = _one_cell_state(direction=0)
     # row 4 (the upper aggressor) is not attacker-owned
     owned = [p for p in range(state.config.total_pages)
-             if p not in state.addr.row_pfns(0, 4)]
+             if p not in state.config.row_pfns(0, 4)]
     state.set_owner(owned, OWNER_ATTACKER)
     profile = template(state)
     assert len(profile) == 0

@@ -54,28 +54,6 @@ def test_lifo_exactness_under_threshold(k):
     assert [cache.allocate() for _ in range(k)] == frames[::-1]
 
 
-def test_threshold_spills_oldest_half():
-    cache = PageFrameCache(recycling_threshold=10)
-    for pfn in range(11):
-        cache.free(pfn)
-    assert len(cache) == 6  # 11 freed, oldest 5 spilled
-    assert cache.global_pool == [0, 1, 2, 3, 4]
-    assert cache.allocate() == 10
-
-
-def test_allocate_falls_back_to_global_pool():
-    cache = PageFrameCache(recycling_threshold=4)
-    for pfn in (3, 1, 4, 1 + 10, 5):
-        cache.free(pfn)
-    # the fifth free spilled the oldest two, 3 and 1, to the sorted pool
-    while len(cache):
-        cache.allocate()
-    assert cache.allocate() == 1
-    assert cache.global_pool == [3]
-    assert cache.allocate() == 3
-    assert cache.allocate() is None
-
-
 # ---- plan_mapping -----------------------------------------------------------------
 
 
@@ -87,7 +65,7 @@ def attacker_state(cells=(), rows=32, banks=2):
 
 def test_single_target_single_candidate():
     state = attacker_state()
-    ppn = state.addr.row_pfns(0, 5)[0]
+    ppn = state.config.row_pfns(0, 5)[0]
     profile = FlipProfile([ppn], [4847], [0], [1.0])
     tb = TargetBit(1, 4847, 0)
     plan = plan_mapping([tb], profile, state)
@@ -99,8 +77,8 @@ def test_replay_places_in_chain_order():
     # the chain's first target takes the lowest frame of its pool, even one
     # a later target needed: the replay places steps as the search did
     state = attacker_state()
-    shared = state.addr.row_pfns(0, 5)[0]
-    others = [state.addr.row_pfns(0, r)[0] for r in (8, 11, 14, 17)]
+    shared = state.config.row_pfns(0, 5)[0]
+    others = [state.config.row_pfns(0, r)[0] for r in (8, 11, 14, 17)]
     profile = FlipProfile([shared] + [shared] + others, [100] + [200] * 5,
                           [0] * 6, [1.0] * 6)
     target_a, target_b = TargetBit(1, 100, 0), TargetBit(2, 200, 0)
@@ -118,8 +96,8 @@ def test_replay_skips_frames_that_collide(mode):
     # row, at the same in-row page: it takes its next frame
     state = tiny_dram(rows=32, hammer_mode=mode)
     state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
-    first = state.addr.row_pfns(0, 5)[0]
-    beside, far = state.addr.row_pfns(0, 6)[0], state.addr.row_pfns(0, 20)[0]
+    first = state.config.row_pfns(0, 5)[0]
+    beside, far = state.config.row_pfns(0, 6)[0], state.config.row_pfns(0, 20)[0]
     profile = FlipProfile([first, beside, far], [100, 200, 200], [0] * 3,
                           [1.0] * 3)
     targets = [TargetBit(1, 100, 0), TargetBit(2, 200, 0)]
@@ -132,7 +110,7 @@ def test_replay_skips_frames_that_collide(mode):
 
 def test_unsatisfiable_names_the_target():
     state = attacker_state()
-    profile = FlipProfile([state.addr.row_pfns(0, 5)[0]], [100], [0], [1.0])
+    profile = FlipProfile([state.config.row_pfns(0, 5)[0]], [100], [0], [1.0])
     missing = TargetBit(3, 999, 0)
     with pytest.raises(UnsatisfiablePlan) as err:
         plan_mapping([missing], profile, state)
@@ -141,7 +119,7 @@ def test_unsatisfiable_names_the_target():
 
 def test_direction_mismatch_unsatisfiable():
     state = attacker_state()
-    profile = FlipProfile([state.addr.row_pfns(0, 5)[0]], [100], [1], [1.0])
+    profile = FlipProfile([state.config.row_pfns(0, 5)[0]], [100], [1], [1.0])
     with pytest.raises(UnsatisfiablePlan):
         plan_mapping([TargetBit(1, 100, 0)], profile, state)
 
@@ -152,8 +130,8 @@ def test_replay_skips_a_frame_in_the_other_channels_aggressor_row():
     # attacker cannot write the stripe pattern
     state = tiny_dram(rows=32, channels=2)
     state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
-    first = state.addr.row_pfns(0, 5)[0]
-    beside, far = state.addr.row_pfns(0, 6)[0], state.addr.row_pfns(0, 20)[0]
+    first = state.config.row_pfns(0, 5)[0]
+    beside, far = state.config.row_pfns(0, 6)[0], state.config.row_pfns(0, 20)[0]
     profile = FlipProfile([first, beside, far], [20000, 100, 100], [0] * 3,
                           [1.0] * 3)
     targets = [TargetBit(1, 20000, 0), TargetBit(2, 100, 0)]
@@ -238,10 +216,10 @@ def test_fig4_topology_four_sets_three_actions():
     state = attacker_state(rows=64)
     cfg = state.config
     # row 10 left half, row 11 right half, row 20 left + right halves
-    p_a = state.addr.row_pfns(0, 10)[0]
-    p_b = state.addr.row_pfns(0, 11)[1]
-    p_c = state.addr.row_pfns(0, 20)[0]
-    p_d = state.addr.row_pfns(0, 20)[1]
+    p_a = state.config.row_pfns(0, 10)[0]
+    p_b = state.config.row_pfns(0, 11)[1]
+    p_c = state.config.row_pfns(0, 20)[0]
+    p_d = state.config.row_pfns(0, 20)[1]
     targets = [TargetBit(i + 1, 100 + i, 0) for i in range(4)]
     entries = [entry_for(state, tb, ppn)
                for tb, ppn in zip(targets, (p_a, p_b, p_c, p_d))]
@@ -255,7 +233,7 @@ def test_fig4_topology_four_sets_three_actions():
 
 def test_single_victim_classic_sandwich():
     state = attacker_state()
-    ppn = state.addr.row_pfns(0, 7)[0]
+    ppn = state.config.row_pfns(0, 7)[0]
     plan = MappingPlan([entry_for(state, TargetBit(1, 5, 0), ppn)])
     actions = plan_aggressors(plan, state)
     assert len(actions) == 1
@@ -264,7 +242,7 @@ def test_single_victim_classic_sandwich():
 
 def test_victim_at_bank_edge_rejected():
     state = attacker_state()
-    ppn = state.addr.row_pfns(0, 0)[0]
+    ppn = state.config.row_pfns(0, 0)[0]
     plan = MappingPlan([entry_for(state, TargetBit(1, 5, 0), ppn)])
     with pytest.raises(UnsatisfiablePlan):
         plan_aggressors(plan, state)
@@ -274,7 +252,7 @@ def test_victim_at_bank_edge_rejected():
 def test_single_sided_plan_json_lists_one_aggressor_row(channels):
     state = tiny_dram(hammer_mode="single", channels=channels)
     state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
-    ppn = state.addr.row_pfns(0, 7)[0]
+    ppn = state.config.row_pfns(0, 7)[0]
     plan = MappingPlan([entry_for(state, TargetBit(1, 5, 0), ppn)])
     actions = plan_aggressors(plan, state)
     rows = plan_to_json(plan, actions)
@@ -289,7 +267,7 @@ def remap_case(state, k, start_row=2):
     entries, pages = [], {}
     row = start_row
     for i in range(k):
-        ppn = state.addr.row_pfns(0, row)[0]
+        ppn = state.config.row_pfns(0, row)[0]
         entries.append(entry_for(state, TargetBit(i + 1, 10 + i, 0), ppn))
         pages[i + 1] = rng.integers(0, 256, size=4096, dtype=np.uint8)
         row += 3  # keep sandwiches disjoint
@@ -429,7 +407,7 @@ def test_two_targets_one_in_row_page_single_action():
         entries.append((0, 5, bop, int(1 - stored), False))
     state = tiny_dram(make_cells(entries))
     state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
-    ppn = state.addr.row_pfns(0, 5)[0]
+    ppn = state.config.row_pfns(0, 5)[0]
     targets = [TargetBit(1, b, int(1 - ((content[b // 8] >> (b % 8)) & 1)))
                for b in bops]
     plan = MappingPlan([entry_for(state, tb, ppn) for tb in targets])
@@ -456,16 +434,16 @@ def test_merged_actions_do_not_interfere_across_victims(channels):
     rng = np.random.default_rng(3)
     contents = {pgid: rng.integers(0, 256, size=4096, dtype=np.uint8)
                 for pgid in (1, 2, 3, 4)}
-    addr = tiny_dram(rows=64, channels=channels).addr
-    frames = {1: addr.row_pfns(0, 20)[0], 2: addr.row_pfns(0, 21)[1],
-              3: addr.row_pfns(0, 30)[0], 4: addr.row_pfns(0, 30)[1]}
+    cfg = tiny_dram(rows=64, channels=channels).config
+    frames = {1: cfg.row_pfns(0, 20)[0], 2: cfg.row_pfns(0, 21)[1],
+              3: cfg.row_pfns(0, 30)[0], 4: cfg.row_pfns(0, 30)[1]}
     cells, targets = [], {}
     for pgid, ppn in frames.items():
         offsets = (7 + 16 * pgid, 6000 + pgid, 21000 + 8 * pgid)
         target_bop = offsets[0]
         for bop in offsets:
             stored = (contents[pgid][bop // 8] >> (bop % 8)) & 1
-            cells.append(bit_addr(addr.config, ppn, bop)[:3]
+            cells.append(bit_addr(cfg, ppn, bop)[:3]
                          + (int(1 - stored), False))
         targets[pgid] = TargetBit(pgid, target_bop,
                                   int(1 - ((contents[pgid][target_bop // 8]
@@ -491,7 +469,7 @@ def test_stale_direction_surfaces_precision_violation():
     stored = (content[bop // 8] >> (bop % 8)) & 1
     state = tiny_dram(make_cells([(0, 5, bop, int(1 - stored), False)]))
     state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
-    ppn = state.addr.row_pfns(0, 5)[0]
+    ppn = state.config.row_pfns(0, 5)[0]
     tb = TargetBit(1, bop, int(1 - stored))
     plan = MappingPlan([entry_for(state, tb, ppn)])
     actions = plan_aggressors(plan, state)

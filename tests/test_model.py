@@ -7,11 +7,11 @@ import pytest
 
 from flipsim import qnn
 from flipsim.qnn.architectures import FloatSpec
-from flipsim.qnn.layers import Dense
+from flipsim.qnn.layers import Dense, MaxPool2d
 from flipsim.qnn.model import (BitRef, QuantizedModel, loss_and_accuracy,
                                softmax_cross_entropy)
-from oracles import (bit_gradients, finite_difference_grads, naive_accuracy,
-                     naive_forward)
+from oracles import (bit_gradients, finite_difference_grads,
+                     maxpool_reference, naive_accuracy, naive_forward)
 
 rng = np.random.default_rng(42)
 
@@ -145,6 +145,23 @@ def test_gradient_pass_activations_equal_forward_acts(make_spec):
     _, want = model.forward_acts(x)
     assert len(acts) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(acts, want))
+
+
+@pytest.mark.parametrize("k,stride", [(3, 1), (3, 2), (2, 2), (3, 3),
+                                      (2, 3)])
+def test_maxpool_matches_window_loops(k, stride):
+    # stride below, at and above the window; small integer inputs tie inside
+    # windows, so the first maximum must take the gradient, and overlapping
+    # windows add into one input in window order
+    draw = np.random.default_rng(10 * k + stride)
+    x = draw.integers(-2, 3, size=(2, 3, 8, 9)).astype(np.float64)
+    layer = MaxPool2d(k, stride)
+    y, ctx = layer.forward_train(x)
+    g = draw.standard_normal(y.shape)
+    grad_x = layer.backward(ctx, g)[0]
+    want_y, want_grad = maxpool_reference(x, k, stride, g)
+    assert y.shape == want_y.shape and y.tobytes() == want_y.tobytes()
+    assert grad_x.shape == x.shape and grad_x.tobytes() == want_grad.tobytes()
 
 
 def test_single_linear_neuron_gradient_closed_form():
