@@ -46,7 +46,8 @@ _CLUSTER_PROBS = np.array([0.35, 0.35, 0.20, 0.10])
 # random() call) and when a reboot hashes the per-cell toggles
 _DRAW_CHUNK = 1 << 16
 # cells per chunk when synthesis maps a bank's cells to (set, row, bit column)
-# and places them in its outputs
+# and places them in its outputs, and when templating maps flipped cells to
+# their profile sort keys
 _MAP_CHUNK = 1 << 13
 # profile entries per block that FlipProfile.save_csv formats and writes
 _CSV_BLOCK = 1 << 14
@@ -222,47 +223,57 @@ def _keyed_uniform(sets, rows, bitcols, seed):
 
 
 def _decimal_into(out, x):
-    """Write the int64 values ``x`` in decimal into the uint8 matrix ``out``,
-    one per row, right-aligned with NUL bytes to their left.  ``out`` must
-    be as wide as the longest text."""
-    neg = x < 0
-    mag = x.astype(np.uint64)
-    np.negative(mag, out=mag, where=neg)  # |x|, the int64 minimum included
+    """Write the integers ``x >= 0`` in decimal into the uint8 matrix ``out``,
+    one per row, right-aligned with NULs to their left; ``out`` fits them."""
+    x = x.astype(np.int64)
     for k in range(1, out.shape[1] + 1):
         col = out[:, -k]
-        np.remainder(mag, 10, out=col, casting="unsafe")
+        np.remainder(x, 10, out=col, casting="unsafe")
         col += ord("0")
         if k > 1:
-            lead = mag == 0  # no digit left: the sign, then padding
-            col[lead] = 0
-            col[lead & neg] = ord("-")
-            neg &= ~lead
-        mag //= 10
+            col[x == 0] = 0  # no digit left: padding
+        x //= 10
 
 
 class FlipProfile:
-    """Templating output: (pfn, bop, direction, probability) per flippable cell.
+    """Templating output: each flippable cell's location ``(pfn, bop)``
+    once, ``pfn >= 0`` and ``0 <= bop < PAGE_BITS``, with its direction (0
+    means 1->0, 1 means 0->1), held in (pfn, bop) order.  Anything else is
+    a ValueError naming the first offending entry (1-based, as given).
+    In-order entries are kept as given, others sorted stably."""
 
-    Direction follows the target-bit mode convention: 0 means 1->0, 1 means
-    0->1.
-    """
-
-    def __init__(self, pfn, bop, direction, probability):
+    def __init__(self, pfn, bop, direction):
         # load_csv passes strided fields of one record array; copy them once
-        self.pfn = np.ascontiguousarray(pfn, dtype=np.int64)
-        self.bop = np.ascontiguousarray(bop, dtype=np.int64)
-        self.direction = np.ascontiguousarray(direction, dtype=np.int8)
-        self.probability = np.ascontiguousarray(probability, dtype=np.float64)
-        if not (len(self.pfn) == len(self.bop) == len(self.direction)
-                == len(self.probability)):
+        pfn, bop = (np.ascontiguousarray(a, dtype=np.int64) for a in (pfn, bop))
+        direction = np.ascontiguousarray(direction, dtype=np.int8)
+        if not len(pfn) == len(bop) == len(direction):
             raise ValueError("profile columns differ in length")
+        bad = np.flatnonzero((pfn < 0) | (bop < 0) | (bop >= PAGE_BITS)
+                             | ((direction != 0) & (direction != 1)))
+        if len(bad):
+            i = int(bad[0])
+            raise ValueError(f"entry {i + 1} (pfn {pfn[i]}, bop {bop[i]}, direction "
+                             f"{direction[i]}) needs pfn >= 0, bop in [0, "
+                             f"{PAGE_BITS}) and direction 0 or 1")
+        # strictly increasing (pfn, bop) is in order with each location once
+        later = pfn[1:] > pfn[:-1]
+        later |= (pfn[1:] == pfn[:-1]) & (bop[1:] > bop[:-1])
+        if not later.all():
+            order = np.lexsort((bop, pfn))  # stable
+            same = ((pfn[order[1:]] == pfn[order[:-1]])
+                    & (bop[order[1:]] == bop[order[:-1]]))
+            if same.any():
+                i = int(order[1:][same].min())
+                raise ValueError(f"entry {i + 1} repeats the location pfn "
+                                 f"{pfn[i]}, bop {bop[i]}")
+            pfn, bop, direction = pfn[order], bop[order], direction[order]
+        self.pfn, self.bop, self.direction = pfn, bop, direction
 
     def __len__(self):
         return len(self.pfn)
 
     def subset(self, mask):
-        return FlipProfile(self.pfn[mask], self.bop[mask],
-                           self.direction[mask], self.probability[mask])
+        return FlipProfile(self.pfn[mask], self.bop[mask], self.direction[mask])
 
     def pools(self):
         """``(pfns, start)``: frame numbers sorted by (bop, direction, pfn),
@@ -274,47 +285,37 @@ class FlipProfile:
         return key % span, start
 
     def save_csv(self, path):
-        """Write ``pfn,bop,direction,probability`` lines, one per entry.
+        """Write ``pfn,bop,direction,probability`` lines, one per entry, the
+        integers in decimal and the probability the constant ``1.0``.
 
-        The integers are printed in decimal and each probability by
-        ``repr``, so it reads back bit for bit.  Entries go out
-        ``_CSV_BLOCK`` at a time, each block formatted in bulk as one
-        ``uint8`` matrix, a row per entry: the three integer fields as
-        right-aligned ASCII digits, the commas, and the ``repr`` of the
-        row's probability looked up among the block's distinct bit patterns.
-        Bytes a row does not use stay NUL, and the block is written as the
-        matrix's non-NUL bytes, in row order.  Memory stays at one block's
-        matrix, whatever the profile's size.
+        Entries go out ``_CSV_BLOCK`` at a time, each block formatted as one
+        ``uint8`` matrix, a row per entry of right-aligned ASCII digits,
+        commas and the ``1.0``; the block is written as the matrix's non-NUL
+        bytes.  Memory stays at one block's matrix, whatever the profile's
+        size.
         """
+        tail = np.frombuffer(b"1.0\n", dtype=np.uint8)
         with open(path, "wb") as fh:
             fh.write(b"pfn,bop,direction,probability\n")
             for at in range(0, len(self), _CSV_BLOCK):
                 block = slice(at, at + _CSV_BLOCK)
-                # one repr per distinct bit pattern, so 0.0 and -0.0 keep
-                # their own
-                bits, which = np.unique(self.probability[block].view(np.int64),
-                                        return_inverse=True)
-                # fixed-width bytes pad each text with NULs
-                table = np.array([(repr(p) + "\n").encode() for p in
-                                  bits.view(np.float64).tolist()])
-                table = table.view(np.uint8).reshape(len(table), -1)
-                ints = [a[block].astype(np.int64)
-                        for a in (self.pfn, self.bop, self.direction)]
-                widths = [max(len(str(int(a.min()))), len(str(int(a.max()))))
-                          for a in ints]
-                mat = np.zeros((len(which), sum(widths) + 3 + table.shape[1]),
+                ints = [a[block] for a in (self.pfn, self.bop, self.direction)]
+                widths = [len(str(int(a.max()))) for a in ints]
+                mat = np.zeros((len(ints[0]), sum(widths) + 3 + len(tail)),
                                dtype=np.uint8)
                 col = 0
                 for a, w in zip(ints, widths):
                     _decimal_into(mat[:, col:col + w], a)
                     mat[:, col + w] = ord(",")
                     col += w + 1
-                mat[:, col:] = table[which]
+                mat[:, col:] = tail
                 fh.write(mat[mat != 0])
         return path
 
     @classmethod
     def load_csv(cls, path):
+        """The profile :meth:`save_csv` writes; a probability other than
+        ``1.0`` is refused."""
         with open(path) as fh, warnings.catch_warnings():
             header = fh.readline().strip()
             if header != "pfn,bop,direction,probability":
@@ -326,11 +327,18 @@ class FlipProfile:
             data = np.loadtxt(fh, delimiter=",", ndmin=1, dtype=[
                 ("pfn", "i8"), ("bop", "i8"), ("direction", "i1"),
                 ("probability", "f8")])
-        return cls(*(data[name] for name in data.dtype.names))
+        bad = np.flatnonzero(data["probability"] != 1.0)
+        if len(bad):
+            pfn, bop, d, p = data[bad[0]].tolist()
+            raise ValueError(f"entry {bad[0] + 1} (pfn {pfn}, bop {bop}, "
+                             f"direction {d}, probability {p}) needs "
+                             f"probability 1.0")
+        return cls(data["pfn"], data["bop"], data["direction"])
 
 
 def sample_profile(profile, rate, seed):
-    """Keep each entry independently with probability ``rate``."""
+    """Keep each entry independently with chance ``rate``, drawn in the
+    profile's (pfn, bop) order, whatever order its entries came in."""
     if not (0.0 < rate <= 1.0):
         raise ValueError("rate must be in (0, 1]")
     if rate == 1.0:
@@ -707,9 +715,8 @@ def template(dram):
     stripe polarities (victim 0x00 under aggressors 0xFF, then the
     inverse) flips each of its cells at most once, in the direction
     :meth:`DramState.flip_direction` gives, so each cell that can flip is
-    listed once, under that direction, with probability 1.0.  The entries
-    are sorted by (pfn, bop, direction): the profile projects the
-    ground-truth cell set exactly.
+    listed once, under that direction, in (pfn, bop) order: the profile
+    projects the ground-truth cell set exactly.
 
     No row buffer is written, because no later step reads the stripes a
     sweep would leave in the attacker's scratch rows: ``cmd_template``
@@ -725,20 +732,28 @@ def template(dram):
     direction = dram.flip_direction(scanned)
     flips = direction >= 0
     scanned, direction = scanned[flips], direction[flips]
-    # each temporary goes once used: a few arrays of the flipped cells set
-    # the peak
-    at = [a[scanned] for a in (dram.cset, dram.crow, dram.cbitcol)]
-    del scanned, flips
-    key, bop = dram.config.cell_to_page_vec(*at)
-    del at
-    # key = (pfn * PAGE_BITS + bop) * 2 + direction, built in place
-    key *= PAGE_BITS
-    key += bop
-    key *= 2
-    key += direction
+    del flips
+    # key = (pfn * PAGE_BITS + bop) * 2 + direction, mapped a chunk at a
+    # time so that the address function's int64 temporaries are the size of
+    # one chunk: the key and the profile's own arrays set the peak
+    key = np.empty(len(scanned), dtype=np.int64)
+    for at in range(0, len(key), _MAP_CHUNK):
+        to = slice(at, at + _MAP_CHUNK)
+        cells = scanned[to]
+        pfn, bop = dram.config.cell_to_page_vec(
+            dram.cset[cells], dram.crow[cells], dram.cbitcol[cells])
+        pfn *= PAGE_BITS
+        pfn += bop
+        pfn *= 2
+        pfn += direction[to]
+        key[to] = pfn
+    del scanned, direction
     key.sort()
-    return FlipProfile(key // (2 * PAGE_BITS), key // 2 % PAGE_BITS, key % 2,
-                       np.ones(len(key)))
+    direction = (key % 2).astype(np.int8)
+    key //= 2
+    bop = key % PAGE_BITS
+    key //= PAGE_BITS
+    return FlipProfile(key, bop, direction)
 
 
 # ---- geometry files ------------------------------------------------------------

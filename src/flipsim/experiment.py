@@ -192,13 +192,16 @@ def build_dataset(cfg):
                                      cfg.train_per_class, cfg.test_per_class,
                                      cfg.blob_noise, cfg.data_seed)
     else:
-        for key in ("idx_train_images", "idx_train_labels", "idx_test_images",
-                    "idx_test_labels"):
+        keys = ("idx_train_images", "idx_train_labels", "idx_test_images",
+                "idx_test_labels")
+        for key in keys:
             path = getattr(cfg, key)
             if not path or not os.path.exists(path):
                 raise ConfigError(f"{key} missing or not found: {path!r}")
-        dataset = qnn.load_idx_dataset(cfg.idx_train_images, cfg.idx_train_labels,
-                                       cfg.idx_test_images, cfg.idx_test_labels)
+        try:
+            dataset = qnn.load_idx_dataset(*(getattr(cfg, key) for key in keys))
+        except ValueError as exc:
+            raise ConfigError(f"malformed IDX file: {exc}") from None
     # an IDX file's images meet the bounds a blob_shape setting must
     if not _in_domain(dataset.input_shape, DOMAINS["blob_shape"]):
         raise ConfigError(f"the dataset's inputs are {dataset.input_shape}; "
@@ -207,6 +210,9 @@ def build_dataset(cfg):
     count = dataset.class_count
     if count < 2:
         raise ConfigError(f"the dataset has {count} class; classes must be >= 2")
+    missing = np.flatnonzero(np.bincount(dataset.y_test, minlength=count) == 0)
+    if len(missing):
+        raise ConfigError(f"the test split has no sample of class {missing[0]}")
     if cfg.target_class >= count:
         raise ConfigError(f"target_class must be -1 (untargeted) or in "
                           f"[0, {count}), got {cfg.target_class}")
@@ -284,28 +290,13 @@ def search_config(cfg):
 
 
 def check_profile_entries(profile, total_pages, path):
-    """Refuse profile entries no frame, bit or direction of the geometry has,
-    entries whose probability is NaN or outside [0, 1], and entries that
-    repeat a ``(pfn, bop)`` location: one cell would back two flips."""
-    bad = np.flatnonzero((profile.pfn < 0) | (profile.pfn >= total_pages)
-                         | (profile.bop < 0) | (profile.bop >= PAGE_BITS)
-                         | ((profile.direction != 0) & (profile.direction != 1))
-                         | ~((profile.probability >= 0)
-                             & (profile.probability <= 1)))
-    if len(bad):
-        i = int(bad[0])
+    """Refuse an entry on a frame the geometry lacks; :class:`FlipProfile`
+    refuses what no geometry has, and holds its entries in pfn order."""
+    i = int(np.searchsorted(profile.pfn, total_pages))
+    if i < len(profile):
         raise ConfigError(
-            f"{path}: entry {i + 1} (pfn {profile.pfn[i]}, bop "
-            f"{profile.bop[i]}, direction {profile.direction[i]}, probability "
-            f"{profile.probability[i]}) needs pfn < {total_pages}, bop < "
-            f"{PAGE_BITS}, direction 0 or 1 and probability in [0, 1]")
-    keys = profile.pfn * PAGE_BITS + profile.bop
-    if (np.diff(np.sort(keys)) == 0).any():
-        order = np.argsort(keys, kind="stable")
-        i = int(order[1:][np.diff(keys[order]) == 0].min())
-        raise ConfigError(
-            f"{path}: entry {i + 1} repeats the location pfn {profile.pfn[i]}, "
-            f"bop {profile.bop[i]}")
+            f"{path}: the entry (pfn {profile.pfn[i]}, bop {profile.bop[i]}, "
+            f"direction {profile.direction[i]}) needs pfn < {total_pages}")
 
 
 def chain_targets(image, records):

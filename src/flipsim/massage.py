@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dram import (OWNER_ATTACKER, OWNER_FREE, OWNER_VICTIM, PAGE_BITS,
-                   FlipProfile)
+from .dram import OWNER_ATTACKER, OWNER_FREE, OWNER_VICTIM, FlipProfile
 from .search import ProfileView
 
 DEFAULT_RECYCLING_THRESHOLD = 180
@@ -194,31 +193,19 @@ def _sandwiched(dram, profile):
 
 
 def verify_template(dram, profile, sample_size=MIN_VERIFY_SAMPLE):
-    """Spot-check stable profile entries; 'obsolete' if any has changed.
+    """Spot-check profile entries; 'obsolete' if any has changed.
 
-    The candidates are the entries with probability 1 in rows of
-    :meth:`DramState.sandwich_mask`, ordered by (pfn, bop, direction).
+    The candidates are the entries in rows of
+    :meth:`DramState.sandwich_mask`, in the profile's (pfn, bop) order.
     ``sample_size`` of them, evenly spaced over that order, are checked at
     once: the cell at each entry's location must flip, by
     :meth:`DramState.flip_direction`, in the recorded direction.  No row is
     written.  A sample of no entry is valid; configs should keep the
     default minimum of 8 cells.
-
-    The order is one stable sort of the packed keys ``(pfn * PAGE_BITS +
-    bop) * 2 + direction``, linear on a profile already in that order, as
-    :func:`~flipsim.dram.template` writes it.  The key orders as the three
-    fields do for ``0 <= bop < PAGE_BITS`` and direction 0 or 1, which the
-    CLI checks of every profile it loads.
     """
-    stable = np.flatnonzero((profile.probability >= 1.0)
-                            & _sandwiched(dram, profile))
-    key = profile.pfn[stable] * PAGE_BITS
-    key += profile.bop[stable]
-    key *= 2
-    key += profile.direction[stable]
-    stable = stable[np.argsort(key, kind="stable")]
-    spaced = np.linspace(0, len(stable) - 1, min(sample_size, len(stable)))
-    picks = stable[np.unique(spaced.astype(int))]
+    pool = np.flatnonzero(_sandwiched(dram, profile))
+    spaced = np.linspace(0, len(pool) - 1, min(sample_size, len(pool)))
+    picks = pool[np.unique(spaced.astype(int))]
     cells = dram.cell_at(profile.pfn[picks], profile.bop[picks])
     same = dram.flip_direction(cells) == profile.direction[picks]
     return "valid" if same.all() else "obsolete"
@@ -232,8 +219,8 @@ def retemplate(dram, stale_profile, needed_bops):
     :meth:`DramState.sandwich_mask`, are dropped untested.  The cell at each
     remaining entry's location is tested once (the recorded direction is
     ignored) and, if it can flip, re-recorded with the direction
-    :meth:`DramState.flip_direction` gives, in (pfn, bop) order.  No row is
-    written.  Returns ``(corrected_profile, stats)``.
+    :meth:`DramState.flip_direction` gives, in the stale profile's (pfn, bop)
+    order.  No row is written.  Returns ``(corrected_profile, stats)``.
     """
     needed = np.fromiter((int(b) for b in needed_bops), dtype=np.int64)
     picks = np.flatnonzero(np.isin(stale_profile.bop, needed)
@@ -241,11 +228,8 @@ def retemplate(dram, stale_profile, needed_bops):
     direction = dram.flip_direction(
         dram.cell_at(stale_profile.pfn[picks], stale_profile.bop[picks]))
     hit = picks[direction >= 0]
-    direction = direction[direction >= 0]
-    order = np.lexsort((stale_profile.bop[hit], stale_profile.pfn[hit]))
-    hit = hit[order]
     corrected = FlipProfile(stale_profile.pfn[hit], stale_profile.bop[hit],
-                            direction[order], stale_profile.probability[hit])
+                            direction[direction >= 0])
     stats = {
         "cells_retested": len(picks),
         "profile_entries": len(stale_profile),

@@ -102,6 +102,8 @@ def model_from_bytes(blob):
         if kind.weighted:
             delta, blen = r.take("<dI")
             bias = np.frombuffer(r.bytes(8 * blen), dtype="<f8").copy()
+            if not (np.isfinite(delta) and np.isfinite(bias).all()):
+                raise ValueError(f"layer {len(layers)}: step size or bias not finite")
             values += (delta, bias)
         layers.append(kind(*values))
     body_start = ((r.off + PAGE - 1) // PAGE) * PAGE

@@ -30,13 +30,11 @@ class Dataset:
         (up to rounding), so per-class prevalence in the batch is flat rather
         than multinomially noisy.  ``from_class`` restricts sampling to one
         label (used by the targeted search).  Sampling is without replacement
-        when possible.
+        when possible; every class needs a test row, as ``build_dataset`` checks.
         """
         rng = np.random.default_rng(seed)
         if from_class is not None:
             pool = np.flatnonzero(self.y_test == from_class)
-            if pool.size == 0:
-                raise ValueError(f"no test samples of class {from_class}")
             return rng.choice(pool, size=size, replace=pool.size < size)
         per_class, extra = divmod(size, self.class_count)
         picks = []
@@ -78,26 +76,33 @@ def gaussian_blobs(classes=10, shape=(1, 8, 8), train_per_class=205,
 def _read_idx(path):
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 4 or blob[0] != 0 or blob[1] != 0:
-        raise ValueError(f"{path}: not an IDX file")
-    dtype_tag, ndim = blob[2], blob[3]
     dtypes = {0x08: np.uint8, 0x09: np.int8, 0x0B: ">i2", 0x0C: ">i4",
               0x0D: ">f4", 0x0E: ">f8"}
-    if dtype_tag not in dtypes:
-        raise ValueError(f"{path}: unknown IDX dtype 0x{dtype_tag:02x}")
-    dims = struct.unpack(f">{ndim}I", blob[4:4 + 4 * ndim])
-    data = np.frombuffer(blob, dtype=dtypes[dtype_tag], offset=4 + 4 * ndim)
-    return data.reshape(dims)
+    if (len(blob) < 4 or blob[0] != 0 or blob[1] != 0 or blob[2] not in dtypes
+            or len(blob) < 4 + 4 * blob[3]):
+        raise ValueError(f"{path}: not an IDX file (magic, dtype or dims)")
+    dtype, head = np.dtype(dtypes[blob[2]]), 4 + 4 * blob[3]
+    dims = struct.unpack_from(f">{blob[3]}I", blob, 4)
+    if len(blob) - head != np.prod(dims, dtype=np.int64) * dtype.itemsize:
+        raise ValueError(f"{path}: the data bytes do not fill dims {dims}")
+    return np.frombuffer(blob, dtype=dtype, offset=head).reshape(dims)
 
 
 def load_idx_dataset(train_images, train_labels, test_images, test_labels):
     """MNIST-style dataset from four IDX files; images become (1, H, W), their
-    pixels scaled from [0, 255] to [0, 1]."""
-    x_tr = _read_idx(train_images).astype(np.float64) / 255.0
-    y_tr = _read_idx(train_labels).astype(np.int64)
-    x_te = _read_idx(test_images).astype(np.float64) / 255.0
-    y_te = _read_idx(test_labels).astype(np.int64)
-    x_tr = x_tr[:, None, :, :]
-    x_te = x_te[:, None, :, :]
-    classes = int(max(y_tr.max(), y_te.max())) + 1
+    pixels scaled from [0, 255] to [0, 1].  A ValueError names a file that is
+    no IDX file, or holds images not 3-D or labels not 1-D, 1 per image, >= 0."""
+    split = []
+    for images, labels in ((train_images, train_labels),
+                           (test_images, test_labels)):
+        x, y = _read_idx(images), _read_idx(labels)
+        if x.ndim != 3 or y.ndim != 1 or len(x) != len(y):
+            raise ValueError(f"{images}, {labels}: images {x.shape}, labels "
+                             f"{y.shape}; want (n, height, width) and (n,)")
+        if y.min(initial=0) < 0:
+            raise ValueError(f"{labels}: label {y.min()} is negative")
+        split += [x[:, None, :, :].astype(np.float64) / 255.0,
+                  y.astype(np.int64)]
+    x_tr, y_tr, x_te, y_te = split
+    classes = int(max(y_tr.max(initial=-1), y_te.max(initial=-1))) + 1
     return Dataset(x_tr, y_tr, x_te, y_te, classes)

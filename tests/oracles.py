@@ -168,7 +168,7 @@ def audit_chain(chain, profile, protected=None):
     if len(set(frames)) != len(frames):
         problems.append("frame placed twice")
     entries = set()
-    for pfn, bop, d, _ in profile_entries(profile):
+    for pfn, bop, d in profile_entries(profile):
         entries.add((pfn, bop, d))
     for s in chain.steps:
         if s.pfn is None:
@@ -373,14 +373,14 @@ def rank_candidates_reference(model, image, x, labels, p, *, objective=1,
 
 
 def profile_entries(profile):
-    """``(pfn, bop, direction, probability)`` tuples of Python scalars."""
+    """``(pfn, bop, direction)`` tuples of Python scalars."""
     return list(zip(profile.pfn.tolist(), profile.bop.tolist(),
-                    profile.direction.tolist(), profile.probability.tolist()))
+                    profile.direction.tolist()))
 
 
 def profile_of(rows):
-    """The profile of ``(pfn, bop, direction, probability)`` tuples, in order."""
-    return FlipProfile(*(zip(*rows) if rows else ([], [], [], [])))
+    """The profile of ``(pfn, bop, direction)`` tuples."""
+    return FlipProfile(*(zip(*rows) if rows else ([], [], [])))
 
 
 def read_bit(state, pfn, bop):
@@ -429,8 +429,7 @@ def ground_truth_profile(dram, pfns=None):
     if pfns is not None:
         wanted = np.fromiter((int(p) for p in pfns), dtype=np.int64)
         order = order[np.isin(pfn[order], wanted)]
-    return FlipProfile(pfn[order], bop[order], dram.ccur_dir[order],
-                       np.ones(len(order)))
+    return FlipProfile(pfn[order], bop[order], dram.ccur_dir[order])
 
 
 def _row_owned(dram, s, r):
@@ -536,16 +535,16 @@ def template(dram):
             dram.row(s, r)[:] = victim_fill
             for s_, r_, c in hammer(dram, s, r, upper=aggr, lower=aggr):
                 seen.add(cell_to_page(dram.config, s_, r_, c) + (direction,))
-    return profile_of([key + (1.0,) for key in sorted(seen)])
+    return profile_of(sorted(seen))
 
 
 def verify_picks(dram, profile, sample_size=8):
-    """Walk every entry, sort the stable ones, return evenly spaced picks
-    as ``(pfn, bop, direction)`` tuples."""
+    """Walk every entry, sort the probe-allowed ones, return evenly spaced
+    picks as ``(pfn, bop, direction)`` tuples."""
     if sample_size == 0:
         return []
-    stable = [(p, b, d) for p, b, d, pr in profile_entries(profile)
-              if pr >= 1.0 and probe_allowed(dram, p)]
+    stable = [(p, b, d) for p, b, d in profile_entries(profile)
+              if probe_allowed(dram, p)]
     if not stable:
         return []
     stable.sort()
@@ -567,14 +566,14 @@ def retemplate(dram, stale_profile, needed_bops):
     needed = set(int(b) for b in needed_bops)
     rows = []
     tested = 0
-    for pfn, bop, _, prob in profile_entries(stale_profile):
+    for pfn, bop, _ in profile_entries(stale_profile):
         if bop not in needed or not probe_allowed(dram, pfn):
             continue
         tested += 1
         if single_cell_probe(dram, pfn, bop, 1):
-            rows.append((pfn, bop, 1, prob))
+            rows.append((pfn, bop, 1))
         elif single_cell_probe(dram, pfn, bop, 0):
-            rows.append((pfn, bop, 0, prob))
+            rows.append((pfn, bop, 0))
     stats = {"cells_retested": tested,
              "profile_entries": len(stale_profile),
              "work_ratio": tested / max(len(stale_profile), 1)}
@@ -586,7 +585,7 @@ def save_csv(profile, path):
         fh.write("pfn,bop,direction,probability\n")
         for i in range(len(profile)):
             fh.write(f"{int(profile.pfn[i])},{int(profile.bop[i])},"
-                     f"{int(profile.direction[i])},{float(profile.probability[i])!r}\n")
+                     f"{int(profile.direction[i])},1.0\n")
 
 
 def disjoint_chains_reference(model, dataset, profile, config, count,
@@ -725,7 +724,7 @@ class ProfileViewReference:
     def __init__(self, profile, config, attacker):
         self.config = config
         self.entries = []  # (bop, direction, pfn, (set, row, bit column))
-        for pfn, bop, d, _ in profile_entries(profile):
+        for pfn, bop, d in profile_entries(profile):
             s, row, col, _, _ = bit_addr(config, pfn, bop)
             if attacker[pfn] and hammerable_reference(config, row):
                 self.entries.append((bop, d, pfn, (s, row, col)))

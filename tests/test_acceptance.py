@@ -311,9 +311,9 @@ def test_criterion_08_scrambling_and_retemplate(pipeline_out, desk_cfg,
     stale = FlipProfile.load_csv(os.path.join(pipeline_out, "profile.csv"))
     state.reboot(777, toggle_probability=1.0)
     corrected, _ = retemplate(state, stale, needed)
-    truth = {(p, b): d for p, b, d, _ in profile_entries(
+    truth = {(p, b): d for p, b, d in profile_entries(
         ground_truth_profile(state, set(stale.pfn.tolist())))}
-    for p, b, d, _ in profile_entries(corrected):
+    for p, b, d in profile_entries(corrected):
         ok &= truth[(p, b)] == d
     covered = needed <= set(corrected.bop.tolist())
     ok &= covered

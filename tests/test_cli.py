@@ -281,7 +281,7 @@ def test_out_of_range_profile_entry_exits_config(fast_trained, tmp_path, capsys,
     total = cli.dram_config(cli.make_config(
         overrides=fast_overrides(str(tmp_path)))).total_pages
     entry = {"pfn": 7, "bop": 5, "direction": 1, "probability": 1.0}
-    # a probability of 7.0 would pass as a stable cell
+    # cells flip deterministically: a probability other than 1.0 is refused
     entry[field] = {"pfn": total, "bop": 32768, "direction": 7,
                     "probability": 7.0}[field]
     shutil.copy(os.path.join(fast_trained, "geometry.txt"), tmp_path)
@@ -301,16 +301,17 @@ def test_out_of_range_profile_entry_exits_config(fast_trained, tmp_path, capsys,
     assert not os.path.exists(tmp_path / "report.json")
 
 
-@pytest.mark.parametrize("probability", ["-0.5", "7.0", "nan", "-inf"])
+@pytest.mark.parametrize("probability",
+                         ["-0.5", "7.0", "nan", "-inf", "0.0", "0.5"])
 def test_profile_probability_outside_unit_interval_is_refused(tmp_path,
                                                              probability):
+    # cells flip deterministically: 1.0 is the one probability a file holds
     path = tmp_path / "profile.csv"
-    path.write_text("pfn,bop,direction,probability\n3,5,0,1.0\n4,6,1,0.0\n"
+    path.write_text("pfn,bop,direction,probability\n3,5,0,1.0\n4,6,1,1.0\n"
                     f"9,2,1,{probability}\n")
-    profile = FlipProfile.load_csv(str(path))
-    with pytest.raises(cli.ConfigError,
+    with pytest.raises(ValueError,
                        match=rf"entry 3 \(.*probability {probability}\)"):
-        experiment.check_profile_entries(profile, 16, path)
+        FlipProfile.load_csv(str(path))
 
 
 @pytest.mark.parametrize("command", ["search", "exploit"])
@@ -821,6 +822,31 @@ def test_malformed_checkpoint_exits_config(fast_trained, tmp_path, capsys, cut):
     assert f"{bad}: malformed checkpoint" in err
     assert {"bit-width": "bit width 9", "bias": "bias", "tag": "layer tag 6",
             "kernel": "kernel 40 is wider than the padded input 10"}.get(cut, "") in err
+    assert not os.path.exists(tmp_path / "search.json")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("field", ["step", "bias"])
+def test_non_finite_checkpoint_step_or_bias_exits_config(fast_trained, tmp_path,
+                                                         capsys, field, value):
+    # a NaN step passed the old `delta_w <= 0` check, and the search then
+    # reported a 0-flip chain as infeasible
+    with open(os.path.join(fast_trained, "checkpoint.qnn"), "rb") as fh:
+        blob = fh.read()
+    dense = next(layer for layer in qnn.model_from_bytes(blob).layers
+                 if isinstance(layer, qnn.Dense))
+    old = struct.pack("<d", dense.delta_w if field == "step"
+                      else dense.bias[np.argmax(np.abs(dense.bias))])
+    assert blob.count(old) == 1
+    bad = tmp_path / "bad.qnn"
+    bad.write_bytes(blob.replace(old, struct.pack("<d", float(value))))
+    capsys.readouterr()
+    rc = cli.main(["search", "--config", fast_config_file(tmp_path),
+                   "--checkpoint", str(bad),
+                   "--profile", os.path.join(fast_trained, "profile.csv")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{bad}: malformed checkpoint" in err and "not finite" in err
     assert not os.path.exists(tmp_path / "search.json")
 
 

@@ -10,6 +10,7 @@ import io
 import math
 import os
 import shutil
+import struct
 from dataclasses import fields
 
 import numpy as np
@@ -108,6 +109,56 @@ def test_idx_images_outside_the_blob_shape_domain_exit_config(tmp_path):
         tmp_path / "c.cfg", out, dataset="idx", arch="lenet", **paths)])
     assert rc == cli.EXIT_CONFIG
     assert "the dataset's inputs are (1, 3, 3)" in err
+    assert not out.exists()
+
+
+def _write_idx(path, array):
+    """``array`` as an IDX file: uint8 or int8 values, any rank."""
+    with open(path, "wb") as fh:
+        fh.write(bytes([0, 0, {np.uint8: 0x08, np.int8: 0x09}[array.dtype.type],
+                        array.ndim]))
+        fh.write(struct.pack(f">{array.ndim}I", *array.shape))
+        fh.write(array.tobytes())
+
+
+IDX_FAULTS = [("2-d images", "train-images", "images (40, 64)"),
+              ("truncated body", "train-images", "do not fill dims (40, 8, 8)"),
+              ("bad magic", "train-labels", "not an IDX file"),
+              ("fewer labels", "train-labels", "labels (30,)"),
+              ("negative label", "train-labels", "label -1 is negative"),
+              ("test split lacks a class", "test-labels", "no sample of class 2")]
+
+
+@pytest.mark.parametrize("fault,name,message", IDX_FAULTS,
+                         ids=[f[0] for f in IDX_FAULTS])
+def test_malformed_idx_dataset_exits_config(tmp_path, fault, name, message):
+    # 40 training and 20 test images of 8x8 in 4 classes, one file broken
+    rng = np.random.default_rng(0)
+    arrays = {"train-images": rng.integers(0, 256, (40, 8, 8), dtype=np.uint8),
+              "train-labels": np.arange(40, dtype=np.uint8) % 4,
+              "test-images": rng.integers(0, 256, (20, 8, 8), dtype=np.uint8),
+              "test-labels": np.arange(20, dtype=np.uint8) % 4}
+    broken = {"2-d images": lambda a: a.reshape(40, 64),
+              "fewer labels": lambda a: a[:30],
+              "negative label": lambda a: np.where(a == 3, -1, a).astype(np.int8),
+              "test split lacks a class": lambda a: np.where(a == 2, 3, a)}
+    arrays[name] = broken.get(fault, lambda a: a)(arrays[name])
+    paths = {}
+    for key, array in arrays.items():
+        paths["idx_" + key.replace("-", "_")] = path = str(tmp_path / f"{key}.idx")
+        _write_idx(path, array)
+    with open(paths["idx_" + name.replace("-", "_")], "r+b") as fh:
+        if fault == "truncated body":
+            fh.truncate(100)
+        elif fault == "bad magic":
+            fh.write(b"\x01")
+    out = tmp_path / "o"
+    rc, err = run(["train", "--config", write_config(
+        tmp_path / "c.cfg", out, dataset="idx", **paths)])
+    assert rc == cli.EXIT_CONFIG
+    assert message in err
+    if fault != "test split lacks a class":
+        assert paths["idx_" + name.replace("-", "_")] in err
     assert not out.exists()
 
 

@@ -147,7 +147,7 @@ def test_one_row_bank_has_no_hammerable_row(mode):
     state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
     assert not state.sandwich_mask().any() and len(template(state)) == 0
     # the frame placer indexes no frame of the bank
-    view = ProfileView(FlipProfile([0], [0], [0], [1.0]), state.config,
+    view = ProfileView(FlipProfile([0], [0], [0]), state.config,
                        np.ones(state.config.total_pages, dtype=bool))
     assert view.match_count(0, 0) == 0
     assert view.place(1, 0, 0)[0] is None
@@ -479,7 +479,7 @@ def test_template_single_cell():
     assert len(profile) == 1
     pfn, bop = oracles.cell_to_page(state.config, 0, 5, 100)
     entry = oracles.profile_entries(profile)[0]
-    assert entry == (pfn, bop, 0, 1.0)
+    assert entry == (pfn, bop, 0)
 
 
 def test_template_deterministic():
@@ -513,7 +513,7 @@ def test_template_peak_stays_near_the_profile_it_returns():
     state.set_owner(range(cfg.total_pages), OWNER_ATTACKER)
     profile, peak = _traced_peak(lambda: template(state))
     returned = sum(a.nbytes for a in (profile.pfn, profile.bop,
-                                      profile.direction, profile.probability))
+                                      profile.direction))
     assert len(profile) > 150_000
     assert peak <= 2.5 * returned, (peak, returned)
 
@@ -575,9 +575,9 @@ def test_reboot_preserves_locations():
     cfg = DramConfig(banks_per_dimm=2, rows_per_bank=64)
     state = DramState(cfg, synthesize_cells(cfg, 300, seed=8))
     state.set_owner(range(cfg.total_pages), OWNER_ATTACKER)
-    before = {(p, b) for p, b, _, _ in oracles.profile_entries(template(state))}
+    before = {(p, b) for p, b, _ in oracles.profile_entries(template(state))}
     state.reboot(5, toggle_probability=0.5)
-    after = {(p, b) for p, b, _, _ in oracles.profile_entries(template(state))}
+    after = {(p, b) for p, b, _ in oracles.profile_entries(template(state))}
     assert before == after
 
 
@@ -600,7 +600,7 @@ def test_reboot_hashes_by_chunk_as_over_the_whole_array():
 
 
 def test_sample_rate_one_identity():
-    profile = FlipProfile([1, 2], [3, 4], [0, 1], [1.0, 1.0])
+    profile = FlipProfile([1, 2], [3, 4], [0, 1])
     out = sample_profile(profile, 1.0, seed=0)
     assert oracles.profile_entries(out) == oracles.profile_entries(profile)
 
@@ -608,14 +608,15 @@ def test_sample_rate_one_identity():
 def test_sample_binomial_bound():
     n = 600_000
     rng = np.random.default_rng(0)
-    profile = FlipProfile(rng.integers(0, 10 ** 6, n), rng.integers(0, 32768, n),
-                          rng.integers(0, 2, n), np.ones(n))
+    # one entry per frame: random frames would repeat locations
+    profile = FlipProfile(np.arange(n), rng.integers(0, 32768, n),
+                          rng.integers(0, 2, n))
     out = sample_profile(profile, 0.01, seed=123)
     assert abs(len(out) - 6000) <= 300
 
 
 def test_sample_tiny_profile_can_empty():
-    profile = FlipProfile([1], [2], [0], [1.0])
+    profile = FlipProfile([1], [2], [0])
     out = sample_profile(profile, 0.001, seed=7)
     assert len(out) in (0, 1)
 
@@ -626,11 +627,49 @@ def test_sample_rate_validation():
         sample_profile(profile, 0.0, seed=0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 40), st.integers(0, 32767)),
+                       st.integers(0, 1), max_size=60),
+       st.randoms(use_true_random=False),
+       st.sampled_from([1.0, 0.5, 0.1]), st.integers(0, 2 ** 16))
+def test_profile_from_shuffled_entries_equals_the_in_order_one(
+        entries, random, rate, seed):
+    rows = sorted((p, b, d) for (p, b), d in entries.items())
+    shuffled = random.sample(rows, len(rows))
+    in_order, given_ = oracles.profile_of(rows), oracles.profile_of(shuffled)
+    assert oracles.profile_entries(given_) == rows
+    assert oracles.profile_entries(sample_profile(given_, rate, seed)) == \
+        oracles.profile_entries(sample_profile(in_order, rate, seed))
+
+
+def test_profile_keeps_in_order_columns_as_given():
+    pfn, bop = np.array([1, 1, 2]), np.array([5, 9, 0])
+    direction = np.array([0, 1, 1], dtype=np.int8)
+    profile = FlipProfile(pfn, bop, direction)
+    assert all(np.shares_memory(a, b) for a, b in
+               ((profile.pfn, pfn), (profile.bop, bop),
+                (profile.direction, direction)))
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([(3, 5, 0), (-1, 5, 0)], "entry 2 (pfn -1, bop 5, direction 0) needs"),
+    ([(3, 32768, 1)], "entry 1 (pfn 3, bop 32768, direction 1) needs"),
+    ([(3, -1, 1)], "entry 1 (pfn 3, bop -1, direction 1) needs"),
+    ([(3, 5, 0), (4, 6, 2)], "entry 2 (pfn 4, bop 6, direction 2) needs"),
+    ([(9, 1, 0), (3, 5, 0), (3, 5, 1), (9, 1, 0)],
+     "entry 3 repeats the location pfn 3, bop 5"),
+], ids=["pfn", "bop-high", "bop-low", "direction", "repeat"])
+def test_profile_refuses_what_no_geometry_has(rows, message):
+    with pytest.raises(ValueError) as err:
+        oracles.profile_of(rows)
+    assert message in str(err.value)
+
+
 # ---- files ------------------------------------------------------------------------
 
 
 def test_profile_csv_roundtrip(tmp_path):
-    profile = FlipProfile([5, 9], [4847, 100], [0, 1], [1.0, 0.5])
+    profile = FlipProfile([5, 9], [4847, 100], [0, 1])
     path = tmp_path / "p.csv"
     profile.save_csv(str(path))
     back = FlipProfile.load_csv(str(path))
@@ -643,11 +682,31 @@ def test_save_csv_peak_does_not_grow_with_entries(tmp_path):
     rng = np.random.default_rng(2)
     n = 100_000
     profile = FlipProfile(rng.integers(0, 10 ** 6, n), rng.integers(0, 32768, n),
-                          rng.integers(0, 2, n), rng.choice([1.0, 0.5, 0.25], n))
+                          rng.integers(0, 2, n))
     path, peak = _traced_peak(lambda: profile.save_csv(str(tmp_path / "p.csv")))
     assert peak <= 5 * 2 ** 20, peak
     assert oracles.profile_entries(FlipProfile.load_csv(path)) == \
         oracles.profile_entries(profile)
+
+
+# sha256 of the profile.csv that provision and template write at seed 4 on
+# the desk geometry; the bytes depend on the cell stream and integer maps
+# only, not on the model's weights
+DESK_PROFILE_SHA256 = \
+    "63c2bc6695546367e2c526c3289c05dd4efe7b25d755c48aa147b1d793496a0f"
+
+
+def test_desk_profile_bytes_are_pinned(tmp_path):
+    import hashlib
+
+    from flipsim import cli, experiment
+
+    cfg = cli.make_config(overrides={"seed": "4", "geometry": "desk"})
+    spec = experiment.build_model_spec(cfg, experiment.build_dataset(cfg))
+    state = experiment.provision(cfg, spec.assemble(spec.init_params(0)))[0]
+    path = template(state).save_csv(str(tmp_path / "profile.csv"))
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == DESK_PROFILE_SHA256
 
 
 def test_header_only_profile_loads_empty_without_warning(tmp_path):
@@ -657,9 +716,8 @@ def test_header_only_profile_loads_empty_without_warning(tmp_path):
         warnings.simplefilter("error")
         back = FlipProfile.load_csv(str(path))
     assert len(back) == 0
-    assert [a.dtype for a in (back.pfn, back.bop, back.direction,
-                              back.probability)] == [
-        np.int64, np.int64, np.int8, np.float64]
+    assert [a.dtype for a in (back.pfn, back.bop, back.direction)] == [
+        np.int64, np.int64, np.int8]
 
 
 def test_geometry_file_roundtrip(tmp_path):

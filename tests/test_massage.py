@@ -66,7 +66,7 @@ def attacker_state(cells=(), rows=32, banks=2):
 def test_single_target_single_candidate():
     state = attacker_state()
     ppn = state.config.row_pfns(0, 5)[0]
-    profile = FlipProfile([ppn], [4847], [0], [1.0])
+    profile = FlipProfile([ppn], [4847], [0])
     tb = TargetBit(1, 4847, 0)
     plan = plan_mapping([tb], profile, state)
     assert plan.entries[0].ppn == ppn
@@ -80,7 +80,7 @@ def test_replay_places_in_chain_order():
     shared = state.config.row_pfns(0, 5)[0]
     others = [state.config.row_pfns(0, r)[0] for r in (8, 11, 14, 17)]
     profile = FlipProfile([shared] + [shared] + others, [100] + [200] * 5,
-                          [0] * 6, [1.0] * 6)
+                          [0] * 6)
     target_a, target_b = TargetBit(1, 100, 0), TargetBit(2, 200, 0)
     plan = plan_mapping([target_a, target_b], profile, state)
     assert [e.ppn for e in plan.entries] == [shared, others[0]]
@@ -98,8 +98,7 @@ def test_replay_skips_frames_that_collide(mode):
     state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
     first = state.config.row_pfns(0, 5)[0]
     beside, far = state.config.row_pfns(0, 6)[0], state.config.row_pfns(0, 20)[0]
-    profile = FlipProfile([first, beside, far], [100, 200, 200], [0] * 3,
-                          [1.0] * 3)
+    profile = FlipProfile([first, beside, far], [100, 200, 200], [0] * 3)
     targets = [TargetBit(1, 100, 0), TargetBit(2, 200, 0)]
     plan = plan_mapping(targets, profile, state)
     assert [e.ppn for e in plan.entries] == [first, far]
@@ -110,7 +109,7 @@ def test_replay_skips_frames_that_collide(mode):
 
 def test_unsatisfiable_names_the_target():
     state = attacker_state()
-    profile = FlipProfile([state.config.row_pfns(0, 5)[0]], [100], [0], [1.0])
+    profile = FlipProfile([state.config.row_pfns(0, 5)[0]], [100], [0])
     missing = TargetBit(3, 999, 0)
     with pytest.raises(UnsatisfiablePlan) as err:
         plan_mapping([missing], profile, state)
@@ -119,7 +118,7 @@ def test_unsatisfiable_names_the_target():
 
 def test_direction_mismatch_unsatisfiable():
     state = attacker_state()
-    profile = FlipProfile([state.config.row_pfns(0, 5)[0]], [100], [1], [1.0])
+    profile = FlipProfile([state.config.row_pfns(0, 5)[0]], [100], [1])
     with pytest.raises(UnsatisfiablePlan):
         plan_mapping([TargetBit(1, 100, 0)], profile, state)
 
@@ -132,8 +131,7 @@ def test_replay_skips_a_frame_in_the_other_channels_aggressor_row():
     state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
     first = state.config.row_pfns(0, 5)[0]
     beside, far = state.config.row_pfns(0, 6)[0], state.config.row_pfns(0, 20)[0]
-    profile = FlipProfile([first, beside, far], [20000, 100, 100], [0] * 3,
-                          [1.0] * 3)
+    profile = FlipProfile([first, beside, far], [20000, 100, 100], [0] * 3)
     targets = [TargetBit(1, 20000, 0), TargetBit(2, 100, 0)]
     plan = plan_mapping(targets, profile, state)
     assert [e.ppn for e in plan.entries] == [first, far]
@@ -164,7 +162,7 @@ def planning_cases(draw):
         for direction in (0, 1):
             frames = draw(st.lists(st.sampled_from(free), min_size=1,
                                    max_size=4, unique=True))
-            rows += [(pfn, bop, direction, 1.0) for pfn in frames]
+            rows += [(pfn, bop, direction) for pfn in frames]
             free = [pfn for pfn in free if pfn not in frames]
     targets = [TargetBit(i + 1, draw(st.sampled_from(bops)),
                          draw(st.sampled_from([0, 1])))
@@ -191,7 +189,7 @@ def test_plan_mapping_matches_reference_planner(case):
         return
     assert got.entries == want.entries
     assert got.candidate_counts == want.candidate_counts
-    locations = {(p, b, d) for p, b, d, _ in profile_entries(profile)}
+    locations = {(p, b, d) for p, b, d in profile_entries(profile)}
     assert len({e.ppn for e in got.entries}) == len(targets)
     geos = []
     for e, tb in zip(got.entries, targets):
@@ -352,10 +350,10 @@ def test_retemplate_restores_inverted_directions():
     state.reboot(42, toggle_probability=1.0)
     needed = {int(b) for b in stale.bop}
     corrected, stats = retemplate(state, stale, needed)
-    truth = {(p, b): d for p, b, d, _ in
+    truth = {(p, b): d for p, b, d in
              profile_entries(ground_truth_profile(state))}
     assert len(corrected) == len(stale)
-    for p, b, d, _ in profile_entries(corrected):
+    for p, b, d in profile_entries(corrected):
         assert truth[(p, b)] == d
     assert stats["work_ratio"] == 1.0
 

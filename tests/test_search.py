@@ -166,7 +166,7 @@ def test_incremental_logits_match_forward_from(hidden, bit, data):
 def test_select_flippable_matches_table_style_entry(small_setup):
     model, _ = small_setup
     # candidate (page 1, bop 4847, mode 0) with a matching profile entry
-    profile = FlipProfile([77], [4847], [0], [1.0])
+    profile = FlipProfile([77], [4847], [0])
     view = _view(profile)
     cand = Candidate(BitRef(1, 605, 7), -0.5, 0, 1, 4847, 2.0, 0.5, 1)
     picked = select_flippable([cand], view)
@@ -176,7 +176,7 @@ def test_select_flippable_matches_table_style_entry(small_setup):
 
 
 def test_select_skips_opposite_direction():
-    profile = FlipProfile([77], [4847], [1], [1.0])
+    profile = FlipProfile([77], [4847], [1])
     view = _view(profile)
     cand = Candidate(BitRef(1, 605, 7), -0.5, 0, 1, 4847, 2.0, 0.5, 0)
     assert select_flippable([cand], view) is None
@@ -186,7 +186,7 @@ def test_select_prefers_more_locations_on_ties(small_setup):
     model, dataset = small_setup
     image = WeightImage(model)
     x, y = dataset.batch(64, 3)
-    profile_rows = [(110, 100, 0, 1.0), (111, 100, 0, 1.0), (112, 200, 0, 1.0)]
+    profile_rows = [(110, 100, 0), (111, 100, 0), (112, 200, 0)]
     profile = profile_of(profile_rows)
     view = _view(profile)
     a = Candidate(BitRef(1, 2, 7), -0.5, 0, 1, 200, 2.0, 0.5, 1)
@@ -213,7 +213,7 @@ def test_rank_respects_page_rule_and_mask():
     # two frames per direction hold every bop: the view leaves every bit
     # eligible, and binds the page of the step it places
     view = _view(profile_of(
-        [(pfn, bop, pfn % 2, 1.0) for pfn in range(100, 104)
+        [(pfn, bop, pfn % 2) for pfn in range(100, 104)
          for bop in range(PAGE_BITS)]))
     assert view.place(best.page, best.bop, best.mode)[0] is not None
     assert view.pages == {best.page}
@@ -247,7 +247,7 @@ def test_protected_mask_layer_refs_list_each_ref():
 
 def test_no_location_reuse():
     # within a chain a frame backs one step; the next chain starts afresh
-    profile = FlipProfile([109, 109], [123, 124], [0, 0], [1.0, 1.0])
+    profile = FlipProfile([109, 109], [123, 124], [0, 0])
     view = _view(profile)
     assert view.place(1, 123, 0) == (109, None)
     assert view.match_count(124, 0) == 0
@@ -280,7 +280,7 @@ def test_profile_view_matches_reference(channels, hammer, locations, seed,
                         hammer_mode=hammer)
     attacker = np.random.default_rng(seed).random(config.total_pages) < 0.8
     profile = profile_of(
-        [(pfn, bop, d, 1.0) for (pfn, bop), d in locations.items()])
+        [(pfn, bop, d) for (pfn, bop), d in locations.items()])
     view = ProfileView(profile, config, attacker)
     ref = ProfileViewReference(profile, config, attacker)
     for op, page, bop, mode in ops:
@@ -364,7 +364,7 @@ def test_chain_respects_constraints_audit(small_setup):
     r = np.random.default_rng(0)
     pfn = 100
     for bop in r.integers(0, 32768, size=3000):
-        entries.append((pfn, int(bop), int(r.integers(0, 2)), 1.0))
+        entries.append((pfn, int(bop), int(r.integers(0, 2))))
         pfn += 1
     profile = profile_of(entries)
     cfg = SearchConfig(p=8, max_flips=8, target_accuracy=0.0, **PLACED)
@@ -486,8 +486,7 @@ def rank_models():
 def _random_profile(gen, rate):
     """Each (bop, direction) location present with probability ``rate``."""
     keep = np.flatnonzero(gen.random(2 * 32768) < rate)
-    return FlipProfile(np.arange(len(keep)) + 50, keep // 2, keep % 2,
-                       np.ones(len(keep)))
+    return FlipProfile(np.arange(len(keep)) + 50, keep // 2, keep % 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -586,8 +585,7 @@ def _unique_locations(gen, rate):
     low, high = _random_profile(gen, rate), _random_profile(gen, rate)
     return FlipProfile(np.concatenate([low.pfn, high.pfn + 100_000]),
                        np.concatenate([low.bop, high.bop]),
-                       np.concatenate([low.direction, high.direction]),
-                       np.concatenate([low.probability, high.probability]))
+                       np.concatenate([low.direction, high.direction]))
 
 
 @settings(max_examples=30, deadline=None)

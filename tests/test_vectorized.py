@@ -120,12 +120,10 @@ def test_verify_template_matches_reference_in_any_entry_order(
     order = (np.arange(len(profile))[::-1] if reverse
              else rng.permutation(len(profile)))
     profile = profile.subset(order)
-    # a hand-made profile's entries below probability 1 are never sampled
-    profile.probability[rng.random(len(profile)) < 0.3] = 0.5
 
     # the sample is the oracle's: a wrong direction at any one of its picks
     # is seen, and wrong directions at every other entry are not
-    at = {(p, b): i for i, (p, b, _, _) in
+    at = {(p, b): i for i, (p, b, _) in
           enumerate(oracles.profile_entries(profile))}
     picked = [at[p, b] for p, b, _ in
               oracles.verify_picks(slow, profile, sample_size)]
@@ -144,19 +142,13 @@ def test_verify_template_matches_reference_in_any_entry_order(
         oracles.verify_template(slow, profile, sample_size)
 
 
-INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
-
-
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.one_of(st.integers(0, 300), INT64),
-                          st.one_of(st.integers(0, 32767), INT64),
-                          st.integers(-128, 127),
-                          st.one_of(st.floats(0.0, 1.0), st.floats(),
-                                    st.sampled_from([-0.0, 5e-324, 2.5e-310,
-                                                     float("inf"), float("nan")]))),
-                max_size=40))
-def test_save_csv_bytes_match_per_line_writer(tmp_path_factory, rows):
-    profile = oracles.profile_of(rows)
+@given(st.dictionaries(st.tuples(st.one_of(st.integers(0, 300),
+                                           st.integers(0, 2 ** 63 - 1)),
+                                 st.integers(0, 32767)),
+                       st.integers(0, 1), max_size=40))
+def test_save_csv_bytes_match_per_line_writer(tmp_path_factory, entries):
+    profile = oracles.profile_of([(p, b, d) for (p, b), d in entries.items()])
     out = tmp_path_factory.mktemp("csv")
     profile.save_csv(str(out / "fast.csv"))
     oracles.save_csv(profile, str(out / "slow.csv"))
@@ -164,17 +156,14 @@ def test_save_csv_bytes_match_per_line_writer(tmp_path_factory, rows):
 
 
 def test_save_csv_bytes_match_per_line_writer_over_blocks(tmp_path):
-    # several blocks, each with its own widths and distinct probabilities
+    # several blocks, each with its own field widths
     rng = np.random.default_rng(5)
     n = 2 * _CSV_BLOCK + 1000
-    pfn = rng.integers(0, 10 ** 6, n)
-    pfn[_CSV_BLOCK:2 * _CSV_BLOCK] = rng.integers(-2 ** 63, 2 ** 63 - 1,
-                                                  _CSV_BLOCK, dtype=np.int64)
-    pfn[-2:] = -2 ** 63, 2 ** 63 - 1
-    probs = [1.0, 0.5, 1 / 3, 0.1, -0.0, 0.0, 5e-324, float("inf"),
-             float("nan")]
-    profile = FlipProfile(pfn, rng.integers(-40_000, 40_000, n),
-                          rng.integers(-128, 128, n), rng.choice(probs, n))
+    pfn = np.cumsum(rng.integers(1, 4, n))  # each location once, in order
+    pfn[_CSV_BLOCK:] += 10 ** 12
+    pfn[2 * _CSV_BLOCK:] += 2 ** 62
+    pfn[-1] = 2 ** 63 - 1
+    profile = FlipProfile(pfn, rng.integers(0, 32768, n), rng.integers(0, 2, n))
     profile.save_csv(str(tmp_path / "fast.csv"))
     oracles.save_csv(profile, str(tmp_path / "slow.csv"))
     assert (tmp_path / "fast.csv").read_bytes() == \
