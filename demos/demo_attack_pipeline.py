@@ -9,7 +9,7 @@ every stage.
 
 import numpy as np
 
-from flipsim import cli, experiment, qnn
+from flipsim import cli, experiment
 from flipsim.dram import HAMMER_SECONDS_PER_ACTION, template
 from flipsim.image import WeightImage
 from flipsim.massage import (PageFrameCache, plan_aggressors, plan_mapping,
@@ -22,11 +22,7 @@ cfg = cli.make_config(overrides={"seed": 4})
 
 print("== victim model ==")
 dataset = experiment.build_dataset(cfg)
-spec = experiment.build_model_spec(cfg, dataset)
-model = qnn.train_small(spec, dataset,
-                        qnn.TrainConfig(epochs=cfg.epochs, lr=cfg.lr,
-                                        accuracy_floor=cfg.accuracy_floor),
-                        cfg.train_seed)
+model = experiment.train_model(cfg, dataset)
 _, clean = loss_and_accuracy(model, dataset.x_test, dataset.y_test)
 image = WeightImage(model)
 print(f"clean accuracy {clean:.3f}, {image.weight_bytes} weight bytes over "

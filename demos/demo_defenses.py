@@ -6,7 +6,7 @@ is the strongest attacker and therefore the fairest test of a model-side
 defense.
 """
 
-import statistics
+from dataclasses import replace
 
 from flipsim import cli, experiment, qnn
 from flipsim.search import (ProtectedMask, SearchConfig, protection_rounds,
@@ -34,14 +34,9 @@ print("wider models consistently need at least as many flips, but are not "
       "immune")
 
 print("\n== protect-top-N: lock the bits the attack would use, repeat ==")
-spec = experiment.build_model_spec(cfg, dataset)
-model = qnn.train_small(spec, dataset,
-                        qnn.TrainConfig(epochs=cfg.epochs, lr=cfg.lr,
-                                        accuracy_floor=cfg.accuracy_floor),
-                        cfg.train_seed)
-chains = protection_rounds(model, dataset,
-                           SearchConfig(p=cfg.p, batch_seed=cfg.batch_seed),
-                           rounds=6)
+model = experiment.train_model(cfg, dataset)
+search_cfg = experiment.search_config(cfg)
+chains = protection_rounds(model, dataset, search_cfg, rounds=6)
 for i, chain in enumerate(chains, 1):
     print(f"  round {i}: {len(chain)} fresh flips still reach "
           f"{chain.terminal_metric():.3f}")
@@ -49,11 +44,9 @@ print("the pool of damaging bits is too large for selective protection")
 
 print("\n== layer locking: pin the first and last layers in cache ==")
 weighted = model.weighted_indices()
-free = search_chain(model, dataset, None,
-                    SearchConfig(p=cfg.p, batch_seed=cfg.batch_seed))
-locked_cfg = SearchConfig(p=cfg.p, batch_seed=cfg.batch_seed,
-                          protected=ProtectedMask(
-                              locked_layers={weighted[0], weighted[-1]}))
+free = search_chain(model, dataset, None, search_cfg)
+locked_cfg = replace(search_cfg, protected=ProtectedMask(
+    locked_layers={weighted[0], weighted[-1]}))
 locked = search_chain(model, dataset, None, locked_cfg)
 
 

@@ -13,8 +13,8 @@ from .massage import (MappingMismatch, PageFrameCache, PrecisionViolation,
                       plan_mapping, precise_hammer, release_and_remap,
                       retemplate, verify_template)
 from .qnn import (BitRef, QuantizedModel, TrainConfig, TrainingFailure,
-                  decode_bits, encode_bits, gaussian_blobs, load_checkpoint,
-                  loss_and_accuracy, quantize, save_checkpoint, train_small)
+                  gaussian_blobs, load_checkpoint, loss_and_accuracy, quantize,
+                  save_checkpoint, train_small)
 from .search import (BitChain, Candidate, ChainStep, ProfileView,
                      ProtectedMask, SearchConfig, disjoint_chains,
                      protection_rounds, rank_candidates, search_chain,

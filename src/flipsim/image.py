@@ -146,7 +146,8 @@ def write_chain(path, records):
 
 
 def read_chain(path):
-    """The records of a :func:`write_chain` file; each must be a valid target."""
+    """The records of a :func:`write_chain` file; each must be a valid target
+    given as JSON integers, with a finite number as its ``expected_acc``."""
     steps = []
     with open(path) as fh:
         for line in fh:
@@ -154,8 +155,13 @@ def read_chain(path):
             if not line:
                 continue
             rec = json.loads(line)
-            target = TargetBit(int(rec["page"]), int(rec["bop"]), int(rec["mode"]))
+            for key in ("page", "bop", "mode"):
+                if type(rec[key]) is not int:
+                    raise ValueError(f"{key} {rec[key]!r} is not an integer")
+            acc = rec["expected_acc"]
+            if type(acc) not in (int, float) or not np.isfinite(acc):
+                raise ValueError(f"expected_acc {acc!r} is not a finite number")
+            target = TargetBit(rec["page"], rec["bop"], rec["mode"])
             steps.append({"page": target.page, "bop": target.bop,
-                          "mode": target.mode,
-                          "expected_acc": float(rec["expected_acc"])})
+                          "mode": target.mode, "expected_acc": float(acc)})
     return steps

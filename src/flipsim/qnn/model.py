@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import ResidualAdd
-from .quant import SUPPORTED_BIT_WIDTHS, toggle_bit
+from .quant import SUPPORTED_BIT_WIDTHS, toggle_bit, weight_code
 
 
 @dataclass(frozen=True, order=True)
@@ -177,13 +177,14 @@ class QuantizedModel:
     # ---- serialization helpers ----------------------------------------------
 
     def weight_block(self):
-        """All weight codes as two's-complement bytes, layer order."""
+        """All weight codes as sign-extended int8 bytes, layer order."""
         parts = [self.layers[i].weight_q.reshape(-1).astype(np.int8).tobytes()
                  for i in self.weighted_indices()]
         return b"".join(parts)
 
     def load_weight_block(self, blob):
-        """Read :meth:`weight_block`'s layout; trailing bytes are ignored."""
+        """Read :meth:`weight_block`'s layout, each byte as its
+        :func:`weight_code`; trailing bytes are ignored."""
         need = sum(self.layers[i].weight_count for i in self.weighted_indices())
         if len(blob) < need:
             raise ValueError(f"weight block too short: {len(blob)} of {need} "
@@ -192,8 +193,9 @@ class QuantizedModel:
         for i in self.weighted_indices():
             layer = self.layers[i]
             n = layer.weight_count
-            arr = np.frombuffer(blob[off:off + n], dtype=np.int8).copy()
-            layer.weight_q = arr.reshape(layer.weight_q.shape)
+            raw = np.frombuffer(blob[off:off + n], dtype=np.uint8)
+            layer.weight_q = weight_code(raw, self.bit_width).reshape(
+                layer.weight_q.shape)
             layer.invalidate()
             off += n
 

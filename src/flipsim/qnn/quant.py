@@ -61,36 +61,6 @@ def dequantize(weight_q, delta_w):
     return np.asarray(weight_q, dtype=np.float64) * delta_w
 
 
-def decode_bits(bits):
-    """Evaluate a two's-complement bit vector given MSB first.
-
-    ``decode_bits([1,0,0,0,0,0,0,0]) == -128``; the leading bit carries weight
-    ``-2**(N-1)``, every other bit ``i`` (counting from the LSB) carries
-    ``2**i``.
-    """
-    bits = [int(b) for b in bits]
-    n = len(bits)
-    if n not in SUPPORTED_BIT_WIDTHS:
-        raise ValueError(f"unsupported bit vector length {n}")
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError("bits must be 0 or 1")
-    value = -(2 ** (n - 1)) * bits[0]
-    for i, b in enumerate(reversed(bits[1:])):
-        value += (2 ** i) * b
-    return value
-
-
-def encode_bits(value, bit_width=8):
-    """Inverse of :func:`decode_bits`: integer -> MSB-first bit list."""
-    qmax = 2 ** (bit_width - 1) - 1
-    qmin = -(2 ** (bit_width - 1))
-    if not (qmin <= value <= qmax):
-        raise ValueError(f"{value} out of {bit_width}-bit range")
-    u = value & (2 ** bit_width - 1)
-    return [(u >> i) & 1 for i in range(bit_width - 1, -1, -1)]
-
-
 def bit_coefficients(bit_width=8):
     """Per-bit weight of the two's-complement encoding, LSB first.
 
@@ -102,12 +72,32 @@ def bit_coefficients(bit_width=8):
     return c
 
 
+def weight_code(raw, bit_width=8):
+    """The signed code held in the low ``bit_width`` bits of ``raw``.
+
+    ``raw`` is an int or an integer array (an array comes back as int8).
+    The bits at and above ``bit_width`` are ignored, so a byte read back from
+    memory and the sign-extended code it was written from give one code; at
+    8 bits an int8 is its own code.
+    """
+    array = not isinstance(raw, int)
+    if array:
+        raw = np.asarray(raw).astype(np.uint8)  # a copy of the low 8 bits
+    half = 1 << (bit_width - 1)
+    raw &= 2 * half - 1
+    raw ^= half
+    raw -= half  # in uint8 this wraps to the bits of the int8 code
+    return raw.view(np.int8) if array else raw
+
+
 def toggle_bit(value, bit, bit_width=8):
-    """Toggle one bit of a two's-complement integer; an involution."""
-    if not (0 <= bit < bit_width):
+    """Flip bit ``bit`` of a code, then read the code; an involution.
+
+    ``value`` and ``bit`` are ints, or integer arrays flipped elementwise
+    into an int8 array.
+    """
+    if np.any((np.asarray(bit) < 0) | (np.asarray(bit) >= bit_width)):
         raise ValueError(f"bit {bit} out of range for width {bit_width}")
-    mask = 2 ** bit_width - 1
-    u = (int(value) & mask) ^ (1 << bit)
-    if u >= 2 ** (bit_width - 1):
-        u -= 2 ** bit_width
-    return u
+    if not isinstance(value, int):
+        value = np.asarray(value).astype(np.uint8)
+    return weight_code(value ^ (1 << bit), bit_width)

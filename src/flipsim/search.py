@@ -221,9 +221,9 @@ def _dense_suffix_logits(model, acts, refs, labels=None):
         return None
     flat = np.array([ref.index for ref in refs], dtype=np.int64)
     js, ins = np.divmod(flat, layer.in_features)
-    old = layer.weight_q.reshape(-1)[flat].tolist()
-    steps = np.array([toggle_bit(o, ref.bit, model.bit_width) - o
-                      for o, ref in zip(old, refs)]) * layer.delta_w
+    old = layer.weight_q.reshape(-1)[flat].astype(np.int64)  # no int8 wrap
+    bits = np.array([ref.bit for ref in refs], dtype=np.int64)
+    steps = (toggle_bit(old, bits, model.bit_width) - old) * layer.delta_w
     col = steps[:, None] * acts[start][:, ins].T
     m = start + 1
     while m < len(layers) and isinstance(layers[m], ReLU):

@@ -23,6 +23,7 @@ from flipsim.massage import (MappingPlan, PageFrameCache, PlanEntry,
                              precise_hammer, release_and_remap, retemplate,
                              verify_template)
 from flipsim.qnn.model import BitRef, loss_and_accuracy
+from flipsim.qnn.quant import SUPPORTED_BIT_WIDTHS, weight_code
 from flipsim.search import (ProfileView, ProtectedMask, SearchConfig,
                             protection_rounds, rank_candidates, search_chain,
                             search_chain_targeted, search_pass,
@@ -44,9 +45,20 @@ def verdict(n, ok, detail):
 
 
 def test_criterion_01_quantization_encoding_oracle():
-    for v in range(256):
-        bits = [(v >> i) & 1 for i in range(7, -1, -1)]
-        assert qnn.decode_bits(bits) == twos_complement_value(bits)
+    # the engine's one code rule: a byte reads as the code in its low bits,
+    # and a flip is that read of the byte with the bit toggled
+    patterns = 0
+    for width in SUPPORTED_BIT_WIDTHS:
+        for v in range(256):
+            bits = [(v >> i) & 1 for i in range(width - 1, -1, -1)]
+            code = weight_code(v, width)
+            assert code == twos_complement_value(bits)
+            for b in range(width):
+                flipped = bits.copy()
+                flipped[width - 1 - b] ^= 1
+                assert (qnn.toggle_bit(code, b, width)
+                        == twos_complement_value(flipped))
+            patterns += 1
     gen = np.random.default_rng(1)
     checked = 0
     for _ in range(10_000):
@@ -59,7 +71,9 @@ def test_criterion_01_quantization_encoding_oracle():
         assert np.abs(q2.astype(int) - q.astype(int)).max() <= 1
         checked += 1
     verdict(1, checked > 9000,
-            f"256/256 decode patterns exact, {checked} random tensors idempotent")
+            f"{patterns} byte patterns and their flips exact at widths "
+            f"{SUPPORTED_BIT_WIDTHS.start}-{SUPPORTED_BIT_WIDTHS.stop - 1}, "
+            f"{checked} random tensors idempotent")
 
 
 # -- 2 ------------------------------------------------------------------------

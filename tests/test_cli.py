@@ -452,6 +452,29 @@ def test_malformed_chain_exits_config(fast_trained, tmp_path, capsys, line):
     assert not os.path.exists(tmp_path / "report.json")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("page", 1.9), ("bop", True), ("mode", "0"),
+    ("expected_acc", float("nan")), ("expected_acc", "0.5"),
+], ids=["fractional-page", "bool-bop", "string-mode", "nan-metric",
+        "string-metric"])
+def test_chain_record_of_the_wrong_json_type_exits_config(
+        fast_trained, tmp_path, capsys, key, value):
+    # one record, so no other refusal (a page targeted twice) can answer
+    chain = tmp_path / "bad_chain.jsonl"
+    chain.write_text(json.dumps({**_RECORD, key: value}) + "\n")
+    with pytest.raises(ValueError, match=f"^{key} "):
+        read_chain(str(chain))
+    capsys.readouterr()
+    rc = cli.main(["exploit", "--config", fast_config_file(tmp_path),
+                   "--checkpoint", os.path.join(fast_trained, "checkpoint.qnn"),
+                   "--profile", os.path.join(fast_trained, "profile.csv"),
+                   "--chain", str(chain)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(chain) in err and key in err
+    assert not os.path.exists(tmp_path / "report.json")
+
+
 @pytest.mark.parametrize("flags, key", [
     (["--flips", "-1"], "flips"),
     (["--trials", "-2"], "trials"),

@@ -10,8 +10,10 @@ from flipsim.qnn.architectures import FloatSpec
 from flipsim.qnn.layers import Dense, MaxPool2d
 from flipsim.qnn.model import (BitRef, QuantizedModel, loss_and_accuracy,
                                softmax_cross_entropy)
+from flipsim.qnn.quant import SUPPORTED_BIT_WIDTHS, toggle_bit
 from oracles import (bit_gradients, finite_difference_grads,
-                     maxpool_reference, naive_accuracy, naive_forward)
+                     maxpool_reference, naive_accuracy, naive_forward,
+                     twos_complement_value)
 
 rng = np.random.default_rng(42)
 
@@ -339,3 +341,25 @@ def test_initial_checkpoint_bytes_are_pinned(arch, bit_width, seed):
     blob = qnn.checkpoint_bytes(spec.assemble(spec.init_params(seed)))
     assert (hashlib.sha256(blob).hexdigest()
             == CHECKPOINT_SHA256[arch, bit_width, seed])
+
+
+@pytest.mark.parametrize("bit_width", SUPPORTED_BIT_WIDTHS)
+def test_a_flipped_stored_bit_loads_as_the_toggled_code(bit_width):
+    # the exploit loads the hammered bytes; the search flipped by toggle_bit
+    half = 2 ** (bit_width - 1)
+    codes = np.arange(-half, half)
+    layer = Dense(codes.size, 2)
+    layer.weight_q = np.stack([codes, codes[::-1]]).astype(np.int8)
+    model = QuantizedModel([qnn.Flatten(), layer], bit_width, 2,
+                           (1, 1, codes.size))
+    written = np.frombuffer(model.weight_block(), dtype=np.uint8)
+    for bit in range(bit_width):
+        loaded = model.copy()
+        loaded.load_weight_block((written ^ (1 << bit)).tobytes())
+        for code, got in zip(layer.weight_q.ravel().tolist(),
+                             loaded.layers[1].weight_q.ravel().tolist()):
+            bits = [(code >> i & 1) ^ (i == bit)
+                    for i in range(bit_width - 1, -1, -1)]
+            assert got == toggle_bit(code, bit, bit_width)
+            assert got == twos_complement_value(bits)
+            assert -half <= got < half

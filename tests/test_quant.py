@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flipsim.qnn.quant import (DegenerateQuantizerError, bit_coefficients,
-                               decode_bits, dequantize, encode_bits, quantize,
-                               round_half_away, toggle_bit)
+from flipsim.qnn.quant import (SUPPORTED_BIT_WIDTHS, DegenerateQuantizerError,
+                               bit_coefficients, dequantize, quantize,
+                               round_half_away, toggle_bit, weight_code)
 from oracles import bit_planes, twos_complement_value
 
 
@@ -46,35 +46,63 @@ def test_all_negative_weights_degenerate():
         quantize(np.array([-1.0, -2.0]), 8)
 
 
-def test_decode_examples():
-    assert decode_bits([0] * 8) == 0
-    assert decode_bits([1, 0, 0, 0, 0, 0, 0, 0]) == -128
-    assert decode_bits([0, 1, 1, 1, 1, 1, 1, 1]) == 127
+def test_weight_code_examples():
+    assert weight_code(0) == 0
+    assert weight_code(0x80) == -128
+    assert weight_code(0x7F) == 127
+    # a 4-bit code reads its low nibble: -1 with its sign bit flipped is 7
+    assert weight_code(0xF7, 4) == 7
+    assert weight_code(-9, 4) == 7
 
 
-def test_decode_all_patterns_against_bruteforce():
-    for v in range(256):
-        bits = [(v >> i) & 1 for i in range(7, -1, -1)]
-        assert decode_bits(bits) == twos_complement_value(bits)
+@pytest.mark.parametrize("bit_width", SUPPORTED_BIT_WIDTHS)
+def test_weight_code_all_bytes_against_bruteforce(bit_width):
+    raw = np.arange(256)
+    got = weight_code(raw.astype(np.uint8), bit_width)
+    for v in raw.tolist():
+        bits = [(v >> i) & 1 for i in range(bit_width - 1, -1, -1)]
+        assert weight_code(v, bit_width) == twos_complement_value(bits)
+        assert got[v] == weight_code(v, bit_width)
 
 
-@given(st.integers(min_value=-128, max_value=127))
-def test_encode_decode_roundtrip(value):
-    assert decode_bits(encode_bits(value, 8)) == value
+@given(st.integers(min_value=2, max_value=8), st.data())
+def test_sign_extended_byte_reads_back_as_its_code(bit_width, data):
+    half = 2 ** (bit_width - 1)
+    value = data.draw(st.integers(min_value=-half, max_value=half - 1))
+    # the byte QuantizedModel.weight_block writes for the code
+    byte = np.array([value], dtype=np.int8).tobytes()[0]
+    assert weight_code(byte, bit_width) == value
 
 
-@given(st.integers(min_value=-128, max_value=127),
-       st.integers(min_value=0, max_value=7))
-def test_toggle_bit_involution(value, bit):
-    once = toggle_bit(value, bit, 8)
-    assert -128 <= once <= 127
-    assert toggle_bit(once, bit, 8) == value
-    assert abs(once - value) == 2 ** bit if bit < 7 else abs(once - value) == 128
+@given(st.integers(min_value=2, max_value=8), st.data())
+def test_toggle_bit_involution(bit_width, data):
+    half = 2 ** (bit_width - 1)
+    value = data.draw(st.integers(min_value=-half, max_value=half - 1))
+    bit = data.draw(st.integers(min_value=0, max_value=bit_width - 1))
+    once = toggle_bit(value, bit, bit_width)
+    assert -half <= once < half
+    assert toggle_bit(once, bit, bit_width) == value
+    assert abs(once - value) == 2 ** bit if bit < bit_width - 1 \
+        else abs(once - value) == half
 
 
 def test_toggle_examples():
     assert toggle_bit(3, 7) == -125
     assert toggle_bit(0, 0) == 1
+    assert toggle_bit(-1, 3, 4) == 7
+    with pytest.raises(ValueError, match="out of range"):
+        toggle_bit(0, 4, 4)
+
+
+@pytest.mark.parametrize("bit_width", SUPPORTED_BIT_WIDTHS)
+def test_toggle_bit_on_arrays_matches_ints(bit_width):
+    half = 2 ** (bit_width - 1)
+    codes = np.arange(-half, half).astype(np.int8)
+    for bit in range(bit_width):
+        want = [toggle_bit(c, bit, bit_width) for c in codes.tolist()]
+        assert toggle_bit(codes, bit, bit_width).tolist() == want
+        bits = np.full(codes.size, bit)
+        assert toggle_bit(codes, bits, bit_width).tolist() == want
 
 
 @settings(max_examples=60)
@@ -106,4 +134,4 @@ def test_bit_planes_match_encoding():
     q = np.array([-128, -1, 0, 3, 127], dtype=np.int8)
     planes = bit_planes(q, 8)
     for row, value in zip(planes, q):
-        assert decode_bits(list(row[::-1])) == value
+        assert twos_complement_value(list(row[::-1])) == value

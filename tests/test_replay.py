@@ -84,3 +84,22 @@ def test_desk_chain_plans_and_hammers_exactly(tmp_path, seed):
                                          chain.records(),
                                          experiment.provision(cfg, model))
     assert report["final_metric"] == chain.terminal_metric()
+
+
+# master seeds whose 4-bit desk chains flip a sign bit, which the exploit
+# once loaded as the raw int8 byte rather than the 4-bit code the search
+# flipped to
+@pytest.mark.parametrize("seed", [4, 5])
+def test_narrow_desk_chain_loads_the_searched_codes(tmp_path, seed):
+    cfg = cli.make_config(overrides={"seed": seed, "geometry": "desk",
+                                     "bit_width": 4, "out": str(tmp_path)})
+    cli.cmd_train(cfg)
+    cli.cmd_template(cfg)
+    [chain], _ = cli.cmd_search(cfg)
+    model, dataset, profile = cli._load_stage_inputs(cfg)
+    assert any(s.bop % 8 == 3 for s in chain.steps)  # a sign bit is flipped
+    _replays(cfg, model, chain, profile)
+    report, _ = experiment.exploit_stage(cfg, model, dataset, profile,
+                                         chain.records(),
+                                         experiment.provision(cfg, model))
+    assert report["final_metric"] == chain.terminal_metric()
