@@ -64,12 +64,9 @@ flips = precise_hammer(state, plan, actions)
 print(f"flipped exactly {len(flips)} targeted bits")
 
 print("\n== damage assessment ==")
-positions = dict(placement)
-positions.update(mapping)
-blob = b"".join(state.read_page(positions[p])
-                for p in range(1, image.page_count + 1))
 attacked = model.copy()
-attacked.load_weight_block(blob[:image.weight_bytes])
+attacked.load_weight_block(experiment.read_victim_block(state, image,
+                                                        placement, mapping))
 _, final = loss_and_accuracy(attacked, dataset.x_test, dataset.y_test)
 preds = attacked.forward(dataset.x_test).argmax(axis=1)
 winner = int(np.bincount(preds).argmax())

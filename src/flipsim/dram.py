@@ -23,6 +23,7 @@ import numpy as np
 
 PAGE_BYTES = 4096
 PAGE_BITS = PAGE_BYTES * 8
+_BOP_BITS = (PAGE_BITS - 1).bit_length()  # a bop's bits: PAGE_BITS is 2 ** 15
 
 OWNER_FREE = 0
 OWNER_ATTACKER = 1
@@ -42,6 +43,10 @@ ONE_TO_ZERO_SHARE = 0.7
 
 _CLUSTER_SIZES = np.array([1, 2, 3, 4])
 _CLUSTER_PROBS = np.array([0.35, 0.35, 0.20, 0.10])
+# the normalized cumulative probabilities Generator.choice reads a uniform
+# through
+_CLUSTER_CDF = _CLUSTER_PROBS.cumsum()
+_CLUSTER_CDF /= _CLUSTER_CDF[-1]
 # cells per chunk when synthesis draws the per-cell flags (uniforms per
 # random() call) and when a reboot hashes the per-cell toggles
 _DRAW_CHUNK = 1 << 16
@@ -147,17 +152,26 @@ class DramConfig:
         return self.cell_to_page_vec(s, row, bitcols)[0].tolist()
 
     def bit_addr_vec(self, pfn, bop):
-        """(pfn, bop) -> (set, row, bit column), over equal-length arrays."""
+        """(pfn, bop) -> (set, row, bit column), over equal-length arrays.
+
+        Both maps take each quotient by ``//`` of a Python int, which numpy
+        divides by as a constant, and each remainder by multiply-subtract;
+        an int64 ``divmod`` or ``%`` costs several times as much.
+        """
         span = self.in_row_page_size * 8
         pfn = np.asarray(pfn, dtype=np.int64)
         bop = np.asarray(bop, dtype=np.int64)
         # in place where possible: cell synthesis maps every cell of a bank
-        rows, bitcols = np.divmod(pfn, self.in_row_pages)
-        sets = rows % self.banks
-        rows //= self.banks
-        bitcols *= span
-        bitcols += bop % span
+        g = pfn // self.in_row_pages
+        bitcols = g * -self.in_row_pages
+        bitcols += pfn                      # in-row slot
+        rows = g // self.banks
+        sets = rows * -self.banks
+        sets += g                           # bank
         channel = bop // span
+        bitcols *= span
+        bitcols += bop
+        bitcols -= channel * span           # + bop's offset in its channel
         channel *= self.banks
         sets += channel
         return sets, rows, bitcols
@@ -165,15 +179,19 @@ class DramConfig:
     def cell_to_page_vec(self, sets, rows, bitcols):
         """Inverse of :meth:`bit_addr_vec`; ``sets``/``rows`` may be scalars."""
         span = self.in_row_page_size * 8
-        channel, bank = np.divmod(np.asarray(sets, dtype=np.int64), self.banks)
-        q, bop = np.divmod(np.asarray(bitcols, dtype=np.int64), span)
+        sets = np.asarray(sets, dtype=np.int64)
+        bitcols = np.asarray(bitcols, dtype=np.int64)
+        channel = sets // self.banks
+        q = bitcols // span
         # in place, as in bit_addr_vec: templating maps every flipped cell
         pfn = np.asarray(rows, dtype=np.int64) * self.banks
-        pfn += bank
+        pfn += sets
+        pfn -= channel * self.banks         # + bank
         pfn *= self.in_row_pages
         pfn += q
-        channel *= span
-        bop += channel
+        bop = q * -span
+        bop += bitcols                      # offset in the channel
+        bop += channel * span
         return pfn, bop
 
 
@@ -562,6 +580,18 @@ def _empty_cells():
 # ---- cell synthesis ------------------------------------------------------------
 
 
+def _cluster_sizes(rng, n):
+    """``n`` cluster sizes, the values and stream of
+    ``rng.choice(_CLUSTER_SIZES, n, p=_CLUSTER_PROBS)``: one uniform each,
+    read through the cumulative probabilities.  The sizes run 1, 2, 3, 4,
+    so a size is one plus the inner edges at or below its uniform."""
+    u = rng.random(n)
+    sizes = np.full(n, _CLUSTER_SIZES[0], dtype=np.int8)
+    for edge in _CLUSTER_CDF[:-1]:
+        sizes += u >= edge
+    return sizes
+
+
 def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SHARE):
     """Draw a vulnerable-cell population for ``config``.
 
@@ -578,7 +608,12 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
     first draw of each ``(pfn, bop)`` location, up to its target.  Then
     directions and single-sided flags are drawn for all kept cells in that
     draw order, bank after bank, and each cell takes the values drawn at
-    its place in it.
+    its place in it.  A cluster size is one uniform, read through the
+    cumulative ``_CLUSTER_PROBS``: the values and the stream of
+    ``rng.choice(_CLUSTER_SIZES, p=_CLUSTER_PROBS)``.
+    Pages and cells are mapped by :meth:`DramConfig.cell_to_page_vec` and
+    :meth:`DramConfig.bit_addr_vec`, which take each quotient by ``//`` and
+    each remainder by multiply-subtract.
 
     A bank dedupes its ``m`` draws with one in-place sort of packed int64
     keys ``(pfn * PAGE_BITS + bop) << sh | draw``, ``sh = (m - 1).bit_length()``:
@@ -629,24 +664,25 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
         if target <= 0:
             continue
         n_clusters = max(1, int(target / _CLUSTER_SIZES.dot(_CLUSTER_PROBS)) + 8)
-        sizes = rng.choice(_CLUSTER_SIZES, size=n_clusters, p=_CLUSTER_PROBS)
+        sizes = _cluster_sizes(rng, n_clusters)
         while sizes.sum() < target:
-            sizes = np.concatenate([sizes, rng.choice(_CLUSTER_SIZES,
-                                                      size=n_clusters,
-                                                      p=_CLUSTER_PROBS)])
+            sizes = np.concatenate([sizes, _cluster_sizes(rng, n_clusters)])
         keep = np.searchsorted(np.cumsum(sizes), target) + 1
         sizes = sizes[:keep]
-        row, slot = np.divmod(rng.integers(0, pages_per_bank, size=len(sizes)),
-                              config.in_row_pages)
-        pfns = config.cell_to_page_vec(bank, row, slot * span)[0]
-        pfns = np.repeat(pfns, sizes)[:target + 16]
-        del sizes, row, slot
+        # a pick numbers the bank's pages by (row, in-row slot)
+        slot = rng.integers(0, pages_per_bank, size=len(sizes))
+        row = slot // config.in_row_pages
+        slot -= row * config.in_row_pages
+        slot *= span
+        pfns = config.cell_to_page_vec(bank, row, slot)[0]
+        pfns *= PAGE_BITS
+        del row, slot
         # key = (pfn * PAGE_BITS + bop) << sh | draw, sorted once; in one
         # bank, (pfn, bop) order is (row, bit column) order per channel
-        m = len(pfns)
+        key = np.repeat(pfns, sizes)[:target + 16]
+        del pfns, sizes
+        m = len(key)
         sh = (m - 1).bit_length()
-        key = pfns * PAGE_BITS
-        del pfns
         key += rng.integers(0, PAGE_BITS, size=m)
         key <<= sh
         key |= np.arange(m)
@@ -656,22 +692,30 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
         head = np.empty(m, dtype=bool)
         head[0] = True
         np.not_equal(loc[1:], loc[:-1], out=head[1:])
-        loc, first = loc[head], key[head]
-        del key, head
-        first &= (1 << sh) - 1
+        del loc
+        key = key[head]
+        del head
+        first = key & ((1 << sh) - 1)
         is_first = np.zeros(m, dtype=bool)
         is_first[first] = True
-        place = np.cumsum(is_first)[first] - 1  # among the bank's first draws
+        # among the bank's first draws; int32, as the drawn output
+        place = np.cumsum(is_first, dtype=np.int32)[first]
+        place -= 1
         del is_first, first
-        kept = place < target
-        loc, place = loc[kept], place[kept] + n
-        n += len(loc)
-        del kept
+        # first draws past the target drop out; there are none once the
+        # repeated locations outnumber the spare draws
+        if len(key) > target:
+            kept = place < target
+            key, place = key[kept], place[kept]
+            del kept
+        place += n
+        n += len(key)
         # mapped and placed a chunk at a time, so that the address
         # function's int64 temporaries are the size of one chunk
-        for at in range(0, len(loc), _MAP_CHUNK):
+        for at in range(0, len(key), _MAP_CHUNK):
             to = slice(at, at + _MAP_CHUNK)
-            s, r, c = config.bit_addr_vec(loc[to] // PAGE_BITS, loc[to] % PAGE_BITS)
+            loc = key[to] >> sh
+            s, r, c = config.bit_addr_vec(loc >> _BOP_BITS, loc & (PAGE_BITS - 1))
             upper = s >= config.banks  # channel 1
             m = np.count_nonzero(upper)
             lower = ~upper if m else slice(None)  # all in channel 0: not split
@@ -681,7 +725,7 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
                     out[hi - m:hi] = val[upper][::-1]
             lo, hi = lo + len(s) - m, hi - m
         # the next bank's draws start with only the outputs allocated
-        del loc, place, s, r, c, upper, lower, val
+        del key, place, loc, s, r, c, upper, lower, val
 
     for out in (sets, rows, bitcols, drawn):
         out[lo:n] = out[hi:][::-1]

@@ -673,10 +673,14 @@ def synthesize_cells_reference(config, density="dense", seed=0,
     bop = np.concatenate(all_bop)
     del all_pfn, all_bop  # the address mapping below is the peak of memory
     n = len(pfn)
-    sets, rowz, bitcols = config.bit_addr_vec(pfn, bop)
-    sets = sets.astype(np.int32)
+    # the page layout by divmod, apart from DramConfig's maps
+    span = config.in_row_page_size * 8
+    g, slot = np.divmod(pfn.astype(np.int64), config.in_row_pages)
+    rowz, bank = np.divmod(g, config.banks)
+    channel, inner = np.divmod(bop.astype(np.int64), span)
+    sets = (channel * config.banks + bank).astype(np.int32)
     rowz = rowz.astype(np.int32)
-    bitcols = bitcols.astype(np.int32)
+    bitcols = (slot * span + inner).astype(np.int32)
     base_dir = (rng.random(n) >= one_to_zero).astype(np.int8)  # 0 => 1->0
     sscap = rng.random(n) < SINGLE_SIDED_RATE
     return sets, rowz, bitcols, base_dir, sscap

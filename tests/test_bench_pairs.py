@@ -93,3 +93,65 @@ def test_main_fails_on_failed_operations_and_removes_its_exports(
     bench_pairs.main(["a", "b", "--workload", "w", "--pairs", "1",
                       "--work", str(kept)])
     assert sorted(os.listdir(kept)) == ["change", "parent"]
+
+
+def test_parse_host_keeps_the_host_and_drops_the_run_seeds():
+    stdout = ('env {"bench_seed": 3, "master_seed": 5, "nproc": 2, '
+              '"numpy": "2.4.6", "python": "3.11.7"}\n{"correct": true}\n')
+    assert bench_pairs.parse_host(stdout) == {
+        "nproc": 2, "numpy": "2.4.6", "python": "3.11.7"}
+    assert bench_pairs.parse_host("Traceback ...\n") is None
+
+
+def test_recorded_entries_append_in_order(tmp_path):
+    parent = [{"workload_s": v, "setup_s": 1.0} for v in (0.90, 0.92, 0.91)]
+    change = [{"workload_s": v, "setup_s": 1.1} for v in (0.84, 0.93, 0.83)]
+    table = bench_pairs.summarize(parent, change)
+    args = bench_pairs.argparse.Namespace(workload="pipeline-bench", pairs=3,
+                                          seconds=20)
+    host = {"nproc": 2, "python": "3.11.7"}
+    item = bench_pairs.entry(args, ["p" * 40, "c" * 40], host, table)
+    assert item == {"change": "c" * 40, "parent": "p" * 40,
+                    "workload": "pipeline-bench", "pairs": 3, "seconds": 20,
+                    "host": host, "metrics": table}
+    row = item["metrics"]["workload_s"]
+    assert row["parent"] == pytest.approx([0.905, 0.91, 0.915])
+    assert row["change"] == pytest.approx([0.835, 0.84, 0.885])
+    assert (row["wins"], row["pairs"]) == (2, 3)
+    assert item["metrics"]["setup_s"]["wins"] == 0
+    path = str(tmp_path / "BENCH_pipeline.json")
+    bench_pairs.append_entry(path, item)
+    bench_pairs.append_entry(path, dict(item, workload="dual-reboot"))
+    with open(path) as fh:
+        kept = bench_pairs.json.load(fh)
+    assert [e["workload"] for e in kept] == ["pipeline-bench", "dual-reboot"]
+    assert kept[0] == bench_pairs.json.loads(bench_pairs.json.dumps(item))
+    assert os.listdir(tmp_path) == ["BENCH_pipeline.json"]
+
+
+@pytest.mark.parametrize("failed, written", [(0, True), (1, False)])
+def test_main_records_only_pairs_without_a_bad_run(tmp_path, monkeypatch,
+                                                    failed, written):
+    out = ('env {"bench_seed": 1, "master_seed": 4, "nproc": 2}\n'
+           '  exploit_s                    0.2500 s fastest at reference speed\n'
+           '{"correct": true, "failed": %d, "metrics": '
+           '{"workload_s": {"value": 0.9, "unit": "s"}}}\n' % failed)
+    monkeypatch.setattr(bench_pairs, "export",
+                        lambda rev, where: os.makedirs(where))
+    monkeypatch.setattr(bench_pairs, "rev_parse", lambda rev: rev * 40)
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda argv, cwd, **kw: bench_pairs.subprocess
+                        .CompletedProcess(argv, 0, out, ""))
+    path = tmp_path / "bench.json"
+    status = bench_pairs.main(["a", "b", "--workload", "w", "--pairs", "2",
+                               "--seconds", "5", "--work", str(tmp_path / "x"),
+                               "--record", str(path)])
+    assert status == (0 if written else 1)
+    assert path.exists() == written
+    if written:
+        [item] = bench_pairs.json.loads(path.read_text())
+        assert (item["parent"], item["change"]) == ("a" * 40, "b" * 40)
+        assert (item["pairs"], item["seconds"]) == (2, 5)
+        assert item["host"] == {"nproc": 2}
+        assert sorted(item["metrics"]) == ["exploit_s", "workload_s"]
+        assert item["metrics"]["exploit_s"]["parent"] == [0.25] * 3

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_cells, tiny_dram
-from flipsim.dram import (_DRAW_CHUNK, DENSITY_FACTORS, OWNER_ATTACKER,
-                          DramConfig, DramState, FlipProfile, _empty_cells,
-                          _keyed_uniform, bench, desk, full_dual, full_single,
-                          load_geometry, new_dram, sample_profile,
-                          save_geometry, synthesize_cells, template)
+from flipsim.dram import (_CLUSTER_PROBS, _CLUSTER_SIZES, _DRAW_CHUNK,
+                          DENSITY_FACTORS, OWNER_ATTACKER, PAGE_BITS,
+                          PAGE_BYTES, DramConfig, DramState, FlipProfile,
+                          _cluster_sizes, _empty_cells, _keyed_uniform, bench,
+                          desk, full_dual, full_single, load_geometry,
+                          new_dram, sample_profile, save_geometry,
+                          synthesize_cells, template)
 from flipsim.massage import retemplate, verify_template
 
 # ---- addressing -----------------------------------------------------------------
@@ -109,6 +111,47 @@ def test_address_core_matches_bytewise_oracle(channels):
             here = (sets == s) & (rows == r)
             slots = pfn[here][::n]
             assert cfg.row_pfns(s, r) == slots.tolist()
+
+
+@st.composite
+def odd_layouts(draw):
+    """Geometries whose bank and in-row page counts are not powers of two."""
+    dimms, per_dimm = draw(st.sampled_from([(1, 3), (3, 1), (1, 5), (5, 1),
+                                            (1, 6), (2, 3), (3, 2)]))
+    channels = draw(st.sampled_from([1, 2]))
+    return DramConfig(channels=channels, dimms=dimms, banks_per_dimm=per_dimm,
+                      rows_per_bank=draw(st.integers(1, 50)),
+                      row_bytes=draw(st.sampled_from([3, 5])) * PAGE_BYTES // channels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(odd_layouts(), st.data())
+def test_layout_maps_match_scalar_oracles_on_odd_geometries(cfg, data):
+    # with 3, 5 or 6 banks and 3 or 5 in-row pages, a quotient or remainder
+    # that only holds for a power of two (a shift, a mask) goes wrong
+    locs = [(cfg.total_pages - 1, PAGE_BITS - 1)] + data.draw(st.lists(
+        st.tuples(st.integers(0, cfg.total_pages - 1),
+                  st.integers(0, PAGE_BITS - 1)), max_size=40))
+    pfn, bop = (np.array(v) for v in zip(*locs))
+    want = [oracles.bit_addr(cfg, p, b)[:3] for p, b in locs]
+    got = cfg.bit_addr_vec(pfn, bop)
+    assert list(zip(*(a.tolist() for a in got))) == want
+    assert want[0] == (cfg.sets - 1, cfg.rows_per_bank - 1, cfg.row_bits - 1)
+    back = cfg.cell_to_page_vec(*got)
+    assert (back[0].tolist(), back[1].tolist()) == (pfn.tolist(), bop.tolist())
+    # a scalar set and row, as row_pfns and cell synthesis pass them
+    s = data.draw(st.integers(0, cfg.sets - 1))
+    r = data.draw(st.integers(0, cfg.rows_per_bank - 1))
+    cols = [cfg.row_bits - 1] + data.draw(st.lists(
+        st.integers(0, cfg.row_bits - 1), max_size=20))
+    p, b = cfg.cell_to_page_vec(s, r, np.array(cols))
+    assert list(zip(p.tolist(), b.tolist())) == [
+        oracles.cell_to_page(cfg, s, r, c) for c in cols]
+    p, b = cfg.cell_to_page_vec(s, r, cols[-1])
+    assert (int(p), int(b)) == oracles.cell_to_page(cfg, s, r, cols[-1])
+    span = cfg.in_row_page_size * 8
+    assert cfg.row_pfns(s, r) == [oracles.cell_to_page(cfg, s, r, q * span)[0]
+                                  for q in range(cfg.in_row_pages)]
 
 
 @pytest.mark.parametrize("mode", ["double", "single"])
@@ -225,6 +268,24 @@ def test_direction_split_and_multicell_pages():
         pages[pfn] = pages.get(pfn, 0) + 1
     multi = sum(1 for v in pages.values() if v >= 2)
     assert multi / len(pages) >= 0.6
+
+
+def test_cluster_draw_is_generator_choice():
+    # 1, a few, and a perfbench bank's cluster count twice running, as the
+    # refill loop draws it when the first draw falls short of the target
+    n_bank = int(250_000 / _CLUSTER_SIZES.dot(_CLUSTER_PROBS)) + 8
+    short = []
+    for seed in range(6):
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in (1, 7, n_bank, n_bank):
+            got = _cluster_sizes(mine, n)
+            want = theirs.choice(_CLUSTER_SIZES, n, p=_CLUSTER_PROBS)
+            assert np.array_equal(got, want), (seed, n)
+            assert mine.bit_generator.state == theirs.bit_generator.state
+            if n == n_bank:
+                short.append(got.sum() < 250_000)
+    # some seeds refill after their first bank draw and some do not
+    assert any(short[::2]) and not all(short[::2])
 
 
 CELL_ARRAYS = ("cset", "crow", "cbitcol", "cbase_dir", "csscap")

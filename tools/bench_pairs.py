@@ -1,7 +1,7 @@
 """Paired perfbench runs of two revisions, each from a fresh ``git archive``.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload search-study \\
-        [--pairs 10] [--seconds 20] [--work DIR]
+        [--pairs 10] [--seconds 20] [--work DIR] [--record BENCH_pipeline.json]
 
 Each revision is exported with ``git archive`` into a new directory under
 ``--work`` (a temporary one by default, removed when the script ends): a
@@ -19,6 +19,12 @@ perfbench reports).  The metrics are the end-to-end ones of the run's last
 line and each timed command's fastest time at reference speed.  Standard
 library only; exits 1 when a run is not correct or reports failed
 operations.
+
+``--record PATH`` appends the pairs as one entry to the JSON list in PATH
+(created if absent): both commits, the workload, the pair count and
+``--seconds``, each metric's quartiles and wins, and perfbench's ``env``
+host line without its per-run seeds.  Pairs with a bad run are not
+recorded.
 """
 
 import argparse
@@ -35,6 +41,8 @@ import tempfile
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 COMMAND = re.compile(r"^\s+(\S+_s)\s+([0-9.]+) s fastest at reference speed")
+# the keys of perfbench's env line that name one run, not the host
+RUN_KEYS = ("bench_seed", "master_seed")
 
 
 def export(rev, where):
@@ -61,6 +69,23 @@ def parse_run(stdout):
         if match:
             metrics[match[1]] = float(match[2])
     return bool(last.get("correct")), last.get("failed"), metrics
+
+
+def parse_host(stdout):
+    """perfbench's ``env`` line of one run without its per-run keys, or
+    None when the output has none."""
+    for line in stdout.splitlines():
+        if line.startswith("env {"):
+            env = json.loads(line[len("env "):])
+            return {k: v for k, v in env.items() if k not in RUN_KEYS}
+    return None
+
+
+def rev_parse(rev):
+    """The full commit id of revision ``rev``."""
+    return subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                          cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
 
 
 def sides(pair):
@@ -97,6 +122,27 @@ def summarize(parent, change):
     return table
 
 
+def entry(args, commits, host, table):
+    """The benchmark-file entry of one set of pairs: ``commits`` are the
+    parent's and the change's full ids, ``table`` is :func:`summarize`'s."""
+    return {"change": commits[1], "parent": commits[0],
+            "workload": args.workload, "pairs": args.pairs,
+            "seconds": args.seconds, "host": host, "metrics": table}
+
+
+def append_entry(path, item):
+    """Append ``item`` to the JSON list in ``path``, which may not exist."""
+    entries = []
+    if os.path.exists(path):
+        with open(path) as fh:
+            entries = json.load(fh)
+    entries.append(item)
+    with open(path + ".tmp", "w") as fh:
+        json.dump(entries, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    os.replace(path + ".tmp", path)
+
+
 def report(table):
     """The printed lines of :func:`summarize`'s table."""
     lines = [f"{'metric':<24}{'parent q1/med/q3':>30}{'change q1/med/q3':>30}"
@@ -118,28 +164,37 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--work", default=None)
+    parser.add_argument("--record", metavar="PATH", default=None)
     args = parser.parse_args(argv)
+    # resolved first: the ids name what the exports hold
+    commits = [rev_parse(args.parent), rev_parse(args.change)] \
+        if args.record else None
     work = args.work or tempfile.mkdtemp(prefix="bench_pairs_")
     try:
-        runs, bad = run_pairs(args, work)
+        runs, host, bad = run_pairs(args, work)
     finally:
         if not args.work:
             shutil.rmtree(work)
-    print("\n".join(report(summarize(runs["parent"], runs["change"]))))
+    table = summarize(runs["parent"], runs["change"])
+    print("\n".join(report(table)))
     if bad:
         print(f"{bad} run(s) not correct or with failed operations",
               file=sys.stderr)
-    return 1 if bad else 0
+        return 1
+    if args.record:
+        append_entry(args.record, entry(args, commits, host, table))
+    return 0
 
 
 def run_pairs(args, work):
-    """Both sides' metric dicts in pair order, and the count of bad runs."""
+    """Both sides' metric dicts in pair order, the first run's host line,
+    and the count of bad runs."""
     trees = {}
     for side in ("parent", "change"):
         trees[side] = os.path.join(work, side)
         export(getattr(args, side), trees[side])
     runs = {"parent": [], "change": []}
-    bad = 0
+    host, bad = None, 0
     for pair in range(1, args.pairs + 1):
         for side in sides(pair):
             done = subprocess.run(
@@ -149,10 +204,11 @@ def run_pairs(args, work):
                 cwd=trees[side], capture_output=True, text=True)
             correct, failed, metrics = parse_run(done.stdout)
             runs[side].append(metrics)
+            host = host or parse_host(done.stdout)
             print(f"pair {pair} {side}: correct {correct}, failed {failed}, "
                   f"workload_s {metrics.get('workload_s')}", flush=True)
             bad += not (correct and failed == 0)
-    return runs, bad
+    return runs, host, bad
 
 
 if __name__ == "__main__":
