@@ -703,7 +703,7 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
         place -= 1
         del is_first, first
         # first draws past the target drop out; there are none once the
-        # repeated locations outnumber the spare draws
+        # repeated draws are as many as the spare ones
         if len(key) > target:
             kept = place < target
             key, place = key[kept], place[kept]
