@@ -8,7 +8,7 @@ directions without moving any cell.
 import numpy as np
 
 from flipsim.dram import (DramConfig, DramState, desk, full_dual, full_single,
-                          synthesize_cells, template, OWNER_ATTACKER)
+                          new_dram, template, OWNER_ATTACKER)
 
 print("== page-to-row addressing ==")
 for name, cfg in (("single channel", full_single()), ("dual channel", full_dual())):
@@ -42,7 +42,7 @@ print(f"two vulnerable cells in the row, stripe at column 100 only -> "
       f"flipped {[c for _, _, c in flips]} (cell 7000 untouched)")
 
 print("\n== templating an attacker region ==")
-state = DramState(desk(), synthesize_cells(desk(), "dense", seed=1))
+state = new_dram(desk(), "dense", 1)
 state.set_owner(range(state.config.total_pages), OWNER_ATTACKER)
 profile = template(state)
 print(f"desk geometry, paper-proportional dense preset: {len(profile)} "

@@ -363,7 +363,7 @@ def _pages_retained(state, mapping, actions):
         len(a.aggressor_rows) for a in actions)
 
 
-def read_victim_block(state, image, placement, mapping):
+def _read_victim_block(state, image, placement, mapping):
     """The victim's weight bytes as DRAM now holds them: each page read
     from the frame ``mapping`` moved it to, or else from its
     :func:`provision` ``placement``."""
@@ -405,8 +405,8 @@ def exploit_stage(cfg, model, dataset, profile, records, provisioned):
     flips = precise_hammer(state, plan, actions)
 
     attacked = model.copy()
-    attacked.load_weight_block(read_victim_block(state, image, placement,
-                                                 mapping))
+    attacked.load_weight_block(_read_victim_block(state, image, placement,
+                                                  mapping))
     target = cfg.target_class if cfg.target_class >= 0 else None
     final_metric = search_pass(attacked, *eval_inputs(
         dataset, search_config(cfg), target)).metric
