@@ -16,26 +16,35 @@ scores the test split's rows once each and every eval row reads its test row.
 Passes over identical state are bit-identical, so the pass over a committed
 state both records that step and serves the next iteration.
 
-An iteration pays once per layer for the layer's bit space, and that pass
-works on one eligibility bit mask per weight rather than on one entry per
-bit.  A layer's dense-suffix candidates are then evaluated together: their
-single-column changes are built as one array, and only the (flip, row) pairs
-whose column change is nonzero are propagated, stacked in blocks of about
-an L2 cache (``_BLOCK_BYTES`` at the widest stage, every array freed with
-its block).  Past the fan-out one reach rule trims every ReLU, per group of
-scored rows of one label: a group's pairs run only through the units that
-some row of the group activates or that a bound on some flip's push can
-wake.  At the first ReLU the bound is each flip's signed push over
-the group's rows; at a later one it is the absolute weights from the
-fan-out times the flip's largest column change over the group, widened for
-rounding: a ReLU's output change can exceed its push by half an ulp of the
+An iteration pays per layer for the bits its ranking can pick, not for the
+layer's bit space: eligibility is one bit mask per weight, built only for
+the weights a bound leaves (:func:`_bounded_top_bits`).  The bound is the
+p-th best eligible bit score tau among the layer's 4p weights of largest
+positive gradient; those bits are some of the layer's, so the layer's own
+p-th best, and every pick, scores at least tau, and a pick's weight has
+``|code_grad| * 2**(bw - 1) >= tau``.  A seed with fewer than p eligible
+bits is widened fourfold, and one that would hold every positive weight
+gives way to the whole layer, where zero scores may be picked.  The bound's
+weights are masked and ranked in index order, so it drops no pick and moves
+no tie.  A layer's dense-suffix candidates are then evaluated together:
+their single-column changes are built as one array, and only the (flip, row)
+pairs whose column change is nonzero are propagated, stacked in blocks of
+about an L2 cache (``_BLOCK_BYTES`` at the widest stage, every array freed
+with its block).  Past the fan-out one reach rule trims every ReLU, per
+group of scored rows of one label: a group's pairs run only through the
+units that some row of the group activates or that a bound on some flip's
+push can wake.  At the first ReLU the bound is each flip's signed push over
+the group's rows; at a later one it is the absolute weights from the fan-out
+times the flip's largest column change over the group, widened for rounding:
+a ReLU's output change can exceed its push by half an ulp of the
 pre-activation, and a sum of products rounds by a few ulps in any order.
 Every bound errs upwards and IEEE rounding is monotone, so a dropped unit
 stays at or below zero in every pair of its group and changes by an exact
 zero after its ReLU: leaving it out changes no value, and the stacked
-products only sum in another order, the same ulp-level difference as the
-row gating.  Each candidate is then scored as the pass's per-row loss and
-correctness with its changed rows replaced (:class:`RowScores`).
+products only sum in another order, the same ulp-level difference as the row
+gating.  Each candidate is then scored as the pass's per-row loss and
+correctness with its changed rows replaced (:class:`RowScores`), and only
+the changed rows the eval batch reads are scored for loss and accuracy.
 
 The disjoint chains of one command (alternative chains, or a defender's
 protection rounds) form one :class:`SearchSession`.  Each chain starts from
@@ -188,7 +197,7 @@ def _reach(pres, relus, dense, cuts, cols, fan):
     return keep
 
 
-def _dense_suffix_logits(model, acts, refs, labels=None):
+def _dense_suffix_logits(model, acts, refs, labels=None, peak=None):
     """Changed logits after each of one dense layer's bit flips, one at a time.
 
     Only valid when every layer after the flipped one is Dense or ReLU: a
@@ -211,7 +220,9 @@ def _dense_suffix_logits(model, acts, refs, labels=None):
     Returns ``(cand, rows, logits)``: flip ``refs[cand[i]]`` gives row
     ``rows[i]`` the logits ``logits[i]``, pairs ordered by flip, then row,
     and every other row keeps ``acts[-1]``; :func:`_settle_ties` sets near
-    ties.  Returns ``None`` when the suffix has other layer kinds.
+    ties from ``peak``, each row's largest absolute logit before the flip
+    (:attr:`RowScores.peak`; taken from ``acts[-1]`` when ``None``).
+    Returns ``None`` when the suffix has other layer kinds.
     """
     layers = model.layers
     start = refs[0].layer
@@ -219,6 +230,8 @@ def _dense_suffix_logits(model, acts, refs, labels=None):
     if not isinstance(layer, Dense) or not all(
             isinstance(lay, (Dense, ReLU)) for lay in layers[start + 1:]):
         return None
+    if peak is None:
+        peak = np.abs(acts[-1]).max(axis=1)
     flat = np.array([ref.index for ref in refs], dtype=np.int64)
     js, ins = np.divmod(flat, layer.in_features)
     old = layer.weight_q.reshape(-1)[flat].astype(np.int64)  # no int8 wrap
@@ -235,7 +248,7 @@ def _dense_suffix_logits(model, acts, refs, labels=None):
     if m == len(layers):
         logits = acts[-1][rows]
         logits[np.arange(len(rows)), js[cand]] += change
-        return _settle_ties(model, acts, refs, cand, rows, logits)
+        return _settle_ties(model, acts, refs, cand, rows, logits, peak)
     fan = layers[m].weights[:, js]
     relus = list(range(m + 1, len(layers), 2))
     if not all(isinstance(layers[q], ReLU) and q + 1 < len(layers)
@@ -292,16 +305,17 @@ def _dense_suffix_logits(model, acts, refs, labels=None):
     if len(pair_cuts) > 2:  # back in pair order
         logits = np.empty_like(moved)
         logits[order] = moved
-    return _settle_ties(model, acts, refs, cand, rows, logits)
+    return _settle_ties(model, acts, refs, cand, rows, logits, peak)
 
 
-def _settle_ties(model, acts, refs, cand, rows, logits):
+def _settle_ties(model, acts, refs, cand, rows, logits, peak):
     """``(cand, rows, logits)`` with :meth:`forward_from`'s logits on each pair
-    whose top two lie within rounding (1e-9 of the top's magnitude plus the
-    row's largest before the flip), so a tie breaks as in the full forward."""
+    whose top two lie within rounding (1e-9 of the top's magnitude plus
+    ``peak``, the row's largest before the flip), so a tie breaks as in the
+    full forward."""
     cols = np.ascontiguousarray(logits.T)  # class-major: fast reductions
     top = cols.max(axis=0)
-    top -= 1e-9 * (np.abs(top) + np.abs(acts[-1]).max(axis=1)[rows])
+    top -= 1e-9 * (np.abs(top) + peak[rows])
     near = np.flatnonzero(np.count_nonzero(cols >= top, axis=0) > 1)
     for k in np.unique(cand[near]).tolist():
         pick = near[cand[near] == k]
@@ -521,6 +535,45 @@ def _top_bits(elig, mag, k, bw):
     return flat.ravel()[_topk_lowest_index(score.ravel(), k)]
 
 
+def _bounded_top_bits(mag, masks, k, bw):
+    """:func:`_top_bits` over every weight, masking only where a pick can lie.
+
+    ``masks(w)`` gives the eligibility masks of the weights ``w``, which
+    come in index order.  The bound starts from a seed, the ``4k`` weights
+    of largest positive ``mag``, whose eligible bits all score above zero.
+    With at least k of them, their k-th largest score tau is at most the
+    layer's k-th largest T, since they are some of the layer's bits.  Every
+    pick, ties at T included, scores at least T, and no bit of weight
+    ``i`` scores above ``mag[i] * 2**(bw - 1)``: every pick lies in a
+    weight whose top score reaches tau, and only those weights are masked
+    and ranked.  They keep their index order, so boundary ties still go to
+    the lowest flat index.  A seed with fewer than k eligible bits is
+    widened fourfold; one that would hold every positive weight gives way
+    to the whole layer, the bound's widest case, where zero scores may be
+    picked.
+    """
+    positive = np.flatnonzero(mag > 0)
+    # the seed is partitioned from the positives: exact zeros, as behind
+    # dead units, partition slowly
+    pos_mag = mag[positive]
+    planes = np.arange(bw)
+    size = 4 * k
+    while size < len(positive):
+        seed = np.sort(positive[np.argpartition(pos_mag, -size)[-size:]])
+        on = (masks(seed)[:, None] >> planes.astype(np.uint8)) & 1
+        score = np.ldexp(mag[seed, None], planes)[on == 1]
+        if len(score) >= k:
+            tau = np.partition(score, len(score) - k)[len(score) - k]
+            # tau > 0, so only positive weights can reach it
+            w = positive[np.ldexp(pos_mag, bw - 1) >= tau]
+            break
+        size *= 4
+    else:
+        w = np.arange(len(mag))
+    i, b = np.divmod(_top_bits(masks(w), mag[w], k, bw), bw)
+    return w[i] * bw + b
+
+
 class RowScores:
     """Per-row loss, correctness and target hits of one model state's logits.
 
@@ -528,6 +581,8 @@ class RowScores:
     their labels.  The eval batch is the rows ``rows`` of them (all rows
     when ``None``; a row may repeat), and ``target_class``, when given, is
     the class whose share of the scored inputs :meth:`score` reports.
+    ``peak`` holds each row's largest absolute logit, which
+    :func:`_settle_ties` reads on every layer's candidates.
     """
 
     def __init__(self, logits, labels, rows=None, target_class=None):
@@ -535,6 +590,12 @@ class RowScores:
         self.rows = rows
         self.target_class = target_class
         self.nll, self.correct = row_metrics(logits, self.labels)
+        self.peak = np.abs(logits).max(axis=1)
+        # the rows the eval batch reads, when it reads only some
+        self.read = None
+        if rows is not None:
+            self.read = np.zeros(len(self.labels), dtype=bool)
+            self.read[rows] = True
         self.hits = (None if target_class is None
                      else logits.argmax(axis=-1) == target_class)
 
@@ -545,13 +606,17 @@ class RowScores:
         ``logits[i]``, at most one pair per flip and row; every other row
         keeps its values.  Each flip's loss and accuracy equal
         :func:`metrics_from_logits` over its full eval logits bit for bit:
-        the same per-row values, averaged in the same order.  The share is
-        zero without a ``target_class``.
+        the same per-row values, averaged in the same order.  Those values
+        are taken only on the pairs whose row is in the eval batch: a row
+        outside it feeds only the target share, through its argmax, and
+        :func:`row_metrics` is per row, so leaving the others out changes
+        no value.  The share is zero without a ``target_class``.
         """
         nll = np.repeat(self.nll[None], k, axis=0)
         correct = np.repeat(self.correct[None], k, axis=0)
-        nll[cand, rows], correct[cand, rows] = row_metrics(logits,
-                                                           self.labels[rows])
+        read = slice(None) if self.read is None else self.read[rows]
+        at = cand[read], rows[read]
+        nll[at], correct[at] = row_metrics(logits[read], self.labels[at[1]])
         if self.rows is not None:
             # np.take keeps each flip's eval rows contiguous, so its mean
             # sums in the order of a 1-D mean; nll[:, rows] would be strided
@@ -646,12 +711,17 @@ def rank_candidates(model, image, state, p, *, objective=1, view=None,
     Eligibility is one bit mask per weight: a flip moves a bit off its stored
     value (so its mode is ``1 - bit``) and must move the loss the objective's
     way, its page must not be bound in ``view``, a matching frame must be
-    free, and it must not be protected.  Each layer's candidates are flipped
-    together, each giving new logits only for the rows it changes, and
-    :meth:`RowScores.score` scores them from those rows.  A candidate's
-    scores depend on the state alone, so each is scored once per pass and
-    kept in its ``memo``: a later ranking of the same pass, under other
-    eligibility, scores only the refs it has not met.
+    free, and it must not be protected.  The masks are built only for the
+    weights :func:`_bounded_top_bits` leaves: the bound is the p-th best
+    eligible bit score among the layer's 4p weights of largest positive
+    gradient, widened fourfold while those hold fewer than p eligible bits
+    and at its widest the whole layer.  No pick scores below it, so the
+    picks and their tie order are those of a ranking of every bit.  Each
+    layer's candidates are flipped together, each giving new logits only
+    for the rows it changes, and :meth:`RowScores.score` scores them from
+    those rows.  A candidate's scores depend on the state alone, so each is
+    scored once per pass and kept in its ``memo``: a later ranking of the
+    same pass, under other eligibility, scores only the refs it has not met.
     """
     grads, acts = state.grads, state.acts
     bw = model.bit_width
@@ -671,37 +741,49 @@ def rank_candidates(model, image, state, p, *, objective=1, view=None,
         if protected is not None and layer_idx in protected.locked_layers:
             continue
         layer = model.layers[layer_idx]
-        stored = layer.weight_q.reshape(-1).astype(np.uint8) & full
+        codes = layer.weight_q.reshape(-1)
         # loss gradient per unit of weight code; bit b's gradient is
         # code_grad * coeffs[b], exact since coeffs are powers of two
         code_grad = grads[layer_idx].reshape(-1) * layer.delta_w
-        # flipping these bits raises the code: a stored 0 below the sign bit,
-        # or a stored 1 in it; flipping the others lowers it
-        rises = ~(stored ^ sign_bit) & full
-        want = objective * code_grad  # > 0: the objective wants the code up
-        elig = np.where(want >= 0, rises, 0) | np.where(want <= 0, rises ^ full, 0)
-        if protected is not None:
-            idx, bit = protected.layer_refs(layer_idx)
-            np.bitwise_and.at(elig, idx, ~np.left_shift(1, bit).astype(np.uint8))
         pages, bops = image.layer_bit_pages(layer_idx)
-        if view is not None:
-            elig[bound[pages]] = 0
-            byte = bops >> 3
-            elig &= (avail[0][byte] & ~stored) | (avail[1][byte] & stored)
-        picks = _top_bits(elig, np.abs(code_grad), p, bw)
+        shielded = None if protected is None else protected.layer_refs(layer_idx)
+
+        def masks(w):
+            """The eligibility masks of weights ``w``, in index order."""
+            stored = codes[w].astype(np.uint8) & full
+            # flipping these bits raises the code: a stored 0 below the sign
+            # bit, or a stored 1 in it; flipping the others lowers it
+            rises = ~(stored ^ sign_bit) & full
+            want = objective * code_grad[w]  # > 0: the objective wants the code up
+            elig = np.where(want >= 0, rises, 0) | np.where(want <= 0, rises ^ full, 0)
+            if shielded is not None:
+                idx, bit = shielded
+                at = np.searchsorted(w, idx).clip(max=len(w) - 1)
+                hit = w[at] == idx
+                np.bitwise_and.at(elig, at[hit],
+                                  ~np.left_shift(1, bit[hit]).astype(np.uint8))
+            if view is not None:
+                elig[bound[pages[w]]] = 0
+                byte = bops[w] >> 3
+                elig &= (avail[0][byte] & ~stored) | (avail[1][byte] & stored)
+            return elig
+
+        picks = _bounded_top_bits(np.abs(code_grad), masks, p, bw)
         if not len(picks):
             continue
         refs = [BitRef(layer_idx, *divmod(int(flat), bw)) for flat in picks]
         new = [ref for ref in refs if ref not in state.memo]
         if new:
-            changed = _dense_suffix_logits(model, acts, new, state.scores.labels)
+            changed = _dense_suffix_logits(model, acts, new, state.scores.labels,
+                                           peak=state.scores.peak)
             if changed is None:
                 changed = _rerun_suffix(model, acts, new)
             scored = state.scores.score(*changed, len(new))
             state.memo.update(zip(new, zip(*(a.tolist() for a in scored))))
         for ref in refs:
             i, b = ref.index, ref.bit
-            mode, bop = 1 - (int(stored[i]) >> b & 1), int(bops[i]) + b
+            # the stored bit, read from the weight's code
+            mode, bop = 1 - (int(codes[i]) >> b & 1), int(bops[i]) + b
             matches = view.match_count(bop, mode) if view is not None else 0
             loss, acc, probe = state.memo[ref]
             candidates.append(Candidate(ref, float(code_grad[i] * coeffs[b]), mode,

@@ -18,7 +18,8 @@ from flipsim.qnn.model import (BitRef, QuantizedModel, loss_and_accuracy,
                                metrics_from_logits)
 from flipsim.search import (Candidate, ProfileView, ProtectedMask, RowScores,
                             SearchConfig, _dense_suffix_logits, _reach,
-                            _top_bits, _topk_lowest_index,
+                            _bounded_top_bits, _top_bits,
+                            _topk_lowest_index,
                             disjoint_chains, protection_rounds,
                             rank_candidates, search_chain,
                             search_chain_targeted, search_pass,
@@ -453,8 +454,8 @@ def test_direction_rule_consistency(small_setup):
 @pytest.fixture(scope="module")
 def rank_models():
     """A three-page MLP, the same MLP with most second-layer units dead, a
-    4-bit MLP, an MLP with three hidden layers, a conv net and a residual
-    net on one blob dataset."""
+    4-bit and a 2-bit MLP, an MLP with three hidden layers, a conv net and a
+    residual net on one blob dataset."""
     dataset = qnn.gaussian_blobs(classes=4, shape=(1, 8, 8), train_per_class=24,
                                  test_per_class=12, noise=1.5, seed=8)
     cfg = qnn.TrainConfig(epochs=2, accuracy_floor=0.0)
@@ -472,6 +473,9 @@ def rank_models():
     mlp4 = qnn.train_small(qnn.blob_mlp(input_shape=(1, 8, 8), classes=4,
                                         hidden=(40,), bit_width=4),
                            dataset, cfg, seed=1)
+    mlp2 = qnn.train_small(qnn.blob_mlp(input_shape=(1, 8, 8), classes=4,
+                                        hidden=(40,), bit_width=2),
+                           dataset, cfg, seed=1)
     # a first-layer flip fans out into two ReLUs that both drop units
     deep = qnn.train_small(qnn.blob_mlp(input_shape=(1, 8, 8), classes=4,
                                         hidden=(48, 32, 16)), dataset, cfg, seed=1)
@@ -479,8 +483,8 @@ def rank_models():
                            dataset, cfg, seed=1)
     resnet = qnn.train_small(qnn.blob_resnet(input_shape=(1, 8, 8), classes=4),
                              dataset, cfg, seed=1)
-    return {"mlp": mlp, "dead": dead, "mlp4": mlp4, "deep": deep, "conv": conv,
-            "resnet": resnet}, dataset
+    return {"mlp": mlp, "dead": dead, "mlp4": mlp4, "mlp2": mlp2, "deep": deep,
+            "conv": conv, "resnet": resnet}, dataset
 
 
 def _random_profile(gen, rate):
@@ -490,7 +494,8 @@ def _random_profile(gen, rate):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["mlp", "dead", "mlp4", "deep", "conv", "resnet"]),
+@given(st.sampled_from(["mlp", "dead", "mlp4", "mlp2", "deep", "conv",
+                        "resnet"]),
        st.sampled_from([1, -1]),
        st.sampled_from([None, 1.0, 0.3, 0.01]), st.integers(1, 12),
        st.integers(0, 2 ** 16), st.data())
@@ -523,6 +528,20 @@ def test_rank_candidates_match_reference(rank_models, kind, objective, rate, p,
         for idx in steep[:data.draw(st.integers(0, 3))]:
             top = model.bit_width - 1
             refs |= {BitRef(li, int(idx), top), BitRef(li, int(idx), top - 1)}
+    # or shut the bound's seed in one layer: protect every bit of its 4p or
+    # 16p steepest weights, ties included, or bind all their pages, so the
+    # seed holds fewer than p eligible bits and widens
+    shut = data.draw(st.sampled_from([None, "protect", "bind"]))
+    if shut is not None:
+        li = data.draw(st.sampled_from(weighted))
+        code = np.abs(grads[li].reshape(-1) * model.layers[li].delta_w)
+        seed = min(4 * p * data.draw(st.sampled_from([1, 4])), code.size)
+        steep = np.flatnonzero(code >= np.sort(code)[-seed])
+        if shut == "bind" and view is not None:
+            view.pages |= set(image.layer_bit_pages(li)[0][steep].tolist())
+        else:
+            refs |= {BitRef(li, int(idx), b) for idx in steep
+                     for b in range(model.bit_width)}
     protected = ProtectedMask(refs, locked)
     kwargs = dict(objective=objective, view=view, protected=protected)
     got = rank_candidates(model, image, search_pass(model, x, y, rows, target),
@@ -624,6 +643,33 @@ def test_top_bits_match_full_bit_sort(n, bw, k, seed):
                       for i in range(n) for b in range(bw)])
     got = _top_bits(elig, mag, k, bw)
     assert got.tolist() == _topk_lowest_index(score, k).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.sampled_from([1.0, 0.3, 0.02]),
+       st.integers(0, 2 ** 16))
+def test_bounded_top_bits_match_top_bits(bw, k, density, seed):
+    # n >> 4k weights, 70% of them scoring exact zeros and the rest few
+    # values, so ties sit at the boundary; sparse masks leave the seed
+    # short of k bits, so the bound widens, at its widest to every weight
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(40, 120)) * k
+    elig = np.where(gen.random(n) < density, gen.integers(0, 2 ** bw, n),
+                    0).astype(np.uint8)
+    mag = np.where(gen.random(n) < 0.7, 0.0, gen.choice([0.5, 1.0, 3.0], n))
+    masked = []
+
+    def masks(w):
+        assert np.all(np.diff(w) > 0)  # index order
+        masked.append(w)
+        return elig[w]
+
+    got = _bounded_top_bits(mag, masks, k, bw)
+    assert got.tolist() == _top_bits(elig, mag, k, bw).tolist()
+    # the picks' weights were masked last, and all of them, or only
+    # weights whose top score reaches the k-th best seed score
+    assert set((got // bw).tolist()) <= set(masked[-1].tolist())
+    assert len(masked[-1]) == n or np.all(mag[masked[-1]] > 0)
 
 
 def test_top_bits_ties_at_zero_take_lowest_index():
@@ -828,6 +874,11 @@ def _changed_rows(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_changed_rows())
+# a targeted pass whose flip changes only a row outside its eval batch: the
+# batch's loss and accuracy stay the clean pass's, and the target share moves
+@example((np.array([[1.0, 0.0], [1.0, 0.0], [2.5, 0.0]]), np.zeros(3, dtype=np.int64),
+          np.array([0, 1, 0]), 1, 1,
+          (np.array([0]), np.array([2]), np.array([[0.0, 40.0]]))))
 def test_changed_row_scores_equal_full_stack_metrics(case):
     base, labels, rows, target, k, changed = case
     loss, acc, share = RowScores(base, labels, rows, target).score(*changed, k)
@@ -836,6 +887,9 @@ def test_changed_row_scores_equal_full_stack_metrics(case):
     for i in range(k):
         want_loss, want_acc = metrics_from_logits(stack[i][batch], labels[batch])
         assert loss[i] == want_loss and acc[i] == want_acc
+        if rows is not None and not np.isin(changed[1][changed[0] == i], rows).any():
+            # no eval row changed: the clean batch's loss and accuracy
+            assert (loss[i], acc[i]) == metrics_from_logits(base[rows], labels[rows])
         want_share = 0.0 if target is None else float(
             (stack[i].argmax(axis=1) == target).mean())
         assert share[i] == want_share
@@ -954,8 +1008,8 @@ def test_row_groups_change_no_chain(rank_models, kind, target, rate, p,
             zip(gen.choice(size, 12, replace=False), gen.integers(0, 8, 12))]
     runs = []
     for regroup in _GROUPINGS:
-        def grouped(model, acts, refs, labels, regroup=regroup):
-            return _dense_suffix_logits(model, acts, refs, regroup(labels))
+        def grouped(model, acts, refs, labels, peak=None, regroup=regroup):
+            return _dense_suffix_logits(model, acts, refs, regroup(labels), peak)
 
         with mock.patch.object(_search, "_dense_suffix_logits", grouped):
             chain = (search_chain(model, dataset, profile, cfg) if target is None
