@@ -529,8 +529,8 @@ def test_rank_candidates_match_reference(rank_models, kind, objective, rate, p,
             top = model.bit_width - 1
             refs |= {BitRef(li, int(idx), top), BitRef(li, int(idx), top - 1)}
     # or shut the bound's seed in one layer: protect every bit of its 4p or
-    # 16p steepest weights, ties included, or bind all their pages, so the
-    # seed holds fewer than p eligible bits and widens
+    # 16p steepest weights, ties included, or bind all their pages (with a
+    # profile), so the seed holds fewer than p eligible bits and widens
     shut = data.draw(st.sampled_from([None, "protect", "bind"]))
     if shut is not None:
         li = data.draw(st.sampled_from(weighted))
@@ -666,8 +666,8 @@ def test_bounded_top_bits_match_top_bits(bw, k, density, seed):
 
     got = _bounded_top_bits(mag, masks, k, bw)
     assert got.tolist() == _top_bits(elig, mag, k, bw).tolist()
-    # the picks' weights were masked last, and all of them, or only
-    # weights whose top score reaches the k-th best seed score
+    # the last masks cover the picks' weights: every weight, or only
+    # positive ones
     assert set((got // bw).tolist()) <= set(masked[-1].tolist())
     assert len(masked[-1]) == n or np.all(mag[masked[-1]] > 0)
 
@@ -876,8 +876,8 @@ def _changed_rows(draw):
 @given(_changed_rows())
 # a targeted pass whose flip changes only a row outside its eval batch: the
 # batch's loss and accuracy stay the clean pass's, and the target share moves
-@example((np.array([[1.0, 0.0], [1.0, 0.0], [2.5, 0.0]]), np.zeros(3, dtype=np.int64),
-          np.array([0, 1, 0]), 1, 1,
+@example((np.array([[1.0, 0.0], [1.0, 0.0], [2.5, 0.0]]),
+          np.zeros(3, dtype=np.int64), np.array([0, 1, 0]), 1, 1,
           (np.array([0]), np.array([2]), np.array([[0.0, 40.0]]))))
 def test_changed_row_scores_equal_full_stack_metrics(case):
     base, labels, rows, target, k, changed = case
