@@ -367,7 +367,9 @@ def main(argv=None):
         elif args.command == "sensitivity":
             info = cmd_sensitivity(cfg, args.checkpoint, args.profile)
             print(json.dumps(info, sort_keys=True))
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
+        # a path that cannot be opened (missing, a directory, not
+        # permitted); the error's text names it
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (PrecisionViolation, StaleModeError, MappingMismatch,

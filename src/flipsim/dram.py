@@ -16,7 +16,6 @@ row byte ``k // 8``.  ``DramConfig.bit_addr_vec`` and its inverse
 """
 
 import copy
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -56,6 +55,13 @@ _DRAW_CHUNK = 1 << 16
 _MAP_CHUNK = 1 << 13
 # profile entries per block that FlipProfile.save_csv formats and writes
 _CSV_BLOCK = 1 << 14
+# bytes per block that FlipProfile.load_csv reads and parses
+_CSV_READ = 1 << 17
+_CSV_HEADER = b"pfn,bop,direction,probability\n"
+# the digits a profile field may have; 18 always fit an int64
+_CSV_DIGITS = 18
+# the longest line the grammar allows, its newline left out
+_CSV_LINE = 3 * (_CSV_DIGITS + 1) + len(b"1.0")
 
 
 @dataclass(frozen=True)
@@ -261,18 +267,11 @@ class FlipProfile:
     In-order entries are kept as given, others sorted stably."""
 
     def __init__(self, pfn, bop, direction):
-        # load_csv passes strided fields of one record array; copy them once
         pfn, bop = (np.ascontiguousarray(a, dtype=np.int64) for a in (pfn, bop))
         direction = np.ascontiguousarray(direction, dtype=np.int8)
         if not len(pfn) == len(bop) == len(direction):
             raise ValueError("profile columns differ in length")
-        bad = np.flatnonzero((pfn < 0) | (bop < 0) | (bop >= PAGE_BITS)
-                             | ((direction != 0) & (direction != 1)))
-        if len(bad):
-            i = int(bad[0])
-            raise ValueError(f"entry {i + 1} (pfn {pfn[i]}, bop {bop[i]}, direction "
-                             f"{direction[i]}) needs pfn >= 0, bop in [0, "
-                             f"{PAGE_BITS}) and direction 0 or 1")
+        _check_entries(pfn, bop, direction)
         # strictly increasing (pfn, bop) is in order with each location once
         later = pfn[1:] > pfn[:-1]
         later |= (pfn[1:] == pfn[:-1]) & (bop[1:] > bop[:-1])
@@ -297,10 +296,14 @@ class FlipProfile:
         """``(pfns, start)``: frame numbers sorted by (bop, direction, pfn),
         and ``start`` over the keys ``k = bop * 2 + direction``, so that key
         ``k``'s frames are ``pfns[start[k]:start[k + 1]]``."""
-        span = int(self.pfn.max(initial=0)) + 1
-        key = np.sort((self.bop * 2 + self.direction) * span + self.pfn)
-        start = np.searchsorted(key, np.arange(2 * PAGE_BITS + 1) * span)
-        return key % span, start
+        # entries are in (pfn, bop) order, so a stable sort by key alone
+        # leaves each key's frames in pfn order
+        key = self.bop.astype(np.uint16)
+        key <<= 1
+        key |= self.direction.view(np.uint8)
+        start = np.zeros(2 * PAGE_BITS + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=2 * PAGE_BITS), out=start[1:])
+        return self.pfn[np.argsort(key, kind="stable")], start
 
     def save_csv(self, path):
         """Write ``pfn,bop,direction,probability`` lines, one per entry, the
@@ -332,26 +335,145 @@ class FlipProfile:
 
     @classmethod
     def load_csv(cls, path):
-        """The profile :meth:`save_csv` writes; a probability other than
-        ``1.0`` is refused."""
-        with open(path) as fh, warnings.catch_warnings():
-            header = fh.readline().strip()
-            if header != "pfn,bop,direction,probability":
-                raise ValueError(f"unexpected profile header: {header}")
-            # a header-only file (no flippable attacker cell) is an empty
-            # profile, not a malformed one
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                    UserWarning)
-            data = np.loadtxt(fh, delimiter=",", ndmin=1, dtype=[
-                ("pfn", "i8"), ("bop", "i8"), ("direction", "i1"),
-                ("probability", "f8")])
-        bad = np.flatnonzero(data["probability"] != 1.0)
-        if len(bad):
-            pfn, bop, d, p = data[bad[0]].tolist()
-            raise ValueError(f"entry {bad[0] + 1} (pfn {pfn}, bop {bop}, "
-                             f"direction {d}, probability {p}) needs "
-                             f"probability 1.0")
-        return cls(data["pfn"], data["bop"], data["direction"])
+        """The profile :meth:`save_csv` writes.
+
+        The file is the header line ``pfn,bop,direction,probability``, then
+        one line ``<pfn>,<bop>,<direction>,1.0`` per entry, each field 1 to
+        18 decimal digits and each line ending in ``\\n``; the last line may
+        leave its ``\\n`` out.  Any other line is a ValueError naming its
+        1-based entry, as is an entry :class:`FlipProfile` refuses; of those,
+        the first in file order is reported.
+
+        A first pass counts the lines and sizes the columns; the second
+        parses ``_CSV_READ`` bytes of whole lines at a time into them, so
+        memory stays at the columns plus one block.
+        """
+        with open(path, "rb") as fh:
+            header = fh.readline()
+            if header not in (_CSV_HEADER, _CSV_HEADER[:-1]):
+                raise ValueError("unexpected profile header: "
+                                 f"{header.decode(errors='replace')!r}")
+            body = fh.tell()
+            n, last = 0, b"\n"
+            for chunk in iter(lambda: fh.read(_CSV_READ), b""):
+                # numpy counts bytes several times as fast as bytes.count
+                n += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8)
+                                      == ord("\n"))
+                last = chunk[-1:]
+            n += last != b"\n"
+            cols = (np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64),
+                    np.empty(n, dtype=np.int8))
+            fh.seek(body)
+            at, rest = 0, b""
+            for chunk in iter(lambda: fh.read(_CSV_READ), b""):
+                data = rest + chunk
+                cut = data.rfind(b"\n") + 1
+                at = _parse_csv_lines(memoryview(data)[:cut], at, cols)
+                rest = data[cut:]
+                if len(rest) > _CSV_LINE:
+                    break  # a line no entry has: refused below
+            if rest:
+                _parse_csv_lines(rest + b"\n", at, cols)
+        return cls(*cols)
+
+
+def _check_entries(pfn, bop, direction, first=0):
+    """Refuse the first entry no geometry has; ``first`` entries come before
+    these."""
+    bad = np.flatnonzero((pfn < 0) | (bop < 0) | (bop >= PAGE_BITS)
+                         | ((direction != 0) & (direction != 1)))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(f"entry {first + i + 1} (pfn {pfn[i]}, bop {bop[i]}, "
+                         f"direction {direction[i]}) needs pfn >= 0, bop in "
+                         f"[0, {PAGE_BITS}) and direction 0 or 1")
+
+
+def _csv_field(b, stop, width):
+    """The int64 values of the decimal fields of ``b`` that end before
+    ``stop``, ``width`` digits each: digit ``k`` from the right is the byte
+    at ``stop - k``, taken where the field has one."""
+    value = b[stop - 1].astype(np.int64)
+    value -= ord("0")
+    scale = np.int64(1)
+    for k in range(2, int(width.max(initial=1)) + 1):
+        scale *= 10
+        digit = b.take(stop - k, mode="clip")
+        digit -= ord("0")
+        digit *= width >= k
+        value += digit * scale
+    return value
+
+
+def _parse_csv_lines(data, first, cols):
+    """Parse ``data``, whole ``\\n``-ended profile lines, into rows ``first``
+    onward of the columns ``cols``; return the row after the last.
+
+    Each line must hold five bytes below ``0``, ``,,,.\\n`` in that order,
+    and no byte above ``9``; the digit runs they leave must be 1 to 18
+    digits, then ``1`` and ``0``.
+    """
+    b = np.frombuffer(data, dtype=np.uint8)
+    sep = np.flatnonzero(b < ord("0"))
+    n = len(sep) // 5
+    if len(sep) != 5 * n or b.max(initial=0) > ord("9"):
+        raise _refused_line(data, first)
+    # row k: each line's k-th separator, and the digits before it
+    sep = sep.reshape(n, 5).T.copy()
+    width = np.empty_like(sep)
+    np.subtract(sep[1:], sep[:-1], out=width[1:])
+    np.subtract(sep[0, 1:], sep[4, :-1], out=width[0, 1:])
+    width[0, :1] = sep[0, :1] + 1
+    width -= 1
+    # the separators at rows 3 and 4 are checked, so the commas counted are
+    # those of rows 0 to 2
+    if not (width[:3].min(initial=1) >= 1
+            and width[:3].max(initial=1) <= _CSV_DIGITS
+            and (width[3:] == 1).all()
+            and (b[sep[3]] == ord(".")).all() and (b[sep[4]] == ord("\n")).all()
+            and (b[sep[3] - 1] == ord("1")).all()
+            and (b[sep[4] - 1] == ord("0")).all()
+            and np.count_nonzero(b == ord(",")) == 3 * n):
+        raise _refused_line(data, first)
+    fields = [_csv_field(b, sep[k], width[k]) for k in range(3)]
+    _check_entries(*fields, first)
+    for col, field in zip(cols, fields):
+        col[first:first + n] = field
+    return first + n
+
+
+def _refused_line(data, first):
+    """The ValueError for the first line of ``data`` that breaks the grammar
+    or, before that line, the first entry out of range."""
+    rows, why = [], None
+    for line in bytes(data).split(b"\n")[:-1]:
+        fields = line.split(b",")
+        if not (len(fields) == 4 and all(f.isdigit() and len(f) <= _CSV_DIGITS
+                                         for f in fields[:3])):
+            break
+        if fields[3] != b"1.0":
+            probability = fields[3].decode(errors="replace")
+            if _is_number(probability):
+                pfn, bop, d = (int(f) for f in fields[:3])
+                why = (f"(pfn {pfn}, bop {bop}, direction {d}, probability "
+                       f"{probability}) needs probability 1.0")
+            break
+        rows.append([int(f) for f in fields[:3]])
+    _check_entries(*np.array(rows, dtype=np.int64).reshape(-1, 3).T, first)
+    if why is None:
+        text = line[:_CSV_LINE + 1].decode(errors="replace")
+        why = (f"({text!r}) is not a line <pfn>,<bop>,<direction>,1.0 of "
+               f"integers of 1 to {_CSV_DIGITS} digits")
+    return ValueError(f"entry {first + len(rows) + 1} {why}")
+
+
+def _is_number(text):
+    """Whether ``text`` is a float's text with no space around it."""
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return text == text.strip()
 
 
 def sample_profile(profile, rate, seed):

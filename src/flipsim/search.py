@@ -450,8 +450,12 @@ class ProfileView:
     def __init__(self, profile, config, attacker):
         self.config = config
         pfn, start = profile.pools()
-        keep = attacker[pfn] & config.aggressors_in_bank(
-            config.bit_addr_vec(pfn, 0)[1])
+        # the bank-edge test depends on the frame alone: run it once per
+        # attacker frame, not once per entry
+        frames = np.flatnonzero(attacker)
+        usable = np.zeros_like(attacker)
+        usable[frames] = config.aggressors_in_bank(config.bit_addr_vec(frames, 0)[1])
+        keep = usable[pfn]
         self._pfn = pfn[keep]
         self._start = np.concatenate([[0], np.cumsum(keep)])[start]
         self.clear()

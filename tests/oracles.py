@@ -588,6 +588,48 @@ def save_csv(profile, path):
                      f"{int(profile.direction[i])},1.0\n")
 
 
+def load_csv(path):
+    """The entries of a :meth:`FlipProfile.load_csv` file, read line by line:
+    ``(pfn, bop, direction)`` tuples in (pfn, bop) order.
+
+    The grammar: the header line, then lines ``<pfn>,<bop>,<direction>,1.0``
+    of 1 to 18 ASCII digits a field, each line ended by a newline but the
+    last, which may lack it.  A line breaking the grammar or out of range
+    is a ValueError ``entry <n> ...`` for the first such line, counting
+    entries from 1; with every line well-formed, so is a location's second
+    entry, the first one in file order.  A wrong header raises without an
+    entry number.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()  # the newline that ends the last line starts no other
+    if not lines or lines[0] != b"pfn,bop,direction,probability":
+        raise ValueError("unexpected profile header")
+    entries = []
+    for number, line in enumerate(lines[1:], 1):
+        fields = line.split(b",")
+        well_formed = len(fields) == 4 and fields[3] == b"1.0"
+        for text in fields[:3]:
+            if not 1 <= len(text) <= 18:
+                well_formed = False
+            for byte in text:
+                if byte not in b"0123456789":
+                    well_formed = False
+        if not well_formed:
+            raise ValueError(f"entry {number} breaks the grammar")
+        pfn, bop, direction = (int(text) for text in fields[:3])
+        if not (bop < PAGE_BITS and direction in (0, 1)):
+            raise ValueError(f"entry {number} is out of range")
+        entries.append((pfn, bop, direction))
+    seen = set()
+    for number, (pfn, bop, _) in enumerate(entries, 1):
+        if (pfn, bop) in seen:
+            raise ValueError(f"entry {number} repeats a location")
+        seen.add((pfn, bop))
+    return sorted(entries)
+
+
 def disjoint_chains_reference(model, dataset, profile, config, count,
                               target_class=None):
     """``count`` disjoint chains, each a search of its own.

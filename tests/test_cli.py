@@ -256,20 +256,48 @@ def fast_config_file(tmp_path):
     return str(cfgfile)
 
 
-@pytest.mark.parametrize("text", [
-    "pfn,bop,dir,probability\n1,2,0,1.0\n",
-    "pfn,bop,direction,probability\n1,x,0,1.0\n",
-], ids=["header", "non-integer-field"])
-def test_malformed_profile_exits_config(fast_trained, tmp_path, capsys, text):
+@pytest.mark.parametrize("line", [
+    None, "1,x,0,1.0", "", "# templated", "1,2,0,1.0\r", "1, 2,0,1.0",
+    "1,+2,0,1.0", "1,2,0,1", "1,2,0", "1-2,0,1.0", "1,2,0,1.0,1",
+    "1234567890123456789,2,0,1.0",
+], ids=["header", "non-integer-field", "blank-line", "comment", "crlf",
+        "space", "sign", "probability-1", "three-fields", "dash-for-comma",
+        "five-fields", "19-digit-field"])
+def test_malformed_profile_exits_config(fast_trained, tmp_path, capsys, line):
+    # the writer's grammar alone is read: each other form names its entry
     profile = tmp_path / "bad_profile.csv"
-    profile.write_text(text)
+    if line is None:
+        profile.write_text("pfn,bop,dir,probability\n1,2,0,1.0\n")
+    else:
+        profile.write_text(f"pfn,bop,direction,probability\n0,1,0,1.0\n{line}\n"
+                           "5,6,1,1.0\n")
     capsys.readouterr()
     rc = cli.main(["search", "--config", fast_config_file(tmp_path),
                    "--checkpoint", os.path.join(fast_trained, "checkpoint.qnn"),
                    "--profile", str(profile)])
     assert rc == cli.EXIT_CONFIG
-    assert str(profile) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(profile) in err
+    assert ("header" if line is None else "entry 2 ") in err
     assert not os.path.exists(tmp_path / "search.json")
+
+
+@pytest.mark.parametrize("command,flag", [("search", "--checkpoint"),
+                                          ("search", "--profile"),
+                                          ("exploit", "--chain")])
+def test_directory_input_path_exits_config(fast_trained, tmp_path, capsys,
+                                           command, flag):
+    # a directory where a file is read is a config error naming the path
+    paths = {"--checkpoint": os.path.join(fast_trained, "checkpoint.qnn"),
+             "--profile": os.path.join(fast_trained, "profile.csv"),
+             flag: str(tmp_path)}
+    capsys.readouterr()
+    rc = cli.main([command, "--config", fast_config_file(tmp_path),
+                   *(a for item in paths.items() for a in item)])
+    assert rc == cli.EXIT_CONFIG
+    assert str(tmp_path) in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "search.json")
+    assert not os.path.exists(tmp_path / "report.json")
 
 
 @pytest.mark.parametrize("command", ["search", "exploit"])

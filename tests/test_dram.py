@@ -1,8 +1,10 @@
 """DRAM simulator: addressing, synthesis, templating, hammering, scrambling."""
 
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_cells, tiny_dram
+from flipsim import dram
 from flipsim.dram import (_CLUSTER_PROBS, _CLUSTER_SIZES, _DRAW_CHUNK,
                           DENSITY_FACTORS, OWNER_ATTACKER, PAGE_BITS,
                           PAGE_BYTES, DramConfig, DramState, FlipProfile,
@@ -748,6 +751,109 @@ def test_save_csv_peak_does_not_grow_with_entries(tmp_path):
     assert peak <= 5 * 2 ** 20, peak
     assert oracles.profile_entries(FlipProfile.load_csv(path)) == \
         oracles.profile_entries(profile)
+
+
+@pytest.mark.parametrize("n", [100_000, 1_000_000])
+def test_load_csv_peak_does_not_grow_with_entries(tmp_path, n):
+    # lines are parsed a block at a time into columns sized by a line count;
+    # what is left is one block's arrays and FlipProfile's checks, a few
+    # bytes an entry.  np.loadtxt took 26.7 MB beyond the columns at 1 M.
+    rng = np.random.default_rng(3)
+    profile = FlipProfile(np.arange(n), rng.integers(0, 32768, n),
+                          rng.integers(0, 2, n))
+    path = profile.save_csv(str(tmp_path / "p.csv"))
+    back, peak = _traced_peak(lambda: FlipProfile.load_csv(path))
+    kept = sum(a.nbytes for a in (back.pfn, back.bop, back.direction))
+    assert peak - kept <= 4 * 2 ** 20, (peak, kept)
+    assert all(np.array_equal(a, b) for a, b in
+               ((back.pfn, profile.pfn), (back.bop, profile.bop),
+                (back.direction, profile.direction)))
+
+
+def _read_outcome(read, path):
+    """``(True, entries)`` when ``read(path)`` accepts the file, else
+    ``(False, n)`` for a refusal of entry ``n`` (None for the header)."""
+    try:
+        return True, read(path)
+    except ValueError as err:
+        found = re.match(r"entry (\d+) ", str(err))
+        return False, found and int(found[1])
+
+
+def _bulk_entries(path):
+    return oracles.profile_entries(FlipProfile.load_csv(path))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.tuples(st.one_of(st.integers(0, 300),
+                                           st.integers(0, 10 ** 18 - 1)),
+                                 st.integers(0, 32767)),
+                       st.integers(0, 1), max_size=30),
+       st.randoms(use_true_random=False), st.booleans(),
+       st.sampled_from([1, 16, 64, dram._CSV_READ]), st.data())
+def test_load_csv_matches_line_reader(tmp_path_factory, entries, random,
+                                      final_newline, block, data):
+    # read in blocks of 1 byte to one holding every line; each mutation
+    # changes, adds or removes one byte of the valid file
+    rows = sorted((p, b, d) for (p, b), d in entries.items())
+    text = "pfn,bop,direction,probability\n" + "".join(
+        f"{p},{b},{d},1.0\n" for p, b, d in random.sample(rows, len(rows)))
+    text = text.encode()[:None if final_newline else -1]
+    path = tmp_path_factory.mktemp("csv") / "p.csv"
+    path.write_bytes(text)
+    with mock.patch.object(dram, "_CSV_READ", block):
+        assert _bulk_entries(str(path)) == oracles.load_csv(str(path)) == rows
+        for _ in range(4):
+            at = data.draw(st.integers(0, len(text)))
+            byte = bytes([data.draw(st.sampled_from(
+                b"0123456789,.\n\r -+#e\x00\xff"))])
+            path.write_bytes(text[:at] + data.draw(st.sampled_from(
+                [byte, byte + text[at:at + 1], b""])) + text[at + 1:])
+            assert _read_outcome(_bulk_entries, str(path)) == \
+                _read_outcome(oracles.load_csv, str(path))
+
+
+@pytest.mark.parametrize("body,message", [
+    ("0,1,0,1.0\n5,6,2,1.0\nx\n", "entry 2 (pfn 5, bop 6, direction 2) needs"),
+    ("0,1,0,1.0\n5,6,256,1.0\n", "entry 2 (pfn 5, bop 6, direction 256) needs"),
+    ("5,6,0,1.0\nx\n5,6,2,1.0\n", "entry 2 ('x') is not a line"),
+    ("5,6,0,1.0\n7,8,1,0.5\n5,6,2,1.0\n",
+     "entry 2 (pfn 7, bop 8, direction 1, probability 0.5) needs probability"),
+], ids=["range-then-shape", "wide-direction", "shape-then-range",
+        "probability-then-range"])
+def test_load_csv_refuses_the_first_bad_line(tmp_path, body, message):
+    path = tmp_path / "p.csv"
+    path.write_text("pfn,bop,direction,probability\n" + body)
+    with pytest.raises(ValueError) as err:
+        FlipProfile.load_csv(str(path))
+    assert message in str(err.value)
+
+
+def test_profile_without_final_newline_loads(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"pfn,bop,direction,probability\n3,5,0,1.0\n9,32767,1,1.0")
+    assert oracles.profile_entries(FlipProfile.load_csv(str(path))) == \
+        [(3, 5, 0), (9, 32767, 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 50),
+                                 st.one_of(st.integers(0, 3),
+                                           st.integers(32764, 32767),
+                                           st.integers(0, 32767))),
+                       st.integers(0, 1), max_size=60))
+@example({(p, b): p % 2 for p in range(40) for b in (0, 1, 32767)})
+def test_pools_match_lexsort_reference(entries):
+    # the example fills the top key (bop 32767, direction 1) and gives each
+    # key 20 frames, which an unstable sort leaves out of pfn order
+    rows = sorted((p, b, d) for (p, b), d in entries.items())
+    pfn, bop, direction = (np.array(c, dtype=np.int64) for c in
+                           (zip(*rows) if rows else ([], [], [])))
+    key = bop * 2 + direction
+    pfns, start = oracles.profile_of(rows).pools()
+    assert pfns.tolist() == pfn[np.lexsort((pfn, key))].tolist()
+    assert start.tolist() == np.searchsorted(
+        np.sort(key), np.arange(2 * PAGE_BITS + 1)).tolist()
 
 
 # sha256 of the profile.csv that provision and template write at seed 4 on
