@@ -317,7 +317,7 @@ class FlipProfile:
         """
         tail = np.frombuffer(b"1.0\n", dtype=np.uint8)
         with open(path, "wb") as fh:
-            fh.write(b"pfn,bop,direction,probability\n")
+            fh.write(_CSV_HEADER)
             for at in range(0, len(self), _CSV_BLOCK):
                 block = slice(at, at + _CSV_BLOCK)
                 ints = [a[block] for a in (self.pfn, self.bop, self.direction)]
