@@ -22,7 +22,6 @@ import numpy as np
 
 PAGE_BYTES = 4096
 PAGE_BITS = PAGE_BYTES * 8
-_BOP_BITS = (PAGE_BITS - 1).bit_length()  # a bop's bits: PAGE_BITS is 2 ** 15
 
 OWNER_FREE = 0
 OWNER_ATTACKER = 1
@@ -49,9 +48,10 @@ _CLUSTER_CDF /= _CLUSTER_CDF[-1]
 # cells per chunk when synthesis draws the per-cell flags (uniforms per
 # random() call) and when a reboot hashes the per-cell toggles
 _DRAW_CHUNK = 1 << 16
-# cells per chunk when synthesis maps a bank's cells to (set, row, bit column)
+# cells per chunk when synthesis maps a bank's cell keys to (row, bit column)
 # and places them in its outputs, and when templating maps flipped cells to
-# their profile sort keys
+# their profile sort keys; bops per chunk when synthesis builds its table of
+# bop offsets
 _MAP_CHUNK = 1 << 13
 # profile entries per block that FlipProfile.save_csv formats and writes
 _CSV_BLOCK = 1 << 14
@@ -60,6 +60,9 @@ _CSV_READ = 1 << 17
 _CSV_HEADER = b"pfn,bop,direction,probability\n"
 # the digits a profile field may have; 18 always fit an int64
 _CSV_DIGITS = 18
+# the first pfn a profile refuses: the first that needs more digits, so that
+# every profile save_csv writes, load_csv reads back
+_PFN_LIMIT = 10 ** _CSV_DIGITS
 # the longest line the grammar allows, its newline left out
 _CSV_LINE = 3 * (_CSV_DIGITS + 1) + len(b"1.0")
 
@@ -157,6 +160,20 @@ class DramConfig:
         bitcols = np.arange(self.in_row_pages) * (self.in_row_page_size * 8)
         return self.cell_to_page_vec(s, row, bitcols)[0].tolist()
 
+    def cell_key(self, sets, rows, bitcols, dtype=np.int64):
+        """:class:`DramState`'s sort key of each cell, ``(set *
+        rows_per_bank + row) * row_bits + bit column``, as ``dtype``, over
+        equal-length arrays or scalars.  Keys run in (set, row, bit column)
+        order, and row ``k = set * rows_per_bank + row`` holds the keys
+        ``[k * row_bits, (k + 1) * row_bits)``; they stay below
+        ``total_pages * PAGE_BITS``.  This is the key's one statement.
+        """
+        key = np.multiply(sets, self.rows_per_bank, dtype=dtype)
+        key += rows  # a new array where ``sets`` was a scalar
+        key *= self.row_bits
+        key += bitcols
+        return key
+
     def bit_addr_vec(self, pfn, bop):
         """(pfn, bop) -> (set, row, bit column), over equal-length arrays.
 
@@ -226,21 +243,46 @@ def bench():
 # ---- scrambling hash -----------------------------------------------------------
 
 
-def _splitmix64(x):
-    z = (x + np.uint64(0x9E3779B97F4A7C15))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-def _keyed_uniform(sets, rows, bitcols, seed):
-    """Deterministic per-cell uniform in [0, 1) keyed by location and seed."""
+def _keyed_hash(sets, rows, bitcols, seed):
+    """Deterministic per-cell uint64 keyed by location and seed: the
+    splitmix64 of ``sets * 0x100000001B3 ^ rows * 0x9E3779B1 ^ bitcols ^
+    mix(seed)``, worked in place in two uint64 arrays."""
     seed_mix = (int(seed) * 0xD6E8FEB86659FD93) & 0xFFFFFFFFFFFFFFFF
-    key = (sets.astype(np.uint64) * np.uint64(0x100000001B3)
-           ^ rows.astype(np.uint64) * np.uint64(0x9E3779B1)
-           ^ bitcols.astype(np.uint64)
-           ^ np.uint64(seed_mix))
-    return _splitmix64(key).astype(np.float64) / 2.0 ** 64
+    z = sets.astype(np.uint64)
+    z *= np.uint64(0x100000001B3)
+    t = rows.astype(np.uint64)
+    t *= np.uint64(0x9E3779B1)
+    z ^= t
+    t[:] = bitcols
+    z ^= t
+    z ^= np.uint64(seed_mix)
+    # splitmix64
+    z += np.uint64(0x9E3779B97F4A7C15)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
+
+
+def _toggle_threshold(p):
+    """The smallest ``z`` with ``float64(z) / 2**64 >= p``, for ``p`` in
+    [0, 1]: a hash ``z`` read as a uniform in [0, 1) is below ``p`` exactly
+    when ``z`` is below it.  Both sides round ``z`` to float64 the same way,
+    and the rounding is monotonic, so a bisection over Python ints finds it;
+    it is 0 at ``p = 0`` and ``2**64 - 1024`` at ``p = 1``."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"toggle probability must be in [0, 1], got {p}")
+    lo, hi = 0, 2 ** 64  # float(2**64) / 2**64 is 1.0, not below any p
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if float(mid) / 2.0 ** 64 >= p:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 # ---- flip profile --------------------------------------------------------------
@@ -261,9 +303,11 @@ def _decimal_into(out, x):
 
 class FlipProfile:
     """Templating output: each flippable cell's location ``(pfn, bop)``
-    once, ``pfn >= 0`` and ``0 <= bop < PAGE_BITS``, with its direction (0
-    means 1->0, 1 means 0->1), held in (pfn, bop) order.  Anything else is
-    a ValueError naming the first offending entry (1-based, as given).
+    once, ``0 <= pfn < 10**18`` and ``0 <= bop < PAGE_BITS``, with its
+    direction (0 means 1->0, 1 means 0->1), held in (pfn, bop) order.  The
+    pfn bound is the first with more digits than a profile line holds.
+    Anything else is a ValueError naming the first offending entry
+    (1-based, as given).
     In-order entries are kept as given, others sorted stably."""
 
     def __init__(self, pfn, bop, direction):
@@ -380,13 +424,16 @@ class FlipProfile:
 def _check_entries(pfn, bop, direction, first=0):
     """Refuse the first entry no geometry has; ``first`` entries come before
     these."""
-    bad = np.flatnonzero((pfn < 0) | (bop < 0) | (bop >= PAGE_BITS)
+    # int64 columns read as uint64: a negative value is 2**63 or more
+    bad = np.flatnonzero((pfn.view(np.uint64) >= _PFN_LIMIT)
+                         | (bop.view(np.uint64) >= PAGE_BITS)
                          | ((direction != 0) & (direction != 1)))
     if len(bad):
         i = int(bad[0])
         raise ValueError(f"entry {first + i + 1} (pfn {pfn[i]}, bop {bop[i]}, "
-                         f"direction {direction[i]}) needs pfn >= 0, bop in "
-                         f"[0, {PAGE_BITS}) and direction 0 or 1")
+                         f"direction {direction[i]}) needs pfn in [0, "
+                         f"10**{_CSV_DIGITS}), bop in [0, {PAGE_BITS}) and "
+                         f"direction 0 or 1")
 
 
 def _csv_field(b, stop, width):
@@ -511,22 +558,19 @@ class DramState:
         self.owner = np.zeros(config.total_pages, dtype=np.int8)
         if cells is None:
             cells = _empty_cells()
-        # the cells of row key k = set * rows + row sit at
-        # [_row_start[k], _row_start[k + 1]); the keys are int32 where every
-        # cell key fits, so the order check costs a few bytes per cell
-        rows, keys = config.rows_per_bank, config.sets * config.rows_per_bank
-        kdt = np.int32 if keys * config.row_bits <= 2 ** 31 else np.int64
-        row_key = cells[0].astype(kdt)
-        row_key *= rows
-        row_key += cells[1]
-        cell_key = row_key * config.row_bits
-        cell_key += cells[2]
-        if np.any(cell_key[1:] < cell_key[:-1]):
-            order = np.argsort(cell_key, kind="stable")
+        # the cells of row k = set * rows_per_bank + row sit at
+        # [_row_start[k], _row_start[k + 1]): those whose cell keys lie in
+        # [k * row_bits, (k + 1) * row_bits).  The keys are int32 where they
+        # fit, so the order check costs a few bytes per cell
+        kdt = _key_dtype(config)
+        key = config.cell_key(*cells[:3], dtype=kdt)
+        if np.any(key[1:] < key[:-1]):
+            order = np.argsort(key, kind="stable")
             cells = [a[order] for a in cells]
-            row_key = row_key[order]
-        del cell_key
-        self._row_start = np.searchsorted(row_key, np.arange(keys + 1, dtype=kdt))
+            key = key[order]
+        rows = np.arange(config.sets * config.rows_per_bank + 1, dtype=kdt)
+        self._row_start = np.searchsorted(key, rows * config.row_bits)
+        del key
         for name, a in zip(("cset", "crow", "cbitcol", "cbase_dir", "csscap"),
                            cells):
             a = a.view()
@@ -677,20 +721,30 @@ class DramState:
     def reboot(self, boot_seed, toggle_probability=0.5):
         """Re-key the scrambler: per-cell direction toggles, locations fixed.
 
-        Each cell's direction toggles with ``toggle_probability``.  The toggle
-        is a keyed hash of (cell location, boot seed), so rebooting twice with
-        the same seed lands in the same state.  The hash runs over
+        Each cell's direction toggles with ``toggle_probability``, which
+        must lie in [0, 1].  The toggle is a keyed hash of (cell location,
+        boot seed), read as a uniform ``hash / 2**64`` in float64 and taken
+        where it is below the probability, so rebooting twice with the
+        same seed lands in the same state.  That comparison is made on the
+        hash itself, against :func:`_toggle_threshold`.  The hash runs over
         ``_DRAW_CHUNK`` cells at a time, so its uint64 temporaries stay
         small whatever the cell count.
         """
+        threshold = np.uint64(_toggle_threshold(toggle_probability))
         cur = np.empty_like(self.cbase_dir)
         for at in range(0, len(cur), _DRAW_CHUNK):
             cells = slice(at, at + _DRAW_CHUNK)
-            u = _keyed_uniform(self.cset[cells], self.crow[cells],
-                               self.cbitcol[cells], boot_seed)
-            np.bitwise_xor(self.cbase_dir[cells], u < toggle_probability,
+            z = _keyed_hash(self.cset[cells], self.crow[cells],
+                            self.cbitcol[cells], boot_seed)
+            np.bitwise_xor(self.cbase_dir[cells], z < threshold,
                            out=cur[cells])
         self.ccur_dir = cur
+
+
+def _key_dtype(config):
+    """int32 where every :meth:`DramConfig.cell_key` of ``config`` and the
+    bound above them fit, else int64."""
+    return np.int32 if config.total_pages * PAGE_BITS < 2 ** 31 else np.int64
 
 
 def _empty_cells():
@@ -714,6 +768,26 @@ def _cluster_sizes(rng, n):
     return sizes
 
 
+def _bop_offsets(config):
+    """``off`` over every bop: the cell key of ``(pfn, bop)`` is the key of
+    ``(pfn, 0)`` plus ``off[bop]``.
+
+    The page layout splits a cell's set, row and bit column each into a
+    part that only the pfn sets and a part that only the bop sets, and
+    :meth:`DramConfig.cell_key` is linear in the three, so the key adds the
+    same way; ``off[bop]`` is the key of ``(0, bop)``, as pfn 0's bop 0 is
+    key 0.  The table is mapped by :meth:`DramConfig.bit_addr_vec`
+    ``_MAP_CHUNK`` bops at a time into the key dtype, so its int64
+    temporaries are the size of one chunk.
+    """
+    off = np.empty(PAGE_BITS, dtype=_key_dtype(config))
+    for at in range(0, PAGE_BITS, _MAP_CHUNK):
+        bop = np.arange(at, min(at + _MAP_CHUNK, PAGE_BITS))
+        off[at:at + len(bop)] = config.cell_key(
+            *config.bit_addr_vec(np.zeros_like(bop), bop))
+    return off
+
+
 def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SHARE):
     """Draw a vulnerable-cell population for ``config``.
 
@@ -733,24 +807,30 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
     its place in it.  A cluster size is one uniform, read through the
     cumulative ``_CLUSTER_PROBS``: the values and the stream of
     ``rng.choice(_CLUSTER_SIZES, p=_CLUSTER_PROBS)``.
-    Pages and cells are mapped by :meth:`DramConfig.cell_to_page_vec` and
-    :meth:`DramConfig.bit_addr_vec`, which take each quotient by ``//`` and
-    each remainder by multiply-subtract.
 
     A bank dedupes its ``m`` draws with one in-place sort of packed int64
-    keys ``(pfn * PAGE_BITS + bop) << sh | draw``, ``sh = (m - 1).bit_length()``:
-    each location's earliest draw heads its run of equal ``key >> sh``.  The
-    location takes ``(total_pages * PAGE_BITS - 1).bit_length()`` bits (35
-    at full geometry) and ``m`` is at most the bank's target plus 16, so a
-    target whose key would need more than 63 bits raises ValueError before
-    anything is drawn, as a target above the bank's capacity does.
+    keys ``cell_key << sh | draw``, ``sh = (m - 1).bit_length()``: each
+    location's earliest draw heads its run of equal ``key >> sh``.  The
+    cell key is :class:`DramState`'s own, :meth:`DramConfig.cell_key` of
+    the location's (set, row, bit column), one to one with ``(pfn, bop)``.
+    It is built as the key of the picked page's bop 0, from the pick's
+    (bank, row, in-row slot), plus :func:`_bop_offsets` at the drawn bop, so
+    no cell goes through the address map.  One sort so leaves a bank's kept
+    cells in DramState order: its channel 0 set, then its channel 1 set.
+    Each set is one run of the outputs, its set column a fill, and each
+    key's row and bit column a divide and a multiply-subtract.  The key is
+    below ``total_pages * PAGE_BITS``, so it takes ``(total_pages *
+    PAGE_BITS - 1).bit_length()`` bits (35 at full geometry), and ``m`` is
+    at most the bank's target plus 16: a target whose packed key would need
+    more than 63 bits raises ValueError before anything is drawn, as a
+    target above the bank's capacity does.
 
     Memory stays near the result's own size.  The outputs are allocated
     once; a bank's sort and first-draw temporaries are freed before its
-    cells are mapped and placed ``_MAP_CHUNK`` at a time, and the next
-    bank starts with none of them.  The direction and single-sided flags
-    are drawn ``_DRAW_CHUNK`` uniforms at a time into int8 and bool arrays,
-    which gives the stream one call would.
+    cells are placed ``_MAP_CHUNK`` at a time, and the next bank starts with
+    none of them.  The direction and single-sided flags are drawn
+    ``_DRAW_CHUNK`` uniforms at a time into int8 and bool arrays, which
+    gives the stream one call would.
     """
     rng = np.random.default_rng(seed)
     if isinstance(density, str):
@@ -776,9 +856,11 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
 
     pages_per_bank = config.rows_per_bank * config.in_row_pages
     span = config.in_row_page_size * 8
+    off = _bop_offsets(config)
     total = sum(t for t in targets if t > 0)
-    sets, rows, bitcols, drawn = (np.empty(total, dtype=np.int32)
-                                  for _ in range(4))  # drawn: place in draw order
+    # drawn: each cell's place in draw order
+    outs = sets, rows, bitcols, drawn = tuple(np.empty(total, dtype=np.int32)
+                                              for _ in range(4))
     # channel 0 fills the outputs from the front; channel 1 fills them from
     # the back, reversed, and is turned round behind channel 0 at the end
     lo, hi, n = 0, total, 0
@@ -791,21 +873,20 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
             sizes = np.concatenate([sizes, _cluster_sizes(rng, n_clusters)])
         keep = np.searchsorted(np.cumsum(sizes), target) + 1
         sizes = sizes[:keep]
-        # a pick numbers the bank's pages by (row, in-row slot)
+        # a pick numbers the bank's pages by (row, in-row slot); its bop 0
+        # sits in channel 0 at (bank, row, slot * span)
         slot = rng.integers(0, pages_per_bank, size=len(sizes))
         row = slot // config.in_row_pages
         slot -= row * config.in_row_pages
         slot *= span
-        pfns = config.cell_to_page_vec(bank, row, slot)[0]
-        pfns *= PAGE_BITS
+        key = config.cell_key(bank, row, slot)
         del row, slot
-        # key = (pfn * PAGE_BITS + bop) << sh | draw, sorted once; in one
-        # bank, (pfn, bop) order is (row, bit column) order per channel
-        key = np.repeat(pfns, sizes)[:target + 16]
-        del pfns, sizes
+        # key = cell_key(pfn, bop) << sh | draw, sorted once
+        key = np.repeat(key, sizes)[:target + 16]
+        del sizes
         m = len(key)
         sh = (m - 1).bit_length()
-        key += rng.integers(0, PAGE_BITS, size=m)
+        key += off[rng.integers(0, PAGE_BITS, size=m)]
         key <<= sh
         key |= np.arange(m)
         key.sort()
@@ -832,24 +913,36 @@ def synthesize_cells(config, density="dense", seed=0, one_to_zero=ONE_TO_ZERO_SH
             del kept
         place += n
         n += len(key)
-        # mapped and placed a chunk at a time, so that the address
-        # function's int64 temporaries are the size of one chunk
-        for at in range(0, len(key), _MAP_CHUNK):
-            to = slice(at, at + _MAP_CHUNK)
-            loc = key[to] >> sh
-            s, r, c = config.bit_addr_vec(loc >> _BOP_BITS, loc & (PAGE_BITS - 1))
-            upper = s >= config.banks  # channel 1
-            m = np.count_nonzero(upper)
-            lower = ~upper if m else slice(None)  # all in channel 0: not split
-            for out, val in ((sets, s), (rows, r), (bitcols, c), (drawn, place[to])):
-                out[lo:lo + len(s) - m] = val[lower]
-                if m:
-                    out[hi - m:hi] = val[upper][::-1]
-            lo, hi = lo + len(s) - m, hi - m
+        # the keys run through the bank's channel 0 set, then its channel 1
+        # set: each is one run of the outputs, in DramState order
+        cut = int(np.searchsorted(
+            key, config.cell_key(config.banks + bank, 0, 0) << sh))
+        upper = len(key) - cut
+        for s, run, ranks, views in (
+                (bank, key[:cut], place[:cut], [o[lo:lo + cut] for o in outs]),
+                (config.banks + bank, key[cut:], place[cut:],
+                 [o[hi - upper:hi][::-1] for o in outs])):
+            set_out, row_out, col_out, drawn_out = views
+            set_out.fill(s)
+            drawn_out[:] = ranks
+            # mapped a chunk at a time, so that the int64 temporaries are
+            # the size of one chunk: a key's row is a divide and its bit
+            # column a multiply-subtract
+            base = config.cell_key(s, 0, 0)
+            for at in range(0, len(run), _MAP_CHUNK):
+                to = slice(at, at + _MAP_CHUNK)
+                c = run[to] >> sh
+                c -= base
+                r = c // config.row_bits
+                row_out[to] = r
+                r *= config.row_bits
+                c -= r
+                col_out[to] = c
+        lo, hi = lo + cut, hi - upper
         # the next bank's draws start with only the outputs allocated
-        del key, place, loc, s, r, c, upper, lower, val
+        del key, place, run, ranks
 
-    for out in (sets, rows, bitcols, drawn):
+    for out in outs:
         out[lo:n] = out[hi:][::-1]
     sets, rows, bitcols, drawn = sets[:n], rows[:n], bitcols[:n], drawn[:n]
     # one uniform per cell and flag, in draw order; chunks of random() give

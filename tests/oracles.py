@@ -652,6 +652,22 @@ def disjoint_chains_reference(model, dataset, profile, config, count,
     return chains
 
 
+def keyed_uniform(sets, rows, bitcols, seed):
+    """Deterministic per-cell uniform in [0, 1) keyed by location and seed:
+    the splitmix64 of the mixed location, as float64, over ``2**64``.  A
+    reboot toggles the cells whose uniform is below its probability."""
+    seed_mix = (int(seed) * 0xD6E8FEB86659FD93) & 0xFFFFFFFFFFFFFFFF
+    z = (sets.astype(np.uint64) * np.uint64(0x100000001B3)
+         ^ rows.astype(np.uint64) * np.uint64(0x9E3779B1)
+         ^ bitcols.astype(np.uint64)
+         ^ np.uint64(seed_mix))
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return z.astype(np.float64) / 2.0 ** 64
+
+
 def synthesize_cells_reference(config, density="dense", seed=0,
                                one_to_zero=ONE_TO_ZERO_SHARE):
     """Draw a vulnerable-cell population for ``config``, in draw order.

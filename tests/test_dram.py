@@ -17,7 +17,7 @@ from flipsim import dram
 from flipsim.dram import (_CLUSTER_PROBS, _CLUSTER_SIZES, _DRAW_CHUNK,
                           DENSITY_FACTORS, OWNER_ATTACKER, PAGE_BITS,
                           PAGE_BYTES, DramConfig, DramState, FlipProfile,
-                          _cluster_sizes, _empty_cells, _keyed_uniform, bench,
+                          _cluster_sizes, _empty_cells, bench,
                           desk, full_dual, full_single, load_geometry,
                           new_dram, sample_profile, save_geometry,
                           synthesize_cells, template)
@@ -61,6 +61,27 @@ def test_addressing_bijective(kind, data):
     back = cfg.cell_to_page_vec(s, r, col)
     assert (back[0].tolist(), back[1].tolist()) == ([pfn], [bop])
     assert pfn in cfg.row_pfns(int(s[0]), int(r[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(1, 4), st.integers(1, 300),
+       st.sampled_from([4096, 8192]), st.data())
+def test_cell_key_adds_a_bop_offset_to_the_page_key(channels, banks, rows,
+                                                     row_bytes, data):
+    # synthesis keys a cell as its page's key at bop 0 plus a per-bop
+    # offset; every bop of each drawn pfn lands on the key of its address
+    cfg = DramConfig(channels=channels, banks_per_dimm=banks,
+                     rows_per_bank=rows, row_bytes=row_bytes)
+    off = dram._bop_offsets(cfg)
+    assert off.dtype == dram._key_dtype(cfg)
+    bop = np.arange(PAGE_BITS)
+    for pfn in data.draw(st.lists(st.integers(0, cfg.total_pages - 1),
+                                  min_size=1, max_size=3)):
+        pfns = np.full(PAGE_BITS, pfn)
+        want = cfg.cell_key(*cfg.bit_addr_vec(pfns, bop))
+        page = cfg.cell_key(*cfg.bit_addr_vec(pfns[:1], bop[:1]))
+        assert np.array_equal(page + off, want)
+        assert 0 <= want.min() and want.max() < cfg.total_pages * PAGE_BITS
 
 
 def test_vectorized_addressing_matches_scalar():
@@ -652,12 +673,47 @@ def test_reboot_hashes_by_chunk_as_over_the_whole_array():
     state = new_dram(cfg, 80_000, cell_seed=2)
     n = len(state.cset)
     assert n > 4 * _DRAW_CHUNK and n % _DRAW_CHUNK  # a partial last chunk
-    u = _keyed_uniform(state.cset, state.crow, state.cbitcol, 777)
+    u = oracles.keyed_uniform(state.cset, state.crow, state.cbitcol, 777)
     want = state.cbase_dir ^ (u < 0.3)
     _, peak = _traced_peak(lambda: state.reboot(777, 0.3))
     assert state.ccur_dir.dtype == np.int8
     assert np.array_equal(state.ccur_dir, want)
     assert peak <= n + 4 * 2 ** 20, peak
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1), st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, 0.3, np.nextafter(0.5, 0), np.nextafter(0.5, 1),
+                     np.nextafter(0, 1), np.nextafter(1, 0)]),
+    st.floats(0, 1)))
+def test_reboot_toggles_where_the_reference_uniform_is_below(seed, toggle):
+    cfg = DramConfig(channels=2, banks_per_dimm=2, rows_per_bank=64)
+    state = DramState(cfg, synthesize_cells(cfg, 3000, seed=8))
+    state.reboot(seed, toggle)
+    u = oracles.keyed_uniform(state.cset, state.crow, state.cbitcol, seed)
+    assert np.array_equal(state.ccur_dir, state.cbase_dir ^ (u < toggle))
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.sampled_from([0.0, 1.0, 0.5, np.nextafter(0, 1),
+                                  np.nextafter(1, 0), np.nextafter(0.5, 0),
+                                  np.nextafter(0.5, 1), 2.0 ** -60, 2.0 ** -80]),
+                 st.floats(0, 1)))
+def test_toggle_threshold_is_the_first_hash_read_at_or_above_p(p):
+    t = dram._toggle_threshold(p)
+    # numpy's uint64 -> float64 rounding, as a reboot's reference reads it
+    below, at = np.array([max(t - 1, 0), t], dtype=np.uint64) \
+        .astype(np.float64) / 2.0 ** 64
+    assert at >= p
+    assert t == 0 or below < p
+
+
+def test_toggle_threshold_ends_and_refusals():
+    assert dram._toggle_threshold(0.0) == 0
+    assert dram._toggle_threshold(1.0) == 2 ** 64 - 1024
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="toggle probability"):
+            dram._toggle_threshold(p)
 
 
 # ---- sampling ---------------------------------------------------------------------
@@ -717,12 +773,14 @@ def test_profile_keeps_in_order_columns_as_given():
 
 @pytest.mark.parametrize("rows,message", [
     ([(3, 5, 0), (-1, 5, 0)], "entry 2 (pfn -1, bop 5, direction 0) needs"),
+    ([(10 ** 18, 5, 0)], f"entry 1 (pfn {10 ** 18}, bop 5, direction 0) "
+                         "needs pfn in [0, 10**18)"),
     ([(3, 32768, 1)], "entry 1 (pfn 3, bop 32768, direction 1) needs"),
     ([(3, -1, 1)], "entry 1 (pfn 3, bop -1, direction 1) needs"),
     ([(3, 5, 0), (4, 6, 2)], "entry 2 (pfn 4, bop 6, direction 2) needs"),
     ([(9, 1, 0), (3, 5, 0), (3, 5, 1), (9, 1, 0)],
      "entry 3 repeats the location pfn 3, bop 5"),
-], ids=["pfn", "bop-high", "bop-low", "direction", "repeat"])
+], ids=["pfn", "pfn-high", "bop-high", "bop-low", "direction", "repeat"])
 def test_profile_refuses_what_no_geometry_has(rows, message):
     with pytest.raises(ValueError) as err:
         oracles.profile_of(rows)
@@ -736,6 +794,16 @@ def test_profile_csv_roundtrip(tmp_path):
     profile = FlipProfile([5, 9], [4847, 100], [0, 1])
     path = tmp_path / "p.csv"
     profile.save_csv(str(path))
+    back = FlipProfile.load_csv(str(path))
+    assert oracles.profile_entries(back) == oracles.profile_entries(profile)
+
+
+def test_largest_pfn_round_trips_through_the_csv(tmp_path):
+    # 10**18 - 1 is the last pfn of 18 digits, the most a field may have
+    profile = FlipProfile([0, 10 ** 18 - 1], [32767, 0], [1, 0])
+    path = tmp_path / "p.csv"
+    profile.save_csv(str(path))
+    assert path.read_text().splitlines()[-1] == f"{10 ** 18 - 1},0,0,1.0"
     back = FlipProfile.load_csv(str(path))
     assert oracles.profile_entries(back) == oracles.profile_entries(profile)
 
@@ -861,6 +929,35 @@ def test_pools_match_lexsort_reference(entries):
 # only, not on the model's weights
 DESK_PROFILE_SHA256 = \
     "63c2bc6695546367e2c526c3289c05dd4efe7b25d755c48aa147b1d793496a0f"
+
+
+# sha256 of synthesize_cells' five outputs (each array's dtype, shape and
+# bytes): on two channels with a row count that is not a power of two, and
+# on the perfbench geometry (bench with 4 banks, the config's default
+# per-bank count and cell seed) with one and two channels
+SYNTHESIS_SHA256 = [
+    (DramConfig(channels=2, banks_per_dimm=3, rows_per_bank=100), 40_000, 5,
+     "270436e66d70ed8936c5e5a6b95dc8932f30704e76257fb68c5ff78bea5d44da"),
+    (DramConfig(channels=2, banks_per_dimm=3, rows_per_bank=100), "dense", 0,
+     "c6640725f01719158fac9084c6d660bd69eb85733c1c850ec9dd00ca3b65fdc9"),
+    (DramConfig(banks_per_dimm=4, rows_per_bank=1024), 250_000, 7003,
+     "6ed3f8b9b197fd101376accf8c61a4824665b04a963ac5adb6c755fcbd396814"),
+    (DramConfig(channels=2, banks_per_dimm=4, rows_per_bank=1024), 250_000,
+     7003, "ffbfa3af414226aa2fdec9df9f5508401d8629ee1e8c75b91d36dcf07720e5a5"),
+]
+
+
+@pytest.mark.parametrize("cfg,density,seed,digest", SYNTHESIS_SHA256,
+                         ids=["dual-100-rows", "dual-100-rows-dense",
+                              "perfbench", "perfbench-dual"])
+def test_synthesis_bytes_are_pinned(cfg, density, seed, digest):
+    import hashlib
+
+    h = hashlib.sha256()
+    for a in synthesize_cells(cfg, density, seed):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_desk_profile_bytes_are_pinned(tmp_path):

@@ -144,7 +144,7 @@ def test_verify_template_matches_reference_in_any_entry_order(
 
 @settings(max_examples=60, deadline=None)
 @given(st.dictionaries(st.tuples(st.one_of(st.integers(0, 300),
-                                           st.integers(0, 2 ** 63 - 1)),
+                                           st.integers(0, 10 ** 18 - 1)),
                                  st.integers(0, 32767)),
                        st.integers(0, 1), max_size=40))
 def test_save_csv_bytes_match_per_line_writer(tmp_path_factory, entries):
@@ -161,8 +161,8 @@ def test_save_csv_bytes_match_per_line_writer_over_blocks(tmp_path):
     n = 2 * _CSV_BLOCK + 1000
     pfn = np.cumsum(rng.integers(1, 4, n))  # each location once, in order
     pfn[_CSV_BLOCK:] += 10 ** 12
-    pfn[2 * _CSV_BLOCK:] += 2 ** 62
-    pfn[-1] = 2 ** 63 - 1
+    pfn[2 * _CSV_BLOCK:] += 10 ** 17
+    pfn[-1] = 10 ** 18 - 1  # the largest pfn a profile holds
     profile = FlipProfile(pfn, rng.integers(0, 32768, n), rng.integers(0, 2, n))
     profile.save_csv(str(tmp_path / "fast.csv"))
     oracles.save_csv(profile, str(tmp_path / "slow.csv"))
