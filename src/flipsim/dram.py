@@ -57,6 +57,8 @@ _MAP_CHUNK = 1 << 13
 _CSV_BLOCK = 1 << 14
 # bytes per block that FlipProfile.load_csv reads and parses
 _CSV_READ = 1 << 17
+# profile entries per block that FlipProfile checks for range and order
+_CHECK_BLOCK = 1 << 16
 _CSV_HEADER = b"pfn,bop,direction,probability\n"
 # the digits a profile field may have; 18 always fit an int64
 _CSV_DIGITS = 18
@@ -315,19 +317,21 @@ class FlipProfile:
         direction = np.ascontiguousarray(direction, dtype=np.int8)
         if not len(pfn) == len(bop) == len(direction):
             raise ValueError("profile columns differ in length")
-        _check_entries(pfn, bop, direction)
+        for at in range(0, len(pfn), _CHECK_BLOCK):
+            block = slice(at, at + _CHECK_BLOCK)
+            _check_entries(pfn[block], bop[block], direction[block], at)
         # strictly increasing (pfn, bop) is in order with each location once
-        later = pfn[1:] > pfn[:-1]
-        later |= (pfn[1:] == pfn[:-1]) & (bop[1:] > bop[:-1])
-        if not later.all():
+        if any(len(k) for k in _not_later(pfn, bop)):
             order = np.lexsort((bop, pfn))  # stable
-            same = ((pfn[order[1:]] == pfn[order[:-1]])
-                    & (bop[order[1:]] == bop[order[:-1]]))
-            if same.any():
-                i = int(order[1:][same].min())
+            in_order = pfn[order], bop[order]
+            # sorted, an entry no later than the one before repeats it
+            repeats = [int(order[k].min()) for k in _not_later(*in_order)
+                       if len(k)]
+            if repeats:
+                i = min(repeats)
                 raise ValueError(f"entry {i + 1} repeats the location pfn "
                                  f"{pfn[i]}, bop {bop[i]}")
-            pfn, bop, direction = pfn[order], bop[order], direction[order]
+            (pfn, bop), direction = in_order, direction[order]
         self.pfn, self.bop, self.direction = pfn, bop, direction
 
     def __len__(self):
@@ -419,6 +423,17 @@ class FlipProfile:
             if rest:
                 _parse_csv_lines(rest + b"\n", at, cols)
         return cls(*cols)
+
+
+def _not_later(pfn, bop):
+    """Per block of ``_CHECK_BLOCK`` entries, the places ``k`` whose
+    ``(pfn, bop)`` is no later than entry ``k - 1``'s."""
+    for at in range(1, len(pfn), _CHECK_BLOCK):
+        stop = min(at + _CHECK_BLOCK, len(pfn))
+        cur, prev = slice(at, stop), slice(at - 1, stop - 1)
+        later = pfn[cur] > pfn[prev]
+        later |= (pfn[cur] == pfn[prev]) & (bop[cur] > bop[prev])
+        yield at + np.flatnonzero(~later)
 
 
 def _check_entries(pfn, bop, direction, first=0):

@@ -3,7 +3,11 @@
 Weighted layers (dense, conv2d) hold integer weight codes plus a step size and
 compute with the dequantized values; biases and activations stay in float64.
 Each layer implements ``forward_train``, which returns its output and a
-context that ``backward`` consumes for training and attack gradients.
+context that ``backward`` consumes for training and attack gradients, and
+``context``, which gives the same context from the layer's input alone.
+``backward`` returns the input gradient; a weighted layer's
+``weight_grads`` returns its weight and bias gradients from the same
+context.
 
 A class's ``fields`` name the attributes that fix its shape, in the order
 its constructor takes them and its checkpoint record stores them.  A
@@ -25,10 +29,16 @@ class Layer:
         return tuple(getattr(self, name) for name in self.fields)
 
     def forward_train(self, x):
+        """``(output, ctx)``: ``ctx`` equals :meth:`context` of ``x``."""
+        raise NotImplementedError
+
+    def context(self, x):
+        """The backward context of input ``x``, as :meth:`forward_train`
+        returns it."""
         raise NotImplementedError
 
     def backward(self, ctx, grad_out):
-        """Return ``(grad_in, grad_weight, grad_bias)``."""
+        """Return the gradient with respect to the layer's input."""
         raise NotImplementedError
 
     def out_shape(self, in_shape):
@@ -76,6 +86,10 @@ class _WeightedLayer(Layer):
     def weight_count(self):
         return self.weight_q.size
 
+    def weight_grads(self, ctx, grad_out):
+        """Return ``(grad_weight, grad_bias)``."""
+        raise NotImplementedError
+
 
 class Dense(_WeightedLayer):
     fields = ("in_features", "out_features")
@@ -87,11 +101,14 @@ class Dense(_WeightedLayer):
     def forward_train(self, x):
         return x @ self.weights.T + self.bias, x
 
+    def context(self, x):
+        return x
+
     def backward(self, ctx, g):
-        x = ctx
-        grad_w = g.T @ x
-        grad_b = g.sum(axis=0)
-        return g @ self.weights, grad_w, grad_b
+        return g @ self.weights
+
+    def weight_grads(self, ctx, g):
+        return g.T @ ctx, g.sum(axis=0)
 
     def out_shape(self, in_shape):
         if in_shape != (self.in_features,):
@@ -143,21 +160,29 @@ class Conv2d(_WeightedLayer):
                          delta_w, bias)
 
     def forward_train(self, x):
-        cols, (ho, wo) = _im2col(x, self.kh, self.kw, self.stride, self.pad)
+        ctx = self.context(x)
+        cols, _, ho, wo = ctx
         w_mat = self.weights.reshape(self.out_channels, -1)
         y = np.einsum("ok,bkn->bon", w_mat, cols) + self.bias[None, :, None]
-        return y.reshape(x.shape[0], self.out_channels, ho, wo), (cols, x.shape, ho, wo)
+        return y.reshape(x.shape[0], self.out_channels, ho, wo), ctx
+
+    def context(self, x):
+        cols, (ho, wo) = _im2col(x, self.kh, self.kw, self.stride, self.pad)
+        return cols, x.shape, ho, wo
 
     def backward(self, ctx, g):
-        cols, x_shape, ho, wo = ctx
+        _, x_shape, ho, wo = ctx
         g2 = g.reshape(g.shape[0], self.out_channels, ho * wo)
         w_mat = self.weights.reshape(self.out_channels, -1)
-        grad_w = np.einsum("bon,bkn->ok", g2, cols).reshape(self.weight_q.shape)
-        grad_b = g2.sum(axis=(0, 2))
         dcols = np.einsum("ok,bon->bkn", w_mat, g2)
-        grad_x = _col2im(dcols, x_shape, self.kh, self.kw, self.stride,
-                         self.pad, ho, wo)
-        return grad_x, grad_w, grad_b
+        return _col2im(dcols, x_shape, self.kh, self.kw, self.stride, self.pad,
+                       ho, wo)
+
+    def weight_grads(self, ctx, g):
+        cols, _, ho, wo = ctx
+        g2 = g.reshape(g.shape[0], self.out_channels, ho * wo)
+        grad_w = np.einsum("bon,bkn->ok", g2, cols).reshape(self.weight_q.shape)
+        return grad_w, g2.sum(axis=(0, 2))
 
     def out_shape(self, in_shape):
         c, h, w = in_shape
@@ -170,11 +195,14 @@ class Conv2d(_WeightedLayer):
 
 class ReLU(Layer):
     def forward_train(self, x):
-        mask = x > 0
+        mask = self.context(x)
         return x * mask, mask
 
+    def context(self, x):
+        return x > 0
+
     def backward(self, ctx, g):
-        return g * ctx, None, None
+        return g * ctx
 
     def out_shape(self, in_shape):
         return in_shape
@@ -186,14 +214,21 @@ class MaxPool2d(Layer):
     def __init__(self, k, stride):
         self.k, self.stride = int(k), int(stride)
 
-    def forward_train(self, x):
+    def _windows(self, x):
+        """Each output's window, ``(B, C, k * k, ho, wo)``, and the first
+        maximum's place in it: the argmax fixes tie routing."""
         k = self.k
         cols, (ho, wo) = _im2col(x, k, k, self.stride, 0)
         win = cols.reshape(x.shape[0], x.shape[1], k * k, ho, wo)
-        # argmax takes the first maximum, which fixes tie routing
-        arg = win.argmax(axis=2)
-        y = np.take_along_axis(win, arg[:, :, None], axis=2)[:, :, 0]
-        return y, (arg, x.shape, ho, wo)
+        return win, (win.argmax(axis=2), x.shape, ho, wo)
+
+    def forward_train(self, x):
+        win, ctx = self._windows(x)
+        y = np.take_along_axis(win, ctx[0][:, :, None], axis=2)[:, :, 0]
+        return y, ctx
+
+    def context(self, x):
+        return self._windows(x)[1]
 
     def backward(self, ctx, g):
         arg, x_shape, ho, wo = ctx
@@ -205,7 +240,7 @@ class MaxPool2d(Layer):
         jj = np.arange(wo) * self.stride + arg % self.k
         np.add.at(grad_x, (np.arange(b)[:, None, None, None],
                            np.arange(c)[:, None, None], ii, jj), g)
-        return grad_x, None, None
+        return grad_x
 
     def out_shape(self, in_shape):
         c, h, w = in_shape
@@ -217,8 +252,11 @@ class Flatten(Layer):
     def forward_train(self, x):
         return x.reshape(x.shape[0], -1), x.shape
 
+    def context(self, x):
+        return x.shape
+
     def backward(self, ctx, g):
-        return g.reshape(ctx), None, None
+        return g.reshape(ctx)
 
     def out_shape(self, in_shape):
         n = 1

@@ -12,6 +12,14 @@ a residual skip adds ``acts[source]``.  A walk from layer ``start`` takes
 activations bit for bit.  It also returns one backward context per layer it
 ran (``None`` for a residual skip), which the gradient pass hands back to
 each layer's ``backward``.
+
+The prefix rule: after a change to layer ``L``'s weights, ``acts[:L + 1]``
+of a walk over the same input still hold, since no layer before ``L``
+changed.  :meth:`forward_tape` takes such a prefix, shares its arrays and
+walks from ``L`` only; the gradient pass takes each prefix layer's context
+from its input activation (:meth:`Layer.context`), so no context outlives
+its walk's backward.  A fresh walk is the empty prefix.  The backward stops
+at the first weighted layer: no caller reads the input gradient below it.
 """
 
 import hashlib
@@ -124,14 +132,18 @@ class QuantizedModel:
         loss, grads, _, _ = self.weight_bias_gradients(x, labels)
         return loss, grads
 
-    def forward_tape(self, x):
+    def forward_tape(self, x, prefix=()):
         """Forward half of :meth:`weight_bias_gradients`: ``(acts, ctxs)``.
 
-        ``acts`` equal those of :meth:`forward_acts`; ``ctxs`` are what the
-        backward half needs, valid while the weights stay as they are.
+        ``acts`` equal those of :meth:`forward_acts`; ``ctxs`` are the
+        backward contexts of the layers the walk ran, the model's last
+        ``len(ctxs)``, valid while the weights stay as they are.
+        ``prefix``, when given, is ``acts[:L + 1]`` of an earlier walk over
+        ``x`` with no weight before layer ``L`` changed since; its arrays
+        are shared, not copied, and only layers ``L..`` run.
         """
-        acts = [np.asarray(x, dtype=np.float64)]
-        return acts, self._walk(0, acts)
+        acts = list(prefix) or [np.asarray(x, dtype=np.float64)]
+        return acts, self._walk(len(acts) - 1, acts)
 
     def weight_bias_gradients(self, x, labels, tape=None):
         """Like :meth:`weight_gradients` but also returns bias gradients.
@@ -140,14 +152,19 @@ class QuantizedModel:
         ``None`` for weightless layers, and ``acts`` are the activations of
         the pass, equal to those of :meth:`forward_acts`.  ``tape``, the
         :meth:`forward_tape` of ``x`` on the current weights, leaves only the
-        backward half to run.
+        backward half to run; a layer the tape holds no context for takes it
+        from its input activation.  The backward ends at the first weighted
+        layer, with no input gradient below it.
         """
         acts, ctxs = tape or self.forward_tape(x)
         loss, dlogits = softmax_cross_entropy(acts[-1], labels)
-        grads, bgrads = [None] * len(self.layers), [None] * len(self.layers)
-        flow = [None] * (len(self.layers) + 1)
-        flow[len(self.layers)] = dlogits
-        for i in range(len(self.layers) - 1, -1, -1):
+        n = len(self.layers)
+        start = n - len(ctxs)  # the first layer whose walk made its context
+        first = min(self.weighted_indices(), default=n)
+        grads, bgrads = [None] * n, [None] * n
+        flow = [None] * (n + 1)
+        flow[n] = dlogits
+        for i in range(n - 1, first - 1, -1):
             g = flow[i + 1]
             layer = self.layers[i]
             if isinstance(layer, ResidualAdd):
@@ -155,9 +172,12 @@ class QuantizedModel:
                 src = layer.source
                 flow[src] = g if flow[src] is None else flow[src] + g
             else:
-                g_in, grad_w, grad_b = layer.backward(ctxs[i], g)
+                ctx = ctxs[i - start] if i >= start else layer.context(acts[i])
                 if layer.weighted:
-                    grads[i], bgrads[i] = grad_w, grad_b
+                    grads[i], bgrads[i] = layer.weight_grads(ctx, g)
+                if i == first:
+                    break
+                g_in = layer.backward(ctx, g)
             flow[i] = g_in if flow[i] is None else flow[i] + g_in
         return loss, grads, bgrads, acts
 

@@ -14,7 +14,12 @@ and accuracy, and candidates are scored on the distinct inputs.  The
 targeted search's batch draws each test row of its class several times, so it
 scores the test split's rows once each and every eval row reads its test row.
 Passes over identical state are bit-identical, so the pass over a committed
-state both records that step and serves the next iteration.
+state both records that step and serves the next iteration.  The prefix
+rule: a flip committed in layer L leaves the inputs of layers ..L as they
+were, so the next pass shares those scored activations with the pass it
+follows (:meth:`SearchPass.prefix`) and walks only from layer L.  An
+untargeted pass's scored rows are its eval batch, so that walk is also its
+gradient pass; a targeted pass walks its eval batch in full.
 
 An iteration pays per layer for the bits its ranking can pick, not for the
 layer's bit space: eligibility is one bit mask per weight, built only for
@@ -55,9 +60,12 @@ bit but may share frames.  Every chain's first iteration ranks from the one
 clean pass, and a pass scores each candidate once, so a later chain
 re-scores only the candidates its new exclusions bring in.  The backward
 half of a pass runs only when another iteration ranks from it, and the pass
-drops its forward tape once that half has run.  A chain releases the pass
-it ranked before it makes the next one, so it holds at most the session's
-clean pass and its current pass.
+drops its forward tape once that half has run; a layer its walk did not run
+takes its backward context from its input activation, so no context, a
+conv layer's unfolded input included, outlives the ranking that read it.
+A chain releases the pass it ranked, all but the activations its commit
+leaves, before it makes the next one, so it holds at most the session's
+clean pass and its current pass, which may share those arrays.
 
 Untargeted searches maximize loss until accuracy falls to the target;
 targeted searches run the identical loop with the objective negated on a
@@ -641,7 +649,8 @@ class SearchPass:
     on the weights the pass was made on, so read it before they change; a
     pass that only records a chain's last step never runs it.  Reading it
     drops ``backward`` and with it the forward tape.  ``memo`` holds each
-    ref :func:`rank_candidates` has scored on this state.
+    ref :func:`rank_candidates` has scored on this state.  :meth:`prefix`
+    gives the activations the pass after a flip shares with this one.
     """
 
     acts: list          # activations of the scored inputs
@@ -658,8 +667,13 @@ class SearchPass:
         self.backward = None
         return grads
 
+    def prefix(self, layer):
+        """The scored activations a pass after a change to ``layer``'s
+        weights shares with this one: the inputs of layers ``..layer``."""
+        return self.acts[:layer + 1]
 
-def search_pass(model, x, labels, rows=None, target_class=None):
+
+def search_pass(model, x, labels, rows=None, target_class=None, prefix=()):
     """The passes one search iteration works from, on the model as it is.
 
     The eval batch is ``x[rows]`` (all of ``x`` when ``rows`` is ``None``).
@@ -671,15 +685,25 @@ def search_pass(model, x, labels, rows=None, target_class=None):
     of ``x`` classified into ``target_class`` when one is given, else the
     batch accuracy.  Passes over the same state are bit-identical, so the
     pass after a commit records it and ranks the next iteration.
+
+    ``prefix``, an earlier pass's :meth:`SearchPass.prefix` of the layer
+    changed since, is the start of the walk over ``x``: its arrays are
+    shared and only the layers from the changed one run.  Without ``rows``
+    that walk is also the eval batch's gradient pass; with them the eval
+    batch's pass runs in full, since its tape was dropped once its
+    gradients were read.  Either way the pass equals a fresh one bit for
+    bit.
     """
     labels = np.asarray(labels)
-    batch = slice(None) if rows is None else np.asarray(rows)
-    tape = model.forward_tape(x[batch])
-    acts = tape[0]
-    loss, accuracy = metrics_from_logits(acts[-1], labels[batch])
-    backward = partial(model.weight_bias_gradients, acts[0], labels[batch], tape)
-    if rows is not None:
-        _, acts = model.forward_acts(x)
+    if rows is None:
+        tape = model.forward_tape(x, prefix)
+        acts, batch_labels = tape[0], labels
+    else:
+        tape = model.forward_tape(x[rows])
+        acts, batch_labels = model.forward_tape(x, prefix)[0], labels[rows]
+    loss, accuracy = metrics_from_logits(tape[0][-1], batch_labels)
+    backward = partial(model.weight_bias_gradients, tape[0][0], batch_labels,
+                       tape)
     scores = RowScores(acts[-1], labels, rows, target_class)
     metric = accuracy if target_class is None else float(scores.hits.mean())
     return SearchPass(acts, scores, loss, accuracy, metric, backward)
@@ -868,16 +892,18 @@ def _run_search(s):
         ranked = rank_candidates(work, image, state, config.p,
                                  objective=s.objective, view=s.view,
                                  protected=s.protected)
-        state = None  # ranked: freed before the next pass is made
         picked = select_flippable(ranked, s.view)
         if picked is None:
             exhausted = True
             break
         cand, pfn = picked
+        # ranked: all but the activations the commit leaves are freed before
+        # the next pass is made
+        prefix, state = state.prefix(cand.ref.layer), None
         image.apply_flips([TargetBit(cand.page, cand.bop, cand.mode)])
         s.protected.add_refs([cand.ref])
         # the pass over the committed state records this step and ranks the next
-        state = search_pass(work, *s.batch)
+        state = search_pass(work, *s.batch, prefix=prefix)
         steps.append(ChainStep(cand.ref, cand.page, cand.bop, cand.mode, pfn,
                                state.loss, state.accuracy, state.metric,
                                len(ranked)))

@@ -15,7 +15,8 @@ from flipsim.dram import (_CLUSTER_PROBS, _CLUSTER_SIZES, DENSE_PER_BANK_RANGE,
                           FlipProfile, _empty_cells)
 from flipsim.image import PAGE_BITS, WeightImage
 from flipsim.massage import MappingPlan, PlanEntry, UnsatisfiablePlan
-from flipsim.qnn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU, ResidualAdd
+from flipsim.qnn.layers import (Conv2d, Dense, Flatten, MaxPool2d, ReLU,
+                                ResidualAdd, _col2im, _im2col)
 from flipsim.qnn.model import BitRef, loss_and_accuracy, softmax_cross_entropy
 from flipsim.qnn.quant import bit_coefficients, toggle_bit
 from flipsim.search import (Candidate, ProtectedMask, _rank_key,
@@ -146,6 +147,51 @@ def finite_difference_grads(model, x, labels, step=1e-4):
         layer.invalidate()
         out[li] = grad.reshape(layer.weight_q.shape)
     return out
+
+
+def full_backward(model, x, labels):
+    """``(loss, grads, bias_grads)`` by a backward down to the input.
+
+    Every layer passes its input gradient on, the first weighted layer's
+    included, and each layer's context is rebuilt from its input
+    activation.  The products and their order are those of
+    :meth:`QuantizedModel.weight_bias_gradients`, so the weight and bias
+    gradients must agree bit for bit.
+    """
+    _, acts = model.forward_acts(x)
+    loss, dlogits = softmax_cross_entropy(acts[-1], labels)
+    n = len(model.layers)
+    grads, bgrads = [None] * n, [None] * n
+    flow = [None] * n + [dlogits]
+    for i in range(n - 1, -1, -1):
+        layer, g, a = model.layers[i], flow[i + 1], acts[i]
+        if isinstance(layer, ResidualAdd):
+            src = layer.source
+            flow[src] = g if flow[src] is None else flow[src] + g
+            g_in = g
+        elif isinstance(layer, Dense):
+            grads[i], bgrads[i] = g.T @ a, g.sum(axis=0)
+            g_in = g @ layer.weights
+        elif isinstance(layer, Conv2d):
+            cols, (ho, wo) = _im2col(a, layer.kh, layer.kw, layer.stride,
+                                     layer.pad)
+            g2 = g.reshape(g.shape[0], layer.out_channels, ho * wo)
+            grads[i] = np.einsum("bon,bkn->ok", g2, cols).reshape(
+                layer.weight_q.shape)
+            bgrads[i] = g2.sum(axis=(0, 2))
+            dcols = np.einsum("ok,bon->bkn",
+                              layer.weights.reshape(layer.out_channels, -1), g2)
+            g_in = _col2im(dcols, a.shape, layer.kh, layer.kw, layer.stride,
+                           layer.pad, ho, wo)
+        elif isinstance(layer, ReLU):
+            g_in = g * (a > 0)
+        elif isinstance(layer, MaxPool2d):
+            g_in = maxpool_reference(a, layer.k, layer.stride, g)[1]
+        else:
+            assert isinstance(layer, Flatten)
+            g_in = g.reshape(a.shape)
+        flow[i] = g_in if flow[i] is None else flow[i] + g_in
+    return loss, grads, bgrads
 
 
 def protected_contains(mask, ref):

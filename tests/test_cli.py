@@ -435,9 +435,9 @@ def test_chains_of_one_search_share_a_session(fast_trained, tmp_path,
     passes = []
     real_pass = search.search_pass
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         passes.append(args[0])
-        return real_pass(*args)
+        return real_pass(*args, **kwargs)
 
     monkeypatch.setattr(search, "search_pass", spy)
     cfg = cli.make_config(overrides=fast_overrides(

@@ -20,13 +20,14 @@ from flipsim.search import (Candidate, ProfileView, ProtectedMask, RowScores,
                             SearchConfig, _dense_suffix_logits, _reach,
                             _bounded_top_bits, _top_bits,
                             _topk_lowest_index,
-                            disjoint_chains, protection_rounds,
+                            disjoint_chains, eval_inputs, protection_rounds,
                             rank_candidates, search_chain,
                             search_chain_targeted, search_pass,
                             select_flippable)
 from oracles import (ProfileViewReference, audit_chain, bit_gradients,
                      bit_planes, disjoint_chains_reference, evaluate_candidate,
-                     incremental_logits, profile_of, protected_contains,
+                     full_backward, incremental_logits, profile_of,
+                     protected_contains,
                      rank_candidates_reference, replay_chain)
 from test_dram import _traced_peak
 
@@ -420,9 +421,9 @@ def test_protection_rounds_take_one_clean_pass(small_setup, monkeypatch):
     passes = []
     real = search.search_pass
 
-    def spy(work, *args):
+    def spy(work, *args, **kwargs):
         passes.append(work)
-        return real(work, *args)
+        return real(work, *args, **kwargs)
 
     monkeypatch.setattr(search, "search_pass", spy)
     cfg = SearchConfig(p=6, max_flips=3, target_accuracy=0.0)
@@ -900,7 +901,8 @@ def test_search_takes_one_pass_per_iteration(small_setup, monkeypatch):
     from flipsim.qnn import model as model_mod
 
     model, dataset = small_setup
-    calls = {"tape": 0, "backward": 0, "x_test": 0, "loss_and_accuracy": 0}
+    calls = {"backward": 0, "loss_and_accuracy": 0}
+    walks = []  # (over x_test, first layer run) of each forward walk
     grad, tape, forward = (model_mod.QuantizedModel.weight_bias_gradients,
                            model_mod.QuantizedModel.forward_tape,
                            model_mod.QuantizedModel.forward_acts)
@@ -909,12 +911,12 @@ def test_search_takes_one_pass_per_iteration(small_setup, monkeypatch):
         calls["backward"] += 1
         return grad(self, x, labels, taped)
 
-    def spy_tape(self, x):
-        calls["tape"] += 1
-        return tape(self, x)
+    def spy_tape(self, x, prefix=()):
+        walks.append((x is dataset.x_test, max(len(prefix) - 1, 0)))
+        return tape(self, x, prefix)
 
     def spy_forward(self, x):
-        calls["x_test"] += x is dataset.x_test
+        walks.append((x is dataset.x_test, 0))
         return forward(self, x)
 
     def spy_metrics(*args):
@@ -931,16 +933,27 @@ def test_search_takes_one_pass_per_iteration(small_setup, monkeypatch):
     cfg = SearchConfig(p=6, max_flips=4, target_accuracy=0.0,
                        target_fraction=1.1)
     for target in (None, 2):
-        calls.update(tape=0, backward=0, x_test=0)
+        calls.update(backward=0)
+        walks.clear()
         if target is None:
             chain = search_chain(model, dataset, None, cfg)
         else:
             chain = search_chain_targeted(model, dataset, None, cfg, target)
         assert len(chain) == 4
+        batch = [start for on_test, start in walks if not on_test]
+        scored = [start for on_test, start in walks if on_test]
         # one forward pass per state; no backward pass after the last commit
-        assert calls["tape"] == len(chain) + 1
+        assert len(batch) == len(chain) + 1
         assert calls["backward"] == len(chain)
-        assert calls["x_test"] == (0 if target is None else len(chain) + 1)
+        assert len(scored) == (0 if target is None else len(chain) + 1)
+        # the scored rows of each pass after a commit are walked from the
+        # committed layer on; a targeted eval batch is walked in full
+        committed = [0] + [step.ref.layer for step in chain.steps]
+        assert min(committed[1:]) > 0
+        if target is None:
+            assert batch == committed
+        else:
+            assert scored == committed and batch == [0] * len(batch)
     assert calls["loss_and_accuracy"] == 0
 
 
@@ -1055,14 +1068,16 @@ def test_chain_holds_two_passes_and_drops_spent_tapes(small_setup, monkeypatch):
     class Context(list):  # a list a weak reference can follow
         pass
 
-    def spy_tape(self, x):
-        acts, ctxs = tape(self, x)
+    def spy_tape(self, x, prefix=()):
+        acts, ctxs = tape(self, x, prefix)
+        if x is dataset.x_test:  # the scored rows: no gradients read
+            return acts, ctxs
         ctxs = Context(ctxs)
         tapes.append(weakref.ref(ctxs))
         return acts, ctxs
 
-    def spy_pass(*args):
-        state = make_pass(*args)
+    def spy_pass(*args, **kwargs):
+        state = make_pass(*args, **kwargs)
         passes.append(weakref.ref(state))
         live.append(sum(ref() is not None for ref in passes))
         return state
@@ -1083,3 +1098,62 @@ def test_chain_holds_two_passes_and_drops_spent_tapes(small_setup, monkeypatch):
     assert len(chain) == 4 and len(passes) == len(chain) + 1 == len(tapes)
     # the session's clean pass and the chain's current one
     assert max(live) == 2, live
+
+
+# ---- passes from a committed prefix -------------------------------------------
+
+
+def _same_array(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["mlp", "conv", "resnet"])
+def test_gradients_equal_the_full_backward(rank_models, kind):
+    # the backward ends at the first weighted layer; no gradient it returns
+    # moves by a bit against one that runs down to the input
+    models, dataset = rank_models
+    model = models[kind]
+    for x, y in ((dataset.x_test, dataset.y_test), dataset.batch(20, 3)):
+        loss, grads, bgrads, _ = model.weight_bias_gradients(x, y)
+        want_loss, want, want_b = full_backward(model, x, y)
+        assert loss == want_loss
+        for got, ref in zip(grads + bgrads, want + want_b):
+            assert (got is None) == (ref is None)
+            assert got is None or _same_array(got, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["mlp", "deep", "conv", "resnet"]), st.booleans(),
+       st.data())
+def test_pass_from_committed_prefix_equals_fresh_pass(rank_models, kind,
+                                                       targeted, data):
+    models, dataset = rank_models
+    model = models[kind].copy()
+    layer = data.draw(st.sampled_from(model.weighted_indices()), label="layer")
+    ref = BitRef(layer,
+                 data.draw(st.integers(0, model.layers[layer].weight_count - 1)),
+                 data.draw(st.integers(0, model.bit_width - 1)))
+    target = data.draw(st.integers(0, 3)) if targeted else None
+    cfg = SearchConfig(eval_batch_size=data.draw(st.integers(1, 40)),
+                       batch_seed=data.draw(st.integers(0, 2 ** 16)))
+    batch = eval_inputs(dataset, cfg, target)
+    before = search_pass(model, *batch)
+    before.grads  # read as a ranking reads them: the tape is dropped
+    model.flip_bit(ref)
+    after = search_pass(model, *batch, prefix=before.prefix(layer))
+    fresh = search_pass(model, *batch)
+    # the prefix is shared, not copied
+    assert all(a is b for a, b in zip(after.acts[:layer + 1], before.acts))
+    assert len(after.acts) == len(fresh.acts) == len(model.layers) + 1
+    assert all(_same_array(a, b) for a, b in zip(after.acts, fresh.acts))
+    assert (after.loss, after.accuracy, after.metric) == (
+        fresh.loss, fresh.accuracy, fresh.metric)
+    for name in ("nll", "correct", "peak"):
+        assert _same_array(getattr(after.scores, name),
+                           getattr(fresh.scores, name))
+    assert (after.scores.hits is None) == (target is None)
+    if target is not None:
+        assert _same_array(after.scores.hits, fresh.scores.hits)
+    for got, want in zip(after.grads, fresh.grads):
+        assert (got is None) == (want is None)
+        assert got is None or _same_array(got, want)
