@@ -260,12 +260,11 @@ def provision(cfg, model):
     if attacker + image.page_count > total:
         raise ConfigError("attacker budget leaves no room for the victim image")
     state.set_owner(range(attacker), OWNER_ATTACKER)
-    placement = {}
-    for pgid in range(1, image.page_count + 1):
-        pfn = total - image.page_count + (pgid - 1)
-        state.set_owner([pfn], OWNER_VICTIM)
-        state.write_page(pfn, image.page_bytes(pgid))
-        placement[pgid] = pfn
+    pgids = range(1, image.page_count + 1)
+    placement = {pgid: total - image.page_count + (pgid - 1) for pgid in pgids}
+    state.set_owner(placement.values(), OWNER_VICTIM)
+    for pfn, data in zip(placement.values(), image.pages(pgids)):
+        state.write_page(pfn, data)
     return state, image, placement, attacker
 
 

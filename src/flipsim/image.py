@@ -104,11 +104,18 @@ class WeightImage:
         code = self.model.layers[ref.layer].weight_q.reshape(-1)[ref.index]
         return int(code) >> ref.bit & 1
 
-    def page_bytes(self, page):
-        """The 4 KiB of page ``page``: the model's weight block, zero-padded."""
+    def page_bytes(self, page, block=None):
+        """The 4 KiB of page ``page``: ``block``, by default the model's
+        weight block, zero-padded."""
         self.addr_to_bit(page, 0)  # refuses a page outside the image
-        blob = self.model.weight_block()[(page - 1) * PAGE_BYTES:page * PAGE_BYTES]
-        return blob.ljust(PAGE_BYTES, b"\0")
+        block = self.model.weight_block() if block is None else block
+        return block[(page - 1) * PAGE_BYTES:page * PAGE_BYTES].ljust(
+            PAGE_BYTES, b"\0")
+
+    def pages(self, pgids):
+        """:meth:`page_bytes` of each page of ``pgids``, from one block."""
+        block = self.model.weight_block()
+        return [self.page_bytes(page, block) for page in pgids]
 
     def apply_flips(self, flips):
         """Toggle each target bit in the model.

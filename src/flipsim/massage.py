@@ -173,12 +173,13 @@ def release_and_remap(cache, plan, image, dram, noise=None):
                 break
             dram.owner[stolen] = OWNER_VICTIM  # foreign process grabbed it
     mapping = {}
-    for e in reversed(plan.entries):
+    entries = plan.entries[::-1]
+    for e, data in zip(entries, image.pages([e.target.page for e in entries])):
         pfn = cache.allocate()
         if pfn != e.ppn:
             raise MappingMismatch(e.target.page, e.ppn, pfn)
         dram.owner[pfn] = OWNER_VICTIM
-        dram.write_page(pfn, image.page_bytes(e.target.page))
+        dram.write_page(pfn, data)
         mapping[e.target.page] = pfn
     return mapping
 

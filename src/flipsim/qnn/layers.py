@@ -2,12 +2,17 @@
 
 Weighted layers (dense, conv2d) hold integer weight codes plus a step size and
 compute with the dequantized values; biases and activations stay in float64.
-Each layer implements ``forward_train``, which returns its output and a
-context that ``backward`` consumes for training and attack gradients, and
-``context``, which gives the same context from the layer's input alone.
-``backward`` returns the input gradient; a weighted layer's
-``weight_grads`` returns its weight and bias gradients from the same
-context.
+
+Every layer states one protocol, which the model calls without asking the
+layer's kind.  Besides its input, a layer reads the activations its
+``reads`` name, by index into the model's list (``acts[i]`` is the input of
+layer ``i``).  ``forward_train(x, *extra)`` returns the output and a
+context that ``backward`` consumes for training and attack gradients;
+``context(x, *extra)`` gives the same context from the inputs alone.
+``backward`` returns the input gradient, ``read_grads`` one gradient per
+read, and a weighted layer's ``weight_grads`` its weight and bias gradients
+from the same context.  ``out_shape(in_shape, *read_shapes)`` checks the
+input shapes and returns the output's.
 
 A class's ``fields`` name the attributes that fix its shape, in the order
 its constructor takes them and its checkpoint record stores them.  A
@@ -23,17 +28,18 @@ from .quant import dequantize, quantize
 class Layer:
     fields = ()
     weighted = False
+    reads = ()  # activations read besides the input, by index
 
     def field_values(self):
         """The values of :attr:`fields`: a blank layer's constructor arguments."""
         return tuple(getattr(self, name) for name in self.fields)
 
-    def forward_train(self, x):
-        """``(output, ctx)``: ``ctx`` equals :meth:`context` of ``x``."""
+    def forward_train(self, x, *extra):
+        """``(output, ctx)``: ``ctx`` equals :meth:`context` of the inputs."""
         raise NotImplementedError
 
-    def context(self, x):
-        """The backward context of input ``x``, as :meth:`forward_train`
+    def context(self, x, *extra):
+        """The backward context of the inputs, as :meth:`forward_train`
         returns it."""
         raise NotImplementedError
 
@@ -41,7 +47,11 @@ class Layer:
         """Return the gradient with respect to the layer's input."""
         raise NotImplementedError
 
-    def out_shape(self, in_shape):
+    def read_grads(self, ctx, grad_out):
+        """The gradient with respect to each activation of :attr:`reads`."""
+        return ()
+
+    def out_shape(self, in_shape, *read_shapes):
         raise NotImplementedError
 
     def copy(self):
@@ -266,19 +276,31 @@ class Flatten(Layer):
 
 
 class ResidualAdd(Layer):
-    """Adds the activation that entered layer ``source`` to the current one.
-
-    ``source`` indexes into the model's activation list (the input of that
-    layer), so the skip path must be upstream of this layer and shape-equal.
-    """
+    """Adds ``acts[source]``, the activation that entered layer ``source``,
+    to its input: a skip path from upstream, of the input's shape."""
 
     fields = ("source",)
 
     def __init__(self, source):
         self.source = int(source)
 
-    def forward_train(self, x):  # skip handled by the model loop
-        raise RuntimeError("ResidualAdd is evaluated by the model, not standalone")
+    @property
+    def reads(self):
+        return (self.source,)
 
-    def out_shape(self, in_shape):
+    def forward_train(self, x, skip):
+        return x + skip, None
+
+    def context(self, x, skip):
+        return None
+
+    def backward(self, ctx, g):
+        return g
+
+    def read_grads(self, ctx, g):
+        return (g,)
+
+    def out_shape(self, in_shape, skip_shape):
+        if skip_shape != in_shape:
+            raise ValueError(f"residual shapes differ: {skip_shape} vs {in_shape}")
         return in_shape

@@ -1,25 +1,25 @@
 """Quantized model container: inference, loss, gradients and bit flipping.
 
-The model is a flat ordered list of layers (residual skips reference earlier
-activations by index).  All reductions run in a fixed order so that repeated
-calls on identical state are bit-identical.
+The model is a flat ordered list of layers; a layer may read earlier
+activations besides its input (:attr:`Layer.reads`).  All reductions run in
+a fixed order so that repeated calls on identical state are bit-identical.
 
-Every forward pass is one walk over the layers.  It fills ``acts``, where
-``acts[i]`` is the input of layer ``i`` and ``acts[len(layers)]`` the logits;
-a residual skip adds ``acts[source]``.  A walk from layer ``start`` takes
-``acts[:start + 1]`` as given and appends the rest, so :meth:`forward_acts`,
-:meth:`forward_from` and :meth:`forward_tape` produce the same
-activations bit for bit.  It also returns one backward context per layer it
-ran (``None`` for a residual skip), which the gradient pass hands back to
-each layer's ``backward``.
+Every forward pass is one walk, :meth:`QuantizedModel.forward_tape`.  It
+fills ``acts``, where ``acts[i]`` is the input of layer ``i`` and
+``acts[len(layers)]`` the logits, and returns one backward context per
+layer it ran, which the gradient pass hands back to each layer's
+``backward``.  ``forward`` is the walk's last activation; ``forward_acts``
+and ``weight_gradients``, views of the walk and of the gradient pass, keep
+the names the benchmark's tracer patches.
 
 The prefix rule: after a change to layer ``L``'s weights, ``acts[:L + 1]``
 of a walk over the same input still hold, since no layer before ``L``
-changed.  :meth:`forward_tape` takes such a prefix, shares its arrays and
-walks from ``L`` only; the gradient pass takes each prefix layer's context
-from its input activation (:meth:`Layer.context`), so no context outlives
-its walk's backward.  A fresh walk is the empty prefix.  The backward stops
-at the first weighted layer: no caller reads the input gradient below it.
+changed.  The walk takes such a prefix, shares its arrays and runs layers
+``L..`` only, so its activations equal a fresh walk's bit for bit; the
+gradient pass takes each prefix layer's context from its input activations
+(:meth:`Layer.context`), so no context outlives its walk's backward.  A
+fresh walk is the empty prefix.  The backward stops at the first weighted
+layer: no caller reads the input gradient below it.
 """
 
 import hashlib
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import ResidualAdd
 from .quant import SUPPORTED_BIT_WIDTHS, toggle_bit, weight_code
 
 
@@ -53,22 +52,16 @@ class QuantizedModel:
         self._check_shapes()
 
     def _check_shapes(self):
-        shape = self.input_shape
-        shapes = [shape]
+        shapes = [self.input_shape]
         for i, layer in enumerate(self.layers):
-            if isinstance(layer, ResidualAdd):
-                src = layer.source
-                if not (0 <= src <= i):
-                    raise ValueError(f"residual source {src} out of range at layer {i}")
-                if shapes[src] != shape:
-                    raise ValueError(
-                        f"residual shapes differ: {shapes[src]} vs {shape}"
-                    )
-            else:
-                shape = layer.out_shape(shape)
-            shapes.append(shape)
-        if shape != (self.class_count,):
-            raise ValueError(f"model ends with shape {shape}, expected "
+            for src in layer.reads:
+                if not 0 <= src <= i:
+                    raise ValueError(f"{type(layer).__name__} at layer {i} "
+                                     f"reads activation {src}: out of range")
+            shapes.append(layer.out_shape(shapes[i],
+                                          *[shapes[src] for src in layer.reads]))
+        if shapes[-1] != (self.class_count,):
+            raise ValueError(f"model ends with shape {shapes[-1]}, expected "
                              f"({self.class_count},)")
 
     def copy(self):
@@ -82,79 +75,52 @@ class QuantizedModel:
 
     # ---- inference ---------------------------------------------------------
 
-    def _walk(self, start, acts):
-        """Run layers ``start..`` on ``acts[start]``, appending each output.
-
-        ``acts`` must hold exactly ``start + 1`` entries.  Returns the
-        layers' backward contexts.
-        """
-        x = acts[start]
-        ctxs = []
-        for layer in self.layers[start:]:
-            if isinstance(layer, ResidualAdd):
-                x, ctx = x + acts[layer.source], None
-            else:
-                x, ctx = layer.forward_train(x)
-            acts.append(x)
-            ctxs.append(ctx)
-        return ctxs
-
     def forward(self, x):
         return self.forward_acts(x)[0]
 
     def forward_acts(self, x):
-        """Forward pass returning ``(logits, acts)``."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[1:] != self.input_shape:
-            raise ValueError(f"batch shape {x.shape[1:]} != {self.input_shape}")
-        acts = [x]
-        self._walk(0, acts)
+        """``(logits, acts)`` of :meth:`forward_tape`."""
+        acts = self.forward_tape(x)[0]
         return acts[-1], acts
 
-    def forward_from(self, start, acts):
-        """Logits after recomputing layers ``start..`` from cached ``acts``.
+    def forward_tape(self, x, prefix=()):
+        """The walk over batch ``x``: ``(acts, ctxs)``.
 
-        Valid when nothing before ``start`` changed since ``acts`` was built;
-        ``acts`` itself is left as it is.
+        ``ctxs`` are the backward contexts of the layers the walk ran, the
+        model's last ``len(ctxs)``, valid while the weights stay as they
+        are.  ``prefix``, when given, is ``acts[:L + 1]`` of an earlier walk
+        over ``x`` with no weight before layer ``L`` changed since; its
+        arrays are shared, not copied, and only layers ``L..`` run.
         """
-        fresh = acts[:start + 1]
-        self._walk(start, fresh)
-        return fresh[-1]
+        acts = list(prefix) or [np.asarray(x, dtype=np.float64)]
+        if acts[0].shape[1:] != self.input_shape:
+            raise ValueError(f"batch shape {acts[0].shape[1:]} != "
+                             f"{self.input_shape}")
+        x, ctxs = acts[-1], []
+        for layer in self.layers[len(acts) - 1:]:
+            x, ctx = layer.forward_train(x, *[acts[src] for src in layer.reads])
+            acts.append(x)
+            ctxs.append(ctx)
+        return acts, ctxs
 
     # ---- gradients ---------------------------------------------------------
 
     def weight_gradients(self, x, labels):
-        """Mean cross-entropy gradients w.r.t. every dequantized weight.
-
-        Returns ``(loss, grads)`` with ``grads[i]`` shaped like layer ``i``'s
-        weight tensor (``None`` for weightless layers).
-        """
-        loss, grads, _, _ = self.weight_bias_gradients(x, labels)
-        return loss, grads
-
-    def forward_tape(self, x, prefix=()):
-        """Forward half of :meth:`weight_bias_gradients`: ``(acts, ctxs)``.
-
-        ``acts`` equal those of :meth:`forward_acts`; ``ctxs`` are the
-        backward contexts of the layers the walk ran, the model's last
-        ``len(ctxs)``, valid while the weights stay as they are.
-        ``prefix``, when given, is ``acts[:L + 1]`` of an earlier walk over
-        ``x`` with no weight before layer ``L`` changed since; its arrays
-        are shared, not copied, and only layers ``L..`` run.
-        """
-        acts = list(prefix) or [np.asarray(x, dtype=np.float64)]
-        return acts, self._walk(len(acts) - 1, acts)
+        """``(loss, grads)`` of :meth:`weight_bias_gradients`."""
+        return self.weight_bias_gradients(x, labels)[:2]
 
     def weight_bias_gradients(self, x, labels, tape=None):
-        """Like :meth:`weight_gradients` but also returns bias gradients.
+        """Mean cross-entropy gradients w.r.t. every dequantized weight and bias.
 
-        Returns ``(loss, grads, bias_grads, acts)``; both gradient lists hold
-        ``None`` for weightless layers, and ``acts`` are the activations of
-        the pass, equal to those of :meth:`forward_acts`.  ``tape``, the
-        :meth:`forward_tape` of ``x`` on the current weights, leaves only the
-        backward half to run; a layer the tape holds no context for takes it
-        from its input activation.  The backward ends at the first weighted
-        layer, with no input gradient below it.
+        Returns ``(loss, grads, bias_grads, acts)``: ``grads[i]`` is shaped
+        like layer ``i``'s weight tensor, both gradient lists hold ``None``
+        for weightless layers, and ``acts`` are the activations of the
+        walk.  ``tape``, the :meth:`forward_tape` of ``x`` on the current
+        weights, leaves only the backward half to run; a layer the tape
+        holds no context for takes it from its input activations.  A
+        read's gradient is added into its source before the layer's input
+        gradient.  The backward ends at the first weighted layer, with no
+        input gradient below it.
         """
         acts, ctxs = tape or self.forward_tape(x)
         loss, dlogits = softmax_cross_entropy(acts[-1], labels)
@@ -167,17 +133,15 @@ class QuantizedModel:
         for i in range(n - 1, first - 1, -1):
             g = flow[i + 1]
             layer = self.layers[i]
-            if isinstance(layer, ResidualAdd):
-                g_in = g
-                src = layer.source
-                flow[src] = g if flow[src] is None else flow[src] + g
-            else:
-                ctx = ctxs[i - start] if i >= start else layer.context(acts[i])
-                if layer.weighted:
-                    grads[i], bgrads[i] = layer.weight_grads(ctx, g)
-                if i == first:
-                    break
-                g_in = layer.backward(ctx, g)
+            ctx = ctxs[i - start] if i >= start else layer.context(
+                acts[i], *[acts[src] for src in layer.reads])
+            if layer.weighted:
+                grads[i], bgrads[i] = layer.weight_grads(ctx, g)
+            if i == first:
+                break
+            for src, g_src in zip(layer.reads, layer.read_grads(ctx, g)):
+                flow[src] = g_src if flow[src] is None else flow[src] + g_src
+            g_in = layer.backward(ctx, g)
             flow[i] = g_in if flow[i] is None else flow[i] + g_in
         return loss, grads, bgrads, acts
 

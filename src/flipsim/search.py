@@ -317,8 +317,8 @@ def _dense_suffix_logits(model, acts, refs, labels=None, peak=None):
 
 
 def _settle_ties(model, acts, refs, cand, rows, logits, peak):
-    """``(cand, rows, logits)`` with :meth:`forward_from`'s logits on each pair
-    whose top two lie within rounding (1e-9 of the top's magnitude plus
+    """``(cand, rows, logits)`` with :func:`_rerun_suffix`'s logits on each
+    pair whose top two lie within rounding (1e-9 of the top's magnitude plus
     ``peak``, the row's largest before the flip), so a tie breaks as in the
     full forward."""
     cols = np.ascontiguousarray(logits.T)  # class-major: fast reductions
@@ -332,7 +332,8 @@ def _settle_ties(model, acts, refs, cand, rows, logits, peak):
 
 
 def _rerun_suffix(model, acts, refs):
-    """Every row's logits after each flip, from :meth:`forward_from`.
+    """Every row's logits after each flip, each from a walk that starts at
+    the flipped layer on the prefix of ``acts`` before it.
 
     The fallback for suffixes :func:`_dense_suffix_logits` does not cover,
     in its ``(cand, rows, logits)`` form.
@@ -341,7 +342,7 @@ def _rerun_suffix(model, acts, refs):
     logits = []
     for ref in refs:
         model.flip_bit(ref)
-        logits.append(model.forward_from(ref.layer, acts))
+        logits.append(model.forward_tape(acts[0], acts[:ref.layer + 1])[0][-1])
         model.flip_bit(ref)
     return (np.repeat(np.arange(len(refs)), n), np.tile(np.arange(n), len(refs)),
             np.concatenate(logits))

@@ -94,6 +94,13 @@ def naive_forward(model, batch):
     return np.stack(outs)
 
 
+def walk_from(model, start, acts):
+    """The logits of a walk that reruns layers ``start..`` on the prefix
+    ``acts[:start + 1]`` of a walk: a full pass after a change to layer
+    ``start``'s weights."""
+    return model.forward_tape(acts[0], acts[:start + 1])[0][-1]
+
+
 def maxpool_reference(x, k, stride, g):
     """``(y, grad_x)`` of a max pool, one window at a time: each window's
     first maximum in row-major order takes the window's gradient, added in
@@ -401,7 +408,7 @@ def rank_candidates_reference(model, image, x, labels, p, *, objective=1,
         logits = incremental_logits(model, acts, ref)
         if logits is None:
             model.flip_bit(ref)
-            logits = model.forward_from(layer_idx, acts)
+            logits = walk_from(model, layer_idx, acts)
             model.flip_bit(ref)
         loss, _ = softmax_cross_entropy(logits[batch], labels[batch])
         acc = float((logits[batch].argmax(axis=1) == labels[batch]).mean())

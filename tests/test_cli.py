@@ -846,7 +846,8 @@ def test_random_baseline_flips_only_the_low_bits_below_8_bits(tmp_path,
 
 
 @pytest.mark.parametrize("cut", ["weight-block", "header", "magic", "bit-width",
-                                 "bias", "tag", "kernel"])
+                                 "bias", "tag", "kernel", "residual-source",
+                                 "residual-shape"])
 def test_malformed_checkpoint_exits_config(fast_trained, tmp_path, capsys, cut):
     with open(os.path.join(fast_trained, "checkpoint.qnn"), "rb") as fh:
         blob = fh.read()
@@ -856,12 +857,18 @@ def test_malformed_checkpoint_exits_config(fast_trained, tmp_path, capsys, cut):
     spec = qnn.lenet_like(model.input_shape, model.class_count)
     lenet = qnn.checkpoint_bytes(spec.assemble(spec.init_params(0)))
     kh_at = tag_at + 9  # the first conv record's kh, after its two channel counts
+    spec = qnn.blob_resnet(model.input_shape, model.class_count)
+    resnet = spec.assemble(spec.init_params(0))
+    # its skip reads past its own input, or the 1-channel network input
+    resnet.layers[3].source = {"residual-source": 4, "residual-shape": 0}.get(cut, 2)
     blob = {"weight-block": blob[:len(blob) - 1000], "header": blob[:30],
             "magic": b"QNN0" + blob[4:],
             "bit-width": blob[:4] + struct.pack("<I", 9) + blob[8:],
             "bias": qnn.checkpoint_bytes(model),
             "tag": blob[:tag_at] + bytes([6]) + blob[tag_at + 1:],
-            "kernel": lenet[:kh_at] + struct.pack("<I", 40) + lenet[kh_at + 4:]}[cut]
+            "kernel": lenet[:kh_at] + struct.pack("<I", 40) + lenet[kh_at + 4:],
+            "residual-source": qnn.checkpoint_bytes(resnet),
+            "residual-shape": qnn.checkpoint_bytes(resnet)}[cut]
     bad = tmp_path / "bad.qnn"
     bad.write_bytes(blob)
     capsys.readouterr()
@@ -872,7 +879,10 @@ def test_malformed_checkpoint_exits_config(fast_trained, tmp_path, capsys, cut):
     err = capsys.readouterr().err
     assert f"{bad}: malformed checkpoint" in err
     assert {"bit-width": "bit width 9", "bias": "bias", "tag": "layer tag 6",
-            "kernel": "kernel 40 is wider than the padded input 10"}.get(cut, "") in err
+            "kernel": "kernel 40 is wider than the padded input 10",
+            "residual-source":
+                "ResidualAdd at layer 3 reads activation 4: out of range",
+            "residual-shape": "residual shapes differ"}.get(cut, "") in err
     assert not os.path.exists(tmp_path / "search.json")
 
 

@@ -21,12 +21,15 @@ class FakeImage:
     """Stands in for a WeightImage when only page bytes are needed."""
 
     def __init__(self, pages):
-        self.pages = {pgid: np.asarray(data, dtype=np.uint8)
-                      for pgid, data in pages.items()}
+        self.contents = {pgid: np.asarray(data, dtype=np.uint8)
+                         for pgid, data in pages.items()}
         self.page_count = len(pages)
 
     def page_bytes(self, pgid):
-        return self.pages[pgid].tobytes()
+        return self.contents[pgid].tobytes()
+
+    def pages(self, pgids):
+        return [self.page_bytes(pgid) for pgid in pgids]
 
 
 def entry_for(dram, tb, ppn):

@@ -35,7 +35,27 @@ def tiny_resnet_spec():
     return qnn.blob_resnet(input_shape=(1, 4, 4), classes=4, width=3)
 
 
-SPECS = [tiny_mlp_spec, tiny_conv_spec, tiny_resnet_spec]
+def tiny_input_skip_spec(input_shape=(1, 4, 4), classes=3):
+    # a skip that reads the network input, acts[0]
+    c, h, w = input_shape
+    layers = [qnn.Conv2d(c, 2, 3, 3, pad=1), qnn.ReLU(),
+              qnn.Conv2d(2, c, 3, 3, pad=1), qnn.ResidualAdd(0), qnn.ReLU(),
+              qnn.Flatten(), Dense(c * h * w, classes)]
+    return FloatSpec(layers, input_shape, classes)
+
+
+def tiny_shared_skip_spec(input_shape=(1, 4, 4), classes=3):
+    # two skips read one source, whose gradient adds both and its main path
+    c, h, w = input_shape
+    layers = [qnn.Conv2d(c, 2, 3, 3, pad=1), qnn.ReLU(),
+              qnn.Conv2d(2, 2, 3, 3, pad=1), qnn.ResidualAdd(2), qnn.ReLU(),
+              qnn.Conv2d(2, 2, 3, 3, pad=1), qnn.ResidualAdd(2), qnn.Flatten(),
+              Dense(2 * h * w, classes)]
+    return FloatSpec(layers, input_shape, classes)
+
+
+SPECS = [tiny_mlp_spec, tiny_conv_spec, tiny_resnet_spec, tiny_input_skip_spec,
+         tiny_shared_skip_spec]
 
 
 def test_identity_dense_layer_passes_input_through():
@@ -114,29 +134,43 @@ def test_forward_is_pure():
 
 
 @pytest.mark.parametrize("make_spec", SPECS)
-def test_forward_from_reruns_every_suffix_exactly(make_spec):
+def test_walk_from_every_prefix_reruns_exactly(make_spec):
     # resnet: a flip in the skip's source layer reruns from that very layer
     spec = make_spec()
     model = spec.assemble(spec.init_params(13))
     x = np.random.default_rng(13).normal(size=(5, *model.input_shape))
     logits, acts = model.forward_acts(x)
     for start in range(len(model.layers)):
-        assert np.array_equal(model.forward_from(start, acts), logits)
+        prefix = acts[:start + 1]
+        assert np.array_equal(model.forward_tape(x, prefix)[0][-1], logits)
         if not model.layers[start].weighted:
             continue
         ref = BitRef(start, model.layers[start].weight_count // 2, 6)
         model.flip_bit(ref)
         flipped = model.forward_acts(x)[0]
-        assert np.array_equal(model.forward_from(start, acts), flipped)
+        assert np.array_equal(model.forward_tape(x, prefix)[0][-1], flipped)
         model.flip_bit(ref)
     assert len(acts) == len(model.layers) + 1 and acts[-1] is logits
+
+
+@pytest.mark.parametrize("source,message", [
+    (4, "ResidualAdd at layer 3 reads activation 4: out of range"),
+    (-1, "ResidualAdd at layer 3 reads activation -1: out of range"),
+    (0, r"residual shapes differ: \(1, 4, 4\) vs \(3, 4, 4\)"),
+])
+def test_residual_read_refusals_at_construction(source, message):
+    layers = [layer.copy() for layer in tiny_resnet_spec().skeleton.layers]
+    assert isinstance(layers[3], qnn.ResidualAdd)
+    layers[3] = qnn.ResidualAdd(source)
+    with pytest.raises(ValueError, match=message):
+        QuantizedModel(layers, 8, 4, (1, 4, 4))
 
 
 # ---- gradients -----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("make_spec", SPECS)
-def test_gradient_pass_activations_equal_forward_acts(make_spec):
+def test_gradient_pass_activations_equal_the_walk(make_spec):
     # the untargeted ranking scores candidates on the gradient pass's acts
     spec = make_spec()
     model = spec.assemble(spec.init_params(13))
@@ -144,7 +178,7 @@ def test_gradient_pass_activations_equal_forward_acts(make_spec):
     x = gen.normal(size=(7, *model.input_shape))
     y = gen.integers(0, model.class_count, size=7)
     _, _, _, acts = model.weight_bias_gradients(x, y)
-    _, want = model.forward_acts(x)
+    want = model.forward_tape(x)[0]
     assert len(acts) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(acts, want))
 

@@ -28,8 +28,9 @@ from oracles import (ProfileViewReference, audit_chain, bit_gradients,
                      bit_planes, disjoint_chains_reference, evaluate_candidate,
                      full_backward, incremental_logits, profile_of,
                      protected_contains,
-                     rank_candidates_reference, replay_chain)
+                     rank_candidates_reference, replay_chain, walk_from)
 from test_dram import _traced_peak
+from test_model import tiny_input_skip_spec, tiny_shared_skip_spec
 
 rng = np.random.default_rng(17)
 
@@ -134,9 +135,9 @@ def test_dead_path_flip_leaves_loss_unchanged():
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(st.lists(st.integers(1, 12), max_size=3), st.none()),
        st.integers(0, 7), st.data())
-def test_incremental_logits_match_forward_from(hidden, bit, data):
+def test_incremental_logits_match_a_walk_from_the_flip(hidden, bit, data):
     # hidden=None picks lenet_like: its dense tail runs incrementally, its
-    # conv layers fall back to forward_from
+    # conv layers fall back to a walk from the flipped layer
     if hidden is None:
         spec = qnn.lenet_like(input_shape=(1, 4, 4), classes=3)
     else:
@@ -157,7 +158,7 @@ def test_incremental_logits_match_forward_from(hidden, bit, data):
     labels = data.draw(st.sampled_from([None, y]))
     fast = _flip_logits(acts, _dense_suffix_logits(model, acts, [ref], labels))[0]
     model.flip_bit(ref)
-    full = model.forward_from(layer, acts)
+    full = walk_from(model, layer, acts)
     model.flip_bit(ref)
     np.testing.assert_allclose(fast, full, rtol=1e-10, atol=1e-12)
     assert metrics_from_logits(fast, y)[1] == metrics_from_logits(full, y)[1]
@@ -455,8 +456,9 @@ def test_direction_rule_consistency(small_setup):
 @pytest.fixture(scope="module")
 def rank_models():
     """A three-page MLP, the same MLP with most second-layer units dead, a
-    4-bit and a 2-bit MLP, an MLP with three hidden layers, a conv net and a
-    residual net on one blob dataset."""
+    4-bit and a 2-bit MLP, an MLP with three hidden layers, a conv net, a
+    residual net, a net whose skip reads its input and one whose two skips
+    read one source, on one blob dataset."""
     dataset = qnn.gaussian_blobs(classes=4, shape=(1, 8, 8), train_per_class=24,
                                  test_per_class=12, noise=1.5, seed=8)
     cfg = qnn.TrainConfig(epochs=2, accuracy_floor=0.0)
@@ -484,8 +486,11 @@ def rank_models():
                            dataset, cfg, seed=1)
     resnet = qnn.train_small(qnn.blob_resnet(input_shape=(1, 8, 8), classes=4),
                              dataset, cfg, seed=1)
+    skips = {kind: qnn.train_small(make((1, 8, 8), 4), dataset, cfg, seed=1)
+             for kind, make in (("input-skip", tiny_input_skip_spec),
+                                ("shared-skip", tiny_shared_skip_spec))}
     return {"mlp": mlp, "dead": dead, "mlp4": mlp4, "mlp2": mlp2, "deep": deep,
-            "conv": conv, "resnet": resnet}, dataset
+            "conv": conv, "resnet": resnet, **skips}, dataset
 
 
 def _random_profile(gen, rate):
@@ -699,7 +704,7 @@ def test_flip_into_dead_neuron_leaves_logits_exactly():
             fast = _flip_logits(acts, _dense_suffix_logits(model, acts, [ref]))[0]
             assert np.array_equal(fast, acts[-1])
             model.flip_bit(ref)
-            assert np.array_equal(model.forward_from(1, acts), acts[-1])
+            assert np.array_equal(walk_from(model, 1, acts), acts[-1])
             model.flip_bit(ref)
 
 
@@ -714,7 +719,7 @@ def test_last_layer_flip_updates_one_logit_column():
         changed = np.flatnonzero((fast != acts[-1]).any(axis=0))
         assert set(changed) <= {index // model.layers[last].in_features}
         model.flip_bit(ref)
-        np.testing.assert_allclose(fast, model.forward_from(last, acts),
+        np.testing.assert_allclose(fast, walk_from(model, last, acts),
                                    rtol=1e-12, atol=1e-12)
         model.flip_bit(ref)
 
@@ -754,7 +759,7 @@ def test_changed_pairs_match_single_flips():
                                        atol=1e-12)
             model.flip_bit(ref)
             np.testing.assert_allclose(logits[cand == k],
-                                       model.forward_from(1, acts)[one_rows],
+                                       walk_from(model, 1, acts)[one_rows],
                                        rtol=1e-12, atol=1e-12)
             model.flip_bit(ref)
 
@@ -903,9 +908,8 @@ def test_search_takes_one_pass_per_iteration(small_setup, monkeypatch):
     model, dataset = small_setup
     calls = {"backward": 0, "loss_and_accuracy": 0}
     walks = []  # (over x_test, first layer run) of each forward walk
-    grad, tape, forward = (model_mod.QuantizedModel.weight_bias_gradients,
-                           model_mod.QuantizedModel.forward_tape,
-                           model_mod.QuantizedModel.forward_acts)
+    grad, tape = (model_mod.QuantizedModel.weight_bias_gradients,
+                  model_mod.QuantizedModel.forward_tape)
 
     def spy_grad(self, x, labels, taped=None):
         calls["backward"] += 1
@@ -915,10 +919,6 @@ def test_search_takes_one_pass_per_iteration(small_setup, monkeypatch):
         walks.append((x is dataset.x_test, max(len(prefix) - 1, 0)))
         return tape(self, x, prefix)
 
-    def spy_forward(self, x):
-        walks.append((x is dataset.x_test, 0))
-        return forward(self, x)
-
     def spy_metrics(*args):
         calls["loss_and_accuracy"] += 1
         return loss_and_accuracy(*args)
@@ -926,7 +926,6 @@ def test_search_takes_one_pass_per_iteration(small_setup, monkeypatch):
     monkeypatch.setattr(model_mod.QuantizedModel, "weight_bias_gradients",
                         spy_grad)
     monkeypatch.setattr(model_mod.QuantizedModel, "forward_tape", spy_tape)
-    monkeypatch.setattr(model_mod.QuantizedModel, "forward_acts", spy_forward)
     for module in (model_mod, search):
         monkeypatch.setattr(module, "loss_and_accuracy", spy_metrics,
                             raising=False)
@@ -1107,7 +1106,8 @@ def _same_array(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["mlp", "conv", "resnet"])
+@pytest.mark.parametrize("kind", ["mlp", "conv", "resnet", "input-skip",
+                                  "shared-skip"])
 def test_gradients_equal_the_full_backward(rank_models, kind):
     # the backward ends at the first weighted layer; no gradient it returns
     # moves by a bit against one that runs down to the input
