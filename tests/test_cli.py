@@ -861,14 +861,14 @@ def test_malformed_checkpoint_exits_config(fast_trained, tmp_path, capsys, cut):
     resnet = spec.assemble(spec.init_params(0))
     # its skip reads past its own input, or the 1-channel network input
     resnet.layers[3].source = {"residual-source": 4, "residual-shape": 0}.get(cut, 2)
+    resnet = qnn.checkpoint_bytes(resnet)
     blob = {"weight-block": blob[:len(blob) - 1000], "header": blob[:30],
             "magic": b"QNN0" + blob[4:],
             "bit-width": blob[:4] + struct.pack("<I", 9) + blob[8:],
             "bias": qnn.checkpoint_bytes(model),
             "tag": blob[:tag_at] + bytes([6]) + blob[tag_at + 1:],
             "kernel": lenet[:kh_at] + struct.pack("<I", 40) + lenet[kh_at + 4:],
-            "residual-source": qnn.checkpoint_bytes(resnet),
-            "residual-shape": qnn.checkpoint_bytes(resnet)}[cut]
+            "residual-source": resnet, "residual-shape": resnet}[cut]
     bad = tmp_path / "bad.qnn"
     bad.write_bytes(blob)
     capsys.readouterr()
